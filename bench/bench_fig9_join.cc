@@ -91,6 +91,9 @@ IndexPhase RunIndexedPhase() {
 
   eqsql::exec::WorkerPool pool(4);
   eqsql::net::Connection conn(&db);
+  // The scan arm is the vector engine's partition-parallel scan; the
+  // row engine (a bare Connection's default) never fans out.
+  conn.set_exec_mode(eqsql::exec::ExecMode::kVector);
   conn.set_worker_pool(&pool);
   conn.set_parallel_threshold(0);
 

@@ -9,12 +9,17 @@ namespace eqsql::exec {
 
 /// Which execution engine the Executor runs.
 ///
-///  * kRow: the original row-at-a-time interpreter — one EvalScalar
-///    dispatch per expression node per row, column lookup by name.
+///  * kRow: the serial reference engine — the original row-at-a-time
+///    interpreter, one EvalScalar dispatch per expression node per row,
+///    column lookup by name, never fanned out over the worker pool. It
+///    is what the differential tests and the fuzzer's original-program
+///    run compare against, and the per-operator fallback for what the
+///    batch compiler cannot handle.
 ///  * kVector: batch-at-a-time columnar execution (see exec/batch.h) —
 ///    scans materialize kBatchCapacity-row chunks per shard, predicates
 ///    and projections are compiled to positional form and evaluated one
-///    dispatch per batch. Results, error selection, and cost accounting
+///    dispatch per batch, and large sharded scans run their shard tasks
+///    on the worker pool. Results, error selection, and cost accounting
 ///    are byte-identical to kRow (proven differentially by
 ///    tests/vector_exec_test.cc and the fuzzer's --exec-mode oracle);
 ///    only speed differs.
@@ -35,9 +40,9 @@ inline std::optional<ExecMode> ParseExecMode(std::string_view name) {
 }
 
 /// The server-stack default: vector, overridable per process with
-/// EQSQL_EXEC_MODE=row|vector (the runtime escape hatch the two
-/// co-resident engines are kept for). A bare Executor/Connection still
-/// defaults to kRow so the row engine stays directly testable.
+/// EQSQL_EXEC_MODE=row|vector (row runs the serial reference engine).
+/// A bare Executor/Connection still defaults to kRow so the reference
+/// stays directly testable.
 inline ExecMode DefaultExecMode() {
   const char* env = std::getenv("EQSQL_EXEC_MODE");
   if (env != nullptr) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -137,9 +139,9 @@ struct AggState {
   }
 
   /// Folds another shard's partial state into this one. Only called on
-  /// the exact (integer) path: parallel aggregation is gated off when
-  /// any double can reach Update (see ParallelAggHazard), so summation
-  /// order cannot change the result.
+  /// the exact (integer) path: shard partials merge only under the
+  /// group-by hazard gate in ExecGroupBy, which keeps every double away
+  /// from Update, so summation order cannot change the result.
   void Merge(const AggState& other) {
     count += other.count;
     if (other.any) {
@@ -242,8 +244,8 @@ bool SchemaHasDouble(const Schema& schema) {
 /// Conservative, side-effect-free superset of TryIndexLookup's
 /// applicability: true if `select` (a kSelect directly over `scan`)
 /// might hit the unique-key point-lookup fast path. When this returns
-/// false, TryIndexLookup is guaranteed to fail with kNotFound, so the
-/// parallel operators can take over without changing the row-count
+/// false, TryIndexLookup is guaranteed to fail with kNotFound, so a
+/// fused batch operator can take over without changing the row-count
 /// accounting (the fast path charges 1 probe instead of a full scan).
 bool IndexLookupMightApply(const RaNode& select, const RaNode& scan,
                            const storage::Table& table) {
@@ -321,19 +323,6 @@ void Executor::set_metrics(obs::MetricsRegistry* metrics) {
   index_rows_ = metrics->counter("storage.index.rows");
   index_scans_ = metrics->counter("exec.index.scans");
   index_nlj_probes_ = metrics->counter("exec.index.nlj_probes");
-}
-
-std::vector<Executor::ShardScanMetrics> Executor::ShardMetrics(
-    size_t shard_count) {
-  std::vector<ShardScanMetrics> out(shard_count);
-  if (metrics_ == nullptr) return out;
-  for (size_t s = 0; s < shard_count; ++s) {
-    const std::string prefix = "storage.shard." + std::to_string(s) + ".scan.";
-    out[s].rows = metrics_->counter(prefix + "rows");
-    out[s].bytes = metrics_->counter(prefix + "bytes");
-    out[s].ns = metrics_->counter(prefix + "ns");
-  }
-  return out;
 }
 
 namespace {
@@ -544,12 +533,7 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
     case RaOp::kScan: {
       EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
                              ResolveTable(node.table_name()));
-      if (pool_ != nullptr && table->shard_count() > 1 &&
-          table->row_count() >= parallel_threshold_) {
-        return mode_ == ExecMode::kVector ? ExecScanVectorParallel(node, *table)
-                                          : ExecScanParallel(node, *table);
-      }
-      if (mode_ == ExecMode::kVector) return ExecScanVector(node, *table);
+      if (mode_ == ExecMode::kVector) return ExecScanBatch(node, *table);
       ResultSet out;
       EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
       out.rows = table->rows(ReadSnapshot());
@@ -565,9 +549,8 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
       if (node.child(0)->op() == RaOp::kScan) {
         Result<const storage::Table*> table =
             ResolveTable(node.child(0)->table_name());
-        bool might_index =
-            table.ok() && IndexLookupMightApply(node, *node.child(0), **table);
-        if (might_index) {
+        if (table.ok() &&
+            IndexLookupMightApply(node, *node.child(0), **table)) {
           Result<ResultSet> fast = TryIndexLookup(node, ctx);
           if (fast.ok()) return fast;
         }
@@ -581,29 +564,13 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
             return idx;
           }
         }
-        if (!might_index && table.ok() && pool_ != nullptr &&
-            (*table)->shard_count() > 1 &&
-            (*table)->row_count() >= parallel_threshold_) {
-          if (mode_ == ExecMode::kVector) {
-            EQSQL_ASSIGN_OR_RETURN(Schema scan_schema,
-                                   OutputSchema(*node.child(0)));
-            std::unique_ptr<CompiledExpr> pred = CompiledExpr::Compile(
-                node.predicate(), scan_schema,
-                [ctx](int i) { return ctx->LookupParameter(i); });
-            if (pred != nullptr) {
-              return ExecSelectScanVectorParallel(node, **table, *pred,
-                                                  scan_schema);
-            }
-            RecordVectorFallback();
-          }
-          return ExecSelectScanParallel(node, **table, ctx);
-        }
-        // Serial fused path: stream shard cursors straight through the
+        // Batch path: stream the shard cursors straight through the
         // compiled predicate instead of materializing the whole scan,
         // sorting it, and re-batching it through FilterVector. Reached
-        // both when no pool applies and when a unique-key lookup looked
-        // possible but missed. Compile failure falls through to the
-        // unfused attempt below, which records the fallback.
+        // both when no index applies and when a unique-key lookup looked
+        // possible but missed; inline and pooled runs share this gate.
+        // Compile failure falls through to the unfused attempt below,
+        // which records the fallback.
         if (table.ok() && mode_ == ExecMode::kVector && ctx->depth() == 0) {
           EQSQL_ASSIGN_OR_RETURN(Schema scan_schema,
                                  OutputSchema(*node.child(0)));
@@ -611,7 +578,7 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
               node.predicate(), scan_schema,
               [ctx](int i) { return ctx->LookupParameter(i); });
           if (pred != nullptr) {
-            return ExecSelectScanVector(node, **table, *pred, scan_schema);
+            return ExecSelectScanBatch(**table, *pred, std::move(scan_schema));
           }
         }
       }
@@ -1283,16 +1250,17 @@ Result<ResultSet> Executor::ExecOuterApply(const RaNode& node,
 }
 
 Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
-  // Partition-parallel partial aggregation applies when the input is a
-  // (possibly filtered) base scan and every value that can reach an
-  // aggregation state is exact: no double column in the scanned schema,
-  // no double literal or parameter in the keys / aggregate arguments /
-  // filter predicate, and no outer frames (a correlated outer column
-  // could be a double). Under those gates, merging per-shard integer
-  // partial states is order-independent and the result is byte-
-  // identical to serial execution.
-  if (ctx->depth() == 0 &&
-      (pool_ != nullptr || mode_ == ExecMode::kVector)) {
+  // The batch path applies when the input is a (possibly filtered) base
+  // scan and every value that can reach an aggregation state is exact:
+  // no double column in the scanned schema, no double literal or
+  // parameter in the keys / aggregate arguments / filter predicate, and
+  // no outer frames (a correlated outer column could be a double). Under
+  // those gates fold order cannot change a state, so shard partials
+  // merge exactly and group order comes from each group's lowest seq —
+  // byte-identical to the serial row fold. A filter a unique-key lookup
+  // might answer stays on the unfused path, which keeps the lookup's
+  // 1-probe charge.
+  if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
     const RaNode* select = nullptr;
     const RaNode* scan = nullptr;
     const RaNode& child = *node.child(0);
@@ -1306,46 +1274,26 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
     Result<const storage::Table*> table =
         scan != nullptr ? ResolveTable(scan->table_name()) : nullptr;
     if (scan != nullptr && table.ok() && *table != nullptr) {
-      const bool parallel = pool_ != nullptr &&
-                            (*table)->shard_count() > 1 &&
-                            (*table)->row_count() >= parallel_threshold_;
-      if (parallel || mode_ == ExecMode::kVector) {
-        bool hazard = SchemaHasDouble((*table)->schema());
-        if (select != nullptr) {
-          hazard = hazard || IndexLookupMightApply(*select, *scan, **table) ||
-                   MayProduceDouble(select->predicate());
+      bool hazard = SchemaHasDouble((*table)->schema());
+      if (select != nullptr) {
+        hazard = hazard || IndexLookupMightApply(*select, *scan, **table) ||
+                 MayProduceDouble(select->predicate());
+      }
+      for (const ScalarExprPtr& k : node.group_keys()) {
+        hazard = hazard || MayProduceDouble(k);
+      }
+      for (const ra::AggregateSpec& a : node.aggregates()) {
+        hazard = hazard || MayProduceDouble(a.arg);
+      }
+      if (!hazard) {
+        Result<Schema> scan_schema = OutputSchema(*scan);
+        CompiledGroupBy plan;
+        if (scan_schema.ok() &&
+            CompileGroupBy(node, select, *scan_schema, ctx, &plan)) {
+          return ExecGroupByBatch(node, **table, plan);
         }
-        for (const ScalarExprPtr& k : node.group_keys()) {
-          hazard = hazard || MayProduceDouble(k);
-        }
-        for (const ra::AggregateSpec& a : node.aggregates()) {
-          hazard = hazard || MayProduceDouble(a.arg);
-        }
-        if (!hazard) {
-          if (mode_ == ExecMode::kVector) {
-            Result<Schema> scan_schema = OutputSchema(*scan);
-            CompiledGroupBy plan;
-            if (scan_schema.ok() &&
-                CompileGroupBy(node, select, *scan_schema, ctx, &plan)) {
-              // The serial fused twin streams the shard cursors through
-              // the same compiled plan without pool fan-out; the hazard
-              // gate above already guarantees order-independent
-              // (integer) folds, which is what lets both skip the seq
-              // sort the unfused serial fold relies on.
-              return parallel
-                         ? ExecGroupByVectorParallel(node, select, **table,
-                                                     *scan_schema, plan)
-                         : ExecGroupByVectorFused(node, select, **table, plan);
-            }
-            // In the parallel case the row engine takes over here; the
-            // serial case falls through to the unfused attempt below,
-            // which records the fallback itself.
-            if (parallel) RecordVectorFallback();
-          }
-          if (parallel) {
-            return ExecGroupByParallel(node, select, *scan, **table, ctx);
-          }
-        }
+        // A compile failure falls through to the unfused attempt below,
+        // which records the fallback itself.
       }
     }
   }
@@ -1425,407 +1373,6 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
   return out;
 }
 
-Result<ResultSet> Executor::ExecScanParallel(const RaNode& node,
-                                             const storage::Table& table) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const storage::Snapshot snap = ReadSnapshot();
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics = ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  // Per-shard profile slots: sized on the main thread before fan-out;
-  // each task writes only slot s, published by the pool barrier (the
-  // same one-writer-per-slot discipline as `gathered`).
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  // Sequence numbers are sparse under MVCC (DELETE retires a slot but
-  // never renumbers the survivors), so each task gathers (seq, row)
-  // pairs for its shard's visible versions and one merge sort restores
-  // the serial scan's insertion order.
-  std::vector<std::vector<std::pair<size_t, Row>>> gathered(
-      table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, snap, s, &gathered, &shard_metrics,
-                     parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-scan");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      size_t bytes = 0;
-      std::vector<std::pair<size_t, Row>>& rows = gathered[s];
-      for (const auto& slot : table.PinShard(s)) {
-        const Row* row = slot->VisibleRow(snap);
-        if (row == nullptr) continue;
-        bytes += catalog::RowWireSize(*row);
-        rows.emplace_back(slot->seq, *row);
-      }
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(rows.size()));
-        m.bytes->Add(static_cast<int64_t>(bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(rows.size());
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-  size_t total = 0;
-  for (const auto& g : gathered) total += g.size();
-  std::vector<std::pair<size_t, Row>> merged;
-  merged.reserve(total);
-  for (auto& g : gathered) {
-    for (auto& p : g) merged.push_back(std::move(p));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(merged.size());
-  for (auto& p : merged) out.rows.push_back(std::move(p.second));
-  rows_processed_ += out.rows.size();
-  // Shard-invariant totals mirror the serial scan exactly: same visible
-  // row count, same wire bytes.
-  if (scan_rows_ != nullptr) RecordScan(out.rows.size(), out.WireSize());
-  return out;
-}
-
-Result<ResultSet> Executor::ExecSelectScanParallel(const RaNode& node,
-                                                   const storage::Table& table,
-                                                   EvalContext* ctx) {
-  const RaNode& scan = *node.child(0);
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(scan));
-  const Schema& schema = out.schema;
-  const ScalarExprPtr& pred = node.predicate();
-
-  const storage::Snapshot snap = ReadSnapshot();
-
-  struct TaskResult {
-    std::vector<std::pair<size_t, Row>> rows;  // (seq, matched row)
-    size_t scanned = 0;    // visible rows in this shard (serial-scan parity)
-    size_t sub_rows = 0;   // subquery rows processed by the task
-    size_t scanned_bytes = 0;
-    size_t fail_seq = 0;
-    Status status = Status::OK();
-  };
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics = ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<TaskResult> results(table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, &schema, &pred, ctx, snap, s, &results,
-                     &shard_metrics, parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-filter");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      TaskResult& r = results[s];
-      // Task-scratch Executor: rows_processed_ is per-instance, and a
-      // task must never fan out again (WorkerPool::Run is not
-      // re-entrant from a task), hence no pool on it. Metric handles
-      // are shared: counters are thread-safe and subquery scans inside
-      // the predicate must charge the same shard-invariant totals as
-      // their serial counterparts.
-      Executor ex(db_);
-      ex.guard_ = guard_;
-      ex.metrics_ = metrics_;
-      ex.scan_rows_ = scan_rows_;
-      ex.scan_bytes_ = scan_bytes_;
-      ex.parallel_batches_ = parallel_batches_;
-      ex.shard_scan_ns_ = shard_scan_ns_;
-      EvalContext local = *ctx;
-      for (const auto& slot : table.PinShard(s)) {
-        const Row* row = slot->VisibleRow(snap);
-        if (row == nullptr) continue;
-        ++r.scanned;
-        // Slots are usually in ascending seq order, but concurrent
-        // keyless inserts allocate seq before taking the shard lock,
-        // so a later slot can carry a smaller seq. Keep scanning after
-        // a failure to find this shard's MINIMUM failing seq (serial
-        // execution aborts at the globally lowest one); slots above a
-        // known failure cannot change the outcome and are skipped.
-        if (!r.status.ok() && slot->seq > r.fail_seq) continue;
-        r.scanned_bytes += catalog::RowWireSize(*row);
-        local.PushFrame(&schema, row);
-        Result<Value> v = ex.EvalScalar(pred, &local);
-        local.PopFrame();
-        if (!v.ok()) {
-          r.status = v.status();
-          r.fail_seq = slot->seq;
-          continue;
-        }
-        if (r.status.ok() && IsTruthy(*v)) {
-          r.rows.emplace_back(slot->seq, *row);
-        }
-      }
-      r.sub_rows = ex.rows_processed_;
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(r.scanned));
-        m.bytes->Add(static_cast<int64_t>(r.scanned_bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(r.scanned);
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-
-  // Serial execution aborts at the lowest failing sequence number;
-  // report that same error.
-  const TaskResult* failed = nullptr;
-  for (const TaskResult& r : results) {
-    if (!r.status.ok() &&
-        (failed == nullptr || r.fail_seq < failed->fail_seq)) {
-      failed = &r;
-    }
-  }
-  if (failed != nullptr) return failed->status;
-
-  size_t total = 0;
-  size_t scanned = 0;
-  size_t sub_rows = 0;
-  size_t scanned_bytes = 0;
-  for (const TaskResult& r : results) {
-    total += r.rows.size();
-    scanned += r.scanned;
-    sub_rows += r.sub_rows;
-    scanned_bytes += r.scanned_bytes;
-  }
-  // Shard-invariant scan totals: the serial plan's child Scan would have
-  // charged the snapshot-visible rows and their wire bytes before
-  // filtering.
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  std::vector<std::pair<size_t, Row>> merged;
-  merged.reserve(total);
-  for (TaskResult& r : results) {
-    for (auto& p : r.rows) merged.push_back(std::move(p));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(merged.size());
-  for (auto& p : merged) out.rows.push_back(std::move(p.second));
-  // Cost parity with serial: scan charged every visible row, predicate
-  // subqueries charged their rows, selection charged its output.
-  rows_processed_ += scanned + sub_rows + out.rows.size();
-  return out;
-}
-
-Result<ResultSet> Executor::ExecGroupByParallel(const RaNode& node,
-                                                const RaNode* select,
-                                                const RaNode& scan,
-                                                const storage::Table& table,
-                                                EvalContext* ctx) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  EQSQL_ASSIGN_OR_RETURN(Schema scan_schema, OutputSchema(scan));
-  const auto& keys = node.group_keys();
-  const auto& aggs = node.aggregates();
-
-  /// One shard's partial aggregation: groups in first-seen order plus
-  /// the lowest sequence number at which each group appeared, so the
-  /// merge can reproduce the serial first-seen group order exactly.
-  const storage::Snapshot snap = ReadSnapshot();
-
-  struct Partial {
-    std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-    std::vector<std::vector<Value>> keys;
-    std::vector<std::vector<AggState>> states;
-    std::vector<size_t> first_seq;
-    size_t scanned = 0;  // visible rows in this shard
-    size_t matched = 0;
-    size_t sub_rows = 0;
-    size_t scanned_bytes = 0;
-    size_t fail_seq = 0;
-    Status status = Status::OK();
-  };
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics = ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<Partial> partials(table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, &scan_schema, &keys, &aggs, select, ctx,
-                     snap, s, &partials, &shard_metrics, parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-aggregate");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      Partial& p = partials[s];
-      Executor ex(db_);
-      ex.guard_ = guard_;
-      ex.metrics_ = metrics_;
-      ex.scan_rows_ = scan_rows_;
-      ex.scan_bytes_ = scan_bytes_;
-      ex.parallel_batches_ = parallel_batches_;
-      ex.shard_scan_ns_ = shard_scan_ns_;
-      EvalContext local = *ctx;
-      for (const auto& slot : table.PinShard(s)) {
-        const Row* row = slot->VisibleRow(snap);
-        if (row == nullptr) continue;
-        ++p.scanned;
-        // As in ExecSelectScanParallel: slot order within a shard is
-        // not guaranteed to follow seq under concurrent keyless
-        // inserts, so track the shard's minimum failing seq instead of
-        // stopping at the first failing slot. Once failed, lower-seq
-        // slots are still evaluated (a yet-earlier failure must win);
-        // their group-state updates are dead weight — the whole
-        // partial is discarded on failure.
-        if (!p.status.ok() && slot->seq > p.fail_seq) continue;
-        p.scanned_bytes += catalog::RowWireSize(*row);
-        local.PushFrame(&scan_schema, row);
-        Status status = Status::OK();
-        bool pass = true;
-        if (select != nullptr) {
-          Result<Value> v = ex.EvalScalar(select->predicate(), &local);
-          if (!v.ok()) {
-            status = v.status();
-          } else {
-            pass = IsTruthy(*v);
-          }
-        }
-        if (status.ok() && pass) {
-          if (select != nullptr) ++p.matched;
-          std::vector<Value> key;
-          key.reserve(keys.size());
-          for (const ScalarExprPtr& k : keys) {
-            Result<Value> v = ex.EvalScalar(k, &local);
-            if (!v.ok()) {
-              status = v.status();
-              break;
-            }
-            key.push_back(std::move(*v));
-          }
-          if (status.ok()) {
-            auto [it, inserted] = p.index.emplace(key, p.keys.size());
-            if (inserted) {
-              p.keys.push_back(key);
-              p.states.emplace_back(aggs.size());
-              p.first_seq.push_back(slot->seq);
-            }
-            std::vector<AggState>& states = p.states[it->second];
-            for (size_t a = 0; a < aggs.size(); ++a) {
-              if (aggs[a].func == ra::AggFunc::kCountStar) {
-                ++states[a].count;
-                continue;
-              }
-              Result<Value> v = ex.EvalScalar(aggs[a].arg, &local);
-              if (!v.ok()) {
-                status = v.status();
-                break;
-              }
-              states[a].Update(*v);
-            }
-          }
-        }
-        local.PopFrame();
-        if (!status.ok()) {
-          // The skip above admits only slots below the current failing
-          // seq, so plain assignment keeps the minimum.
-          p.status = status;
-          p.fail_seq = slot->seq;
-        }
-      }
-      p.sub_rows = ex.rows_processed_;
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(p.scanned));
-        m.bytes->Add(static_cast<int64_t>(p.scanned_bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(p.scanned);
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-
-  const Partial* failed = nullptr;
-  for (const Partial& p : partials) {
-    if (!p.status.ok() && (failed == nullptr || p.fail_seq < failed->fail_seq)) {
-      failed = &p;
-    }
-  }
-  if (failed != nullptr) return failed->status;
-
-  // Merge shard partials (ascending shard order is arbitrary here: the
-  // final group order comes from first_seq, and state merges are exact).
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> gkeys;
-  std::vector<std::vector<AggState>> gstates;
-  std::vector<size_t> gseq;
-  size_t scanned = 0;
-  size_t matched = 0;
-  size_t sub_rows = 0;
-  size_t scanned_bytes = 0;
-  for (Partial& p : partials) {
-    scanned += p.scanned;
-    matched += p.matched;
-    sub_rows += p.sub_rows;
-    scanned_bytes += p.scanned_bytes;
-    for (size_t g = 0; g < p.keys.size(); ++g) {
-      auto [it, inserted] = index.emplace(p.keys[g], gkeys.size());
-      if (inserted) {
-        gkeys.push_back(std::move(p.keys[g]));
-        gstates.push_back(std::move(p.states[g]));
-        gseq.push_back(p.first_seq[g]);
-      } else {
-        size_t i = it->second;
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          gstates[i][a].Merge(p.states[g][a]);
-        }
-        gseq[i] = std::min(gseq[i], p.first_seq[g]);
-      }
-    }
-  }
-
-  // Scalar aggregation (no keys) over empty input produces one row.
-  if (keys.empty() && gkeys.empty()) {
-    gkeys.emplace_back();
-    gstates.emplace_back(aggs.size());
-    gseq.push_back(0);
-  }
-
-  // Serial group order is first appearance in sequence order.
-  std::vector<size_t> order(gkeys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return gseq[a] < gseq[b]; });
-
-  out.rows.reserve(order.size());
-  for (size_t g : order) {
-    Row row = std::move(gkeys[g]);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(gstates[g][a].Finalize(aggs[a].func));
-    }
-    out.rows.push_back(std::move(row));
-  }
-  // Shard-invariant scan totals, mirroring the serial child Scan over
-  // the snapshot-visible rows.
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  rows_processed_ += scanned + matched + sub_rows + out.rows.size();
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Vectorized execution (mode_ == kVector). Every operator here is the
 // columnar twin of a row-engine operator above and must match it bit
@@ -1833,6 +1380,12 @@ Result<ResultSet> Executor::ExecGroupByParallel(const RaNode& node,
 // sequence number, left-to-right within a row), same rows_processed_
 // and storage.scan.* charges. Only exec.batch.* observability and
 // speed may differ.
+//
+// The three scan shapes have one implementation each: a consumer that
+// ScanShards feeds every shard's batches. Whether the shards run on the
+// pool or inline changes where the consumer runs and which per-shard
+// observability is charged, never the answer or the shard-invariant
+// charges.
 
 namespace {
 
@@ -1846,265 +1399,203 @@ size_t NextBatch(storage::ShardScanCursor* cursor, Batch* batch) {
                       &batch->wire_bytes);
 }
 
+/// A row tagged with its insertion sequence number — or, for a group,
+/// with the lowest seq folded into it.
+using SeqRow = std::pair<size_t, Row>;
+
+/// Sorts `rows` by seq and drops the tags: the serial scan's insertion
+/// order (and, for groups, the serial fold's first-seen order).
+std::vector<Row> InSeqOrder(std::vector<SeqRow> rows) {
+  std::sort(rows.begin(), rows.end(),
+            [](const SeqRow& a, const SeqRow& b) { return a.first < b.first; });
+  std::vector<Row> out;
+  out.reserve(rows.size());
+  for (SeqRow& r : rows) out.push_back(std::move(r.second));
+  return out;
+}
+
+/// The lowest-seq failure seen so far, which is where the serial row
+/// engine, walking the scan in seq order, would abort. Slots within a
+/// shard are not guaranteed seq-ordered (concurrent keyless inserts
+/// allocate seq before taking the shard lock), so evaluation continues
+/// past a failure: lanes above it cannot change the outcome, lanes
+/// below it may still fail first.
+struct SeqFailure {
+  Status status = Status::OK();
+  size_t seq = 0;
+
+  bool ok() const { return status.ok(); }
+  bool Skips(size_t s) const { return !status.ok() && s > seq; }
+  void Note(const Status& st, size_t s) {
+    if (status.ok() || s < seq) {
+      status = st;
+      seq = s;
+    }
+  }
+  void Merge(const SeqFailure& other) {
+    if (!other.ok()) Note(other.status, other.seq);
+  }
+};
+
+/// One slot of a row-producing scan shape: rows tagged with their seq,
+/// the lowest-seq predicate failure (a plain scan never fails), and the
+/// filter's per-batch scratch.
+struct ShardRows {
+  std::vector<SeqRow> rows;
+  SeqFailure fail;
+  Vec pred;
+  std::vector<uint32_t> sel;
+};
+
+/// Concatenates the slots' rows and returns them in seq order.
+std::vector<Row> MergeBySeq(std::vector<ShardRows>* slots) {
+  std::vector<SeqRow> all = std::move(slots->front().rows);
+  for (size_t i = 1; i < slots->size(); ++i) {
+    std::vector<SeqRow>& part = (*slots)[i].rows;
+    all.insert(all.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
+  }
+  return InSeqOrder(std::move(all));
+}
+
 }  // namespace
 
-Result<ResultSet> Executor::ExecScanVector(const RaNode& node,
-                                           const storage::Table& table) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+template <typename Slot, typename Consume>
+Executor::ShardScan Executor::ScanShards(const storage::Table& table,
+                                         const char* span,
+                                         std::vector<Slot>* slots,
+                                         const Consume& consume) {
+  const size_t shards = table.shard_count();
+  const bool pooled = pool_ != nullptr && shards > 1 &&
+                      table.row_count() >= parallel_threshold_;
+  slots->clear();
+  slots->resize(pooled ? shards : 1);
   const storage::Snapshot snap = ReadSnapshot();
-  std::vector<std::pair<size_t, Row>> acc;
-  size_t bytes = 0;
-  Batch batch;
-  for (size_t s = 0; s < table.shard_count(); ++s) {
+  std::vector<ShardScan> scanned(shards);
+  // The one shard task body; only where it runs differs below.
+  auto scan_shard = [&](size_t s, Slot* slot) {
     storage::ShardScanCursor cursor(table, s, snap);
+    Batch batch;
     for (size_t n = NextBatch(&cursor, &batch); n != 0;
          n = NextBatch(&cursor, &batch)) {
       RecordBatch(n);
-      bytes += batch.wire_bytes;
-      for (size_t i = 0; i < n; ++i) {
-        acc.emplace_back(batch.seqs[i], std::move(batch.rows[i]));
-      }
+      scanned[s].rows += n;
+      scanned[s].bytes += batch.wire_bytes;
+      consume(&batch, slot);
     }
-  }
-  std::sort(acc.begin(), acc.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(acc.size());
-  for (auto& p : acc) out.rows.push_back(std::move(p.second));
-  rows_processed_ += out.rows.size();
-  if (scan_rows_ != nullptr) RecordScan(out.rows.size(), bytes);
-  return out;
-}
-
-Result<ResultSet> Executor::ExecScanVectorParallel(
-    const RaNode& node, const storage::Table& table) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const storage::Snapshot snap = ReadSnapshot();
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics =
-      ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<std::vector<std::pair<size_t, Row>>> gathered(
-      table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, snap, s, &gathered, &shard_metrics,
-                     parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-scan");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      size_t bytes = 0;
-      std::vector<std::pair<size_t, Row>>& rows = gathered[s];
-      storage::ShardScanCursor cursor(table, s, snap);
-      Batch batch;
-      for (size_t n = NextBatch(&cursor, &batch); n != 0;
-           n = NextBatch(&cursor, &batch)) {
-        RecordBatch(n);
-        bytes += batch.wire_bytes;
-        for (size_t i = 0; i < n; ++i) {
-          rows.emplace_back(batch.seqs[i], std::move(batch.rows[i]));
-        }
-      }
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(rows.size()));
-        m.bytes->Add(static_cast<int64_t>(bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(rows.size());
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-  size_t total = 0;
-  for (const auto& g : gathered) total += g.size();
-  std::vector<std::pair<size_t, Row>> merged;
-  merged.reserve(total);
-  for (auto& g : gathered) {
-    for (auto& p : g) merged.push_back(std::move(p));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(merged.size());
-  for (auto& p : merged) out.rows.push_back(std::move(p.second));
-  rows_processed_ += out.rows.size();
-  if (scan_rows_ != nullptr) RecordScan(out.rows.size(), out.WireSize());
-  return out;
-}
-
-Result<ResultSet> Executor::ExecSelectScanVectorParallel(
-    const RaNode& node, const storage::Table& table, const CompiledExpr& pred,
-    const Schema& schema) {
-  ResultSet out;
-  out.schema = schema;
-
-  const storage::Snapshot snap = ReadSnapshot();
-
-  struct TaskResult {
-    std::vector<std::pair<size_t, Row>> rows;  // (seq, matched row)
-    size_t scanned = 0;
-    size_t scanned_bytes = 0;
-    size_t fail_seq = 0;
-    Status status = Status::OK();
   };
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics =
-      ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<TaskResult> results(table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, &pred, snap, s, &results, &shard_metrics,
-                     parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-filter");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      TaskResult& r = results[s];
-      // A CompiledExpr is immutable and side-effect-free (nothing with
-      // a subquery compiles), so shard tasks share one tree with no
-      // scratch Executor: sub_rows is zero by construction, exactly as
-      // the row engine's count would be for the same predicate.
-      storage::ShardScanCursor cursor(table, s, snap);
-      Batch batch;
-      Vec v;
-      for (size_t n = NextBatch(&cursor, &batch); n != 0;
-           n = NextBatch(&cursor, &batch)) {
-        RecordBatch(n);
-        r.scanned += n;
-        r.scanned_bytes += batch.wire_bytes;
-        pred.Eval(batch.rows.data(), n, &v);
-        for (size_t i = 0; i < n; ++i) {
-          const size_t seq = batch.seqs[i];
-          // Same minimum-failing-seq discipline as the row task: slots
-          // within a shard are not guaranteed seq-ordered under
-          // concurrent keyless inserts, so keep looking for a lower
-          // failing seq after a failure and drop lanes above it.
-          if (!r.status.ok() && seq > r.fail_seq) continue;
-          if (v.ErrAt(i)) {
-            r.status = v.ErrStatus(i);
-            r.fail_seq = seq;
-            continue;
-          }
-          if (r.status.ok() && IsTruthy(v.At(i))) {
-            r.rows.emplace_back(seq, std::move(batch.rows[i]));
-          }
-        }
+  if (!pooled) {
+    for (size_t s = 0; s < shards; ++s) scan_shard(s, &slots->front());
+  } else {
+    if (parallel_batches_ != nullptr) parallel_batches_->Increment();
+    // Per-shard counter handles, resolved here so tasks never take the
+    // registry mutex; profile slots are sized here too, and each task
+    // writes only slot s, published by the pool barrier.
+    struct ShardCounters {
+      obs::Counter* rows;
+      obs::Counter* bytes;
+      obs::Counter* ns;
+    };
+    std::vector<ShardCounters> counters;
+    if (metrics_ != nullptr) {
+      for (size_t s = 0; s < shards; ++s) {
+        const std::string prefix =
+            "storage.shard." + std::to_string(s) + ".scan.";
+        counters.push_back({metrics_->counter(prefix + "rows"),
+                            metrics_->counter(prefix + "bytes"),
+                            metrics_->counter(prefix + "ns")});
       }
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(r.scanned));
-        m.bytes->Add(static_cast<int64_t>(r.scanned_bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(r.scanned);
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-
-  const TaskResult* failed = nullptr;
-  for (const TaskResult& r : results) {
-    if (!r.status.ok() &&
-        (failed == nullptr || r.fail_seq < failed->fail_seq)) {
-      failed = &r;
     }
+    obs::ProfileNode* prof = prof_cur_;
+    if (prof != nullptr) prof->shards.resize(shards);
+    const obs::SpanContext parent = obs::CurrentSpanContext();
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(shards);
+    for (size_t s = 0; s < shards; ++s) {
+      tasks.push_back([&, s] {
+        obs::ScopedContext tctx(parent);
+        obs::ScopedSpan tspan(span);
+        if (tspan.active()) tspan.Attr("shard", std::to_string(s));
+        const int64_t t0 = NowNs();
+        scan_shard(s, &(*slots)[s]);
+        const int64_t elapsed = NowNs() - t0;
+        if (!counters.empty()) {
+          counters[s].rows->Add(static_cast<int64_t>(scanned[s].rows));
+          counters[s].bytes->Add(static_cast<int64_t>(scanned[s].bytes));
+          counters[s].ns->Add(elapsed);
+          shard_scan_ns_->Record(elapsed);
+        }
+        if (prof != nullptr) {
+          prof->shards[s].rows += static_cast<int64_t>(scanned[s].rows);
+          prof->shards[s].wall_ns += elapsed;
+        }
+      });
+    }
+    pool_->Run(std::move(tasks));
   }
-  if (failed != nullptr) return failed->status;
+  ShardScan total;
+  for (const ShardScan& s : scanned) {
+    total.rows += s.rows;
+    total.bytes += s.bytes;
+  }
+  return total;
+}
 
-  size_t total = 0;
-  size_t scanned = 0;
-  size_t scanned_bytes = 0;
-  for (const TaskResult& r : results) {
-    total += r.rows.size();
-    scanned += r.scanned;
-    scanned_bytes += r.scanned_bytes;
-  }
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  std::vector<std::pair<size_t, Row>> merged;
-  merged.reserve(total);
-  for (TaskResult& r : results) {
-    for (auto& p : r.rows) merged.push_back(std::move(p));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(merged.size());
-  for (auto& p : merged) out.rows.push_back(std::move(p.second));
-  rows_processed_ += scanned + out.rows.size();
+Result<ResultSet> Executor::ExecScanBatch(const RaNode& node,
+                                          const storage::Table& table) {
+  ResultSet out;
+  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  std::vector<ShardRows> slots;
+  const ShardScan scanned = ScanShards(
+      table, "shard-scan", &slots, [](Batch* batch, ShardRows* r) {
+        for (size_t i = 0; i < batch->size(); ++i) {
+          r->rows.emplace_back(batch->seqs[i], std::move(batch->rows[i]));
+        }
+      });
+  out.rows = MergeBySeq(&slots);
+  rows_processed_ += out.rows.size();
+  if (scan_rows_ != nullptr) RecordScan(scanned.rows, scanned.bytes);
   return out;
 }
 
-Result<ResultSet> Executor::ExecSelectScanVector(const RaNode& node,
-                                                 const storage::Table& table,
-                                                 const CompiledExpr& pred,
-                                                 const Schema& schema) {
+Result<ResultSet> Executor::ExecSelectScanBatch(const storage::Table& table,
+                                                const CompiledExpr& pred,
+                                                Schema schema) {
   ResultSet out;
-  out.schema = schema;
-  const storage::Snapshot snap = ReadSnapshot();
-  std::vector<std::pair<size_t, Row>> matched;  // (seq, matched row)
-  size_t scanned = 0;
-  size_t scanned_bytes = 0;
-  Status fail = Status::OK();
-  size_t fail_seq = 0;
-  Batch batch;
-  Vec v;
-  std::vector<uint32_t> sel;
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    storage::ShardScanCursor cursor(table, s, snap);
-    for (size_t n = NextBatch(&cursor, &batch); n != 0;
-         n = NextBatch(&cursor, &batch)) {
-      RecordBatch(n);
-      scanned += n;
-      scanned_bytes += batch.wire_bytes;
-      pred.Eval(batch.rows.data(), n, &v);
-      if (!v.has_err && fail.ok()) {
-        sel.clear();
-        AppendTruthySelection(v, &sel);
-        for (uint32_t i : sel) {
-          matched.emplace_back(batch.seqs[i], std::move(batch.rows[i]));
+  out.schema = std::move(schema);
+  // A CompiledExpr is immutable and side-effect-free (nothing with a
+  // subquery compiles), so shard tasks share one tree and charge no
+  // subquery rows, exactly as the row engine's count would be.
+  std::vector<ShardRows> slots;
+  const ShardScan scanned = ScanShards(
+      table, "shard-filter", &slots, [&pred](Batch* batch, ShardRows* r) {
+        const size_t n = batch->size();
+        pred.Eval(batch->rows.data(), n, &r->pred);
+        if (!r->pred.has_err && r->fail.ok()) {
+          r->sel.clear();
+          AppendTruthySelection(r->pred, &r->sel);
+          for (uint32_t i : r->sel) {
+            r->rows.emplace_back(batch->seqs[i], std::move(batch->rows[i]));
+          }
+          return;
         }
-        continue;
-      }
-      // Same minimum-failing-seq discipline as the parallel shard task:
-      // the row engine filters the seq-sorted scan and aborts at the
-      // first failing row, so the error to surface is the one with the
-      // lowest seq across all shards.
-      for (size_t i = 0; i < n; ++i) {
-        const size_t seq = batch.seqs[i];
-        if (!fail.ok() && seq > fail_seq) continue;
-        if (v.ErrAt(i)) {
-          fail = v.ErrStatus(i);
-          fail_seq = seq;
+        // Once a failure is known the matched rows are moot; only a
+        // lower failing seq can still change the outcome.
+        for (size_t i = 0; i < n; ++i) {
+          if (r->pred.ErrAt(i)) {
+            r->fail.Note(r->pred.ErrStatus(i), batch->seqs[i]);
+          }
         }
-      }
-    }
-  }
+      });
   // The row engine materializes and charges the entire scan before the
   // filter sees a row, so scan costs land even when the predicate
   // errors.
-  rows_processed_ += scanned;
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  if (!fail.ok()) return fail;
-  std::sort(matched.begin(), matched.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(matched.size());
-  for (auto& p : matched) out.rows.push_back(std::move(p.second));
+  rows_processed_ += scanned.rows;
+  if (scan_rows_ != nullptr) RecordScan(scanned.rows, scanned.bytes);
+  SeqFailure fail;
+  for (const ShardRows& r : slots) fail.Merge(r.fail);
+  if (!fail.ok()) return fail.status;
+  out.rows = MergeBySeq(&slots);
   rows_processed_ += out.rows.size();
   return out;
 }
@@ -2188,518 +1679,253 @@ bool Executor::CompileGroupBy(const RaNode& node, const RaNode* select,
   return true;
 }
 
-Result<ResultSet> Executor::GroupByVectorFold(const RaNode& node, ResultSet in,
-                                              const CompiledGroupBy& plan) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const auto& aggs = node.aggregates();
-
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> group_keys;
-  std::vector<std::vector<AggState>> group_states;
-
+/// The one batch group-by fold. Lanes carry seqs; each group remembers
+/// the lowest seq folded into it, so output order is the serial fold's
+/// first-seen order however the lanes arrived. Failures follow the
+/// serial engines' filter-before-fold rule: the row engine filters the
+/// whole scan before the fold sees a row, so any predicate failure
+/// outranks any key or aggregate failure, and within each kind the
+/// lowest seq wins (keys before aggregates, left to right, in a row).
+struct Executor::GroupPartial {
   // Typed fast path: a single integer group key whose aggregate inputs
   // are all integer (or COUNT(*), which reads none) folds through an
   // int64-keyed map with primitive partials — no Value is boxed per
   // lane. A typed Vec holds no NULL and no error lanes by construction,
-  // so the fast path cannot diverge from the row fold's NULL handling
-  // or error selection, and accumulating isum in lane order reproduces
-  // its (exact, integer) sums bit for bit. The first batch that
-  // evaluates to anything untyped demotes the accumulated groups into
-  // the boxed representation and the general loop takes over for good;
-  // first-seen group order survives the demotion unchanged.
+  // so the fast path cannot diverge from the boxed fold's NULL handling
+  // or error selection, and integer sums are exact in any order. The
+  // first batch that evaluates to anything untyped demotes the fast
+  // groups into the boxed representation, which takes over for good.
+  bool fast_active = true;
   std::unordered_map<int64_t, size_t> fast_index;
   std::vector<int64_t> fast_keys;
   std::vector<std::vector<FastIntAgg>> fast_states;
-  bool fast_active = plan.keys.size() == 1;
-  auto demote_fast_groups = [&] {
-    fast_active = false;
-    for (size_t g = 0; g < fast_keys.size(); ++g) {
-      std::vector<Value> key{Value::Int(fast_keys[g])};
-      index.emplace(key, group_keys.size());
-      std::vector<AggState> states(aggs.size());
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        states[a] = fast_states[g][a].ToAggState();
-      }
-      group_keys.push_back(std::move(key));
-      group_states.push_back(std::move(states));
-    }
-    fast_index.clear();
-    fast_keys.clear();
-    fast_states.clear();
-  };
+  std::vector<size_t> fast_seqs;
 
-  std::vector<Vec> kv(plan.keys.size());
-  std::vector<Vec> av(plan.aggs.size());
-  for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
-    const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
-    RecordBatch(cnt);
+  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
+  std::vector<std::vector<Value>> keys;
+  std::vector<std::vector<AggState>> states;
+  std::vector<size_t> seqs;  // lowest seq folded into each group
+
+  size_t matched = 0;  // lanes that passed the predicate
+  SeqFailure pred_fail;
+  SeqFailure fold_fail;
+
+  // Per-batch evaluation scratch.
+  Vec pv;
+  std::vector<Vec> kv;
+  std::vector<Vec> av;
+
+  /// Folds `n` rows whose seqs are `lane_seqs`.
+  void Fold(const CompiledGroupBy& plan, const Row* rows,
+            const size_t* lane_seqs, size_t n) {
+    const size_t num_aggs = plan.aggs.size();
+    kv.resize(plan.keys.size());
+    av.resize(num_aggs);
+    if (plan.pred != nullptr) plan.pred->Eval(rows, n, &pv);
     for (size_t k = 0; k < plan.keys.size(); ++k) {
-      plan.keys[k]->Eval(in.rows.data() + off, cnt, &kv[k]);
+      plan.keys[k]->Eval(rows, n, &kv[k]);
     }
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      if (plan.aggs[a] != nullptr) {
-        plan.aggs[a]->Eval(in.rows.data() + off, cnt, &av[a]);
-      }
+    for (size_t a = 0; a < num_aggs; ++a) {
+      if (plan.aggs[a] != nullptr) plan.aggs[a]->Eval(rows, n, &av[a]);
     }
     if (fast_active) {
-      bool typed = kv[0].tag == Vec::Tag::kInt;
-      for (size_t a = 0; typed && a < plan.aggs.size(); ++a) {
+      bool typed = kv.size() == 1 && kv[0].tag == Vec::Tag::kInt &&
+                   (plan.pred == nullptr || !pv.has_err);
+      for (size_t a = 0; typed && a < num_aggs; ++a) {
         typed = plan.aggs[a] == nullptr || av[a].tag == Vec::Tag::kInt;
       }
       if (typed) {
         const int64_t* lanes = kv[0].ints.data();
-        for (size_t i = 0; i < cnt; ++i) {
+        const bool pred_bool =
+            plan.pred != nullptr && pv.tag == Vec::Tag::kBool;
+        for (size_t i = 0; i < n; ++i) {
+          if (plan.pred != nullptr) {
+            if (!(pred_bool ? pv.bools[i] != 0 : IsTruthy(pv.At(i)))) continue;
+            ++matched;
+          }
+          const size_t seq = lane_seqs[i];
           auto [it, inserted] = fast_index.emplace(lanes[i], fast_keys.size());
           if (inserted) {
             fast_keys.push_back(lanes[i]);
-            fast_states.emplace_back(aggs.size());
+            fast_states.emplace_back(num_aggs);
+            fast_seqs.push_back(seq);
+          } else if (seq < fast_seqs[it->second]) {
+            fast_seqs[it->second] = seq;
           }
-          std::vector<FastIntAgg>& states = fast_states[it->second];
-          for (size_t a = 0; a < aggs.size(); ++a) {
+          std::vector<FastIntAgg>& group = fast_states[it->second];
+          for (size_t a = 0; a < num_aggs; ++a) {
             if (plan.aggs[a] == nullptr) {
-              ++states[a].count;  // COUNT(*)
+              ++group[a].count;  // COUNT(*)
               continue;
             }
-            states[a].Update(av[a].ints[i]);
+            group[a].Update(av[a].ints[i]);
           }
         }
-        continue;
+        return;
       }
-      demote_fast_groups();
+      Demote();
     }
-    // Lanes fold in serial row order, so first-seen group order and
-    // error selection (keys before aggregates, left to right) match
-    // the row fold exactly.
-    for (size_t i = 0; i < cnt; ++i) {
-      std::vector<Value> key;
-      key.reserve(kv.size());
-      for (const Vec& v : kv) {
-        if (v.ErrAt(i)) return v.ErrStatus(i);
-        key.push_back(v.At(i));
-      }
-      auto [it, inserted] = index.emplace(key, group_keys.size());
-      if (inserted) {
-        group_keys.push_back(key);
-        group_states.emplace_back(aggs.size());
-      }
-      std::vector<AggState>& states = group_states[it->second];
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        if (plan.aggs[a] == nullptr) {
-          ++states[a].count;  // COUNT(*)
+    for (size_t i = 0; i < n; ++i) {
+      const size_t seq = lane_seqs[i];
+      if (plan.pred != nullptr) {
+        if (pv.ErrAt(i)) {
+          pred_fail.Note(pv.ErrStatus(i), seq);
           continue;
         }
-        if (av[a].ErrAt(i)) return av[a].ErrStatus(i);
-        states[a].Update(av[a].At(i));
+        if (!IsTruthy(pv.At(i))) continue;
+        ++matched;
+      }
+      if (fold_fail.Skips(seq)) continue;
+      std::vector<Value> key;
+      key.reserve(kv.size());
+      bool lane_failed = false;
+      for (const Vec& v : kv) {
+        if (v.ErrAt(i)) {
+          fold_fail.Note(v.ErrStatus(i), seq);
+          lane_failed = true;
+          break;
+        }
+        key.push_back(v.At(i));
+      }
+      if (lane_failed) continue;
+      auto [it, inserted] = index.emplace(key, keys.size());
+      if (inserted) {
+        keys.push_back(std::move(key));
+        states.emplace_back(num_aggs);
+        seqs.push_back(seq);
+      } else if (seq < seqs[it->second]) {
+        seqs[it->second] = seq;
+      }
+      std::vector<AggState>& group = states[it->second];
+      for (size_t a = 0; a < num_aggs; ++a) {
+        if (plan.aggs[a] == nullptr) {
+          ++group[a].count;  // COUNT(*)
+          continue;
+        }
+        if (av[a].ErrAt(i)) {
+          fold_fail.Note(av[a].ErrStatus(i), seq);
+          break;
+        }
+        group[a].Update(av[a].At(i));
       }
     }
   }
-  if (fast_active) demote_fast_groups();
 
-  // Scalar aggregation (no keys) over empty input produces one row.
-  if (plan.keys.empty() && group_keys.empty()) {
-    group_keys.emplace_back();
-    group_states.emplace_back(aggs.size());
-  }
-
-  for (size_t g = 0; g < group_keys.size(); ++g) {
-    Row row = std::move(group_keys[g]);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(group_states[g][a].Finalize(aggs[a].func));
-    }
-    out.rows.push_back(std::move(row));
-  }
-  rows_processed_ += out.rows.size();
-  return out;
-}
-
-Result<ResultSet> Executor::ExecGroupByVectorFused(
-    const RaNode& node, const RaNode* select, const storage::Table& table,
-    const CompiledGroupBy& plan) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const auto& aggs = node.aggregates();
-  // plan.pred is non-null exactly when `select` is (CompileGroupBy);
-  // the node pointer itself is not otherwise needed here.
-  (void)select;
-  const storage::Snapshot snap = ReadSnapshot();
-
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> group_keys;
-  std::vector<std::vector<AggState>> group_states;
-  std::vector<size_t> group_seq;  // minimum seq folded into the group
-
-  // Typed fast path, as in GroupByVectorFold. Cursor order within a
-  // shard is not guaranteed seq order, so unlike the unfused fold the
-  // fused one cannot lean on fold order at all: group output order
-  // comes from each group's minimum seq, and the caller's hazard gate
-  // keeps every state integer-exact so accumulation order is moot.
-  std::unordered_map<int64_t, size_t> fast_index;
-  std::vector<int64_t> fast_keys;
-  std::vector<std::vector<FastIntAgg>> fast_states;
-  std::vector<size_t> fast_seq;
-  bool fast_active = plan.keys.size() == 1;
-  auto demote_fast_groups = [&] {
+  /// Moves the fast groups into the boxed representation. The fast
+  /// path is only ever active before any boxed group exists, so
+  /// first-seen order survives unchanged.
+  void Demote() {
     fast_active = false;
     for (size_t g = 0; g < fast_keys.size(); ++g) {
       std::vector<Value> key{Value::Int(fast_keys[g])};
-      index.emplace(key, group_keys.size());
-      std::vector<AggState> states(aggs.size());
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        states[a] = fast_states[g][a].ToAggState();
+      index.emplace(key, keys.size());
+      std::vector<AggState> group(fast_states[g].size());
+      for (size_t a = 0; a < group.size(); ++a) {
+        group[a] = fast_states[g][a].ToAggState();
       }
-      group_keys.push_back(std::move(key));
-      group_states.push_back(std::move(states));
-      group_seq.push_back(fast_seq[g]);
+      keys.push_back(std::move(key));
+      states.push_back(std::move(group));
+      seqs.push_back(fast_seqs[g]);
     }
     fast_index.clear();
     fast_keys.clear();
     fast_states.clear();
-    fast_seq.clear();
-  };
+    fast_seqs.clear();
+  }
 
-  size_t scanned = 0;
-  size_t scanned_bytes = 0;
-  size_t matched = 0;
-  // The serial row engine runs the filter over the whole (seq-sorted)
-  // scan before the fold sees a row, so a predicate error anywhere
-  // outranks any key/aggregate error; within each stage the lowest
-  // failing seq wins.
-  Status pred_fail = Status::OK();
-  size_t pred_fail_seq = 0;
-  Status fold_fail = Status::OK();
-  size_t fold_fail_seq = 0;
-
-  Batch batch;
-  Vec pv;
-  std::vector<Vec> kv(plan.keys.size());
-  std::vector<Vec> av(plan.aggs.size());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    storage::ShardScanCursor cursor(table, s, snap);
-    for (size_t n = NextBatch(&cursor, &batch); n != 0;
-         n = NextBatch(&cursor, &batch)) {
-      RecordBatch(n);
-      scanned += n;
-      scanned_bytes += batch.wire_bytes;
-      if (plan.pred != nullptr) plan.pred->Eval(batch.rows.data(), n, &pv);
-      for (size_t k = 0; k < plan.keys.size(); ++k) {
-        plan.keys[k]->Eval(batch.rows.data(), n, &kv[k]);
+  /// Folds another shard's partial into this one. Only reached under
+  /// the group-by hazard gate, so every state merge is exact.
+  void Merge(GroupPartial* other) {
+    pred_fail.Merge(other->pred_fail);
+    fold_fail.Merge(other->fold_fail);
+    matched += other->matched;
+    Demote();
+    other->Demote();
+    for (size_t g = 0; g < other->keys.size(); ++g) {
+      auto [it, inserted] = index.emplace(other->keys[g], keys.size());
+      if (!inserted) {
+        for (size_t a = 0; a < states[it->second].size(); ++a) {
+          states[it->second][a].Merge(other->states[g][a]);
+        }
+        seqs[it->second] = std::min(seqs[it->second], other->seqs[g]);
+        continue;
       }
-      for (size_t a = 0; a < plan.aggs.size(); ++a) {
-        if (plan.aggs[a] != nullptr) {
-          plan.aggs[a]->Eval(batch.rows.data(), n, &av[a]);
-        }
-      }
-      if (fast_active) {
-        bool typed = kv[0].tag == Vec::Tag::kInt &&
-                     (plan.pred == nullptr || !pv.has_err);
-        for (size_t a = 0; typed && a < plan.aggs.size(); ++a) {
-          typed = plan.aggs[a] == nullptr || av[a].tag == Vec::Tag::kInt;
-        }
-        if (typed) {
-          const int64_t* lanes = kv[0].ints.data();
-          const bool pred_bool =
-              plan.pred != nullptr && pv.tag == Vec::Tag::kBool;
-          for (size_t i = 0; i < n; ++i) {
-            if (plan.pred != nullptr) {
-              const bool truthy =
-                  pred_bool ? pv.bools[i] != 0 : IsTruthy(pv.At(i));
-              if (!truthy) continue;
-              ++matched;
-            }
-            const size_t seq = batch.seqs[i];
-            auto [it, inserted] =
-                fast_index.emplace(lanes[i], fast_keys.size());
-            if (inserted) {
-              fast_keys.push_back(lanes[i]);
-              fast_states.emplace_back(aggs.size());
-              fast_seq.push_back(seq);
-            } else if (seq < fast_seq[it->second]) {
-              fast_seq[it->second] = seq;
-            }
-            std::vector<FastIntAgg>& states = fast_states[it->second];
-            for (size_t a = 0; a < aggs.size(); ++a) {
-              if (plan.aggs[a] == nullptr) {
-                ++states[a].count;  // COUNT(*)
-                continue;
-              }
-              states[a].Update(av[a].ints[i]);
-            }
-          }
-          continue;
-        }
-        demote_fast_groups();
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const size_t seq = batch.seqs[i];
-        if (plan.pred != nullptr) {
-          if (pv.ErrAt(i)) {
-            if (pred_fail.ok() || seq < pred_fail_seq) {
-              pred_fail = pv.ErrStatus(i);
-              pred_fail_seq = seq;
-            }
-            continue;
-          }
-          if (!IsTruthy(pv.At(i))) continue;
-          ++matched;
-        }
-        if (!fold_fail.ok() && seq > fold_fail_seq) continue;
-        std::vector<Value> key;
-        key.reserve(kv.size());
-        bool lane_failed = false;
-        for (const Vec& v : kv) {
-          if (v.ErrAt(i)) {
-            fold_fail = v.ErrStatus(i);
-            fold_fail_seq = seq;
-            lane_failed = true;
-            break;
-          }
-          key.push_back(v.At(i));
-        }
-        if (lane_failed) continue;
-        auto [it, inserted] = index.emplace(key, group_keys.size());
-        if (inserted) {
-          group_keys.push_back(key);
-          group_states.emplace_back(aggs.size());
-          group_seq.push_back(seq);
-        } else if (seq < group_seq[it->second]) {
-          group_seq[it->second] = seq;
-        }
-        std::vector<AggState>& states = group_states[it->second];
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          if (plan.aggs[a] == nullptr) {
-            ++states[a].count;  // COUNT(*)
-            continue;
-          }
-          if (av[a].ErrAt(i)) {
-            fold_fail = av[a].ErrStatus(i);
-            fold_fail_seq = seq;
-            break;
-          }
-          states[a].Update(av[a].At(i));
-        }
-      }
+      keys.push_back(std::move(other->keys[g]));
+      states.push_back(std::move(other->states[g]));
+      seqs.push_back(other->seqs[g]);
     }
   }
-  if (fast_active) demote_fast_groups();
 
-  // The scan's costs land in full before any filter or fold error
-  // surfaces, exactly as the serial row engine charges them.
-  rows_processed_ += scanned;
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  if (!pred_fail.ok()) return pred_fail;
-  rows_processed_ += matched;
-  if (!fold_fail.ok()) return fold_fail;
-
-  // Scalar aggregation (no keys) over empty input produces one row.
-  if (plan.keys.empty() && group_keys.empty()) {
-    group_keys.emplace_back();
-    group_states.emplace_back(aggs.size());
-    group_seq.push_back(0);
-  }
-
-  std::vector<size_t> order(group_keys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return group_seq[a] < group_seq[b]; });
-
-  out.rows.reserve(order.size());
-  for (size_t g : order) {
-    Row row = std::move(group_keys[g]);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(group_states[g][a].Finalize(aggs[a].func));
+  /// The finalized groups in first-seen order. A scalar aggregation (no
+  /// keys) over empty input still produces its one row.
+  std::vector<Row> Finish(const std::vector<ra::AggregateSpec>& aggs,
+                          bool scalar) {
+    Demote();
+    if (scalar && keys.empty()) {
+      keys.emplace_back();
+      states.emplace_back(aggs.size());
+      seqs.push_back(0);
     }
-    out.rows.push_back(std::move(row));
+    std::vector<SeqRow> rows;
+    rows.reserve(keys.size());
+    for (size_t g = 0; g < keys.size(); ++g) {
+      Row row = std::move(keys[g]);
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        row.push_back(states[g][a].Finalize(aggs[a].func));
+      }
+      rows.emplace_back(seqs[g], std::move(row));
+    }
+    return InSeqOrder(std::move(rows));
   }
+};
+
+Result<ResultSet> Executor::GroupByVectorFold(const RaNode& node, ResultSet in,
+                                              const CompiledGroupBy& plan) {
+  ResultSet out;
+  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  // Lanes carry their row index as seq, so the fold's first-seen order
+  // and lowest-seq error pick are the row fold's.
+  GroupPartial fold;
+  std::vector<size_t> seqs;
+  for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
+    const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
+    RecordBatch(cnt);
+    seqs.resize(cnt);
+    std::iota(seqs.begin(), seqs.end(), off);
+    fold.Fold(plan, in.rows.data() + off, seqs.data(), cnt);
+    // No later batch holds a lower seq: the row fold stops here too.
+    if (!fold.fold_fail.ok()) return fold.fold_fail.status;
+  }
+  out.rows = fold.Finish(node.aggregates(), plan.keys.empty());
   rows_processed_ += out.rows.size();
   return out;
 }
 
-Result<ResultSet> Executor::ExecGroupByVectorParallel(
-    const RaNode& node, const RaNode* select, const storage::Table& table,
-    const Schema& scan_schema, const CompiledGroupBy& plan) {
-  (void)scan_schema;  // compilation already bound columns positionally
+Result<ResultSet> Executor::ExecGroupByBatch(const RaNode& node,
+                                             const storage::Table& table,
+                                             const CompiledGroupBy& plan) {
   ResultSet out;
   EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const auto& keys = node.group_keys();
-  const auto& aggs = node.aggregates();
-  const bool filtered = select != nullptr;
-
-  const storage::Snapshot snap = ReadSnapshot();
-
-  struct Partial {
-    std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-    std::vector<std::vector<Value>> keys;
-    std::vector<std::vector<AggState>> states;
-    std::vector<size_t> first_seq;
-    size_t scanned = 0;
-    size_t matched = 0;
-    size_t scanned_bytes = 0;
-    size_t fail_seq = 0;
-    Status status = Status::OK();
-  };
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics =
-      ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<Partial> partials(table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, &plan, &aggs, filtered, snap, s, &partials,
-                     &shard_metrics, parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-aggregate");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      Partial& p = partials[s];
-      storage::ShardScanCursor cursor(table, s, snap);
-      Batch batch;
-      Vec pv;
-      std::vector<Vec> kv(plan.keys.size());
-      std::vector<Vec> av(plan.aggs.size());
-      for (size_t n = NextBatch(&cursor, &batch); n != 0;
-           n = NextBatch(&cursor, &batch)) {
-        RecordBatch(n);
-        p.scanned += n;
-        p.scanned_bytes += batch.wire_bytes;
-        if (plan.pred != nullptr) plan.pred->Eval(batch.rows.data(), n, &pv);
-        for (size_t k = 0; k < plan.keys.size(); ++k) {
-          plan.keys[k]->Eval(batch.rows.data(), n, &kv[k]);
-        }
-        for (size_t a = 0; a < plan.aggs.size(); ++a) {
-          if (plan.aggs[a] != nullptr) {
-            plan.aggs[a]->Eval(batch.rows.data(), n, &av[a]);
-          }
-        }
-        for (size_t i = 0; i < n; ++i) {
-          const size_t seq = batch.seqs[i];
-          // Minimum-failing-seq discipline (see the row task): the
-          // skip admits only lanes below the current failing seq, so
-          // plain status assignment keeps the minimum.
-          if (!p.status.ok() && seq > p.fail_seq) continue;
-          if (plan.pred != nullptr) {
-            if (pv.ErrAt(i)) {
-              p.status = pv.ErrStatus(i);
-              p.fail_seq = seq;
-              continue;
-            }
-            if (!IsTruthy(pv.At(i))) continue;
-          }
-          if (filtered) ++p.matched;
-          std::vector<Value> key;
-          key.reserve(kv.size());
-          bool lane_failed = false;
-          for (const Vec& v : kv) {
-            if (v.ErrAt(i)) {
-              p.status = v.ErrStatus(i);
-              p.fail_seq = seq;
-              lane_failed = true;
-              break;
-            }
-            key.push_back(v.At(i));
-          }
-          if (lane_failed) continue;
-          auto [it, inserted] = p.index.emplace(key, p.keys.size());
-          if (inserted) {
-            p.keys.push_back(key);
-            p.states.emplace_back(aggs.size());
-            p.first_seq.push_back(seq);
-          }
-          std::vector<AggState>& states = p.states[it->second];
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            if (plan.aggs[a] == nullptr) {
-              ++states[a].count;  // COUNT(*)
-              continue;
-            }
-            if (av[a].ErrAt(i)) {
-              p.status = av[a].ErrStatus(i);
-              p.fail_seq = seq;
-              break;
-            }
-            states[a].Update(av[a].At(i));
-          }
-        }
-      }
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(p.scanned));
-        m.bytes->Add(static_cast<int64_t>(p.scanned_bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(p.scanned);
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-
-  const Partial* failed = nullptr;
-  for (const Partial& p : partials) {
-    if (!p.status.ok() && (failed == nullptr || p.fail_seq < failed->fail_seq)) {
-      failed = &p;
-    }
-  }
-  if (failed != nullptr) return failed->status;
-
-  // Merge shard partials exactly like the row engine: arbitrary shard
-  // order, final group order from the minimum first-seen seq, exact
-  // (integer) state merges only — guaranteed by the caller's hazard
-  // gates, which are identical in both modes.
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> gkeys;
-  std::vector<std::vector<AggState>> gstates;
-  std::vector<size_t> gseq;
-  size_t scanned = 0;
-  size_t matched = 0;
-  size_t scanned_bytes = 0;
-  for (Partial& p : partials) {
-    scanned += p.scanned;
-    matched += p.matched;
-    scanned_bytes += p.scanned_bytes;
-    for (size_t g = 0; g < p.keys.size(); ++g) {
-      auto [it, inserted] = index.emplace(p.keys[g], gkeys.size());
-      if (inserted) {
-        gkeys.push_back(std::move(p.keys[g]));
-        gstates.push_back(std::move(p.states[g]));
-        gseq.push_back(p.first_seq[g]);
-      } else {
-        size_t i = it->second;
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          gstates[i][a].Merge(p.states[g][a]);
-        }
-        gseq[i] = std::min(gseq[i], p.first_seq[g]);
-      }
-    }
-  }
-
-  // Scalar aggregation (no keys) over empty input produces one row.
-  if (keys.empty() && gkeys.empty()) {
-    gkeys.emplace_back();
-    gstates.emplace_back(aggs.size());
-    gseq.push_back(0);
-  }
-
-  std::vector<size_t> order(gkeys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return gseq[a] < gseq[b]; });
-
-  out.rows.reserve(order.size());
-  for (size_t g : order) {
-    Row row = std::move(gkeys[g]);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(gstates[g][a].Finalize(aggs[a].func));
-    }
-    out.rows.push_back(std::move(row));
-  }
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  rows_processed_ += scanned + matched + out.rows.size();
+  // Inline, every shard folds into one partial and no merge is paid;
+  // pooled, each shard folds its own and they merge here.
+  std::vector<GroupPartial> partials;
+  const ShardScan scanned = ScanShards(
+      table, "shard-aggregate", &partials,
+      [&plan](Batch* batch, GroupPartial* p) {
+        p->Fold(plan, batch->rows.data(), batch->seqs.data(), batch->size());
+      });
+  GroupPartial& all = partials.front();
+  for (size_t i = 1; i < partials.size(); ++i) all.Merge(&partials[i]);
+  // The scan's costs land in full before any filter or fold error
+  // surfaces, and the filter's output before any fold error, exactly as
+  // the serial row engine charges them.
+  rows_processed_ += scanned.rows;
+  if (scan_rows_ != nullptr) RecordScan(scanned.rows, scanned.bytes);
+  if (!all.pred_fail.ok()) return all.pred_fail.status;
+  rows_processed_ += all.matched;
+  if (!all.fold_fail.ok()) return all.fold_fail.status;
+  out.rows = all.Finish(node.aggregates(), plan.keys.empty());
+  rows_processed_ += out.rows.size();
   return out;
 }
 

@@ -73,26 +73,28 @@ class EvalContext {
 /// shared_ptr<const RaNode> and are never mutated during execution, so
 /// one cached plan may be executed by many sessions at once. One
 /// Executor instance itself is single-threaded: rows_processed_ is
-/// per-run scratch. Partition-parallel operators (scan, filter over a
-/// scan, aggregation over a scan) spawn per-shard tasks onto a
-/// WorkerPool when one is attached; each task runs its own scratch
-/// Executor, so the contract holds per task.
+/// per-run scratch. The vector engine's scan-shaped operators (scan,
+/// filter over a scan, aggregation over a scan) run one task body per
+/// shard; with a WorkerPool attached and a large sharded table those
+/// tasks run on the pool. They evaluate only compiled expressions and
+/// write only their own result slot, so the contract holds per task.
 class Executor {
  public:
   explicit Executor(const storage::Database* db) : db_(db) {}
 
-  /// Attaches a shard worker pool. With a pool, full-table scans,
-  /// filters directly over a scan, and aggregations over a (filtered)
-  /// scan fan out one task per shard when the table has at least
-  /// `parallel threshold` rows and more than one shard. Results are
-  /// byte-identical to serial execution: rows reassemble by insertion
+  /// Attaches a shard worker pool. With a pool, the vector engine's
+  /// full-table scans, filters directly over a scan, and aggregations
+  /// over a (filtered) scan run their per-shard tasks on the pool when
+  /// the table has at least `parallel threshold` rows and more than one
+  /// shard; otherwise the same tasks run inline, shard by shard. Results
+  /// are byte-identical either way: rows reassemble by insertion
   /// sequence and aggregation merges are gated to exact
-  /// (non-floating-point) states.
+  /// (non-floating-point) states. The row engine never fans out.
   void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
 
-  /// Minimum table row count before parallel operators engage (small
-  /// tables are not worth the fan-out). 0 forces parallelism for any
-  /// non-empty eligible table — used by the invariance tests.
+  /// Minimum table row count before the shard tasks go to the pool
+  /// (small tables are not worth the fan-out). 0 forces the fan-out for
+  /// any non-empty eligible table — used by the invariance tests.
   void set_parallel_threshold(size_t n) { parallel_threshold_ = n; }
 
   /// Selects the execution engine (see exec/exec_mode.h). kVector
@@ -101,8 +103,9 @@ class Executor {
   /// cannot handle (correlated references, EXISTS subqueries, unbound
   /// parameters) fall back to the row engine per operator, counted in
   /// exec.batch.fallbacks. Results, errors, and cost accounting are
-  /// identical in both modes. Defaults to kRow so a bare Executor keeps
-  /// the original engine directly testable; the server stack applies
+  /// identical in both modes. kRow is the serial reference engine: it
+  /// ignores the worker pool. Defaults to kRow so a bare Executor keeps
+  /// the reference directly testable; the server stack applies
   /// ServerOptions::exec_mode.
   void set_exec_mode(ExecMode mode) { mode_ = mode; }
   ExecMode exec_mode() const { return mode_; }
@@ -126,7 +129,7 @@ class Executor {
   /// Attaches a per-request operator profile (EXPLAIN ANALYZE, the
   /// trace sampler, the slow-query logger). nullptr detaches. Each
   /// executed plan operator records rows in/out, batches, wall time,
-  /// and — for parallel operators — a per-shard breakdown into the
+  /// and — for a pooled shard fan-out — a per-shard breakdown into the
   /// tree. Profiling touches only wall-clock fields and the profile's
   /// own atomics: the simulated cost model and every layout-invariant
   /// counter are charged identically with profiling on or off.
@@ -141,9 +144,8 @@ class Executor {
                             const std::vector<catalog::Value>& params = {});
 
   /// Evaluates a scalar expression (used by DML to compute INSERT
-  /// values / UPDATE assignments, and by shard tasks). Row counts from
-  /// any subqueries accumulate into last_rows_processed() without
-  /// resetting it.
+  /// values / UPDATE assignments). Row counts from any subqueries
+  /// accumulate into last_rows_processed() without resetting it.
   Result<catalog::Value> Eval(const ra::ScalarExprPtr& expr, EvalContext* ctx);
 
   /// Output schema of `node` without executing it (used for NULL padding
@@ -193,17 +195,6 @@ class Executor {
                              EvalContext* ctx);
   Result<ResultSet> ExecOuterApply(const ra::RaNode& node, EvalContext* ctx);
   Result<ResultSet> ExecGroupBy(const ra::RaNode& node, EvalContext* ctx);
-  /// Per-shard parallel variants; preconditions checked by callers.
-  Result<ResultSet> ExecScanParallel(const ra::RaNode& node,
-                                     const storage::Table& table);
-  Result<ResultSet> ExecSelectScanParallel(const ra::RaNode& node,
-                                           const storage::Table& table,
-                                           EvalContext* ctx);
-  Result<ResultSet> ExecGroupByParallel(const ra::RaNode& node,
-                                        const ra::RaNode* select,
-                                        const ra::RaNode& scan,
-                                        const storage::Table& table,
-                                        EvalContext* ctx);
 
   /// A group-by whose pieces all compiled for batch evaluation:
   /// optional filter predicate, key expressions, and aggregate
@@ -220,43 +211,47 @@ class Executor {
                       const catalog::Schema& schema, EvalContext* ctx,
                       CompiledGroupBy* out);
 
+  /// A group-by fold over batches: groups with the lowest seq folded
+  /// into each, and the first predicate and fold failures (executor.cc).
+  struct GroupPartial;
+
   /// Vectorized operators (mode_ == kVector). Each mirrors its row
-  /// twin's results, error selection, and cost accounting exactly.
-  Result<ResultSet> ExecScanVector(const ra::RaNode& node,
-                                   const storage::Table& table);
-  Result<ResultSet> ExecScanVectorParallel(const ra::RaNode& node,
-                                           const storage::Table& table);
-  Result<ResultSet> ExecSelectScanVector(const ra::RaNode& node,
-                                         const storage::Table& table,
-                                         const CompiledExpr& pred,
-                                         const catalog::Schema& schema);
-  Result<ResultSet> ExecSelectScanVectorParallel(const ra::RaNode& node,
-                                                 const storage::Table& table,
-                                                 const CompiledExpr& pred,
-                                                 const catalog::Schema& schema);
-  Result<ResultSet> ExecGroupByVectorParallel(const ra::RaNode& node,
-                                              const ra::RaNode* select,
-                                              const storage::Table& table,
-                                              const catalog::Schema& scan_schema,
-                                              const CompiledGroupBy& plan);
-  Result<ResultSet> ExecGroupByVectorFused(const ra::RaNode& node,
-                                           const ra::RaNode* select,
-                                           const storage::Table& table,
-                                           const CompiledGroupBy& plan);
+  /// twin's results, error selection, and cost accounting exactly. The
+  /// three scan shapes — Scan, Select(Scan), GroupBy([Select(]Scan[)]) —
+  /// each stream every shard's batches through one consumer via
+  /// ScanShards.
+  Result<ResultSet> ExecScanBatch(const ra::RaNode& node,
+                                  const storage::Table& table);
+  Result<ResultSet> ExecSelectScanBatch(const storage::Table& table,
+                                        const CompiledExpr& pred,
+                                        catalog::Schema schema);
+  Result<ResultSet> ExecGroupByBatch(const ra::RaNode& node,
+                                     const storage::Table& table,
+                                     const CompiledGroupBy& plan);
   Result<ResultSet> FilterVector(ResultSet in, const CompiledExpr& pred);
   Result<ResultSet> ProjectVector(const ra::RaNode& node, ResultSet in,
                                   const std::vector<std::unique_ptr<CompiledExpr>>& items);
   Result<ResultSet> GroupByVectorFold(const ra::RaNode& node, ResultSet in,
                                       const CompiledGroupBy& plan);
 
-  /// Per-shard counter handles for one fan-out, resolved on the
-  /// submitting thread so tasks never take the registry mutex.
-  struct ShardScanMetrics {
-    obs::Counter* rows = nullptr;
-    obs::Counter* bytes = nullptr;
-    obs::Counter* ns = nullptr;
+  /// What a scan charged: visible rows and their wire bytes.
+  struct ShardScan {
+    size_t rows = 0;
+    size_t bytes = 0;
   };
-  std::vector<ShardScanMetrics> ShardMetrics(size_t shard_count);
+  /// The shard fan-out behind the three scan shapes. Streams each
+  /// shard's visible rows, one batch at a time, through
+  /// `consume(Batch*, Slot*)` and returns what all shards scanned.
+  /// Pooled — a pool is attached and the table has more than one shard
+  /// and at least parallel_threshold_ rows — every shard is one pool
+  /// task writing its own slot, run under a shard span and charged to
+  /// exec.parallel.batches, storage.shard.<i>.scan.* and the profile's
+  /// shard slots. Otherwise the calling thread runs the shards in order
+  /// into a single slot and charges none of those, exactly as a serial
+  /// run. `slots` is resized to the number of slots used.
+  template <typename Slot, typename Consume>
+  ShardScan ScanShards(const storage::Table& table, const char* span,
+                       std::vector<Slot>* slots, const Consume& consume);
 
   /// The MVCC snapshot every row-visibility check resolves against: the
   /// attached guard's pinned snapshot, or "latest committed" when

@@ -25,8 +25,8 @@ namespace eqsql::exec {
 /// blocks waiting for workers that are themselves blocked.
 ///
 /// Tasks must not throw and must not submit nested batches (an
-/// Executor's parallel operators only fan out at the top level of a
-/// plan, so task code never re-enters Run).
+/// Executor's shard tasks evaluate only compiled expressions, which
+/// hold no subqueries, so task code never re-enters Run).
 class WorkerPool {
  public:
   /// `threads` persistent workers. 0 is valid: every batch then runs

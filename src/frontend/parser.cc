@@ -9,6 +9,15 @@ namespace eqsql::frontend {
 
 namespace {
 
+/// Counts one level of parser nesting for its lifetime.
+struct DepthGuard {
+  explicit DepthGuard(int* d) : depth(d) { ++*depth; }
+  ~DepthGuard() { --*depth; }
+  DepthGuard(const DepthGuard&) = delete;
+  DepthGuard& operator=(const DepthGuard&) = delete;
+  int* depth;
+};
+
 class Parser {
  public:
   explicit Parser(std::vector<Tok> tokens) : tokens_(std::move(tokens)) {}
@@ -56,6 +65,10 @@ class Parser {
                               std::to_string(Peek().loc.line) + " near '" +
                               Peek().text + "'");
   }
+  Status TooDeep() const {
+    return Err("nesting deeper than " + std::to_string(kMaxParseDepth) +
+               " levels");
+  }
 
   Result<Function> ParseFunction() {
     if (!MatchKeyword("func")) return Status(Err("expected 'func'"));
@@ -87,6 +100,8 @@ class Parser {
   }
 
   Result<StmtPtr> ParseStmt() {
+    DepthGuard nest(&depth_);
+    if (depth_ > kMaxParseDepth) return TooDeep();
     SourceLoc loc = Peek().loc;
     if (CheckKeyword("if")) return ParseIf();
     if (MatchKeyword("for")) {
@@ -155,12 +170,10 @@ class Parser {
     }
     std::vector<StmtPtr> else_body;
     if (MatchKeyword("else")) {
-      if (CheckKeyword("if")) {
-        EQSQL_ASSIGN_OR_RETURN(StmtPtr nested, ParseIf());
-        else_body.push_back(std::move(nested));
-      } else if (Check(TokKind::kLBrace)) {
+      if (Check(TokKind::kLBrace)) {
         EQSQL_ASSIGN_OR_RETURN(else_body, ParseBlock());
       } else {
+        // A single statement, the `if` of an `else if` chain included.
         EQSQL_ASSIGN_OR_RETURN(StmtPtr single, ParseStmt());
         else_body.push_back(std::move(single));
       }
@@ -170,7 +183,11 @@ class Parser {
   }
 
   // --- expressions, precedence climbing -----------------------------------
-  Result<ExprPtr> ParseExpr() { return ParseTernary(); }
+  Result<ExprPtr> ParseExpr() {
+    DepthGuard nest(&depth_);
+    if (depth_ > kMaxParseDepth) return TooDeep();
+    return ParseTernary();
+  }
 
   Result<ExprPtr> ParseTernary() {
     EQSQL_ASSIGN_OR_RETURN(ExprPtr cond, ParseOr());
@@ -255,15 +272,13 @@ class Parser {
   }
 
   Result<ExprPtr> ParseUnary() {
-    if (Check(TokKind::kBang)) {
+    if (Check(TokKind::kBang) || Check(TokKind::kMinus)) {
+      const UnOp op = Check(TokKind::kBang) ? UnOp::kNot : UnOp::kNeg;
       SourceLoc loc = Advance().loc;
+      DepthGuard nest(&depth_);
+      if (depth_ > kMaxParseDepth) return TooDeep();
       EQSQL_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return Expr::Unary(UnOp::kNot, std::move(operand), loc);
-    }
-    if (Check(TokKind::kMinus)) {
-      SourceLoc loc = Advance().loc;
-      EQSQL_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return Expr::Unary(UnOp::kNeg, std::move(operand), loc);
+      return Expr::Unary(op, std::move(operand), loc);
     }
     return ParsePostfix();
   }
@@ -360,6 +375,7 @@ class Parser {
 
   std::vector<Tok> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current nesting, bounded by kMaxParseDepth
 };
 
 }  // namespace

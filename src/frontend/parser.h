@@ -31,7 +31,15 @@ namespace eqsql::frontend {
 ///
 /// Getter method calls `x.getFoo()` are normalized to field accesses
 /// `x.foo` at parse time (Hibernate entity style).
+///
+/// Nesting deeper than kMaxParseDepth — statements inside statement
+/// bodies (an `else if` chain nests too), expressions inside
+/// expressions, and `!` / unary-minus chains, one level each — fails
+/// with kParseError instead of exhausting the stack.
 Result<Program> ParseProgram(std::string_view source);
+
+/// Deepest nesting ParseProgram accepts.
+inline constexpr int kMaxParseDepth = 256;
 
 }  // namespace eqsql::frontend
 

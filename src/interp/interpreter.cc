@@ -1,5 +1,8 @@
 #include "interp/interpreter.h"
 
+#include <atomic>
+#include <cstdio>
+
 #include "analysis/effects.h"
 #include "baselines/batching_exec.h"
 #include "exec/scalar_ops.h"
@@ -52,7 +55,16 @@ ra::ScalarOp BinToScalarOp(BinOp op) {
   }
 }
 
+/// Source of Interpreter ids.
+std::atomic<uint64_t> next_interpreter_id{0};
+
 }  // namespace
+
+Interpreter::Interpreter(const frontend::Program* program,
+                         net::Client* client)
+    : program_(program),
+      client_(client),
+      id_(next_interpreter_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Result<RtValue> Interpreter::Run(const std::string& function,
                                  std::vector<RtValue> args) {
@@ -471,10 +483,17 @@ Result<RtValue> Interpreter::EvalMethod(const Expr& call, Env* env) {
 
 bool Interpreter::TryBatchForEach(const Stmt& loop,
                                   const std::vector<RtValue>& elements) {
-  // Per-loop unique parameter table name: the name is baked into the
-  // rewritten SQL, so reuse across (possibly nested) loops would join
-  // against the wrong parameters.
-  const std::string table = "__batch_p" + std::to_string(++batch_seq_);
+  // Parameter table name unique per loop and per interpreter: the name
+  // is baked into the rewritten SQL, so reuse across (possibly nested)
+  // loops, or by another session batching at the same time, would join
+  // against the wrong parameters. The interpreter id is spelled at a
+  // fixed width so the SQL length, and with it the simulated byte
+  // count, does not depend on how many interpreters ran before.
+  char id[17];
+  std::snprintf(id, sizeof(id), "%016llx",
+                static_cast<unsigned long long>(id_));
+  const std::string table = "__batch_p" + std::string(id) + "_" +
+                            std::to_string(++batch_seq_);
   baselines::BatchPlan plan = baselines::AnalyzeForEach(loop, table);
   if (plan.sites.empty()) return false;
 

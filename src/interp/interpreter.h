@@ -1,6 +1,7 @@
 #ifndef EQSQL_INTERP_INTERPRETER_H_
 #define EQSQL_INTERP_INTERPRETER_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,8 +31,7 @@ namespace eqsql::interp {
 /// T6 rewrite max(init, MAX-query) exact on empty inputs).
 class Interpreter {
  public:
-  Interpreter(const frontend::Program* program, net::Client* client)
-      : program_(program), client_(client) {}
+  Interpreter(const frontend::Program* program, net::Client* client);
 
   /// Runs `function` with scalar arguments; returns its return value
   /// (NULL scalar if the function does not return).
@@ -89,6 +89,9 @@ class Interpreter {
 
   const frontend::Program* program_;
   net::Client* client_;
+  /// Unique within the process: batching parameter tables share one
+  /// catalog with every other session's, so their names carry it.
+  const uint64_t id_;
   std::vector<std::string> printed_;
   int call_depth_ = 0;
   bool batching_ = false;

@@ -123,9 +123,10 @@ class Connection : public Client {
   /// snapshot alive via shared ownership.
   void DropTempTable(const std::string& name) override;
 
-  /// Attaches the server's shard worker pool for partition-parallel
-  /// scans/aggregations (see exec::Executor::set_worker_pool) and for
-  /// CREATE INDEX's per-shard parallel backfill.
+  /// Attaches the server's shard worker pool for the vector engine's
+  /// partition-parallel scans/aggregations (see
+  /// exec::Executor::set_worker_pool) and for CREATE INDEX's per-shard
+  /// parallel backfill.
   void set_worker_pool(exec::WorkerPool* pool) {
     pool_ = pool;
     executor_.set_worker_pool(pool);
@@ -136,8 +137,9 @@ class Connection : public Client {
 
   /// Selects the execution engine for this connection's queries
   /// (exec::ExecMode::kRow or kVector — see exec/exec_mode.h). A bare
-  /// Connection defaults to the row engine; the server stack applies
-  /// ServerOptions::exec_mode to every worker link and session.
+  /// Connection defaults to the row engine, the serial reference; the
+  /// server stack applies ServerOptions::exec_mode to every worker link
+  /// and session.
   void set_exec_mode(exec::ExecMode mode) { executor_.set_exec_mode(mode); }
   exec::ExecMode exec_mode() const { return executor_.exec_mode(); }
 

@@ -47,10 +47,11 @@ struct ServerOptions {
   /// (forwarded to every session's Executor).
   size_t parallel_threshold = 512;
   /// Execution engine for every session and scheduler worker link:
-  /// vectorized batch-at-a-time by default, row-at-a-time as the
-  /// runtime fallback (--exec-mode=row / EQSQL_EXEC_MODE=row). The two
-  /// engines produce byte-identical results; only speed and the
-  /// exec.batch.* observability differ.
+  /// vectorized batch-at-a-time by default; row (--exec-mode=row /
+  /// EQSQL_EXEC_MODE=row) runs the serial reference engine, which never
+  /// uses the shard worker pool. The two engines produce byte-identical
+  /// results; only speed and the exec.batch.* / exec.parallel.*
+  /// observability differ.
   exec::ExecMode exec_mode = exec::DefaultExecMode();
   /// Worker threads in the request scheduler (the execution engine
   /// behind Session::Submit/Execute). 0 = default (2).

@@ -1,5 +1,6 @@
 #include "net/table_stats.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,17 +14,19 @@ core::TableStats GatherTableStats(storage::Database* db, bool* any_index) {
   core::TableStats stats;
   bool indexed = false;
   for (const std::string& name : db->TableNames()) {
-    Result<storage::Table*> table = db->GetTable(name);
-    if (!table.ok()) continue;
+    // Hold a reference while reading: another session's DropTempTable
+    // may unpublish the table concurrently, and a raw pointer from the
+    // registry would dangle once the last reference goes.
+    std::shared_ptr<const storage::Table> table = db->SnapshotTable(name);
+    if (table == nullptr) continue;
     const std::string key = AsciiToLower(name);
     const storage::TableScanStats vs =
-        (*table)->VisibleStats(storage::Snapshot::Latest());
+        table->VisibleStats(storage::Snapshot::Latest());
     stats.table_rows[key] = static_cast<int64_t>(vs.rows);
     if (vs.rows > 0) {
       stats.row_bytes[key] = static_cast<int64_t>(vs.bytes / vs.rows);
     }
-    std::vector<std::vector<std::string>> lists =
-        (*table)->IndexedColumnLists();
+    std::vector<std::vector<std::string>> lists = table->IndexedColumnLists();
     if (!lists.empty()) {
       stats.table_indexes[key] = std::move(lists);
       indexed = true;

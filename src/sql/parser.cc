@@ -1,6 +1,7 @@
 #include "sql/parser.h"
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/strings.h"
@@ -40,6 +41,15 @@ std::optional<AggFunc> AggFromKeyword(const std::string& kw) {
   if (kw == "AVG") return AggFunc::kAvg;
   return std::nullopt;
 }
+
+/// Counts one level of parser nesting for its lifetime.
+struct DepthGuard {
+  explicit DepthGuard(int* d) : depth(d) { ++*depth; }
+  ~DepthGuard() { --*depth; }
+  DepthGuard(const DepthGuard&) = delete;
+  DepthGuard& operator=(const DepthGuard&) = delete;
+  int* depth;
+};
 
 class Parser {
  public:
@@ -148,6 +158,11 @@ class Parser {
                               Peek().text + "'");
   }
 
+  static Status TooDeep() {
+    return Status::ParseError("nesting deeper than " +
+                              std::to_string(kMaxParseDepth) + " levels");
+  }
+
   Result<std::string> ParseBareIdentifier(std::string_view what) {
     if (Peek().kind != TokenKind::kIdentifier) {
       return Status::ParseError("expected " + std::string(what) +
@@ -158,6 +173,8 @@ class Parser {
 
   // --- query --------------------------------------------------------------
   Result<RaNodePtr> ParseQuery() {
+    DepthGuard nest(&depth_);
+    if (depth_ > kMaxParseDepth) return TooDeep();
     // pending_aggs_ must be scoped per SELECT: a derived-table or APPLY
     // subquery parsed mid-FROM must not see the enclosing query's
     // aggregates (or leak its own into the enclosing BuildGroupBy).
@@ -463,7 +480,11 @@ class Parser {
   }
 
   // --- expressions ------------------------------------------------------
-  Result<ScalarExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ScalarExprPtr> ParseExpr() {
+    DepthGuard nest(&depth_);
+    if (depth_ > kMaxParseDepth) return TooDeep();
+    return ParseOr();
+  }
 
   Result<ScalarExprPtr> ParseOr() {
     EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr lhs, ParseAnd());
@@ -489,6 +510,8 @@ class Parser {
       return ParseExists(/*negated=*/true);
     }
     if (MatchKeyword("NOT")) {
+      DepthGuard nest(&depth_);
+      if (depth_ > kMaxParseDepth) return TooDeep();
       EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr operand, ParseNot());
       return ScalarExpr::Unary(ScalarOp::kNot, std::move(operand));
     }
@@ -561,6 +584,8 @@ class Parser {
 
   Result<ScalarExprPtr> ParseUnary() {
     if (Match(TokenKind::kMinus)) {
+      DepthGuard nest(&depth_);
+      if (depth_ > kMaxParseDepth) return TooDeep();
       EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr operand, ParseUnary());
       return ScalarExpr::Unary(ScalarOp::kNeg, std::move(operand));
     }
@@ -669,6 +694,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current nesting, bounded by kMaxParseDepth
   int next_param_ = 0;
   std::vector<AggregateSpec> pending_aggs_;
 };

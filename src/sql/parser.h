@@ -31,7 +31,14 @@ namespace eqsql::sql {
 /// The resulting plan shape is:
 ///   Limit(Dedup(Project(Sort(GroupBy(Select(from))))))
 /// with absent clauses omitted.
+///
+/// Nesting deeper than kMaxParseDepth — subqueries, parenthesized
+/// expressions, and NOT / unary-minus chains, one level each — fails
+/// with kParseError instead of exhausting the stack.
 Result<ra::RaNodePtr> ParseSql(std::string_view input);
+
+/// Deepest nesting ParseSql (and the DML parser) accepts.
+inline constexpr int kMaxParseDepth = 256;
 
 }  // namespace eqsql::sql
 

@@ -378,8 +378,7 @@ class ShardScanCursor {
   /// Appends up to `max_rows` visible rows (with their insertion seqs,
   /// accumulating wire size into *wire_bytes) and returns how many were
   /// produced; 0 means the shard is exhausted. Output order is slot
-  /// order, NOT seq order — callers merge-sort by seq across shards,
-  /// exactly like the row engine's parallel scan.
+  /// order, NOT seq order — callers merge-sort by seq across shards.
   size_t Next(size_t max_rows, std::vector<size_t>* seqs,
               std::vector<catalog::Row>* rows, size_t* wire_bytes);
 

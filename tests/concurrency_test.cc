@@ -381,6 +381,118 @@ TEST(ServerStressTest, ParallelSessionsMatchSerialReplay) {
   EXPECT_GT(stats.totals.queries_executed, 0);
 }
 
+/// Forwards a program's requests to a session, counting them.
+class CountingClient : public Client {
+ public:
+  explicit CountingClient(Session* session) : session_(session) {}
+  Outcome Perform(Request req) override {
+    ++performed;
+    return session_->Perform(std::move(req));
+  }
+  void ChargeClientOps(int64_t ops) override {
+    session_->ChargeClientOps(ops);
+  }
+  Status CreateTempTable(const std::string& name, catalog::Schema schema,
+                         std::vector<catalog::Row> rows) override {
+    return session_->CreateTempTable(name, std::move(schema),
+                                     std::move(rows));
+  }
+  void DropTempTable(const std::string& name) override {
+    session_->DropTempTable(name);
+  }
+
+  int performed = 0;
+
+ private:
+  Session* session_;
+};
+
+// Two sessions batch different loops at the same time. Each batched
+// loop uploads its parameters as a temp table in the shared catalog and
+// joins against it by name, so the names must differ across
+// interpreters: a shared name lets one session join the other's
+// parameters (or lose its table to the other's drop) mid-loop.
+TEST(ServerStressTest, ConcurrentBatchingSessionsKeepTheirParameters) {
+  const char* kSource = R"(
+    func roleNames() {
+      out = list();
+      users = executeQuery("SELECT * FROM wuser AS u");
+      for (u : users) {
+        r = scalar(executeQuery("SELECT r.name AS name FROM role AS r WHERE r.id = ?", u.role_id));
+        out.append(pair(u.login, r));
+      }
+      return out;
+    }
+    func roleOwners() {
+      out = list();
+      roles = executeQuery("SELECT * FROM role AS r");
+      for (r : roles) {
+        u = scalar(executeQuery("SELECT u.login AS login FROM wuser AS u WHERE u.id = ?", r.id));
+        out.append(pair(r.name, u));
+      }
+      return out;
+    }
+  )";
+  constexpr int kIters = 60;
+  Server server;
+  auto wuser = *server.db()->CreateTable(
+      "wuser", catalog::Schema({{"id", DataType::kInt64},
+                                {"login", DataType::kString},
+                                {"role_id", DataType::kInt64}}));
+  for (int64_t i = 0; i < 48; ++i) {
+    ASSERT_TRUE(wuser
+                    ->Insert({Value::Int(i),
+                              Value::String("u" + std::to_string(i)),
+                              Value::Int((i * 7) % 12)})
+                    .ok());
+  }
+  auto role = *server.db()->CreateTable(
+      "role", catalog::Schema(
+                  {{"id", DataType::kInt64}, {"name", DataType::kString}}));
+  for (int64_t i = 0; i < 12; ++i) {
+    ASSERT_TRUE(
+        role->Insert({Value::Int(i), Value::String("r" + std::to_string(i))})
+            .ok());
+  }
+  auto program = frontend::ParseProgram(kSource);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+
+  // Reference answers: plain iteration, no batching.
+  const std::vector<std::string> functions = {"roleNames", "roleOwners"};
+  std::vector<std::string> expected;
+  {
+    std::unique_ptr<Session> session = server.Connect();
+    for (const std::string& fn : functions) {
+      interp::Interpreter plain(&*program, session.get());
+      auto r = plain.Run(fn);
+      ASSERT_TRUE(r.ok()) << fn << ": " << r.status().ToString();
+      expected.push_back(r->DisplayString());
+    }
+  }
+
+  std::atomic<int> wrong{0};
+  std::atomic<int> unbatched{0};
+  std::vector<std::thread> workers;
+  for (size_t f = 0; f < functions.size(); ++f) {
+    workers.emplace_back([&, f] {
+      std::unique_ptr<Session> session = server.Connect();
+      for (int i = 0; i < kIters; ++i) {
+        CountingClient client(session.get());
+        interp::Interpreter batched(&*program, &client);
+        batched.set_batching(true);
+        auto r = batched.Run(functions[f]);
+        if (!r.ok() || r->DisplayString() != expected[f]) wrong.fetch_add(1);
+        // A batched run issues the cursor query and one join, not one
+        // probe per row; more means the loop fell back to iterating.
+        if (client.performed != 2) unbatched.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(unbatched.load(), 0);
+}
+
 // Live sessions fold their published snapshot into stats() while open,
 // and their exact totals exactly once when they close (no double count).
 TEST(ServerStressTest, StatsFoldOnClose) {

@@ -143,44 +143,42 @@ TEST(ExplainAnalyzeTest, ProfileActualsMatchRegistryCountersAcrossGrid) {
   }
 }
 
-// Parallel fan-out fills the per-shard breakdown: one slot per shard,
+// Pooled fan-out fills the per-shard breakdown: one slot per shard,
 // each written by exactly one task, and the slots reconcile with the
 // tree's rows_in total (the slot rows live on the scanned plan node,
 // the registry charge posts wherever the executor attributes it — the
 // TREE totals are the contract, per-node attribution is presentation).
+// Only the vector engine fans out; the row engine is the serial
+// reference.
 TEST(ExplainAnalyzeTest, ShardSlotsReconcileWithNodeTotals) {
-  for (exec::ExecMode mode : kExecModes) {
-    std::unique_ptr<storage::Database> db = MakeDb(8);
-    net::Connection conn(db.get());
-    conn.set_exec_mode(mode);
-    exec::WorkerPool pool(2);
-    conn.set_worker_pool(&pool);
-    conn.set_parallel_threshold(0);
-    // Profile charges ride the same RecordScan/RecordBatch calls as the
-    // registry counters, so wire metrics exactly as the server stack does.
-    obs::MetricsRegistry reg;
-    conn.set_metrics(&reg);
+  std::unique_ptr<storage::Database> db = MakeDb(8);
+  net::Connection conn(db.get());
+  conn.set_exec_mode(exec::ExecMode::kVector);
+  exec::WorkerPool pool(2);
+  conn.set_worker_pool(&pool);
+  conn.set_parallel_threshold(0);
+  // Profile charges ride the same RecordScan/RecordBatch calls as the
+  // registry counters, so wire metrics exactly as the server stack does.
+  obs::MetricsRegistry reg;
+  conn.set_metrics(&reg);
 
-    obs::Profile profile;
-    conn.set_profile(&profile);
-    net::Outcome out =
-        conn.Perform(net::Request::Query("SELECT * FROM t AS t0"));
-    conn.set_profile(nullptr);
-    ASSERT_TRUE(out.ok()) << out.status.ToString();
+  obs::Profile profile;
+  conn.set_profile(&profile);
+  net::Outcome out = conn.Perform(net::Request::Query("SELECT * FROM t AS t0"));
+  conn.set_profile(nullptr);
+  ASSERT_TRUE(out.ok()) << out.status.ToString();
 
-    const obs::ProfileNode* scan = FindSharded(profile.root());
-    ASSERT_NE(scan, nullptr) << "no operator recorded shard slots";
-    ASSERT_EQ(scan->shards.size(), 8u);
-    int64_t slot_rows = 0;
-    for (const auto& slot : scan->shards) slot_rows += slot.rows;
-    EXPECT_EQ(slot_rows, SumRowsIn(profile.root()))
-        << "mode=" << exec::ExecModeName(mode);
-    EXPECT_EQ(slot_rows, 200);
-    // The rendered report carries the breakdown, one line per shard.
-    std::string text = profile.ToText();
-    EXPECT_NE(text.find("[shard 0]"), std::string::npos) << text;
-    EXPECT_NE(text.find("[shard 7]"), std::string::npos) << text;
-  }
+  const obs::ProfileNode* scan = FindSharded(profile.root());
+  ASSERT_NE(scan, nullptr) << "no operator recorded shard slots";
+  ASSERT_EQ(scan->shards.size(), 8u);
+  int64_t slot_rows = 0;
+  for (const auto& slot : scan->shards) slot_rows += slot.rows;
+  EXPECT_EQ(slot_rows, SumRowsIn(profile.root()));
+  EXPECT_EQ(slot_rows, 200);
+  // The rendered report carries the breakdown, one line per shard.
+  std::string text = profile.ToText();
+  EXPECT_NE(text.find("[shard 0]"), std::string::npos) << text;
+  EXPECT_NE(text.find("[shard 7]"), std::string::npos) << text;
 }
 
 // EXPLAIN ANALYZE on a direct Connection: executes the statement once,

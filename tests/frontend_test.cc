@@ -192,5 +192,47 @@ TEST(ImpPrinterTest, RoundTripThroughPrinter) {
   EXPECT_EQ(printed, p2->ToString());
 }
 
+// Hostile nesting is a parse error, not a stack overflow: 100,000
+// levels of parentheses, prefix operators, nested statements, or an
+// `else if` chain fail cleanly, while nesting right at kMaxParseDepth
+// still parses.
+TEST(ImpParserTest, NestingDepthIsBounded) {
+  constexpr int kHostile = 100000;
+  auto repeat = [](const std::string& piece, int n) {
+    std::string out;
+    out.reserve(piece.size() * n);
+    for (int i = 0; i < n; ++i) out += piece;
+    return out;
+  };
+  const std::string hostile[] = {
+      "func f() { return " + repeat("(", kHostile) + "1" +
+          repeat(")", kHostile) + "; }",
+      "func f(x) { return " + repeat("!", kHostile) + "x; }",
+      "func f() { return " + repeat("- ", kHostile) + "1; }",
+      "func f(x) { " + repeat("while (x) { ", kHostile) +
+          repeat("} ", kHostile) + "}",
+      "func f(x) { " + repeat("if (x) ", kHostile) + "return 1; }",
+      "func f(x) { if (x) return 1;" + repeat(" else if (x) return 1;",
+                                              kHostile) + " }",
+  };
+  for (const std::string& source : hostile) {
+    auto program = ParseProgram(source);
+    ASSERT_FALSE(program.ok()) << source.substr(0, 40);
+    EXPECT_EQ(program.status().code(), StatusCode::kParseError)
+        << program.status().ToString();
+  }
+  // The return statement is one level and its expression another, so
+  // kMaxParseDepth - 2 parentheses are the most that fit.
+  auto at_limit = [&](int parens) {
+    return ParseProgram("func f() { return " + repeat("(", parens) + "1" +
+                        repeat(")", parens) + "; }");
+  };
+  auto fits = at_limit(kMaxParseDepth - 2);
+  EXPECT_TRUE(fits.ok()) << fits.status().ToString();
+  auto over = at_limit(kMaxParseDepth - 1);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+}
+
 }  // namespace
 }  // namespace eqsql::frontend

@@ -8,14 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "catalog/schema.h"
 #include "catalog/value.h"
 #include "core/alternative_selector.h"
 #include "net/api.h"
 #include "net/server.h"
+#include "net/table_stats.h"
 #include "storage/database.h"
 #include "storage/table.h"
 
@@ -262,6 +266,45 @@ TEST(SelectionTest, CrossoverFlipsWinnerAndInvalidatesCachedPlan) {
   ASSERT_NE(interp, nullptr);
   EXPECT_GT(interp->est_cost_ms,
             (*big)->Find((*big)->chosen)->est_cost_ms);
+}
+
+// The selector's statistics pass reads every registered table while
+// other sessions upload and drop batching parameter tables. A dropped
+// table is freed as soon as its last reference goes, so the pass must
+// hold a reference for as long as it reads one; a raw registry pointer
+// reads freed memory (a crash, or a report under the sanitizers).
+TEST(SelectionTest, GatherTableStatsSurvivesConcurrentTempTableDrop) {
+  net::Server server(ApplyOptions());
+  Populate(&server, 64, 16);
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    std::unique_ptr<net::Session> session = server.Connect();
+    for (int i = 0; i < 300; ++i) {
+      std::vector<catalog::Row> rows;
+      for (int64_t r = 0; r < 512; ++r) {
+        rows.push_back({Value::Int(r), Value::Int(r * 3)});
+      }
+      Status created = session->CreateTempTable(
+          "__churn_params",
+          Schema({{"rid", DataType::kInt64}, {"p0", DataType::kInt64}}),
+          std::move(rows));
+      EXPECT_TRUE(created.ok()) << created.ToString();
+      session->DropTempTable("__churn_params");
+    }
+    done.store(true);
+  });
+  int gathered = 0;
+  while (!done.load()) {
+    core::TableStats stats = net::GatherTableStats(server.db());
+    EXPECT_EQ(stats.table_rows.at("wuser"), 64);
+    auto churned = stats.table_rows.find("__churn_params");
+    if (churned != stats.table_rows.end()) {
+      EXPECT_EQ(churned->second, 512);
+    }
+    ++gathered;
+  }
+  churn.join();
+  EXPECT_GT(gathered, 0);
 }
 
 }  // namespace

@@ -23,9 +23,9 @@
 // and rollbacks), and the four benchmark workload apps, original and
 // rewritten. Run under
 // the `tsan` preset too (scripts/verify.sh does): with the parallel
-// threshold forced to 0 every scan/fold fans out across the pool, so
-// this suite doubles as the race detector for the partition-parallel
-// read path.
+// threshold forced to 0 every vector-engine scan/fold fans out across
+// the pool (the row engine is the serial reference), so this suite
+// doubles as the race detector for the partition-parallel read path.
 
 #include <gtest/gtest.h>
 

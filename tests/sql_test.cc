@@ -343,5 +343,43 @@ TEST_F(SqlRoundTripTest, RoundTripPreservesSemantics) {
   }
 }
 
+// Hostile nesting is a parse error, not a stack overflow: 100,000
+// levels of parentheses, NOT, unary minus, or derived tables fail
+// cleanly, while nesting right at kMaxParseDepth still parses.
+TEST(SqlParserTest, NestingDepthIsBounded) {
+  constexpr int kHostile = 100000;
+  auto repeat = [](const std::string& piece, int n) {
+    std::string out;
+    out.reserve(piece.size() * n);
+    for (int i = 0; i < n; ++i) out += piece;
+    return out;
+  };
+  const std::string hostile[] = {
+      "SELECT " + repeat("(", kHostile) + "1" + repeat(")", kHostile) +
+          " AS x FROM t",
+      "SELECT * FROM t AS t0 WHERE " + repeat("NOT ", kHostile) + "TRUE",
+      "SELECT " + repeat("- ", kHostile) + "1 AS x FROM t",
+      repeat("SELECT * FROM (", kHostile) + "SELECT * FROM t" +
+          repeat(") AS d", kHostile),
+  };
+  for (const std::string& sql : hostile) {
+    auto q = ParseSql(sql);
+    ASSERT_FALSE(q.ok()) << sql.substr(0, 40);
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError)
+        << q.status().ToString();
+  }
+  // The query is one level and the select item's expression another, so
+  // kMaxParseDepth - 2 parentheses are the most that fit.
+  auto at_limit = [&](int parens) {
+    return ParseSql("SELECT " + repeat("(", parens) + "1" +
+                    repeat(")", parens) + " AS x FROM t");
+  };
+  auto fits = at_limit(kMaxParseDepth - 2);
+  EXPECT_TRUE(fits.ok()) << fits.status().ToString();
+  auto over = at_limit(kMaxParseDepth - 1);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+}
+
 }  // namespace
 }  // namespace eqsql::sql

@@ -16,10 +16,13 @@
 //  2. The fuzzer's program families: every family's generated programs
 //     run to completion on both engines with identical return values,
 //     print streams, and transfer counters.
-// Every case sweeps shard counts 1, 2, and 8 with the partition-
-// parallel operators forced on (threshold 0) whenever a pool exists,
-// so the serial fold, the parallel fold, and the row fallback paths
-// all get compared. scripts/verify.sh runs this suite under TSan too.
+// Every case sweeps shard counts 1, 2, and 8, each with no pool and —
+// above one shard — with a pool and the fan-out forced on (threshold
+// 0), so the inline shard tasks, the pooled ones, and the row fallback
+// paths all get compared. Each cell must also match the 1-shard row
+// engine's rendering: two engines that fan out alike can agree on a
+// wrong answer, but not with the serial reference. scripts/verify.sh
+// runs this suite under TSan too.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +45,7 @@
 #include "fuzz/scenario.h"
 #include "interp/interpreter.h"
 #include "net/connection.h"
+#include "obs/metrics.h"
 #include "storage/database.h"
 
 namespace eqsql {
@@ -61,11 +65,13 @@ struct QuerySpec {
 };
 
 /// One query outcome flattened to a comparable string: schema, every
-/// row in order, and the connection's cost counters (full precision —
-/// the parity claim covers the simulated clock). Errors render their
-/// full status so both engines must fail identically too.
+/// row in order, the connection's cost counters (full precision — the
+/// parity claim covers the simulated clock), and the storage.scan.rows
+/// the statement charged. Errors render their full status so both
+/// engines must fail identically too, scan charges included.
 std::string RenderOutcome(const net::Outcome& out,
-                          const net::ConnectionStats& stats) {
+                          const net::ConnectionStats& stats,
+                          int64_t scan_rows) {
   std::ostringstream s;
   s.precision(17);
   if (!out.ok()) {
@@ -87,43 +93,63 @@ std::string RenderOutcome(const net::Outcome& out,
   s << "stats: queries=" << stats.queries_executed
     << " rows=" << stats.rows_transferred
     << " bytes=" << stats.bytes_transferred << " ms=" << stats.simulated_ms
-    << "\n";
+    << " scan_rows=" << scan_rows << "\n";
   return s.str();
 }
 
 /// Runs one query on a fresh connection in the given mode; the fresh
-/// connection makes the trailing stats line exactly this query's cost.
+/// connection and registry make the trailing stats line exactly this
+/// query's cost.
 std::string RunOne(storage::Database* db, exec::WorkerPool* pool,
                    const QuerySpec& q, exec::ExecMode mode) {
   net::Connection conn(db);
+  obs::MetricsRegistry reg;
+  conn.set_metrics(&reg);
   conn.set_exec_mode(mode);
   if (pool != nullptr) {
     conn.set_worker_pool(pool);
-    conn.set_parallel_threshold(0);  // force the parallel operators on
+    conn.set_parallel_threshold(0);  // force the shard fan-out on
   }
   net::Outcome out = conn.Perform(net::Request::Query(q.sql, q.params));
-  return RenderOutcome(out, conn.stats());
+  return RenderOutcome(out, conn.stats(),
+                       reg.Snapshot().counters.at("storage.scan.rows"));
 }
 
 using SetupFn = std::function<void(storage::Database*)>;
 
 /// The differential core: builds a fresh database per shard count,
 /// applies `setup`, then requires every query to render identically on
-/// both engines.
+/// both engines, with and without a pool, and identically to the
+/// 1-shard row engine's rendering.
 void SweepShards(const SetupFn& setup, const std::vector<QuerySpec>& queries,
                  const std::string& label) {
+  std::vector<std::string> reference(queries.size());
   for (size_t shards : kShardCounts) {
     storage::DatabaseOptions dbo;
     dbo.shard_count = shards;
     storage::Database db(dbo);
     setup(&db);
-    std::unique_ptr<exec::WorkerPool> pool;
-    if (shards > 1) pool = std::make_unique<exec::WorkerPool>(2);
-    for (const QuerySpec& q : queries) {
-      std::string row = RunOne(&db, pool.get(), q, exec::ExecMode::kRow);
-      std::string vec = RunOne(&db, pool.get(), q, exec::ExecMode::kVector);
-      EXPECT_EQ(vec, row) << label << " shards=" << shards
-                          << " query: " << q.sql;
+    exec::WorkerPool pool(2);
+    for (bool pooled : {false, true}) {
+      if (pooled && shards == 1) continue;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const QuerySpec& q = queries[i];
+        exec::WorkerPool* p = pooled ? &pool : nullptr;
+        std::string row = RunOne(&db, p, q, exec::ExecMode::kRow);
+        std::string vec = RunOne(&db, p, q, exec::ExecMode::kVector);
+        EXPECT_EQ(vec, row) << label << " shards=" << shards
+                            << " pooled=" << pooled << " query: " << q.sql;
+        if (shards == 1) {
+          reference[i] = row;
+        } else {
+          EXPECT_EQ(row, reference[i])
+              << label << " row engine diverges from 1 shard at shards="
+              << shards << " pooled=" << pooled << " query: " << q.sql;
+          EXPECT_EQ(vec, reference[i])
+              << label << " vector engine diverges from 1 shard at shards="
+              << shards << " pooled=" << pooled << " query: " << q.sql;
+        }
+      }
     }
   }
 }
@@ -280,6 +306,18 @@ TEST(VectorExecTest, MidBatchRuntimeErrors) {
       // must fail with the same status at the same first row.
       {"SELECT m.v + m.name AS bad FROM fact AS m", {}},
       {"SELECT m.id AS id FROM fact AS m WHERE m.name > 3", {}},
+      // A group-by over a failing filter: the filter runs over the whole
+      // scan before the fold sees a row, so the predicate's error (row
+      // 100) outranks the key's (row 1) however the scan is split.
+      {"SELECT COUNT(*) AS c FROM fact AS m "
+       "WHERE CASE WHEN m.id = 100 THEN m.name < 5 ELSE TRUE END "
+       "GROUP BY CASE WHEN m.id = 1 THEN m.name * 2 ELSE m.fk END",
+       {}},
+      // The same failing filter alone: the scan is charged in full
+      // (storage.scan.rows = 1100) before the error surfaces.
+      {"SELECT m.id AS id FROM fact AS m "
+       "WHERE CASE WHEN m.id = 100 THEN m.name < 5 ELSE TRUE END",
+       {}},
   };
   SweepShards(setup, queries, "mid-batch-errors");
 }
