@@ -6,10 +6,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Per-test ctest timeout: a hung test fails with its name instead of
+# holding CI until the job limit. On a 4-core host the slowest tests
+# take 6.7 s under ASan (FuzzShrink.InjectedBugShrinksToSmallReproducer)
+# and 5.0 s under TSan (ShardInvarianceTest.FuzzerProgramsAcrossAllFamilies);
+# 60 s leaves room for slower CI runners.
+CTEST_TIMEOUT=60
+
 echo "== tier 1: build + full ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
-ctest --test-dir build --output-on-failure -j"$(nproc)"
+ctest --test-dir build --output-on-failure -j"$(nproc)" \
+  --timeout "$CTEST_TIMEOUT"
 
 echo "== tier 1: deterministic fuzz sweep (500 scenarios) =="
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --corpus tests/fuzz_corpus
@@ -19,6 +27,7 @@ cmake --preset asan >/dev/null
 cmake --build build-asan -j"$(nproc)" --target fuzz_test fuzz_eqsql \
   sql_roundtrip_test null_semantics_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
+  --timeout "$CTEST_TIMEOUT" \
   -R 'Fuzz|SqlRoundTrip|NullSemantics'
 ./build-asan/src/fuzz/fuzz_eqsql --seed 99 --iters 100 \
   --corpus tests/fuzz_corpus
@@ -34,6 +43,7 @@ cmake --build build-tsan -j"$(nproc)" --target concurrency_test fuzz_eqsql \
 # covers the version-chain suite, including the concurrent
 # readers-vs-committing-writer scan test.
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
+  --timeout "$CTEST_TIMEOUT" \
   -R 'PlanCache|ConnectionOwnership|ServerStress|Shard|Mvcc|ReadGuard|Database|Scheduler|ServerLiveStats|VectorExec|Index|ExplainAnalyze|TraceRing|SlowQueryLog|Selection'
 ./build-tsan/src/fuzz/fuzz_eqsql --seed 7 --iters 50 \
   --corpus tests/fuzz_corpus

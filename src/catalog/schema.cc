@@ -4,56 +4,32 @@
 
 namespace eqsql::catalog {
 
-namespace {
-
-/// True if stored column name `stored` matches lookup name `query`.
-/// Exact match always wins; otherwise an unqualified query matches the
-/// part of a qualified stored name after the last '.'.
-bool NameMatches(const std::string& stored, const std::string& query,
-                 bool query_qualified) {
-  if (stored == query) return true;
-  if (query_qualified) return false;
-  size_t dot = stored.rfind('.');
-  if (dot == std::string::npos) return false;
-  return stored.compare(dot + 1, std::string::npos, query) == 0;
-}
-
-}  // namespace
-
-std::optional<size_t> Schema::IndexOf(const std::string& name) const {
-  bool qualified = name.find('.') != std::string::npos;
-  std::optional<size_t> found;
+ColumnMatch Schema::Find(const std::string& name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return i;  // exact match is unambiguous
+    if (columns_[i].name == name) return {ColumnMatch::Kind::kFound, i};
   }
-  if (qualified) return std::nullopt;
+  ColumnMatch match;
+  if (name.find('.') != std::string::npos) return match;
   for (size_t i = 0; i < columns_.size(); ++i) {
-    if (NameMatches(columns_[i].name, name, /*query_qualified=*/false)) {
-      if (found.has_value()) return std::nullopt;  // ambiguous
-      found = i;
+    const std::string& stored = columns_[i].name;
+    const size_t dot = stored.rfind('.');
+    if (dot == std::string::npos ||
+        stored.compare(dot + 1, std::string::npos, name) != 0) {
+      continue;
     }
+    if (match.found()) return {ColumnMatch::Kind::kAmbiguous, 0};
+    match = {ColumnMatch::Kind::kFound, i};
   }
-  return found;
+  return match;
 }
 
 Result<size_t> Schema::ResolveColumn(const std::string& name) const {
-  bool qualified = name.find('.') != std::string::npos;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return i;
+  const ColumnMatch m = Find(name);
+  if (m.ambiguous()) {
+    return Status::InvalidArgument("ambiguous column: " + name);
   }
-  if (!qualified) {
-    std::optional<size_t> found;
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      if (NameMatches(columns_[i].name, name, false)) {
-        if (found.has_value()) {
-          return Status::InvalidArgument("ambiguous column: " + name);
-        }
-        found = i;
-      }
-    }
-    if (found.has_value()) return *found;
-  }
-  return Status::NotFound("column not found: " + name);
+  if (!m.found()) return Status::NotFound("column not found: " + name);
+  return m.index;
 }
 
 size_t Schema::AddColumn(Column column) {

@@ -17,6 +17,17 @@ struct Column {
   DataType type = DataType::kNull;
 };
 
+/// Where a column name resolves in a schema: at one column, nowhere, or
+/// at several (an unqualified name matching more than one suffix).
+struct ColumnMatch {
+  enum class Kind { kFound, kAbsent, kAmbiguous };
+  Kind kind = Kind::kAbsent;
+  size_t index = 0;  // meaningful for kFound only
+
+  bool found() const { return kind == Kind::kFound; }
+  bool ambiguous() const { return kind == Kind::kAmbiguous; }
+};
+
 /// An ordered list of columns; rows conform positionally.
 ///
 /// Schemas are value types (copyable). Lookup is linear — schemas in the
@@ -31,10 +42,17 @@ class Schema {
   const Column& column(size_t i) const { return columns_[i]; }
   const std::vector<Column>& columns() const { return columns_; }
 
-  /// Index of `name`, or nullopt. If `name` is qualified ("t.x") the
-  /// qualifier must match the stored column name exactly; unqualified
-  /// lookups also match a stored qualified name's suffix when unambiguous.
-  std::optional<size_t> IndexOf(const std::string& name) const;
+  /// Matches `name` against the columns. An exact match always wins. A
+  /// qualified name ("t.x") matches only exactly; an unqualified one
+  /// also matches a stored qualified name's suffix, and is ambiguous
+  /// when it matches more than one.
+  ColumnMatch Find(const std::string& name) const;
+
+  /// Index of `name`, or nullopt when it is absent or ambiguous.
+  std::optional<size_t> IndexOf(const std::string& name) const {
+    const ColumnMatch m = Find(name);
+    return m.found() ? std::optional<size_t>(m.index) : std::nullopt;
+  }
 
   /// Errors with kNotFound / kInvalidArgument (ambiguous) instead of
   /// returning nullopt.

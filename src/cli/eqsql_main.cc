@@ -33,8 +33,7 @@
 //                     (against the --app / --db seeded tables) and print
 //                     the operator tree, estimated vs actual
 //   --trace-sample N  sample every N-th scheduled request into the
-//                     server's trace ring (1 = all; EQSQL_TRACE_SAMPLE
-//                     supplies a default when unset)
+//                     server's trace ring (1 = all; 0, the default, = off)
 //   --slow-query-ms X requests slower than X ms append a JSON line to
 //                     the slow-query log
 //   --slow-query-log P  flush the slow-query log to file P on shutdown
@@ -78,7 +77,7 @@ struct CliOptions {
   size_t queue_depth = 0;  // 0 = scheduler default
   eqsql::exec::ExecMode exec_mode = eqsql::exec::DefaultExecMode();
   std::string analyze_sql;     // EXPLAIN ANALYZE target statement
-  size_t trace_sample = 0;     // 0 = off / EQSQL_TRACE_SAMPLE default
+  size_t trace_sample = 0;     // 0 = off
   double slow_query_ms = 0;    // <= 0 = off
   std::string slow_query_log;  // flush path (empty = in-memory only)
   bool dump_profiles = false;

@@ -88,7 +88,7 @@ CostEstimator::NodeEstimate CostEstimator::Walk(const RaNode& node) const {
       NodeEstimate in = Walk(*node.child(0));
       NodeEstimate out = in;
       // A key-equality point predicate over a base scan becomes an
-      // index probe (Executor::TryIndexLookup).
+      // index probe (Executor::TryKeyLookup).
       if (node.child(0)->op() == RaOp::kScan &&
           HasEqualityConjunct(node.predicate())) {
         out.rows = 1;

@@ -81,8 +81,8 @@ class CostEstimator {
   /// Prices the index-nested-loop alternative against the full-scan
   /// hash join for the first join in `plan` whose inner side is a base
   /// scan with a secondary index covering the equi-join columns
-  /// (Executor::TryIndexNestedLoopJoin's applicability, approximated
-  /// structurally). Returns applicable=false when no such join exists.
+  /// (Executor::ExecJoin's index nested-loop applicability,
+  /// approximated structurally). Returns applicable=false when no such join exists.
   JoinPlanChoice ChooseJoinPlan(const ra::RaNodePtr& plan) const;
 
   const net::CostModel& model() const { return model_; }

@@ -33,8 +33,9 @@ size_t ResultSet::WireSize() const {
 
 Result<Value> EvalContext::LookupColumn(const std::string& name) const {
   for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-    std::optional<size_t> idx = it->schema->IndexOf(name);
-    if (idx.has_value()) return (*it->row)[*idx];
+    const catalog::ColumnMatch m = it->schema->Find(name);
+    if (m.found()) return (*it->row)[m.index];
+    if (m.ambiguous()) return it->schema->ResolveColumn(name).status();
   }
   return Status::NotFound("unresolved column: " + name);
 }
@@ -62,21 +63,34 @@ void SplitConjuncts(const ScalarExprPtr& pred,
   out->push_back(pred);
 }
 
-/// True if every column referenced in `expr` resolves in `schema`.
-bool AllRefsResolve(const ScalarExprPtr& expr, const Schema& schema) {
-  std::vector<std::string> refs;
-  ra::CollectColumnRefs(expr, &refs);
-  for (const std::string& r : refs) {
-    if (!schema.IndexOf(r).has_value()) return false;
+/// True if some column `expr` names satisfies `pred`. Subqueries are
+/// not descended: their names resolve in their own scopes first.
+template <typename Pred>
+bool AnyColumnRef(const ScalarExprPtr& expr, const Pred& pred) {
+  if (expr->op() == ScalarOp::kColumnRef) return pred(expr->column_name());
+  for (const ScalarExprPtr& c : expr->children()) {
+    if (AnyColumnRef(c, pred)) return true;
   }
-  return true;
+  return false;
 }
 
 /// True if `expr` references at least one column.
 bool HasColumnRef(const ScalarExprPtr& expr) {
-  std::vector<std::string> refs;
-  ra::CollectColumnRefs(expr, &refs);
-  return !refs.empty();
+  return AnyColumnRef(expr, [](const std::string&) { return true; });
+}
+
+/// True if every column referenced in `expr` resolves in `schema`.
+bool AllRefsResolve(const ScalarExprPtr& expr, const Schema& schema) {
+  return !AnyColumnRef(expr, [&schema](const std::string& name) {
+    return !schema.Find(name).found();
+  });
+}
+
+/// True if `expr` names a column of `schema`, found or ambiguous.
+bool NamesColumnOf(const ScalarExprPtr& expr, const Schema& schema) {
+  return AnyColumnRef(expr, [&schema](const std::string& name) {
+    return schema.Find(name).kind != catalog::ColumnMatch::Kind::kAbsent;
+  });
 }
 
 struct RowVecHash {
@@ -241,51 +255,177 @@ bool SchemaHasDouble(const Schema& schema) {
   return false;
 }
 
-/// Conservative, side-effect-free superset of TryIndexLookup's
-/// applicability: true if `select` (a kSelect directly over `scan`)
-/// might hit the unique-key point-lookup fast path. When this returns
-/// false, TryIndexLookup is guaranteed to fail with kNotFound, so a
-/// fused batch operator can take over without changing the row-count
-/// accounting (the fast path charges 1 probe instead of a full scan).
-bool IndexLookupMightApply(const RaNode& select, const RaNode& scan,
-                           const storage::Table& table) {
-  // unique_key() returns the optional by value; keep the copy alive
-  // for the whole match loop instead of referencing a temporary.
-  const std::optional<std::string> key = table.unique_key();
-  if (!key.has_value()) return false;
-  const std::string qualified = scan.alias() + "." + *key;
-  const std::string& bare = *key;
+/// The output schema of a base scan: the table's columns, qualified by
+/// the scan's alias.
+Schema ScanSchema(const RaNode& scan, const storage::Table& table) {
+  std::vector<catalog::Column> cols;
+  cols.reserve(table.schema().size());
+  for (const catalog::Column& c : table.schema().columns()) {
+    cols.push_back({scan.alias() + "." + c.name, c.type});
+  }
+  return Schema(std::move(cols));
+}
+
+/// A join predicate split into equi-keys -- `l = r` where each side names
+/// columns, all of them its own input's -- and the residual.
+struct EquiKeys {
+  std::vector<ScalarExprPtr> left;
+  std::vector<ScalarExprPtr> right;
+  /// The other conjuncts, in predicate order (nullptr when none). With
+  /// no key it is the predicate as written.
+  ScalarExprPtr residual;
+};
+
+EquiKeys SplitEquiKeys(const ScalarExprPtr& pred, const Schema& left,
+                       const Schema& right) {
   std::vector<ScalarExprPtr> conjuncts;
-  SplitConjuncts(select.predicate(), &conjuncts);
+  SplitConjuncts(pred, &conjuncts);
+  EquiKeys keys;
+  std::vector<ScalarExprPtr> residual;
   for (const ScalarExprPtr& c : conjuncts) {
-    if (c->op() != ScalarOp::kEq) continue;
-    for (int side = 0; side < 2; ++side) {
-      const ScalarExprPtr& e = c->child(side);
-      if (e->op() == ScalarOp::kColumnRef &&
-          (e->column_name() == qualified || e->column_name() == bare)) {
-        return true;
+    bool classified = false;
+    if (c->op() == ScalarOp::kEq && HasColumnRef(c->child(0)) &&
+        HasColumnRef(c->child(1))) {
+      for (int side = 0; side < 2 && !classified; ++side) {
+        const ScalarExprPtr& l = c->child(side);
+        const ScalarExprPtr& r = c->child(1 - side);
+        classified = AllRefsResolve(l, left) && AllRefsResolve(r, right);
+        if (classified) {
+          keys.left.push_back(l);
+          keys.right.push_back(r);
+        }
+      }
+    }
+    if (!classified) residual.push_back(c);
+  }
+  if (keys.left.empty()) {
+    keys.residual = pred;
+  } else if (!residual.empty()) {
+    keys.residual = ScalarExpr::MakeAnd(std::move(residual));
+  }
+  return keys;
+}
+
+/// The ready index whose columns are exactly the right keys' column set,
+/// when every right key is a distinct plain column of the scanned table;
+/// nullptr otherwise. perm[i] is the key position of the index's i-th
+/// column.
+std::shared_ptr<const storage::SecondaryIndex> JoinIndex(
+    const std::vector<ScalarExprPtr>& right_keys, const Schema& scan_schema,
+    const storage::Table& table, std::vector<size_t>* perm) {
+  std::vector<std::string> cols;
+  for (const ScalarExprPtr& k : right_keys) {
+    if (k->op() != ScalarOp::kColumnRef) return nullptr;
+    const catalog::ColumnMatch m = scan_schema.Find(k->column_name());
+    if (!m.found()) return nullptr;
+    const std::string& col = table.schema().column(m.index).name;
+    if (std::find(cols.begin(), cols.end(), col) != cols.end()) return nullptr;
+    cols.push_back(col);
+  }
+  if (cols.empty()) return nullptr;
+  std::shared_ptr<const storage::SecondaryIndex> index =
+      table.FindIndexForColumnSet(cols);
+  if (index == nullptr) return nullptr;
+  for (const std::string& col : index->columns()) {
+    perm->push_back(std::find(cols.begin(), cols.end(), col) - cols.begin());
+  }
+  return index;
+}
+
+/// One index probe's candidates: the slots, which keep `rows` alive, and
+/// the rows visible to the snapshot that still carry the probed key
+/// (entries are append-only, so a slot's version may have moved on), in
+/// slot-sequence order.
+struct IndexHits {
+  std::vector<std::shared_ptr<const storage::TableSlot>> slots;
+  std::vector<const Row*> rows;
+
+  /// Probes `index` for `key`, charging one probe to `probes` and the
+  /// candidates to `candidates` (both null without metrics).
+  void Probe(const storage::SecondaryIndex& index,
+             const std::vector<Value>& key, const storage::Snapshot& snap,
+             obs::Counter* probes, obs::Counter* candidates) {
+    slots = index.Probe(key);
+    if (probes != nullptr) {
+      probes->Increment();
+      candidates->Add(static_cast<int64_t>(slots.size()));
+    }
+    rows.clear();
+    const std::vector<size_t>& key_cols = index.column_indexes();
+    for (const auto& slot : slots) {
+      const Row* visible = slot->VisibleRow(snap);
+      if (visible == nullptr) continue;
+      bool key_match = true;
+      for (size_t i = 0; i < key_cols.size(); ++i) {
+        key_match = key_match && (*visible)[key_cols[i]] == key[i];
+      }
+      if (key_match) rows.push_back(visible);
+    }
+  }
+};
+
+}  // namespace
+
+/// A Select(Scan) predicate split once per execution, in predicate
+/// order. A binding is a `column = value` conjunct whose column belongs
+/// to the scan and whose value names no column of the scan. Names
+/// resolve innermost scope first, and the scan is the innermost scope
+/// of its own predicate, so a value naming a scan column -- even
+/// ambiguously -- depends on the row and binds nothing. Each point
+/// access path consumes the bindings it can use; every conjunct it does
+/// not consume is its residual, re-checked in predicate order.
+struct Executor::ScanSplit {
+  struct Conjunct {
+    ScalarExprPtr expr;
+    ScalarExprPtr value;  // the value side; null unless a binding
+    size_t column = 0;    // the bound scan column
+  };
+  std::vector<Conjunct> conjuncts;
+
+  ScanSplit(const ScalarExprPtr& pred, const Schema& scan) {
+    std::vector<ScalarExprPtr> parts;
+    SplitConjuncts(pred, &parts);
+    conjuncts.reserve(parts.size());
+    for (ScalarExprPtr& part : parts) {
+      Conjunct& c = conjuncts.emplace_back();
+      c.expr = std::move(part);
+      if (c.expr->op() != ScalarOp::kEq) continue;
+      for (int side = 0; side < 2 && c.value == nullptr; ++side) {
+        const ScalarExprPtr& col = c.expr->child(side);
+        const ScalarExprPtr& val = c.expr->child(1 - side);
+        if (col->op() != ScalarOp::kColumnRef) continue;
+        const catalog::ColumnMatch m = scan.Find(col->column_name());
+        if (!m.found() || NamesColumnOf(val, scan)) continue;
+        c.value = val;
+        c.column = m.index;
       }
     }
   }
-  return false;
-}
 
-/// Resolves a column-ref name from a predicate over a base scan:
-/// accepts both the alias-qualified spelling ("t.v") and the bare one
-/// ("v"), and returns the table schema's resolved spelling, which is
-/// what SecondaryIndex::columns() stores.
-std::optional<std::string> BareScanColumn(const std::string& name,
-                                          const RaNode& scan,
-                                          const storage::Table& table) {
-  std::string bare = name;
-  const std::string prefix = scan.alias() + ".";
-  if (bare.rfind(prefix, 0) == 0) bare = bare.substr(prefix.size());
-  Result<size_t> idx = table.schema().ResolveColumn(bare);
-  if (!idx.ok()) return std::nullopt;
-  return table.schema().column(*idx).name;
-}
+  /// The first binding on the table column named `name`, or nullptr.
+  const Conjunct* BindingOn(const std::string& name,
+                            const storage::Table& table) const {
+    for (const Conjunct& c : conjuncts) {
+      if (c.value != nullptr && table.schema().column(c.column).name == name) {
+        return &c;
+      }
+    }
+    return nullptr;
+  }
 
-}  // namespace
+  /// The conjuncts not in `used`, in predicate order, as one predicate;
+  /// nullptr when none remain.
+  ScalarExprPtr Residual(const std::vector<const Conjunct*>& used) const {
+    std::vector<ScalarExprPtr> rest;
+    for (const Conjunct& c : conjuncts) {
+      if (std::find(used.begin(), used.end(), &c) == used.end()) {
+        rest.push_back(c.expr);
+      }
+    }
+    if (rest.empty()) return nullptr;
+    return ScalarExpr::MakeAnd(std::move(rest));
+  }
+};
 
 void Executor::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
@@ -349,11 +489,7 @@ Result<Schema> Executor::OutputSchema(const RaNode& node) const {
     case RaOp::kScan: {
       EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
                              ResolveTable(node.table_name()));
-      std::vector<catalog::Column> cols;
-      for (const catalog::Column& c : table->schema().columns()) {
-        cols.push_back({node.alias() + "." + c.name, c.type});
-      }
-      return Schema(std::move(cols));
+      return ScanSchema(node, *table);
     }
     case RaOp::kSelect:
     case RaOp::kSort:
@@ -508,6 +644,16 @@ Result<Value> Executor::EvalScalar(const ScalarExprPtr& expr,
   return Status::Internal("EvalScalar: unknown operator");
 }
 
+Result<bool> Executor::Holds(const ScalarExprPtr& pred, const Schema& schema,
+                             const Row& row, EvalContext* ctx) {
+  if (pred == nullptr) return true;
+  ctx->PushFrame(&schema, &row);
+  Result<Value> v = EvalScalar(pred, ctx);
+  ctx->PopFrame();
+  if (!v.ok()) return v.status();
+  return IsTruthy(*v);
+}
+
 Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx) {
   if (profile_ == nullptr) return ExecNode(node, ctx);
   // Look up (or create) this plan node's profile entry under the
@@ -542,43 +688,50 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
       return out;
     }
     case RaOp::kSelect: {
-      // Index fast path: a selection over a base scan whose predicate
-      // pins the table's unique key to a computable value becomes a
-      // point lookup (this is what MySQL's primary-key index does for
-      // the paper's per-row scalar queries).
-      if (node.child(0)->op() == RaOp::kScan) {
-        Result<const storage::Table*> table =
-            ResolveTable(node.child(0)->table_name());
-        if (table.ok() &&
-            IndexLookupMightApply(node, *node.child(0), **table)) {
-          Result<ResultSet> fast = TryIndexLookup(node, ctx);
-          if (fast.ok()) return fast;
-        }
-        // Secondary-index scan: equality bindings on a ready index's
-        // columns turn the full scan into a probe plus per-candidate
-        // revalidation. kNotFound means inapplicable; any other error
-        // is a real execution failure.
-        if (table.ok() && (*table)->index_count() > 0) {
-          Result<ResultSet> idx = TrySecondaryIndexScan(node, ctx);
-          if (idx.ok() || idx.status().code() != StatusCode::kNotFound) {
-            return idx;
+      // Select(Scan) has three faster paths than materializing the scan.
+      // The unique-key lookup and the secondary-index scan read one
+      // split of the predicate. A unique-key lookup is what MySQL's
+      // primary-key index does for the paper's per-row scalar queries;
+      // any failure in it falls through. An index scan's kNotFound means
+      // inapplicable; any other error is a real execution failure. The
+      // batch path streams the shard cursors straight through the
+      // compiled predicate; a compile failure falls through to the
+      // unfused attempt below, which records the fallback.
+      const RaNode& scan = *node.child(0);
+      const storage::Table* table = nullptr;
+      if (scan.op() == RaOp::kScan) {
+        Result<const storage::Table*> resolved =
+            ResolveTable(scan.table_name());
+        if (resolved.ok()) table = *resolved;
+      }
+      const std::optional<std::string> key =
+          table != nullptr ? table->unique_key() : std::nullopt;
+      const bool indexed = table != nullptr && table->index_count() > 0;
+      const bool batch =
+          table != nullptr && mode_ == ExecMode::kVector && ctx->depth() == 0;
+      if (key.has_value() || indexed || batch) {
+        Schema scan_schema = ScanSchema(scan, *table);
+        if (key.has_value() || indexed) {
+          const ScanSplit split(node.predicate(), scan_schema);
+          if (key.has_value()) {
+            Result<ResultSet> fast =
+                TryKeyLookup(split, *key, *table, scan_schema, ctx);
+            if (fast.ok()) return fast;
+          }
+          if (indexed) {
+            Result<ResultSet> idx =
+                TrySecondaryIndexScan(split, *table, scan_schema, ctx);
+            if (idx.ok() || idx.status().code() != StatusCode::kNotFound) {
+              return idx;
+            }
           }
         }
-        // Batch path: stream the shard cursors straight through the
-        // compiled predicate instead of materializing the whole scan,
-        // sorting it, and re-batching it through FilterVector. Reached
-        // both when no index applies and when a unique-key lookup looked
-        // possible but missed; inline and pooled runs share this gate.
-        // Compile failure falls through to the unfused attempt below,
-        // which records the fallback.
-        if (table.ok() && mode_ == ExecMode::kVector && ctx->depth() == 0) {
-          EQSQL_ASSIGN_OR_RETURN(Schema scan_schema,
-                                 OutputSchema(*node.child(0)));
+        if (batch) {
           std::unique_ptr<CompiledExpr> pred = CompiledExpr::Compile(
               node.predicate(), scan_schema,
               [ctx](int i) { return ctx->LookupParameter(i); });
           if (pred != nullptr) {
-            return ExecSelectScanBatch(**table, *pred, std::move(scan_schema));
+            return ExecSelectScanBatch(*table, *pred, std::move(scan_schema));
           }
         }
       }
@@ -593,11 +746,9 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
       ResultSet out;
       out.schema = in.schema;
       for (Row& row : in.rows) {
-        ctx->PushFrame(&in.schema, &row);
-        Result<Value> pred = EvalScalar(node.predicate(), ctx);
-        ctx->PopFrame();
-        if (!pred.ok()) return pred.status();
-        if (IsTruthy(*pred)) out.rows.push_back(std::move(row));
+        EQSQL_ASSIGN_OR_RETURN(bool pass,
+                               Holds(node.predicate(), in.schema, row, ctx));
+        if (pass) out.rows.push_back(std::move(row));
       }
       rows_processed_ += out.rows.size();
       return out;
@@ -714,120 +865,47 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
   return Status::Internal("Exec: unknown operator");
 }
 
-Result<ResultSet> Executor::TryIndexLookup(const RaNode& node,
-                                           EvalContext* ctx) {
-  const RaNode& scan = *node.child(0);
-  EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
-                         ResolveTable(scan.table_name()));
-  if (!table->unique_key().has_value()) {
-    return Status::NotFound("no key");
-  }
-  std::string key_col = scan.alias() + "." + *table->unique_key();
-
-  std::vector<ScalarExprPtr> conjuncts;
-  SplitConjuncts(node.predicate(), &conjuncts);
-  ScalarExprPtr key_expr;
-  std::vector<ScalarExprPtr> residual;
-  for (const ScalarExprPtr& c : conjuncts) {
-    if (key_expr == nullptr && c->op() == ScalarOp::kEq) {
-      const ScalarExprPtr& a = c->child(0);
-      const ScalarExprPtr& b = c->child(1);
-      auto is_key = [&](const ScalarExprPtr& e) {
-        if (e->op() != ScalarOp::kColumnRef) return false;
-        const std::string& n = e->column_name();
-        if (n == key_col) return true;
-        size_t dot = key_col.rfind('.');
-        return n == key_col.substr(dot + 1);
-      };
-      // The other side must not reference this scan's columns.
-      EQSQL_ASSIGN_OR_RETURN(Schema scan_schema, OutputSchema(scan));
-      if (is_key(a) && !AllRefsResolve(b, scan_schema) ) {
-        key_expr = b;
-        continue;
-      }
-      if (is_key(b) && !AllRefsResolve(a, scan_schema)) {
-        key_expr = a;
-        continue;
-      }
-      // Literal/parameter sides have no refs at all.
-      if (is_key(a) && !HasColumnRef(b)) {
-        key_expr = b;
-        continue;
-      }
-      if (is_key(b) && !HasColumnRef(a)) {
-        key_expr = a;
-        continue;
-      }
-    }
-    residual.push_back(c);
-  }
-  if (key_expr == nullptr) return Status::NotFound("no key equality");
-
-  EQSQL_ASSIGN_OR_RETURN(Value key, EvalScalar(key_expr, ctx));
+Result<ResultSet> Executor::TryKeyLookup(const ScanSplit& split,
+                                         const std::string& key,
+                                         const storage::Table& table,
+                                         const Schema& scan_schema,
+                                         EvalContext* ctx) {
+  const ScanSplit::Conjunct* binding = split.BindingOn(key, table);
+  if (binding == nullptr) return Status::NotFound("no key binding");
+  EQSQL_ASSIGN_OR_RETURN(Value probe, EvalScalar(binding->value, ctx));
   ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(scan));
-  std::optional<Row> hit = table->GetByKey(key, ReadSnapshot());
+  out.schema = scan_schema;
+  std::optional<Row> hit = table.GetByKey(probe, ReadSnapshot());
   if (hit.has_value()) {
-    const Row& row = *hit;
-    bool pass = true;
-    if (!residual.empty()) {
-      ctx->PushFrame(&out.schema, &row);
-      Result<Value> v = EvalScalar(ScalarExpr::MakeAnd(residual), ctx);
-      ctx->PopFrame();
-      if (!v.ok()) return v.status();
-      pass = IsTruthy(*v);
-    }
-    if (pass) out.rows.push_back(row);
+    EQSQL_ASSIGN_OR_RETURN(
+        bool pass, Holds(split.Residual({binding}), out.schema, *hit, ctx));
+    if (pass) out.rows.push_back(std::move(*hit));
   }
   rows_processed_ += 1;  // index probe, not a scan
   if (prof_cur_ != nullptr) prof_cur_->label = "KeyLookup";
   return out;
 }
 
-Result<ResultSet> Executor::TrySecondaryIndexScan(const RaNode& node,
+Result<ResultSet> Executor::TrySecondaryIndexScan(const ScanSplit& split,
+                                                  const storage::Table& table,
+                                                  const Schema& scan_schema,
                                                   EvalContext* ctx) {
-  const RaNode& scan = *node.child(0);
-  EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
-                         ResolveTable(scan.table_name()));
-
-  // Split the predicate into "column = column-free expr" bindings and
-  // a residual that is re-checked on every candidate row.
-  struct Binding {
-    std::string column;       // table schema's resolved spelling
-    ScalarExprPtr value;      // the column-free side of the equality
-    ScalarExprPtr conjunct;   // original conjunct, for residual demotion
-  };
-  std::vector<ScalarExprPtr> conjuncts;
-  SplitConjuncts(node.predicate(), &conjuncts);
-  std::vector<Binding> bindings;
-  std::vector<ScalarExprPtr> residual;
-  for (const ScalarExprPtr& c : conjuncts) {
-    bool classified = false;
-    if (c->op() == ScalarOp::kEq) {
-      for (int side = 0; side < 2 && !classified; ++side) {
-        const ScalarExprPtr& col = c->child(side);
-        const ScalarExprPtr& val = c->child(1 - side);
-        if (col->op() != ScalarOp::kColumnRef || HasColumnRef(val)) continue;
-        std::optional<std::string> bare =
-            BareScanColumn(col->column_name(), scan, *table);
-        if (!bare.has_value()) continue;
-        bool dup = false;
-        for (const Binding& b : bindings) dup = dup || b.column == *bare;
-        if (dup) continue;  // first binding per column wins; extras re-check
-        bindings.push_back({*bare, val, c});
-        classified = true;
-      }
-    }
-    if (!classified) residual.push_back(c);
+  // The bindings an index can serve: column-free values, the first per
+  // column (later ones re-check as residual).
+  std::vector<const ScanSplit::Conjunct*> usable;
+  std::vector<std::string> bound;
+  for (const ScanSplit::Conjunct& c : split.conjuncts) {
+    if (c.value == nullptr || HasColumnRef(c.value)) continue;
+    const std::string& col = table.schema().column(c.column).name;
+    if (std::find(bound.begin(), bound.end(), col) != bound.end()) continue;
+    usable.push_back(&c);
+    bound.push_back(col);
   }
-  if (bindings.empty()) return Status::NotFound("no index-usable equalities");
+  if (usable.empty()) return Status::NotFound("no index-usable equalities");
 
   // Choose the widest ready index fully covered by the bindings.
-  std::vector<std::string> bound;
-  bound.reserve(bindings.size());
-  for (const Binding& b : bindings) bound.push_back(b.column);
   std::shared_ptr<const storage::SecondaryIndex> index;
-  for (const auto& cols : table->IndexedColumnLists()) {
+  for (const auto& cols : table.IndexedColumnLists()) {
     bool covered = true;
     for (const std::string& col : cols) {
       covered = covered &&
@@ -836,37 +914,22 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const RaNode& node,
     if (!covered) continue;
     if (index == nullptr || cols.size() > index->columns().size()) {
       std::shared_ptr<const storage::SecondaryIndex> exact =
-          table->FindIndex(cols);
+          table.FindIndex(cols);
       if (exact != nullptr) index = std::move(exact);
     }
   }
   if (index == nullptr) return Status::NotFound("no matching index");
 
-  // Bindings the chosen index does not consume go back to the residual
-  // as their original conjuncts.
-  std::vector<const Binding*> key_bindings;  // in index-column order
-  for (const std::string& col : index->columns()) {
-    for (const Binding& b : bindings) {
-      if (b.column == col) {
-        key_bindings.push_back(&b);
-        break;
-      }
-    }
-  }
-  for (const Binding& b : bindings) {
-    if (std::find(index->columns().begin(), index->columns().end(),
-                  b.column) == index->columns().end()) {
-      residual.push_back(b.conjunct);
-    }
-  }
-
-  // Evaluate the probe key. An eval failure falls back to the scan so
-  // the row-dependent behavior stays identical (an erroring value expr
-  // over an empty table is not an error on the scan path).
+  // The chosen index consumes its columns' bindings, in index-column
+  // order. An eval failure falls back to the scan so the row-dependent
+  // behavior stays identical (an erroring value expr over an empty table
+  // is not an error on the scan path).
+  std::vector<const ScanSplit::Conjunct*> used;
   std::vector<Value> key;
-  key.reserve(key_bindings.size());
-  for (const Binding* b : key_bindings) {
-    Result<Value> v = EvalScalar(b->value, ctx);
+  for (const std::string& col : index->columns()) {
+    used.push_back(usable[std::find(bound.begin(), bound.end(), col) -
+                          bound.begin()]);
+    Result<Value> v = EvalScalar(used.back()->value, ctx);
     if (!v.ok()) return Status::NotFound("probe key did not evaluate");
     key.push_back(std::move(*v));
   }
@@ -875,38 +938,17 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const RaNode& node,
   // Cost parity: charge exactly what the serial full scan plus filter
   // would — the plan choice shows up in wall time and in the
   // storage.index.* / exec.index.* counters, never in simulated cost.
-  const storage::TableScanStats stats = table->VisibleStats(snap);
-  std::vector<std::shared_ptr<const storage::TableSlot>> candidates =
-      index->Probe(key);
-  if (index_probes_ != nullptr) {
-    index_probes_->Increment();
-    index_rows_->Add(static_cast<int64_t>(candidates.size()));
-  }
+  const storage::TableScanStats stats = table.VisibleStats(snap);
+  IndexHits hits;
+  hits.Probe(*index, key, snap, index_probes_, index_rows_);
 
   ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(scan));
-  ScalarExprPtr residual_pred;
-  if (!residual.empty()) residual_pred = ScalarExpr::MakeAnd(residual);
-  const std::vector<size_t>& key_cols = index->column_indexes();
-  for (const auto& slot : candidates) {
-    const Row* visible = slot->VisibleRow(snap);
-    if (visible == nullptr) continue;
-    // Entries are append-only, so revalidate: the slot's visible
-    // version must still carry the probed key values.
-    bool key_match = true;
-    for (size_t i = 0; i < key_cols.size(); ++i) {
-      key_match = key_match && (*visible)[key_cols[i]] == key[i];
-    }
-    if (!key_match) continue;
-    Row row = *visible;
-    if (residual_pred != nullptr) {
-      ctx->PushFrame(&out.schema, &row);
-      Result<Value> v = EvalScalar(residual_pred, ctx);
-      ctx->PopFrame();
-      if (!v.ok()) return v.status();
-      if (!IsTruthy(*v)) continue;
-    }
-    out.rows.push_back(std::move(row));
+  out.schema = scan_schema;
+  const ScalarExprPtr residual = split.Residual(used);
+  for (const Row* visible : hits.rows) {
+    EQSQL_ASSIGN_OR_RETURN(bool pass, Holds(residual, out.schema, *visible,
+                                            ctx));
+    if (pass) out.rows.push_back(*visible);
   }
   rows_processed_ += stats.rows;
   if (scan_rows_ != nullptr) RecordScan(stats.rows, stats.bytes);
@@ -916,151 +958,106 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const RaNode& node,
   return out;
 }
 
-Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
-                                                   bool left_outer,
-                                                   const ResultSet& left,
-                                                   EvalContext* ctx) {
+Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
+                                     EvalContext* ctx) {
+  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(*node.child(0), ctx));
+  // Index nested loop: when the right side is a base scan whose equi-key
+  // columns exactly cover a ready index, the index supplies each left
+  // row's candidates and the right side is never materialized.
   const RaNode& right_node = *node.child(1);
-  if (right_node.op() != RaOp::kScan) {
-    return Status::NotFound("right side is not a base scan");
-  }
-  Result<const storage::Table*> resolved =
-      ResolveTable(right_node.table_name());
-  // Let the regular path surface resolution errors identically.
-  if (!resolved.ok()) return Status::NotFound("right table did not resolve");
-  const storage::Table* table = *resolved;
-  if (table->index_count() == 0) return Status::NotFound("no indexes");
-  EQSQL_ASSIGN_OR_RETURN(Schema right_schema, OutputSchema(right_node));
-
-  // Classify conjuncts exactly like the hash join so the residual, the
-  // null-key handling, and the output order match it bit for bit.
-  std::vector<ScalarExprPtr> conjuncts;
-  SplitConjuncts(node.predicate(), &conjuncts);
-  std::vector<ScalarExprPtr> left_keys, right_keys, residual;
-  for (const ScalarExprPtr& c : conjuncts) {
-    bool classified = false;
-    if (c->op() == ScalarOp::kEq) {
-      const ScalarExprPtr& a = c->child(0);
-      const ScalarExprPtr& b = c->child(1);
-      if (HasColumnRef(a) && HasColumnRef(b)) {
-        if (AllRefsResolve(a, left.schema) && AllRefsResolve(b, right_schema)) {
-          left_keys.push_back(a);
-          right_keys.push_back(b);
-          classified = true;
-        } else if (AllRefsResolve(b, left.schema) &&
-                   AllRefsResolve(a, right_schema)) {
-          left_keys.push_back(b);
-          right_keys.push_back(a);
-          classified = true;
-        }
-      }
-    }
-    if (!classified) residual.push_back(c);
-  }
-  if (left_keys.empty()) return Status::NotFound("no equi-join keys");
-
-  // Every right key must be a plain, distinct column ref whose column
-  // set exactly covers a ready index.
-  std::vector<std::string> right_cols;
-  right_cols.reserve(right_keys.size());
-  for (const ScalarExprPtr& k : right_keys) {
-    if (k->op() != ScalarOp::kColumnRef) {
-      return Status::NotFound("right key is not a plain column");
-    }
-    std::optional<std::string> bare =
-        BareScanColumn(k->column_name(), right_node, *table);
-    if (!bare.has_value() ||
-        std::find(right_cols.begin(), right_cols.end(), *bare) !=
-            right_cols.end()) {
-      return Status::NotFound("right keys are not distinct table columns");
-    }
-    right_cols.push_back(std::move(*bare));
-  }
-  std::shared_ptr<const storage::SecondaryIndex> index =
-      table->FindIndexForColumnSet(right_cols);
-  if (index == nullptr) return Status::NotFound("no matching index");
-  // perm[i] = position in left_keys/right_cols of the index's i-th column.
+  ResultSet right;
+  std::optional<EquiKeys> keys;
+  const storage::Table* table = nullptr;
+  std::shared_ptr<const storage::SecondaryIndex> index;
   std::vector<size_t> perm;
-  perm.reserve(index->columns().size());
-  for (const std::string& col : index->columns()) {
-    for (size_t j = 0; j < right_cols.size(); ++j) {
-      if (right_cols[j] == col) {
-        perm.push_back(j);
-        break;
-      }
+  if (right_node.op() == RaOp::kScan) {
+    Result<const storage::Table*> resolved =
+        ResolveTable(right_node.table_name());
+    if (resolved.ok() && (*resolved)->index_count() > 0) {
+      table = *resolved;
+      right.schema = ScanSchema(right_node, *table);
+      keys = SplitEquiKeys(node.predicate(), left.schema, right.schema);
+      index = JoinIndex(keys->right, right.schema, *table, &perm);
     }
   }
-
   const storage::Snapshot snap = ReadSnapshot();
-  // Charge the right side exactly as the scan it replaces would have.
-  const storage::TableScanStats stats = table->VisibleStats(snap);
-  rows_processed_ += stats.rows;
-  if (scan_rows_ != nullptr) RecordScan(stats.rows, stats.bytes);
-
-  ResultSet out;
-  out.schema = left.schema.Concat(right_schema);
-  ScalarExprPtr residual_pred;
-  if (!residual.empty()) residual_pred = ScalarExpr::MakeAnd(residual);
-  auto eval_combined = [&](const Row& lrow, const Row& rrow,
-                           const ScalarExprPtr& pred) -> Result<bool> {
-    Row combined = lrow;
-    combined.insert(combined.end(), rrow.begin(), rrow.end());
-    ctx->PushFrame(&out.schema, &combined);
-    Result<Value> v = EvalScalar(pred, ctx);
-    ctx->PopFrame();
-    if (!v.ok()) return v.status();
-    return IsTruthy(*v);
-  };
-  Row null_right(right_schema.size(), Value::Null());
-  const std::vector<size_t>& key_cols = index->column_indexes();
-  for (const Row& lrow : left.rows) {
-    std::vector<Value> probe(left_keys.size());
+  // Otherwise the candidates come from a hash build over the right rows,
+  // which evaluates every right key before any left key. With no key
+  // every right row is a candidate of every left row under the one
+  // empty key: a nested loop.
+  std::unordered_map<std::vector<Value>, std::vector<const Row*>, RowVecHash,
+                     RowVecEq>
+      build;
+  std::vector<Value> key;
+  // Evaluates `exprs` over `row` into `key`; false if any is NULL, since
+  // NULL keys never match.
+  auto eval_key = [&](const std::vector<ScalarExprPtr>& exprs,
+                      const Schema& schema, const Row& row) -> Result<bool> {
+    key.clear();
     bool null_key = false;
-    ctx->PushFrame(&left.schema, &lrow);
+    ctx->PushFrame(&schema, &row);
     Status status = Status::OK();
-    for (size_t i = 0; i < left_keys.size(); ++i) {
-      Result<Value> v = EvalScalar(left_keys[i], ctx);
+    for (const ScalarExprPtr& e : exprs) {
+      Result<Value> v = EvalScalar(e, ctx);
       if (!v.ok()) {
         status = v.status();
         break;
       }
-      if (v->is_null()) null_key = true;
-      probe[i] = std::move(*v);
+      null_key = null_key || v->is_null();
+      key.push_back(std::move(*v));
     }
     ctx->PopFrame();
     EQSQL_RETURN_IF_ERROR(status);
+    return !null_key;
+  };
+  if (index != nullptr) {
+    // Charge the right side exactly as the scan it replaces would have.
+    const storage::TableScanStats stats = table->VisibleStats(snap);
+    rows_processed_ += stats.rows;
+    if (scan_rows_ != nullptr) RecordScan(stats.rows, stats.bytes);
+  } else {
+    EQSQL_ASSIGN_OR_RETURN(right, Exec(right_node, ctx));
+    if (!keys.has_value()) {
+      keys = SplitEquiKeys(node.predicate(), left.schema, right.schema);
+    }
+    for (const Row& rrow : right.rows) {
+      EQSQL_ASSIGN_OR_RETURN(bool usable, eval_key(keys->right, right.schema,
+                                                   rrow));
+      if (usable) build[std::move(key)].push_back(&rrow);
+    }
+  }
+
+  // The one probe loop: left rows in order, each one's candidates in
+  // build order (slot-seq order for the index, the same order), the
+  // residual, then NULL padding for an unmatched left row.
+  ResultSet out;
+  out.schema = left.schema.Concat(right.schema);
+  const Row null_right(right.schema.size(), Value::Null());
+  IndexHits hits;
+  std::vector<Value> probe;
+  for (const Row& lrow : left.rows) {
+    EQSQL_ASSIGN_OR_RETURN(bool usable, eval_key(keys->left, left.schema,
+                                                 lrow));
+    const std::vector<const Row*>* candidates = nullptr;
+    if (usable && index != nullptr) {
+      probe.clear();
+      for (size_t j : perm) probe.push_back(key[j]);
+      hits.Probe(*index, probe, snap, index_nlj_probes_, index_rows_);
+      candidates = &hits.rows;
+    } else if (usable) {
+      auto it = build.find(key);
+      if (it != build.end()) candidates = &it->second;
+    }
     bool matched = false;
-    if (!null_key) {
-      std::vector<Value> key;
-      key.reserve(perm.size());
-      for (size_t j : perm) key.push_back(probe[j]);
-      std::vector<std::shared_ptr<const storage::TableSlot>> candidates =
-          index->Probe(key);
-      if (index_nlj_probes_ != nullptr) {
-        index_nlj_probes_->Increment();
-        index_rows_->Add(static_cast<int64_t>(candidates.size()));
-      }
-      // Candidates come back in slot-sequence order, which is the same
-      // order the hash join's build lists hold right rows in.
-      for (const auto& slot : candidates) {
-        const Row* visible = slot->VisibleRow(snap);
-        if (visible == nullptr) continue;
-        bool key_match = true;
-        for (size_t i = 0; i < key_cols.size(); ++i) {
-          key_match = key_match && (*visible)[key_cols[i]] == key[i];
-        }
-        if (!key_match) continue;
-        const Row& rrow = *visible;
-        if (residual_pred != nullptr) {
-          EQSQL_ASSIGN_OR_RETURN(bool pass,
-                                 eval_combined(lrow, rrow, residual_pred));
-          if (!pass) continue;
-        }
-        Row combined = lrow;
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
-        out.rows.push_back(std::move(combined));
-        matched = true;
-      }
+    for (size_t i = 0; candidates != nullptr && i < candidates->size(); ++i) {
+      const Row& rrow = *(*candidates)[i];
+      Row combined = lrow;
+      combined.insert(combined.end(), rrow.begin(), rrow.end());
+      EQSQL_ASSIGN_OR_RETURN(bool pass, Holds(keys->residual, out.schema,
+                                              combined, ctx));
+      if (!pass) continue;
+      out.rows.push_back(std::move(combined));
+      matched = true;
     }
     if (left_outer && !matched) {
       Row combined = lrow;
@@ -1069,155 +1066,9 @@ Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
     }
   }
   rows_processed_ += out.rows.size();
-  if (prof_cur_ != nullptr) prof_cur_->label = "IndexNestedLoopJoin";
-  return out;
-}
-
-Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
-                                     EvalContext* ctx) {
-  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(*node.child(0), ctx));
-  {
-    // Index nested-loop attempt, before materializing the right side.
-    Result<ResultSet> inlj = TryIndexNestedLoopJoin(node, left_outer, left, ctx);
-    if (inlj.ok() || inlj.status().code() != StatusCode::kNotFound) {
-      return inlj;
-    }
+  if (index != nullptr && prof_cur_ != nullptr) {
+    prof_cur_->label = "IndexNestedLoopJoin";
   }
-  EQSQL_ASSIGN_OR_RETURN(ResultSet right, Exec(*node.child(1), ctx));
-  ResultSet out;
-  out.schema = left.schema.Concat(right.schema);
-
-  // Split the predicate into hashable equi-conjuncts and a residual.
-  std::vector<ScalarExprPtr> conjuncts;
-  SplitConjuncts(node.predicate(), &conjuncts);
-  std::vector<ScalarExprPtr> left_keys, right_keys, residual;
-  for (const ScalarExprPtr& c : conjuncts) {
-    bool classified = false;
-    if (c->op() == ScalarOp::kEq) {
-      const ScalarExprPtr& a = c->child(0);
-      const ScalarExprPtr& b = c->child(1);
-      if (HasColumnRef(a) && HasColumnRef(b)) {
-        if (AllRefsResolve(a, left.schema) && AllRefsResolve(b, right.schema)) {
-          left_keys.push_back(a);
-          right_keys.push_back(b);
-          classified = true;
-        } else if (AllRefsResolve(b, left.schema) &&
-                   AllRefsResolve(a, right.schema)) {
-          left_keys.push_back(b);
-          right_keys.push_back(a);
-          classified = true;
-        }
-      }
-    }
-    if (!classified) residual.push_back(c);
-  }
-
-  ScalarExprPtr residual_pred;
-  if (!residual.empty()) residual_pred = ScalarExpr::MakeAnd(residual);
-
-  auto eval_combined = [&](const Row& lrow, const Row& rrow,
-                           const ScalarExprPtr& pred) -> Result<bool> {
-    Row combined = lrow;
-    combined.insert(combined.end(), rrow.begin(), rrow.end());
-    ctx->PushFrame(&out.schema, &combined);
-    Result<Value> v = EvalScalar(pred, ctx);
-    ctx->PopFrame();
-    if (!v.ok()) return v.status();
-    return IsTruthy(*v);
-  };
-
-  Row null_right(right.schema.size(), Value::Null());
-
-  if (!left_keys.empty()) {
-    // Hash join: build on right.
-    std::unordered_map<std::vector<Value>, std::vector<size_t>, RowVecHash,
-                       RowVecEq>
-        build;
-    for (size_t i = 0; i < right.rows.size(); ++i) {
-      std::vector<Value> key;
-      key.reserve(right_keys.size());
-      bool null_key = false;
-      ctx->PushFrame(&right.schema, &right.rows[i]);
-      Status status = Status::OK();
-      for (const ScalarExprPtr& k : right_keys) {
-        Result<Value> v = EvalScalar(k, ctx);
-        if (!v.ok()) {
-          status = v.status();
-          break;
-        }
-        if (v->is_null()) null_key = true;
-        key.push_back(std::move(*v));
-      }
-      ctx->PopFrame();
-      EQSQL_RETURN_IF_ERROR(status);
-      if (!null_key) build[std::move(key)].push_back(i);
-    }
-    for (const Row& lrow : left.rows) {
-      std::vector<Value> key;
-      key.reserve(left_keys.size());
-      bool null_key = false;
-      ctx->PushFrame(&left.schema, &lrow);
-      Status status = Status::OK();
-      for (const ScalarExprPtr& k : left_keys) {
-        Result<Value> v = EvalScalar(k, ctx);
-        if (!v.ok()) {
-          status = v.status();
-          break;
-        }
-        if (v->is_null()) null_key = true;
-        key.push_back(std::move(*v));
-      }
-      ctx->PopFrame();
-      EQSQL_RETURN_IF_ERROR(status);
-      bool matched = false;
-      if (!null_key) {
-        auto it = build.find(key);
-        if (it != build.end()) {
-          for (size_t ridx : it->second) {
-            const Row& rrow = right.rows[ridx];
-            if (residual_pred != nullptr) {
-              EQSQL_ASSIGN_OR_RETURN(bool pass,
-                                     eval_combined(lrow, rrow, residual_pred));
-              if (!pass) continue;
-            }
-            Row combined = lrow;
-            combined.insert(combined.end(), rrow.begin(), rrow.end());
-            out.rows.push_back(std::move(combined));
-            matched = true;
-          }
-        }
-      }
-      if (left_outer && !matched) {
-        Row combined = lrow;
-        combined.insert(combined.end(), null_right.begin(), null_right.end());
-        out.rows.push_back(std::move(combined));
-      }
-    }
-  } else {
-    // Nested loop join.
-    ScalarExprPtr pred = node.predicate();
-    for (const Row& lrow : left.rows) {
-      bool matched = false;
-      for (const Row& rrow : right.rows) {
-        bool pass = true;
-        if (pred != nullptr) {
-          EQSQL_ASSIGN_OR_RETURN(pass, eval_combined(lrow, rrow, pred));
-        }
-        if (pass) {
-          Row combined = lrow;
-          combined.insert(combined.end(), rrow.begin(), rrow.end());
-          out.rows.push_back(std::move(combined));
-          matched = true;
-        }
-      }
-      if (left_outer && !matched) {
-        Row combined = lrow;
-        combined.insert(combined.end(), null_right.begin(), null_right.end());
-        out.rows.push_back(std::move(combined));
-      }
-    }
-  }
-  rows_processed_ += out.rows.size();
   return out;
 }
 
@@ -1257,9 +1108,9 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
   // no outer frames (a correlated outer column could be a double). Under
   // those gates fold order cannot change a state, so shard partials
   // merge exactly and group order comes from each group's lowest seq —
-  // byte-identical to the serial row fold. A filter a unique-key lookup
-  // might answer stays on the unfused path, which keeps the lookup's
-  // 1-probe charge.
+  // byte-identical to the serial row fold. A filter with a binding on
+  // the unique key stays on the unfused path, which keeps the key
+  // lookup's 1-probe charge.
   if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
     const RaNode* select = nullptr;
     const RaNode* scan = nullptr;
@@ -1274,10 +1125,14 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
     Result<const storage::Table*> table =
         scan != nullptr ? ResolveTable(scan->table_name()) : nullptr;
     if (scan != nullptr && table.ok() && *table != nullptr) {
+      const Schema scan_schema = ScanSchema(*scan, **table);
       bool hazard = SchemaHasDouble((*table)->schema());
       if (select != nullptr) {
-        hazard = hazard || IndexLookupMightApply(*select, *scan, **table) ||
-                 MayProduceDouble(select->predicate());
+        const std::optional<std::string> key = (*table)->unique_key();
+        hazard = hazard || MayProduceDouble(select->predicate()) ||
+                 (key.has_value() &&
+                  ScanSplit(select->predicate(), scan_schema)
+                          .BindingOn(*key, **table) != nullptr);
       }
       for (const ScalarExprPtr& k : node.group_keys()) {
         hazard = hazard || MayProduceDouble(k);
@@ -1286,10 +1141,8 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
         hazard = hazard || MayProduceDouble(a.arg);
       }
       if (!hazard) {
-        Result<Schema> scan_schema = OutputSchema(*scan);
         CompiledGroupBy plan;
-        if (scan_schema.ok() &&
-            CompileGroupBy(node, select, *scan_schema, ctx, &plan)) {
+        if (CompileGroupBy(node, select, scan_schema, ctx, &plan)) {
           return ExecGroupByBatch(node, **table, plan);
         }
         // A compile failure falls through to the unfused attempt below,

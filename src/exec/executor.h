@@ -46,7 +46,9 @@ class EvalContext {
   void PopFrame() { frames_.pop_back(); }
   size_t depth() const { return frames_.size(); }
 
-  /// Resolves `name` innermost-first across the frame stack.
+  /// Resolves `name` innermost-first across the frame stack. A name
+  /// ambiguous in a frame is an error there: it never falls through to
+  /// an outer frame.
   Result<catalog::Value> LookupColumn(const std::string& name) const;
 
   Result<catalog::Value> LookupParameter(int index) const;
@@ -60,8 +62,8 @@ class EvalContext {
 /// in-memory Database. This is the "server side" of the simulated DBMS:
 /// the net/ layer calls it and charges costs for the rows it returns.
 ///
-/// Joins with extractable equi-conjuncts use hash join; everything else
-/// is a (predicated) nested loop.
+/// Joins with extractable equi-conjuncts probe an index or a hash
+/// build; everything else is a (predicated) nested loop.
 ///
 /// Shared-read contract: execution touches the database exclusively
 /// through `const storage::Database*` / `const storage::Table*` — no
@@ -166,31 +168,43 @@ class Executor {
   /// Resolves a table name through the attached ReadGuard first (pinned
   /// snapshot), then the live registry.
   Result<const storage::Table*> ResolveTable(const std::string& name) const;
-  /// Unique-key point lookup for Select(Scan); errors with kNotFound
-  /// when the fast path does not apply.
-  Result<ResultSet> TryIndexLookup(const ra::RaNode& node, EvalContext* ctx);
-  /// Secondary-index scan for Select(Scan): when the predicate pins a
-  /// ready SecondaryIndex's columns to column-free expressions, probes
-  /// the index and revalidates each candidate against the read
-  /// snapshot instead of materializing the full scan. Charges exactly
-  /// the full scan's simulated cost (storage.scan.* and the
-  /// rows-processed server term, via Table::VisibleStats) so plan
-  /// choice never shows in the deterministic cost model — only in wall
-  /// time. kNotFound = inapplicable, caller falls through.
-  Result<ResultSet> TrySecondaryIndexScan(const ra::RaNode& node,
+  /// A Select(Scan) predicate split once per execution into bindings
+  /// and a residual (executor.cc).
+  struct ScanSplit;
+  /// Unique-key point lookup for Select(Scan): probes the table's key
+  /// (named `key`) with its first binding and re-checks the rest of the
+  /// predicate. kNotFound when no binding pins the key; the caller
+  /// treats any failure as "try the next path".
+  Result<ResultSet> TryKeyLookup(const ScanSplit& split, const std::string& key,
+                                 const storage::Table& table,
+                                 const catalog::Schema& scan_schema,
+                                 EvalContext* ctx);
+  /// Secondary-index scan for Select(Scan): when bindings pin a ready
+  /// SecondaryIndex's columns to column-free expressions, probes the
+  /// index and revalidates each candidate against the read snapshot
+  /// instead of materializing the full scan. Charges exactly the full
+  /// scan's simulated cost (storage.scan.* and the rows-processed
+  /// server term, via Table::VisibleStats) so plan choice never shows
+  /// in the deterministic cost model — only in wall time. kNotFound =
+  /// inapplicable, caller falls through.
+  Result<ResultSet> TrySecondaryIndexScan(const ScanSplit& split,
+                                          const storage::Table& table,
+                                          const catalog::Schema& scan_schema,
                                           EvalContext* ctx);
-  /// Index-nested-loop join: right child is a bare Scan whose
-  /// equi-join columns exactly cover a ready secondary index. Probes
-  /// the index once per left row instead of materializing and hashing
-  /// the right side; classification, residual handling, output order
-  /// (left order, right insertion order within a key) and cost charges
-  /// match the hash join bit for bit. kNotFound = inapplicable.
-  Result<ResultSet> TryIndexNestedLoopJoin(const ra::RaNode& node,
-                                           bool left_outer,
-                                           const ResultSet& left,
-                                           EvalContext* ctx);
   Result<catalog::Value> EvalScalar(const ra::ScalarExprPtr& expr,
                                     EvalContext* ctx);
+  /// True if `pred` holds over `row` (pushed as the innermost frame); a
+  /// null predicate always holds.
+  Result<bool> Holds(const ra::ScalarExprPtr& pred,
+                     const catalog::Schema& schema, const catalog::Row& row,
+                     EvalContext* ctx);
+  /// Inner and left-outer joins. Equi-keys are split from the predicate
+  /// once; one probe loop takes each left row's candidates from an
+  /// index when the right side is a base scan whose key columns exactly
+  /// cover a ready index (index nested loop, charged like the scan it
+  /// replaces), and otherwise from a hash build over the right rows
+  /// (with no key, every right row: a nested loop). Output order is
+  /// left order, then right insertion order within a key, either way.
   Result<ResultSet> ExecJoin(const ra::RaNode& node, bool left_outer,
                              EvalContext* ctx);
   Result<ResultSet> ExecOuterApply(const ra::RaNode& node, EvalContext* ctx);

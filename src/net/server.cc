@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -23,19 +22,6 @@ size_t ResolveExecThreads(size_t requested) {
   return hw > 1 ? hw - 1 : 1;
 }
 
-/// ServerOptions::trace_sample of 0 defers to EQSQL_TRACE_SAMPLE, the
-/// same pattern exec_mode uses with EQSQL_EXEC_MODE. Unparsable values
-/// keep sampling off.
-size_t ResolveTraceSample(size_t requested) {
-  if (requested != 0) return requested;
-  const char* env = std::getenv("EQSQL_TRACE_SAMPLE");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return 0;
-  return static_cast<size_t>(v);
-}
-
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -45,7 +31,6 @@ Server::Server(ServerOptions options)
       pool_(ResolveExecThreads(options_.exec_threads)),
       trace_ring_(options_.trace_ring_capacity),
       slow_log_(1024, options_.slow_query_log_path) {
-  options_.trace_sample = ResolveTraceSample(options_.trace_sample);
   // Salt cache keys with the shard configuration: a plan cached under
   // one sharding can never alias a differently-configured server's.
   plan_cache_.set_key_salt(

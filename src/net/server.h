@@ -63,9 +63,8 @@ struct ServerOptions {
   /// and every N-th one (1 = all) is captured — full span tree plus
   /// operator profile — into the server's bounded trace ring
   /// (SHOW PROFILES / SHOW TRACES / eqsql --dump-profiles). 0 disables
-  /// sampling; when 0, the EQSQL_TRACE_SAMPLE environment variable
-  /// supplies a default. Sampling never touches the simulated clock or
-  /// any layout-invariant counter.
+  /// sampling. Sampling never touches the simulated clock or any
+  /// layout-invariant counter.
   size_t trace_sample = 0;
   /// Capacity of the sampled-trace ring buffer (records retained).
   size_t trace_ring_capacity = 256;

@@ -11,28 +11,6 @@ namespace {
 
 using core::VarOutcome;
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Outcomes grouped by defining loop, preserving first-seen loop order
 /// and per-loop outcome order.
 std::vector<std::pair<int, std::vector<const VarOutcome*>>> GroupByLoop(
@@ -178,8 +156,9 @@ std::string RenderExplainJson(const core::ExtractionPlan& plan,
         << "\",\"feasible\":" << (a.feasible ? "true" : "false")
         << ",\"est_cost_ms\":" << (a.feasible ? cost : "null")
         << ",\"chosen\":" << (a.chosen ? "true" : "false")
-        << ",\"detail\":\"" << JsonEscape(a.detail)
-        << "\",\"skip_reason\":\"" << JsonEscape(a.skip_reason) << "\"}";
+        << ",\"detail\":\"" << JsonEscapeString(a.detail)
+        << "\",\"skip_reason\":\"" << JsonEscapeString(a.skip_reason)
+        << "\"}";
   }
   char epoch[32];
   std::snprintf(epoch, sizeof(epoch), "%016llx",
@@ -200,7 +179,7 @@ std::string RenderAnalyzeText(const Profile& profile,
 std::string RenderAnalyzeJson(const Profile& profile,
                               const std::string& exec_mode, int64_t rows) {
   std::ostringstream out;
-  out << "{\"exec_mode\":\"" << JsonEscape(exec_mode)
+  out << "{\"exec_mode\":\"" << JsonEscapeString(exec_mode)
       << "\",\"rows\":" << rows << ",\"profile\":" << profile.ToJson()
       << "}";
   return out.str();
@@ -217,8 +196,8 @@ void RecordHeader(std::ostringstream& out, const TraceRecord& rec) {
 
 void RecordJsonCommon(std::ostringstream& out, const TraceRecord& rec) {
   out << "{\"trace_id\":" << rec.trace_id << ",\"statement\":\""
-      << JsonEscape(rec.statement) << "\",\"status\":\""
-      << JsonEscape(rec.status) << "\",\"queue_wait_ns\":"
+      << JsonEscapeString(rec.statement) << "\",\"status\":\""
+      << JsonEscapeString(rec.status) << "\",\"queue_wait_ns\":"
       << rec.queue_wait_ns << ",\"total_ns\":" << rec.total_ns;
 }
 
@@ -278,9 +257,9 @@ std::string RenderExplainJson(const core::OptimizeResult& result,
                               const std::string& function,
                               const std::string& exec_mode) {
   std::ostringstream out;
-  out << "{\"function\":\"" << JsonEscape(function) << "\"";
+  out << "{\"function\":\"" << JsonEscapeString(function) << "\"";
   if (!exec_mode.empty()) {
-    out << ",\"exec_mode\":\"" << JsonEscape(exec_mode) << "\"";
+    out << ",\"exec_mode\":\"" << JsonEscapeString(exec_mode) << "\"";
   }
   out << ",\"loops\":[";
   bool first_loop = true;
@@ -288,19 +267,19 @@ std::string RenderExplainJson(const core::OptimizeResult& result,
                           const analysis::PreconditionVerdict& v) {
     out << "\"" << name << "\":{\"checked\":" << (v.checked ? "true" : "false")
         << ",\"held\":" << (v.held ? "true" : "false") << ",\"detail\":\""
-        << JsonEscape(v.detail) << "\"}";
+        << JsonEscapeString(v.detail) << "\"}";
   };
   for (const auto& [line, vars] : GroupByLoop(result)) {
     if (!first_loop) out << ",";
     first_loop = false;
     out << "{\"line\":" << line << ",\"desc\":\""
-        << JsonEscape(vars.empty() ? "" : vars.front()->loop_desc)
+        << JsonEscapeString(vars.empty() ? "" : vars.front()->loop_desc)
         << "\",\"vars\":[";
     bool first_var = true;
     for (const VarOutcome* o : vars) {
       if (!first_var) out << ",";
       first_var = false;
-      out << "{\"var\":\"" << JsonEscape(o->var) << "\",\"extracted\":"
+      out << "{\"var\":\"" << JsonEscapeString(o->var) << "\",\"extracted\":"
           << (o->extracted ? "true" : "false") << ",\"query_backed\":"
           << (o->query_backed ? "true" : "false") << ",\"cost_skipped\":"
           << (o->cost_skipped ? "true" : "false");
@@ -312,19 +291,20 @@ std::string RenderExplainJson(const core::OptimizeResult& result,
         out << ",";
         verdict_json("p3", o->preconditions.p3);
         if (!o->preconditions.gate.empty()) {
-          out << ",\"gate\":\"" << JsonEscape(o->preconditions.gate) << "\"";
+          out << ",\"gate\":\"" << JsonEscapeString(o->preconditions.gate)
+              << "\"";
         }
         out << "}";
       }
       out << ",\"rules\":[";
       for (size_t i = 0; i < o->rules.size(); ++i) {
         if (i > 0) out << ",";
-        out << "\"" << JsonEscape(o->rules[i]) << "\"";
+        out << "\"" << JsonEscapeString(o->rules[i]) << "\"";
       }
       out << "],\"sql\":[";
       for (size_t i = 0; i < o->sql.size(); ++i) {
         if (i > 0) out << ",";
-        out << "\"" << JsonEscape(o->sql[i]) << "\"";
+        out << "\"" << JsonEscapeString(o->sql[i]) << "\"";
       }
       out << "]";
       if (!o->join_plan.empty()) {
@@ -332,10 +312,10 @@ std::string RenderExplainJson(const core::OptimizeResult& result,
         std::snprintf(costs, sizeof(costs),
                       ",\"cost_index_ms\":%.3f,\"cost_scan_ms\":%.3f",
                       o->cost_index_ms, o->cost_scan_ms);
-        out << ",\"join_plan\":\"" << JsonEscape(o->join_plan) << "\""
+        out << ",\"join_plan\":\"" << JsonEscapeString(o->join_plan) << "\""
             << costs;
       }
-      out << ",\"reason\":\"" << JsonEscape(o->reason) << "\"}";
+      out << ",\"reason\":\"" << JsonEscapeString(o->reason) << "\"}";
     }
     out << "]}";
   }

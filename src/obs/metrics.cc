@@ -4,35 +4,9 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/profile.h"
+
 namespace eqsql::obs {
-
-namespace {
-
-/// Minimal JSON string escaping; metric names are ASCII identifiers but
-/// escaping keeps the output well-formed for any input.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 size_t Counter::StripeIndex() {
   // One hash per thread, cached: threads scatter across stripes and a
@@ -144,14 +118,14 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, value] : counters) {
     if (!first) out << ",";
     first = false;
-    out << "\"" << JsonEscape(name) << "\":" << value;
+    out << "\"" << JsonEscapeString(name) << "\":" << value;
   }
   out << "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms) {
     if (!first) out << ",";
     first = false;
-    out << "\"" << JsonEscape(name) << "\":{\"count\":" << h.count
+    out << "\"" << JsonEscapeString(name) << "\":{\"count\":" << h.count
         << ",\"sum\":" << h.sum << ",\"max\":" << h.max << ",\"buckets\":[";
     bool bfirst = true;
     for (const auto& [bound, n] : h.buckets) {

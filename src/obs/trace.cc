@@ -5,33 +5,13 @@
 #include <map>
 #include <sstream>
 
+#include "obs/profile.h"
+
 namespace eqsql::obs {
 
 namespace {
 
 thread_local SpanContext g_context;
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -73,14 +53,14 @@ std::string Trace::ToJson() const {
     const TraceSpan& s = spans[i];
     if (i > 0) out << ",";
     out << "{\"id\":" << s.id << ",\"parent\":" << s.parent << ",\"name\":\""
-        << JsonEscape(s.name) << "\",\"start_ns\":" << s.start_ns
+        << JsonEscapeString(s.name) << "\",\"start_ns\":" << s.start_ns
         << ",\"dur_ns\":" << s.dur_ns;
     if (!s.attrs.empty()) {
       out << ",\"attrs\":{";
       for (size_t a = 0; a < s.attrs.size(); ++a) {
         if (a > 0) out << ",";
-        out << "\"" << JsonEscape(s.attrs[a].first) << "\":\""
-            << JsonEscape(s.attrs[a].second) << "\"";
+        out << "\"" << JsonEscapeString(s.attrs[a].first) << "\":\""
+            << JsonEscapeString(s.attrs[a].second) << "\"";
       }
       out << "}";
     }

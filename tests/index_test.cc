@@ -11,17 +11,24 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "catalog/schema.h"
 #include "catalog/value.h"
+#include "exec/executor.h"
 #include "exec/worker_pool.h"
 #include "net/api.h"
 #include "net/server.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
+#include "sql/parser.h"
 #include "storage/database.h"
 #include "storage/index.h"
 #include "storage/mvcc.h"
@@ -499,6 +506,276 @@ TEST(IndexServer, ExplainExtractionPricesIndexNestedLoopAgainstScan) {
   EXPECT_NE(indexed->text.find("(index "), std::string::npos)
       << indexed->text;
 }
+
+// ---------------------------------------------------------------------------
+// Cross-path equivalence
+// ---------------------------------------------------------------------------
+
+// A Select(Scan) runs as a unique-key lookup, a secondary-index scan or
+// a scan; an equi-join runs as an index nested-loop join or a hash
+// join. Each statement runs over the same rows in four setups -- no key
+// or index, a unique key on d.aid, a secondary index on d.aid, both --
+// in both engines. Rows and status must equal the plain setup's row
+// engine everywhere, and each setup must keep its own access path
+// (profile labels) and charges (rows_processed, storage.scan.rows).
+
+enum class PathSetup { kPlain, kKey, kIndex, kBoth };
+
+constexpr PathSetup kPathSetups[] = {PathSetup::kPlain, PathSetup::kKey,
+                                     PathSetup::kIndex, PathSetup::kBoth};
+
+const char* PathSetupName(PathSetup setup) {
+  switch (setup) {
+    case PathSetup::kPlain: return "plain";
+    case PathSetup::kKey: return "key";
+    case PathSetup::kIndex: return "index";
+    case PathSetup::kBoth: return "both";
+  }
+  return "?";
+}
+
+struct PathCase {
+  const char* name;
+  const char* sql;
+  /// Per setup (plain, key, index, both): the run as "<profile labels>
+  /// rp=<rows_processed> scan=<storage.scan.rows>", or "<row run> |
+  /// <vector run>" where the engines differ.
+  std::array<const char*, 4> expect;
+};
+
+/// One execution: the answer (status, or rows in result order) and how
+/// it was reached.
+struct PathRun {
+  std::string answer;
+  std::string path;
+};
+
+void RenderLabels(const obs::ProfileNode& n, std::string* out) {
+  *out += n.label;
+  if (n.children.empty()) return;
+  *out += "(";
+  for (size_t i = 0; i < n.children.size(); ++i) {
+    if (i > 0) *out += ",";
+    RenderLabels(*n.children[i], out);
+  }
+  *out += ")";
+}
+
+/// x(id, aid) is the outer table: an unmatched id (42), a NULL id, and
+/// id 0, the one row the mixed probe value x.id + aid matches. d(id,
+/// aid, phone) holds unique, non-NULL aids 1..8 and string phones.
+/// Every statement runs with `?` bound to 3.
+PathRun RunPath(const std::string& sql, PathSetup setup,
+                exec::ExecMode mode) {
+  storage::Database db;
+  Table* x = *db.CreateTable(
+      "x", Schema({{"id", DataType::kInt64}, {"aid", DataType::kInt64}}));
+  const Value kNull = Value::Null();
+  const std::vector<Row> xs = {
+      {Value::Int(0), Value::Int(1)},  {Value::Int(1), Value::Int(5)},
+      {Value::Int(2), kNull},          {kNull, Value::Int(3)},
+      {Value::Int(42), Value::Int(7)}, {Value::Int(7), Value::Int(7)},
+      {Value::Int(3), Value::Int(2)}};
+  for (const Row& r : xs) EXPECT_TRUE(x->Insert(r).ok());
+  Table* d = *db.CreateTable("d", Schema({{"id", DataType::kInt64},
+                                          {"aid", DataType::kInt64},
+                                          {"phone", DataType::kString}}));
+  for (int64_t i = 0; i < 8; ++i) {
+    EXPECT_TRUE(d->Insert({Value::Int(i), Value::Int(i + 1),
+                           Value::String("p" + std::to_string(i + 1))})
+                    .ok());
+  }
+  if (setup == PathSetup::kKey || setup == PathSetup::kBoth) {
+    EXPECT_TRUE(d->DeclareUniqueKey("aid").ok());
+  }
+  if (setup == PathSetup::kIndex || setup == PathSetup::kBoth) {
+    EXPECT_TRUE(d->CreateIndex("d_aid", {"aid"}).ok());
+  }
+
+  obs::MetricsRegistry metrics;
+  obs::Profile profile;
+  exec::Executor ex(&db);
+  ex.set_exec_mode(mode);
+  ex.set_metrics(&metrics);
+  ex.set_profile(&profile);
+  Result<ra::RaNodePtr> plan = sql::ParseSql(sql);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok()) return {};
+  Result<exec::ResultSet> rs = ex.Execute(*plan, {Value::Int(3)});
+
+  PathRun run;
+  if (rs.ok()) {
+    for (const Row& r : rs->rows) run.answer += catalog::RowToString(r);
+  } else {
+    run.answer = rs.status().ToString();
+  }
+  if (!profile.empty()) RenderLabels(*profile.root(), &run.path);
+  run.path += " rp=" + std::to_string(ex.last_rows_processed()) +
+              " scan=" +
+              std::to_string(metrics.counter("storage.scan.rows")->Value());
+  return run;
+}
+
+const PathCase kPathCases[] = {
+    // d.aid = literal / parameter / NULL / outer column, at the top
+    // level, inside OUTER APPLY and inside EXISTS.
+    {"literal", "SELECT d.id AS i FROM d WHERE d.aid = 7",
+     {"Project(Select(Scan)) rp=10 scan=8 | Project(Select) rp=10 scan=8",
+      "Project(KeyLookup) rp=2 scan=0",
+      "Project(IndexScan) rp=10 scan=8",
+      "Project(KeyLookup) rp=2 scan=0"}},
+    {"parameter", "SELECT d.id AS i FROM d WHERE d.aid = ?",
+     {"Project(Select(Scan)) rp=10 scan=8 | Project(Select) rp=10 scan=8",
+      "Project(KeyLookup) rp=2 scan=0",
+      "Project(IndexScan) rp=10 scan=8",
+      "Project(KeyLookup) rp=2 scan=0"}},
+    {"literal_apply",
+     "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
+     "(SELECT d.phone AS oa0 FROM d WHERE d.aid = 7)",
+     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=91 scan=63",
+      "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7",
+      "Project(OuterApply(Scan,Project(IndexScan))) rp=91 scan=63",
+      "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7"}},
+    {"parameter_apply",
+     "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
+     "(SELECT d.phone AS oa0 FROM d WHERE d.aid = ?)",
+     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=91 scan=63",
+      "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7",
+      "Project(OuterApply(Scan,Project(IndexScan))) rp=91 scan=63",
+      "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7"}},
+    {"null_apply",
+     "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
+     "(SELECT d.phone AS oa0 FROM d WHERE d.aid = NULL)",
+     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=77 scan=63",
+      "Project(OuterApply(Scan,Project(KeyLookup))) rp=28 scan=7",
+      "Project(OuterApply(Scan,Project(IndexScan))) rp=77 scan=63",
+      "Project(OuterApply(Scan,Project(KeyLookup))) rp=28 scan=7"}},
+    {"outer_apply",
+     "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
+     "(SELECT d.phone AS oa0 FROM d WHERE d.aid = x.aid)",
+     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=89 scan=63",
+      "Project(OuterApply(Scan,Project(KeyLookup))) rp=34 scan=7",
+      "Project(OuterApply(Scan,Project(Select(Scan)))) rp=89 scan=63",
+      "Project(OuterApply(Scan,Project(KeyLookup))) rp=34 scan=7"}},
+    {"literal_exists",
+     "SELECT x.id AS i FROM x WHERE EXISTS "
+     "(SELECT d.id AS j FROM d WHERE d.aid = 7)",
+     {"Project(Select(Scan,Project(Select(Scan)))) rp=91 scan=63",
+      "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7",
+      "Project(Select(Scan,Project(IndexScan))) rp=91 scan=63",
+      "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7"}},
+    {"parameter_exists",
+     "SELECT x.id AS i FROM x WHERE EXISTS "
+     "(SELECT d.id AS j FROM d WHERE d.aid = ?)",
+     {"Project(Select(Scan,Project(Select(Scan)))) rp=91 scan=63",
+      "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7",
+      "Project(Select(Scan,Project(IndexScan))) rp=91 scan=63",
+      "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7"}},
+    {"null_exists",
+     "SELECT x.id AS i FROM x WHERE EXISTS "
+     "(SELECT d.id AS j FROM d WHERE d.aid = NULL)",
+     {"Project(Select(Scan,Project(Select(Scan)))) rp=63 scan=63",
+      "Project(Select(Scan,Project(KeyLookup))) rp=14 scan=7",
+      "Project(Select(Scan,Project(IndexScan))) rp=63 scan=63",
+      "Project(Select(Scan,Project(KeyLookup))) rp=14 scan=7"}},
+    {"outer_exists",
+     "SELECT x.id AS i FROM x WHERE EXISTS "
+     "(SELECT d.id AS j FROM d WHERE d.aid = x.aid)",
+     {"Project(Select(Scan,Project(Select(Scan)))) rp=87 scan=63",
+      "Project(Select(Scan,Project(KeyLookup))) rp=32 scan=7",
+      "Project(Select(Scan,Project(Select(Scan)))) rp=87 scan=63",
+      "Project(Select(Scan,Project(KeyLookup))) rp=32 scan=7"}},
+    // The probe value names a scan column (aid is d.aid, the innermost
+    // scope), so it binds nothing: only x.id = 0 matches, every d row.
+    {"mixed_value_apply",
+     "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
+     "(SELECT d.phone AS oa0 FROM d WHERE d.aid = x.id + aid)",
+     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=107 scan=63",
+      "Project(OuterApply(Scan,Project(Select(Scan)))) rp=107 scan=63",
+      "Project(OuterApply(Scan,Project(Select(Scan)))) rp=107 scan=63",
+      "Project(OuterApply(Scan,Project(Select(Scan)))) rp=107 scan=63"}},
+    // The residual keeps predicate order: d.id = 3 is false on the one
+    // d.aid = 7 row, so d.phone < 5 (a type error) is never evaluated.
+    {"residual_order",
+     "SELECT d.id AS i FROM d WHERE d.aid = 7 AND d.id = 3 AND d.phone < 5",
+     {"Project(Select(Scan)) rp=8 scan=8 | Project(Select) rp=8 scan=8",
+      "Project(KeyLookup) rp=1 scan=0",
+      "Project(IndexScan) rp=8 scan=8",
+      "Project(KeyLookup) rp=1 scan=0"}},
+    {"duplicate_binding",
+     "SELECT d.id AS i FROM d WHERE d.aid = 7 AND d.aid = 8",
+     {"Project(Select(Scan)) rp=8 scan=8 | Project(Select) rp=8 scan=8",
+      "Project(KeyLookup) rp=1 scan=0",
+      "Project(IndexScan) rp=8 scan=8",
+      "Project(KeyLookup) rp=1 scan=0"}},
+    {"group_by_key",
+     "SELECT COUNT(*) AS n FROM d WHERE d.aid = 7",
+     {"Project(GroupBy(Select(Scan))) rp=11 scan=8 | Project(GroupBy) "
+      "rp=11 scan=8",
+      "Project(GroupBy(KeyLookup)) rp=3 scan=0",
+      "Project(GroupBy(IndexScan)) rp=11 scan=8 | Project(GroupBy) rp=11 "
+      "scan=8",
+      "Project(GroupBy(KeyLookup)) rp=3 scan=0"}},
+    {"join", "SELECT x.id AS i, d.id AS j FROM x JOIN d ON x.id = d.aid",
+     {"Project(Join(Scan,Scan)) rp=23 scan=15",
+      "Project(Join(Scan,Scan)) rp=23 scan=15",
+      "Project(IndexNestedLoopJoin(Scan)) rp=23 scan=15",
+      "Project(IndexNestedLoopJoin(Scan)) rp=23 scan=15"}},
+    {"join_residual",
+     "SELECT x.id AS i, d.id AS j FROM x JOIN d "
+     "ON x.id = d.aid AND x.aid <= d.id + 1",
+     {"Project(Join(Scan,Scan)) rp=19 scan=15",
+      "Project(Join(Scan,Scan)) rp=19 scan=15",
+      "Project(IndexNestedLoopJoin(Scan)) rp=19 scan=15",
+      "Project(IndexNestedLoopJoin(Scan)) rp=19 scan=15"}},
+    {"left_join",
+     "SELECT x.id AS i, d.id AS j FROM x LEFT OUTER JOIN d "
+     "ON x.id = d.aid",
+     {"Project(LeftOuterJoin(Scan,Scan)) rp=29 scan=15",
+      "Project(LeftOuterJoin(Scan,Scan)) rp=29 scan=15",
+      "Project(IndexNestedLoopJoin(Scan)) rp=29 scan=15",
+      "Project(IndexNestedLoopJoin(Scan)) rp=29 scan=15"}},
+    {"left_join_residual",
+     "SELECT x.id AS i, d.id AS j FROM x LEFT OUTER JOIN d "
+     "ON x.id = d.aid AND x.aid <= d.id + 1",
+     {"Project(LeftOuterJoin(Scan,Scan)) rp=29 scan=15",
+      "Project(LeftOuterJoin(Scan,Scan)) rp=29 scan=15",
+      "Project(IndexNestedLoopJoin(Scan)) rp=29 scan=15",
+      "Project(IndexNestedLoopJoin(Scan)) rp=29 scan=15"}},
+    {"non_equi_join",
+     "SELECT x.id AS i, d.id AS j FROM x LEFT OUTER JOIN d "
+     "ON x.id > d.aid + 4",
+     {"Project(LeftOuterJoin(Scan,Scan)) rp=45 scan=15",
+      "Project(LeftOuterJoin(Scan,Scan)) rp=45 scan=15",
+      "Project(LeftOuterJoin(Scan,Scan)) rp=45 scan=15",
+      "Project(LeftOuterJoin(Scan,Scan)) rp=45 scan=15"}},
+};
+
+class CrossPath
+    : public ::testing::TestWithParam<std::tuple<size_t, PathSetup>> {};
+
+TEST_P(CrossPath, SameAnswerAndOwnPath) {
+  const PathCase& c = kPathCases[std::get<0>(GetParam())];
+  const PathSetup setup = std::get<1>(GetParam());
+  const PathRun reference =
+      RunPath(c.sql, PathSetup::kPlain, exec::ExecMode::kRow);
+  const PathRun row = RunPath(c.sql, setup, exec::ExecMode::kRow);
+  const PathRun vector = RunPath(c.sql, setup, exec::ExecMode::kVector);
+  EXPECT_EQ(row.answer, reference.answer);
+  EXPECT_EQ(vector.answer, reference.answer);
+  const std::string path =
+      row.path == vector.path ? row.path : row.path + " | " + vector.path;
+  EXPECT_EQ(path, c.expect[static_cast<size_t>(setup)]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Index, CrossPath,
+    ::testing::Combine(::testing::Range<size_t>(0, std::size(kPathCases)),
+                       ::testing::ValuesIn(kPathSetups)),
+    [](const ::testing::TestParamInfo<CrossPath::ParamType>& info) {
+      return std::string(kPathCases[std::get<0>(info.param)].name) + "_" +
+             PathSetupName(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace eqsql

@@ -246,6 +246,47 @@ TEST_F(SqlExecTest, ScalarAggregateEmptyInput) {
   EXPECT_TRUE(rs.rows[0][0].is_null());
 }
 
+// An unqualified name that matches two columns of the innermost frame is
+// an ambiguity error there; it never falls through to an outer frame
+// that happens to hold the name once.
+TEST(SqlExecAmbiguityTest, AmbiguousInnerNameFailsInBothEngines) {
+  storage::Database db;
+  auto applicants = *db.CreateTable(
+      "applicants", Schema({{"id", DataType::kInt64}}));
+  auto details = *db.CreateTable(
+      "details", Schema({{"id", DataType::kInt64}, {"aid", DataType::kInt64}}));
+  auto feedback = *db.CreateTable(
+      "feedback1",
+      Schema({{"id", DataType::kInt64}, {"aid", DataType::kInt64}}));
+  for (int64_t i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(applicants->Insert({Value::Int(i)}).ok());
+    ASSERT_TRUE(details->Insert({Value::Int(i), Value::Int(i)}).ok());
+    ASSERT_TRUE(feedback->Insert({Value::Int(10 + i), Value::Int(i)}).ok());
+  }
+  const char* inner =
+      "SELECT a.id AS y FROM details AS a JOIN feedback1 AS b "
+      "ON a.aid = b.aid WHERE id = 5";
+  const std::string outer =
+      std::string("SELECT o.id AS x FROM applicants AS o WHERE EXISTS (") +
+      inner + ")";
+  for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
+    for (const std::string& sql : {std::string(inner), outer}) {
+      auto q = ParseSql(sql);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      exec::Executor ex(&db);
+      ex.set_exec_mode(mode);
+      auto rs = ex.Execute(*q);
+      if (rs.ok()) {
+        ADD_FAILURE() << exec::ExecModeName(mode) << " answered: " << sql;
+        continue;
+      }
+      EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument)
+          << rs.status().ToString();
+      EXPECT_EQ(rs.status().message(), "ambiguous column: id");
+    }
+  }
+}
+
 // --- generator -------------------------------------------------------------
 
 TEST(SqlGeneratorTest, SimpleSelect) {
