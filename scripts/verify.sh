@@ -22,13 +22,15 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" \
 echo "== tier 1: deterministic fuzz sweep (500 scenarios) =="
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --corpus tests/fuzz_corpus
 
-echo "== sanitizers: ASan+UBSan bounded fuzz tests =="
+echo "== sanitizers: ASan+UBSan bounded fuzz tests + interpreter =="
 cmake --preset asan >/dev/null
+# Interp: the interpreter indexes call frames by bound slot and reads
+# cursor rows in place, so its suite runs under the address checker.
 cmake --build build-asan -j"$(nproc)" --target fuzz_test fuzz_eqsql \
-  sql_roundtrip_test null_semantics_test
+  sql_roundtrip_test null_semantics_test interp_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout "$CTEST_TIMEOUT" \
-  -R 'Fuzz|SqlRoundTrip|NullSemantics'
+  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp'
 ./build-asan/src/fuzz/fuzz_eqsql --seed 99 --iters 100 \
   --corpus tests/fuzz_corpus
 

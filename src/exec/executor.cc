@@ -875,7 +875,10 @@ Result<ResultSet> Executor::TryKeyLookup(const ScanSplit& split,
   EQSQL_ASSIGN_OR_RETURN(Value probe, EvalScalar(binding->value, ctx));
   ResultSet out;
   out.schema = scan_schema;
-  std::optional<Row> hit = table.GetByKey(probe, ReadSnapshot());
+  // NULL equals nothing, so a NULL probe is a miss (the NULL-keyed row,
+  // if any, does not match).
+  std::optional<Row> hit;
+  if (!probe.is_null()) hit = table.GetByKey(probe, ReadSnapshot());
   if (hit.has_value()) {
     EQSQL_ASSIGN_OR_RETURN(
         bool pass, Holds(split.Residual({binding}), out.schema, *hit, ctx));

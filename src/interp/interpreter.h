@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,9 +30,17 @@ namespace eqsql::interp {
 /// coalesce, list, set, pair/tuple, concat. max/min ignore NULL
 /// arguments (Java's Math.max never sees SQL NULLs; this also makes the
 /// T6 rewrite max(init, MAX-query) exact on empty inputs).
+///
+/// Each function is bound once per interpreter, on its first call:
+/// variables become frame slots, call and method names become builtin
+/// tags or resolved functions, and every `t.col` site gets a one-entry
+/// schema → column cache. The AST is not annotated (its nodes are shared
+/// with rewritten programs); the bound form lives here, so `program`
+/// must outlive the interpreter and stay unchanged.
 class Interpreter {
  public:
   Interpreter(const frontend::Program* program, net::Client* client);
+  ~Interpreter();
 
   /// Runs `function` with scalar arguments; returns its return value
   /// (NULL scalar if the function does not return).
@@ -54,7 +63,14 @@ class Interpreter {
   void ClearOutput() { printed_.clear(); }
 
  private:
-  using Env = std::map<std::string, RtValue>;
+  struct BoundExpr;
+  struct BoundStmt;
+  struct BoundFunction;
+  class Binder;
+  struct Cursor;
+
+  /// One call's variables by slot; empty until first assigned.
+  using Frame = std::vector<std::optional<RtValue>>;
 
   enum class Signal { kNone, kBreak, kReturn };
 
@@ -64,28 +80,38 @@ class Interpreter {
   /// `sites[call][rid]` instead of a round trip.
   struct BatchOverlay {
     std::map<const frontend::Expr*,
-             std::vector<std::shared_ptr<ResultSetObject>>>
+             std::vector<std::shared_ptr<const ResultSetObject>>>
         sites;
     size_t rid = 0;
   };
 
-  Result<Signal> ExecBlock(const std::vector<frontend::StmtPtr>& stmts,
-                           Env* env, RtValue* ret);
-  Result<Signal> ExecStmt(const frontend::StmtPtr& stmt, Env* env,
-                          RtValue* ret);
-  Result<RtValue> Eval(const frontend::ExprPtr& expr, Env* env);
-  Result<RtValue> EvalCall(const frontend::Expr& call, Env* env);
-  Result<RtValue> EvalMethod(const frontend::Expr& call, Env* env);
-  Result<catalog::Value> EvalScalarArg(const frontend::ExprPtr& expr,
-                                       Env* env);
+  /// Calls `program_->functions[index]`, binding it on first use.
+  Result<RtValue> Call(size_t index, std::vector<RtValue> args);
+  Result<Signal> ExecBlock(const std::vector<BoundStmt>& stmts,
+                           Frame* frame, RtValue* ret);
+  Result<Signal> ExecStmt(const BoundStmt& stmt, Frame* frame, RtValue* ret);
+  Result<Signal> ExecForEach(const BoundStmt& loop, Frame* frame,
+                             RtValue* ret);
+  Result<RtValue> Eval(const BoundExpr& expr, Frame* frame);
+  /// Evaluates `expr` for a caller that only reads the value: a
+  /// variable's slot and a literal's bound value come back in place;
+  /// anything else is evaluated into `*scratch`.
+  Result<const RtValue*> Read(const BoundExpr& expr, Frame* frame,
+                              RtValue* scratch);
+  /// Reads the field at `expr` (a kFieldAccess) in place. The row's
+  /// result set stays alive in its slot or in `*holder`.
+  Result<const catalog::Value*> Field(const BoundExpr& expr, Frame* frame,
+                                      RtValue* holder);
+  Result<RtValue> EvalCall(const BoundExpr& call, Frame* frame);
+  Result<RtValue> EvalMethod(const BoundExpr& call, Frame* frame);
+  Result<catalog::Value> EvalScalarArg(const BoundExpr& expr, Frame* frame);
 
   /// Attempts set-oriented prefetch for one foreach over `elements`.
   /// On success pushes an overlay onto `overlays_` and returns true; on
   /// ANY failure returns false with no overlay installed and no lasting
   /// state (a created temp table is dropped), so the caller can iterate
   /// plainly.
-  bool TryBatchForEach(const frontend::Stmt& loop,
-                       const std::vector<RtValue>& elements);
+  bool TryBatchForEach(const frontend::Stmt& loop, const Cursor& elements);
 
   const frontend::Program* program_;
   net::Client* client_;
@@ -97,6 +123,8 @@ class Interpreter {
   bool batching_ = false;
   int batch_seq_ = 0;
   std::vector<BatchOverlay> overlays_;
+  /// Per program function, its bound form once called.
+  std::vector<std::unique_ptr<BoundFunction>> bound_;
 };
 
 }  // namespace eqsql::interp

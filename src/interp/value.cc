@@ -1,7 +1,5 @@
 #include "interp/value.h"
 
-#include "common/strings.h"
-
 namespace eqsql::interp {
 
 bool SetObject::Insert(RtValue value) {
@@ -16,46 +14,67 @@ bool SetObject::Insert(RtValue value) {
 
 namespace {
 
-std::string ScalarDisplay(const catalog::Value& v) {
-  if (v.is_string()) return v.AsString();  // no quotes in display form
-  return v.ToString();
+void AppendScalar(const catalog::Value& v, std::string* out) {
+  if (v.is_string()) {
+    *out += v.AsString();  // no quotes in display form
+  } else {
+    *out += v.ToString();
+  }
 }
 
-std::string JoinDisplay(const std::vector<RtValue>& items,
-                        const char* open, const char* close) {
-  std::vector<std::string> parts;
-  parts.reserve(items.size());
-  for (const RtValue& item : items) parts.push_back(item.DisplayString());
-  return std::string(open) + StrJoin(parts, ", ") + close;
+void AppendRow(const catalog::Row& row, std::string* out) {
+  *out += '(';
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (i > 0) *out += ", ";
+    AppendScalar(row[i], out);
+  }
+  *out += ')';
+}
+
+void AppendItems(const std::vector<RtValue>& items, char open, char close,
+                 std::string* out) {
+  *out += open;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) *out += ", ";
+    items[i].AppendDisplay(out);
+  }
+  *out += close;
 }
 
 }  // namespace
 
 std::string RtValue::DisplayString() const {
-  if (is_scalar()) return ScalarDisplay(scalar());
-  if (is_row()) {
-    std::vector<std::string> parts;
-    for (const catalog::Value& v : row()->row) {
-      parts.push_back(ScalarDisplay(v));
+  std::string out;
+  AppendDisplay(&out);
+  return out;
+}
+
+void RtValue::AppendDisplay(std::string* out) const {
+  if (is_scalar()) {
+    AppendScalar(scalar(), out);
+  } else if (is_row()) {
+    AppendRow(row().row(), out);
+  } else if (is_list()) {
+    AppendItems(list()->items, '[', ']', out);
+  } else if (is_set()) {
+    AppendItems(set()->items, '{', '}', out);
+  } else if (is_tuple()) {
+    AppendItems(tuple()->items, '(', ')', out);
+  } else {
+    // A result set. Single-column results display like lists of
+    // scalars so they compare equal to the imperative lists they replace.
+    const std::vector<catalog::Row>& rows = result_set()->rows;
+    *out += '[';
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (i > 0) *out += ", ";
+      if (rows[i].size() == 1) {
+        AppendScalar(rows[i][0], out);
+      } else {
+        AppendRow(rows[i], out);
+      }
     }
-    return "(" + StrJoin(parts, ", ") + ")";
+    *out += ']';
   }
-  if (is_list()) return JoinDisplay(list()->items, "[", "]");
-  if (is_set()) return JoinDisplay(set()->items, "{", "}");
-  if (is_tuple()) return JoinDisplay(tuple()->items, "(", ")");
-  // Result set. Single-column results display like lists of scalars so
-  // they compare equal to the imperative lists they replace.
-  std::vector<std::string> parts;
-  for (const catalog::Row& r : result_set()->rows) {
-    if (r.size() == 1) {
-      parts.push_back(ScalarDisplay(r[0]));
-      continue;
-    }
-    std::vector<std::string> cols;
-    for (const catalog::Value& v : r) cols.push_back(ScalarDisplay(v));
-    parts.push_back("(" + StrJoin(cols, ", ") + ")");
-  }
-  return "[" + StrJoin(parts, ", ") + "]";
 }
 
 }  // namespace eqsql::interp

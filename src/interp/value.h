@@ -13,10 +13,23 @@ namespace eqsql::interp {
 
 class RtValue;
 
-/// A database row bound to its result-set schema (cursor tuples).
-struct RowObject {
+/// A materialized query result. Immutable once a value refers to it, so
+/// cursor rows can point into it.
+struct ResultSetObject {
   std::shared_ptr<const catalog::Schema> schema;
-  catalog::Row row;
+  std::vector<catalog::Row> rows;
+};
+
+/// One row of a result set (a cursor tuple), read in place: the
+/// reference keeps the result set alive instead of copying the row.
+struct RowRef {
+  std::shared_ptr<const ResultSetObject> set;
+  size_t index = 0;
+
+  const std::shared_ptr<const catalog::Schema>& schema() const {
+    return set->schema;
+  }
+  const catalog::Row& row() const { return set->rows[index]; }
 };
 
 /// A mutable ordered collection with Java-like reference semantics.
@@ -38,33 +51,25 @@ struct TupleObject {
   std::vector<RtValue> items;
 };
 
-/// A materialized query result.
-struct ResultSetObject {
-  std::shared_ptr<const catalog::Schema> schema;
-  std::vector<catalog::Row> rows;
-};
-
-/// An ImpLang runtime value: a SQL scalar or a reference to a heap
-/// object (row, list, set, tuple, result set). References share the
+/// An ImpLang runtime value: a SQL scalar, a cursor row, or a reference
+/// to a heap object (list, set, tuple, result set). References share the
 /// underlying object, matching Java collection semantics.
 class RtValue {
  public:
   RtValue() : data_(catalog::Value()) {}
   /*implicit*/ RtValue(catalog::Value v) : data_(std::move(v)) {}
-  /*implicit*/ RtValue(std::shared_ptr<RowObject> v) : data_(std::move(v)) {}
+  /*implicit*/ RtValue(RowRef v) : data_(std::move(v)) {}
   /*implicit*/ RtValue(std::shared_ptr<ListObject> v) : data_(std::move(v)) {}
   /*implicit*/ RtValue(std::shared_ptr<SetObject> v) : data_(std::move(v)) {}
   /*implicit*/ RtValue(std::shared_ptr<TupleObject> v)
       : data_(std::move(v)) {}
-  /*implicit*/ RtValue(std::shared_ptr<ResultSetObject> v)
+  /*implicit*/ RtValue(std::shared_ptr<const ResultSetObject> v)
       : data_(std::move(v)) {}
 
   bool is_scalar() const {
     return std::holds_alternative<catalog::Value>(data_);
   }
-  bool is_row() const {
-    return std::holds_alternative<std::shared_ptr<RowObject>>(data_);
-  }
+  bool is_row() const { return std::holds_alternative<RowRef>(data_); }
   bool is_list() const {
     return std::holds_alternative<std::shared_ptr<ListObject>>(data_);
   }
@@ -75,15 +80,14 @@ class RtValue {
     return std::holds_alternative<std::shared_ptr<TupleObject>>(data_);
   }
   bool is_result_set() const {
-    return std::holds_alternative<std::shared_ptr<ResultSetObject>>(data_);
+    return std::holds_alternative<std::shared_ptr<const ResultSetObject>>(
+        data_);
   }
 
   const catalog::Value& scalar() const {
     return std::get<catalog::Value>(data_);
   }
-  const std::shared_ptr<RowObject>& row() const {
-    return std::get<std::shared_ptr<RowObject>>(data_);
-  }
+  const RowRef& row() const { return std::get<RowRef>(data_); }
   const std::shared_ptr<ListObject>& list() const {
     return std::get<std::shared_ptr<ListObject>>(data_);
   }
@@ -93,20 +97,21 @@ class RtValue {
   const std::shared_ptr<TupleObject>& tuple() const {
     return std::get<std::shared_ptr<TupleObject>>(data_);
   }
-  const std::shared_ptr<ResultSetObject>& result_set() const {
-    return std::get<std::shared_ptr<ResultSetObject>>(data_);
+  const std::shared_ptr<const ResultSetObject>& result_set() const {
+    return std::get<std::shared_ptr<const ResultSetObject>>(data_);
   }
 
   /// Human-readable rendering: scalars without quotes, collections as
   /// "[a, b]" / "{a, b}", tuples as "(a, b)", rows as "(v1, v2, ...)".
   /// Used for print capture and equivalence checks.
   std::string DisplayString() const;
+  /// Appends DisplayString() to `out`.
+  void AppendDisplay(std::string* out) const;
 
  private:
-  std::variant<catalog::Value, std::shared_ptr<RowObject>,
-               std::shared_ptr<ListObject>, std::shared_ptr<SetObject>,
-               std::shared_ptr<TupleObject>,
-               std::shared_ptr<ResultSetObject>>
+  std::variant<catalog::Value, RowRef, std::shared_ptr<ListObject>,
+               std::shared_ptr<SetObject>, std::shared_ptr<TupleObject>,
+               std::shared_ptr<const ResultSetObject>>
       data_;
 };
 

@@ -751,6 +751,46 @@ const PathCase kPathCases[] = {
       "Project(LeftOuterJoin(Scan,Scan)) rp=45 scan=15"}},
 };
 
+// A unique-keyed table may hold a row whose key is NULL. NULL = NULL is
+// not true, so `d.aid = NULL`, and `d.aid = ?` bound to NULL, select
+// nothing on every path; the key lookup treats a NULL probe as a miss
+// and charges what any other miss charges.
+TEST(IndexKeyLookup, NullProbeIsAMiss) {
+  for (const bool keyed : {false, true}) {
+    for (const exec::ExecMode mode :
+         {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
+      SCOPED_TRACE(std::string(keyed ? "keyed " : "unkeyed ") +
+                   exec::ExecModeName(mode));
+      storage::Database db;
+      Table* d = *db.CreateTable("d", Schema({{"id", DataType::kInt64},
+                                              {"aid", DataType::kInt64}}));
+      ASSERT_TRUE(d->Insert({Value::Int(0), Value::Null()}).ok());
+      ASSERT_TRUE(d->Insert({Value::Int(1), Value::Int(1)}).ok());
+      if (keyed) {
+        ASSERT_TRUE(d->DeclareUniqueKey("aid").ok());
+      }
+      exec::Executor ex(&db);
+      ex.set_exec_mode(mode);
+      auto run = [&](const std::string& sql, Value param) {
+        Result<ra::RaNodePtr> plan = sql::ParseSql(sql);
+        EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+        Result<exec::ResultSet> rs = ex.Execute(*plan, {std::move(param)});
+        EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+        EXPECT_TRUE(rs.ok() && rs->rows.empty()) << sql;
+        return ex.last_rows_processed();
+      };
+      const size_t miss =
+          run("SELECT d.id AS i FROM d WHERE d.aid = 42", Value::Null());
+      EXPECT_EQ(run("SELECT d.id AS i FROM d WHERE d.aid = NULL",
+                    Value::Null()),
+                miss);
+      EXPECT_EQ(
+          run("SELECT d.id AS i FROM d WHERE d.aid = ?", Value::Null()),
+          miss);
+    }
+  }
+}
+
 class CrossPath
     : public ::testing::TestWithParam<std::tuple<size_t, PathSetup>> {};
 

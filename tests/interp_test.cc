@@ -292,5 +292,130 @@ TEST_F(InterpTest, ShortCircuitBooleans) {
   EXPECT_EQ(r->DisplayString(), "(FALSE, TRUE)");
 }
 
+TEST_F(InterpTest, FieldSiteServesRowsOfDifferentSchemas) {
+  // One `r.x` site sees two result sets with x at different positions.
+  // The first set is dropped before the second is fetched, so a cache
+  // keyed by a freed schema's address could serve its stale index.
+  auto r = Run(R"(
+    func getx(r) { return r.x; }
+    func f() {
+      a = executeQuery("SELECT n.id AS x, n.v AS y FROM nums AS n WHERE n.id = 2");
+      for (r : a) { first = getx(r); }
+      a = 0;
+      r = 0;
+      b = executeQuery("SELECT n.v AS y, n.id AS x FROM nums AS n WHERE n.id = 3");
+      for (r : b) { second = getx(r); }
+      return pair(first, second);
+    }
+  )", "f");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->DisplayString(), "(2, 3)");
+}
+
+TEST_F(InterpTest, VariableAssignedOnUntakenBranchIsUndefined) {
+  auto r = Run("func f(n) { if (n > 0) { x = 1; } return x; }", "f",
+               {RtValue(Value::Int(0))});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kRuntimeError);
+  EXPECT_EQ(r.status().message(), "undefined variable: x");
+}
+
+TEST_F(InterpTest, RecursiveCallsGetTheirOwnFrames) {
+  // With one frame shared across the recursion, the innermost x = 1
+  // would overwrite every caller's x and f(3) would be 3.
+  auto r = Run(R"(
+    func f(n) {
+      if (n == 0) { return 0; }
+      x = n;
+      y = f(n - 1);
+      return x + y;
+    }
+  )", "f", {RtValue(Value::Int(3))});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->scalar().AsInt(), 6);
+}
+
+TEST_F(InterpTest, CursorVariableHoldsLastRowAfterLoop) {
+  auto r = Run(R"(
+    func f() {
+      c = 0;
+      rows = executeQuery("SELECT * FROM nums AS n");
+      for (n : rows) { c = c + 1; }
+      return pair(c, n.v, n);
+    }
+  )", "f");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->DisplayString(), "(5, 25, (5, 25))");
+}
+
+TEST_F(InterpTest, ForOverListIteratesASnapshot) {
+  auto r = Run(R"(
+    func f() {
+      l = list();
+      l.append(1);
+      l.append(2);
+      for (x : l) { l.append(x); }
+      return pair(l.size(), l);
+    }
+  )", "f");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->DisplayString(), "(4, [1, 2, 1, 2])");
+}
+
+/// Forwards to a Connection and counts the client-side ops charged.
+class CountingClient : public net::Client {
+ public:
+  explicit CountingClient(net::Connection* conn) : conn_(conn) {}
+  net::Outcome Perform(net::Request req) override {
+    return conn_->Perform(std::move(req));
+  }
+  void ChargeClientOps(int64_t ops) override {
+    ops_ += ops;
+    conn_->ChargeClientOps(ops);
+  }
+  int64_t ops() const { return ops_; }
+
+ private:
+  net::Connection* conn_;
+  int64_t ops_ = 0;
+};
+
+TEST_F(InterpTest, ChargesOneClientOpPerExecutedStatement) {
+  // The simulated client clock charges one op per executed statement,
+  // compound statements included; conditions, calls and expressions are
+  // free. Hand count, per line:
+  //   s = 0; rows = ...; for            3
+  //   ids 1, 2: if + else assignment    2 x 2
+  //   id 3: if + break                  2
+  //   i = 0; while                      2
+  //   two passes of i = i + 1           2
+  //   return, and twice's return        2
+  auto program = frontend::ParseProgram(R"(
+    func twice(v) { return v + v; }
+    func f() {
+      s = 0;
+      rows = executeQuery("SELECT * FROM nums AS n");
+      for (n : rows) {
+        if (n.id == 3) {
+          break;
+        } else {
+          s = s + n.v;
+        }
+      }
+      i = 0;
+      while (i < 2) { i = i + 1; }
+      return twice(s) + i;
+    }
+  )");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  net::Connection conn(&db_);
+  CountingClient client(&conn);
+  Interpreter interp(&*program, &client);
+  auto r = interp.Run("f");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->scalar().AsInt(), 12);  // twice(1 + 4) + 2
+  EXPECT_EQ(client.ops(), 15);
+}
+
 }  // namespace
 }  // namespace eqsql::interp
