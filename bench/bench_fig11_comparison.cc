@@ -44,8 +44,8 @@ eqsql::bench::PerfResult RunBatched(eqsql::storage::Database* db) {
   Schema param_schema({{"aid", DataType::kInt64},
                        {"mode", DataType::kString}});
   std::vector<Row> params;
-  size_t id_idx = *outer.schema.IndexOf("id");
-  size_t mode_idx = *outer.schema.IndexOf("mode");
+  size_t id_idx = *outer.schema->IndexOf("id");
+  size_t mode_idx = *outer.schema->IndexOf("mode");
   for (const Row& row : outer.rows) {
     params.push_back({row[id_idx], row[mode_idx]});
   }

@@ -22,15 +22,17 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" \
 echo "== tier 1: deterministic fuzz sweep (500 scenarios) =="
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --corpus tests/fuzz_corpus
 
-echo "== sanitizers: ASan+UBSan bounded fuzz tests + interpreter =="
+echo "== sanitizers: ASan+UBSan bounded fuzz tests + interpreter + binder =="
 cmake --preset asan >/dev/null
 # Interp: the interpreter indexes call frames by bound slot and reads
 # cursor rows in place, so its suite runs under the address checker.
+# Binder: the SQL executor reads rows by bound (frame level, column) slot
+# and tables by guard slot, so its suite runs there too.
 cmake --build build-asan -j"$(nproc)" --target fuzz_test fuzz_eqsql \
-  sql_roundtrip_test null_semantics_test interp_test
+  sql_roundtrip_test null_semantics_test interp_test binder_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout "$CTEST_TIMEOUT" \
-  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp'
+  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp|Binder'
 ./build-asan/src/fuzz/fuzz_eqsql --seed 99 --iters 100 \
   --corpus tests/fuzz_corpus
 
@@ -38,15 +40,17 @@ echo "== sanitizers: TSan concurrency stress + shard suites + fuzz sweeps =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target concurrency_test fuzz_eqsql \
   shard_test mvcc_test shard_invariance_test scheduler_test net_test \
-  vector_exec_test index_test explain_analyze_test obs_test selection_test
+  vector_exec_test index_test explain_analyze_test obs_test selection_test \
+  binder_test
 # Scheduler here covers the 8-producer bounded-queue storm
 # (SchedulerTest.QueueFullRejectsOverloadedWithoutBlocking) under the
 # race detector: producers race workers on the admission queue. Mvcc
 # covers the version-chain suite, including the concurrent
-# readers-vs-committing-writer scan test.
+# readers-vs-committing-writer scan test. Binder covers sessions sharing
+# one cached bound plan while its first execution publishes it.
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   --timeout "$CTEST_TIMEOUT" \
-  -R 'PlanCache|ConnectionOwnership|ServerStress|Shard|Mvcc|ReadGuard|Database|Scheduler|ServerLiveStats|VectorExec|Index|ExplainAnalyze|TraceRing|SlowQueryLog|Selection'
+  -R 'PlanCache|ConnectionOwnership|ServerStress|Shard|Mvcc|ReadGuard|Database|Scheduler|ServerLiveStats|VectorExec|Index|ExplainAnalyze|TraceRing|SlowQueryLog|Selection|Binder'
 ./build-tsan/src/fuzz/fuzz_eqsql --seed 7 --iters 50 \
   --corpus tests/fuzz_corpus
 # The same sweep on 8-way partitioned tables with the parallel

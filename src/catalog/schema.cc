@@ -4,7 +4,16 @@
 
 namespace eqsql::catalog {
 
+namespace {
+
+thread_local uint64_t find_calls = 0;
+
+}  // namespace
+
+uint64_t FindCallsOnThisThread() { return find_calls; }
+
 ColumnMatch Schema::Find(const std::string& name) const {
+  ++find_calls;
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].name == name) return {ColumnMatch::Kind::kFound, i};
   }

@@ -1,6 +1,7 @@
 #ifndef EQSQL_CATALOG_SCHEMA_H_
 #define EQSQL_CATALOG_SCHEMA_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,6 +76,10 @@ class Schema {
 };
 
 bool operator==(const Schema& a, const Schema& b);
+
+/// Schema::Find calls made so far on the calling thread. A probe for
+/// tests that check a code path resolves no column names.
+uint64_t FindCallsOnThisThread();
 
 /// A tuple of values conforming positionally to some Schema.
 using Row = std::vector<Value>;

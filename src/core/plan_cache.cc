@@ -124,19 +124,27 @@ void PlanCache::Insert(Entry entry) {
   }
 }
 
-Result<ra::RaNodePtr> PlanCache::GetOrParseSql(std::string_view sql) {
+Result<std::shared_ptr<const exec::PreparedQuery>> PlanCache::GetOrPrepareSql(
+    std::string_view sql) {
   uint64_t key = Salted(DigestSql(sql));
   Entry entry;
-  if (Lookup(key, &entry) && entry.plan != nullptr) return entry.plan;
+  if (Lookup(key, &entry) && entry.query != nullptr) return entry.query;
   // Miss: parse outside the lock so concurrent misses do not serialize.
   EQSQL_ASSIGN_OR_RETURN(ra::RaNodePtr plan, sql::ParseSql(sql));
+  auto query = std::make_shared<const exec::PreparedQuery>(std::move(plan));
   entry.key = key;
-  entry.plan = plan;
+  entry.query = query;
   entry.optimized = nullptr;
-  entry.tables = ra::CollectScannedTables(plan);
+  entry.tables = query->tables();
   for (std::string& t : entry.tables) t = AsciiToLower(t);
   Insert(std::move(entry));
-  return plan;
+  return query;
+}
+
+Result<ra::RaNodePtr> PlanCache::GetOrParseSql(std::string_view sql) {
+  EQSQL_ASSIGN_OR_RETURN(std::shared_ptr<const exec::PreparedQuery> query,
+                         GetOrPrepareSql(sql));
+  return query->plan();
 }
 
 Result<std::shared_ptr<const OptimizeResult>> PlanCache::GetOrOptimize(
@@ -154,7 +162,7 @@ Result<std::shared_ptr<const OptimizeResult>> PlanCache::GetOrOptimize(
                          optimizer.Optimize(program, function));
   auto shared = std::make_shared<const OptimizeResult>(std::move(result));
   entry.key = key;
-  entry.plan = nullptr;
+  entry.query = nullptr;
   entry.optimized = shared;
   entry.source_lower = AsciiToLower(source);
   Insert(std::move(entry));

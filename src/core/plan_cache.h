@@ -13,6 +13,7 @@
 
 #include "common/result.h"
 #include "core/optimizer.h"
+#include "exec/binder.h"
 #include "obs/metrics.h"
 #include "ra/ra_node.h"
 
@@ -40,7 +41,8 @@ struct PlanCacheStats {
 /// A thread-safe LRU cache memoizing the two expensive front halves of
 /// the request path, keyed by a 64-bit digest of the request text:
 ///
-///   1. SQL text        -> parsed relational-algebra plan (GetOrParseSql)
+///   1. SQL text        -> parsed relational-algebra plan, and the plan
+///                         bound for execution (GetOrPrepareSql)
 ///   2. program source  -> full parse -> analyze -> transform -> rewrite
 ///      + entry + opts     extraction result        (GetOrOptimize)
 ///
@@ -66,9 +68,15 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the cached plan for `sql`, parsing and inserting on miss.
-  /// Parse errors are returned and never cached (an erroring request
-  /// should not poison the cache nor pin a line).
+  /// Returns the cached line for `sql`, parsing and inserting on miss.
+  /// The line binds lazily, on its first execution (PreparedQuery), and
+  /// keeps the bound plan for later ones. Parse errors are returned and
+  /// never cached (an erroring request should not poison the cache nor
+  /// pin a line).
+  Result<std::shared_ptr<const exec::PreparedQuery>> GetOrPrepareSql(
+      std::string_view sql);
+
+  /// GetOrPrepareSql's parsed plan alone (pricing, rendering).
   Result<ra::RaNodePtr> GetOrParseSql(std::string_view sql);
 
   /// Returns the cached extraction result for (`source`, `function`)
@@ -136,7 +144,7 @@ class PlanCache {
  private:
   struct Entry {
     uint64_t key = 0;
-    ra::RaNodePtr plan;                               // SQL entries
+    std::shared_ptr<const exec::PreparedQuery> query;  // SQL entries
     std::shared_ptr<const OptimizeResult> optimized;  // program entries
     std::shared_ptr<const ExtractionPlan> selected;   // selection entries
     /// Database statistics epoch the selection was priced under

@@ -208,7 +208,7 @@ DNodePtr DagContext::Unary(DOp op, DNodePtr operand) {
   if (operand->op() == DOp::kConst) {
     const catalog::Value& v = operand->value();
     if (op == DOp::kNot && (v.is_bool() || v.is_null())) {
-      return Const(exec::EvalNot(v));
+      return Const(*exec::EvalNot(v));
     }
     if (op == DOp::kNeg && v.is_numeric()) {
       return Const(v.is_int() ? catalog::Value::Int(-v.AsInt())
@@ -233,10 +233,11 @@ DNodePtr DagContext::Binary(DOp op, DNodePtr lhs, DNodePtr rhs) {
           ra::IsComparisonOp(*sop) ? exec::EvalComparison(*sop, a, b)
                                    : exec::EvalArithmetic(*sop, a, b);
       if (folded.ok()) return Const(std::move(*folded));
-    } else if (op == DOp::kAnd) {
-      return Const(exec::EvalAnd(a, b));
-    } else if (op == DOp::kOr) {
-      return Const(exec::EvalOr(a, b));
+    } else if (op == DOp::kAnd || op == DOp::kOr) {
+      // A non-boolean operand stays unfolded: evaluation raises it.
+      Result<catalog::Value> folded =
+          op == DOp::kAnd ? exec::EvalAnd(a, b) : exec::EvalOr(a, b);
+      if (folded.ok()) return Const(std::move(*folded));
     } else if (op == DOp::kConcat) {
       Result<catalog::Value> folded = exec::EvalConcat(a, b);
       if (folded.ok()) return Const(std::move(*folded));

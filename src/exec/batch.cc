@@ -68,6 +68,15 @@ bool PropagateBinaryErr(const Vec& l, const Vec& r, size_t i, Vec* out) {
   return false;
 }
 
+/// Writes lane `i` of a boxed `out`: the value, or the evaluation error.
+void SetLane(Result<Value> v, size_t i, Vec* out) {
+  if (!v.ok()) {
+    out->SetErr(i, v.status());
+  } else {
+    out->boxed[i] = std::move(*v);
+  }
+}
+
 void EvalArithVec(ScalarOp op, const Vec& l, const Vec& r, size_t n,
                   Vec* out) {
   if (l.tag == Vec::Tag::kInt && r.tag == Vec::Tag::kInt) {
@@ -109,12 +118,7 @@ void EvalArithVec(ScalarOp op, const Vec& l, const Vec& r, size_t n,
   out->ResetBoxed(n);
   for (size_t i = 0; i < n; ++i) {
     if (PropagateBinaryErr(l, r, i, out)) continue;
-    Result<Value> v = EvalArithmetic(op, l.At(i), r.At(i));
-    if (!v.ok()) {
-      out->SetErr(i, v.status());
-    } else {
-      out->boxed[i] = std::move(*v);
-    }
+    SetLane(EvalArithmetic(op, l.At(i), r.At(i)), i, out);
   }
 }
 
@@ -151,12 +155,7 @@ void EvalCompareVec(ScalarOp op, const Vec& l, const Vec& r, size_t n,
   out->ResetBoxed(n);
   for (size_t i = 0; i < n; ++i) {
     if (PropagateBinaryErr(l, r, i, out)) continue;
-    Result<Value> v = EvalComparison(op, l.At(i), r.At(i));
-    if (!v.ok()) {
-      out->SetErr(i, v.status());
-    } else {
-      out->boxed[i] = std::move(*v);
-    }
+    SetLane(EvalComparison(op, l.At(i), r.At(i)), i, out);
   }
 }
 
@@ -184,7 +183,7 @@ void EvalAndVec(const Vec& l, const Vec& r, size_t n, Vec* out) {
       out->SetErr(i, r.ErrStatus(i));
       continue;
     }
-    out->boxed[i] = EvalAnd(lv, r.At(i));
+    SetLane(EvalAnd(lv, r.At(i)), i, out);
   }
 }
 
@@ -209,31 +208,29 @@ void EvalOrVec(const Vec& l, const Vec& r, size_t n, Vec* out) {
       out->SetErr(i, r.ErrStatus(i));
       continue;
     }
-    out->boxed[i] = EvalOr(lv, r.At(i));
+    SetLane(EvalOr(lv, r.At(i)), i, out);
   }
 }
 
 }  // namespace
 
 std::unique_ptr<CompiledExpr> CompiledExpr::Compile(
-    const ra::ScalarExprPtr& expr, const catalog::Schema& schema,
-    const ParamLookup& params) {
-  if (expr == nullptr) return nullptr;
+    const BoundExpr& expr, const ParamLookup& params) {
   std::unique_ptr<CompiledExpr> node(new CompiledExpr());
-  node->op_ = expr->op();
-  switch (expr->op()) {
-    case ScalarOp::kColumnRef: {
-      std::optional<size_t> idx = schema.IndexOf(expr->column_name());
-      if (!idx.has_value()) return nullptr;  // correlated outer reference
-      node->col_ = *idx;
+  node->op_ = expr.op;
+  switch (expr.op) {
+    case ScalarOp::kColumnRef:
+      // A deferred error stays on the row engine, which raises it on
+      // the first row it evaluates (and not at all over empty input).
+      if (!expr.error.ok()) return nullptr;
+      node->col_ = expr.column;
       return node;
-    }
     case ScalarOp::kLiteral:
-      node->constant_ = expr->literal();
+      node->constant_ = expr.literal;
       return node;
     case ScalarOp::kParameter: {
       if (!params) return nullptr;
-      Result<Value> v = params(expr->parameter_index());
+      Result<Value> v = params(expr.param);
       // An unbound parameter stays on the row engine, which raises the
       // out-of-range error on the first row it actually evaluates (and
       // not at all over empty input).
@@ -248,9 +245,9 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(
     default:
       break;
   }
-  node->kids_.reserve(expr->children().size());
-  for (const ra::ScalarExprPtr& c : expr->children()) {
-    std::unique_ptr<CompiledExpr> kid = Compile(c, schema, params);
+  node->kids_.reserve(expr.kids.size());
+  for (const BoundExpr& c : expr.kids) {
+    std::unique_ptr<CompiledExpr> kid = Compile(c, params);
     if (kid == nullptr) return nullptr;
     node->kids_.push_back(std::move(kid));
   }
@@ -318,7 +315,7 @@ void CompiledExpr::Eval(const Row* rows, size_t n, Vec* out) const {
           out->SetErr(i, v.ErrStatus(i));
           continue;
         }
-        out->boxed[i] = EvalNot(v.At(i));
+        SetLane(EvalNot(v.At(i)), i, out);
       }
       return;
     }
@@ -356,12 +353,7 @@ void CompiledExpr::Eval(const Row* rows, size_t n, Vec* out) const {
       out->ResetBoxed(n);
       for (size_t i = 0; i < n; ++i) {
         if (PropagateBinaryErr(l, r, i, out)) continue;
-        Result<Value> v = EvalConcat(l.At(i), r.At(i));
-        if (!v.ok()) {
-          out->SetErr(i, v.status());
-        } else {
-          out->boxed[i] = std::move(*v);
-        }
+        SetLane(EvalConcat(l.At(i), r.At(i)), i, out);
       }
       return;
     }
@@ -387,13 +379,7 @@ void CompiledExpr::Eval(const Row* rows, size_t n, Vec* out) const {
           args.push_back(v.At(i));
         }
         if (lane_err) continue;
-        Result<Value> v =
-            EvalGreatestLeast(op_ == ScalarOp::kGreatest, args);
-        if (!v.ok()) {
-          out->SetErr(i, v.status());
-        } else {
-          out->boxed[i] = std::move(*v);
-        }
+        SetLane(EvalGreatestLeast(op_ == ScalarOp::kGreatest, args), i, out);
       }
       return;
     }

@@ -8,6 +8,7 @@
 
 #include "catalog/schema.h"
 #include "common/result.h"
+#include "exec/binder.h"
 #include "ra/scalar_expr.h"
 
 namespace eqsql::exec {
@@ -102,26 +103,26 @@ struct Vec {
   }
 };
 
-/// A scalar expression compiled against one fixed input schema: column
-/// references become positional indices and '?' parameters become
-/// constants, so batch evaluation never resolves a name, never walks a
-/// frame stack, and dispatches once per batch per node instead of once
+/// A bound scalar expression compiled for batch evaluation over one
+/// input row: column references read the positions the binder fixed
+/// and '?' parameters become constants, so batch evaluation never walks
+/// a frame stack and dispatches once per batch per node instead of once
 /// per row. Lane errors follow the row engine's lazy-evaluation
 /// semantics exactly: AND masks right-hand errors behind a boolean
 /// FALSE left side, OR behind TRUE, and CASE surfaces only the taken
 /// branch's error — so batch and row execution select the same error
 /// on the same row.
 ///
-/// Compile returns nullptr when the expression cannot run columnar —
-/// an unresolved column (a correlated outer reference), an EXISTS /
-/// NOT EXISTS subquery, or an unbound parameter — and the caller falls
-/// back to the row engine, preserving its semantics verbatim.
+/// Compile takes an expression bound with the input row as its only
+/// frame, and returns nullptr when it cannot run columnar — a name that
+/// bound to a deferred error (unresolved or ambiguous), an EXISTS / NOT
+/// EXISTS subquery, or an unbound parameter — and the caller falls back
+/// to the row engine, preserving its semantics verbatim.
 class CompiledExpr {
  public:
   using ParamLookup = std::function<Result<catalog::Value>(int)>;
 
-  static std::unique_ptr<CompiledExpr> Compile(const ra::ScalarExprPtr& expr,
-                                               const catalog::Schema& schema,
+  static std::unique_ptr<CompiledExpr> Compile(const BoundExpr& expr,
                                                const ParamLookup& params);
 
   /// Evaluates over rows[0..n), writing one lane per row into `out`.

@@ -18,11 +18,8 @@ namespace eqsql::exec {
 using catalog::Row;
 using catalog::Schema;
 using catalog::Value;
-using ra::RaNode;
 using ra::RaNodePtr;
 using ra::RaOp;
-using ra::ScalarExpr;
-using ra::ScalarExprPtr;
 using ra::ScalarOp;
 
 size_t ResultSet::WireSize() const {
@@ -31,13 +28,10 @@ size_t ResultSet::WireSize() const {
   return total;
 }
 
-Result<Value> EvalContext::LookupColumn(const std::string& name) const {
-  for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-    const catalog::ColumnMatch m = it->schema->Find(name);
-    if (m.found()) return (*it->row)[m.index];
-    if (m.ambiguous()) return it->schema->ResolveColumn(name).status();
-  }
-  return Status::NotFound("unresolved column: " + name);
+const std::shared_ptr<const Schema>& ResultSet::EmptySchema() {
+  static const std::shared_ptr<const Schema> empty =
+      std::make_shared<const Schema>();
+  return empty;
 }
 
 Result<Value> EvalContext::LookupParameter(int index) const {
@@ -50,48 +44,6 @@ Result<Value> EvalContext::LookupParameter(int index) const {
 }
 
 namespace {
-
-/// Splits an AND tree into its conjuncts.
-void SplitConjuncts(const ScalarExprPtr& pred,
-                    std::vector<ScalarExprPtr>* out) {
-  if (pred == nullptr) return;
-  if (pred->op() == ScalarOp::kAnd) {
-    SplitConjuncts(pred->child(0), out);
-    SplitConjuncts(pred->child(1), out);
-    return;
-  }
-  out->push_back(pred);
-}
-
-/// True if some column `expr` names satisfies `pred`. Subqueries are
-/// not descended: their names resolve in their own scopes first.
-template <typename Pred>
-bool AnyColumnRef(const ScalarExprPtr& expr, const Pred& pred) {
-  if (expr->op() == ScalarOp::kColumnRef) return pred(expr->column_name());
-  for (const ScalarExprPtr& c : expr->children()) {
-    if (AnyColumnRef(c, pred)) return true;
-  }
-  return false;
-}
-
-/// True if `expr` references at least one column.
-bool HasColumnRef(const ScalarExprPtr& expr) {
-  return AnyColumnRef(expr, [](const std::string&) { return true; });
-}
-
-/// True if every column referenced in `expr` resolves in `schema`.
-bool AllRefsResolve(const ScalarExprPtr& expr, const Schema& schema) {
-  return !AnyColumnRef(expr, [&schema](const std::string& name) {
-    return !schema.Find(name).found();
-  });
-}
-
-/// True if `expr` names a column of `schema`, found or ambiguous.
-bool NamesColumnOf(const ScalarExprPtr& expr, const Schema& schema) {
-  return AnyColumnRef(expr, [&schema](const std::string& name) {
-    return schema.Find(name).kind != catalog::ColumnMatch::Kind::kAbsent;
-  });
-}
 
 struct RowVecHash {
   size_t operator()(const std::vector<Value>& key) const {
@@ -112,12 +64,6 @@ struct RowVecEq {
     return true;
   }
 };
-
-/// Output column name for a group key expression.
-std::string GroupKeyName(const ScalarExprPtr& key, size_t i) {
-  if (key->op() == ScalarOp::kColumnRef) return key->column_name();
-  return "key" + std::to_string(i);
-}
 
 /// Accumulator for one aggregate over one group.
 struct AggState {
@@ -232,96 +178,12 @@ struct FastIntAgg {
   }
 };
 
-/// True if the scalar tree contains a double literal or a positional
-/// parameter (whose bound value might be a double). Subqueries are not
-/// descended: EXISTS yields a bool, so doubles inside one cannot reach
-/// an aggregation state.
-bool MayProduceDouble(const ScalarExprPtr& expr) {
-  if (expr == nullptr) return false;
-  if (expr->op() == ScalarOp::kLiteral && expr->literal().is_double()) {
-    return true;
-  }
-  if (expr->op() == ScalarOp::kParameter) return true;
-  for (const ScalarExprPtr& c : expr->children()) {
-    if (MayProduceDouble(c)) return true;
-  }
-  return false;
-}
-
-bool SchemaHasDouble(const Schema& schema) {
-  for (const catalog::Column& c : schema.columns()) {
-    if (c.type == catalog::DataType::kDouble) return true;
-  }
-  return false;
-}
-
-/// The output schema of a base scan: the table's columns, qualified by
-/// the scan's alias.
-Schema ScanSchema(const RaNode& scan, const storage::Table& table) {
-  std::vector<catalog::Column> cols;
-  cols.reserve(table.schema().size());
-  for (const catalog::Column& c : table.schema().columns()) {
-    cols.push_back({scan.alias() + "." + c.name, c.type});
-  }
-  return Schema(std::move(cols));
-}
-
-/// A join predicate split into equi-keys -- `l = r` where each side names
-/// columns, all of them its own input's -- and the residual.
-struct EquiKeys {
-  std::vector<ScalarExprPtr> left;
-  std::vector<ScalarExprPtr> right;
-  /// The other conjuncts, in predicate order (nullptr when none). With
-  /// no key it is the predicate as written.
-  ScalarExprPtr residual;
-};
-
-EquiKeys SplitEquiKeys(const ScalarExprPtr& pred, const Schema& left,
-                       const Schema& right) {
-  std::vector<ScalarExprPtr> conjuncts;
-  SplitConjuncts(pred, &conjuncts);
-  EquiKeys keys;
-  std::vector<ScalarExprPtr> residual;
-  for (const ScalarExprPtr& c : conjuncts) {
-    bool classified = false;
-    if (c->op() == ScalarOp::kEq && HasColumnRef(c->child(0)) &&
-        HasColumnRef(c->child(1))) {
-      for (int side = 0; side < 2 && !classified; ++side) {
-        const ScalarExprPtr& l = c->child(side);
-        const ScalarExprPtr& r = c->child(1 - side);
-        classified = AllRefsResolve(l, left) && AllRefsResolve(r, right);
-        if (classified) {
-          keys.left.push_back(l);
-          keys.right.push_back(r);
-        }
-      }
-    }
-    if (!classified) residual.push_back(c);
-  }
-  if (keys.left.empty()) {
-    keys.residual = pred;
-  } else if (!residual.empty()) {
-    keys.residual = ScalarExpr::MakeAnd(std::move(residual));
-  }
-  return keys;
-}
-
-/// The ready index whose columns are exactly the right keys' column set,
-/// when every right key is a distinct plain column of the scanned table;
-/// nullptr otherwise. perm[i] is the key position of the index's i-th
-/// column.
+/// The ready index over exactly the column set `cols` (a join's right
+/// key columns), or nullptr. perm[i] is the key position of the index's
+/// i-th column.
 std::shared_ptr<const storage::SecondaryIndex> JoinIndex(
-    const std::vector<ScalarExprPtr>& right_keys, const Schema& scan_schema,
-    const storage::Table& table, std::vector<size_t>* perm) {
-  std::vector<std::string> cols;
-  for (const ScalarExprPtr& k : right_keys) {
-    if (k->op() != ScalarOp::kColumnRef) return nullptr;
-    const catalog::ColumnMatch m = scan_schema.Find(k->column_name());
-    if (!m.found()) return nullptr;
-    const std::string& col = table.schema().column(m.index).name;
-    if (std::find(cols.begin(), cols.end(), col) != cols.end()) return nullptr;
-    cols.push_back(col);
-  }
+    const std::vector<std::string>& cols, const storage::Table& table,
+    std::vector<size_t>* perm) {
   if (cols.empty()) return nullptr;
   std::shared_ptr<const storage::SecondaryIndex> index =
       table.FindIndexForColumnSet(cols);
@@ -365,67 +227,6 @@ struct IndexHits {
 };
 
 }  // namespace
-
-/// A Select(Scan) predicate split once per execution, in predicate
-/// order. A binding is a `column = value` conjunct whose column belongs
-/// to the scan and whose value names no column of the scan. Names
-/// resolve innermost scope first, and the scan is the innermost scope
-/// of its own predicate, so a value naming a scan column -- even
-/// ambiguously -- depends on the row and binds nothing. Each point
-/// access path consumes the bindings it can use; every conjunct it does
-/// not consume is its residual, re-checked in predicate order.
-struct Executor::ScanSplit {
-  struct Conjunct {
-    ScalarExprPtr expr;
-    ScalarExprPtr value;  // the value side; null unless a binding
-    size_t column = 0;    // the bound scan column
-  };
-  std::vector<Conjunct> conjuncts;
-
-  ScanSplit(const ScalarExprPtr& pred, const Schema& scan) {
-    std::vector<ScalarExprPtr> parts;
-    SplitConjuncts(pred, &parts);
-    conjuncts.reserve(parts.size());
-    for (ScalarExprPtr& part : parts) {
-      Conjunct& c = conjuncts.emplace_back();
-      c.expr = std::move(part);
-      if (c.expr->op() != ScalarOp::kEq) continue;
-      for (int side = 0; side < 2 && c.value == nullptr; ++side) {
-        const ScalarExprPtr& col = c.expr->child(side);
-        const ScalarExprPtr& val = c.expr->child(1 - side);
-        if (col->op() != ScalarOp::kColumnRef) continue;
-        const catalog::ColumnMatch m = scan.Find(col->column_name());
-        if (!m.found() || NamesColumnOf(val, scan)) continue;
-        c.value = val;
-        c.column = m.index;
-      }
-    }
-  }
-
-  /// The first binding on the table column named `name`, or nullptr.
-  const Conjunct* BindingOn(const std::string& name,
-                            const storage::Table& table) const {
-    for (const Conjunct& c : conjuncts) {
-      if (c.value != nullptr && table.schema().column(c.column).name == name) {
-        return &c;
-      }
-    }
-    return nullptr;
-  }
-
-  /// The conjuncts not in `used`, in predicate order, as one predicate;
-  /// nullptr when none remain.
-  ScalarExprPtr Residual(const std::vector<const Conjunct*>& used) const {
-    std::vector<ScalarExprPtr> rest;
-    for (const Conjunct& c : conjuncts) {
-      if (std::find(used.begin(), used.end(), &c) == used.end()) {
-        rest.push_back(c.expr);
-      }
-    }
-    if (rest.empty()) return nullptr;
-    return ScalarExpr::MakeAnd(std::move(rest));
-  }
-};
 
 void Executor::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
@@ -475,107 +276,47 @@ int64_t NowNs() {
 
 }  // namespace
 
-Result<const storage::Table*> Executor::ResolveTable(
-    const std::string& name) const {
-  if (guard_ != nullptr) {
-    const storage::Table* pinned = guard_->Find(name);
-    if (pinned != nullptr) return pinned;
-  }
-  return db_->GetTable(name);
-}
-
-Result<Schema> Executor::OutputSchema(const RaNode& node) const {
-  switch (node.op()) {
-    case RaOp::kScan: {
-      EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
-                             ResolveTable(node.table_name()));
-      return ScanSchema(node, *table);
-    }
-    case RaOp::kSelect:
-    case RaOp::kSort:
-    case RaOp::kDedup:
-    case RaOp::kLimit:
-      return OutputSchema(*node.child(0));
-    case RaOp::kProject: {
-      EQSQL_ASSIGN_OR_RETURN(Schema child, OutputSchema(*node.child(0)));
-      std::vector<catalog::Column> cols;
-      for (const ra::ProjectItem& item : node.project_items()) {
-        catalog::DataType type = catalog::DataType::kNull;
-        if (item.expr->op() == ScalarOp::kColumnRef) {
-          auto idx = child.IndexOf(item.expr->column_name());
-          if (idx.has_value()) type = child.column(*idx).type;
-        } else if (item.expr->op() == ScalarOp::kLiteral) {
-          type = item.expr->literal().type();
-        }
-        cols.push_back({item.name, type});
-      }
-      return Schema(std::move(cols));
-    }
-    case RaOp::kJoin:
-    case RaOp::kLeftOuterJoin:
-    case RaOp::kOuterApply: {
-      EQSQL_ASSIGN_OR_RETURN(Schema left, OutputSchema(*node.child(0)));
-      EQSQL_ASSIGN_OR_RETURN(Schema right, OutputSchema(*node.child(1)));
-      return left.Concat(right);
-    }
-    case RaOp::kGroupBy: {
-      EQSQL_ASSIGN_OR_RETURN(Schema child, OutputSchema(*node.child(0)));
-      std::vector<catalog::Column> cols;
-      const auto& keys = node.group_keys();
-      for (size_t i = 0; i < keys.size(); ++i) {
-        catalog::DataType type = catalog::DataType::kNull;
-        if (keys[i]->op() == ScalarOp::kColumnRef) {
-          auto idx = child.IndexOf(keys[i]->column_name());
-          if (idx.has_value()) type = child.column(*idx).type;
-        }
-        cols.push_back({GroupKeyName(keys[i], i), type});
-      }
-      for (const ra::AggregateSpec& agg : node.aggregates()) {
-        catalog::DataType type = catalog::DataType::kInt64;
-        if (agg.func == ra::AggFunc::kAvg) type = catalog::DataType::kDouble;
-        if ((agg.func == ra::AggFunc::kMin || agg.func == ra::AggFunc::kMax ||
-             agg.func == ra::AggFunc::kSum) &&
-            agg.arg != nullptr && agg.arg->op() == ScalarOp::kColumnRef) {
-          auto idx = child.IndexOf(agg.arg->column_name());
-          if (idx.has_value()) type = child.column(*idx).type;
-        }
-        cols.push_back({agg.name, type});
-      }
-      return Schema(std::move(cols));
-    }
-  }
-  return Status::Internal("OutputSchema: unknown operator");
-}
-
 Result<ResultSet> Executor::Execute(const RaNodePtr& node,
+                                    const std::vector<Value>& params) {
+  storage::ReadGuard pinned = storage::ReadGuard::AcquireAt(
+      *db_, ra::CollectScannedTables(node), ReadSnapshot());
+  std::shared_ptr<const BoundPlan> plan = BindPlan(*node, pinned);
+  const storage::ReadGuard* caller = guard_;
+  guard_ = &pinned;
+  Result<ResultSet> out = Execute(*plan, params);
+  guard_ = caller;
+  return out;
+}
+
+Result<ResultSet> Executor::Execute(const BoundPlan& plan,
                                     const std::vector<Value>& params) {
   rows_processed_ = 0;
   prof_cur_ = nullptr;
   EvalContext ctx(&params);
-  return Exec(*node, &ctx);
+  return Exec(plan.root(), &ctx);
 }
 
-Result<Value> Executor::Eval(const ScalarExprPtr& expr, EvalContext* ctx) {
+Result<Value> Executor::Eval(const BoundExpr& expr, EvalContext* ctx) {
   return EvalScalar(expr, ctx);
 }
 
-Result<Value> Executor::EvalScalar(const ScalarExprPtr& expr,
-                                   EvalContext* ctx) {
-  switch (expr->op()) {
+Result<Value> Executor::EvalScalar(const BoundExpr& expr, EvalContext* ctx) {
+  switch (expr.op) {
     case ScalarOp::kColumnRef:
-      return ctx->LookupColumn(expr->column_name());
+      if (!expr.error.ok()) return expr.error;
+      return ctx->Column(expr.level, expr.column);
     case ScalarOp::kLiteral:
-      return expr->literal();
+      return expr.literal;
     case ScalarOp::kParameter:
-      return ctx->LookupParameter(expr->parameter_index());
+      return ctx->LookupParameter(expr.param);
     case ScalarOp::kAdd:
     case ScalarOp::kSub:
     case ScalarOp::kMul:
     case ScalarOp::kDiv:
     case ScalarOp::kMod: {
-      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr->child(0), ctx));
-      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr->child(1), ctx));
-      return EvalArithmetic(expr->op(), lhs, rhs);
+      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr.kids[0], ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr.kids[1], ctx));
+      return EvalArithmetic(expr.op, lhs, rhs);
     }
     case ScalarOp::kEq:
     case ScalarOp::kNe:
@@ -583,78 +324,109 @@ Result<Value> Executor::EvalScalar(const ScalarExprPtr& expr,
     case ScalarOp::kLe:
     case ScalarOp::kGt:
     case ScalarOp::kGe: {
-      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr->child(0), ctx));
-      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr->child(1), ctx));
-      return EvalComparison(expr->op(), lhs, rhs);
+      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr.kids[0], ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr.kids[1], ctx));
+      return EvalComparison(expr.op, lhs, rhs);
     }
     case ScalarOp::kAnd: {
-      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr->child(0), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr.kids[0], ctx));
       if (lhs.is_bool() && !lhs.AsBool()) return Value::Bool(false);
-      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr->child(1), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr.kids[1], ctx));
       return EvalAnd(lhs, rhs);
     }
     case ScalarOp::kOr: {
-      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr->child(0), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr.kids[0], ctx));
       if (lhs.is_bool() && lhs.AsBool()) return Value::Bool(true);
-      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr->child(1), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr.kids[1], ctx));
       return EvalOr(lhs, rhs);
     }
     case ScalarOp::kNot: {
-      EQSQL_ASSIGN_OR_RETURN(Value v, EvalScalar(expr->child(0), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value v, EvalScalar(expr.kids[0], ctx));
       return EvalNot(v);
     }
     case ScalarOp::kNeg: {
-      EQSQL_ASSIGN_OR_RETURN(Value v, EvalScalar(expr->child(0), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value v, EvalScalar(expr.kids[0], ctx));
       if (v.is_null()) return Value::Null();
       if (v.is_int()) return Value::Int(-v.AsInt());
       if (v.is_double()) return Value::Double(-v.AsDouble());
       return Status::RuntimeError("negation of non-numeric value");
     }
     case ScalarOp::kConcat: {
-      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr->child(0), ctx));
-      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr->child(1), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value lhs, EvalScalar(expr.kids[0], ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value rhs, EvalScalar(expr.kids[1], ctx));
       return EvalConcat(lhs, rhs);
     }
     case ScalarOp::kGreatest:
     case ScalarOp::kLeast: {
       std::vector<Value> args;
-      args.reserve(expr->children().size());
-      for (const auto& c : expr->children()) {
+      args.reserve(expr.kids.size());
+      for (const BoundExpr& c : expr.kids) {
         EQSQL_ASSIGN_OR_RETURN(Value v, EvalScalar(c, ctx));
         args.push_back(std::move(v));
       }
-      return EvalGreatestLeast(expr->op() == ScalarOp::kGreatest, args);
+      return EvalGreatestLeast(expr.op == ScalarOp::kGreatest, args);
     }
     case ScalarOp::kCase: {
-      EQSQL_ASSIGN_OR_RETURN(Value cond, EvalScalar(expr->child(0), ctx));
-      if (IsTruthy(cond)) return EvalScalar(expr->child(1), ctx);
-      return EvalScalar(expr->child(2), ctx);
+      EQSQL_ASSIGN_OR_RETURN(Value cond, EvalScalar(expr.kids[0], ctx));
+      if (IsTruthy(cond)) return EvalScalar(expr.kids[1], ctx);
+      return EvalScalar(expr.kids[2], ctx);
     }
     case ScalarOp::kIsNull: {
-      EQSQL_ASSIGN_OR_RETURN(Value v, EvalScalar(expr->child(0), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Value v, EvalScalar(expr.kids[0], ctx));
       return Value::Bool(v.is_null());
     }
     case ScalarOp::kExists:
     case ScalarOp::kNotExists: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet sub, Exec(*expr->subquery(), ctx));
+      EQSQL_ASSIGN_OR_RETURN(ResultSet sub, Exec(*expr.subquery, ctx));
       bool exists = !sub.rows.empty();
-      return Value::Bool(expr->op() == ScalarOp::kExists ? exists : !exists);
+      return Value::Bool(expr.op == ScalarOp::kExists ? exists : !exists);
     }
   }
   return Status::Internal("EvalScalar: unknown operator");
 }
 
-Result<bool> Executor::Holds(const ScalarExprPtr& pred, const Schema& schema,
-                             const Row& row, EvalContext* ctx) {
-  if (pred == nullptr) return true;
-  ctx->PushFrame(&schema, &row);
+Result<bool> Executor::Holds(const BoundExpr& pred, const Row& row,
+                             EvalContext* ctx) {
+  ctx->PushFrame(&row);
   Result<Value> v = EvalScalar(pred, ctx);
   ctx->PopFrame();
   if (!v.ok()) return v.status();
   return IsTruthy(*v);
 }
 
-Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx) {
+template <typename Conjunct>
+Result<bool> Executor::HoldsAll(size_t n, const Conjunct& conjunct,
+                                const Row& row, EvalContext* ctx) {
+  // The left-deep AND ((c0 AND c1) AND c2) ... evaluated in place: the
+  // accumulated value short-circuits at FALSE and folds through EvalAnd.
+  std::optional<Result<Value>> acc;
+  ctx->PushFrame(&row);
+  for (size_t i = 0; i < n; ++i) {
+    const BoundExpr* c = conjunct(i);
+    if (c == nullptr) continue;
+    if (!acc.has_value()) {
+      acc = EvalScalar(*c, ctx);
+    } else {
+      if (!acc->ok()) break;
+      const Value& sofar = **acc;
+      if (sofar.is_bool() && !sofar.AsBool()) break;
+      Result<Value> v = EvalScalar(*c, ctx);
+      acc = v.ok() ? EvalAnd(sofar, *v) : Result<Value>(v.status());
+    }
+  }
+  ctx->PopFrame();
+  if (!acc.has_value()) return true;
+  if (!acc->ok()) return acc->status();
+  return IsTruthy(**acc);
+}
+
+std::unique_ptr<CompiledExpr> Executor::Compile(const BoundExpr& expr,
+                                                EvalContext* ctx) const {
+  return CompiledExpr::Compile(
+      expr, [ctx](int i) { return ctx->LookupParameter(i); });
+}
+
+Result<ResultSet> Executor::Exec(const BoundNode& node, EvalContext* ctx) {
   if (profile_ == nullptr) return ExecNode(node, ctx);
   // Look up (or create) this plan node's profile entry under the
   // current operator; correlated subqueries and OuterApply re-enter the
@@ -663,7 +435,7 @@ Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx) {
   // clock, so cost parity holds with profiling on or off.
   obs::ProfileNode* parent = prof_cur_;
   obs::ProfileNode* me =
-      profile_->ChildFor(parent, &node, ra::RaOpToString(node.op()));
+      profile_->ChildFor(parent, node.source, ra::RaOpToString(node.op));
   prof_cur_ = me;
   const int64_t t0 = NowNs();
   Result<ResultSet> out = ExecNode(node, ctx);
@@ -674,14 +446,14 @@ Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx) {
   return out;
 }
 
-Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
-  switch (node.op()) {
+Result<ResultSet> Executor::ExecNode(const BoundNode& node, EvalContext* ctx) {
+  switch (node.op) {
     case RaOp::kScan: {
-      EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
-                             ResolveTable(node.table_name()));
+      if (!node.table_error.ok()) return node.table_error;
+      const storage::Table* table = TableAt(node.table_slot);
       if (mode_ == ExecMode::kVector) return ExecScanBatch(node, *table);
       ResultSet out;
-      EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+      out.schema = node.schema;
       out.rows = table->rows(ReadSnapshot());
       rows_processed_ += out.rows.size();
       if (scan_rows_ != nullptr) RecordScan(out.rows.size(), out.WireSize());
@@ -689,80 +461,60 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
     }
     case RaOp::kSelect: {
       // Select(Scan) has three faster paths than materializing the scan.
-      // The unique-key lookup and the secondary-index scan read one
-      // split of the predicate. A unique-key lookup is what MySQL's
-      // primary-key index does for the paper's per-row scalar queries;
-      // any failure in it falls through. An index scan's kNotFound means
-      // inapplicable; any other error is a real execution failure. The
-      // batch path streams the shard cursors straight through the
-      // compiled predicate; a compile failure falls through to the
-      // unfused attempt below, which records the fallback.
-      const RaNode& scan = *node.child(0);
-      const storage::Table* table = nullptr;
-      if (scan.op() == RaOp::kScan) {
-        Result<const storage::Table*> resolved =
-            ResolveTable(scan.table_name());
-        if (resolved.ok()) table = *resolved;
-      }
-      const std::optional<std::string> key =
-          table != nullptr ? table->unique_key() : std::nullopt;
+      // The unique-key lookup and the secondary-index scan read the
+      // bound split of the predicate. A unique-key lookup is what
+      // MySQL's primary-key index does for the paper's per-row scalar
+      // queries; any failure in it falls through. An index scan's
+      // kNotFound means inapplicable; any other error is a real
+      // execution failure. The batch path streams the shard cursors
+      // straight through the compiled predicate; a compile failure
+      // falls through to the unfused attempt below, which records the
+      // fallback. Which path runs is decided here, per execution.
+      const BoundNode& child = node.children[0];
+      const storage::Table* table = node.split.has_value()
+                                        ? TableAt(child.table_slot)
+                                        : nullptr;
+      const bool keyed = table != nullptr && node.split->key_binding >= 0;
       const bool indexed = table != nullptr && table->index_count() > 0;
       const bool batch =
-          table != nullptr && mode_ == ExecMode::kVector && ctx->depth() == 0;
-      if (key.has_value() || indexed || batch) {
-        Schema scan_schema = ScanSchema(scan, *table);
-        if (key.has_value() || indexed) {
-          const ScanSplit split(node.predicate(), scan_schema);
-          if (key.has_value()) {
-            Result<ResultSet> fast =
-                TryKeyLookup(split, *key, *table, scan_schema, ctx);
-            if (fast.ok()) return fast;
-          }
-          if (indexed) {
-            Result<ResultSet> idx =
-                TrySecondaryIndexScan(split, *table, scan_schema, ctx);
-            if (idx.ok() || idx.status().code() != StatusCode::kNotFound) {
-              return idx;
-            }
-          }
-        }
-        if (batch) {
-          std::unique_ptr<CompiledExpr> pred = CompiledExpr::Compile(
-              node.predicate(), scan_schema,
-              [ctx](int i) { return ctx->LookupParameter(i); });
-          if (pred != nullptr) {
-            return ExecSelectScanBatch(*table, *pred, std::move(scan_schema));
-          }
+          table != nullptr && mode_ == ExecMode::kVector && node.depth == 0;
+      if (keyed) {
+        Result<ResultSet> fast = TryKeyLookup(node, *table, ctx);
+        if (fast.ok()) return fast;
+      }
+      if (indexed) {
+        Result<ResultSet> idx = TrySecondaryIndexScan(node, *table, ctx);
+        if (idx.ok() || idx.status().code() != StatusCode::kNotFound) {
+          return idx;
         }
       }
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
-      if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
-        std::unique_ptr<CompiledExpr> pred = CompiledExpr::Compile(
-            node.predicate(), in.schema,
-            [ctx](int i) { return ctx->LookupParameter(i); });
+      if (batch) {
+        std::unique_ptr<CompiledExpr> pred = Compile(node.predicate, ctx);
+        if (pred != nullptr) return ExecSelectScanBatch(node, *table, *pred);
+      }
+      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(child, ctx));
+      if (mode_ == ExecMode::kVector && node.depth == 0) {
+        std::unique_ptr<CompiledExpr> pred = Compile(node.predicate, ctx);
         if (pred != nullptr) return FilterVector(std::move(in), *pred);
         RecordVectorFallback();
       }
       ResultSet out;
-      out.schema = in.schema;
+      out.schema = node.schema;
       for (Row& row : in.rows) {
-        EQSQL_ASSIGN_OR_RETURN(bool pass,
-                               Holds(node.predicate(), in.schema, row, ctx));
+        EQSQL_ASSIGN_OR_RETURN(bool pass, Holds(node.predicate, row, ctx));
         if (pass) out.rows.push_back(std::move(row));
       }
       rows_processed_ += out.rows.size();
       return out;
     }
     case RaOp::kProject: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
-      if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
+      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
+      if (mode_ == ExecMode::kVector && node.depth == 0) {
         std::vector<std::unique_ptr<CompiledExpr>> items;
-        items.reserve(node.project_items().size());
+        items.reserve(node.items.size());
         bool compiled = true;
-        for (const ra::ProjectItem& item : node.project_items()) {
-          items.push_back(CompiledExpr::Compile(
-              item.expr, in.schema,
-              [ctx](int i) { return ctx->LookupParameter(i); }));
+        for (const BoundExpr& item : node.items) {
+          items.push_back(Compile(item, ctx));
           if (items.back() == nullptr) {
             compiled = false;
             break;
@@ -772,15 +524,15 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
         RecordVectorFallback();
       }
       ResultSet out;
-      EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+      out.schema = node.schema;
       out.rows.reserve(in.rows.size());
       for (const Row& row : in.rows) {
-        ctx->PushFrame(&in.schema, &row);
+        ctx->PushFrame(&row);
         Row projected;
-        projected.reserve(node.project_items().size());
+        projected.reserve(node.items.size());
         Status status = Status::OK();
-        for (const ra::ProjectItem& item : node.project_items()) {
-          Result<Value> v = EvalScalar(item.expr, ctx);
+        for (const BoundExpr& item : node.items) {
+          Result<Value> v = EvalScalar(item, ctx);
           if (!v.ok()) {
             status = v.status();
             break;
@@ -803,14 +555,14 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
     case RaOp::kGroupBy:
       return ExecGroupBy(node, ctx);
     case RaOp::kSort: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
+      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
       // Precompute key tuples, then stable-sort indices.
       std::vector<std::vector<Value>> keys(in.rows.size());
       for (size_t i = 0; i < in.rows.size(); ++i) {
-        ctx->PushFrame(&in.schema, &in.rows[i]);
+        ctx->PushFrame(&in.rows[i]);
         Status status = Status::OK();
-        for (const ra::SortKey& k : node.sort_keys()) {
-          Result<Value> v = EvalScalar(k.expr, ctx);
+        for (const BoundExpr& k : node.keys) {
+          Result<Value> v = EvalScalar(k, ctx);
           if (!v.ok()) {
             status = v.status();
             break;
@@ -822,7 +574,7 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
       }
       std::vector<size_t> order(in.rows.size());
       for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      const auto& sort_keys = node.sort_keys();
+      const auto& sort_keys = node.source->sort_keys();
       std::stable_sort(order.begin(), order.end(),
                        [&](size_t a, size_t b) {
                          for (size_t k = 0; k < sort_keys.size(); ++k) {
@@ -835,16 +587,16 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
                          return false;
                        });
       ResultSet out;
-      out.schema = in.schema;
+      out.schema = node.schema;
       out.rows.reserve(in.rows.size());
       for (size_t i : order) out.rows.push_back(std::move(in.rows[i]));
       rows_processed_ += out.rows.size();
       return out;
     }
     case RaOp::kDedup: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
+      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
       ResultSet out;
-      out.schema = in.schema;
+      out.schema = node.schema;
       std::unordered_set<std::vector<Value>, RowVecHash, RowVecEq> seen;
       for (Row& row : in.rows) {
         if (seen.insert(row).second) out.rows.push_back(std::move(row));
@@ -853,10 +605,10 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
       return out;
     }
     case RaOp::kLimit: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
-      if (node.limit() >= 0 &&
-          in.rows.size() > static_cast<size_t>(node.limit())) {
-        in.rows.resize(static_cast<size_t>(node.limit()));
+      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
+      const int64_t limit = node.source->limit();
+      if (limit >= 0 && in.rows.size() > static_cast<size_t>(limit)) {
+        in.rows.resize(static_cast<size_t>(limit));
       }
       rows_processed_ += in.rows.size();
       return in;
@@ -865,23 +617,29 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
   return Status::Internal("Exec: unknown operator");
 }
 
-Result<ResultSet> Executor::TryKeyLookup(const ScanSplit& split,
-                                         const std::string& key,
+Result<ResultSet> Executor::TryKeyLookup(const BoundNode& select,
                                          const storage::Table& table,
-                                         const Schema& scan_schema,
                                          EvalContext* ctx) {
-  const ScanSplit::Conjunct* binding = split.BindingOn(key, table);
-  if (binding == nullptr) return Status::NotFound("no key binding");
-  EQSQL_ASSIGN_OR_RETURN(Value probe, EvalScalar(binding->value, ctx));
+  const BoundScanSplit& split = *select.split;
+  const size_t key = static_cast<size_t>(split.key_binding);
+  EQSQL_ASSIGN_OR_RETURN(Value probe,
+                         EvalScalar(*split.conjuncts[key].value, ctx));
   ResultSet out;
-  out.schema = scan_schema;
+  out.schema = select.schema;
   // NULL equals nothing, so a NULL probe is a miss (the NULL-keyed row,
   // if any, does not match).
   std::optional<Row> hit;
   if (!probe.is_null()) hit = table.GetByKey(probe, ReadSnapshot());
   if (hit.has_value()) {
+    // The residual: every other conjunct, in predicate order.
     EQSQL_ASSIGN_OR_RETURN(
-        bool pass, Holds(split.Residual({binding}), out.schema, *hit, ctx));
+        bool pass,
+        HoldsAll(
+            split.conjuncts.size(),
+            [&](size_t i) {
+              return i == key ? nullptr : &split.conjuncts[i].expr;
+            },
+            *hit, ctx));
     if (pass) out.rows.push_back(std::move(*hit));
   }
   rows_processed_ += 1;  // index probe, not a scan
@@ -889,22 +647,14 @@ Result<ResultSet> Executor::TryKeyLookup(const ScanSplit& split,
   return out;
 }
 
-Result<ResultSet> Executor::TrySecondaryIndexScan(const ScanSplit& split,
+Result<ResultSet> Executor::TrySecondaryIndexScan(const BoundNode& select,
                                                   const storage::Table& table,
-                                                  const Schema& scan_schema,
                                                   EvalContext* ctx) {
-  // The bindings an index can serve: column-free values, the first per
-  // column (later ones re-check as residual).
-  std::vector<const ScanSplit::Conjunct*> usable;
-  std::vector<std::string> bound;
-  for (const ScanSplit::Conjunct& c : split.conjuncts) {
-    if (c.value == nullptr || HasColumnRef(c.value)) continue;
-    const std::string& col = table.schema().column(c.column).name;
-    if (std::find(bound.begin(), bound.end(), col) != bound.end()) continue;
-    usable.push_back(&c);
-    bound.push_back(col);
-  }
-  if (usable.empty()) return Status::NotFound("no index-usable equalities");
+  // The bindings an index can serve were fixed at bind time: column-free
+  // values, the first per column (later ones re-check as residual).
+  const BoundScanSplit& split = *select.split;
+  const std::vector<std::string>& bound = split.index_usable_columns;
+  if (bound.empty()) return Status::NotFound("no index-usable equalities");
 
   // Choose the widest ready index fully covered by the bindings.
   std::shared_ptr<const storage::SecondaryIndex> index;
@@ -927,12 +677,14 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const ScanSplit& split,
   // order. An eval failure falls back to the scan so the row-dependent
   // behavior stays identical (an erroring value expr over an empty table
   // is not an error on the scan path).
-  std::vector<const ScanSplit::Conjunct*> used;
+  std::vector<bool> used(split.conjuncts.size(), false);
   std::vector<Value> key;
   for (const std::string& col : index->columns()) {
-    used.push_back(usable[std::find(bound.begin(), bound.end(), col) -
-                          bound.begin()]);
-    Result<Value> v = EvalScalar(used.back()->value, ctx);
+    const size_t c = split.index_usable[std::find(bound.begin(), bound.end(),
+                                                  col) -
+                                        bound.begin()];
+    used[c] = true;
+    Result<Value> v = EvalScalar(*split.conjuncts[c].value, ctx);
     if (!v.ok()) return Status::NotFound("probe key did not evaluate");
     key.push_back(std::move(*v));
   }
@@ -946,11 +698,13 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const ScanSplit& split,
   hits.Probe(*index, key, snap, index_probes_, index_rows_);
 
   ResultSet out;
-  out.schema = scan_schema;
-  const ScalarExprPtr residual = split.Residual(used);
+  out.schema = select.schema;
+  auto residual = [&](size_t i) {
+    return used[i] ? nullptr : &split.conjuncts[i].expr;
+  };
   for (const Row* visible : hits.rows) {
-    EQSQL_ASSIGN_OR_RETURN(bool pass, Holds(residual, out.schema, *visible,
-                                            ctx));
+    EQSQL_ASSIGN_OR_RETURN(
+        bool pass, HoldsAll(split.conjuncts.size(), residual, *visible, ctx));
     if (pass) out.rows.push_back(*visible);
   }
   rows_processed_ += stats.rows;
@@ -961,27 +715,22 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const ScanSplit& split,
   return out;
 }
 
-Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
+Result<ResultSet> Executor::ExecJoin(const BoundNode& node, bool left_outer,
                                      EvalContext* ctx) {
-  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(*node.child(0), ctx));
+  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(node.children[0], ctx));
   // Index nested loop: when the right side is a base scan whose equi-key
   // columns exactly cover a ready index, the index supplies each left
   // row's candidates and the right side is never materialized.
-  const RaNode& right_node = *node.child(1);
+  const BoundNode& right_node = node.children[1];
   ResultSet right;
-  std::optional<EquiKeys> keys;
   const storage::Table* table = nullptr;
   std::shared_ptr<const storage::SecondaryIndex> index;
   std::vector<size_t> perm;
-  if (right_node.op() == RaOp::kScan) {
-    Result<const storage::Table*> resolved =
-        ResolveTable(right_node.table_name());
-    if (resolved.ok() && (*resolved)->index_count() > 0) {
-      table = *resolved;
-      right.schema = ScanSchema(right_node, *table);
-      keys = SplitEquiKeys(node.predicate(), left.schema, right.schema);
-      index = JoinIndex(keys->right, right.schema, *table, &perm);
-    }
+  if (right_node.op == RaOp::kScan && right_node.table_error.ok() &&
+      TableAt(right_node.table_slot)->index_count() > 0) {
+    table = TableAt(right_node.table_slot);
+    right.schema = right_node.schema;
+    index = JoinIndex(node.join->index_columns, *table, &perm);
   }
   const storage::Snapshot snap = ReadSnapshot();
   // Otherwise the candidates come from a hash build over the right rows,
@@ -994,13 +743,13 @@ Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
   std::vector<Value> key;
   // Evaluates `exprs` over `row` into `key`; false if any is NULL, since
   // NULL keys never match.
-  auto eval_key = [&](const std::vector<ScalarExprPtr>& exprs,
-                      const Schema& schema, const Row& row) -> Result<bool> {
+  auto eval_key = [&](const std::vector<BoundExpr>& exprs,
+                      const Row& row) -> Result<bool> {
     key.clear();
     bool null_key = false;
-    ctx->PushFrame(&schema, &row);
+    ctx->PushFrame(&row);
     Status status = Status::OK();
-    for (const ScalarExprPtr& e : exprs) {
+    for (const BoundExpr& e : exprs) {
       Result<Value> v = EvalScalar(e, ctx);
       if (!v.ok()) {
         status = v.status();
@@ -1020,27 +769,25 @@ Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
     if (scan_rows_ != nullptr) RecordScan(stats.rows, stats.bytes);
   } else {
     EQSQL_ASSIGN_OR_RETURN(right, Exec(right_node, ctx));
-    if (!keys.has_value()) {
-      keys = SplitEquiKeys(node.predicate(), left.schema, right.schema);
-    }
     for (const Row& rrow : right.rows) {
-      EQSQL_ASSIGN_OR_RETURN(bool usable, eval_key(keys->right, right.schema,
-                                                   rrow));
+      EQSQL_ASSIGN_OR_RETURN(bool usable,
+                             eval_key(node.join->right_keys, rrow));
       if (usable) build[std::move(key)].push_back(&rrow);
     }
   }
+  const BoundJoin& join = *node.join;
 
   // The one probe loop: left rows in order, each one's candidates in
   // build order (slot-seq order for the index, the same order), the
   // residual, then NULL padding for an unmatched left row.
   ResultSet out;
-  out.schema = left.schema.Concat(right.schema);
-  const Row null_right(right.schema.size(), Value::Null());
+  out.schema = node.schema;
+  const Row null_right(right.schema->size(), Value::Null());
+  auto residual = [&join](size_t i) { return &join.residual[i]; };
   IndexHits hits;
   std::vector<Value> probe;
   for (const Row& lrow : left.rows) {
-    EQSQL_ASSIGN_OR_RETURN(bool usable, eval_key(keys->left, left.schema,
-                                                 lrow));
+    EQSQL_ASSIGN_OR_RETURN(bool usable, eval_key(join.left_keys, lrow));
     const std::vector<const Row*>* candidates = nullptr;
     if (usable && index != nullptr) {
       probe.clear();
@@ -1056,8 +803,8 @@ Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
       const Row& rrow = *(*candidates)[i];
       Row combined = lrow;
       combined.insert(combined.end(), rrow.begin(), rrow.end());
-      EQSQL_ASSIGN_OR_RETURN(bool pass, Holds(keys->residual, out.schema,
-                                              combined, ctx));
+      EQSQL_ASSIGN_OR_RETURN(
+          bool pass, HoldsAll(join.residual.size(), residual, combined, ctx));
       if (!pass) continue;
       out.rows.push_back(std::move(combined));
       matched = true;
@@ -1075,16 +822,18 @@ Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
   return out;
 }
 
-Result<ResultSet> Executor::ExecOuterApply(const RaNode& node,
+Result<ResultSet> Executor::ExecOuterApply(const BoundNode& node,
                                            EvalContext* ctx) {
-  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(*node.child(0), ctx));
-  EQSQL_ASSIGN_OR_RETURN(Schema right_schema, OutputSchema(*node.child(1)));
+  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(node.children[0], ctx));
+  const BoundNode& right = node.children[1];
+  // The padding width needs the right side's schema before any row runs.
+  if (!right.schema_error.ok()) return right.schema_error;
   ResultSet out;
-  out.schema = left.schema.Concat(right_schema);
-  Row null_right(right_schema.size(), Value::Null());
+  out.schema = node.schema;
+  const Row null_right(right.schema->size(), Value::Null());
   for (const Row& lrow : left.rows) {
-    ctx->PushFrame(&left.schema, &lrow);
-    Result<ResultSet> inner = Exec(*node.child(1), ctx);
+    ctx->PushFrame(&lrow);
+    Result<ResultSet> inner = Exec(right, ctx);
     ctx->PopFrame();
     if (!inner.ok()) return inner.status();
     if (inner->rows.empty()) {
@@ -1103,72 +852,43 @@ Result<ResultSet> Executor::ExecOuterApply(const RaNode& node,
   return out;
 }
 
-Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
+Result<ResultSet> Executor::ExecGroupBy(const BoundNode& node,
+                                        EvalContext* ctx) {
   // The batch path applies when the input is a (possibly filtered) base
-  // scan and every value that can reach an aggregation state is exact:
-  // no double column in the scanned schema, no double literal or
-  // parameter in the keys / aggregate arguments / filter predicate, and
-  // no outer frames (a correlated outer column could be a double). Under
-  // those gates fold order cannot change a state, so shard partials
-  // merge exactly and group order comes from each group's lowest seq —
-  // byte-identical to the serial row fold. A filter with a binding on
-  // the unique key stays on the unfused path, which keeps the key
-  // lookup's 1-probe charge.
-  if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
-    const RaNode* select = nullptr;
-    const RaNode* scan = nullptr;
-    const RaNode& child = *node.child(0);
-    if (child.op() == RaOp::kScan) {
-      scan = &child;
-    } else if (child.op() == RaOp::kSelect &&
-               child.child(0)->op() == RaOp::kScan) {
-      select = &child;
-      scan = child.child(0).get();
+  // scan and every value that can reach an aggregation state is exact
+  // (the binder's exact_fold gate), with no outer frames (a correlated
+  // outer column could be a double). Under those gates fold order
+  // cannot change a state, so shard partials merge exactly and group
+  // order comes from each group's lowest seq — byte-identical to the
+  // serial row fold. A filter with a binding on the unique key stays on
+  // the unfused path, which keeps the key lookup's 1-probe charge.
+  const BoundNode& child = node.children[0];
+  if (mode_ == ExecMode::kVector && node.depth == 0 && node.exact_fold) {
+    const BoundNode* select = child.op == RaOp::kSelect ? &child : nullptr;
+    const BoundNode& scan = select != nullptr ? child.children[0] : child;
+    CompiledGroupBy plan;
+    if (CompileGroupBy(node, select, ctx, &plan)) {
+      return ExecGroupByBatch(node, *TableAt(scan.table_slot), plan);
     }
-    Result<const storage::Table*> table =
-        scan != nullptr ? ResolveTable(scan->table_name()) : nullptr;
-    if (scan != nullptr && table.ok() && *table != nullptr) {
-      const Schema scan_schema = ScanSchema(*scan, **table);
-      bool hazard = SchemaHasDouble((*table)->schema());
-      if (select != nullptr) {
-        const std::optional<std::string> key = (*table)->unique_key();
-        hazard = hazard || MayProduceDouble(select->predicate()) ||
-                 (key.has_value() &&
-                  ScanSplit(select->predicate(), scan_schema)
-                          .BindingOn(*key, **table) != nullptr);
-      }
-      for (const ScalarExprPtr& k : node.group_keys()) {
-        hazard = hazard || MayProduceDouble(k);
-      }
-      for (const ra::AggregateSpec& a : node.aggregates()) {
-        hazard = hazard || MayProduceDouble(a.arg);
-      }
-      if (!hazard) {
-        CompiledGroupBy plan;
-        if (CompileGroupBy(node, select, scan_schema, ctx, &plan)) {
-          return ExecGroupByBatch(node, **table, plan);
-        }
-        // A compile failure falls through to the unfused attempt below,
-        // which records the fallback itself.
-      }
-    }
+    // A compile failure falls through to the unfused attempt below,
+    // which records the fallback itself.
   }
-  EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
-  if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
+  EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(child, ctx));
+  if (mode_ == ExecMode::kVector && node.depth == 0) {
     // The serial vector fold needs no exactness gate: lanes fold in the
     // serial row order and no partial states merge, so even double
     // summation reproduces the row engine bit for bit.
     CompiledGroupBy plan;
-    if (CompileGroupBy(node, /*select=*/nullptr, in.schema, ctx, &plan)) {
+    if (CompileGroupBy(node, /*select=*/nullptr, ctx, &plan)) {
       return GroupByVectorFold(node, std::move(in), plan);
     }
     RecordVectorFallback();
   }
   ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  out.schema = node.schema;
 
-  const auto& keys = node.group_keys();
-  const auto& aggs = node.aggregates();
+  const std::vector<BoundExpr>& keys = node.keys;
+  const std::vector<ra::AggregateSpec>& aggs = node.source->aggregates();
 
   // Group index: key tuple -> position in `groups` (first-seen order).
   std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
@@ -1176,11 +896,11 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
   std::vector<std::vector<AggState>> group_states;
 
   for (const Row& row : in.rows) {
-    ctx->PushFrame(&in.schema, &row);
+    ctx->PushFrame(&row);
     std::vector<Value> key;
     key.reserve(keys.size());
     Status status = Status::OK();
-    for (const ScalarExprPtr& k : keys) {
+    for (const BoundExpr& k : keys) {
       Result<Value> v = EvalScalar(k, ctx);
       if (!v.ok()) {
         status = v.status();
@@ -1200,7 +920,7 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
           ++states[a].count;
           continue;
         }
-        Result<Value> v = EvalScalar(aggs[a].arg, ctx);
+        Result<Value> v = EvalScalar(node.aggs[a], ctx);
         if (!v.ok()) {
           status = v.status();
           break;
@@ -1397,10 +1117,10 @@ Executor::ShardScan Executor::ScanShards(const storage::Table& table,
   return total;
 }
 
-Result<ResultSet> Executor::ExecScanBatch(const RaNode& node,
+Result<ResultSet> Executor::ExecScanBatch(const BoundNode& node,
                                           const storage::Table& table) {
   ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  out.schema = node.schema;
   std::vector<ShardRows> slots;
   const ShardScan scanned = ScanShards(
       table, "shard-scan", &slots, [](Batch* batch, ShardRows* r) {
@@ -1414,11 +1134,11 @@ Result<ResultSet> Executor::ExecScanBatch(const RaNode& node,
   return out;
 }
 
-Result<ResultSet> Executor::ExecSelectScanBatch(const storage::Table& table,
-                                                const CompiledExpr& pred,
-                                                Schema schema) {
+Result<ResultSet> Executor::ExecSelectScanBatch(const BoundNode& node,
+                                                const storage::Table& table,
+                                                const CompiledExpr& pred) {
   ResultSet out;
-  out.schema = std::move(schema);
+  out.schema = node.schema;
   // A CompiledExpr is immutable and side-effect-free (nothing with a
   // subquery compiles), so shard tasks share one tree and charge no
   // subquery rows, exactly as the row engine's count would be.
@@ -1484,10 +1204,10 @@ Result<ResultSet> Executor::FilterVector(ResultSet in,
 }
 
 Result<ResultSet> Executor::ProjectVector(
-    const RaNode& node, ResultSet in,
+    const BoundNode& node, ResultSet in,
     const std::vector<std::unique_ptr<CompiledExpr>>& items) {
   ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  out.schema = node.schema;
   out.rows.reserve(in.rows.size());
   std::vector<Vec> vs(items.size());
   for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
@@ -1512,24 +1232,23 @@ Result<ResultSet> Executor::ProjectVector(
   return out;
 }
 
-bool Executor::CompileGroupBy(const RaNode& node, const RaNode* select,
-                              const Schema& schema, EvalContext* ctx,
-                              CompiledGroupBy* out) {
-  auto params = [ctx](int i) { return ctx->LookupParameter(i); };
+bool Executor::CompileGroupBy(const BoundNode& node, const BoundNode* select,
+                              EvalContext* ctx, CompiledGroupBy* out) {
   if (select != nullptr) {
-    out->pred = CompiledExpr::Compile(select->predicate(), schema, params);
+    out->pred = Compile(select->predicate, ctx);
     if (out->pred == nullptr) return false;
   }
-  for (const ScalarExprPtr& k : node.group_keys()) {
-    out->keys.push_back(CompiledExpr::Compile(k, schema, params));
+  for (const BoundExpr& k : node.keys) {
+    out->keys.push_back(Compile(k, ctx));
     if (out->keys.back() == nullptr) return false;
   }
-  for (const ra::AggregateSpec& a : node.aggregates()) {
-    if (a.func == ra::AggFunc::kCountStar) {
+  const std::vector<ra::AggregateSpec>& aggs = node.source->aggregates();
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].func == ra::AggFunc::kCountStar) {
       out->aggs.push_back(nullptr);  // reads no input
       continue;
     }
-    out->aggs.push_back(CompiledExpr::Compile(a.arg, schema, params));
+    out->aggs.push_back(Compile(node.aggs[a], ctx));
     if (out->aggs.back() == nullptr) return false;
   }
   return true;
@@ -1735,10 +1454,11 @@ struct Executor::GroupPartial {
   }
 };
 
-Result<ResultSet> Executor::GroupByVectorFold(const RaNode& node, ResultSet in,
+Result<ResultSet> Executor::GroupByVectorFold(const BoundNode& node,
+                                              ResultSet in,
                                               const CompiledGroupBy& plan) {
   ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  out.schema = node.schema;
   // Lanes carry their row index as seq, so the fold's first-seen order
   // and lowest-seq error pick are the row fold's.
   GroupPartial fold;
@@ -1752,16 +1472,16 @@ Result<ResultSet> Executor::GroupByVectorFold(const RaNode& node, ResultSet in,
     // No later batch holds a lower seq: the row fold stops here too.
     if (!fold.fold_fail.ok()) return fold.fold_fail.status;
   }
-  out.rows = fold.Finish(node.aggregates(), plan.keys.empty());
+  out.rows = fold.Finish(node.source->aggregates(), plan.keys.empty());
   rows_processed_ += out.rows.size();
   return out;
 }
 
-Result<ResultSet> Executor::ExecGroupByBatch(const RaNode& node,
+Result<ResultSet> Executor::ExecGroupByBatch(const BoundNode& node,
                                              const storage::Table& table,
                                              const CompiledGroupBy& plan) {
   ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  out.schema = node.schema;
   // Inline, every shard folds into one partial and no merge is paid;
   // pooled, each shard folds its own and they merge here.
   std::vector<GroupPartial> partials;
@@ -1780,7 +1500,7 @@ Result<ResultSet> Executor::ExecGroupByBatch(const RaNode& node,
   if (!all.pred_fail.ok()) return all.pred_fail.status;
   rows_processed_ += all.matched;
   if (!all.fold_fail.ok()) return all.fold_fail.status;
-  out.rows = all.Finish(node.aggregates(), plan.keys.empty());
+  out.rows = all.Finish(node.source->aggregates(), plan.keys.empty());
   rows_processed_ += out.rows.size();
   return out;
 }

@@ -1,11 +1,13 @@
 #ifndef EQSQL_EXEC_EXECUTOR_H_
 #define EQSQL_EXEC_EXECUTOR_H_
 
+#include <memory>
 #include <vector>
 
 #include "catalog/schema.h"
 #include "common/result.h"
 #include "exec/batch.h"
+#include "exec/binder.h"
 #include "exec/exec_mode.h"
 #include "exec/worker_pool.h"
 #include "obs/metrics.h"
@@ -17,50 +19,50 @@
 namespace eqsql::exec {
 
 /// A fully materialized query result: output schema + rows in result
-/// order (Project preserves input order; Sort imposes one).
+/// order (Project preserves input order; Sort imposes one). The schema
+/// is the producing operator's bound schema, shared rather than copied.
 struct ResultSet {
-  catalog::Schema schema;
+  std::shared_ptr<const catalog::Schema> schema = EmptySchema();
   std::vector<catalog::Row> rows;
 
   /// Total wire size of all rows (used by net/ to charge transfer cost).
   size_t WireSize() const;
+
+  /// The shared zero-column schema of a default-constructed result.
+  static const std::shared_ptr<const catalog::Schema>& EmptySchema();
 };
 
 /// Evaluation context threaded through scalar evaluation: positional
-/// parameters plus a stack of (schema,row) frames for correlated column
-/// resolution (innermost frame is searched first). OuterApply and EXISTS
-/// push outer rows onto the stack.
+/// parameters plus the stack of rows pushed by the operators evaluating
+/// expressions (OuterApply and EXISTS evaluate their inner plans with
+/// outer rows pushed). Bound column references read a row by (level,
+/// column); nothing here resolves a name.
 class EvalContext {
  public:
   explicit EvalContext(const std::vector<catalog::Value>* params)
       : params_(params) {}
 
-  struct Frame {
-    const catalog::Schema* schema;
-    const catalog::Row* row;
-  };
-
-  void PushFrame(const catalog::Schema* schema, const catalog::Row* row) {
-    frames_.push_back(Frame{schema, row});
-  }
+  void PushFrame(const catalog::Row* row) { frames_.push_back(row); }
   void PopFrame() { frames_.pop_back(); }
-  size_t depth() const { return frames_.size(); }
 
-  /// Resolves `name` innermost-first across the frame stack. A name
-  /// ambiguous in a frame is an error there: it never falls through to
-  /// an outer frame.
-  Result<catalog::Value> LookupColumn(const std::string& name) const;
+  /// The value at a bound slot: column `column` of the row at frame
+  /// level `level`, counted from the outermost frame.
+  const catalog::Value& Column(size_t level, size_t column) const {
+    return (*frames_[level])[column];
+  }
 
   Result<catalog::Value> LookupParameter(int index) const;
 
  private:
   const std::vector<catalog::Value>* params_;
-  std::vector<Frame> frames_;
+  std::vector<const catalog::Row*> frames_;
 };
 
 /// Materializing evaluator for relational-algebra trees against an
 /// in-memory Database. This is the "server side" of the simulated DBMS:
 /// the net/ layer calls it and charges costs for the rows it returns.
+/// It runs bound plans (exec/binder.h): every name was resolved when
+/// the plan was bound, so execution reads rows and tables by slot.
 ///
 /// Joins with extractable equi-conjuncts probe an index or a hash
 /// build; everything else is a (predicated) nested loop.
@@ -71,9 +73,9 @@ class EvalContext {
 /// attached ReadGuard's pinned MVCC snapshot (storage::Snapshot), so
 /// any number of Executors may run concurrently against one Database
 /// while writers commit new versions: readers never block writers and
-/// never see a half-committed transaction. Plans are
-/// shared_ptr<const RaNode> and are never mutated during execution, so
-/// one cached plan may be executed by many sessions at once. One
+/// never see a half-committed transaction. Bound plans are immutable
+/// and never mutated during execution, so one cached plan may be
+/// executed by many sessions at once. One
 /// Executor instance itself is single-threaded: rows_processed_ is
 /// per-run scratch. The vector engine's scan-shaped operators (scan,
 /// filter over a scan, aggregation over a scan) run one task body per
@@ -102,20 +104,20 @@ class Executor {
   /// Selects the execution engine (see exec/exec_mode.h). kVector
   /// routes scans, filters, projections, and group-by folds through the
   /// batch-at-a-time columnar path; expressions the batch compiler
-  /// cannot handle (correlated references, EXISTS subqueries, unbound
-  /// parameters) fall back to the row engine per operator, counted in
-  /// exec.batch.fallbacks. Results, errors, and cost accounting are
-  /// identical in both modes. kRow is the serial reference engine: it
-  /// ignores the worker pool. Defaults to kRow so a bare Executor keeps
-  /// the reference directly testable; the server stack applies
-  /// ServerOptions::exec_mode.
+  /// cannot handle (names bound to a deferred error, EXISTS
+  /// subqueries, unbound parameters) fall back to the row engine per
+  /// operator, counted in exec.batch.fallbacks. Results, errors, and
+  /// cost accounting are identical in both modes. kRow is the serial
+  /// reference engine: it ignores the worker pool. Defaults to kRow so
+  /// a bare Executor keeps the reference directly testable; the server
+  /// stack applies ServerOptions::exec_mode.
   void set_exec_mode(ExecMode mode) { mode_ = mode; }
   ExecMode exec_mode() const { return mode_; }
 
-  /// Attaches the caller's pinned table snapshot. When set, table
-  /// resolution prefers the guard's snapshot over the live registry, so
-  /// a query keeps reading the tables it locked even if another session
-  /// republishes them mid-flight.
+  /// Attaches the caller's pinned tables and snapshot. A bound plan's
+  /// table slots index the guard's slots, so a query keeps reading the
+  /// tables it pinned even if another session republishes them
+  /// mid-flight.
   void set_read_guard(const storage::ReadGuard* guard) { guard_ = guard; }
 
   /// Attaches a metrics registry. Shard-invariant totals go to
@@ -141,18 +143,22 @@ class Executor {
   }
   obs::Profile* profile() const { return profile_; }
 
-  /// Executes `node` with positional `params` bound to '?' placeholders.
+  /// Executes a bound plan with positional `params` bound to '?'
+  /// placeholders. Its table slots read the attached ReadGuard, which
+  /// must be the one the plan was bound (or matched) against.
+  Result<ResultSet> Execute(const BoundPlan& plan,
+                            const std::vector<catalog::Value>& params = {});
+
+  /// Binds `node` against the tables it names and executes it: a
+  /// one-shot convenience for tools and tests. Reads at the attached
+  /// guard's snapshot, or at the latest commit without one.
   Result<ResultSet> Execute(const ra::RaNodePtr& node,
                             const std::vector<catalog::Value>& params = {});
 
-  /// Evaluates a scalar expression (used by DML to compute INSERT
+  /// Evaluates a bound scalar expression (used by DML to compute INSERT
   /// values / UPDATE assignments). Row counts from any subqueries
   /// accumulate into last_rows_processed() without resetting it.
-  Result<catalog::Value> Eval(const ra::ScalarExprPtr& expr, EvalContext* ctx);
-
-  /// Output schema of `node` without executing it (used for NULL padding
-  /// in outer joins / outer apply and by the SQL generator).
-  Result<catalog::Schema> OutputSchema(const ra::RaNode& node) const;
+  Result<catalog::Value> Eval(const BoundExpr& expr, EvalContext* ctx);
 
   /// Number of rows produced by all operators during the last Execute
   /// (a crude work counter used by the net/ cost model's server term).
@@ -163,21 +169,17 @@ class Executor {
   /// with per-operator bookkeeping (node lookup keyed by plan-node
   /// address, wall time, rows out) and ExecNode does the actual work;
   /// without one, Exec tail-calls ExecNode.
-  Result<ResultSet> Exec(const ra::RaNode& node, EvalContext* ctx);
-  Result<ResultSet> ExecNode(const ra::RaNode& node, EvalContext* ctx);
-  /// Resolves a table name through the attached ReadGuard first (pinned
-  /// snapshot), then the live registry.
-  Result<const storage::Table*> ResolveTable(const std::string& name) const;
-  /// A Select(Scan) predicate split once per execution into bindings
-  /// and a residual (executor.cc).
-  struct ScanSplit;
+  Result<ResultSet> Exec(const BoundNode& node, EvalContext* ctx);
+  Result<ResultSet> ExecNode(const BoundNode& node, EvalContext* ctx);
+  /// The table pinned in slot `slot` of the attached guard.
+  const storage::Table* TableAt(size_t slot) const {
+    return guard_->table(slot);
+  }
   /// Unique-key point lookup for Select(Scan): probes the table's key
-  /// (named `key`) with its first binding and re-checks the rest of the
-  /// predicate. kNotFound when no binding pins the key; the caller
-  /// treats any failure as "try the next path".
-  Result<ResultSet> TryKeyLookup(const ScanSplit& split, const std::string& key,
+  /// with the split's key binding and re-checks the rest of the
+  /// predicate. The caller treats any failure as "try the next path".
+  Result<ResultSet> TryKeyLookup(const BoundNode& select,
                                  const storage::Table& table,
-                                 const catalog::Schema& scan_schema,
                                  EvalContext* ctx);
   /// Secondary-index scan for Select(Scan): when bindings pin a ready
   /// SecondaryIndex's columns to column-free expressions, probes the
@@ -187,17 +189,20 @@ class Executor {
   /// server term, via Table::VisibleStats) so plan choice never shows
   /// in the deterministic cost model — only in wall time. kNotFound =
   /// inapplicable, caller falls through.
-  Result<ResultSet> TrySecondaryIndexScan(const ScanSplit& split,
+  Result<ResultSet> TrySecondaryIndexScan(const BoundNode& select,
                                           const storage::Table& table,
-                                          const catalog::Schema& scan_schema,
                                           EvalContext* ctx);
-  Result<catalog::Value> EvalScalar(const ra::ScalarExprPtr& expr,
-                                    EvalContext* ctx);
-  /// True if `pred` holds over `row` (pushed as the innermost frame); a
-  /// null predicate always holds.
-  Result<bool> Holds(const ra::ScalarExprPtr& pred,
-                     const catalog::Schema& schema, const catalog::Row& row,
+  Result<catalog::Value> EvalScalar(const BoundExpr& expr, EvalContext* ctx);
+  /// True if `pred` holds over `row` (pushed as the innermost frame).
+  Result<bool> Holds(const BoundExpr& pred, const catalog::Row& row,
                      EvalContext* ctx);
+  /// True if the conjuncts `conjunct(0..n)` hold over `row` as one
+  /// left-deep AND in that order (nullptr entries are skipped): each
+  /// conjunct evaluates only while the conjunction so far is not FALSE.
+  /// No conjuncts always hold.
+  template <typename Conjunct>
+  Result<bool> HoldsAll(size_t n, const Conjunct& conjunct,
+                        const catalog::Row& row, EvalContext* ctx);
   /// Inner and left-outer joins. Equi-keys are split from the predicate
   /// once; one probe loop takes each left row's candidates from an
   /// index when the right side is a base scan whose key columns exactly
@@ -205,10 +210,10 @@ class Executor {
   /// replaces), and otherwise from a hash build over the right rows
   /// (with no key, every right row: a nested loop). Output order is
   /// left order, then right insertion order within a key, either way.
-  Result<ResultSet> ExecJoin(const ra::RaNode& node, bool left_outer,
+  Result<ResultSet> ExecJoin(const BoundNode& node, bool left_outer,
                              EvalContext* ctx);
-  Result<ResultSet> ExecOuterApply(const ra::RaNode& node, EvalContext* ctx);
-  Result<ResultSet> ExecGroupBy(const ra::RaNode& node, EvalContext* ctx);
+  Result<ResultSet> ExecOuterApply(const BoundNode& node, EvalContext* ctx);
+  Result<ResultSet> ExecGroupBy(const BoundNode& node, EvalContext* ctx);
 
   /// A group-by whose pieces all compiled for batch evaluation:
   /// optional filter predicate, key expressions, and aggregate
@@ -218,12 +223,11 @@ class Executor {
     std::vector<std::unique_ptr<CompiledExpr>> keys;
     std::vector<std::unique_ptr<CompiledExpr>> aggs;
   };
-  /// Compiles the group-by's scalar pieces against `schema` (pred only
-  /// when `select` is non-null). False = something didn't compile; the
-  /// caller falls back to the row engine.
-  bool CompileGroupBy(const ra::RaNode& node, const ra::RaNode* select,
-                      const catalog::Schema& schema, EvalContext* ctx,
-                      CompiledGroupBy* out);
+  /// Compiles the group-by's bound scalar pieces (the filter predicate
+  /// only when `select` is non-null). False = something didn't compile;
+  /// the caller falls back to the row engine.
+  bool CompileGroupBy(const BoundNode& node, const BoundNode* select,
+                      EvalContext* ctx, CompiledGroupBy* out);
 
   /// A group-by fold over batches: groups with the lowest seq folded
   /// into each, and the first predicate and fold failures (executor.cc).
@@ -234,19 +238,24 @@ class Executor {
   /// three scan shapes — Scan, Select(Scan), GroupBy([Select(]Scan[)]) —
   /// each stream every shard's batches through one consumer via
   /// ScanShards.
-  Result<ResultSet> ExecScanBatch(const ra::RaNode& node,
+  Result<ResultSet> ExecScanBatch(const BoundNode& node,
                                   const storage::Table& table);
-  Result<ResultSet> ExecSelectScanBatch(const storage::Table& table,
-                                        const CompiledExpr& pred,
-                                        catalog::Schema schema);
-  Result<ResultSet> ExecGroupByBatch(const ra::RaNode& node,
+  Result<ResultSet> ExecSelectScanBatch(const BoundNode& node,
+                                        const storage::Table& table,
+                                        const CompiledExpr& pred);
+  Result<ResultSet> ExecGroupByBatch(const BoundNode& node,
                                      const storage::Table& table,
                                      const CompiledGroupBy& plan);
   Result<ResultSet> FilterVector(ResultSet in, const CompiledExpr& pred);
-  Result<ResultSet> ProjectVector(const ra::RaNode& node, ResultSet in,
-                                  const std::vector<std::unique_ptr<CompiledExpr>>& items);
-  Result<ResultSet> GroupByVectorFold(const ra::RaNode& node, ResultSet in,
+  Result<ResultSet> ProjectVector(
+      const BoundNode& node, ResultSet in,
+      const std::vector<std::unique_ptr<CompiledExpr>>& items);
+  Result<ResultSet> GroupByVectorFold(const BoundNode& node, ResultSet in,
                                       const CompiledGroupBy& plan);
+  /// Compiles a bound expression with this execution's parameters
+  /// folded in (nullptr when it cannot run columnar).
+  std::unique_ptr<CompiledExpr> Compile(const BoundExpr& expr,
+                                        EvalContext* ctx) const;
 
   /// What a scan charged: visible rows and their wire bytes.
   struct ShardScan {

@@ -78,25 +78,40 @@ Result<Value> EvalComparison(ra::ScalarOp op, const Value& lhs,
   }
 }
 
-Value EvalAnd(const Value& lhs, const Value& rhs) {
+namespace {
+
+/// The error for a logic operand that is neither boolean nor NULL.
+Status NotBoolean(const char* op, const Value& v) {
+  return Status::RuntimeError(std::string(op) + " of non-boolean value " +
+                              v.ToString());
+}
+
+}  // namespace
+
+Result<Value> EvalAnd(const Value& lhs, const Value& rhs) {
   // Kleene logic: FALSE dominates.
   bool lf = lhs.is_bool() && !lhs.AsBool();
   bool rf = rhs.is_bool() && !rhs.AsBool();
   if (lf || rf) return Value::Bool(false);
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
+  if (!lhs.is_bool()) return NotBoolean("AND", lhs);
+  if (!rhs.is_bool()) return NotBoolean("AND", rhs);
   return Value::Bool(lhs.AsBool() && rhs.AsBool());
 }
 
-Value EvalOr(const Value& lhs, const Value& rhs) {
+Result<Value> EvalOr(const Value& lhs, const Value& rhs) {
   bool lt = lhs.is_bool() && lhs.AsBool();
   bool rt = rhs.is_bool() && rhs.AsBool();
   if (lt || rt) return Value::Bool(true);
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
+  if (!lhs.is_bool()) return NotBoolean("OR", lhs);
+  if (!rhs.is_bool()) return NotBoolean("OR", rhs);
   return Value::Bool(lhs.AsBool() || rhs.AsBool());
 }
 
-Value EvalNot(const Value& v) {
+Result<Value> EvalNot(const Value& v) {
   if (v.is_null()) return Value::Null();
+  if (!v.is_bool()) return NotBoolean("NOT", v);
   return Value::Bool(!v.AsBool());
 }
 

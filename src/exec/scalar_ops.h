@@ -26,11 +26,15 @@ Result<catalog::Value> EvalComparison(ra::ScalarOp op,
                                       const catalog::Value& lhs,
                                       const catalog::Value& rhs);
 
-/// Three-valued AND / OR.
-catalog::Value EvalAnd(const catalog::Value& lhs, const catalog::Value& rhs);
-catalog::Value EvalOr(const catalog::Value& lhs, const catalog::Value& rhs);
-/// Three-valued NOT.
-catalog::Value EvalNot(const catalog::Value& v);
+/// Three-valued AND / OR. A deciding operand (FALSE for AND, TRUE for
+/// OR) wins, then NULL; any other operand that is not a boolean is a
+/// kRuntimeError.
+Result<catalog::Value> EvalAnd(const catalog::Value& lhs,
+                               const catalog::Value& rhs);
+Result<catalog::Value> EvalOr(const catalog::Value& lhs,
+                              const catalog::Value& rhs);
+/// Three-valued NOT; a non-boolean operand is a kRuntimeError.
+Result<catalog::Value> EvalNot(const catalog::Value& v);
 
 /// String concatenation (numbers are stringified; NULL propagates).
 Result<catalog::Value> EvalConcat(const catalog::Value& lhs,

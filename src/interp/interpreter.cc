@@ -492,7 +492,8 @@ Result<RtValue> Interpreter::Eval(const BoundExpr& expr, Frame* frame) {
       if (!operand->is_scalar()) return NotScalar(*operand, "unary operand");
       const Value& v = operand->scalar();
       if (src.un_op() == frontend::UnOp::kNot) {
-        return RtValue(exec::EvalNot(v));
+        EQSQL_ASSIGN_OR_RETURN(Value negated, exec::EvalNot(v));
+        return RtValue(std::move(negated));
       }
       if (v.is_null()) return RtValue(Value::Null());
       if (v.is_int()) return RtValue(Value::Int(-v.AsInt()));
@@ -518,8 +519,10 @@ Result<RtValue> Interpreter::Eval(const BoundExpr& expr, Frame* frame) {
         EQSQL_ASSIGN_OR_RETURN(const RtValue* rhs,
                                Read(expr.args[1], frame, &rhs_scratch));
         if (!rhs->is_scalar()) return NotScalar(*rhs, "boolean operand");
-        return RtValue(op == BinOp::kAnd ? exec::EvalAnd(lv, rhs->scalar())
-                                         : exec::EvalOr(lv, rhs->scalar()));
+        EQSQL_ASSIGN_OR_RETURN(Value v, op == BinOp::kAnd
+                                            ? exec::EvalAnd(lv, rhs->scalar())
+                                            : exec::EvalOr(lv, rhs->scalar()));
+        return RtValue(std::move(v));
       }
       RtValue rhs_scratch;
       EQSQL_ASSIGN_OR_RETURN(const RtValue* rhs,
@@ -581,7 +584,7 @@ Result<RtValue> Interpreter::EvalCall(const BoundExpr& call, Frame* frame) {
                                             std::move(params)))
               .TakeResultSet());
       auto obj = std::make_shared<ResultSetObject>();
-      obj->schema = std::make_shared<catalog::Schema>(std::move(rs.schema));
+      obj->schema = std::move(rs.schema);
       obj->rows = std::move(rs.rows);
       return RtValue(std::shared_ptr<const ResultSetObject>(std::move(obj)));
     }
@@ -846,13 +849,13 @@ bool Interpreter::TryBatchForEach(const Stmt& loop, const Cursor& elements) {
     Result<exec::ResultSet> rs =
         client_->Perform(net::Request::Query(site.batched_sql))
             .TakeResultSet();
-    if (!rs.ok() || rs->schema.size() == 0) {
+    if (!rs.ok() || rs->schema->size() == 0) {
       client_->DropTempTable(table);
       return false;
     }
     auto group_schema = std::make_shared<catalog::Schema>([&] {
-      std::vector<catalog::Column> cols(rs->schema.columns().begin() + 1,
-                                        rs->schema.columns().end());
+      std::vector<catalog::Column> cols(rs->schema->columns().begin() + 1,
+                                        rs->schema->columns().end());
       return catalog::Schema(std::move(cols));
     }());
     std::vector<std::shared_ptr<ResultSetObject>> groups(elements.size());

@@ -11,7 +11,6 @@
 #include "obs/explain.h"
 #include "obs/trace.h"
 #include "sql/dml.h"
-#include "sql/parser.h"
 #include "storage/shard_guard.h"
 
 namespace eqsql::net {
@@ -126,19 +125,17 @@ Outcome Connection::Perform(Request req) {
   return Outcome::FromError(Status::Internal("unhandled request kind"));
 }
 
-Outcome Connection::PerformPlanned(const ra::RaNodePtr& plan,
-                                   const std::vector<catalog::Value>& params,
-                                   TxnContext* txn_ctx) {
-  TxnContext* ctx = txn_ctx != nullptr ? txn_ctx : own_txn_.get();
-  std::lock_guard<std::mutex> session(ctx->mu);
-  Result<exec::ResultSet> rs = QueryPlannedImpl(plan, params, ctx);
-  if (!rs.ok()) return Outcome::FromError(rs.status());
-  return Outcome::FromResultSet(std::move(*rs));
+core::PlanCache* Connection::plan_cache() {
+  if (plan_cache_ == nullptr) {
+    own_plan_cache_ = std::make_unique<core::PlanCache>();
+    plan_cache_ = own_plan_cache_.get();
+  }
+  return plan_cache_;
 }
 
-Result<exec::ResultSet> Connection::QueryPlannedImpl(
-    const ra::RaNodePtr& plan, const std::vector<catalog::Value>& params,
-    TxnContext* txn_ctx) {
+Result<exec::ResultSet> Connection::QueryPreparedImpl(
+    const exec::PreparedQuery& query,
+    const std::vector<catalog::Value>& params, TxnContext* txn_ctx) {
   DebugCheckThreadOwner();
   obs::ScopedSpan span("execute");
   const auto wall0 = std::chrono::steady_clock::now();
@@ -146,13 +143,15 @@ Result<exec::ResultSet> Connection::QueryPlannedImpl(
       (txn_ctx->txn != nullptr && txn_ctx->txn->active())
           ? txn_ctx->txn.get()
           : nullptr;
+  size_t request_bytes = 0;
   Result<exec::ResultSet> executed = [&] {
-    // Readers scale: pin exactly the tables this plan scans plus an
-    // MVCC snapshot — no shard lock is taken, so writers anywhere
-    // proceed. Inside an open transaction, read at the transaction's
-    // snapshot (its own pending writes are visible to it) and record
-    // the scanned tables for commit-time serialization validation.
-    std::vector<std::string> tables = ra::CollectScannedTables(plan);
+    // Readers scale: pin exactly the tables this plan scans, one guard
+    // slot per distinct table name, plus an MVCC snapshot — no shard
+    // lock is taken, so writers anywhere proceed. Inside an open
+    // transaction, read at the transaction's snapshot (its own pending
+    // writes are visible to it) and record the scanned tables for
+    // commit-time serialization validation.
+    const std::vector<std::string>& tables = query.tables();
     storage::ReadGuard guard =
         txn != nullptr
             ? storage::ReadGuard::AcquireAt(*db_, tables, txn->snapshot())
@@ -162,16 +161,19 @@ Result<exec::ResultSet> Connection::QueryPlannedImpl(
         txn->RecordAccess(db_->SnapshotTable(t));
       }
     }
+    // The line's bound plan, bound now if this is its first execution
+    // or a pinned table's shape changed since it was bound.
+    std::shared_ptr<const exec::BoundPlan> bound = query.BoundFor(guard);
+    request_bytes = bound->request_bytes();
     executor_.set_read_guard(&guard);
-    Result<exec::ResultSet> rs = executor_.Execute(plan, params);
+    Result<exec::ResultSet> rs = executor_.Execute(*bound, params);
     executor_.set_read_guard(nullptr);
     return rs;
   }();
   EQSQL_ASSIGN_OR_RETURN(exec::ResultSet rs, std::move(executed));
 
-  // Request bytes: plan text stands in for the SQL string, plus bound
-  // parameter payload.
-  size_t request_bytes = plan->ToString().size();
+  // Request bytes: plan text stands in for the SQL string (its length
+  // is fixed at bind time), plus bound parameter payload.
   for (const catalog::Value& p : params) request_bytes += p.WireSize();
   size_t result_bytes = rs.WireSize();
 
@@ -182,7 +184,7 @@ Result<exec::ResultSet> Connection::QueryPlannedImpl(
 
   if (trace_enabled_) {
     QueryTrace t;
-    t.sql = pending_sql_.empty() ? plan->ToString() : pending_sql_;
+    t.sql = pending_sql_.empty() ? query.plan()->ToString() : pending_sql_;
     t.rows = static_cast<int64_t>(rs.rows.size());
     t.bytes = static_cast<int64_t>(request_bytes + result_bytes);
     trace_.push_back(std::move(t));
@@ -223,32 +225,33 @@ Result<exec::ResultSet> Connection::QueryPlannedImpl(
 Result<exec::ResultSet> Connection::QuerySqlImpl(
     std::string_view sql, const std::vector<catalog::Value>& params,
     TxnContext* txn_ctx) {
-  ra::RaNodePtr plan;
+  std::shared_ptr<const exec::PreparedQuery> query;
   {
     obs::ScopedSpan span("parse");
-    EQSQL_ASSIGN_OR_RETURN(plan, sql::ParseSql(sql));
+    EQSQL_ASSIGN_OR_RETURN(query, plan_cache()->GetOrPrepareSql(sql));
   }
   if (trace_enabled_) pending_sql_ = std::string(sql);
-  return QueryPlannedImpl(plan, params, txn_ctx);
+  return QueryPreparedImpl(*query, params, txn_ctx);
 }
 
 Outcome Connection::ExplainAnalyzeImpl(
     std::string_view sql, const std::vector<catalog::Value>& params,
     TxnContext* txn_ctx) {
   const std::string_view inner = ExplainAnalyzeTarget(sql);
-  ra::RaNodePtr plan;
+  std::shared_ptr<const exec::PreparedQuery> query;
   {
     obs::ScopedSpan span("parse");
-    Result<ra::RaNodePtr> parsed = sql::ParseSql(inner);
-    if (!parsed.ok()) return Outcome::FromError(parsed.status());
-    plan = std::move(*parsed);
+    Result<std::shared_ptr<const exec::PreparedQuery>> prepared =
+        plan_cache()->GetOrPrepareSql(inner);
+    if (!prepared.ok()) return Outcome::FromError(prepared.status());
+    query = std::move(*prepared);
   }
   // Swap in a fresh profile for this statement; the sampler's (if any)
   // comes back afterwards so its request-level record stays intact.
   obs::Profile profile;
   obs::Profile* sampler = executor_.profile();
   executor_.set_profile(&profile);
-  Result<exec::ResultSet> rs = QueryPlannedImpl(plan, params, txn_ctx);
+  Result<exec::ResultSet> rs = QueryPreparedImpl(*query, params, txn_ctx);
   executor_.set_profile(sampler);
   if (!rs.ok()) return Outcome::FromError(rs.status());
 
@@ -327,8 +330,12 @@ Result<int64_t> Connection::DmlImpl(
   exec::EvalContext ctx(&params);
   Status status = Status::OK();
 
+  // Expressions bind once per statement: INSERT values over no row,
+  // UPDATE/DELETE predicates and assignments over the target row.
+  const catalog::Schema& schema = table->schema();
+  const exec::BindScope row_scope{&schema};
   if (stmt.kind == sql::DmlStatement::Kind::kInsert) {
-    if (stmt.insert_values.size() != table->schema().size()) {
+    if (stmt.insert_values.size() != schema.size()) {
       // Arity is schema-only: deterministic, observes no table state.
       status = Status::InvalidArgument(
           "INSERT arity does not match schema of table " + stmt.table);
@@ -336,7 +343,8 @@ Result<int64_t> Connection::DmlImpl(
       catalog::Row row;
       row.reserve(stmt.insert_values.size());
       for (const ra::ScalarExprPtr& e : stmt.insert_values) {
-        Result<catalog::Value> v = executor_.Eval(e, &ctx);
+        Result<catalog::Value> v =
+            executor_.Eval(exec::BindScalar(e, /*scope=*/{}), &ctx);
         if (!v.ok()) {
           status = v.status();
           break;
@@ -385,12 +393,20 @@ Result<int64_t> Connection::DmlImpl(
       }
     }
     if (status.ok()) {
-      const catalog::Schema& schema = table->schema();
+      std::optional<exec::BoundExpr> predicate;
+      if (stmt.predicate != nullptr) {
+        predicate = exec::BindScalar(stmt.predicate, row_scope);
+      }
+      std::vector<exec::BoundExpr> assignments;
+      assignments.reserve(stmt.assignments.size());
+      for (const auto& [col, expr] : stmt.assignments) {
+        assignments.push_back(exec::BindScalar(expr, row_scope));
+      }
       auto pred = [&](const catalog::Row& row) -> Result<bool> {
         ++examined;
-        if (stmt.predicate == nullptr) return true;
-        ctx.PushFrame(&schema, &row);
-        Result<catalog::Value> v = executor_.Eval(stmt.predicate, &ctx);
+        if (!predicate.has_value()) return true;
+        ctx.PushFrame(&row);
+        Result<catalog::Value> v = executor_.Eval(*predicate, &ctx);
         ctx.PopFrame();
         if (!v.ok()) return v.status();
         return exec::IsTruthy(*v);
@@ -402,11 +418,11 @@ Result<int64_t> Connection::DmlImpl(
         auto mutate =
             [&](const catalog::Row& row) -> Result<catalog::Row> {
           // All assignments see the OLD row: `SET a = b, b = a` swaps.
-          ctx.PushFrame(&schema, &row);
+          ctx.PushFrame(&row);
           std::vector<catalog::Value> fresh;
           fresh.reserve(targets.size());
           Status eval = Status::OK();
-          for (const auto& [col, expr] : stmt.assignments) {
+          for (const exec::BoundExpr& expr : assignments) {
             Result<catalog::Value> v = executor_.Eval(expr, &ctx);
             if (!v.ok()) {
               eval = v.status();

@@ -2,6 +2,7 @@
 #define EQSQL_NET_CONNECTION_H_
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -9,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/result.h"
+#include "core/plan_cache.h"
 #include "exec/executor.h"
 #include "net/api.h"
 #include "net/cost_model.h"
@@ -70,7 +72,10 @@ class Connection : public Client {
   const std::shared_ptr<TxnContext>& txn_context() const { return own_txn_; }
 
   /// The canonical entry point (net::Client): executes one Request on
-  /// the calling thread and returns its Outcome. kQuery reads at a
+  /// the calling thread and returns its Outcome. kQuery and EXPLAIN
+  /// ANALYZE resolve their SQL through the plan cache (set_plan_cache),
+  /// so a repeated statement is neither parsed nor bound again. kQuery
+  /// reads at a
   /// pinned MVCC snapshot (the open transaction's snapshot inside
   /// BEGIN...COMMIT, a fresh one otherwise); kDml writes through the
   /// transaction machinery, autocommitting when no transaction is open;
@@ -84,12 +89,11 @@ class Connection : public Client {
   /// are ignored on this path.
   Outcome Perform(Request req) override;
 
-  /// Perform() for an already-parsed (typically plan-cache-shared)
-  /// relational-algebra plan: the scheduler's query hot path. `txn_ctx`
-  /// null uses the connection's built-in context.
-  Outcome PerformPlanned(const ra::RaNodePtr& plan,
-                         const std::vector<catalog::Value>& params = {},
-                         TxnContext* txn_ctx = nullptr);
+  /// Resolves queries through `cache` (the server's, shared by every
+  /// connection it builds) instead of this connection's private one,
+  /// which a bare Connection creates on its first query. Set before
+  /// first use; the cache must outlive the connection.
+  void set_plan_cache(core::PlanCache* cache) { plan_cache_ = cache; }
 
   /// When true, models asynchronous prefetching [19]: round-trip latency
   /// is overlapped with client computation, so only the first query
@@ -201,16 +205,19 @@ class Connection : public Client {
   const CostModel& cost_model() const { return model_; }
 
  private:
-  /// The execution bodies behind Perform/PerformPlanned. Callers hold
-  /// the statement lock of the TxnContext they pass. Cost accounting in here is deterministic and
-  /// shard-count-invariant (the shard-invariance suite compares the
-  /// simulated clock bit for bit across layouts).
-  Result<exec::ResultSet> QueryPlannedImpl(
-      const ra::RaNodePtr& plan, const std::vector<catalog::Value>& params,
-      TxnContext* txn_ctx);
+  /// The execution bodies behind Perform. Callers hold the statement
+  /// lock of the TxnContext they pass. Cost accounting in here is
+  /// deterministic and shard-count-invariant (the shard-invariance suite
+  /// compares the simulated clock bit for bit across layouts).
+  Result<exec::ResultSet> QueryPreparedImpl(
+      const exec::PreparedQuery& query,
+      const std::vector<catalog::Value>& params, TxnContext* txn_ctx);
   Result<exec::ResultSet> QuerySqlImpl(std::string_view sql,
                                        const std::vector<catalog::Value>& params,
                                        TxnContext* txn_ctx);
+  /// The plan cache queries resolve through: the one set_plan_cache
+  /// attached, else this connection's private one.
+  core::PlanCache* plan_cache();
   /// Transactional DML. INSERT installs a pending version in the one
   /// shard the new row lands in; UPDATE/DELETE walk the snapshot-visible
   /// rows shard by shard (storage::Table::MutateRows), installing
@@ -300,6 +307,9 @@ class Connection : public Client {
   storage::Database* db_;
   CostModel model_;
   exec::Executor executor_;
+  /// The attached plan cache, or the private one once created.
+  core::PlanCache* plan_cache_ = nullptr;
+  std::unique_ptr<core::PlanCache> own_plan_cache_;
   /// The server's shard worker pool (null on bare connections):
   /// CreateIndexImpl fans the per-shard index backfill across it.
   exec::WorkerPool* pool_ = nullptr;

@@ -60,6 +60,7 @@ Scheduler::Scheduler(Server* server, SchedulerOptions options)
     conn->set_parallel_threshold(server_->options().parallel_threshold);
     conn->set_exec_mode(server_->options().exec_mode);
     conn->set_metrics(metrics);
+    conn->set_plan_cache(server_->plan_cache());
     conns_.push_back(std::move(conn));
   }
   workers_.reserve(options_.workers);
@@ -215,16 +216,12 @@ Outcome Scheduler::ExecuteRequest(Connection* conn, const Request& req) {
   }
   kind = ClassifyStatement(kind, req.sql);
   switch (kind) {
-    case Kind::kQuery: {
-      // Resolve the plan through the shared cache: repeated statement
-      // texts skip the SQL parser entirely, across all sessions.
-      Result<ra::RaNodePtr> plan =
-          server_->plan_cache()->GetOrParseSql(req.sql);
-      if (!plan.ok()) return Outcome::FromError(plan.status());
-      // Thread the session's transaction context through so a SELECT
-      // inside an open transaction reads at the transaction snapshot.
-      return conn->PerformPlanned(*plan, req.params, req.txn.get());
-    }
+    // The worker's connection resolves queries through the server's
+    // plan cache, so repeated statement texts are neither parsed nor
+    // bound again, across all sessions. The request carries the
+    // session's transaction context, so a SELECT inside an open
+    // transaction reads at the transaction snapshot.
+    case Kind::kQuery:
     case Kind::kDml:
     case Kind::kSimulateDml:
     case Kind::kBegin:
@@ -280,8 +277,9 @@ Outcome Scheduler::ShowMetricsOutcome() const {
   }
   std::sort(merged.begin(), merged.end());
   exec::ResultSet rs;
-  rs.schema = catalog::Schema({{"metric", catalog::DataType::kString},
-                               {"value", catalog::DataType::kInt64}});
+  rs.schema = std::make_shared<const catalog::Schema>(
+      std::vector<catalog::Column>{{"metric", catalog::DataType::kString},
+                                   {"value", catalog::DataType::kInt64}});
   rs.rows.reserve(merged.size());
   for (auto& [name, value] : merged) {
     rs.rows.push_back({catalog::Value::String(std::move(name)),

@@ -276,6 +276,7 @@ class Session : public Client {
     conn_.set_parallel_threshold(server->options_.parallel_threshold);
     conn_.set_exec_mode(server->options_.exec_mode);
     conn_.set_metrics(&server->metrics_);
+    conn_.set_plan_cache(&server->plan_cache_);
     // Direct connection() calls and scheduler-executed requests share
     // one transaction context (~Connection rolls back anything left
     // open, so a dropped session never stalls the GC watermark).

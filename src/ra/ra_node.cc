@@ -258,6 +258,9 @@ void CollectTablesImpl(const RaNodePtr& node, std::vector<std::string>* out) {
   for (const auto& p : node->project_items()) {
     CollectTablesFromExpr(p.expr, out);
   }
+  for (const auto& k : node->group_keys()) CollectTablesFromExpr(k, out);
+  for (const auto& a : node->aggregates()) CollectTablesFromExpr(a.arg, out);
+  for (const auto& k : node->sort_keys()) CollectTablesFromExpr(k.expr, out);
   for (const auto& c : node->children()) CollectTablesImpl(c, out);
 }
 

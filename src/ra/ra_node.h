@@ -117,8 +117,9 @@ class RaNode {
   int64_t limit_ = -1;
 };
 
-/// Names of base tables scanned anywhere in `node` (including inside
-/// EXISTS subqueries referenced from predicates).
+/// Names of base tables scanned anywhere in `node`, including inside
+/// EXISTS subqueries in any of its expressions (predicates, project
+/// items, group keys, aggregate arguments, sort keys). Sorted, distinct.
 std::vector<std::string> CollectScannedTables(const RaNodePtr& node);
 
 }  // namespace eqsql::ra

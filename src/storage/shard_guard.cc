@@ -11,13 +11,17 @@ namespace eqsql::storage {
 
 namespace {
 
-/// Deduplicated lowercase names, sorted for deterministic guard layout.
-std::vector<std::string> CanonicalKeys(const std::vector<std::string>& tables) {
+/// Lowercase names, one per distinct name, in first-mention order: the
+/// guard's slots.
+std::vector<std::string> SlotKeys(const std::vector<std::string>& tables) {
   std::vector<std::string> keys;
   keys.reserve(tables.size());
-  for (const std::string& t : tables) keys.push_back(AsciiToLower(t));
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (const std::string& t : tables) {
+    std::string key = AsciiToLower(t);
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      keys.push_back(std::move(key));
+    }
+  }
   return keys;
 }
 
@@ -34,12 +38,7 @@ ReadGuard ReadGuard::Acquire(const Database& db,
   const auto t0 = std::chrono::steady_clock::now();
 
   ReadGuard guard;
-  for (std::string& key : CanonicalKeys(tables)) {
-    std::shared_ptr<const Table> table = db.SnapshotTable(key);
-    if (table == nullptr) continue;  // execution reports kNotFound later
-    guard.keys_.push_back(std::move(key));
-    guard.tables_.push_back(std::move(table));
-  }
+  guard.PinTables(db, tables);
   // Pin after the registry snapshot: the pin reads the commit clock
   // under the manager's mutex, so every version committed at or before
   // snapshot().ts is fully stamped by the time we read it.
@@ -60,14 +59,24 @@ ReadGuard ReadGuard::AcquireAt(const Database& db,
                                Snapshot snap) {
   obs::ScopedSpan span("snapshot-pin");
   ReadGuard guard;
-  for (std::string& key : CanonicalKeys(tables)) {
-    std::shared_ptr<const Table> table = db.SnapshotTable(key);
-    if (table == nullptr) continue;
-    guard.keys_.push_back(std::move(key));
-    guard.tables_.push_back(std::move(table));
-  }
+  guard.PinTables(db, tables);
   guard.snap_ = snap;  // the owning transaction holds the lifetime pin
   return guard;
+}
+
+void ReadGuard::PinTables(const Database& db,
+                          const std::vector<std::string>& tables) {
+  keys_ = SlotKeys(tables);
+  tables_.reserve(keys_.size());
+  // An absent table keeps its (empty) slot; execution reports kNotFound.
+  for (const std::string& key : keys_) tables_.push_back(db.SnapshotTable(key));
+}
+
+bool ReadGuard::empty() const {
+  for (const auto& t : tables_) {
+    if (t != nullptr) return false;
+  }
+  return true;
 }
 
 void ReadGuard::Release() {
@@ -77,12 +86,12 @@ void ReadGuard::Release() {
   }
 }
 
-const Table* ReadGuard::Find(const std::string& name) const {
-  std::string key = AsciiToLower(name);
+std::optional<size_t> ReadGuard::SlotOf(const std::string& name) const {
+  const std::string key = AsciiToLower(name);
   for (size_t i = 0; i < keys_.size(); ++i) {
-    if (keys_[i] == key) return tables_[i].get();
+    if (keys_[i] == key) return i;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 }  // namespace eqsql::storage

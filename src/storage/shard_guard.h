@@ -2,6 +2,7 @@
 #define EQSQL_STORAGE_SHARD_GUARD_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,10 +22,11 @@ namespace eqsql::storage {
 /// TxnManager so version GC cannot reclaim anything this reader can
 /// still see.
 ///
-/// Tables named but absent from the database are silently skipped:
-/// execution will then report its usual kNotFound error when it
-/// resolves the table, which keeps error messages identical to the
-/// unsharded engine.
+/// The guard keeps one slot per distinct (case-insensitive) name, in
+/// the order the names are given, so a bound plan addresses its tables
+/// by slot. A table named but absent from the database leaves its slot
+/// empty: execution then reports its usual kNotFound error at the scan
+/// that reads it.
 class ReadGuard {
  public:
   /// Snapshots `tables` (any case, duplicates fine) from `db` and pins
@@ -59,19 +61,27 @@ class ReadGuard {
   ReadGuard& operator=(const ReadGuard&) = delete;
   ~ReadGuard() { Release(); }
 
-  /// The pinned table with this (case-insensitive) name, or nullptr if
-  /// it was not covered by this guard.
-  const Table* Find(const std::string& name) const;
+  /// The slot of this (case-insensitive) name, or nullopt if it was
+  /// not among the names given at acquisition.
+  std::optional<size_t> SlotOf(const std::string& name) const;
+
+  /// The table pinned in slot `slot` (the slot-th distinct name given
+  /// at acquisition), or nullptr when it was absent.
+  const Table* table(size_t slot) const { return tables_[slot].get(); }
+  size_t slot_count() const { return tables_.size(); }
 
   /// The snapshot every read through this guard resolves against.
   const Snapshot& snapshot() const { return snap_; }
 
-  bool empty() const { return tables_.empty(); }
+  /// True when no named table was present.
+  bool empty() const;
 
  private:
   void Release();
+  /// Fills the slots: one per distinct name, null when absent.
+  void PinTables(const Database& db, const std::vector<std::string>& tables);
 
-  /// Lowercase names, parallel to tables_.
+  /// Lowercase names, parallel to tables_ (null = absent).
   std::vector<std::string> keys_;
   std::vector<std::shared_ptr<const Table>> tables_;
   Snapshot snap_ = Snapshot::Latest();

@@ -74,8 +74,8 @@ TEST_F(ExecutorTest, ScanProducesQualifiedColumns) {
   auto rs = ex.Execute(RaNode::Scan("board", "b"));
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows.size(), 4u);
-  EXPECT_EQ(rs->schema.column(0).name, "b.id");
-  EXPECT_TRUE(rs->schema.IndexOf("rnd_id").has_value());
+  EXPECT_EQ(rs->schema->column(0).name, "b.id");
+  EXPECT_TRUE(rs->schema->IndexOf("rnd_id").has_value());
 }
 
 TEST_F(ExecutorTest, SelectFilters) {
@@ -131,7 +131,7 @@ TEST_F(ExecutorTest, HashJoinEqui) {
   auto rs = ex.Execute(q);
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows.size(), 2u);  // eve has no matching role
-  EXPECT_EQ(rs->schema.size(), 5u);
+  EXPECT_EQ(rs->schema->size(), 5u);
 }
 
 TEST_F(ExecutorTest, LeftOuterJoinPadsNulls) {
@@ -367,13 +367,60 @@ TEST(ScalarOpsTest, ComparisonTypeErrors) {
       EvalComparison(ScalarOp::kLt, Value::Int(1), Value::String("a")).ok());
 }
 
+TEST(ScalarOpsTest, NonBooleanLogicOperandIsRuntimeError) {
+  const Value one = Value::Int(1), t = Value::Bool(true),
+              f = Value::Bool(false), n = Value::Null();
+  // A deciding operand still wins, then NULL: these answer as before.
+  EXPECT_FALSE(EvalAnd(one, f)->AsBool());  // 1 AND FALSE = FALSE
+  EXPECT_TRUE(EvalAnd(n, one)->is_null());  // NULL AND 1 = NULL
+  EXPECT_TRUE(EvalOr(t, one)->AsBool());    // TRUE OR 1 = TRUE
+  EXPECT_TRUE(EvalOr(one, n)->is_null());   // 1 OR NULL = NULL
+  // Anything else non-boolean is a runtime error, not a crash.
+  for (const Result<Value>& r :
+       {EvalNot(one), EvalAnd(one, t), EvalAnd(t, Value::String("x")),
+        EvalOr(one, f), EvalOr(f, one)}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kRuntimeError);
+  }
+  EXPECT_EQ(EvalNot(one).status().message(), "NOT of non-boolean value 1");
+}
+
+TEST_F(ExecutorTest, NonBooleanLogicOperandsFailAlikeInBothEngines) {
+  // In the vector engine these predicates and items compile, so the
+  // batch lanes raise the error; the row engine raises it per row.
+  const std::vector<ra::ScalarExprPtr> exprs = {
+      ScalarExpr::Unary(ScalarOp::kNot, Col("b.id")),
+      ScalarExpr::Binary(ScalarOp::kAnd, Col("b.id"),
+                         ScalarExpr::Literal(Value::Bool(true))),
+      ScalarExpr::Binary(ScalarOp::kOr, Col("b.p1"),
+                         ScalarExpr::Literal(Value::Bool(false)))};
+  for (const ra::ScalarExprPtr& e : exprs) {
+    const ra::RaNodePtr filter =
+        RaNode::Select(RaNode::Scan("board", "b"), e);
+    const ra::RaNodePtr project =
+        RaNode::Project(RaNode::Scan("board", "b"), {{e, "x"}});
+    for (const ra::RaNodePtr& plan : {filter, project}) {
+      std::vector<Status> seen;
+      for (ExecMode mode : {ExecMode::kRow, ExecMode::kVector}) {
+        Executor ex(&db_);
+        ex.set_exec_mode(mode);
+        Result<ResultSet> rs = ex.Execute(plan);
+        ASSERT_FALSE(rs.ok()) << plan->ToString();
+        EXPECT_EQ(rs.status().code(), StatusCode::kRuntimeError);
+        seen.push_back(rs.status());
+      }
+      EXPECT_EQ(seen[0].message(), seen[1].message()) << plan->ToString();
+    }
+  }
+}
+
 TEST(ScalarOpsTest, ThreeValuedLogic) {
   Value t = Value::Bool(true), f = Value::Bool(false), n = Value::Null();
-  EXPECT_FALSE(EvalAnd(f, n).AsBool());      // FALSE AND NULL = FALSE
-  EXPECT_TRUE(EvalAnd(t, n).is_null());      // TRUE AND NULL = NULL
-  EXPECT_TRUE(EvalOr(t, n).AsBool());        // TRUE OR NULL = TRUE
-  EXPECT_TRUE(EvalOr(f, n).is_null());       // FALSE OR NULL = NULL
-  EXPECT_TRUE(EvalNot(n).is_null());
+  EXPECT_FALSE(EvalAnd(f, n)->AsBool());      // FALSE AND NULL = FALSE
+  EXPECT_TRUE(EvalAnd(t, n)->is_null());      // TRUE AND NULL = NULL
+  EXPECT_TRUE(EvalOr(t, n)->AsBool());        // TRUE OR NULL = TRUE
+  EXPECT_TRUE(EvalOr(f, n)->is_null());       // FALSE OR NULL = NULL
+  EXPECT_TRUE(EvalNot(n)->is_null());
   EXPECT_FALSE(IsTruthy(n));
   EXPECT_FALSE(IsTruthy(f));
   EXPECT_TRUE(IsTruthy(t));

@@ -393,8 +393,8 @@ int64_t Metric(net::Session* session, const std::string& metric) {
   net::Outcome out =
       session->Execute(net::Request::Statement("SHOW METRICS"));
   EXPECT_TRUE(out.ok()) << out.status.ToString();
-  size_t mi = *out.rows.schema.IndexOf("metric");
-  size_t vi = *out.rows.schema.IndexOf("value");
+  size_t mi = *out.rows.schema->IndexOf("metric");
+  size_t vi = *out.rows.schema->IndexOf("value");
   for (const Row& row : out.rows.rows) {
     if (row[mi].AsString() == metric) return row[vi].AsInt();
   }

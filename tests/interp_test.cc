@@ -292,6 +292,20 @@ TEST_F(InterpTest, ShortCircuitBooleans) {
   EXPECT_EQ(r->DisplayString(), "(FALSE, TRUE)");
 }
 
+TEST_F(InterpTest, NonBooleanLogicOperandIsRuntimeError) {
+  for (const char* src : {"func f() { x = !1; return x; }",
+                          "func f() { x = 1 && true; return x; }",
+                          "func f() { x = 0 || false; return x; }"}) {
+    Result<RtValue> r = Run(src, "f");
+    ASSERT_FALSE(r.ok()) << src;
+    EXPECT_EQ(r.status().code(), StatusCode::kRuntimeError) << src;
+  }
+  // Deciding operands keep their answers.
+  auto r = Run("func f() { return pair(1 && false, 1 || true); }", "f");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->DisplayString(), "(FALSE, TRUE)");
+}
+
 TEST_F(InterpTest, FieldSiteServesRowsOfDifferentSchemas) {
   // One `r.x` site sees two result sets with x at different positions.
   // The first set is dropped before the second is fetched, so a cache

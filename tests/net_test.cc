@@ -271,7 +271,7 @@ TEST(ServerLiveStatsTest, ShowMetricsQuery) {
 
   auto rs = Query(*session, "  show metrics ; ");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  ASSERT_EQ(rs->schema.size(), 2u);
+  ASSERT_EQ(rs->schema->size(), 2u);
   int64_t net_queries = -1;
   bool saw_plan_cache = false;
   for (const auto& row : rs->rows) {

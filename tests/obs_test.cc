@@ -369,7 +369,7 @@ TEST(ShowMetricsTest, RowsAreOneSortedSequence) {
   net::Outcome out =
       session->Execute(net::Request::Statement("SHOW METRICS"));
   ASSERT_TRUE(out.ok()) << out.status.ToString();
-  size_t mi = *out.rows.schema.IndexOf("metric");
+  size_t mi = *out.rows.schema->IndexOf("metric");
   std::vector<std::string> names;
   for (const catalog::Row& row : out.rows.rows) {
     names.push_back(row[mi].AsString());

@@ -128,6 +128,19 @@ TEST(RaNodeTest, CollectScannedTables) {
   EXPECT_EQ(tables, (std::vector<std::string>{"inner_t", "outer_t"}));
 }
 
+TEST(RaNodeTest, CollectScannedTablesWalksEveryExpression) {
+  auto exists = [](const std::string& table) {
+    return ScalarExpr::Exists(RaNode::Scan(table), /*negated=*/false);
+  };
+  auto grouped = RaNode::GroupBy(
+      RaNode::Scan("base"), {exists("in_group_key")},
+      {AggregateSpec{AggFunc::kSum, exists("in_agg_arg"), "s"}});
+  auto q = RaNode::Sort(grouped, {SortKey{exists("in_sort_key"), true}});
+  EXPECT_EQ(CollectScannedTables(q),
+            (std::vector<std::string>{"base", "in_agg_arg", "in_group_key",
+                                      "in_sort_key"}));
+}
+
 TEST(RaNodeTest, ExistsEquality) {
   auto sub = RaNode::Scan("t");
   auto e1 = ScalarExpr::Exists(sub, false);

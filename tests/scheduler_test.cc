@@ -365,8 +365,8 @@ TEST(SchedulerTest, ShowMetricsExposesQueueCountersAndWaitHistogram) {
   Outcome out = session->Execute(Request::Statement("SHOW METRICS"));
   ASSERT_TRUE(out.ok()) << out.status.ToString();
   ASSERT_EQ(out.kind, Outcome::Kind::kResultSet);
-  size_t metric_idx = *out.rows.schema.IndexOf("metric");
-  size_t value_idx = *out.rows.schema.IndexOf("value");
+  size_t metric_idx = *out.rows.schema->IndexOf("metric");
+  size_t value_idx = *out.rows.schema->IndexOf("value");
   std::map<std::string, int64_t> rows;
   for (const catalog::Row& row : out.rows.rows) {
     rows[row[metric_idx].AsString()] = row[value_idx].AsInt();

@@ -39,6 +39,7 @@
 #include "exec/exec_mode.h"
 #include "exec/worker_pool.h"
 #include "frontend/parser.h"
+#include "fuzz/corpus.h"
 #include "fuzz/oracle.h"
 #include "fuzz/program_gen.h"
 #include "fuzz/scenario.h"
@@ -183,6 +184,17 @@ TEST(ShardInvarianceTest, FuzzerProgramsAcrossAllFamilies) {
   // The sweep must include real-DML programs, or the per-shard write
   // path went untested; widen kCases if this ever fires.
   EXPECT_GE(dml_cases, 2) << "fuzz sweep contained too few DML programs";
+}
+
+TEST(ShardInvarianceTest, ApplyCorpusSeedsAcrossShardCounts) {
+  // The OUTER APPLY reproducers: a NULL lookup key, and sibling applies
+  // whose inner scans share one alias (each binds in its own scope).
+  for (const char* name : {"apply_null_fk.eqf", "apply_shared_alias.eqf"}) {
+    auto c = fuzz::LoadCaseFile(std::string(EQSQL_FUZZ_CORPUS_DIR) + "/" +
+                                name);
+    ASSERT_TRUE(c.ok()) << name << ": " << c.status().ToString();
+    ExpectInvariant(*c, name);
+  }
 }
 
 TEST(ShardInvarianceTest, DmlFamilySpecifically) {

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,9 +231,12 @@ TEST(ReadGuardTest, PinsSnapshotAcrossConcurrentDrop) {
   ASSERT_TRUE((*created)->Insert({Value::Int(1), Value::Int(5)}).ok());
 
   ReadGuard guard = ReadGuard::Acquire(db, {"Pinned", "missing_tbl"});
-  const Table* pinned = guard.Find("pinned");
+  ASSERT_EQ(guard.SlotOf("pinned"), std::optional<size_t>(0));
+  const Table* pinned = guard.table(0);
   ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(guard.Find("missing_tbl"), nullptr);  // silently skipped
+  // An absent table keeps an empty slot.
+  ASSERT_EQ(guard.SlotOf("missing_tbl"), std::optional<size_t>(1));
+  EXPECT_EQ(guard.table(1), nullptr);
 
   db.DropTable("pinned");
   EXPECT_FALSE(db.HasTable("pinned"));
@@ -250,7 +254,8 @@ TEST(ReadGuardTest, ConcurrentGuardsShareTheLocks) {
   // future, not the test binary.
   auto second = std::async(std::launch::async, [&] {
     ReadGuard g2 = ReadGuard::Acquire(db, {"shared"});
-    return g2.Find("shared") != nullptr;
+    const std::optional<size_t> slot = g2.SlotOf("shared");
+    return slot.has_value() && g2.table(*slot) != nullptr;
   });
   ASSERT_EQ(second.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);

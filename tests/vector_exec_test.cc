@@ -78,7 +78,7 @@ std::string RenderOutcome(const net::Outcome& out,
     s << "error: " << out.status.ToString() << "\n";
   } else if (out.kind == net::Outcome::Kind::kResultSet) {
     s << "schema:";
-    for (const Column& c : out.rows.schema.columns()) {
+    for (const Column& c : out.rows.schema->columns()) {
       s << " " << c.name << ":" << catalog::DataTypeToString(c.type);
     }
     s << "\n";
