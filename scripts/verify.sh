@@ -41,16 +41,18 @@ cmake --preset tsan >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target concurrency_test fuzz_eqsql \
   shard_test mvcc_test shard_invariance_test scheduler_test net_test \
   vector_exec_test index_test explain_analyze_test obs_test selection_test \
-  binder_test
+  binder_test keyed_dml_test
 # Scheduler here covers the 8-producer bounded-queue storm
 # (SchedulerTest.QueueFullRejectsOverloadedWithoutBlocking) under the
 # race detector: producers race workers on the admission queue. Mvcc
 # covers the version-chain suite, including the concurrent
-# readers-vs-committing-writer scan test. Binder covers sessions sharing
-# one cached bound plan while its first execution publishes it.
+# readers-vs-committing-writer scan test and the key-grain validation
+# cases. Binder covers sessions sharing one cached bound plan while its
+# first execution publishes it. KeyedDml covers keyed UPDATE/DELETE
+# against the scan at 1, 2 and 8 shards.
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   --timeout "$CTEST_TIMEOUT" \
-  -R 'PlanCache|ConnectionOwnership|ServerStress|Shard|Mvcc|ReadGuard|Database|Scheduler|ServerLiveStats|VectorExec|Index|ExplainAnalyze|TraceRing|SlowQueryLog|Selection|Binder'
+  -R 'PlanCache|ConnectionOwnership|ServerStress|Shard|Mvcc|ReadGuard|Database|Scheduler|ServerLiveStats|VectorExec|Index|ExplainAnalyze|TraceRing|SlowQueryLog|Selection|Binder|KeyedDml'
 ./build-tsan/src/fuzz/fuzz_eqsql --seed 7 --iters 50 \
   --corpus tests/fuzz_corpus
 # The same sweep on 8-way partitioned tables with the parallel
@@ -66,16 +68,20 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
 # Every case through the scheduler-backed execution path (Session ->
 # admission queue -> worker) instead of direct connections.
 ./build-tsan/src/fuzz/fuzz_eqsql --seed 7 --iters 50 --async-every 1
-# Transaction schedules only, 8-way sharded, every statement routed
-# through a scheduler worker: BEGIN/COMMIT/ROLLBACK hand a live MVCC
-# transaction context between threads under the race detector.
-./build-tsan/src/fuzz/fuzz_eqsql --seed 11 --iters 50 --family txn \
-  --shards 8 --async-every 1
-# Index schedules: CREATE INDEX backfills race DML on scheduler
-# workers across 8 shards, with the indexed-vs-unindexed oracle
-# checking every answer under the race detector.
-./build-tsan/src/fuzz/fuzz_eqsql --seed 17 --iters 50 --family index \
-  --shards 8 --async-every 1
+# Transaction and index schedules at 1, 2 and 8 shards, every statement
+# routed through a scheduler worker. Txn: BEGIN/COMMIT/ROLLBACK hand a
+# live MVCC transaction context between threads, and keyed writes
+# validate single keys, under the race detector; the key-grain corpus
+# seed pins the key check's verdicts. Index: CREATE INDEX backfills race
+# DML, with the indexed-vs-unindexed oracle checking every answer.
+for shards in 1 2 8; do
+  ./build-tsan/src/fuzz/fuzz_eqsql --seed 11 --iters 50 --family txn \
+    --shards "$shards" --async-every 1
+  ./build-tsan/src/fuzz/fuzz_eqsql --replay tests/fuzz_corpus/txn_key_grain.eqf \
+    --shards "$shards" --async-every 1 >/dev/null
+  ./build-tsan/src/fuzz/fuzz_eqsql --seed 17 --iters 50 --family index \
+    --shards "$shards" --async-every 1
+done
 # Every scheduled request traced (--trace-sample 1): the span/profile
 # capture path races scheduler workers, shard fan-out tasks, and the
 # trace-ring stripes under the race detector. The corpus includes the

@@ -1,6 +1,7 @@
 #ifndef EQSQL_CORE_OPTIMIZER_H_
 #define EQSQL_CORE_OPTIMIZER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,11 @@ struct VarOutcome {
 /// Result of optimizing one function.
 struct OptimizeResult {
   frontend::Program program;  // rewritten program (all functions)
+  /// The program as parsed, before rewriting, when the producer kept
+  /// its parse (PlanCache::GetOrOptimize does): cost-based selection
+  /// probes the original loop shapes here instead of parsing again.
+  /// Shared, so copies of the result do not copy the program.
+  std::shared_ptr<const frontend::Program> original;
   bool changed = false;
   std::vector<VarOutcome> outcomes;
   /// Wall-clock time spent on analysis + transformation + rewriting.

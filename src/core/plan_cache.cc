@@ -160,6 +160,9 @@ Result<std::shared_ptr<const OptimizeResult>> PlanCache::GetOrOptimize(
   EqSqlOptimizer optimizer(options);
   EQSQL_ASSIGN_OR_RETURN(OptimizeResult result,
                          optimizer.Optimize(program, function));
+  // The line keeps the parse: re-pricing selects against it.
+  result.original =
+      std::make_shared<const frontend::Program>(std::move(program));
   auto shared = std::make_shared<const OptimizeResult>(std::move(result));
   entry.key = key;
   entry.query = nullptr;

@@ -100,6 +100,9 @@ class Binder {
 
   BoundNode BindNode(const RaNode& node, BindScope* scope);
   BoundExpr BindExpr(const ScalarExprPtr& expr, BindScope* scope);
+  /// Splits `pred` over rows of `scan`, a scan of `table`.
+  BoundScanSplit BindSplit(const ScalarExprPtr& pred, const Schema& scan,
+                           const storage::Table& table, BindScope* scope);
 
  private:
   /// Binds `expr` with `frame` pushed as the innermost frame.
@@ -111,8 +114,6 @@ class Binder {
     return out;
   }
 
-  BoundScanSplit BindSplit(const ScalarExprPtr& pred, const Schema& scan,
-                           const storage::Table& table, BindScope* scope);
   BoundJoin BindJoin(const RaNode& node, const BoundNode& left,
                      const BoundNode& right, const Schema& combined,
                      BindScope* scope);
@@ -193,6 +194,7 @@ BoundScanSplit Binder::BindSplit(const ScalarExprPtr& pred, const Schema& scan,
       const std::string& name = table.schema().column(m.index).name;
       if (split.key_binding < 0 && key.has_value() && name == *key) {
         split.key_binding = static_cast<int>(i);
+        split.key_column = name;
       }
       std::vector<std::string>& bound = split.index_usable_columns;
       if (!HasColumnRef(val) &&
@@ -439,6 +441,13 @@ BoundExpr BindScalar(const ScalarExprPtr& expr, const BindScope& scope) {
   Binder binder(nullptr);
   BindScope frames = scope;
   return binder.BindExpr(expr, &frames);
+}
+
+BoundScanSplit BindScanSplit(const ScalarExprPtr& pred,
+                             const storage::Table& table) {
+  Binder binder(nullptr);
+  BindScope scope;
+  return binder.BindSplit(pred, table.schema(), table, &scope);
 }
 
 bool BoundPlan::Matches(const storage::ReadGuard& guard) const {

@@ -68,8 +68,10 @@ struct BoundScanSplit {
     std::optional<BoundExpr> value;
   };
   std::vector<Conjunct> conjuncts;
-  /// The first binding on the table's unique key, or -1.
+  /// The first binding on the table's unique key, or -1, and that key
+  /// column (the table's spelling).
   int key_binding = -1;
+  std::string key_column;
   /// The bindings a secondary index can serve -- column-free values,
   /// the first per column -- in predicate order, with the table column
   /// each binds.
@@ -136,6 +138,12 @@ using BindScope = std::vector<const catalog::Schema*>;
 /// Binds a standalone scalar (DML expressions) over `scope`. Subqueries
 /// bind with no tables, so their scans defer kNotFound.
 BoundExpr BindScalar(const ra::ScalarExprPtr& expr, const BindScope& scope);
+
+/// Splits an UPDATE/DELETE predicate over `table`'s own rows exactly as
+/// a Select(Scan) of `table` splits, with an empty outer scope: the one
+/// classifier behind SELECT's and keyed DML's unique-key path.
+BoundScanSplit BindScanSplit(const ra::ScalarExprPtr& pred,
+                             const storage::Table& table);
 
 /// A plan bound against the table shapes one execution pinned.
 /// Immutable, so sessions share it.

@@ -621,9 +621,7 @@ Result<ResultSet> Executor::TryKeyLookup(const BoundNode& select,
                                          const storage::Table& table,
                                          EvalContext* ctx) {
   const BoundScanSplit& split = *select.split;
-  const size_t key = static_cast<size_t>(split.key_binding);
-  EQSQL_ASSIGN_OR_RETURN(Value probe,
-                         EvalScalar(*split.conjuncts[key].value, ctx));
+  EQSQL_ASSIGN_OR_RETURN(Value probe, KeyProbe(split, ctx));
   ResultSet out;
   out.schema = select.schema;
   // NULL equals nothing, so a NULL probe is a miss (the NULL-keyed row,
@@ -631,20 +629,26 @@ Result<ResultSet> Executor::TryKeyLookup(const BoundNode& select,
   std::optional<Row> hit;
   if (!probe.is_null()) hit = table.GetByKey(probe, ReadSnapshot());
   if (hit.has_value()) {
-    // The residual: every other conjunct, in predicate order.
-    EQSQL_ASSIGN_OR_RETURN(
-        bool pass,
-        HoldsAll(
-            split.conjuncts.size(),
-            [&](size_t i) {
-              return i == key ? nullptr : &split.conjuncts[i].expr;
-            },
-            *hit, ctx));
+    EQSQL_ASSIGN_OR_RETURN(bool pass, KeyResidualHolds(split, *hit, ctx));
     if (pass) out.rows.push_back(std::move(*hit));
   }
   rows_processed_ += 1;  // index probe, not a scan
   if (prof_cur_ != nullptr) prof_cur_->label = "KeyLookup";
   return out;
+}
+
+Result<Value> Executor::KeyProbe(const BoundScanSplit& split,
+                                 EvalContext* ctx) {
+  return EvalScalar(*split.conjuncts[split.key_binding].value, ctx);
+}
+
+Result<bool> Executor::KeyResidualHolds(const BoundScanSplit& split,
+                                        const Row& hit, EvalContext* ctx) {
+  const size_t key = static_cast<size_t>(split.key_binding);
+  return HoldsAll(
+      split.conjuncts.size(),
+      [&](size_t i) { return i == key ? nullptr : &split.conjuncts[i].expr; },
+      hit, ctx);
 }
 
 Result<ResultSet> Executor::TrySecondaryIndexScan(const BoundNode& select,

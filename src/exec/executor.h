@@ -160,6 +160,17 @@ class Executor {
   /// accumulate into last_rows_processed() without resetting it.
   Result<catalog::Value> Eval(const BoundExpr& expr, EvalContext* ctx);
 
+  /// The unique-key access path's two steps, shared by SELECT's
+  /// KeyLookup and keyed UPDATE/DELETE over `split` (a split with a key
+  /// binding). KeyProbe evaluates the binding's value with no row frame
+  /// pushed; a NULL probe matches nothing. KeyResidualHolds checks every
+  /// other conjunct over the hit, pushed as the innermost frame, as one
+  /// AND in predicate order.
+  Result<catalog::Value> KeyProbe(const BoundScanSplit& split,
+                                  EvalContext* ctx);
+  Result<bool> KeyResidualHolds(const BoundScanSplit& split,
+                                const catalog::Row& hit, EvalContext* ctx);
+
   /// Number of rows produced by all operators during the last Execute
   /// (a crude work counter used by the net/ cost model's server term).
   size_t last_rows_processed() const { return rows_processed_; }

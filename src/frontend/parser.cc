@@ -9,6 +9,8 @@ namespace eqsql::frontend {
 
 namespace {
 
+thread_local uint64_t parse_calls = 0;
+
 /// Counts one level of parser nesting for its lifetime.
 struct DepthGuard {
   explicit DepthGuard(int* d) : depth(d) { ++*depth; }
@@ -380,7 +382,10 @@ class Parser {
 
 }  // namespace
 
+uint64_t ParseProgramCallsOnThisThread() { return parse_calls; }
+
 Result<Program> ParseProgram(std::string_view source) {
+  ++parse_calls;
   obs::ScopedSpan span("parse");
   EQSQL_ASSIGN_OR_RETURN(std::vector<Tok> tokens, TokenizeImp(source));
   Parser parser(std::move(tokens));

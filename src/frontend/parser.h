@@ -1,6 +1,7 @@
 #ifndef EQSQL_FRONTEND_PARSER_H_
 #define EQSQL_FRONTEND_PARSER_H_
 
+#include <cstdint>
 #include <string_view>
 
 #include "common/result.h"
@@ -37,6 +38,10 @@ namespace eqsql::frontend {
 /// expressions, and `!` / unary-minus chains, one level each — fails
 /// with kParseError instead of exhausting the stack.
 Result<Program> ParseProgram(std::string_view source);
+
+/// ParseProgram calls made so far on the calling thread. A probe for
+/// tests that check a code path parses no program text.
+uint64_t ParseProgramCallsOnThisThread();
 
 /// Deepest nesting ParseProgram accepts.
 inline constexpr int kMaxParseDepth = 256;

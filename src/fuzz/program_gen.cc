@@ -553,14 +553,38 @@ std::string TxnStatement(Rng* rng) {
   }
 }
 
+/// One statement of a keyed-only txn schedule: every read is one key of
+/// t0 (a keyed UPDATE/DELETE, with or without a residual, or a keyed
+/// INSERT's duplicate check), so commit validation runs at key grain
+/// throughout and an unsound key check shows up as a replay divergence
+/// instead of hiding behind a table-grain read.
+std::string KeyedTxnStatement(Rng* rng) {
+  const std::string id = std::to_string(rng->Range(0, 14));
+  switch (rng->Range(0, 3)) {
+    case 0:
+      return "INSERT INTO t0 VALUES (" + id + ", " +
+             std::to_string(rng->Range(-5, 40)) + ")";
+    case 1:
+      return "UPDATE t0 SET v = v + " + std::to_string(rng->Range(1, 9)) +
+             " WHERE id = " + id;
+    case 2:
+      return "UPDATE t0 SET v = v + " + std::to_string(rng->Range(1, 9)) +
+             " WHERE id = " + id + " AND v > " +
+             std::to_string(rng->Range(0, 40));
+    default:
+      return "DELETE FROM t0 WHERE id = " + id;
+  }
+}
+
 /// A txn-family case: no ImpLang program, but a multi-session schedule
 /// (function "@txn") the oracle executes interleaved and then replays
 /// single-threaded in commit order. Line format: `<session> <SQL>`.
 /// Sessions open transactions, write both a keyed and a keyless table,
 /// and close with COMMIT or ROLLBACK; statements outside BEGIN...COMMIT
-/// autocommit. The generator's open/closed bookkeeping is a prediction
-/// only — a mid-transaction conflict aborts earlier than planned, which
-/// is exactly the behavior the replay oracle must track.
+/// autocommit. Two in five schedules use keyed statements only
+/// (KeyedTxnStatement). The generator's open/closed bookkeeping is a
+/// prediction only — a mid-transaction conflict aborts earlier than
+/// planned, which is exactly the behavior the replay oracle must track.
 FuzzCase GenTxnCase(uint64_t seed, Rng* rng) {
   FuzzCase c;
   c.seed = seed;
@@ -589,6 +613,10 @@ FuzzCase GenTxnCase(uint64_t seed, Rng* rng) {
 
   const int sessions = static_cast<int>(rng->Range(2, 4));
   const int steps = static_cast<int>(rng->Range(10, 24));
+  const bool keyed_only = rng->Percent(40);
+  auto statement = [&] {
+    return keyed_only ? KeyedTxnStatement(rng) : TxnStatement(rng);
+  };
   std::vector<bool> open(sessions, false);
   std::string src;
   auto emit = [&src](int s, const std::string& stmt) {
@@ -601,7 +629,7 @@ FuzzCase GenTxnCase(uint64_t seed, Rng* rng) {
         emit(s, "BEGIN");
         open[s] = true;
       } else {
-        emit(s, TxnStatement(rng));  // autocommit
+        emit(s, statement());  // autocommit
       }
     } else {
       const int roll = static_cast<int>(rng->Range(0, 9));
@@ -612,7 +640,7 @@ FuzzCase GenTxnCase(uint64_t seed, Rng* rng) {
         emit(s, "ROLLBACK");
         open[s] = false;
       } else {
-        emit(s, TxnStatement(rng));
+        emit(s, statement());
       }
     }
   }

@@ -58,6 +58,8 @@ void Connection::set_metrics(obs::MetricsRegistry* metrics) {
     m_rows_transferred_ = nullptr;
     m_bytes_transferred_ = nullptr;
     m_dml_statements_ = nullptr;
+    m_dml_key_probes_ = nullptr;
+    m_dml_scans_ = nullptr;
     m_rows_processed_ = nullptr;
     m_query_ns_ = nullptr;
     return;
@@ -67,6 +69,8 @@ void Connection::set_metrics(obs::MetricsRegistry* metrics) {
   m_rows_transferred_ = metrics->counter("net.rows_transferred");
   m_bytes_transferred_ = metrics->counter("net.bytes_transferred");
   m_dml_statements_ = metrics->counter("net.dml_statements");
+  m_dml_key_probes_ = metrics->counter("storage.dml.key_probes");
+  m_dml_scans_ = metrics->counter("storage.dml.scans");
   m_rows_processed_ = metrics->counter("exec.rows_processed");
   m_query_ns_ = metrics->histogram("net.query_ns");
 }
@@ -352,23 +356,15 @@ Result<int64_t> Connection::DmlImpl(
         row.push_back(std::move(*v));
       }
       if (status.ok()) {
+        // A duplicate-key outcome observed the key slot's state at this
+        // snapshot; InsertTxn records that key read, so a concurrent
+        // DELETE of the key fails this transaction's validation.
         status = table->InsertTxn(txn.get(), std::move(row));
         examined = 1;
-        if (status.ok()) {
-          affected = 1;
-        } else if (status.code() != StatusCode::kTxnConflict) {
-          // A duplicate-key outcome observed the key slot's state at
-          // this snapshot: it must join the read-validation set, or a
-          // concurrent DELETE of that key would make commit-order
-          // replay disagree with the live outcome.
-          txn->RecordAccess(table);
-        }
+        if (status.ok()) affected = 1;
       }
     }
   } else {
-    // UPDATE / DELETE read the table: the snapshot-visible match set is
-    // a read even when it is empty or the statement later fails.
-    txn->RecordAccess(table);
     std::vector<size_t> targets;
     if (stmt.kind == sql::DmlStatement::Kind::kUpdate) {
       if (table->unique_key().has_value()) {
@@ -393,30 +389,14 @@ Result<int64_t> Connection::DmlImpl(
       }
     }
     if (status.ok()) {
-      std::optional<exec::BoundExpr> predicate;
-      if (stmt.predicate != nullptr) {
-        predicate = exec::BindScalar(stmt.predicate, row_scope);
-      }
       std::vector<exec::BoundExpr> assignments;
       assignments.reserve(stmt.assignments.size());
       for (const auto& [col, expr] : stmt.assignments) {
         assignments.push_back(exec::BindScalar(expr, row_scope));
       }
-      auto pred = [&](const catalog::Row& row) -> Result<bool> {
-        ++examined;
-        if (!predicate.has_value()) return true;
-        ctx.PushFrame(&row);
-        Result<catalog::Value> v = executor_.Eval(*predicate, &ctx);
-        ctx.PopFrame();
-        if (!v.ok()) return v.status();
-        return exec::IsTruthy(*v);
-      };
-      Result<size_t> written = 0;
-      if (stmt.kind == sql::DmlStatement::Kind::kDelete) {
-        written = table->MutateRows(txn.get(), pred, nullptr);
-      } else {
-        auto mutate =
-            [&](const catalog::Row& row) -> Result<catalog::Row> {
+      storage::Table::RowMutation mutate;  // null: DELETE
+      if (stmt.kind == sql::DmlStatement::Kind::kUpdate) {
+        mutate = [&](const catalog::Row& row) -> Result<catalog::Row> {
           // All assignments see the OLD row: `SET a = b, b = a` swaps.
           ctx.PushFrame(&row);
           std::vector<catalog::Value> fresh;
@@ -438,7 +418,57 @@ Result<int64_t> Connection::DmlImpl(
           }
           return updated;
         };
+      }
+      // One access-path decision for reads and writes: the binder's
+      // split of the predicate, as a Select(Scan) of the table gets it.
+      // With a unique-key binding the statement takes SELECT's KeyLookup
+      // contract -- the probe first, a NULL probe matching nothing, the
+      // residual checked on the hit in predicate order -- and visits
+      // only the key's slot, reading (for validation) only that key.
+      const exec::BoundScanSplit split =
+          exec::BindScanSplit(stmt.predicate, *table);
+      Result<size_t> written = Status::NotFound("no unique-key binding");
+      if (split.key_binding >= 0) {
+        written = [&]() -> Result<size_t> {
+          EQSQL_ASSIGN_OR_RETURN(catalog::Value probe,
+                                 executor_.KeyProbe(split, &ctx));
+          if (probe.is_null()) return size_t{0};
+          return table->MutateKey(
+              txn.get(), split.key_column, probe,
+              [&](const catalog::Row& hit) {
+                return executor_.KeyResidualHolds(split, hit, &ctx);
+              },
+              mutate);
+        }();
+      }
+      // A write-write conflict is final. Any other failure comes before
+      // the keyed attempt wrote, so the statement goes to the scan, as
+      // SELECT falls back from a failed KeyLookup; the scan reproduces
+      // the error the statement had before keyed writes existed.
+      const bool keyed = written.ok() ||
+                         written.status().code() == StatusCode::kTxnConflict;
+      if (keyed) {
+        examined = 1;  // one probe, as SELECT's KeyLookup charges
+        if (m_dml_key_probes_ != nullptr) m_dml_key_probes_->Increment();
+      } else {
+        // The snapshot-visible match set is a read of the whole table,
+        // even when it is empty or the statement later fails.
+        txn->RecordAccess(table);
+        std::optional<exec::BoundExpr> predicate;
+        if (stmt.predicate != nullptr) {
+          predicate = exec::BindScalar(stmt.predicate, row_scope);
+        }
+        auto pred = [&](const catalog::Row& row) -> Result<bool> {
+          ++examined;
+          if (!predicate.has_value()) return true;
+          ctx.PushFrame(&row);
+          Result<catalog::Value> v = executor_.Eval(*predicate, &ctx);
+          ctx.PopFrame();
+          if (!v.ok()) return v.status();
+          return exec::IsTruthy(*v);
+        };
         written = table->MutateRows(txn.get(), pred, mutate);
+        if (m_dml_scans_ != nullptr) m_dml_scans_->Increment();
       }
       if (written.ok()) {
         affected = static_cast<int64_t>(*written);
@@ -549,6 +579,7 @@ void Connection::ChargeStatement(size_t request_bytes, size_t server_rows) {
     m_round_trips_->Increment();
     m_dml_statements_->Increment();
     m_bytes_transferred_->Add(static_cast<int64_t>(request_bytes));
+    m_rows_processed_->Add(static_cast<int64_t>(server_rows));
   }
 }
 

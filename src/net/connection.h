@@ -219,9 +219,14 @@ class Connection : public Client {
   /// attached, else this connection's private one.
   core::PlanCache* plan_cache();
   /// Transactional DML. INSERT installs a pending version in the one
-  /// shard the new row lands in; UPDATE/DELETE walk the snapshot-visible
-  /// rows shard by shard (storage::Table::MutateRows), installing
-  /// pending versions / tombstones. Outside an open transaction the
+  /// shard the new row lands in. UPDATE/DELETE split the predicate as a
+  /// Select(Scan) of the table does (exec::BindScanSplit): with a
+  /// unique-key binding they probe that key's one slot
+  /// (storage::Table::MutateKey, SELECT's KeyLookup contract, one row
+  /// charged, a key read recorded); otherwise, or after an error before
+  /// the keyed attempt wrote, they walk the snapshot-visible rows shard
+  /// by shard (storage::Table::MutateRows, a table read recorded). Both
+  /// install pending versions / tombstones. Outside an open transaction the
   /// statement autocommits; inside one, writes stay pending until
   /// COMMIT. A first-writer-wins conflict (kTxnConflict) rolls the whole
   /// transaction back; other statement errors (duplicate key, eval
@@ -263,8 +268,9 @@ class Connection : public Client {
                              TxnContext* txn_ctx);
 
   /// Charges one round-trip statement of `request_bytes` with
-  /// `server_rows` of server-side work onto the simulated clock and the
-  /// net.* counters (the shared accounting of DML and txn control).
+  /// `server_rows` of server-side work onto the simulated clock, the
+  /// net.* counters and exec.rows_processed (the shared accounting of
+  /// DML and txn control).
   void ChargeStatement(size_t request_bytes, size_t server_rows);
 
   /// Latches the calling thread as owner on first use; asserts (debug
@@ -324,6 +330,8 @@ class Connection : public Client {
   obs::Counter* m_rows_transferred_ = nullptr;
   obs::Counter* m_bytes_transferred_ = nullptr;
   obs::Counter* m_dml_statements_ = nullptr;
+  obs::Counter* m_dml_key_probes_ = nullptr;
+  obs::Counter* m_dml_scans_ = nullptr;
   obs::Counter* m_rows_processed_ = nullptr;
   obs::Histogram* m_query_ns_ = nullptr;
   bool prefetch_mode_ = false;

@@ -7,7 +7,6 @@
 #include "common/hash.h"
 #include "common/strings.h"
 #include "core/alternative_selector.h"
-#include "frontend/parser.h"
 #include "net/scheduler.h"
 #include "net/table_stats.h"
 #include "obs/explain.h"
@@ -137,12 +136,12 @@ Result<std::shared_ptr<const core::ExtractionPlan>> Server::GetOrSelectPlan(
         EQSQL_ASSIGN_OR_RETURN(
             std::shared_ptr<const core::OptimizeResult> optimized,
             plan_cache_.GetOrOptimize(source, function, options_.optimize));
-        // Re-parse the ORIGINAL program for loop-shape probing (the
-        // optimized copy has its loops rewritten away). The Program
-        // only needs to outlive Select below.
-        Result<frontend::Program> program = frontend::ParseProgram(source);
+        // Loop shapes are probed on the ORIGINAL program (the optimized
+        // copy has its loops rewritten away), kept by the optimize line.
         const frontend::Function* original =
-            program.ok() ? program->Find(function) : nullptr;
+            optimized->original != nullptr
+                ? optimized->original->Find(function)
+                : nullptr;
         core::AlternativeSelector selector(GatherTableStats(&db_),
                                            options_.cost_model);
         core::ExtractionPlan plan = selector.Select(

@@ -41,22 +41,25 @@ Version* Table::NewestMeaningful(const Slot& slot) {
   return nullptr;
 }
 
+Status Table::WriteConflict(const std::string& what) const {
+  if (txns_ != nullptr) txns_->NoteWriteConflict();
+  return Status::TxnConflict("write-write conflict on table " + name_ + ": " +
+                             what);
+}
+
 Status Table::CheckWritable(const Slot& slot, const Version* expected,
                             const Transaction& txn) const {
   Version* newest = NewestMeaningful(slot);
   if (newest != expected) {
-    return Status::TxnConflict("write-write conflict on table " + name_ +
-                               ": row version superseded since snapshot " +
-                               std::to_string(txn.snapshot().ts));
+    return WriteConflict("row version superseded since snapshot " +
+                         std::to_string(txn.snapshot().ts));
   }
   if (newest == nullptr) return Status::OK();
   Ts end = newest->end.load(std::memory_order_acquire);
   if (end == kTsInfinity) return Status::OK();
   if (TsIsPending(end) && TsPendingTxn(end) == txn.id()) return Status::OK();
-  return Status::TxnConflict(
-      "write-write conflict on table " + name_ +
-      ": row deleted by a concurrent transaction (snapshot " +
-      std::to_string(txn.snapshot().ts) + ")");
+  return WriteConflict("row deleted by a concurrent transaction (snapshot " +
+                       std::to_string(txn.snapshot().ts) + ")");
 }
 
 std::vector<catalog::Row> Table::rows(const Snapshot& snap) const {
@@ -176,30 +179,30 @@ Status Table::InsertTxn(Transaction* txn, catalog::Row row) {
         const bool own_begin =
             TsIsPending(b) && TsPendingTxn(b) == txn->id();
         if (TsIsPending(b) && !own_begin) {
-          return Status::TxnConflict("write-write conflict on table " + name_ +
-                                     ": key " + key.ToString() +
-                                     " inserted by an uncommitted transaction");
+          return WriteConflict("key " + key.ToString() +
+                               " inserted by an uncommitted transaction");
         }
         if (!TsIsPending(b) && b > txn->snapshot().ts) {
-          return Status::TxnConflict("write-write conflict on table " + name_ +
-                                     ": key " + key.ToString() +
-                                     " committed after snapshot");
+          return WriteConflict("key " + key.ToString() +
+                               " committed after snapshot");
         }
         if (e == kTsInfinity) {
+          // The outcome observed the key's slot at this snapshot: a key
+          // read, so a concurrent DELETE of the key fails validation.
+          txn->RecordKeyRead(
+              KeyRead{weak_from_this().lock(), this, key, key_epoch()});
           return Status::InvalidArgument("duplicate key " + key.ToString() +
                                          " in table " + name_);
         }
         if (TsIsPending(e)) {
           if (TsPendingTxn(e) != txn->id()) {
-            return Status::TxnConflict(
-                "write-write conflict on table " + name_ + ": key " +
-                key.ToString() + " deleted by an uncommitted transaction");
+            return WriteConflict("key " + key.ToString() +
+                                 " deleted by an uncommitted transaction");
           }
           // We deleted it ourselves: reinsert stacks a new version.
         } else if (e > txn->snapshot().ts) {
-          return Status::TxnConflict("write-write conflict on table " + name_ +
-                                     ": key " + key.ToString() +
-                                     " deleted after snapshot");
+          return WriteConflict("key " + key.ToString() +
+                               " deleted after snapshot");
         }
       }
       Version* nv = new Version(std::move(row), pending);
@@ -232,50 +235,114 @@ Status Table::InsertTxn(Transaction* txn, catalog::Row row) {
   return Status::OK();
 }
 
-Result<size_t> Table::MutateRows(
-    Transaction* txn,
-    const std::function<Result<bool>(const catalog::Row&)>& pred,
-    const std::function<Result<catalog::Row>(const catalog::Row&)>& mutate) {
+Result<bool> Table::MutateSlot(Transaction* txn,
+                               const std::shared_ptr<Slot>& slot,
+                               const RowPredicate& pred,
+                               const RowMutation& mutate) {
+  const Version* vis = slot->VisibleVersion(txn->snapshot());
+  if (vis == nullptr) return false;
+  EQSQL_ASSIGN_OR_RETURN(bool matched, pred(vis->row));
+  if (!matched) return false;
+  EQSQL_RETURN_IF_ERROR(CheckWritable(*slot, vis, *txn));
   const Ts pending = TsPendingFor(txn->id());
+  Version* old_version = const_cast<Version*>(vis);
+  if (mutate == nullptr) {
+    old_version->end.store(pending, std::memory_order_release);
+    txn->RecordWrite(WriteRecord{weak_from_this().lock(), this, slot, nullptr,
+                                 old_version, -1});
+    return true;
+  }
+  EQSQL_ASSIGN_OR_RETURN(catalog::Row new_row, mutate(vis->row));
+  if (new_row.size() != schema_.size()) {
+    return Status::InvalidArgument("updated row arity " +
+                                   std::to_string(new_row.size()) +
+                                   " does not match schema of table " + name_);
+  }
+  Version* nv = new Version(std::move(new_row), pending);
+  nv->next.store(slot->head.load(std::memory_order_acquire),
+                 std::memory_order_relaxed);
+  slot->head.store(nv, std::memory_order_release);
+  old_version->end.store(pending, std::memory_order_release);
+  if (txns_ != nullptr) txns_->NoteVersionInstalled();
+  NoteVersionForIndexes(nv->row, slot);
+  txn->RecordWrite(
+      WriteRecord{weak_from_this().lock(), this, slot, nv, old_version, 0});
+  return true;
+}
+
+Result<size_t> Table::MutateRows(Transaction* txn, const RowPredicate& pred,
+                                 const RowMutation& mutate) {
   size_t written = 0;
-  std::shared_lock<std::shared_mutex> topology(topology_mu_);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> write(shard->write_mu);
-    // Slot vectors mutate only under write_mu (writers, GC), so holding
-    // it makes the plain iteration safe.
-    for (const auto& slot : shard->slots) {
-      const Version* vis = slot->VisibleVersion(txn->snapshot());
-      if (vis == nullptr) continue;
-      EQSQL_ASSIGN_OR_RETURN(bool matched, pred(vis->row));
-      if (!matched) continue;
-      EQSQL_RETURN_IF_ERROR(CheckWritable(*slot, vis, *txn));
-      Version* old_version = const_cast<Version*>(vis);
-      if (mutate == nullptr) {
-        old_version->end.store(pending, std::memory_order_release);
-        txn->RecordWrite(WriteRecord{weak_from_this().lock(), this, slot,
-                                     nullptr, old_version, -1});
-      } else {
-        EQSQL_ASSIGN_OR_RETURN(catalog::Row new_row, mutate(vis->row));
-        if (new_row.size() != schema_.size()) {
-          return Status::InvalidArgument(
-              "updated row arity " + std::to_string(new_row.size()) +
-              " does not match schema of table " + name_);
-        }
-        Version* nv = new Version(std::move(new_row), pending);
-        nv->next.store(slot->head.load(std::memory_order_acquire),
-                       std::memory_order_relaxed);
-        slot->head.store(nv, std::memory_order_release);
-        old_version->end.store(pending, std::memory_order_release);
-        if (txns_ != nullptr) txns_->NoteVersionInstalled();
-        NoteVersionForIndexes(nv->row, slot);
-        txn->RecordWrite(
-            WriteRecord{weak_from_this().lock(), this, slot, nv, old_version, 0});
+  Status status = [&]() -> Status {
+    std::shared_lock<std::shared_mutex> topology(topology_mu_);
+    for (const auto& shard : shards_) {
+      std::lock_guard<std::mutex> write(shard->write_mu);
+      // Slot vectors mutate only under write_mu (writers, GC), so
+      // holding it makes the plain iteration safe.
+      for (const auto& slot : shard->slots) {
+        EQSQL_ASSIGN_OR_RETURN(bool wrote, MutateSlot(txn, slot, pred, mutate));
+        if (wrote) ++written;
       }
-      ++written;
+    }
+    return Status::OK();
+  }();
+  // A statement that fails mid-way keeps its earlier writes pending.
+  if (written > 0) BumpStatsEpoch();
+  EQSQL_RETURN_IF_ERROR(status);
+  return written;
+}
+
+Result<size_t> Table::MutateKey(Transaction* txn, const std::string& key_column,
+                                const catalog::Value& key,
+                                const RowPredicate& pred,
+                                const RowMutation& mutate) {
+  bool wrote = false;
+  {
+    std::shared_lock<std::shared_mutex> topology(topology_mu_);
+    if (unique_key_ != key_column) {
+      return Status::NotFound("unique key of table " + name_ +
+                              " is no longer " + key_column);
+    }
+    txn->RecordKeyRead(KeyRead{weak_from_this().lock(), this, key,
+                               key_epoch_.load(std::memory_order_acquire)});
+    Shard& shard = *shards_[ShardOfKey(key)];
+    std::lock_guard<std::mutex> write(shard.write_mu);
+    // The key index, like the slot vector, mutates only under write_mu.
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) return size_t{0};
+    EQSQL_ASSIGN_OR_RETURN(wrote, MutateSlot(txn, it->second, pred, mutate));
+  }
+  if (wrote) BumpStatsEpoch();
+  return wrote ? size_t{1} : size_t{0};
+}
+
+bool Table::KeyWrittenSince(const catalog::Value& key, uint64_t key_epoch,
+                            Ts ts) const {
+  std::shared_lock<std::shared_mutex> topology(topology_mu_);
+  if (key_epoch_.load(std::memory_order_acquire) != key_epoch) {
+    return last_commit_ts() > ts;
+  }
+  const Shard& shard = *shards_[ShardOfKey(key)];
+  std::shared_ptr<Slot> slot;
+  {
+    std::shared_lock<std::shared_mutex> sl(shard.struct_mu);
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) return false;
+    slot = it->second;
+  }
+  // Pending stamps (uncommitted or aborted) belong to transactions that
+  // will serialize after this one, if at all.
+  auto committed_after = [ts](Ts stamp) {
+    return !TsIsPending(stamp) && stamp != kTsInfinity && stamp > ts;
+  };
+  for (const Version* v = slot->head.load(std::memory_order_acquire);
+       v != nullptr; v = v->next.load(std::memory_order_acquire)) {
+    if (committed_after(v->begin.load(std::memory_order_acquire)) ||
+        committed_after(v->end.load(std::memory_order_acquire))) {
+      return true;
     }
   }
-  if (written > 0) BumpStatsEpoch();
-  return written;
+  return false;
 }
 
 Status Table::Repartition(size_t new_count, const std::string* new_key) {
@@ -369,6 +436,7 @@ Status Table::Repartition(size_t new_count, const std::string* new_key) {
   }
   unique_key_ = key;
   key_index_col_ = key_col;
+  if (new_key != nullptr) key_epoch_.fetch_add(1, std::memory_order_acq_rel);
   BumpStatsEpoch();
   return Status::OK();
 }

@@ -128,6 +128,10 @@ class Table : public std::enable_shared_from_this<Table> {
   /// an uncommitted peer raises kTxnConflict (first-writer-wins).
   Status InsertTxn(Transaction* txn, catalog::Row row);
 
+  /// An UPDATE/DELETE's match test and replacement row (see MutateRows).
+  using RowPredicate = std::function<Result<bool>(const catalog::Row&)>;
+  using RowMutation = std::function<Result<catalog::Row>(const catalog::Row&)>;
+
   /// Transactional UPDATE/DELETE over the rows visible to `txn`,
   /// shard by shard in ascending order. For each visible row where
   /// `pred` returns true: with `mutate` null the row is deleted
@@ -138,10 +142,21 @@ class Table : public std::enable_shared_from_this<Table> {
   /// the statement mid-way (statement-level, like the paper's MyISAM
   /// evaluation default) with prior writes staying in the txn's write
   /// set. Returns the number of rows written.
-  Result<size_t> MutateRows(
-      Transaction* txn,
-      const std::function<Result<bool>(const catalog::Row&)>& pred,
-      const std::function<Result<catalog::Row>(const catalog::Row&)>& mutate);
+  Result<size_t> MutateRows(Transaction* txn, const RowPredicate& pred,
+                            const RowMutation& mutate);
+
+  /// The one-slot form of MutateRows for a keyed UPDATE/DELETE: visits
+  /// only the slot unique key value `key` maps to, under the topology
+  /// lock shared and that key's shard write mutex alone, with the same
+  /// per-slot body (`pred` is the residual the caller checks on the
+  /// hit). First records the key read in `txn` -- even when the key is
+  /// absent, `pred` rejects the row, or the statement fails -- so
+  /// commit validation checks this key instead of the whole table.
+  /// Returns the rows written (0 or 1). kNotFound, with nothing read or
+  /// written, when `key_column` is no longer the table's unique key.
+  Result<size_t> MutateKey(Transaction* txn, const std::string& key_column,
+                           const catalog::Value& key, const RowPredicate& pred,
+                           const RowMutation& mutate);
 
   /// Declares column `column` as a unique key, re-partitions rows by
   /// key hash, and builds per-shard indexes. Errors if live data
@@ -150,6 +165,23 @@ class Table : public std::enable_shared_from_this<Table> {
   Status DeclareUniqueKey(const std::string& column);
 
   std::optional<std::string> unique_key() const { return unique_key_; }
+
+  /// Bumped by every successful DeclareUniqueKey. A key read records it,
+  /// so commit validation can tell the key it read still names the
+  /// same slot (SetShardCount moves whole slots and keeps it).
+  uint64_t key_epoch() const {
+    return key_epoch_.load(std::memory_order_acquire);
+  }
+
+  /// Commit validation of a key read taken at `key_epoch`: true when
+  /// the slot `key` maps to carries a committed begin or end stamp
+  /// newer than `ts`. Sound because a key keeps one slot for life
+  /// (delete and reinsert stack versions in it), Vacuum never unlinks
+  /// a version stamped after a pinned snapshot, and Repartition moves
+  /// whole chains. If the unique key was redeclared since the read, it
+  /// answers at table grain: whether any commit is newer than `ts`.
+  bool KeyWrittenSince(const catalog::Value& key, uint64_t key_epoch,
+                       Ts ts) const;
 
   /// Point lookup via the unique-key index; returns the live row's
   /// insertion sequence (an ordering token — seqs are sparse, not
@@ -293,6 +325,17 @@ class Table : public std::enable_shared_from_this<Table> {
   Status CheckWritable(const Slot& slot, const Version* expected,
                        const Transaction& txn) const;
 
+  /// kTxnConflict with `what`, counted as a write-write conflict.
+  Status WriteConflict(const std::string& what) const;
+
+  /// The body MutateRows and MutateKey share for one slot: resolves the
+  /// version visible to `txn`, tests `pred`, checks first-writer-wins,
+  /// installs the replacement (or tombstone), notes it to the indexes
+  /// and records the write. Returns whether it wrote. Caller holds the
+  /// slot's shard write_mu.
+  Result<bool> MutateSlot(Transaction* txn, const std::shared_ptr<Slot>& slot,
+                          const RowPredicate& pred, const RowMutation& mutate);
+
   /// Installs `row` as a version stamped `begin` in a fresh slot with
   /// sequence `seq`, appended to `shard` (index entry added when `key`
   /// is non-null). Caller holds the shard's write_mu.
@@ -326,6 +369,7 @@ class Table : public std::enable_shared_from_this<Table> {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::optional<std::string> unique_key_;
   size_t key_index_col_ = 0;
+  std::atomic<uint64_t> key_epoch_{0};
   /// Next insertion sequence number. Sparse: DELETE leaves holes and
   /// aborted inserts burn numbers; seq is an ordering token only.
   std::atomic<size_t> next_seq_{0};

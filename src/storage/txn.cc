@@ -17,6 +17,10 @@ void Transaction::RecordAccess(Table* table) {
   accessed_.try_emplace(table, nullptr);
 }
 
+void Transaction::RecordKeyRead(KeyRead read) {
+  key_reads_.push_back(std::move(read));
+}
+
 void Transaction::RecordWrite(WriteRecord record) {
   // Writes deliberately do NOT join the read-validation set: write-write
   // conflicts are caught at version granularity (Table::CheckWritable's
@@ -52,21 +56,33 @@ Status TxnManager::Commit(Transaction* txn) {
     return Status::InvalidArgument("transaction is not active");
   }
   std::lock_guard<std::mutex> commit(commit_mu_);
-  // Commit-order serializability: every table this transaction READ
-  // (scans, UPDATE/DELETE match sets, failed keyed-INSERT probes) must
-  // be unchanged since its snapshot; then its reads are exactly what a
-  // serial execution at this commit point would see, which is what
-  // makes the fuzzer's single-threaded commit-order replay a sound
-  // oracle. Writes are validated per version (first-writer-wins in
-  // Table::CheckWritable), not here.
+  // Commit-order serializability: everything this transaction READ
+  // must be unchanged since its snapshot; then its reads are exactly
+  // what a serial execution at this commit point would see, which is
+  // what makes the fuzzer's single-threaded commit-order replay a
+  // sound oracle. A table read fails on any later commit to the table;
+  // a key read only on a later commit to that key's slot, unless the
+  // table was also read whole. Writes are validated per version
+  // (first-writer-wins in Table::CheckWritable), not here.
+  auto fail = [&](const std::string& what) {
+    if (m_validation_conflicts_ != nullptr) {
+      m_validation_conflicts_->Increment();
+    }
+    Status conflict = Status::TxnConflict(
+        "serialization conflict: " + what + " committed after snapshot " +
+        std::to_string(txn->snapshot_.ts));
+    RollbackLocked(txn);
+    return conflict;
+  };
+  const Ts ts = txn->snapshot_.ts;
   for (const auto& [table, pin] : txn->accessed_) {
-    if (table->last_commit_ts() > txn->snapshot_.ts) {
-      if (m_conflicts_ != nullptr) m_conflicts_->Increment();
-      Status conflict = Status::TxnConflict(
-          "serialization conflict: table " + table->name() +
-          " committed after snapshot " + std::to_string(txn->snapshot_.ts));
-      RollbackLocked(txn);
-      return conflict;
+    if (table->last_commit_ts() > ts) return fail("table " + table->name());
+  }
+  for (const KeyRead& read : txn->key_reads_) {
+    if (txn->accessed_.count(read.table) != 0) continue;
+    if (read.table->KeyWrittenSince(read.key, read.key_epoch, ts)) {
+      return fail("key " + read.key.ToString() + " of table " +
+                   read.table->name());
     }
   }
   txn->commit_seq_ = ++next_commit_seq_;
@@ -186,7 +202,9 @@ void TxnManager::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
   m_begins_ = metrics->counter("storage.mvcc.begins");
   m_commits_ = metrics->counter("storage.mvcc.commits");
-  m_conflicts_ = metrics->counter("storage.mvcc.conflicts");
+  m_validation_conflicts_ =
+      metrics->counter("storage.mvcc.validation_conflicts");
+  m_write_conflicts_ = metrics->counter("storage.mvcc.write_conflicts");
   m_rollbacks_ = metrics->counter("storage.mvcc.rollbacks");
   m_versions_ = metrics->counter("storage.mvcc.versions");
   m_gc_reclaimed_ = metrics->counter("storage.mvcc.gc_reclaimed");
@@ -194,6 +212,10 @@ void TxnManager::set_metrics(obs::MetricsRegistry* metrics) {
 
 void TxnManager::NoteVersionInstalled() {
   if (m_versions_ != nullptr) m_versions_->Increment();
+}
+
+void TxnManager::NoteWriteConflict() {
+  if (m_write_conflicts_ != nullptr) m_write_conflicts_->Increment();
 }
 
 }  // namespace eqsql::storage

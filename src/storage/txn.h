@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/value.h"
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "storage/mvcc.h"
@@ -33,15 +34,26 @@ struct WriteRecord {
   int64_t delta = 0;
 };
 
+/// One unique-key value a transaction READ: a keyed UPDATE/DELETE's
+/// probe (hit or miss) or a keyed INSERT's duplicate-key outcome.
+/// `key_epoch` is the table's Table::key_epoch() when it was read.
+struct KeyRead {
+  std::shared_ptr<Table> pin;
+  Table* table = nullptr;
+  catalog::Value key;
+  uint64_t key_epoch = 0;
+};
+
 /// A snapshot-isolation transaction: a pinned snapshot, a write set,
-/// and the set of tables it READ (scans, UPDATE/DELETE match sets,
-/// failed statements whose outcome depended on table state), which
-/// commit-time validation checks so that committed transactions are
-/// serializable in commit order. Write-write conflicts are caught per
-/// version (first-writer-wins), so blind writes to one table never
-/// conflict at this level. Not internally synchronized: the session
-/// owning the transaction executes its statements one at a time
-/// (net::Session serializes them via the transaction context mutex).
+/// and what it READ -- whole tables (scans, SELECTs, UPDATE/DELETE
+/// match sets without a key binding) and single unique keys (keyed
+/// UPDATE/DELETE, duplicate-key INSERTs) -- which commit-time
+/// validation checks so that committed transactions are serializable
+/// in commit order. Write-write conflicts are caught per version
+/// (first-writer-wins), so blind writes to one table never conflict at
+/// this level. Not internally synchronized: the session owning the
+/// transaction executes its statements one at a time (net::Session
+/// serializes them via the transaction context mutex).
 class Transaction {
  public:
   uint64_t id() const { return id_; }
@@ -54,12 +66,17 @@ class Transaction {
   /// advance the version clock).
   uint64_t commit_seq() const { return commit_seq_; }
 
-  /// Records that this transaction READ `table` (a scan, an
-  /// UPDATE/DELETE's visible-row walk, or a failed statement whose
-  /// outcome observed table state). Validation aborts the commit if any
-  /// recorded table was committed to after this transaction's snapshot.
+  /// Records that this transaction READ `table` (a scan, or an
+  /// UPDATE/DELETE's visible-row walk). Validation aborts the commit if
+  /// any recorded table was committed to after this transaction's
+  /// snapshot.
   void RecordAccess(const std::shared_ptr<Table>& table);
   void RecordAccess(Table* table);
+
+  /// Records that this transaction READ one unique key (Table::MutateKey
+  /// and InsertTxn call it). Validation aborts the commit if that key's
+  /// slot was committed to after this transaction's snapshot.
+  void RecordKeyRead(KeyRead read);
 
   /// Called by Table write paths to log an installed/superseded version.
   void RecordWrite(WriteRecord record);
@@ -78,6 +95,7 @@ class Transaction {
   /// Keyed by table identity (one table object per name per registry
   /// epoch); the shared_ptr keeps dropped tables alive until resolution.
   std::map<Table*, std::shared_ptr<Table>> accessed_;
+  std::vector<KeyRead> key_reads_;
 };
 
 /// The database-wide transaction coordinator: the commit clock, the
@@ -143,6 +161,9 @@ class TxnManager {
   /// Counts a version installed by a write path (storage.mvcc.versions).
   void NoteVersionInstalled();
 
+  /// Counts a first-writer-wins conflict (storage.mvcc.write_conflicts).
+  void NoteWriteConflict();
+
  private:
   void RollbackLocked(Transaction* txn);
   void UnpinLocked(Ts ts);
@@ -163,7 +184,8 @@ class TxnManager {
 
   obs::Counter* m_begins_ = nullptr;
   obs::Counter* m_commits_ = nullptr;
-  obs::Counter* m_conflicts_ = nullptr;
+  obs::Counter* m_validation_conflicts_ = nullptr;
+  obs::Counter* m_write_conflicts_ = nullptr;
   obs::Counter* m_rollbacks_ = nullptr;
   obs::Counter* m_versions_ = nullptr;
   obs::Counter* m_gc_reclaimed_ = nullptr;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -65,6 +66,33 @@ Result<size_t> DeleteValue(Table* t, Transaction* txn, int64_t id) {
         return row[0] == Value::Int(id);
       },
       nullptr);
+}
+
+/// A keyed UPDATE as Connection::DmlImpl runs `UPDATE t SET v = value
+/// WHERE id = <id> AND v > <above>`: only key `id`'s slot is visited,
+/// the residual `v > above` is checked on the hit, and the key read is
+/// recorded for validation.
+Result<size_t> KeyedUpdate(Table* t, Transaction* txn, int64_t id,
+                           int64_t value, int64_t above = INT64_MIN) {
+  return t->MutateKey(
+      txn, "id", Value::Int(id),
+      [above](const Row& row) -> Result<bool> {
+        return row[1].AsInt() > above;
+      },
+      [value](const Row& row) -> Result<Row> {
+        Row updated = row;
+        updated[1] = Value::Int(value);
+        return updated;
+      });
+}
+
+/// Commits a one-statement transaction writing v = `value` to key `id`.
+void CommitKeyedUpdate(TxnManager* mgr, Table* t, int64_t id, int64_t value) {
+  auto w = mgr->Begin();
+  Result<size_t> n = KeyedUpdate(t, w.get(), id, value);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(*n, 1u);
+  ASSERT_TRUE(mgr->Commit(w.get()).ok());
 }
 
 TEST(MvccTest, SnapshotReadersSeeNeitherPendingNorLaterCommits) {
@@ -163,6 +191,147 @@ TEST(MvccTest, ReadValidationAbortsCommitAfterConflictingWrite) {
   EXPECT_EQ(commit.code(), StatusCode::kTxnConflict);
   // The failed commit rolled A back: its insert never became visible.
   EXPECT_FALSE(t->GetByKey(Value::Int(50)).has_value());
+}
+
+TEST(MvccTest, KeyedWritersOfDifferentKeysBothCommit) {
+  // Each keyed UPDATE reads only its own key, so two transactions
+  // updating different rows of one table are serializable either way
+  // and both commit (table-grain validation aborted the second with
+  // "serialization conflict: table t").
+  TxnManager mgr;
+  auto t = MakeKeyed(&mgr, 4);
+  auto a = mgr.Begin();
+  auto b = mgr.Begin();
+  ASSERT_EQ(*KeyedUpdate(t.get(), a.get(), 1, 111), 1u);
+  ASSERT_EQ(*KeyedUpdate(t.get(), b.get(), 2, 222), 1u);
+  ASSERT_TRUE(mgr.Commit(b.get()).ok());
+  Status commit = mgr.Commit(a.get());
+  EXPECT_TRUE(commit.ok()) << commit.ToString();
+  EXPECT_EQ((*t->GetByKey(Value::Int(1)))[1].AsInt(), 111);
+  EXPECT_EQ((*t->GetByKey(Value::Int(2)))[1].AsInt(), 222);
+}
+
+TEST(MvccTest, PhantomInsertOfAReadKeyAbortsTheReader) {
+  // A's keyed UPDATE of absent key 9 matches nothing; B then inserts
+  // key 9 and commits. Serially after B, A would have updated a row,
+  // so A's commit must fail.
+  TxnManager mgr;
+  auto t = MakeKeyed(&mgr, 4);
+  auto a = mgr.Begin();
+  ASSERT_EQ(*KeyedUpdate(t.get(), a.get(), 9, 90), 0u);
+  auto b = mgr.Begin();
+  ASSERT_TRUE(t->InsertTxn(b.get(), {Value::Int(9), Value::Int(1)}).ok());
+  ASSERT_TRUE(mgr.Commit(b.get()).ok());
+  Status commit = mgr.Commit(a.get());
+  ASSERT_FALSE(commit.ok());
+  EXPECT_EQ(commit.code(), StatusCode::kTxnConflict);
+  EXPECT_NE(commit.message().find("key 9 of table t"), std::string::npos)
+      << commit.message();
+}
+
+TEST(MvccTest, ResidualRejectedKeyIsStillARead) {
+  // `id = 2 AND v > 1000` matches 0 rows, but it read key 2: a later
+  // commit to key 2 aborts A, a commit to key 3 does not.
+  TxnManager mgr;
+  auto t = MakeKeyed(&mgr, 4);
+  auto a = mgr.Begin();
+  ASSERT_EQ(*KeyedUpdate(t.get(), a.get(), 2, 5, /*above=*/1000), 0u);
+  CommitKeyedUpdate(&mgr, t.get(), 2, 5000);
+  Status commit = mgr.Commit(a.get());
+  ASSERT_FALSE(commit.ok());
+  EXPECT_EQ(commit.code(), StatusCode::kTxnConflict);
+
+  auto a2 = mgr.Begin();
+  ASSERT_EQ(*KeyedUpdate(t.get(), a2.get(), 2, 5, /*above=*/10000), 0u);
+  CommitKeyedUpdate(&mgr, t.get(), 3, 3000);
+  commit = mgr.Commit(a2.get());
+  EXPECT_TRUE(commit.ok()) << commit.ToString();
+}
+
+TEST(MvccTest, DeleteAndReinsertOfAReadKeyAbortsAcrossVacuum) {
+  // B deletes A's key and reinserts it after A's snapshot. The versions
+  // stack in the key's one slot, so A's key check sees them -- and a
+  // Vacuum in between cannot unlink them while A's snapshot is pinned.
+  for (bool vacuum : {false, true}) {
+    SCOPED_TRACE(vacuum ? "with vacuum" : "without vacuum");
+    TxnManager mgr;
+    auto t = MakeKeyed(&mgr, 4);
+    auto a = mgr.Begin();
+    ASSERT_EQ(*KeyedUpdate(t.get(), a.get(), 1, 5, /*above=*/1000), 0u);
+    auto del = mgr.Begin();
+    ASSERT_EQ(*DeleteValue(t.get(), del.get(), 1), 1u);
+    ASSERT_TRUE(mgr.Commit(del.get()).ok());
+    auto ins = mgr.Begin();
+    ASSERT_TRUE(t->InsertTxn(ins.get(), {Value::Int(1), Value::Int(10)}).ok());
+    ASSERT_TRUE(mgr.Commit(ins.get()).ok());
+    if (vacuum) {
+      t->Vacuum(mgr.Watermark(), &mgr);
+      mgr.SweepRetired();
+    }
+    Status commit = mgr.Commit(a.get());
+    ASSERT_FALSE(commit.ok());
+    EXPECT_EQ(commit.code(), StatusCode::kTxnConflict);
+  }
+}
+
+TEST(MvccTest, WriteSkewThroughSelectsStillAbortsOneSide) {
+  // Each side reads the whole table (a SELECT, which stays at table
+  // grain) and then updates a different key. Committing both would be
+  // write skew; the second committer must abort.
+  TxnManager mgr;
+  auto t = MakeKeyed(&mgr, 4);
+  auto a = mgr.Begin();
+  auto b = mgr.Begin();
+  EXPECT_EQ(t->rows(a->snapshot()).size(), 4u);
+  a->RecordAccess(t);
+  EXPECT_EQ(t->rows(b->snapshot()).size(), 4u);
+  b->RecordAccess(t);
+  ASSERT_EQ(*KeyedUpdate(t.get(), a.get(), 0, 1), 1u);
+  ASSERT_EQ(*KeyedUpdate(t.get(), b.get(), 3, 1), 1u);
+  ASSERT_TRUE(mgr.Commit(a.get()).ok());
+  Status commit = mgr.Commit(b.get());
+  ASSERT_FALSE(commit.ok());
+  EXPECT_EQ(commit.code(), StatusCode::kTxnConflict);
+}
+
+TEST(MvccTest, KeyReadsStayConservativeAcrossTopologyChanges) {
+  // SetShardCount moves whole slots, so the key check stays exact: a
+  // write to the read key aborts the reader, one to another key does
+  // not.
+  for (bool same_key : {true, false}) {
+    SCOPED_TRACE(same_key ? "write to the read key" : "write to another key");
+    TxnManager mgr;
+    auto t = MakeKeyed(&mgr, 6);
+    auto a = mgr.Begin();
+    ASSERT_EQ(*KeyedUpdate(t.get(), a.get(), 2, 5, /*above=*/1000), 0u);
+    ASSERT_TRUE(t->SetShardCount(8).ok());
+    CommitKeyedUpdate(&mgr, t.get(), same_key ? 2 : 3, 7);
+    ASSERT_TRUE(t->SetShardCount(3).ok());
+    EXPECT_EQ(mgr.Commit(a.get()).ok(), !same_key);
+  }
+  // A redeclared unique key may map the read value to another slot, so
+  // the read falls back to table grain: any later commit aborts it.
+  for (bool any_commit : {true, false}) {
+    SCOPED_TRACE(any_commit ? "a commit after the redeclare" : "no commit");
+    TxnManager mgr;
+    auto t = MakeKeyed(&mgr, 6);
+    auto a = mgr.Begin();
+    ASSERT_EQ(*KeyedUpdate(t.get(), a.get(), 2, 5, /*above=*/1000), 0u);
+    ASSERT_TRUE(t->DeclareUniqueKey("id").ok());
+    if (any_commit) CommitKeyedUpdate(&mgr, t.get(), 3, 7);
+    EXPECT_EQ(mgr.Commit(a.get()).ok(), !any_commit);
+  }
+  // A keyed write whose key column is no longer the unique key reads
+  // and writes nothing; the caller falls back to the scan.
+  TxnManager mgr;
+  auto t = MakeKeyed(&mgr, 3);
+  ASSERT_TRUE(t->DeclareUniqueKey("v").ok());
+  auto a = mgr.Begin();
+  Result<size_t> stale = KeyedUpdate(t.get(), a.get(), 1, 5);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(a->write_count(), 0u);
+  mgr.Rollback(a.get());
 }
 
 TEST(MvccTest, RollbackRestoresExactPreTransactionState) {

@@ -17,6 +17,7 @@
 #include "catalog/schema.h"
 #include "catalog/value.h"
 #include "core/alternative_selector.h"
+#include "frontend/parser.h"
 #include "net/api.h"
 #include "net/server.h"
 #include "net/table_stats.h"
@@ -266,6 +267,36 @@ TEST(SelectionTest, CrossoverFlipsWinnerAndInvalidatesCachedPlan) {
   ASSERT_NE(interp, nullptr);
   EXPECT_GT(interp->est_cost_ms,
             (*big)->Find((*big)->chosen)->est_cost_ms);
+}
+
+// Re-pricing selects against the parse the optimize line kept: a cold
+// selection parses the program once, and a re-selection after a write
+// (which moves the stats epoch) parses it zero times, yet still probes
+// the original loop for the batching alternative.
+TEST(SelectionTest, RepricingSelectsAgainstTheOptimizeLinesParse) {
+  net::Server server(ApplyOptions());
+  Populate(&server, 64, 16);
+  std::unique_ptr<net::Session> session = server.Connect();
+
+  const uint64_t cold_before = frontend::ParseProgramCallsOnThisThread();
+  auto cold = session->SelectPlan(kApplySrc, "roleNames");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(frontend::ParseProgramCallsOnThisThread() - cold_before, 1u);
+
+  const int64_t invalidations = server.stats().plan_cache.invalidations;
+  ASSERT_TRUE((*server.db()->GetTable("role"))
+                  ->Insert({Value::Int(99), Value::String("r99")})
+                  .ok());
+  const uint64_t warm_before = frontend::ParseProgramCallsOnThisThread();
+  auto repriced = session->SelectPlan(kApplySrc, "roleNames");
+  ASSERT_TRUE(repriced.ok()) << repriced.status().ToString();
+  EXPECT_EQ(frontend::ParseProgramCallsOnThisThread(), warm_before);
+  EXPECT_GT(server.stats().plan_cache.invalidations, invalidations);
+  EXPECT_NE(repriced->get(), cold->get());
+  const PlanAlternative* batching =
+      (*repriced)->Find(AlternativeKind::kBatching);
+  ASSERT_NE(batching, nullptr);
+  EXPECT_TRUE(batching->feasible) << batching->skip_reason;
 }
 
 // The selector's statistics pass reads every registered table while
