@@ -71,14 +71,6 @@ struct SelectionRun {
   std::string alternatives_json;  // the priced list, straight from the plan
 };
 
-/// Mirrors AlternativeSelector::LoopClientMs: the client-side loop work
-/// the interpreted/batching strategies pay that extraction avoids. The
-/// gate charges it to the measured run so "never slower" is judged
-/// under the same accounting the selector priced with.
-double ClientLoopMs(const eqsql::net::CostModel& model, double outer_rows) {
-  return model.client_cost_per_op_ms * outer_rows * 4.0;
-}
-
 /// Runs `program` through the interpreter, optionally in batching mode
 /// (parameter-table upload + demultiplexed joins).
 eqsql::bench::PerfResult RunStrategy(const eqsql::frontend::Program& program,
@@ -345,11 +337,12 @@ int main(int argc, char** argv) {
       }
       // Charge the selector's client-loop accounting to the strategies
       // that iterate rows client-side; extraction does that work on the
-      // server.
+      // server. The gate then judges "never slower" under the same
+      // accounting the selector priced with.
       const double client_ms =
           plan->chosen == eqsql::core::AlternativeKind::kExtractedSql
               ? 0.0
-              : ClientLoopMs(model, static_cast<double>(rows));
+              : model.ClientLoopMs(static_cast<double>(rows));
 
       SelectionRun run;
       run.app = app.name;

@@ -26,9 +26,6 @@
 //   --shards N        storage hash partitions per table
 //   --workers N       scheduler worker threads (0 = default)
 //   --queue-depth N   scheduler admission-queue capacity
-//   --exec-mode M     execution engine: vector (batch-at-a-time
-//                     columnar, the default) or row (row-at-a-time
-//                     fallback); EQSQL_EXEC_MODE overrides the default
 //   --analyze SQL     execute EXPLAIN ANALYZE on the given statement
 //                     (against the --app / --db seeded tables) and print
 //                     the operator tree, estimated vs actual
@@ -43,13 +40,11 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/alternative_selector.h"
-#include "exec/exec_mode.h"
 #include "frontend/parser.h"
 #include "interp/interpreter.h"
 #include "net/server.h"
@@ -75,7 +70,6 @@ struct CliOptions {
   size_t shards = 0;       // 0 = storage default
   size_t workers = 0;      // 0 = scheduler default
   size_t queue_depth = 0;  // 0 = scheduler default
-  eqsql::exec::ExecMode exec_mode = eqsql::exec::DefaultExecMode();
   std::string analyze_sql;     // EXPLAIN ANALYZE target statement
   size_t trace_sample = 0;     // 0 = off
   double slow_query_ms = 0;    // <= 0 = off
@@ -91,10 +85,8 @@ int Usage(const char* argv0) {
                "          [--explain] [--explain-json] [--run] [--trace] "
                "[--trace-json]\n"
                "          [--metrics] [--metrics-json] [--shards N]\n"
-               "          [--workers N] [--queue-depth N] "
-               "[--exec-mode row|vector]\n"
-               "          [--analyze SQL] [--trace-sample N] "
-               "[--slow-query-ms X]\n"
+               "          [--workers N] [--queue-depth N] [--analyze SQL]\n"
+               "          [--trace-sample N] [--slow-query-ms X]\n"
                "          [--slow-query-log PATH] [--dump-profiles]\n",
                argv0);
   return 2;
@@ -134,16 +126,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       const char* v = value();
       if (v == nullptr) return false;
       out->queue_depth = static_cast<size_t>(std::atol(v));
-    } else if (std::strcmp(arg, "--exec-mode") == 0) {
-      const char* v = value();
-      if (v == nullptr) return false;
-      std::optional<eqsql::exec::ExecMode> mode =
-          eqsql::exec::ParseExecMode(v);
-      if (!mode.has_value()) {
-        std::fprintf(stderr, "unknown exec mode: %s (want row|vector)\n", v);
-        return false;
-      }
-      out->exec_mode = *mode;
     } else if (std::strcmp(arg, "--analyze") == 0) {
       const char* v = value();
       if (v == nullptr) return false;
@@ -278,7 +260,6 @@ eqsql::net::ServerOptions MakeServerOptions(const CliOptions& cli) {
   if (cli.queue_depth != 0) {
     options.scheduler_queue_capacity = cli.queue_depth;
   }
-  options.exec_mode = cli.exec_mode;
   options.trace_sample = cli.trace_sample;
   options.slow_query_ms = cli.slow_query_ms;
   options.slow_query_log_path = cli.slow_query_log;

@@ -103,10 +103,10 @@ std::string RowsDetail(double rows) {
          " row(s)";
 }
 
-/// Annotates extracted variables with the physical join-plan choice
-/// (index-nested-loop vs. hash join) against the same stats snapshot
-/// the alternatives are priced with. A no-op while the database has no
-/// secondary indexes.
+/// Annotates extracted variables with the index-nested-loop join the
+/// executor will run, priced against the hash join under the same stats
+/// snapshot the alternatives are priced with. A no-op while the
+/// database has no secondary indexes.
 void AnnotateJoinPlans(const CostEstimator& estimator, bool any_index,
                        const AlternativeSelector::PlanResolver& resolve,
                        OptimizeResult* result) {
@@ -118,9 +118,7 @@ void AnnotateJoinPlans(const CostEstimator& estimator, bool any_index,
       if (!plan.ok()) continue;
       JoinPlanChoice choice = estimator.ChooseJoinPlan(*plan);
       if (!choice.applicable) continue;
-      o.join_plan = (choice.index_wins ? "index-nested-loop on "
-                                       : "hash-join over ") +
-                    choice.detail;
+      o.join_plan = "index-nested-loop on " + choice.detail;
       o.cost_index_ms = choice.index_ms;
       o.cost_scan_ms = choice.scan_ms;
       break;
@@ -129,12 +127,6 @@ void AnnotateJoinPlans(const CostEstimator& estimator, bool any_index,
 }
 
 }  // namespace
-
-double AlternativeSelector::LoopClientMs(double outer_rows) const {
-  // Mirrors CostEstimator::RewriteWins: the application's own per-row
-  // work (cursor advance, result handling, merge bookkeeping).
-  return model_.client_cost_per_op_ms * outer_rows * 4.0;
-}
 
 ExtractionPlan AlternativeSelector::Select(
     std::shared_ptr<const OptimizeResult> optimized,
@@ -232,7 +224,7 @@ ExtractionPlan AlternativeSelector::Select(
             model_.ServerMs(static_cast<size_t>(inner_rows + outer_rows)) +
             model_.TransferMs(static_cast<size_t>(outer_rows * inner_width));
     }
-    ms += LoopClientMs(outer_rows);
+    ms += model_.ClientLoopMs(outer_rows);
     batching.est_cost_ms = ms;
     batching.detail = std::to_string(bplan.sites.size()) +
                       " probe site(s) over " + RowsDetail(outer_rows);
@@ -253,15 +245,15 @@ ExtractionPlan AlternativeSelector::Select(
   if (outer_plan.ok()) {
     CostEstimate loop_est =
         estimator_.EstimateLoop(*outer_plan, probe.queries_per_row);
-    interp.est_cost_ms =
-        loop_est.Milliseconds(model_) + LoopClientMs(loop_est.cardinality);
+    interp.est_cost_ms = loop_est.Milliseconds(model_) +
+                         model_.ClientLoopMs(loop_est.cardinality);
     interp.detail = std::to_string(loop_est.round_trips) +
                     " round trip(s) over " + RowsDetail(loop_est.cardinality);
   } else if (extracted.feasible) {
     // No query-backed loop to price: the imperative strategy costs what
     // its queries cost (the loop itself stays client-side).
     interp.est_cost_ms =
-        extracted.est_cost_ms + LoopClientMs(kDefaultOuterRows);
+        extracted.est_cost_ms + model_.ClientLoopMs(kDefaultOuterRows);
     interp.detail = "no query-backed loop; priced as the extracted queries";
   } else {
     interp.est_cost_ms = model_.round_trip_latency_ms;

@@ -83,8 +83,6 @@ class AlternativeSelector {
                         uint64_t stats_epoch) const;
 
  private:
-  double LoopClientMs(double outer_rows) const;
-
   TableStats stats_;
   CostEstimator estimator_;
   net::CostModel model_;

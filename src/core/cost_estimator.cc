@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/strings.h"
+#include "ra/scalar_expr.h"
 
 namespace eqsql::core {
 
@@ -41,23 +42,46 @@ std::string BareName(const std::string& name) {
   return dot == std::string::npos ? name : name.substr(dot + 1);
 }
 
-/// Bare names of columns appearing in column-to-column equality
-/// conjuncts — the candidates for equi-join key bindings.
-void CollectEqColumnRefs(const ra::ScalarExprPtr& pred,
-                         std::vector<std::string>* cols) {
-  if (pred == nullptr) return;
+/// Collects the right scan's join-key columns the way Binder::BindJoin
+/// classifies them: each `=` conjunct with one side over only the right
+/// scan's columns (qualified by `alias`) and the other side over none
+/// of them contributes its right side. Executor::ExecJoin probes the
+/// ready index over exactly this column set. False when a right key is
+/// not a plain column or repeats one: no index can serve the join.
+bool CollectRightKeyColumns(const ra::ScalarExprPtr& pred,
+                            const std::string& alias,
+                            std::vector<std::string>* cols) {
+  if (pred == nullptr) return true;
   if (pred->op() == ScalarOp::kAnd) {
-    CollectEqColumnRefs(pred->child(0), cols);
-    CollectEqColumnRefs(pred->child(1), cols);
-    return;
+    return CollectRightKeyColumns(pred->child(0), alias, cols) &&
+           CollectRightKeyColumns(pred->child(1), alias, cols);
   }
-  if (pred->op() != ScalarOp::kEq) return;
-  const ra::ScalarExprPtr& a = pred->child(0);
-  const ra::ScalarExprPtr& b = pred->child(1);
-  if (a->op() == ScalarOp::kColumnRef && b->op() == ScalarOp::kColumnRef) {
-    cols->push_back(BareName(a->column_name()));
-    cols->push_back(BareName(b->column_name()));
+  if (pred->op() != ScalarOp::kEq) return true;
+  const std::string prefix = alias + ".";
+  auto on_right = [&prefix](const std::string& name) {
+    return name.compare(0, prefix.size(), prefix) == 0;
+  };
+  for (int side = 0; side < 2; ++side) {
+    const ra::ScalarExprPtr& l = pred->child(side);
+    const ra::ScalarExprPtr& r = pred->child(1 - side);
+    std::vector<std::string> lrefs;
+    std::vector<std::string> rrefs;
+    ra::CollectColumnRefs(l, &lrefs);
+    ra::CollectColumnRefs(r, &rrefs);
+    if (lrefs.empty() || rrefs.empty() ||
+        std::any_of(lrefs.begin(), lrefs.end(), on_right) ||
+        !std::all_of(rrefs.begin(), rrefs.end(), on_right)) {
+      continue;
+    }
+    if (r->op() != ScalarOp::kColumnRef) return false;
+    std::string col = BareName(r->column_name());
+    if (std::find(cols->begin(), cols->end(), col) != cols->end()) {
+      return false;
+    }
+    cols->push_back(std::move(col));
+    return true;
   }
+  return true;
 }
 
 }  // namespace
@@ -193,7 +217,7 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
   if (plan == nullptr || stats_.table_indexes.empty()) return out;
 
   // Depth-first search for the first join whose inner side is a base
-  // scan carrying an index fully covered by equi-join columns.
+  // scan carrying an index over exactly its join-key column set.
   const RaNode* site = nullptr;
   const std::vector<std::string>* index_cols = nullptr;
   std::string table;
@@ -203,16 +227,17 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
         n.child(1)->op() == RaOp::kScan) {
       auto it =
           stats_.table_indexes.find(AsciiToLower(n.child(1)->table_name()));
-      if (it != stats_.table_indexes.end()) {
-        std::vector<std::string> eq_cols;
-        CollectEqColumnRefs(n.predicate(), &eq_cols);
+      std::vector<std::string> keys;
+      if (it != stats_.table_indexes.end() &&
+          CollectRightKeyColumns(n.predicate(), n.child(1)->alias(),
+                                 &keys)) {
         for (const std::vector<std::string>& cols : it->second) {
-          bool covered = !cols.empty();
+          bool same_set = !cols.empty() && cols.size() == keys.size();
           for (const std::string& c : cols) {
-            covered = covered && std::find(eq_cols.begin(), eq_cols.end(),
-                                           c) != eq_cols.end();
+            same_set = same_set &&
+                       std::find(keys.begin(), keys.end(), c) != keys.end();
           }
-          if (covered) {
+          if (same_set) {
             site = &n;
             index_cols = &cols;
             table = n.child(1)->table_name();
@@ -237,7 +262,6 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
   out.applicable = true;
   out.scan_ms = scan.Milliseconds(model_);
   out.index_ms = index.Milliseconds(model_);
-  out.index_wins = out.index_ms < out.scan_ms;
   out.detail = table + "(";
   for (size_t i = 0; i < index_cols->size(); ++i) {
     if (i > 0) out.detail += ",";
@@ -245,16 +269,6 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
   }
   out.detail += ")";
   return out;
-}
-
-bool CostEstimator::RewriteWins(const RaNodePtr& plan, const RaNodePtr& outer,
-                                int queries_per_row) const {
-  double rewritten = EstimateQuery(plan).Milliseconds(model_);
-  CostEstimate loop = EstimateLoop(outer, queries_per_row);
-  // The imperative loop also pays client work per iterated row.
-  double original = loop.Milliseconds(model_) +
-                    model_.client_cost_per_op_ms * loop.cardinality * 4.0;
-  return rewritten < original;
 }
 
 }  // namespace eqsql::core

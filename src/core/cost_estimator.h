@@ -37,15 +37,15 @@ struct CostEstimate {
   double Milliseconds(const net::CostModel& model) const;
 };
 
-/// Physical-plan decision for the first indexable equi-join in a plan:
-/// both alternatives priced under the same deterministic cost model so
-/// EXPLAIN EXTRACTION can show the losing cost next to the winner.
+/// The physical plan of the first indexable equi-join in a plan. The
+/// executor runs an index nested loop whenever an index applies, so
+/// that is the plan; both alternatives are priced under the same
+/// deterministic cost model so EXPLAIN EXTRACTION can show the hash
+/// join's estimate next to the index's.
 struct JoinPlanChoice {
   /// True when the plan contains an equi-join whose inner side is a
-  /// base scan with a covering secondary index.
+  /// base scan with a secondary index over exactly its key columns.
   bool applicable = false;
-  /// True when the index-nested-loop alternative is estimated cheaper.
-  bool index_wins = false;
   double index_ms = 0;  // plan cost with the inner scan replaced by probes
   double scan_ms = 0;   // plan cost with the parallel full scan + hash build
   /// Human-readable site, e.g. "t1(a,b)".
@@ -73,16 +73,12 @@ class CostEstimator {
   CostEstimate EstimateLoop(const ra::RaNodePtr& outer,
                             int queries_per_row) const;
 
-  /// Convenience: true when running `plan` once is estimated cheaper
-  /// than the imperative strategy it replaces.
-  bool RewriteWins(const ra::RaNodePtr& plan, const ra::RaNodePtr& outer,
-                   int queries_per_row) const;
-
   /// Prices the index-nested-loop alternative against the full-scan
   /// hash join for the first join in `plan` whose inner side is a base
-  /// scan with a secondary index covering the equi-join columns
-  /// (Executor::ExecJoin's index nested-loop applicability,
-  /// approximated structurally). Returns applicable=false when no such join exists.
+  /// scan with a secondary index over exactly the join's right key
+  /// columns (Executor::ExecJoin's index nested-loop rule, with keys
+  /// classified structurally by the right scan's alias). Returns
+  /// applicable=false when no such join exists.
   JoinPlanChoice ChooseJoinPlan(const ra::RaNodePtr& plan) const;
 
   const net::CostModel& model() const { return model_; }

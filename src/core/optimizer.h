@@ -55,12 +55,12 @@ struct VarOutcome {
   /// declined the extraction (nothing of the slice was exclusively
   /// removable, so the loop stays and the query would only add cost).
   bool cost_skipped = false;
-  /// Physical-plan choice for the first indexable equi-join in the
-  /// extracted SQL, annotated at EXPLAIN time against live table and
-  /// index stats (net::Scheduler). Empty when no secondary index
-  /// applies; both alternatives' estimated costs ride along so the
-  /// report shows the loser next to the winner.
-  std::string join_plan;       // "index-nested-loop" | "hash-join" + site
+  /// Physical plan of the first indexable equi-join in the extracted
+  /// SQL, annotated at EXPLAIN time against live table and index stats
+  /// (net::Scheduler). Empty when no secondary index applies; the
+  /// executor then runs a hash join. Both alternatives' estimated costs
+  /// ride along so the report shows the hash join's next to the index's.
+  std::string join_plan;       // "index-nested-loop on " + site
   double cost_index_ms = 0.0;
   double cost_scan_ms = 0.0;
 };

@@ -1,10 +1,6 @@
 #ifndef EQSQL_EXEC_EXEC_MODE_H_
 #define EQSQL_EXEC_EXEC_MODE_H_
 
-#include <cstdlib>
-#include <optional>
-#include <string_view>
-
 namespace eqsql::exec {
 
 /// Which execution engine the Executor runs.
@@ -21,8 +17,15 @@ namespace eqsql::exec {
 ///    dispatch per batch, and large sharded scans run their shard tasks
 ///    on the worker pool. Results, error selection, and cost accounting
 ///    are byte-identical to kRow (proven differentially by
-///    tests/vector_exec_test.cc and the fuzzer's --exec-mode oracle);
+///    tests/vector_exec_test.cc and the fuzzer's row-engine oracle);
 ///    only speed differs.
+///
+/// The server stack runs kVector (ServerOptions::exec_mode). kRow is
+/// selected in code only: by tests, the benches' row-vs-vector
+/// comparisons and the fuzzer's oracle, through
+/// Executor/Connection::set_exec_mode, ServerOptions::exec_mode and
+/// OracleOptions::exec_mode. A bare Executor/Connection defaults to it
+/// so the reference stays directly testable.
 enum class ExecMode {
   kRow,
   kVector,
@@ -30,26 +33,6 @@ enum class ExecMode {
 
 inline const char* ExecModeName(ExecMode mode) {
   return mode == ExecMode::kRow ? "row" : "vector";
-}
-
-/// Parses "row" / "vector" (nullopt otherwise).
-inline std::optional<ExecMode> ParseExecMode(std::string_view name) {
-  if (name == "row") return ExecMode::kRow;
-  if (name == "vector") return ExecMode::kVector;
-  return std::nullopt;
-}
-
-/// The server-stack default: vector, overridable per process with
-/// EQSQL_EXEC_MODE=row|vector (row runs the serial reference engine).
-/// A bare Executor/Connection still defaults to kRow so the reference
-/// stays directly testable.
-inline ExecMode DefaultExecMode() {
-  const char* env = std::getenv("EQSQL_EXEC_MODE");
-  if (env != nullptr) {
-    std::optional<ExecMode> parsed = ParseExecMode(env);
-    if (parsed.has_value()) return *parsed;
-  }
-  return ExecMode::kVector;
 }
 
 }  // namespace eqsql::exec

@@ -44,6 +44,13 @@ struct CostModel {
   double ServerMs(size_t rows_processed) const {
     return server_cost_per_row_ms * static_cast<double>(rows_processed);
   }
+  /// The application's own work for a client-side loop over `rows`
+  /// rows: four ops per row (cursor advance, result handling, merge
+  /// bookkeeping). What a strategy that iterates on the client pays and
+  /// set-oriented SQL avoids.
+  double ClientLoopMs(double rows) const {
+    return client_cost_per_op_ms * rows * 4.0;
+  }
 };
 
 /// Per-connection counters, reset with Connection::ResetStats().

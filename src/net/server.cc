@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <algorithm>
 #include <thread>
 #include <utility>
 
@@ -80,8 +79,6 @@ void Server::CloseSession(int64_t id, const ConnectionStats& session_stats) {
   totals_.rows_transferred += session_stats.rows_transferred;
   totals_.bytes_transferred += session_stats.bytes_transferred;
   totals_.simulated_ms += session_stats.simulated_ms;
-  max_session_simulated_ms_ =
-      std::max(max_session_simulated_ms_, session_stats.simulated_ms);
 }
 
 ServerStats Server::stats() const {
@@ -91,7 +88,6 @@ ServerStats Server::stats() const {
     out.sessions_opened = sessions_opened_;
     out.sessions_closed = sessions_closed_;
     out.totals = totals_;
-    out.max_session_simulated_ms = max_session_simulated_ms_;
     // Live sessions contribute the snapshot their owner thread last
     // published (complete up to the last finished operation).
     for (const auto& [id, conn] : live_sessions_) {
@@ -101,8 +97,6 @@ ServerStats Server::stats() const {
       out.totals.rows_transferred += live.rows_transferred;
       out.totals.bytes_transferred += live.bytes_transferred;
       out.totals.simulated_ms += live.simulated_ms;
-      out.max_session_simulated_ms =
-          std::max(out.max_session_simulated_ms, live.simulated_ms);
     }
   }
   // Scheduler worker links: requests submitted through Session::Submit
@@ -116,8 +110,6 @@ ServerStats Server::stats() const {
       out.totals.rows_transferred += link.rows_transferred;
       out.totals.bytes_transferred += link.bytes_transferred;
       out.totals.simulated_ms += link.simulated_ms;
-      out.max_session_simulated_ms =
-          std::max(out.max_session_simulated_ms, link.simulated_ms);
     }
   }
   out.plan_cache = plan_cache_.stats();

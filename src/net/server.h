@@ -47,12 +47,11 @@ struct ServerOptions {
   /// (forwarded to every session's Executor).
   size_t parallel_threshold = 512;
   /// Execution engine for every session and scheduler worker link:
-  /// vectorized batch-at-a-time by default; row (--exec-mode=row /
-  /// EQSQL_EXEC_MODE=row) runs the serial reference engine, which never
-  /// uses the shard worker pool. The two engines produce byte-identical
-  /// results; only speed and the exec.batch.* / exec.parallel.*
-  /// observability differ.
-  exec::ExecMode exec_mode = exec::DefaultExecMode();
+  /// vectorized batch-at-a-time. Tests set row to run the serial
+  /// reference engine, which never uses the shard worker pool. The two
+  /// engines produce byte-identical results; only speed and the
+  /// exec.batch.* / exec.parallel.* observability differ.
+  exec::ExecMode exec_mode = exec::ExecMode::kVector;
   /// Worker threads in the request scheduler (the execution engine
   /// behind Session::Submit/Execute). 0 = default (2).
   size_t scheduler_workers = 0;
@@ -92,12 +91,6 @@ struct ServerStats {
   /// link's snapshot (scheduler-executed work lands on the worker's
   /// connection, not the submitting session's).
   ConnectionStats totals;
-  /// Longest simulated time across links (closed and live sessions plus
-  /// scheduler worker links). Each link simulates an independent client
-  /// connection, so totals.simulated_ms is the *serialized* cost of the
-  /// work while max_session_simulated_ms is the *concurrent* makespan —
-  /// their ratio is the architectural speedup the benchmark reports.
-  double max_session_simulated_ms = 0.0;
   core::PlanCacheStats plan_cache;
 };
 
@@ -178,7 +171,6 @@ class Server {
   int64_t sessions_opened_ = 0;
   int64_t sessions_closed_ = 0;
   ConnectionStats totals_;
-  double max_session_simulated_ms_ = 0.0;
   /// Connections of open sessions, for live stats fold-in. A Session
   /// unregisters in its destructor before its Connection dies, so every
   /// pointer here is valid whenever mu_ is held.

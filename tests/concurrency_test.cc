@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +23,8 @@
 #include "interp/interpreter.h"
 #include "net/connection.h"
 #include "net/server.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
 #include "workloads/benchmark_apps.h"
 
 namespace eqsql::net {
@@ -281,10 +285,13 @@ ServerOptions AppServerOptions() {
 }
 
 /// Runs every app through one session: extract via the shared cache,
-/// interpret both the original and the rewritten program, and return
-/// the rewritten results (one DisplayString per app). Asserts
-/// original == rewritten along the way.
-std::vector<std::string> RunAppsOnSession(Session* session) {
+/// interpret both the original and the rewritten program with `client`
+/// executing their statements, and return the rewritten results (one
+/// DisplayString per app). Asserts original == rewritten along the way.
+/// `client` is the session's direct connection (statements run on the
+/// calling thread) or the session itself (each statement is Submitted
+/// to a scheduler worker).
+std::vector<std::string> RunAppsOnSession(Session* session, Client* client) {
   std::vector<std::string> out;
   for (const App& app : BenchmarkApps()) {
     auto program = frontend::ParseProgram(app.source);
@@ -294,10 +301,9 @@ std::vector<std::string> RunAppsOnSession(Session* session) {
     EXPECT_TRUE(optimized.ok()) << app.name;
     if (!optimized.ok()) return out;
 
-    interp::Interpreter original(&*program, session->connection());
+    interp::Interpreter original(&*program, client);
     auto r1 = original.Run(app.function);
-    interp::Interpreter rewritten(&(*optimized)->program,
-                                  session->connection());
+    interp::Interpreter rewritten(&(*optimized)->program, client);
     auto r2 = rewritten.Run(app.function);
     EXPECT_TRUE(r1.ok() && r2.ok()) << app.name;
     if (!r1.ok() || !r2.ok()) return out;
@@ -308,22 +314,29 @@ std::vector<std::string> RunAppsOnSession(Session* session) {
 }
 
 /// The tentpole stress: 8 worker threads replay the benchmark-app
-/// workload through their own sessions — cached extraction, original +
-/// rewritten interpretation, direct SQL reads, and per-thread temp-table
-/// churn (exclusive-lock writers interleaving with shared-lock readers).
-/// Every thread's results must equal a serial single-session replay.
+/// workload through their own sessions, in two arms. Direct: cached
+/// extraction, original + rewritten interpretation on the session's
+/// connection, direct SQL reads, and per-thread temp-table churn
+/// (exclusive-lock writers interleaving with shared-lock readers).
+/// Scheduled: the session itself is the interpreter's client, so every
+/// statement is Submitted to a scheduler worker and the workers execute
+/// the whole load. Every thread's results must equal a serial
+/// single-session replay.
 TEST(ServerStressTest, ParallelSessionsMatchSerialReplay) {
   constexpr int kThreads = 8;
   constexpr int kIters = 5;
+  constexpr int kScheduledIters = 2;
 
-  Server server(AppServerOptions());
+  ServerOptions options = AppServerOptions();
+  options.scheduler_workers = 4;
+  Server server(std::move(options));
   SetupAllApps(server.db());
 
   // Serial baseline, computed before any worker starts.
   std::vector<std::string> expected;
   {
     std::unique_ptr<Session> session = server.Connect();
-    expected = RunAppsOnSession(session.get());
+    expected = RunAppsOnSession(session.get(), session->connection());
   }
   ASSERT_EQ(expected.size(), BenchmarkApps().size());
 
@@ -335,7 +348,8 @@ TEST(ServerStressTest, ParallelSessionsMatchSerialReplay) {
       const std::string temp_name = "stress_tmp_" + std::to_string(t);
       for (int i = 0; i < kIters; ++i) {
         // Mixed read workload through the shared cache.
-        std::vector<std::string> got = RunAppsOnSession(session.get());
+        std::vector<std::string> got =
+            RunAppsOnSession(session.get(), session->connection());
         if (got != expected) mismatches.fetch_add(1);
 
         // Plain SQL reads (shared data lock).
@@ -368,17 +382,113 @@ TEST(ServerStressTest, ParallelSessionsMatchSerialReplay) {
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(mismatches.load(), 0);
 
+  std::atomic<int> scheduled_mismatches{0};
+  workers.clear();
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      std::unique_ptr<Session> session = server.Connect();
+      for (int i = 0; i < kScheduledIters; ++i) {
+        if (RunAppsOnSession(session.get(), session.get()) != expected) {
+          scheduled_mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(scheduled_mismatches.load(), 0);
+
   ServerStats stats = server.stats();
-  EXPECT_EQ(stats.sessions_opened, kThreads + 1);
-  EXPECT_EQ(stats.sessions_closed, kThreads + 1);
+  EXPECT_EQ(stats.sessions_opened, 2 * kThreads + 1);
+  EXPECT_EQ(stats.sessions_closed, 2 * kThreads + 1);
   // Each worker repeated the same four extraction requests; after the
   // serial warm-up every one is a cache hit.
   EXPECT_GT(stats.plan_cache.hit_ratio(), 0.9);
-  // The serialized cost is the sum over sessions; the concurrent
-  // makespan is the max. With kThreads equal-cost sessions the ratio
-  // approaches kThreads.
-  EXPECT_GT(stats.totals.simulated_ms, stats.max_session_simulated_ms);
   EXPECT_GT(stats.totals.queries_executed, 0);
+}
+
+/// What one scheduled run of the apps left in its server.
+struct ScheduledRun {
+  std::vector<std::string> results;
+  ConnectionStats totals;
+  int64_t plan_cache_hits = 0;
+  int64_t sampled = 0;
+  std::string ring_json;
+};
+
+/// Runs the apps once on a fresh server built from `options`, the
+/// session as the interpreter's client, so every statement goes
+/// through a scheduler worker. One worker: every statement lands on
+/// the same link in the same order, so the floating-point sums in the
+/// totals are reproducible. Destroying the server flushes its
+/// slow-query log.
+ScheduledRun RunAppsThroughScheduler(ServerOptions options) {
+  options.scheduler_workers = 1;
+  ScheduledRun run;
+  Server server(std::move(options));
+  SetupAllApps(server.db());
+  {
+    std::unique_ptr<Session> session = server.Connect();
+    run.results = RunAppsOnSession(session.get(), session.get());
+  }
+  run.totals = server.stats().totals;
+  const obs::MetricsSnapshot snap = server.metrics()->Snapshot();
+  auto counter = [&snap](const std::string& name) -> int64_t {
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  run.plan_cache_hits = counter("plan_cache.hits");
+  run.sampled = counter("obs.trace.sampled");
+  run.ring_json = server.trace_ring()->ToJson();
+  return run;
+}
+
+/// The observability sinks end to end. The apps run through the
+/// scheduler on two servers that differ only in their sinks: the second
+/// samples every request into the trace ring and slow-logs every one to
+/// a file. Sampling never touches the simulated clock, so the totals
+/// must match bit for bit.
+TEST(ServerStressTest, ObservabilitySinksLeaveTotalsBitIdentical) {
+  const std::string log_path =
+      ::testing::TempDir() + "eqsql_concurrency_slow_query.log";
+  std::remove(log_path.c_str());
+
+  const ScheduledRun plain = RunAppsThroughScheduler(AppServerOptions());
+  ServerOptions traced_options = AppServerOptions();
+  traced_options.trace_sample = 1;
+  traced_options.slow_query_ms = 0.000001;
+  traced_options.slow_query_log_path = log_path;
+  const ScheduledRun traced = RunAppsThroughScheduler(traced_options);
+
+  ASSERT_EQ(plain.results.size(), BenchmarkApps().size());
+  EXPECT_EQ(traced.results, plain.results);
+  EXPECT_GT(plain.totals.queries_executed, 0);
+  EXPECT_EQ(traced.totals.queries_executed, plain.totals.queries_executed);
+  EXPECT_EQ(traced.totals.round_trips, plain.totals.round_trips);
+  EXPECT_EQ(traced.totals.rows_transferred, plain.totals.rows_transferred);
+  EXPECT_EQ(traced.totals.bytes_transferred, plain.totals.bytes_transferred);
+  EXPECT_EQ(traced.totals.simulated_ms, plain.totals.simulated_ms);
+
+  // The registry is live: the apps' repeated statements hit the plan
+  // cache, and the traced server counted its samples.
+  EXPECT_GE(traced.plan_cache_hits, 1);
+  EXPECT_EQ(plain.sampled, 0);
+  EXPECT_GE(traced.sampled, 1);
+  for (const char* key : {"\"records\":[", "\"trace\":{", "\"profile\":{"}) {
+    EXPECT_NE(traced.ring_json.find(key), std::string::npos)
+        << key << " missing from " << traced.ring_json.substr(0, 512);
+  }
+
+  std::ifstream in(log_path);
+  ASSERT_TRUE(in.good()) << log_path;
+  int lines = 0;
+  for (std::string line; std::getline(in, line); ++lines) {
+    for (const char* key :
+         {"\"trace_id\":", "\"total_ns\":", "\"statement\":"}) {
+      EXPECT_NE(line.find(key), std::string::npos) << key << " in " << line;
+    }
+  }
+  EXPECT_GE(lines, 1);
+  std::remove(log_path.c_str());
 }
 
 /// Forwards a program's requests to a session, counting them.
@@ -513,7 +623,6 @@ TEST(ServerStressTest, StatsFoldOnClose) {
   EXPECT_EQ(done.sessions_closed, 1);
   EXPECT_EQ(done.totals.queries_executed, 1);
   EXPECT_GT(done.totals.simulated_ms, 0.0);
-  EXPECT_EQ(done.max_session_simulated_ms, done.totals.simulated_ms);
 }
 
 }  // namespace

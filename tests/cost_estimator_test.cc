@@ -56,28 +56,27 @@ TEST(CostEstimatorTest, LoopPaysPerRowRoundTrips) {
             loop.Milliseconds(est.model()));
 }
 
-TEST(CostEstimatorTest, RewriteWinsTracksScale) {
-  // Star-schema rewrite should win at any nontrivial scale...
-  CostEstimator big = MakeEstimator(1000);
-  ra::RaNodePtr apply = Q(
-      "SELECT * FROM applicants AS a OUTER APPLY (SELECT d.phone AS p FROM "
-      "details AS d WHERE d.aid = a.id)");
-  ra::RaNodePtr outer = Q("SELECT * FROM applicants");
-  EXPECT_TRUE(big.RewriteWins(apply, outer, 4));
-  // ...and an aggregate over the loop's own query should win too (no
-  // extra per-row queries, but the whole table stops crossing the wire).
-  CostEstimator est = MakeEstimator(100000);
-  EXPECT_TRUE(est.RewriteWins(Q("SELECT MAX(t.v) AS m FROM t"),
-                              Q("SELECT * FROM t"), 0));
-}
-
-TEST(CostEstimatorTest, GroupByJoinCheaperThanPerGroupQueries) {
-  CostEstimator est = MakeEstimator(40000);
-  ra::RaNodePtr grouped = Q(
-      "SELECT r.id, COUNT(t.id) AS c FROM role AS r LEFT OUTER JOIN t ON "
-      "t.role_id = r.id GROUP BY r.id");
-  ra::RaNodePtr outer = Q("SELECT * FROM role AS r");
-  EXPECT_TRUE(est.RewriteWins(grouped, outer, 1));
+// The join plan applies exactly when Executor::ExecJoin probes an
+// index: one over the set of the right scan's key columns, whatever the
+// left side's columns are named.
+TEST(CostEstimatorTest, JoinPlanFollowsTheRightKeyColumnSet) {
+  TableStats stats;
+  stats.table_rows = {{"wuser", 500}, {"role", 12}};
+  stats.table_indexes = {{"role", {{"id"}}}};
+  CostEstimator est(stats, net::CostModel());
+  JoinPlanChoice keyed = est.ChooseJoinPlan(
+      Q("SELECT * FROM wuser AS u JOIN role AS r ON (u.role_id = r.id)"));
+  EXPECT_TRUE(keyed.applicable);
+  EXPECT_EQ(keyed.detail, "role(id)");
+  EXPECT_GT(keyed.index_ms, 0);
+  EXPECT_GT(keyed.scan_ms, 0);
+  for (const char* hash_join :
+       {"SELECT * FROM wuser AS u JOIN role AS r ON (u.id = r.name)",
+        "SELECT * FROM wuser AS u JOIN role AS r ON (u.role_id = r.id AND "
+        "u.login = r.name)",
+        "SELECT * FROM wuser AS u JOIN role AS r ON (u.role_id = r.id + 0)"}) {
+    EXPECT_FALSE(est.ChooseJoinPlan(Q(hash_join)).applicable) << hash_join;
+  }
 }
 
 TEST(CostEstimatorTest, UnknownTableUsesDefaults) {

@@ -22,6 +22,7 @@
 
 #include "catalog/schema.h"
 #include "catalog/value.h"
+#include "core/optimizer.h"
 #include "exec/executor.h"
 #include "exec/worker_pool.h"
 #include "net/api.h"
@@ -437,11 +438,15 @@ TEST(IndexServer, CreateIndexKeepsAnswersAndTicksCounters) {
   EXPECT_GE(Metric(session.get(), "storage.index.rows"), 8);
 }
 
-// The acceptance criterion: EXPLAIN EXTRACTION on a selective
-// T4-extracted equi-join (few outer rows, many inner rows, index on
-// the inner join column) must surface the index-nested-loop choice
-// with both alternatives' estimated costs; without the index the line
-// is absent entirely.
+// The acceptance criterion: EXPLAIN EXTRACTION on a T4-extracted
+// equi-join with an index on the inner join column must surface the
+// index-nested-loop plan with both alternatives' estimated costs, and
+// name the join path EXPLAIN ANALYZE of the same SQL shows: the
+// executor probes the index whenever one covers the join's right key
+// columns, whichever estimate is lower. Without the index the line is
+// absent entirely. Two shapes: a selective join (few outer rows, many
+// inner rows), and one where the scan is estimated cheaper (500 outer
+// rows, 12 inner rows).
 TEST(IndexServer, ExplainExtractionPricesIndexNestedLoopAgainstScan) {
   const char* src = R"(
     func userRoles() {
@@ -458,53 +463,79 @@ TEST(IndexServer, ExplainExtractionPricesIndexNestedLoopAgainstScan) {
       return result;
     }
   )";
-  net::ServerOptions options;
-  options.scheduler_workers = 2;
-  options.optimize.transform.table_keys = {{"wuser", "id"}, {"role", "id"}};
-  net::Server server(std::move(options));
-  auto wuser = *server.db()->CreateTable(
-      "wuser", Schema({{"id", DataType::kInt64},
-                       {"login", DataType::kString},
-                       {"role_id", DataType::kInt64}}));
-  auto role = *server.db()->CreateTable(
-      "role",
-      Schema({{"id", DataType::kInt64}, {"name", DataType::kString}}));
-  for (int64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(wuser
-                    ->Insert({Value::Int(i), Value::String("u" + std::to_string(i)),
-                              Value::Int(i * 50)})
-                    .ok());
-  }
-  for (int64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(
-        role->Insert({Value::Int(i), Value::String("r" + std::to_string(i))})
-            .ok());
-  }
-  std::unique_ptr<net::Session> session = server.Connect();
+  struct Shape {
+    int64_t users;
+    int64_t roles;
+    int64_t role_stride;  // user i holds role (i * role_stride) % roles
+  };
+  for (const Shape& shape : {Shape{4, 200, 50}, Shape{500, 12, 1}}) {
+    SCOPED_TRACE(std::to_string(shape.users) + " users x " +
+                 std::to_string(shape.roles) + " roles");
+    net::ServerOptions options;
+    options.scheduler_workers = 2;
+    options.optimize.transform.table_keys = {{"wuser", "id"}, {"role", "id"}};
+    net::Server server(std::move(options));
+    auto wuser = *server.db()->CreateTable(
+        "wuser", Schema({{"id", DataType::kInt64},
+                         {"login", DataType::kString},
+                         {"role_id", DataType::kInt64}}));
+    auto role = *server.db()->CreateTable(
+        "role",
+        Schema({{"id", DataType::kInt64}, {"name", DataType::kString}}));
+    for (int64_t i = 0; i < shape.users; ++i) {
+      ASSERT_TRUE(wuser
+                      ->Insert({Value::Int(i),
+                                Value::String("u" + std::to_string(i)),
+                                Value::Int((i * shape.role_stride) %
+                                           shape.roles)})
+                      .ok());
+    }
+    for (int64_t i = 0; i < shape.roles; ++i) {
+      ASSERT_TRUE(
+          role->Insert({Value::Int(i), Value::String("r" + std::to_string(i))})
+              .ok());
+    }
+    std::unique_ptr<net::Session> session = server.Connect();
 
-  auto plain = session->Execute(net::Request::ExplainExtraction(src,
-                                                                "userRoles"))
-                   .TakeExplain();
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_EQ(plain->text.find("physical plan:"), std::string::npos)
-      << plain->text;
-
-  ASSERT_TRUE(session
-                  ->Execute(net::Request::Statement(
-                      "CREATE INDEX role_id_idx ON role (id)"))
-                  .ok());
-  auto indexed = session->Execute(net::Request::ExplainExtraction(src,
+    auto plain = session->Execute(net::Request::ExplainExtraction(src,
                                                                   "userRoles"))
                      .TakeExplain();
-  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
-  EXPECT_NE(
-      indexed->text.find("physical plan: index-nested-loop on role(id)"),
-      std::string::npos)
-      << indexed->text;
-  EXPECT_NE(indexed->text.find(" ms vs scan "), std::string::npos)
-      << indexed->text;
-  EXPECT_NE(indexed->text.find("(index "), std::string::npos)
-      << indexed->text;
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    EXPECT_EQ(plain->text.find("physical plan:"), std::string::npos)
+        << plain->text;
+
+    ASSERT_TRUE(session
+                    ->Execute(net::Request::Statement(
+                        "CREATE INDEX role_id_idx ON role (id)"))
+                    .ok());
+    auto indexed = session->Execute(net::Request::ExplainExtraction(
+                                        src, "userRoles"))
+                       .TakeExplain();
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    EXPECT_NE(
+        indexed->text.find("physical plan: index-nested-loop on role(id)"),
+        std::string::npos)
+        << indexed->text;
+    EXPECT_NE(indexed->text.find(" ms vs scan "), std::string::npos)
+        << indexed->text;
+    EXPECT_NE(indexed->text.find("(index "), std::string::npos)
+        << indexed->text;
+
+    // EXPLAIN ANALYZE of the extracted join runs the path the line named.
+    auto optimized = session->OptimizeCached(src, "userRoles");
+    ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+    std::string join_sql;
+    for (const core::VarOutcome& o : (*optimized)->outcomes) {
+      if (o.extracted && !o.sql.empty()) join_sql = o.sql.front();
+    }
+    ASSERT_FALSE(join_sql.empty());
+    auto analyzed = session->Execute(net::Request::Statement(
+                                         "EXPLAIN ANALYZE " + join_sql))
+                        .TakeExplain();
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_NE(analyzed->text.find("IndexNestedLoopJoin"), std::string::npos)
+        << analyzed->text;
+  }
 }
 
 // ---------------------------------------------------------------------------
