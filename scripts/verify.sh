@@ -22,17 +22,20 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" \
 echo "== tier 1: deterministic fuzz sweep (500 scenarios) =="
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --corpus tests/fuzz_corpus
 
-echo "== sanitizers: ASan+UBSan bounded fuzz tests + interpreter + binder =="
+echo "== sanitizers: ASan+UBSan bounded fuzz tests + interpreter + binder + parsers =="
 cmake --preset asan >/dev/null
 # Interp: the interpreter indexes call frames by bound slot and reads
 # cursor rows in place, so its suite runs under the address checker.
 # Binder: the SQL executor reads rows by bound (frame level, column) slot
 # and tables by guard slot, so its suite runs there too.
+# SqlParser|ImpParser: both parsers' hostile-input cases (100,000-level
+# nesting and operator chains) run under the address checker.
 cmake --build build-asan -j"$(nproc)" --target fuzz_test fuzz_eqsql \
-  sql_roundtrip_test null_semantics_test interp_test binder_test
+  sql_roundtrip_test null_semantics_test interp_test binder_test \
+  sql_test frontend_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout "$CTEST_TIMEOUT" \
-  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp|Binder'
+  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp|Binder|SqlParser|ImpParser'
 ./build-asan/src/fuzz/fuzz_eqsql --seed 99 --iters 100 \
   --corpus tests/fuzz_corpus
 

@@ -1,7 +1,6 @@
 #include "baselines/batching_exec.h"
 
 #include <cctype>
-#include <map>
 #include <set>
 
 namespace eqsql::baselines {
@@ -202,7 +201,6 @@ bool CollectSites(const std::vector<StmtPtr>& stmts,
 BatchPlan AnalyzeForEach(const Stmt& loop, const std::string& param_table) {
   BatchPlan plan;
   if (loop.kind() != StmtKind::kForEach) return plan;
-  plan.loop = &loop;
   plan.loop_var = loop.target();
   if (!BodySafe(loop.body())) return plan;
   if (!CollectSites(loop.body(), plan.loop_var, param_table, &plan)) {
@@ -210,38 +208,6 @@ BatchPlan AnalyzeForEach(const Stmt& loop, const std::string& param_table) {
     plan.param_columns = 0;
   }
   return plan;
-}
-
-BatchPlan FindBatchLoop(const frontend::Function& fn,
-                        const std::string& param_table) {
-  // Track `v = executeQuery("...")` at the top level so a loop over a
-  // named cursor resolves its outer query for cost estimation.
-  std::map<std::string, std::string> cursor_sql;
-  for (const StmtPtr& s : fn.body) {
-    if (s->kind() == StmtKind::kAssign && s->expr() != nullptr &&
-        s->expr()->kind() == ExprKind::kCall &&
-        s->expr()->name() == "executeQuery" &&
-        s->expr()->args().size() == 1 &&
-        s->expr()->arg(0)->kind() == ExprKind::kStringLit) {
-      cursor_sql[s->target()] = s->expr()->arg(0)->string_value();
-    }
-    if (s->kind() != StmtKind::kForEach) continue;
-    BatchPlan plan = AnalyzeForEach(*s, param_table);
-    if (plan.sites.empty()) continue;
-    const ExprPtr& iter = s->expr();
-    if (iter != nullptr) {
-      if (iter->kind() == ExprKind::kVarRef) {
-        auto it = cursor_sql.find(iter->name());
-        if (it != cursor_sql.end()) plan.outer_sql = it->second;
-      } else if (iter->kind() == ExprKind::kCall &&
-                 iter->name() == "executeQuery" && !iter->args().empty() &&
-                 iter->arg(0)->kind() == ExprKind::kStringLit) {
-        plan.outer_sql = iter->arg(0)->string_value();
-      }
-    }
-    return plan;
-  }
-  return BatchPlan();
 }
 
 }  // namespace eqsql::baselines

@@ -28,12 +28,7 @@ struct BatchSite {
 /// probe, an impure parameter, DML or an unknown call in the body, or a
 /// probe whose SQL shape the textual rewrite cannot handle).
 struct BatchPlan {
-  const frontend::Stmt* loop = nullptr;
   std::string loop_var;
-  /// The iterable's query text when the loop runs over `executeQuery(lit)`
-  /// directly or over a variable assigned that way earlier in the
-  /// function; empty otherwise (cost estimation then has no outer plan).
-  std::string outer_sql;
   std::vector<BatchSite> sites;
   size_t param_columns = 0;  // total parameter columns across sites
 };
@@ -47,14 +42,6 @@ struct BatchPlan {
 /// queries join against (aliased `__p` inside the generated SQL).
 BatchPlan AnalyzeForEach(const frontend::Stmt& loop,
                          const std::string& param_table);
-
-/// Finds the first batchable cursor loop among `fn`'s top-level
-/// statements, resolving the iterable through top-level
-/// `v = executeQuery("...")` assignments so `outer_sql` is populated
-/// when possible. Returns a plan with empty `sites` when nothing
-/// batches.
-BatchPlan FindBatchLoop(const frontend::Function& fn,
-                        const std::string& param_table);
 
 }  // namespace eqsql::baselines
 

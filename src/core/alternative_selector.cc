@@ -1,12 +1,14 @@
 #include "core/alternative_selector.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <cstdio>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "baselines/batching.h"
 #include "baselines/batching_exec.h"
-#include "common/strings.h"
 
 namespace eqsql::core {
 
@@ -35,82 +37,191 @@ const PlanAlternative* ExtractionPlan::Find(AlternativeKind kind) const {
 
 namespace {
 
-constexpr double kDefaultOuterRows = 1000.0;
-constexpr double kDefaultRowWidth = 48.0;
 /// Approximate uploaded bytes per parameter-table cell (row id or one
 /// parameter value).
 constexpr double kParamCellBytes = 16.0;
 
-/// Shape of the original function's first query-backed cursor loop:
-/// what the interpreted strategy actually pays per execution.
-struct LoopProbe {
-  bool found = false;
-  std::string outer_sql;
-  int queries_per_row = 0;
-};
-
-void CountQueries(const ExprPtr& e, int* n) {
-  if (e == nullptr) return;
-  if (e->kind() == ExprKind::kCall &&
-      (e->name() == "executeQuery" || e->name() == "executeUpdate")) {
-    ++(*n);
+/// The literal query of `executeQuery("...", ...)`, or null.
+const std::string* LiteralQuery(const Expr* e) {
+  if (e == nullptr || e->kind() != ExprKind::kCall ||
+      e->name() != "executeQuery" || e->args().empty() ||
+      e->arg(0)->kind() != ExprKind::kStringLit) {
+    return nullptr;
   }
-  if (e->object() != nullptr) CountQueries(e->object(), n);
-  for (const ExprPtr& a : e->args()) CountQueries(a, n);
+  return &e->arg(0)->string_value();
 }
 
-void CountBodyQueries(const std::vector<StmtPtr>& stmts, int* n) {
-  for (const StmtPtr& s : stmts) {
-    CountQueries(s->expr(), n);
-    CountBodyQueries(s->body(), n);
-    CountBodyQueries(s->else_body(), n);
-  }
+std::string WorkDetail(const net::Work& w) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "%.0f round trip(s), %.1f KB, %.0f client statement(s)",
+                w.round_trips, w.bytes / 1024, w.client_statements);
+  return buf;
 }
 
-LoopProbe ProbeLoop(const frontend::Function* fn) {
-  LoopProbe probe;
-  if (fn == nullptr) return probe;
-  std::map<std::string, std::string> cursor_sql;
-  for (const StmtPtr& s : fn->body) {
-    if (s->kind() == StmtKind::kAssign && s->expr() != nullptr &&
-        s->expr()->kind() == ExprKind::kCall &&
-        s->expr()->name() == "executeQuery" &&
-        !s->expr()->args().empty() &&
-        s->expr()->arg(0)->kind() == ExprKind::kStringLit) {
-      cursor_sql[s->target()] = s->expr()->arg(0)->string_value();
-    }
-    if (s->kind() != StmtKind::kForEach) continue;
-    probe.found = true;
-    const ExprPtr& iter = s->expr();
-    if (iter != nullptr) {
-      if (iter->kind() == ExprKind::kVarRef) {
-        auto it = cursor_sql.find(iter->name());
-        if (it != cursor_sql.end()) probe.outer_sql = it->second;
-      } else if (iter->kind() == ExprKind::kCall &&
-                 iter->name() == "executeQuery" && !iter->args().empty() &&
-                 iter->arg(0)->kind() == ExprKind::kStringLit) {
-        probe.outer_sql = iter->arg(0)->string_value();
+/// The pricing walk: the bill one run of a function would produce,
+/// computed from estimated cardinalities. Every executed statement bills
+/// one client op (Interpreter::ExecStmt), every executeQuery /
+/// executeUpdate site bills its statement, and a statement counts as
+/// often as it is estimated to execute. Calls into other functions of
+/// the program bill only the calling statement. With `batching`, each
+/// cursor loop the batching rewrite accepts (AnalyzeForEach) is billed
+/// as the interpreter's batching mode runs it: one parameter-table
+/// upload and one join per probe site, the probes then served from the
+/// joined rows. Query estimates are kept across walks, so each SQL text
+/// resolves once per selection through the selector's resolver (which
+/// keeps cached parses cached).
+class Pricer {
+ public:
+  Pricer(const CostEstimator& estimator,
+         const AlternativeSelector::PlanResolver& resolve)
+      : estimator_(estimator), resolve_(resolve) {}
+
+  net::Work Price(const frontend::Function& fn, bool batching) {
+    batching_ = batching;
+    work_ = net::Work();
+    cursor_sql_.clear();
+    served_.clear();
+    Block(fn.body, 1);
+    return work_;
+  }
+  /// Probe sites the last walk batched.
+  size_t batched_sites() const { return served_.size(); }
+
+ private:
+  void Block(const std::vector<StmtPtr>& stmts, double times) {
+    for (const StmtPtr& s : stmts) Statement(*s, times);
+  }
+
+  void Statement(const Stmt& s, double times) {
+    work_.client_statements += times;
+    Sites(s.expr().get(), times);
+    switch (s.kind()) {
+      case StmtKind::kAssign:
+        if (const std::string* sql = LiteralQuery(s.expr().get())) {
+          cursor_sql_[s.target()] = sql;
+        } else {
+          cursor_sql_.erase(s.target());
+        }
+        break;
+      case StmtKind::kIf:
+        // Both branches count: the walk does not know which one runs.
+        Block(s.body(), times);
+        Block(s.else_body(), times);
+        break;
+      case StmtKind::kWhile:
+        // A loop whose trip count the walk cannot estimate counts once.
+        Block(s.body(), times);
+        break;
+      case StmtKind::kForEach: {
+        const double trips = TripCount(s.expr().get());
+        cursor_sql_.erase(s.target());
+        if (batching_) Batch(s, times, trips);
+        Block(s.body(), times * trips);
+        break;
       }
+      default:
+        break;
     }
-    CountBodyQueries(s->body(), &probe.queries_per_row);
-    return probe;
   }
-  return probe;
-}
 
-std::string RowsDetail(double rows) {
-  return std::to_string(static_cast<long long>(std::llround(rows))) +
-         " row(s)";
-}
+  /// Bills every query site under `root`, each executed `times` times.
+  /// SQL that does not resolve (DML, dynamic text) bills one round trip
+  /// and one statement.
+  void Sites(const Expr* root, double times) {
+    if (root != nullptr) stack_.push_back(root);
+    while (!stack_.empty()) {
+      const Expr* e = stack_.back();
+      stack_.pop_back();
+      if (e->object() != nullptr) stack_.push_back(e->object().get());
+      for (const ExprPtr& a : e->args()) stack_.push_back(a.get());
+      if (e->kind() != ExprKind::kCall ||
+          (e->name() != "executeQuery" && e->name() != "executeUpdate") ||
+          served_.count(e) > 0) {
+        continue;
+      }
+      const std::string* sql = LiteralQuery(e);
+      const CostEstimate* est = sql != nullptr ? Estimate(*sql) : nullptr;
+      work_ += est != nullptr
+                   ? est->work.Times(times)
+                   : net::Work{.round_trips = times, .statements = times};
+    }
+  }
+
+  /// Estimated rows of the query a foreach iterates: a literal query in
+  /// the loop header or one assigned to the iterated variable earlier.
+  /// Any other iterable's trip count is unknown, and the body counts
+  /// once.
+  double TripCount(const Expr* iterable) {
+    const std::string* sql = LiteralQuery(iterable);
+    if (sql == nullptr && iterable != nullptr &&
+        iterable->kind() == ExprKind::kVarRef) {
+      auto it = cursor_sql_.find(iterable->name());
+      if (it != cursor_sql_.end()) sql = it->second;
+    }
+    const CostEstimate* est = sql != nullptr ? Estimate(*sql) : nullptr;
+    return est != nullptr ? est->cardinality : 1.0;
+  }
+
+  /// Bills `loop` as batched when the batching rewrite accepts it: per
+  /// execution, an upload of one row id plus each site's parameters per
+  /// cursor row, then one join with the inner table per probe site.
+  void Batch(const Stmt& loop, double times, double trips) {
+    const baselines::BatchPlan plan =
+        baselines::AnalyzeForEach(loop, "__batch_params");
+    if (plan.sites.empty()) return;
+    const double cells = static_cast<double>(1 + plan.param_columns);
+    work_ += net::Work{.round_trips = 1,
+                       .uploads = 1,
+                       .bytes = trips * kParamCellBytes * cells}
+                 .Times(times);
+    for (const baselines::BatchSite& site : plan.sites) {
+      const CostEstimator::NodeEstimate inner =
+          estimator_.EstimateScan(site.inner_table);
+      work_ += net::Work{.round_trips = 1,
+                         .statements = 1,
+                         .bytes = trips * inner.row_bytes,
+                         .server_rows = inner.rows + trips}
+                   .Times(times);
+      served_.insert(site.call);
+    }
+  }
+
+  /// Null when the SQL does not resolve to a plan.
+  const CostEstimate* Estimate(const std::string& sql) {
+    auto it = std::find_if(estimates_.begin(), estimates_.end(),
+                           [&](const auto& e) { return e.first == &sql; });
+    if (it == estimates_.end()) {
+      Result<ra::RaNodePtr> plan = resolve_(sql);
+      it = estimates_.emplace(estimates_.end(), &sql, std::nullopt);
+      if (plan.ok()) it->second = estimator_.EstimateQuery(*plan);
+    }
+    return it->second.has_value() ? &*it->second : nullptr;
+  }
+
+  const CostEstimator& estimator_;
+  const AlternativeSelector::PlanResolver& resolve_;
+  /// Keyed by the SQL literal in the program text.
+  std::vector<std::pair<const std::string*, std::optional<CostEstimate>>>
+      estimates_;
+  // The current walk.
+  bool batching_ = false;
+  net::Work work_;
+  /// Variable -> the literal query last assigned to it.
+  std::unordered_map<std::string_view, const std::string*> cursor_sql_;
+  /// Probe sites a batched loop serves from its joined rows.
+  std::unordered_set<const Expr*> served_;
+  std::vector<const Expr*> stack_;  // Sites' work list
+};
 
 /// Annotates extracted variables with the index-nested-loop join the
 /// executor will run, priced against the hash join under the same stats
-/// snapshot the alternatives are priced with. A no-op while the
-/// database has no secondary indexes.
-void AnnotateJoinPlans(const CostEstimator& estimator, bool any_index,
+/// snapshot the alternatives are priced with. A no-op while no table
+/// has a secondary index.
+void AnnotateJoinPlans(const CostEstimator& estimator,
                        const AlternativeSelector::PlanResolver& resolve,
                        OptimizeResult* result) {
-  if (!any_index) return;
+  if (estimator.stats().table_indexes.empty()) return;
   for (VarOutcome& o : result->outcomes) {
     if (!o.extracted) continue;
     for (const std::string& sql : o.sql) {
@@ -134,40 +245,22 @@ ExtractionPlan AlternativeSelector::Select(
     uint64_t stats_epoch) const {
   ExtractionPlan plan;
   plan.stats_epoch = stats_epoch;
+  Pricer pricer(estimator_, resolve);
+  auto priced = [&](PlanAlternative* alt, const net::Work& work) {
+    alt->feasible = true;
+    alt->est_cost_ms = estimator_.model().Ms(work);
+    alt->detail = WorkDetail(work);
+  };
+  const char* const kNoOriginal = "original function unavailable";
 
-  bool any_index = false;
-  for (const auto& [table, indexes] : stats_.table_indexes) {
-    if (!indexes.empty()) any_index = true;
-  }
-
-  const LoopProbe probe = ProbeLoop(original);
-  Result<ra::RaNodePtr> outer_plan = probe.outer_sql.empty()
-                                         ? Status::NotFound("no outer query")
-                                         : resolve(probe.outer_sql);
-
-  // --- extracted-sql: every lifted query runs once.
+  // --- extracted-sql: the rewritten function as it runs.
   PlanAlternative extracted;
   extracted.kind = AlternativeKind::kExtractedSql;
-  if (optimized != nullptr && optimized->any_extracted()) {
-    extracted.feasible = true;
-    int queries = 0;
-    double ms = 0;
-    for (const VarOutcome& o : optimized->outcomes) {
-      if (!o.extracted) continue;
-      for (const std::string& sql : o.sql) {
-        ++queries;
-        Result<ra::RaNodePtr> q = resolve(sql);
-        if (q.ok()) {
-          ms += estimator_.EstimateQuery(*q).Milliseconds(model_);
-        } else {
-          ms += model_.round_trip_latency_ms + model_.query_overhead_ms;
-        }
-      }
-    }
-    extracted.est_cost_ms = ms;
-    extracted.detail = std::to_string(queries) + " set-oriented quer" +
-                       (queries == 1 ? "y" : "ies");
-  } else {
+  const frontend::Function* rewritten =
+      optimized != nullptr && original != nullptr
+          ? optimized->program.Find(original->name)
+          : nullptr;
+  if (optimized == nullptr || !optimized->any_extracted()) {
     extracted.skip_reason = "nothing extracted";
     if (optimized != nullptr) {
       for (const VarOutcome& o : optimized->outcomes) {
@@ -177,87 +270,39 @@ ExtractionPlan AlternativeSelector::Select(
         }
       }
     }
+  } else if (rewritten == nullptr) {
+    extracted.skip_reason = kNoOriginal;
+  } else {
+    priced(&extracted, pricer.Price(*rewritten, /*batching=*/false));
   }
 
-  // --- batching: upload one parameter row per cursor row, replace the
-  // per-row probes with one join each against the parameter table.
+  // --- batching: the original with its batchable loops batched.
   PlanAlternative batching;
   batching.kind = AlternativeKind::kBatching;
-  baselines::BatchPlan bplan;
-  if (original != nullptr) {
-    bplan = baselines::FindBatchLoop(*original, "__batch_params");
-  }
-  if (!bplan.sites.empty()) {
-    batching.feasible = true;
-    double outer_rows = kDefaultOuterRows;
-    double ms = 0;
-    Result<ra::RaNodePtr> bouter = bplan.outer_sql.empty()
-                                       ? outer_plan
-                                       : resolve(bplan.outer_sql);
-    if (bouter.ok()) {
-      CostEstimate outer_est = estimator_.EstimateQuery(*bouter);
-      outer_rows = outer_est.cardinality;
-      ms += outer_est.Milliseconds(model_);
-    } else {
-      ms += model_.round_trip_latency_ms + model_.query_overhead_ms +
-            model_.ServerMs(static_cast<size_t>(outer_rows)) +
-            model_.TransferMs(
-                static_cast<size_t>(outer_rows * kDefaultRowWidth));
-    }
-    ms += model_.param_table_overhead_ms + model_.round_trip_latency_ms +
-          model_.TransferMs(static_cast<size_t>(
-              outer_rows * kParamCellBytes *
-              static_cast<double>(1 + bplan.param_columns)));
-    for (const baselines::BatchSite& site : bplan.sites) {
-      const std::string table = AsciiToLower(site.inner_table);
-      auto rows_it = stats_.table_rows.find(table);
-      const double inner_rows =
-          rows_it != stats_.table_rows.end()
-              ? static_cast<double>(rows_it->second)
-              : kDefaultOuterRows;
-      auto bytes_it = stats_.row_bytes.find(table);
-      const double inner_width =
-          bytes_it != stats_.row_bytes.end()
-              ? static_cast<double>(bytes_it->second)
-              : kDefaultRowWidth;
-      ms += model_.round_trip_latency_ms + model_.query_overhead_ms +
-            model_.ServerMs(static_cast<size_t>(inner_rows + outer_rows)) +
-            model_.TransferMs(static_cast<size_t>(outer_rows * inner_width));
-    }
-    ms += model_.ClientLoopMs(outer_rows);
-    batching.est_cost_ms = ms;
-    batching.detail = std::to_string(bplan.sites.size()) +
-                      " probe site(s) over " + RowsDetail(outer_rows);
-  } else if (original == nullptr) {
-    batching.skip_reason = "original function unavailable";
+  if (original == nullptr) {
+    batching.skip_reason = kNoOriginal;
   } else {
-    baselines::Applicability check =
-        baselines::CheckBatchingApplicable(*original);
-    batching.skip_reason =
-        check.applicable ? "no batchable probe site" : check.reason;
+    const net::Work work = pricer.Price(*original, /*batching=*/true);
+    if (pricer.batched_sites() > 0) {
+      priced(&batching, work);
+      batching.detail = std::to_string(pricer.batched_sites()) +
+                        " probe site(s) batched, " + batching.detail;
+    } else {
+      baselines::Applicability check =
+          baselines::CheckBatchingApplicable(*original);
+      batching.skip_reason =
+          check.applicable ? "no batchable probe site" : check.reason;
+    }
   }
 
-  // --- interpreted: fetch the cursor, then one round trip per row per
-  // inner query. Always feasible — it is the program as written.
+  // --- interpreted: the original as written. Always feasible.
   PlanAlternative interp;
   interp.kind = AlternativeKind::kInterpreted;
   interp.feasible = true;
-  if (outer_plan.ok()) {
-    CostEstimate loop_est =
-        estimator_.EstimateLoop(*outer_plan, probe.queries_per_row);
-    interp.est_cost_ms = loop_est.Milliseconds(model_) +
-                         model_.ClientLoopMs(loop_est.cardinality);
-    interp.detail = std::to_string(loop_est.round_trips) +
-                    " round trip(s) over " + RowsDetail(loop_est.cardinality);
-  } else if (extracted.feasible) {
-    // No query-backed loop to price: the imperative strategy costs what
-    // its queries cost (the loop itself stays client-side).
-    interp.est_cost_ms =
-        extracted.est_cost_ms + model_.ClientLoopMs(kDefaultOuterRows);
-    interp.detail = "no query-backed loop; priced as the extracted queries";
+  if (original == nullptr) {
+    interp.detail = kNoOriginal;
   } else {
-    interp.est_cost_ms = model_.round_trip_latency_ms;
-    interp.detail = "no query-backed loop";
+    priced(&interp, pricer.Price(*original, /*batching=*/false));
   }
 
   plan.alternatives = {extracted, batching, interp};
@@ -278,7 +323,7 @@ ExtractionPlan AlternativeSelector::Select(
   // physical choice beside the strategy choice.
   if (optimized != nullptr) {
     OptimizeResult annotated = *optimized;
-    AnnotateJoinPlans(estimator_, any_index, resolve, &annotated);
+    AnnotateJoinPlans(estimator_, resolve, &annotated);
     plan.optimized =
         std::make_shared<const OptimizeResult>(std::move(annotated));
   }

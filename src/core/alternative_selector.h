@@ -68,24 +68,26 @@ class AlternativeSelector {
   using PlanResolver = std::function<Result<ra::RaNodePtr>(const std::string&)>;
 
   AlternativeSelector(TableStats stats, net::CostModel model)
-      : stats_(std::move(stats)),
-        estimator_(stats_, model),
-        model_(model) {}
+      : estimator_(std::move(stats), model) {}
 
   /// Prices extraction, batching, and the interpreted original for
-  /// `function` and picks the cheapest feasible strategy. `original`
-  /// is the pre-rewrite function (loop shape + probe sites); null is
-  /// tolerated and prices extraction vs. a defaulted loop. The returned
-  /// plan owns a join-plan-annotated copy of `optimized`.
+  /// `function` and picks the cheapest feasible strategy. Each strategy
+  /// is priced as the bill its run would produce: one pricing walk over
+  /// the program it runs (the rewritten function for extraction, the
+  /// original for the other two), with every query priced by the
+  /// estimator and every executed statement as one client op.
+  /// `original` is the pre-rewrite function; its name also picks the
+  /// rewritten function out of `optimized->program`. Null is tolerated:
+  /// with no program to walk, only the interpreted original is
+  /// feasible. The returned plan owns a join-plan-annotated copy of
+  /// `optimized`.
   ExtractionPlan Select(std::shared_ptr<const OptimizeResult> optimized,
                         const frontend::Function* original,
                         const PlanResolver& resolve,
                         uint64_t stats_epoch) const;
 
  private:
-  TableStats stats_;
   CostEstimator estimator_;
-  net::CostModel model_;
 };
 
 }  // namespace eqsql::core

@@ -86,30 +86,29 @@ bool CollectRightKeyColumns(const ra::ScalarExprPtr& pred,
 
 }  // namespace
 
-double CostEstimate::Milliseconds(const net::CostModel& model) const {
-  return static_cast<double>(round_trips) * model.round_trip_latency_ms +
-         static_cast<double>(round_trips) * model.query_overhead_ms +
-         model.TransferMs(static_cast<size_t>(bytes)) +
-         model.ServerMs(static_cast<size_t>(rows_processed));
+CostEstimator::NodeEstimate CostEstimator::EstimateScan(
+    const std::string& table) const {
+  const std::string name = AsciiToLower(table);
+  NodeEstimate out;
+  auto rows_it = stats_.table_rows.find(name);
+  out.rows = rows_it != stats_.table_rows.end()
+                 ? static_cast<double>(rows_it->second)
+                 : kDefaultTableRows;
+  auto bytes_it = stats_.row_bytes.find(name);
+  out.row_bytes = bytes_it != stats_.row_bytes.end()
+                      ? static_cast<double>(bytes_it->second)
+                      : kDefaultRowBytes;
+  out.processed = out.rows;
+  return out;
 }
 
-CostEstimator::NodeEstimate CostEstimator::Walk(const RaNode& node) const {
+CostEstimator::NodeEstimate CostEstimator::EstimateNode(
+    const RaNode& node) const {
   switch (node.op()) {
-    case RaOp::kScan: {
-      NodeEstimate out;
-      auto rows_it = stats_.table_rows.find(AsciiToLower(node.table_name()));
-      out.rows = rows_it != stats_.table_rows.end()
-                     ? static_cast<double>(rows_it->second)
-                     : kDefaultTableRows;
-      auto bytes_it = stats_.row_bytes.find(AsciiToLower(node.table_name()));
-      out.row_bytes = bytes_it != stats_.row_bytes.end()
-                          ? static_cast<double>(bytes_it->second)
-                          : kDefaultRowBytes;
-      out.processed = out.rows;
-      return out;
-    }
+    case RaOp::kScan:
+      return EstimateScan(node.table_name());
     case RaOp::kSelect: {
-      NodeEstimate in = Walk(*node.child(0));
+      NodeEstimate in = EstimateNode(*node.child(0));
       NodeEstimate out = in;
       // A key-equality point predicate over a base scan becomes an
       // index probe (Executor::TryKeyLookup).
@@ -124,7 +123,7 @@ CostEstimator::NodeEstimate CostEstimator::Walk(const RaNode& node) const {
       return out;
     }
     case RaOp::kProject: {
-      NodeEstimate in = Walk(*node.child(0));
+      NodeEstimate in = EstimateNode(*node.child(0));
       NodeEstimate out = in;
       // Width scales with the projected column count vs an assumed
       // 6-column base row.
@@ -137,8 +136,8 @@ CostEstimator::NodeEstimate CostEstimator::Walk(const RaNode& node) const {
     }
     case RaOp::kJoin:
     case RaOp::kLeftOuterJoin: {
-      NodeEstimate left = Walk(*node.child(0));
-      NodeEstimate right = Walk(*node.child(1));
+      NodeEstimate left = EstimateNode(*node.child(0));
+      NodeEstimate right = EstimateNode(*node.child(1));
       NodeEstimate out;
       // Equi-join containment: one match per row of the larger side.
       out.rows = std::max(left.rows, right.rows);
@@ -150,8 +149,8 @@ CostEstimator::NodeEstimate CostEstimator::Walk(const RaNode& node) const {
       return out;
     }
     case RaOp::kOuterApply: {
-      NodeEstimate left = Walk(*node.child(0));
-      NodeEstimate right = Walk(*node.child(1));
+      NodeEstimate left = EstimateNode(*node.child(0));
+      NodeEstimate right = EstimateNode(*node.child(1));
       NodeEstimate out;
       out.rows = left.rows;  // scalar apply: one row per outer row
       out.row_bytes = left.row_bytes + right.row_bytes;
@@ -161,7 +160,7 @@ CostEstimator::NodeEstimate CostEstimator::Walk(const RaNode& node) const {
       return out;
     }
     case RaOp::kGroupBy: {
-      NodeEstimate in = Walk(*node.child(0));
+      NodeEstimate in = EstimateNode(*node.child(0));
       NodeEstimate out = in;
       out.rows = node.group_keys().empty() ? 1.0 : std::sqrt(in.rows);
       out.row_bytes = 8.0 * static_cast<double>(node.group_keys().size() +
@@ -170,18 +169,18 @@ CostEstimator::NodeEstimate CostEstimator::Walk(const RaNode& node) const {
       return out;
     }
     case RaOp::kSort: {
-      NodeEstimate in = Walk(*node.child(0));
+      NodeEstimate in = EstimateNode(*node.child(0));
       in.processed += in.rows;
       return in;
     }
     case RaOp::kDedup: {
-      NodeEstimate in = Walk(*node.child(0));
+      NodeEstimate in = EstimateNode(*node.child(0));
       in.rows *= 0.5;
       in.processed += in.rows;
       return in;
     }
     case RaOp::kLimit: {
-      NodeEstimate in = Walk(*node.child(0));
+      NodeEstimate in = EstimateNode(*node.child(0));
       in.rows = std::min(in.rows, static_cast<double>(node.limit()));
       return in;
     }
@@ -190,25 +189,13 @@ CostEstimator::NodeEstimate CostEstimator::Walk(const RaNode& node) const {
 }
 
 CostEstimate CostEstimator::EstimateQuery(const RaNodePtr& plan) const {
-  NodeEstimate est = Walk(*plan);
+  const NodeEstimate est = EstimateNode(*plan);
   CostEstimate out;
+  out.work = {.round_trips = 1,
+              .statements = 1,
+              .bytes = est.rows * est.row_bytes,
+              .server_rows = est.processed};
   out.cardinality = est.rows;
-  out.rows_processed = est.processed;
-  out.round_trips = 1;
-  out.bytes = est.rows * est.row_bytes;
-  return out;
-}
-
-CostEstimate CostEstimator::EstimateLoop(const RaNodePtr& outer,
-                                         int queries_per_row) const {
-  NodeEstimate est = Walk(*outer);
-  CostEstimate out;
-  out.cardinality = est.rows * (1.0 + queries_per_row);
-  out.rows_processed = est.processed + est.rows * queries_per_row;
-  out.round_trips = 1 + static_cast<int64_t>(est.rows) * queries_per_row;
-  // The outer rows plus one (typically narrow) row per inner query.
-  out.bytes = est.rows * est.row_bytes +
-              est.rows * queries_per_row * kDefaultRowBytes;
   return out;
 }
 
@@ -251,17 +238,17 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
   visit(*plan);
   if (site == nullptr) return out;
 
-  NodeEstimate left = Walk(*site->child(0));
-  NodeEstimate right = Walk(*site->child(1));
+  NodeEstimate left = EstimateNode(*site->child(0));
+  NodeEstimate right = EstimateNode(*site->child(1));
   CostEstimate scan = EstimateQuery(plan);
   // The index alternative replaces the inner side's full materialization
   // with one probe per outer row; everything above the join is shared.
   double delta = right.processed - left.rows;
-  CostEstimate index = scan;
-  index.rows_processed = std::max(0.0, scan.rows_processed - delta);
+  net::Work index = scan.work;
+  index.server_rows = std::max(0.0, scan.work.server_rows - delta);
   out.applicable = true;
-  out.scan_ms = scan.Milliseconds(model_);
-  out.index_ms = index.Milliseconds(model_);
+  out.scan_ms = model_.Ms(scan.work);
+  out.index_ms = model_.Ms(index);
   out.detail = table + "(";
   for (size_t i = 0; i < index_cols->size(); ++i) {
     if (i > 0) out.detail += ",";

@@ -25,16 +25,12 @@ struct TableStats {
   std::map<std::string, std::vector<std::vector<std::string>>> table_indexes;
 };
 
-/// Estimated execution profile of one strategy.
+/// Estimated profile of one query: the work its charge would bill
+/// (priced by net::CostModel::Ms, the formula net::Connection charges
+/// with) and the rows the client receives.
 struct CostEstimate {
-  double cardinality = 0;     // rows the client receives
-  double rows_processed = 0;  // server-side work
-  int64_t round_trips = 0;
-  double bytes = 0;
-
-  /// Simulated milliseconds under `model` (same formula as
-  /// net::Connection charges at run time).
-  double Milliseconds(const net::CostModel& model) const;
+  net::Work work;
+  double cardinality = 0;
 };
 
 /// The physical plan of the first indexable equi-join in a plan. The
@@ -67,12 +63,6 @@ class CostEstimator {
   /// Profile of executing `plan` once as a single query.
   CostEstimate EstimateQuery(const ra::RaNodePtr& plan) const;
 
-  /// Profile of the original imperative strategy: fetch `outer` whole,
-  /// then run `queries_per_row` further queries per fetched row (0 for a
-  /// self-contained loop). Client work is charged per row iterated.
-  CostEstimate EstimateLoop(const ra::RaNodePtr& outer,
-                            int queries_per_row) const;
-
   /// Prices the index-nested-loop alternative against the full-scan
   /// hash join for the first join in `plan` whose inner side is a base
   /// scan with a secondary index over exactly the join's right key
@@ -82,6 +72,7 @@ class CostEstimator {
   JoinPlanChoice ChooseJoinPlan(const ra::RaNodePtr& plan) const;
 
   const net::CostModel& model() const { return model_; }
+  const TableStats& stats() const { return stats_; }
 
   struct NodeEstimate {
     double rows = 0;        // output cardinality
@@ -92,13 +83,13 @@ class CostEstimator {
   /// Per-operator estimate for one plan node (subtree-cumulative
   /// `processed`). EXPLAIN ANALYZE uses this to put the estimator's
   /// numbers next to each executed operator's actuals.
-  NodeEstimate EstimateNode(const ra::RaNode& node) const {
-    return Walk(node);
-  }
+  NodeEstimate EstimateNode(const ra::RaNode& node) const;
+
+  /// A full scan of `table` (any case): its row count and row width
+  /// from the statistics, defaulted when the table has none.
+  NodeEstimate EstimateScan(const std::string& table) const;
 
  private:
-  NodeEstimate Walk(const ra::RaNode& node) const;
-
   TableStats stats_;
   net::CostModel model_;
 };

@@ -67,10 +67,6 @@ uint64_t PlanCache::DigestProgram(std::string_view source,
   return h;
 }
 
-uint64_t PlanCache::Salted(uint64_t digest) const {
-  return key_salt_ == 0 ? digest : SplitMix64(digest ^ key_salt_);
-}
-
 void PlanCache::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     m_hits_ = nullptr;
@@ -126,7 +122,7 @@ void PlanCache::Insert(Entry entry) {
 
 Result<std::shared_ptr<const exec::PreparedQuery>> PlanCache::GetOrPrepareSql(
     std::string_view sql) {
-  uint64_t key = Salted(DigestSql(sql));
+  uint64_t key = DigestSql(sql);
   Entry entry;
   if (Lookup(key, &entry) && entry.query != nullptr) return entry.query;
   // Miss: parse outside the lock so concurrent misses do not serialize.
@@ -150,7 +146,7 @@ Result<ra::RaNodePtr> PlanCache::GetOrParseSql(std::string_view sql) {
 Result<std::shared_ptr<const OptimizeResult>> PlanCache::GetOrOptimize(
     const std::string& source, const std::string& function,
     const OptimizeOptions& options) {
-  uint64_t key = Salted(DigestProgram(source, function, options));
+  uint64_t key = DigestProgram(source, function, options);
   Entry entry;
   if (Lookup(key, &entry) && entry.optimized != nullptr) {
     return entry.optimized;
@@ -176,9 +172,8 @@ Result<std::shared_ptr<const ExtractionPlan>> PlanCache::GetOrSelect(
     const std::string& source, const std::string& function,
     const OptimizeOptions& options, uint64_t stats_epoch,
     const SelectFn& compute) {
-  uint64_t key = Salted(
-      SplitMix64(DigestProgram(source, function, options) ^
-                 Fnv1a("select-plan")));
+  uint64_t key = SplitMix64(DigestProgram(source, function, options) ^
+                            Fnv1a("select-plan"));
   Entry entry;
   if (Lookup(key, &entry) && entry.selected != nullptr) {
     if (entry.stats_epoch == stats_epoch) return entry.selected;

@@ -109,14 +109,6 @@ class PlanCache {
   size_t capacity() const { return capacity_; }
   void Clear();
 
-  /// Mixes `salt` into every lookup key. The server salts its cache
-  /// with the database's shard configuration so entries computed under
-  /// one sharding can never alias a differently-configured server's
-  /// (e.g. if a cache is ever shared or serialized across servers).
-  /// Changing the salt effectively empties the cache. Not thread-safe:
-  /// set before concurrent use.
-  void set_key_salt(uint64_t salt) { key_salt_ = salt; }
-
   /// Mirrors every stat increment into plan_cache.* counters of
   /// `metrics` (hits, misses, insertions, evictions, invalidations).
   /// Handles are resolved here once; increments are lock-free, so the
@@ -159,9 +151,6 @@ class PlanCache {
     std::string source_lower;
   };
 
-  /// Post-mixes key_salt_ into a pure digest.
-  uint64_t Salted(uint64_t digest) const;
-
   /// Looks up `key`, promoting the line to most-recently-used. Returns
   /// an owning copy of the entry payloads (never a reference — the line
   /// may be evicted the instant the mutex is released).
@@ -171,7 +160,6 @@ class PlanCache {
   void Insert(Entry entry);
 
   const size_t capacity_;
-  uint64_t key_salt_ = 0;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;

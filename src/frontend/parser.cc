@@ -1,7 +1,9 @@
 #include "frontend/parser.h"
 
 #include <cctype>
+#include <utility>
 
+#include "common/parse_depth.h"
 #include "frontend/lexer.h"
 #include "obs/trace.h"
 
@@ -10,15 +12,6 @@ namespace eqsql::frontend {
 namespace {
 
 thread_local uint64_t parse_calls = 0;
-
-/// Counts one level of parser nesting for its lifetime.
-struct DepthGuard {
-  explicit DepthGuard(int* d) : depth(d) { ++*depth; }
-  ~DepthGuard() { --*depth; }
-  DepthGuard(const DepthGuard&) = delete;
-  DepthGuard& operator=(const DepthGuard&) = delete;
-  int* depth;
-};
 
 class Parser {
  public:
@@ -102,8 +95,8 @@ class Parser {
   }
 
   Result<StmtPtr> ParseStmt() {
-    DepthGuard nest(&depth_);
-    if (depth_ > kMaxParseDepth) return TooDeep();
+    ParseDepth::Nest nest(&depth_);
+    if (nest.level() > kMaxParseDepth) return TooDeep();
     SourceLoc loc = Peek().loc;
     if (CheckKeyword("if")) return ParseIf();
     if (MatchKeyword("for")) {
@@ -186,88 +179,56 @@ class Parser {
 
   // --- expressions, precedence climbing -----------------------------------
   Result<ExprPtr> ParseExpr() {
-    DepthGuard nest(&depth_);
-    if (depth_ > kMaxParseDepth) return TooDeep();
+    ParseDepth::Nest nest(&depth_);
+    if (nest.level() > kMaxParseDepth) return TooDeep();
     return ParseTernary();
   }
 
   Result<ExprPtr> ParseTernary() {
-    EQSQL_ASSIGN_OR_RETURN(ExprPtr cond, ParseOr());
+    ParseDepth::Chain chain(&depth_);
+    EQSQL_ASSIGN_OR_RETURN(ExprPtr cond, ParseBinary(0));
     if (!Match(TokKind::kQuestion)) return cond;
     SourceLoc loc = Peek().loc;
     EQSQL_ASSIGN_OR_RETURN(ExprPtr then_e, ParseExpr());
     EQSQL_RETURN_IF_ERROR(Expect(TokKind::kColon, "':'"));
     EQSQL_ASSIGN_OR_RETURN(ExprPtr else_e, ParseExpr());
+    if (chain.Link() > kMaxParseDepth) return TooDeep();
     return Expr::Ternary(std::move(cond), std::move(then_e),
                          std::move(else_e), loc);
   }
 
-  Result<ExprPtr> ParseOr() {
-    EQSQL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
-    while (Check(TokKind::kOrOr)) {
-      SourceLoc loc = Advance().loc;
-      EQSQL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = Expr::Binary(BinOp::kOr, std::move(lhs), std::move(rhs), loc);
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseAnd() {
-    EQSQL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseEquality());
-    while (Check(TokKind::kAndAnd)) {
-      SourceLoc loc = Advance().loc;
-      EQSQL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseEquality());
-      lhs = Expr::Binary(BinOp::kAnd, std::move(lhs), std::move(rhs), loc);
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseEquality() {
-    EQSQL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseRelational());
-    while (Check(TokKind::kEq) || Check(TokKind::kNe)) {
-      BinOp op = Check(TokKind::kEq) ? BinOp::kEq : BinOp::kNe;
-      SourceLoc loc = Advance().loc;
-      EQSQL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseRelational());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs), loc);
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseRelational() {
-    EQSQL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
-    while (true) {
-      BinOp op;
-      if (Check(TokKind::kLt)) op = BinOp::kLt;
-      else if (Check(TokKind::kLe)) op = BinOp::kLe;
-      else if (Check(TokKind::kGt)) op = BinOp::kGt;
-      else if (Check(TokKind::kGe)) op = BinOp::kGe;
-      else return lhs;
-      SourceLoc loc = Advance().loc;
-      EQSQL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs), loc);
+  /// The binary operator a token spells and its precedence level, 0
+  /// binding loosest; level -1 for any other token.
+  static std::pair<int, BinOp> BinaryOp(TokKind kind) {
+    switch (kind) {
+      case TokKind::kOrOr: return {0, BinOp::kOr};
+      case TokKind::kAndAnd: return {1, BinOp::kAnd};
+      case TokKind::kEq: return {2, BinOp::kEq};
+      case TokKind::kNe: return {2, BinOp::kNe};
+      case TokKind::kLt: return {3, BinOp::kLt};
+      case TokKind::kLe: return {3, BinOp::kLe};
+      case TokKind::kGt: return {3, BinOp::kGt};
+      case TokKind::kGe: return {3, BinOp::kGe};
+      case TokKind::kPlus: return {4, BinOp::kAdd};
+      case TokKind::kMinus: return {4, BinOp::kSub};
+      case TokKind::kStar: return {5, BinOp::kMul};
+      case TokKind::kSlash: return {5, BinOp::kDiv};
+      case TokKind::kPercent: return {5, BinOp::kMod};
+      default: return {-1, BinOp::kAdd};
     }
   }
+  static constexpr int kBinaryLevels = 6;
 
-  Result<ExprPtr> ParseAdditive() {
-    EQSQL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
-    while (Check(TokKind::kPlus) || Check(TokKind::kMinus)) {
-      BinOp op = Check(TokKind::kPlus) ? BinOp::kAdd : BinOp::kSub;
+  /// Left-associative binary operators of precedence `level` and above.
+  Result<ExprPtr> ParseBinary(int level) {
+    if (level == kBinaryLevels) return ParseUnary();
+    ParseDepth::Chain chain(&depth_);
+    EQSQL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseBinary(level + 1));
+    while (BinaryOp(Peek().kind).first == level) {
+      const BinOp op = BinaryOp(Peek().kind).second;
       SourceLoc loc = Advance().loc;
-      EQSQL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs), loc);
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseMultiplicative() {
-    EQSQL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
-    while (Check(TokKind::kStar) || Check(TokKind::kSlash) ||
-           Check(TokKind::kPercent)) {
-      BinOp op = Check(TokKind::kStar)
-                     ? BinOp::kMul
-                     : (Check(TokKind::kSlash) ? BinOp::kDiv : BinOp::kMod);
-      SourceLoc loc = Advance().loc;
-      EQSQL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
+      EQSQL_ASSIGN_OR_RETURN(ExprPtr rhs, ParseBinary(level + 1));
+      if (chain.Link() > kMaxParseDepth) return TooDeep();
       lhs = Expr::Binary(op, std::move(lhs), std::move(rhs), loc);
     }
     return lhs;
@@ -277,8 +238,8 @@ class Parser {
     if (Check(TokKind::kBang) || Check(TokKind::kMinus)) {
       const UnOp op = Check(TokKind::kBang) ? UnOp::kNot : UnOp::kNeg;
       SourceLoc loc = Advance().loc;
-      DepthGuard nest(&depth_);
-      if (depth_ > kMaxParseDepth) return TooDeep();
+      ParseDepth::Nest nest(&depth_);
+      if (nest.level() > kMaxParseDepth) return TooDeep();
       EQSQL_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       return Expr::Unary(op, std::move(operand), loc);
     }
@@ -286,6 +247,7 @@ class Parser {
   }
 
   Result<ExprPtr> ParsePostfix() {
+    ParseDepth::Chain chain(&depth_);
     EQSQL_ASSIGN_OR_RETURN(ExprPtr expr, ParsePrimary());
     while (Match(TokKind::kDot)) {
       if (!Check(TokKind::kIdent)) return Status(Err("expected member name"));
@@ -300,6 +262,7 @@ class Parser {
           } while (Match(TokKind::kComma));
         }
         EQSQL_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
+        if (chain.Link() > kMaxParseDepth) return TooDeep();
         // Normalize Hibernate-style getters: t.getP1() => t.p1
         if (args.empty() && member.size() > 3 &&
             member.compare(0, 3, "get") == 0 &&
@@ -313,6 +276,7 @@ class Parser {
                                   std::move(args), loc);
         }
       } else {
+        if (chain.Link() > kMaxParseDepth) return TooDeep();
         expr = Expr::FieldAccess(std::move(expr), std::move(member), loc);
       }
     }
@@ -377,7 +341,7 @@ class Parser {
 
   std::vector<Tok> tokens_;
   size_t pos_ = 0;
-  int depth_ = 0;  // current nesting, bounded by kMaxParseDepth
+  ParseDepth depth_;  // tree depth, bounded by kMaxParseDepth
 };
 
 }  // namespace

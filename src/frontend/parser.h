@@ -33,17 +33,19 @@ namespace eqsql::frontend {
 /// Getter method calls `x.getFoo()` are normalized to field accesses
 /// `x.foo` at parse time (Hibernate entity style).
 ///
-/// Nesting deeper than kMaxParseDepth — statements inside statement
-/// bodies (an `else if` chain nests too), expressions inside
-/// expressions, and `!` / unary-minus chains, one level each — fails
-/// with kParseError instead of exhausting the stack.
+/// A tree deeper than kMaxParseDepth fails with kParseError instead of
+/// exhausting the stack of the passes behind the parser. Nesting counts
+/// one level each (statements inside statement bodies, where an `else
+/// if` chain nests too, expressions inside expressions, `!` /
+/// unary-minus chains), and so does each link of an operator chain
+/// (`1+1+...`, `a && b && ...`, `x.a.a...`, `x.f().g()...`).
 Result<Program> ParseProgram(std::string_view source);
 
 /// ParseProgram calls made so far on the calling thread. A probe for
 /// tests that check a code path parses no program text.
 uint64_t ParseProgramCallsOnThisThread();
 
-/// Deepest nesting ParseProgram accepts.
+/// Deepest tree ParseProgram accepts.
 inline constexpr int kMaxParseDepth = 256;
 
 }  // namespace eqsql::frontend

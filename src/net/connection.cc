@@ -181,11 +181,6 @@ Result<exec::ResultSet> Connection::QueryPreparedImpl(
   for (const catalog::Value& p : params) request_bytes += p.WireSize();
   size_t result_bytes = rs.WireSize();
 
-  ++stats_.queries_executed;
-  stats_.rows_transferred += static_cast<int64_t>(rs.rows.size());
-  stats_.bytes_transferred +=
-      static_cast<int64_t>(request_bytes + result_bytes);
-
   if (trace_enabled_) {
     QueryTrace t;
     t.sql = pending_sql_.empty() ? query.plan()->ToString() : pending_sql_;
@@ -195,27 +190,17 @@ Result<exec::ResultSet> Connection::QueryPreparedImpl(
   }
   pending_sql_.clear();
 
-  double elapsed = model_.query_overhead_ms +
-                   model_.TransferMs(request_bytes + result_bytes) +
-                   model_.ServerMs(executor_.last_rows_processed());
-  bool pay_latency = true;
-  if (prefetch_mode_ && prefetch_primed_) pay_latency = false;
-  if (pay_latency) {
-    elapsed += model_.round_trip_latency_ms;
-    ++stats_.round_trips;
-  }
+  // In primed prefetch mode the round trip overlaps client work and is
+  // waived.
+  const bool pay_latency = !(prefetch_mode_ && prefetch_primed_);
   prefetch_primed_ = prefetch_mode_;
-  stats_.simulated_ms += elapsed;
-  PublishStats();
-
-  if (m_queries_ != nullptr) {
-    m_queries_->Increment();
-    if (pay_latency) m_round_trips_->Increment();
-    m_rows_transferred_->Add(static_cast<int64_t>(rs.rows.size()));
-    m_bytes_transferred_->Add(
-        static_cast<int64_t>(request_bytes + result_bytes));
-    m_rows_processed_->Add(
-        static_cast<int64_t>(executor_.last_rows_processed()));
+  Charge({.round_trips = pay_latency ? 1.0 : 0.0,
+          .statements = 1,
+          .bytes = static_cast<double>(request_bytes + result_bytes),
+          .server_rows =
+              static_cast<double>(executor_.last_rows_processed())},
+         static_cast<int64_t>(rs.rows.size()), /*dml=*/false);
+  if (m_query_ns_ != nullptr) {
     m_query_ns_->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - wall0)
                             .count());
@@ -271,7 +256,7 @@ Outcome Connection::ExplainAnalyzeImpl(
           core::CostEstimator::NodeEstimate est =
               estimator.EstimateNode(*ra_node);
           n->est_rows = est.rows;
-          n->est_cost_ms = model_.ServerMs(static_cast<size_t>(est.processed));
+          n->est_cost_ms = model_.Ms({.server_rows = est.processed});
         }
         for (auto& child : n->children) annotate(child.get());
       };
@@ -288,19 +273,7 @@ Outcome Connection::ExplainAnalyzeImpl(
 
 void Connection::SimulateUpdateImpl(std::string_view sql) {
   DebugCheckThreadOwner();
-  ++stats_.queries_executed;
-  ++stats_.round_trips;
-  stats_.bytes_transferred += static_cast<int64_t>(sql.size());
-  stats_.simulated_ms += model_.round_trip_latency_ms +
-                         model_.query_overhead_ms +
-                         model_.TransferMs(sql.size());
-  PublishStats();
-  if (m_queries_ != nullptr) {
-    m_queries_->Increment();
-    m_round_trips_->Increment();
-    m_dml_statements_->Increment();
-    m_bytes_transferred_->Add(static_cast<int64_t>(sql.size()));
-  }
+  ChargeStatement(sql.size(), /*server_rows=*/0);
 }
 
 Result<int64_t> Connection::DmlImpl(
@@ -565,22 +538,40 @@ Result<int64_t> Connection::CreateIndexImpl(std::string_view sql) {
   return 0;
 }
 
-void Connection::ChargeStatement(size_t request_bytes, size_t server_rows) {
-  ++stats_.queries_executed;
-  ++stats_.round_trips;
-  stats_.bytes_transferred += static_cast<int64_t>(request_bytes);
-  stats_.simulated_ms += model_.round_trip_latency_ms +
-                         model_.query_overhead_ms +
-                         model_.TransferMs(request_bytes) +
-                         model_.ServerMs(server_rows);
+void Connection::Charge(const Work& work, int64_t result_rows, bool dml) {
+  const auto statements = static_cast<int64_t>(work.statements);
+  const auto round_trips = static_cast<int64_t>(work.round_trips);
+  const auto bytes = static_cast<int64_t>(work.bytes);
+  const auto server_rows = static_cast<int64_t>(work.server_rows);
+  stats_.queries_executed += statements;
+  stats_.round_trips += round_trips;
+  stats_.rows_transferred += result_rows;
+  stats_.bytes_transferred += bytes;
+  stats_.simulated_ms += model_.Ms(work);
   PublishStats();
-  if (m_queries_ != nullptr) {
-    m_queries_->Increment();
-    m_round_trips_->Increment();
-    m_dml_statements_->Increment();
-    m_bytes_transferred_->Add(static_cast<int64_t>(request_bytes));
-    m_rows_processed_->Add(static_cast<int64_t>(server_rows));
-  }
+  // Client ops charge on every interpreted statement: skip the counters
+  // they leave at zero.
+  if (m_queries_ == nullptr) return;
+  if (statements != 0) m_queries_->Add(statements);
+  if (statements != 0 && dml) m_dml_statements_->Add(statements);
+  if (round_trips != 0) m_round_trips_->Add(round_trips);
+  if (result_rows != 0) m_rows_transferred_->Add(result_rows);
+  if (bytes != 0) m_bytes_transferred_->Add(bytes);
+  if (server_rows != 0) m_rows_processed_->Add(server_rows);
+}
+
+void Connection::ChargeStatement(size_t request_bytes, size_t server_rows) {
+  Charge({.round_trips = 1,
+          .statements = 1,
+          .bytes = static_cast<double>(request_bytes),
+          .server_rows = static_cast<double>(server_rows)},
+         /*result_rows=*/0, /*dml=*/true);
+}
+
+void Connection::ChargeClientOps(int64_t ops) {
+  DebugCheckThreadOwner();
+  Charge({.client_statements = static_cast<double>(ops)}, /*result_rows=*/0,
+         /*dml=*/false);
 }
 
 Status Connection::CreateTempTable(const std::string& name,
@@ -599,16 +590,11 @@ Status Connection::CreateTempTable(const std::string& name,
     EQSQL_RETURN_IF_ERROR(table->Insert(std::move(row)));
   }
   db_->PublishTable(std::move(table));
-  ++stats_.round_trips;
-  stats_.bytes_transferred += static_cast<int64_t>(upload_bytes);
-  stats_.simulated_ms += model_.param_table_overhead_ms +
-                         model_.round_trip_latency_ms +
-                         model_.TransferMs(upload_bytes);
-  PublishStats();
-  if (m_round_trips_ != nullptr) {
-    m_round_trips_->Increment();
-    m_bytes_transferred_->Add(static_cast<int64_t>(upload_bytes));
-  }
+  // An upload is a round trip but not a statement: net.queries stays.
+  Charge({.round_trips = 1,
+          .uploads = 1,
+          .bytes = static_cast<double>(upload_bytes)},
+         /*result_rows=*/0, /*dml=*/false);
   return Status::OK();
 }
 

@@ -105,12 +105,7 @@ class Connection : public Client {
 
   /// Charges client-side computation (interpreted statements executed
   /// by the application) onto the simulated clock.
-  void ChargeClientOps(int64_t ops) override {
-    DebugCheckThreadOwner();
-    stats_.simulated_ms +=
-        model_.client_cost_per_op_ms * static_cast<double>(ops);
-    PublishStats();
-  }
+  void ChargeClientOps(int64_t ops) override;
 
   /// Creates a server-side temporary table and loads `rows` into it,
   /// charging batching's parameter-table overhead plus upload transfer.
@@ -267,10 +262,14 @@ class Connection : public Client {
                              const std::vector<catalog::Value>& params,
                              TxnContext* txn_ctx);
 
+  /// The one charge. Prices `work` with the cost model onto the
+  /// simulated clock and adds it to stats_ and to the net.* and
+  /// exec.rows_processed counters. `result_rows` are the rows a query
+  /// ships back; `dml` also counts the statements as
+  /// net.dml_statements.
+  void Charge(const Work& work, int64_t result_rows, bool dml);
   /// Charges one round-trip statement of `request_bytes` with
-  /// `server_rows` of server-side work onto the simulated clock, the
-  /// net.* counters and exec.rows_processed (the shared accounting of
-  /// DML and txn control).
+  /// `server_rows` of server-side work (DML, txn control, DDL).
   void ChargeStatement(size_t request_bytes, size_t server_rows);
 
   /// Latches the calling thread as owner on first use; asserts (debug

@@ -1,10 +1,39 @@
 #ifndef EQSQL_NET_COST_MODEL_H_
 #define EQSQL_NET_COST_MODEL_H_
 
-#include <cstddef>
 #include <cstdint>
 
 namespace eqsql::net {
+
+/// One bill of simulated work, in the units the cost model prices.
+/// Every charge net::Connection makes is one of these with exact
+/// counts, and every estimate the optimizer prices is one with
+/// estimated counts, so an estimate and the bill of the run it predicts
+/// go through the same formula (CostModel::Ms).
+struct Work {
+  double round_trips = 0;        // client<->server latencies paid
+  double statements = 0;         // statements the server dispatches
+  double uploads = 0;            // parameter tables created and loaded
+  double bytes = 0;              // request + result + upload bytes
+  double server_rows = 0;        // rows processed by server operators
+  double client_statements = 0;  // statements the application executes
+
+  Work& operator+=(const Work& other) {
+    round_trips += other.round_trips;
+    statements += other.statements;
+    uploads += other.uploads;
+    bytes += other.bytes;
+    server_rows += other.server_rows;
+    client_statements += other.client_statements;
+    return *this;
+  }
+  /// This work done `times` times.
+  Work Times(double times) const {
+    return {round_trips * times, statements * times,
+            uploads * times,     bytes * times,
+            server_rows * times, client_statements * times};
+  }
+};
 
 /// Deterministic cost model for the simulated client/server link.
 ///
@@ -12,12 +41,12 @@ namespace eqsql::net {
 /// time against a local MySQL server; what drives the reported shapes is
 /// (a) the number of network round trips and (b) the volume of data
 /// shipped. We reproduce those two drivers with a simulated clock so
-/// benchmark *series* are exactly reproducible run to run:
+/// benchmark *series* are exactly reproducible run to run. Ms() is the
+/// one formula; a query, for example, costs
 ///
-///   time(query) = round_trip_latency_ms            (one RTT)
-///               + request_bytes / bandwidth
-///               + server_cost_per_row_ms * rows_processed_on_server
-///               + result_bytes / bandwidth
+///   query_overhead_ms + (request + result bytes) / bandwidth
+///     + server_cost_per_row_ms * rows_processed_on_server
+///     + round_trip_latency_ms
 ///
 /// Prefetching [19] overlaps the RTT with client computation, so in
 /// prefetch mode only the first query of a run pays latency. Batching
@@ -38,18 +67,21 @@ struct CostModel {
   /// processes rows faster than the app iterates them.
   double client_cost_per_op_ms = 0.00005;
 
-  double TransferMs(size_t bytes) const {
-    return static_cast<double>(bytes) / bytes_per_ms;
+  /// Simulated milliseconds of `work`. The terms are summed in the
+  /// order a query's charge has always been summed, so a query's bill
+  /// is bit-identical to the formula it replaced.
+  double Ms(const Work& work) const {
+    return work.statements * query_overhead_ms + work.bytes / bytes_per_ms +
+           server_cost_per_row_ms * work.server_rows +
+           work.round_trips * round_trip_latency_ms +
+           work.uploads * param_table_overhead_ms +
+           work.client_statements * client_cost_per_op_ms;
   }
-  double ServerMs(size_t rows_processed) const {
-    return server_cost_per_row_ms * static_cast<double>(rows_processed);
-  }
-  /// The application's own work for a client-side loop over `rows`
-  /// rows: four ops per row (cursor advance, result handling, merge
-  /// bookkeeping). What a strategy that iterates on the client pays and
-  /// set-oriented SQL avoids.
+  /// A flat client-loop charge of four ops per row (cursor advance,
+  /// result handling, merge bookkeeping), which bench_fig8_selection's
+  /// selection gate adds to strategies that iterate rows client-side.
   double ClientLoopMs(double rows) const {
-    return client_cost_per_op_ms * rows * 4.0;
+    return Ms({.client_statements = rows * 4.0});
   }
 };
 

@@ -3,7 +3,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/hash.h"
 #include "common/strings.h"
 #include "core/alternative_selector.h"
 #include "net/scheduler.h"
@@ -29,10 +28,6 @@ Server::Server(ServerOptions options)
       pool_(ResolveExecThreads(options_.exec_threads)),
       trace_ring_(options_.trace_ring_capacity),
       slow_log_(1024, options_.slow_query_log_path) {
-  // Salt cache keys with the shard configuration: a plan cached under
-  // one sharding can never alias a differently-configured server's.
-  plan_cache_.set_key_salt(
-      SplitMix64(0x5ca1ab1e ^ static_cast<uint64_t>(db_.shard_count())));
   // One registry serves every layer. The optimizer pointer is
   // deliberately NOT part of the plan-cache fingerprint (see
   // OptimizeOptions::metrics), so cached extractions are shared whether

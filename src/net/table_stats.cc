@@ -10,9 +10,8 @@
 
 namespace eqsql::net {
 
-core::TableStats GatherTableStats(storage::Database* db, bool* any_index) {
+core::TableStats GatherTableStats(storage::Database* db) {
   core::TableStats stats;
-  bool indexed = false;
   for (const std::string& name : db->TableNames()) {
     // Hold a reference while reading: another session's DropTempTable
     // may unpublish the table concurrently, and a raw pointer from the
@@ -27,12 +26,8 @@ core::TableStats GatherTableStats(storage::Database* db, bool* any_index) {
       stats.row_bytes[key] = static_cast<int64_t>(vs.bytes / vs.rows);
     }
     std::vector<std::vector<std::string>> lists = table->IndexedColumnLists();
-    if (!lists.empty()) {
-      stats.table_indexes[key] = std::move(lists);
-      indexed = true;
-    }
+    if (!lists.empty()) stats.table_indexes[key] = std::move(lists);
   }
-  if (any_index != nullptr) *any_index = indexed;
   return stats;
 }
 

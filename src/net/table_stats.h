@@ -12,10 +12,9 @@
 namespace eqsql::net {
 
 /// Snapshot of per-table row counts, average row widths, and indexed
-/// column lists at Snapshot::Latest(). When `any_index` is non-null it
-/// is set to whether any table carries a secondary index.
-core::TableStats GatherTableStats(storage::Database* db,
-                                  bool* any_index = nullptr);
+/// column lists at Snapshot::Latest(). Only indexed tables have an
+/// entry in `table_indexes`.
+core::TableStats GatherTableStats(storage::Database* db);
 
 }  // namespace eqsql::net
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_depth.h"
 #include "common/strings.h"
 #include "sql/dml.h"
 #include "sql/lexer.h"
@@ -41,15 +42,6 @@ std::optional<AggFunc> AggFromKeyword(const std::string& kw) {
   if (kw == "AVG") return AggFunc::kAvg;
   return std::nullopt;
 }
-
-/// Counts one level of parser nesting for its lifetime.
-struct DepthGuard {
-  explicit DepthGuard(int* d) : depth(d) { ++*depth; }
-  ~DepthGuard() { --*depth; }
-  DepthGuard(const DepthGuard&) = delete;
-  DepthGuard& operator=(const DepthGuard&) = delete;
-  int* depth;
-};
 
 class Parser {
  public:
@@ -173,8 +165,8 @@ class Parser {
 
   // --- query --------------------------------------------------------------
   Result<RaNodePtr> ParseQuery() {
-    DepthGuard nest(&depth_);
-    if (depth_ > kMaxParseDepth) return TooDeep();
+    ParseDepth::Nest nest(&depth_);
+    if (nest.level() > kMaxParseDepth) return TooDeep();
     // pending_aggs_ must be scoped per SELECT: a derived-table or APPLY
     // subquery parsed mid-FROM must not see the enclosing query's
     // aggregates (or leak its own into the enclosing BuildGroupBy).
@@ -334,6 +326,7 @@ class Parser {
 
   // --- FROM clause ----------------------------------------------------------
   Result<RaNodePtr> ParseFrom() {
+    ParseDepth::Chain chain(&depth_);
     EQSQL_ASSIGN_OR_RETURN(RaNodePtr plan, ParseTableRef());
     while (true) {
       if (MatchKeyword("JOIN") ||
@@ -342,6 +335,7 @@ class Parser {
         EQSQL_ASSIGN_OR_RETURN(RaNodePtr right, ParseTableRef());
         EQSQL_RETURN_IF_ERROR(ExpectKeyword("ON"));
         EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr pred, ParseExpr());
+        if (chain.Link() > kMaxParseDepth) return TooDeep();
         plan = RaNode::Join(std::move(plan), std::move(right),
                             std::move(pred));
         continue;
@@ -353,6 +347,7 @@ class Parser {
         EQSQL_ASSIGN_OR_RETURN(RaNodePtr right, ParseTableRef());
         EQSQL_RETURN_IF_ERROR(ExpectKeyword("ON"));
         EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr pred, ParseExpr());
+        if (chain.Link() > kMaxParseDepth) return TooDeep();
         plan = RaNode::LeftOuterJoin(std::move(plan), std::move(right),
                                      std::move(pred));
         continue;
@@ -363,6 +358,7 @@ class Parser {
         EQSQL_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "'('"));
         EQSQL_ASSIGN_OR_RETURN(RaNodePtr inner, ParseQuery());
         EQSQL_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
+        if (chain.Link() > kMaxParseDepth) return TooDeep();
         plan = RaNode::OuterApply(std::move(plan), std::move(inner));
         continue;
       }
@@ -481,24 +477,28 @@ class Parser {
 
   // --- expressions ------------------------------------------------------
   Result<ScalarExprPtr> ParseExpr() {
-    DepthGuard nest(&depth_);
-    if (depth_ > kMaxParseDepth) return TooDeep();
+    ParseDepth::Nest nest(&depth_);
+    if (nest.level() > kMaxParseDepth) return TooDeep();
     return ParseOr();
   }
 
   Result<ScalarExprPtr> ParseOr() {
+    ParseDepth::Chain chain(&depth_);
     EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr lhs, ParseAnd());
     while (MatchKeyword("OR")) {
       EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr rhs, ParseAnd());
+      if (chain.Link() > kMaxParseDepth) return TooDeep();
       lhs = ScalarExpr::Binary(ScalarOp::kOr, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
   Result<ScalarExprPtr> ParseAnd() {
+    ParseDepth::Chain chain(&depth_);
     EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr lhs, ParseNot());
     while (MatchKeyword("AND")) {
       EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr rhs, ParseNot());
+      if (chain.Link() > kMaxParseDepth) return TooDeep();
       lhs = ScalarExpr::Binary(ScalarOp::kAnd, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -510,8 +510,8 @@ class Parser {
       return ParseExists(/*negated=*/true);
     }
     if (MatchKeyword("NOT")) {
-      DepthGuard nest(&depth_);
-      if (depth_ > kMaxParseDepth) return TooDeep();
+      ParseDepth::Nest nest(&depth_);
+      if (nest.level() > kMaxParseDepth) return TooDeep();
       EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr operand, ParseNot());
       return ScalarExpr::Unary(ScalarOp::kNot, std::move(operand));
     }
@@ -519,11 +519,13 @@ class Parser {
   }
 
   Result<ScalarExprPtr> ParseComparison() {
+    ParseDepth::Chain chain(&depth_);
     EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr lhs, ParseAdditive());
     // IS [NOT] NULL postfix.
     if (MatchKeyword("IS")) {
       bool negated = MatchKeyword("NOT");
       EQSQL_RETURN_IF_ERROR(ExpectKeyword("NULL"));
+      if (chain.Link() > kMaxParseDepth) return TooDeep();
       ScalarExprPtr test = ScalarExpr::Unary(ScalarOp::kIsNull, std::move(lhs));
       if (negated) test = ScalarExpr::Unary(ScalarOp::kNot, std::move(test));
       return test;
@@ -541,10 +543,12 @@ class Parser {
     }
     Advance();
     EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr rhs, ParseAdditive());
+    if (chain.Link() > kMaxParseDepth) return TooDeep();
     return ScalarExpr::Binary(op, std::move(lhs), std::move(rhs));
   }
 
   Result<ScalarExprPtr> ParseAdditive() {
+    ParseDepth::Chain chain(&depth_);
     EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr lhs, ParseMultiplicative());
     while (true) {
       ScalarOp op;
@@ -559,11 +563,13 @@ class Parser {
       }
       Advance();
       EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr rhs, ParseMultiplicative());
+      if (chain.Link() > kMaxParseDepth) return TooDeep();
       lhs = ScalarExpr::Binary(op, std::move(lhs), std::move(rhs));
     }
   }
 
   Result<ScalarExprPtr> ParseMultiplicative() {
+    ParseDepth::Chain chain(&depth_);
     EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr lhs, ParseUnary());
     while (true) {
       ScalarOp op;
@@ -578,14 +584,15 @@ class Parser {
       }
       Advance();
       EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr rhs, ParseUnary());
+      if (chain.Link() > kMaxParseDepth) return TooDeep();
       lhs = ScalarExpr::Binary(op, std::move(lhs), std::move(rhs));
     }
   }
 
   Result<ScalarExprPtr> ParseUnary() {
     if (Match(TokenKind::kMinus)) {
-      DepthGuard nest(&depth_);
-      if (depth_ > kMaxParseDepth) return TooDeep();
+      ParseDepth::Nest nest(&depth_);
+      if (nest.level() > kMaxParseDepth) return TooDeep();
       EQSQL_ASSIGN_OR_RETURN(ScalarExprPtr operand, ParseUnary());
       return ScalarExpr::Unary(ScalarOp::kNeg, std::move(operand));
     }
@@ -694,7 +701,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
-  int depth_ = 0;  // current nesting, bounded by kMaxParseDepth
+  ParseDepth depth_;  // tree depth, bounded by kMaxParseDepth
   int next_param_ = 0;
   std::vector<AggregateSpec> pending_aggs_;
 };

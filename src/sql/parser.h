@@ -32,12 +32,14 @@ namespace eqsql::sql {
 ///   Limit(Dedup(Project(Sort(GroupBy(Select(from))))))
 /// with absent clauses omitted.
 ///
-/// Nesting deeper than kMaxParseDepth — subqueries, parenthesized
-/// expressions, and NOT / unary-minus chains, one level each — fails
-/// with kParseError instead of exhausting the stack.
+/// A tree deeper than kMaxParseDepth fails with kParseError instead of
+/// exhausting the stack of the passes behind the parser. Nesting counts
+/// one level each (subqueries, parenthesized expressions, NOT /
+/// unary-minus chains), and so does each link of an operator or join
+/// chain (`1+1+...`, `a AND b AND ...`, `t JOIN u ON ... JOIN ...`).
 Result<ra::RaNodePtr> ParseSql(std::string_view input);
 
-/// Deepest nesting ParseSql (and the DML parser) accepts.
+/// Deepest tree ParseSql (and the DML parser) accepts.
 inline constexpr int kMaxParseDepth = 256;
 
 }  // namespace eqsql::sql

@@ -18,8 +18,7 @@ namespace eqsql::storage {
 struct DatabaseOptions {
   /// Number of hash partitions per table. 0 means "use the hardware
   /// concurrency" (at least 1). Every table created through this
-  /// database gets this many shards; the plan cache salts its keys
-  /// with the resolved value (core::PlanCache::set_key_salt).
+  /// database gets this many shards.
   size_t shard_count = 0;
 };
 

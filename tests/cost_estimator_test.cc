@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "core/alternative_selector.h"
 #include "core/cost_estimator.h"
+#include "frontend/parser.h"
 #include "sql/parser.h"
 
 namespace eqsql::core {
@@ -21,9 +23,8 @@ TEST(CostEstimatorTest, SelectionShrinksCardinalityAndBytes) {
   CostEstimate filtered =
       est.EstimateQuery(Q("SELECT t.a AS a FROM t WHERE t.v > 10"));
   EXPECT_LT(filtered.cardinality, scan.cardinality);
-  EXPECT_LT(filtered.bytes, scan.bytes);
-  EXPECT_LT(filtered.Milliseconds(est.model()),
-            scan.Milliseconds(est.model()));
+  EXPECT_LT(filtered.work.bytes, scan.work.bytes);
+  EXPECT_LT(est.model().Ms(filtered.work), est.model().Ms(scan.work));
 }
 
 TEST(CostEstimatorTest, PointPredicateEstimatesOneRow) {
@@ -31,7 +32,7 @@ TEST(CostEstimatorTest, PointPredicateEstimatesOneRow) {
   CostEstimate lookup =
       est.EstimateQuery(Q("SELECT * FROM t WHERE t.id = 7"));
   EXPECT_DOUBLE_EQ(lookup.cardinality, 1.0);
-  EXPECT_LT(lookup.rows_processed, 10.0);
+  EXPECT_LT(lookup.work.server_rows, 10.0);
 }
 
 TEST(CostEstimatorTest, ScalarAggregateShipsOneRow) {
@@ -39,21 +40,40 @@ TEST(CostEstimatorTest, ScalarAggregateShipsOneRow) {
   CostEstimate agg = est.EstimateQuery(Q("SELECT MAX(t.v) AS m FROM t"));
   EXPECT_DOUBLE_EQ(agg.cardinality, 1.0);
   // Still processes the whole table server-side.
-  EXPECT_GE(agg.rows_processed, 50000.0);
+  EXPECT_GE(agg.work.server_rows, 50000.0);
 }
 
+// The App. C decision at the selector: the interpreted original of a
+// loop with four per-row probes pays 1 + 1000 * 4 round trips and is
+// priced above the one apply query that replaces it.
 TEST(CostEstimatorTest, LoopPaysPerRowRoundTrips) {
   CostEstimator est = MakeEstimator(1000);
-  CostEstimate loop =
-      est.EstimateLoop(Q("SELECT * FROM applicants"), /*queries_per_row=*/4);
-  EXPECT_EQ(loop.round_trips, 1 + 1000 * 4);
+  Result<frontend::Program> program = frontend::ParseProgram(R"(
+    func report() {
+      rs = executeQuery("SELECT * FROM applicants AS a");
+      for (a : rs) {
+        p1 = scalar(executeQuery("SELECT d.phone AS p FROM details AS d WHERE d.aid = ?", a.id));
+        p2 = scalar(executeQuery("SELECT d.phone AS p FROM details AS d WHERE d.aid = ?", a.id));
+        p3 = scalar(executeQuery("SELECT d.phone AS p FROM details AS d WHERE d.aid = ?", a.id));
+        p4 = scalar(executeQuery("SELECT d.phone AS p FROM details AS d WHERE d.aid = ?", a.id));
+        print(tuple(p1, p2, p3, p4));
+      }
+    }
+  )");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const AlternativeSelector selector(est.stats(), est.model());
+  const ExtractionPlan plan = selector.Select(
+      nullptr, program->Find("report"),
+      [](const std::string& sql) { return sql::ParseSql(sql); }, 0);
+  const PlanAlternative* loop = plan.Find(AlternativeKind::kInterpreted);
+  ASSERT_NE(loop, nullptr);
+  EXPECT_NE(loop->detail.find("4001 round trip(s)"), std::string::npos)
+      << loop->detail;
   CostEstimate apply = est.EstimateQuery(
       Q("SELECT * FROM applicants AS a OUTER APPLY (SELECT d.phone AS p "
         "FROM details AS d WHERE d.aid = a.id)"));
-  EXPECT_EQ(apply.round_trips, 1);
-  // The App. C decision: one apply query beats N*4 round trips.
-  EXPECT_LT(apply.Milliseconds(est.model()),
-            loop.Milliseconds(est.model()));
+  EXPECT_EQ(apply.work.round_trips, 1);
+  EXPECT_LT(est.model().Ms(apply.work), loop->est_cost_ms);
 }
 
 // The join plan applies exactly when Executor::ExecJoin probes an
@@ -83,7 +103,7 @@ TEST(CostEstimatorTest, UnknownTableUsesDefaults) {
   CostEstimator est(TableStats{}, net::CostModel());
   CostEstimate scan = est.EstimateQuery(Q("SELECT * FROM mystery"));
   EXPECT_GT(scan.cardinality, 0);
-  EXPECT_GT(scan.bytes, 0);
+  EXPECT_GT(scan.work.bytes, 0);
 }
 
 }  // namespace

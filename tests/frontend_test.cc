@@ -2,6 +2,9 @@
 
 #include "frontend/lexer.h"
 #include "frontend/parser.h"
+#include "interp/interpreter.h"
+#include "net/connection.h"
+#include "storage/database.h"
 
 namespace eqsql::frontend {
 namespace {
@@ -232,6 +235,53 @@ TEST(ImpParserTest, NestingDepthIsBounded) {
   auto over = at_limit(kMaxParseDepth - 1);
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+}
+
+/// `term` repeated `n` times, joined by `op`.
+std::string Chain(const std::string& term, const std::string& op, int n) {
+  std::string out = term;
+  for (int i = 1; i < n; ++i) out += op + term;
+  return out;
+}
+
+// Operator and member chains are bounded too: `1+1+...` and `x.a.a...`
+// add one tree level per link without any nesting, so 100,000-link
+// chains fail cleanly, and so does a chain whose left operand is itself
+// a deep chain in parentheses.
+TEST(ImpParserTest, OperatorChainDepthIsBounded) {
+  constexpr int kHostile = 100000;
+  std::string nested = "1";
+  for (int i = 0; i < 200; ++i) {
+    nested = "(" + nested + Chain("", "+1", 201) + ")";
+  }
+  const std::string hostile[] = {
+      "func f() { return " + Chain("1", " + ", kHostile) + "; }",
+      "func f() { return " + Chain("true", " && ", kHostile) + "; }",
+      "func f() { return " + Chain("true", " || ", kHostile) + "; }",
+      "func f(x) { return x" + Chain("", ".a", kHostile + 1) + "; }",
+      "func f(x) { return x" + Chain("", ".size()", kHostile + 1) + "; }",
+      "func f() { return " + nested + "; }",
+  };
+  for (const std::string& source : hostile) {
+    auto program = ParseProgram(source);
+    ASSERT_FALSE(program.ok()) << source.substr(0, 40);
+    EXPECT_EQ(program.status().code(), StatusCode::kParseError)
+        << program.status().ToString();
+  }
+}
+
+TEST(ImpParserTest, HundredTermChainsParseAndEvaluate) {
+  auto program = ParseProgram(
+      "func f() {\n  s = " + Chain("1", " + ", 100) + ";\n  if (" +
+      Chain("s > 0", " && ", 100) + " && (" + Chain("s < 0", " || ", 99) +
+      " || s == 100)) {\n    return s;\n  }\n  return 0;\n}\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  storage::Database db;
+  net::Connection conn(&db);
+  interp::Interpreter interp(&*program, &conn);
+  auto ret = interp.Run("f");
+  ASSERT_TRUE(ret.ok()) << ret.status().ToString();
+  EXPECT_EQ(ret->DisplayString(), "100");
 }
 
 }  // namespace

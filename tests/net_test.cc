@@ -55,6 +55,24 @@ TEST_F(ConnectionTest, ExecuteSqlCountsRoundTripsAndBytes) {
   EXPECT_GT(conn.stats().simulated_ms, 0.0);
 }
 
+// A 15,000-term operator chain (deep enough to overflow the stack of
+// the passes behind the parser) comes back as a parse error outcome,
+// as a query and under EXPLAIN ANALYZE, and the connection still
+// serves the next query.
+TEST_F(ConnectionTest, LongOperatorChainIsAParseErrorNotACrash) {
+  std::string chain = "1";
+  for (int i = 1; i < 15000; ++i) chain += "+1";
+  const std::string sql = "SELECT " + chain + " AS x FROM items AS i";
+  Connection conn(&db_);
+  for (const std::string& text : {sql, "EXPLAIN ANALYZE " + sql}) {
+    Outcome out = conn.Perform(Request::Statement(text));
+    ASSERT_EQ(out.kind, Outcome::Kind::kError) << text.substr(0, 40);
+    EXPECT_EQ(out.status.code(), StatusCode::kParseError)
+        << out.status.ToString();
+  }
+  EXPECT_TRUE(Query(conn, "SELECT i.v AS v FROM items AS i").ok());
+}
+
 TEST_F(ConnectionTest, SimulatedTimeIsDeterministic) {
   double first = 0, second = 0;
   for (double* slot : {&first, &second}) {

@@ -18,7 +18,9 @@
 #include "catalog/value.h"
 #include "core/alternative_selector.h"
 #include "frontend/parser.h"
+#include "interp/interpreter.h"
 #include "net/api.h"
+#include "net/connection.h"
 #include "net/server.h"
 #include "net/table_stats.h"
 #include "storage/database.h"
@@ -204,38 +206,30 @@ TEST(SelectionTest, UnchangedDatabaseServesCachedPlan) {
 }
 
 TEST(SelectionTest, CrossoverFlipsWinnerAndInvalidatesCachedPlan) {
-  // A T4 nested-loop join whose cursors are both prefetched: the
-  // interpreted original pays no per-row round trips, only client-side
-  // loop work, so with a small outer cursor it undercuts the extracted
-  // join. Growing the cursor past the crossover moves the stats epoch
-  // (invalidating the cached selection) and the re-priced plan must
-  // flip to the extracted join.
+  // kApplySrc's per-row probe folded into a string: extraction refuses
+  // the concat fold, so the contest is between the interpreted original
+  // and batching. With a small cursor the few per-row round trips
+  // undercut batching's parameter-table upload; growing the cursor past
+  // the crossover moves the stats epoch (invalidating the cached
+  // selection) and the re-priced plan must flip to batching.
   const char* src = R"(
-    func userRoles() {
-      result = list();
-      users = executeQuery("SELECT * FROM wuser AS u");
-      roles = executeQuery("SELECT * FROM role AS r");
-      for (u : users) {
-        for (r : roles) {
-          if (u.role_id == r.id) {
-            result.append(pair(u.login, r.name));
-          }
-        }
+    func roleFold() {
+      s = "";
+      rows = executeQuery("SELECT * FROM wuser AS u");
+      for (u : rows) {
+        r = scalar(executeQuery("SELECT r.name AS name FROM role AS r WHERE r.id = ?", u.role_id));
+        s = concat(s, pair(u.login, r));
       }
-      return result;
+      return s;
     }
   )";
-  net::ServerOptions options = ApplyOptions();
-  // An application whose per-row loop work is substantial (the paper's
-  // Java code, not a tight C++ loop) — this is what the extracted join
-  // saves once the cursor is large.
-  options.cost_model.client_cost_per_op_ms = 0.002;
-  net::Server server(std::move(options));
+  net::Server server(ApplyOptions());
   Populate(&server, 4, 64);
   std::unique_ptr<net::Session> session = server.Connect();
 
-  auto small = session->SelectPlan(src, "userRoles");
+  auto small = session->SelectPlan(src, "roleFold");
   ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_FALSE((*small)->Find(AlternativeKind::kExtractedSql)->feasible);
   EXPECT_EQ((*small)->chosen, AlternativeKind::kInterpreted)
       << core::AlternativeKindName((*small)->chosen);
   const int64_t invalidations_before = server.stats().plan_cache.invalidations;
@@ -252,21 +246,101 @@ TEST(SelectionTest, CrossoverFlipsWinnerAndInvalidatesCachedPlan) {
     }
   }
 
-  auto big = session->SelectPlan(src, "userRoles");
+  auto big = session->SelectPlan(src, "roleFold");
   ASSERT_TRUE(big.ok()) << big.status().ToString();
   // The stale line was invalidated by the epoch move, not served.
   EXPECT_GT(server.stats().plan_cache.invalidations, invalidations_before);
   EXPECT_NE(big->get(), small->get());
   EXPECT_NE((*big)->stats_epoch, (*small)->stats_epoch);
-  // Client-side iteration over 4000 rows now dwarfs one set-oriented
-  // join on the server.
-  EXPECT_EQ((*big)->chosen, AlternativeKind::kExtractedSql)
+  // 4,000 per-row round trips now dwarf one upload and one join.
+  EXPECT_EQ((*big)->chosen, AlternativeKind::kBatching)
       << core::AlternativeKindName((*big)->chosen);
   const PlanAlternative* interp =
       (*big)->Find(AlternativeKind::kInterpreted);
   ASSERT_NE(interp, nullptr);
   EXPECT_GT(interp->est_cost_ms,
             (*big)->Find((*big)->chosen)->est_cost_ms);
+}
+
+// A nested-loop join over two prefetched cursors issues 2 queries. The
+// interpreted alternative is priced as those 2 round trips plus its
+// client loop, so the one extracted join wins at every size, and the
+// round trips it reports are the ones running it bills.
+TEST(SelectionTest, JoinProgramPicksExtractedSqlAndReportsItsRoundTrips) {
+  const char* src = R"(
+    func userRoles() {
+      result = list();
+      users = executeQuery("SELECT * FROM wuser AS u");
+      roles = executeQuery("SELECT * FROM role AS r");
+      for (u : users) {
+        for (r : roles) {
+          if (u.role_id == r.id) {
+            result.append(pair(u.login, r.name));
+          }
+        }
+      }
+      return result;
+    }
+  )";
+  net::Server server(ApplyOptions());
+  Populate(&server, 4, 64);
+  std::unique_ptr<net::Session> session = server.Connect();
+  Result<frontend::Program> original = frontend::ParseProgram(src);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+
+  for (int64_t users : {4, 4000}) {
+    auto wuser = *server.db()->GetTable("wuser");
+    for (auto i = static_cast<int64_t>(wuser->row_count()); i < users; ++i) {
+      ASSERT_TRUE(wuser
+                      ->Insert({Value::Int(i),
+                                Value::String("u" + std::to_string(i)),
+                                Value::Int(i % 64)})
+                      .ok());
+    }
+    auto plan = session->SelectPlan(src, "userRoles");
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ((*plan)->chosen, AlternativeKind::kExtractedSql)
+        << users << " users: " << core::AlternativeKindName((*plan)->chosen);
+    const PlanAlternative* interp =
+        (*plan)->Find(AlternativeKind::kInterpreted);
+    ASSERT_NE(interp, nullptr);
+    EXPECT_EQ(interp->detail.rfind("2 round trip(s)", 0), 0u)
+        << interp->detail;
+
+    net::Connection conn(server.db());
+    interp::Interpreter run(&*original, &conn);
+    ASSERT_TRUE(run.Run("userRoles").ok());
+    EXPECT_EQ(conn.stats().round_trips, 2) << users << " users";
+  }
+}
+
+// Every executed statement bills one client op, so a longer loop body
+// costs more: two cursor loops that differ only in body length differ
+// in price by exactly the extra statements times the cursor's rows.
+TEST(SelectionTest, LoopBodyLengthMovesTheInterpretedPrice) {
+  auto source = [](int body_statements) {
+    std::string src =
+        "func sum() {\n  s = 0;\n"
+        "  rows = executeQuery(\"SELECT * FROM wuser AS u\");\n"
+        "  for (u : rows) {\n";
+    for (int i = 0; i < body_statements; ++i) src += "    s = s + u.id;\n";
+    return src + "  }\n  return s;\n}\n";
+  };
+  net::Server server(ApplyOptions());
+  Populate(&server, 64, 16);
+  std::unique_ptr<net::Session> session = server.Connect();
+
+  auto short_plan = session->SelectPlan(source(3), "sum");
+  auto long_plan = session->SelectPlan(source(300), "sum");
+  ASSERT_TRUE(short_plan.ok()) << short_plan.status().ToString();
+  ASSERT_TRUE(long_plan.ok()) << long_plan.status().ToString();
+  const double short_ms =
+      (*short_plan)->Find(AlternativeKind::kInterpreted)->est_cost_ms;
+  const double long_ms =
+      (*long_plan)->Find(AlternativeKind::kInterpreted)->est_cost_ms;
+  EXPECT_NEAR(long_ms - short_ms,
+              297 * 64 * server.options().cost_model.client_cost_per_op_ms,
+              1e-9);
 }
 
 // Re-pricing selects against the parse the optimize line kept: a cold

@@ -422,5 +422,47 @@ TEST(SqlParserTest, NestingDepthIsBounded) {
   EXPECT_EQ(over.status().code(), StatusCode::kParseError);
 }
 
+/// `term` repeated `n` times, joined by `op`.
+std::string Chain(const std::string& term, const std::string& op, int n) {
+  std::string out = term;
+  for (int i = 1; i < n; ++i) out += op + term;
+  return out;
+}
+
+// Operator and join chains are bounded too: `1+1+...` adds one tree
+// level per operator without any nesting, so 100,000-term chains fail
+// cleanly, and so does a chain whose left operand is itself a deep
+// chain in parentheses (every level counts, wherever it was parsed).
+TEST(SqlParserTest, OperatorChainDepthIsBounded) {
+  constexpr int kHostile = 100000;
+  std::string nested = "1";
+  for (int i = 0; i < 200; ++i) {
+    nested = "(" + nested + Chain("", "+1", 201) + ")";
+  }
+  const std::string hostile[] = {
+      "SELECT " + Chain("1", "+", kHostile) + " AS x FROM t",
+      "SELECT * FROM t AS t0 WHERE " + Chain("TRUE", " AND ", kHostile),
+      "SELECT * FROM t AS t0 WHERE " + Chain("TRUE", " OR ", kHostile),
+      "SELECT * FROM t AS t0" +
+          Chain("", " JOIN t AS u ON TRUE", kHostile + 1),
+      "SELECT " + nested + " AS x FROM t",
+  };
+  for (const std::string& sql : hostile) {
+    auto q = ParseSql(sql);
+    ASSERT_FALSE(q.ok()) << sql.substr(0, 40);
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError)
+        << q.status().ToString();
+  }
+}
+
+TEST_F(SqlExecTest, HundredTermChainsParseAndEvaluate) {
+  auto rs = Run("SELECT " + Chain("1", " + ", 100) +
+                " AS x FROM scores AS s WHERE " +
+                Chain("s.v > 0", " AND ", 100) + " AND (" +
+                Chain("s.grp = 2", " OR ", 100) + ")");
+  ASSERT_EQ(rs.rows.size(), 2u);
+  for (const catalog::Row& row : rs.rows) EXPECT_EQ(row[0].AsInt(), 100);
+}
+
 }  // namespace
 }  // namespace eqsql::sql
