@@ -341,15 +341,15 @@ int main(int argc, char** argv) {
         EQSQL_LOG(Error, "SELECTION MISMATCH %s at %d rows", app.name, rows);
         return 1;
       }
-      // Charge a flat client-loop term (four ops per row) to the
-      // strategies that iterate rows client-side; extraction does that
-      // work on the server. The run already bills every executed
-      // statement, so the term only makes the gate stricter on a
-      // non-extracted pick.
+      // Charge a flat client-loop term (four ops per row: cursor
+      // advance, result handling, merge bookkeeping) to the strategies
+      // that iterate rows client-side; extraction does that work on the
+      // server. The run already bills every executed statement, so the
+      // term only makes the gate stricter on a non-extracted pick.
       const double client_ms =
           plan->chosen == eqsql::core::AlternativeKind::kExtractedSql
               ? 0.0
-              : model.ClientLoopMs(static_cast<double>(rows));
+              : model.Ms({.client_statements = rows * 4.0});
 
       SelectionRun run;
       run.app = app.name;

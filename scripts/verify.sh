@@ -22,7 +22,7 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" \
 echo "== tier 1: deterministic fuzz sweep (500 scenarios) =="
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --corpus tests/fuzz_corpus
 
-echo "== sanitizers: ASan+UBSan bounded fuzz tests + interpreter + binder + parsers =="
+echo "== sanitizers: ASan+UBSan fuzz tests, interpreter, binder, parsers, D-IR =="
 cmake --preset asan >/dev/null
 # Interp: the interpreter indexes call frames by bound slot and reads
 # cursor rows in place, so its suite runs under the address checker.
@@ -30,12 +30,13 @@ cmake --preset asan >/dev/null
 # and tables by guard slot, so its suite runs there too.
 # SqlParser|ImpParser: both parsers' hostile-input cases (100,000-level
 # nesting and operator chains) run under the address checker.
+# Dir: the D-IR builder's depth bound (a 50,000-statement loop body).
 cmake --build build-asan -j"$(nproc)" --target fuzz_test fuzz_eqsql \
   sql_roundtrip_test null_semantics_test interp_test binder_test \
-  sql_test frontend_test
+  sql_test frontend_test dir_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout "$CTEST_TIMEOUT" \
-  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp|Binder|SqlParser|ImpParser'
+  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp|Binder|SqlParser|ImpParser|Dir'
 ./build-asan/src/fuzz/fuzz_eqsql --seed 99 --iters 100 \
   --corpus tests/fuzz_corpus
 
@@ -92,11 +93,17 @@ done
 ./build-tsan/src/fuzz/fuzz_eqsql --seed 23 --iters 50 --trace-sample 1 \
   --shards 8 --async-every 1 --corpus tests/fuzz_corpus
 # Batch-family programs through the three-way differential (original vs
-# rewrite vs the parameter-table batching arm): temp-table DDL and the
-# demultiplexing joins race scheduler workers across 2 shards under the
-# race detector.
-./build-tsan/src/fuzz/fuzz_eqsql --seed 29 --iters 50 --family batch \
-  --shards 2 --async-every 4 --corpus tests/fuzz_corpus
+# rewrite vs the parameter-table batching arm) at 1, 2 and 8 shards:
+# session temp tables and the demultiplexing joins race scheduler
+# workers under the race detector; the SELECT * seed pins the batched
+# join whose parameter columns are stripped by position.
+for shards in 1 2 8; do
+  ./build-tsan/src/fuzz/fuzz_eqsql --seed 29 --iters 50 --family batch \
+    --shards "$shards" --async-every 4 --corpus tests/fuzz_corpus
+  ./build-tsan/src/fuzz/fuzz_eqsql \
+    --replay tests/fuzz_corpus/batch_select_star.eqf \
+    --shards "$shards" --async-every 1 >/dev/null
+done
 
 echo "== api surface: the deprecated net entry points are gone =="
 # The legacy ExecuteSql/ExecuteQuery/ExecuteDml overloads (issue-5

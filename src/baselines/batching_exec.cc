@@ -1,7 +1,7 @@
 #include "baselines/batching_exec.h"
 
-#include <cctype>
-#include <set>
+#include "analysis/effects.h"
+#include "rules/ra_utils.h"
 
 namespace eqsql::baselines {
 
@@ -11,17 +11,19 @@ using frontend::ExprPtr;
 using frontend::Stmt;
 using frontend::StmtKind;
 using frontend::StmtPtr;
+using ra::RaNode;
+using ra::RaNodePtr;
+using ra::RaOp;
+using ra::ScalarExpr;
+using ra::ScalarExprPtr;
+using ra::ScalarOp;
 
 namespace {
 
-/// Builtins whose evaluation cannot touch the database (executeQuery is
-/// handled separately; executeUpdate disqualifies the loop outright).
-bool IsPureBuiltin(const std::string& name) {
-  static const std::set<std::string> kPure = {
-      "scalar", "max", "min", "abs", "coalesce",
-      "list",   "set", "pair", "tuple", "concat"};
-  return kPure.count(name) > 0;
-}
+constexpr char kProbeShape[] =
+    "probe is not a single-table selection with its parameters in WHERE";
+constexpr char kImpureParam[] =
+    "probe parameter depends on more than the loop variable";
 
 /// True when `e` evaluates from the loop variable and literals alone —
 /// the condition that makes pre-evaluating one parameter tuple per
@@ -51,113 +53,91 @@ bool IsLoopPure(const ExprPtr& e, const std::string& loop_var) {
   }
 }
 
-/// Scans every expression under `stmts` for calls that disqualify
-/// batching: executeUpdate (the prefetched join must not observe the
-/// body's writes) and non-builtin calls (unknown effects).
-bool ExprSafe(const ExprPtr& e) {
-  if (e == nullptr) return true;
-  if (e->kind() == ExprKind::kCall) {
-    if (e->name() == "executeUpdate") return false;
-    if (e->name() != "executeQuery" && !IsPureBuiltin(e->name())) return false;
-  }
-  if (e->object() != nullptr && !ExprSafe(e->object())) return false;
-  for (const ExprPtr& a : e->args()) {
-    if (!ExprSafe(a)) return false;
-  }
-  return true;
-}
-
-bool BodySafe(const std::vector<StmtPtr>& stmts) {
+/// The effects of every expression under `stmts`, nested bodies
+/// included.
+void CollectBodyEffects(const std::vector<StmtPtr>& stmts,
+                        analysis::StmtEffects* effects) {
   for (const StmtPtr& s : stmts) {
-    if (!ExprSafe(s->expr())) return false;
-    if (!BodySafe(s->body()) || !BodySafe(s->else_body())) return false;
+    analysis::CollectExprEffects(s->expr(), effects);
+    CollectBodyEffects(s->body(), effects);
+    CollectBodyEffects(s->else_body(), effects);
+  }
+}
+
+/// Counts the `?` parameters under `e` into `*params`; false when `e`
+/// holds a subquery, which the join cannot carry.
+bool CountParameters(const ScalarExprPtr& e, size_t* params) {
+  if (e->op() == ScalarOp::kExists || e->op() == ScalarOp::kNotExists) {
+    return false;
+  }
+  if (e->op() == ScalarOp::kParameter) ++*params;
+  for (const ScalarExprPtr& c : e->children()) {
+    if (!CountParameters(c, params)) return false;
   }
   return true;
 }
 
-std::string UpperCopy(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::toupper(
-                          static_cast<unsigned char>(c)));
-  return out;
-}
-
-/// Textually rewrites one parameterized probe into its set-oriented
-/// form. Only the shape the batching literature targets is handled —
-///   SELECT <cols> FROM <table> [AS <alias>] WHERE <pred with ?>
-/// — single table, no *, no nested query, no ORDER BY / GROUP BY /
-/// LIMIT tail. Everything else returns false and the loop stays
-/// unbatched. The rewrite joins the parameter table on the original
-/// predicate with each ? replaced by its uploaded column:
-///   SELECT __p.rid AS rid, <cols> FROM <params> AS __p
-///     JOIN <table> [AS <alias>] ON <pred with __p.pK>
-bool BuildBatchedSql(const std::string& sql, const std::string& param_table,
-                     size_t param_offset, size_t nparams,
-                     std::string* batched, std::string* inner_table) {
-  const std::string u = UpperCopy(sql);
-  size_t sel = u.find("SELECT ");
-  if (sel != 0) return false;
-  size_t fpos = u.find(" FROM ");
-  size_t wpos = u.find(" WHERE ");
-  if (fpos == std::string::npos || wpos == std::string::npos || wpos < fpos) {
+/// Rewrites one probe plan into its set-oriented form against the
+/// parameter table, or returns false when the plan is not
+/// `Project?(Select(Scan R, p))` with all `nparams` parameters in `p`:
+///   Project?([__p.rid AS rid, items...],
+///            Join(Scan(param table AS __p), Scan R, p[? := __p.pK]))
+/// A `SELECT *` probe (no Project) keeps the join's whole output, the
+/// parameter table's columns first.
+bool RewriteProbe(const RaNodePtr& plan, size_t param_offset, size_t nparams,
+                  BatchSite* site) {
+  const bool projected = plan->op() == RaOp::kProject;
+  const RaNodePtr& select = projected ? plan->child(0) : plan;
+  if (select->op() != RaOp::kSelect ||
+      select->child(0)->op() != RaOp::kScan) {
     return false;
   }
-  const std::string select_list = sql.substr(7, fpos - 7);
-  const std::string from_clause = sql.substr(fpos + 6, wpos - fpos - 6);
-  const std::string where_clause = sql.substr(wpos + 7);
-  if (select_list.find('*') != std::string::npos) return false;
-  if (select_list.find('?') != std::string::npos) return false;
-  const std::string ufrom = UpperCopy(from_clause);
-  if (ufrom.find(" JOIN ") != std::string::npos ||
-      from_clause.find(',') != std::string::npos ||
-      from_clause.find('(') != std::string::npos) {
+  size_t in_items = 0;
+  for (const ra::ProjectItem& item : plan->project_items()) {
+    if (!CountParameters(item.expr, &in_items)) return false;
+  }
+  size_t in_pred = 0;
+  if (in_items != 0 || !CountParameters(select->predicate(), &in_pred) ||
+      in_pred != nparams) {
     return false;
   }
-  const std::string utail = u.substr(wpos);
-  for (const char* banned : {" ORDER BY ", " GROUP BY ", " LIMIT ",
-                             "(SELECT", " EXISTS"}) {
-    if (utail.find(banned) != std::string::npos) return false;
+  // The parser numbers `?` from 0 left to right, so these are all of
+  // them.
+  std::vector<ScalarExprPtr> columns;
+  for (size_t i = 0; i < nparams; ++i) {
+    columns.push_back(
+        ScalarExpr::Column("__p.p" + std::to_string(param_offset + i)));
   }
-  // Substitute each ? in order with its parameter-table column.
-  std::string pred;
-  size_t seen = 0;
-  for (char c : where_clause) {
-    if (c == '?') {
-      pred += "__p.p" + std::to_string(param_offset + seen);
-      ++seen;
-    } else {
-      pred.push_back(c);
-    }
+  site->inner_table = select->child(0)->table_name();
+  site->batched = rules::BindParameters(
+      RaNode::Join(RaNode::Scan(kParamTable, "__p"), select->child(0),
+                   select->predicate()),
+      columns);
+  if (projected) {
+    std::vector<ra::ProjectItem> items = {
+        {ScalarExpr::Column("__p.rid"), "rid"}};
+    items.insert(items.end(), plan->project_items().begin(),
+                 plan->project_items().end());
+    site->batched = RaNode::Project(site->batched, std::move(items));
   }
-  if (seen != nparams) return false;
-  // First token of the FROM clause is the probed table's name.
-  size_t start = from_clause.find_first_not_of(' ');
-  if (start == std::string::npos) return false;
-  size_t end = from_clause.find(' ', start);
-  *inner_table = from_clause.substr(
-      start, end == std::string::npos ? std::string::npos : end - start);
-  *batched = "SELECT __p.rid AS rid, " + select_list + " FROM " +
-             param_table + " AS __p JOIN " + from_clause + " ON " + pred;
   return true;
 }
 
 /// Collects batchable probe sites from `stmts`, descending into if
-/// branches but not into nested loops. Returns false when a
-/// parameterized probe exists that cannot be batched (impure argument
-/// or unsupported SQL shape) — a partially batched loop would still pay
-/// per-row round trips, so the caller gives up entirely.
-bool CollectSites(const std::vector<StmtPtr>& stmts,
-                  const std::string& loop_var, const std::string& param_table,
-                  BatchPlan* plan) {
+/// branches but not into nested loops. Returns the reason when a
+/// parameterized probe cannot be batched (impure argument or
+/// unsupported plan shape), empty otherwise.
+std::string CollectSites(const std::vector<StmtPtr>& stmts,
+                         const SqlResolver& resolve, BatchPlan* plan) {
   for (const StmtPtr& s : stmts) {
     switch (s->kind()) {
       case StmtKind::kForEach:
       case StmtKind::kWhile:
         continue;  // nested loops batch themselves when executed
       case StmtKind::kIf:
-        if (!CollectSites(s->body(), loop_var, param_table, plan) ||
-            !CollectSites(s->else_body(), loop_var, param_table, plan)) {
-          return false;
+        for (const auto* branch : {&s->body(), &s->else_body()}) {
+          std::string declined = CollectSites(*branch, resolve, plan);
+          if (!declined.empty()) return declined;
         }
         break;
       default:
@@ -178,34 +158,53 @@ bool CollectSites(const std::vector<StmtPtr>& stmts,
       }
       BatchSite site;
       site.call = e;
-      site.sql = e->arg(0)->string_value();
-      site.param_offset = plan->param_columns;
       for (size_t i = 1; i < e->args().size(); ++i) {
-        if (!IsLoopPure(e->arg(i), loop_var)) return false;
+        if (!IsLoopPure(e->arg(i), plan->loop_var)) return kImpureParam;
         site.params.push_back(e->arg(i));
       }
-      if (!BuildBatchedSql(site.sql, param_table, site.param_offset,
-                           site.params.size(), &site.batched_sql,
-                           &site.inner_table)) {
-        return false;
+      Result<RaNodePtr> probe = resolve(e->arg(0)->string_value());
+      if (!probe.ok() || !RewriteProbe(*probe, plan->param_columns,
+                                       site.params.size(), &site)) {
+        return kProbeShape;
       }
       plan->param_columns += site.params.size();
       plan->sites.push_back(std::move(site));
     }
   }
-  return true;
+  return "";
 }
 
 }  // namespace
 
-BatchPlan AnalyzeForEach(const Stmt& loop, const std::string& param_table) {
+BatchPlan AnalyzeForEach(const Stmt& loop, const SqlResolver& resolve) {
   BatchPlan plan;
-  if (loop.kind() != StmtKind::kForEach) return plan;
+  if (loop.kind() != StmtKind::kForEach) {
+    plan.declined = "not a cursor loop";
+    return plan;
+  }
   plan.loop_var = loop.target();
-  if (!BodySafe(loop.body())) return plan;
-  if (!CollectSites(loop.body(), plan.loop_var, param_table, &plan)) {
+  analysis::StmtEffects effects;
+  CollectBodyEffects(loop.body(), &effects);
+  if (effects.writes_db) {
+    plan.declined = "the loop body writes the database";
+  } else if (effects.has_unknown_call) {
+    plan.declined = "the loop body calls a function with unknown effects";
+  } else {
+    plan.declined = CollectSites(loop.body(), resolve, &plan);
+    if (plan.declined.empty() && plan.sites.empty()) {
+      plan.declined = "no parameterized probe in the loop body";
+    }
+  }
+  if (!plan.declined.empty()) {
     plan.sites.clear();
     plan.param_columns = 0;
+    return plan;
+  }
+  // A SELECT * probe's output starts with every parameter column.
+  for (BatchSite& site : plan.sites) {
+    if (site.batched->op() != RaOp::kProject) {
+      site.leading_columns = 1 + plan.param_columns;
+    }
   }
   return plan;
 }

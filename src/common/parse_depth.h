@@ -5,6 +5,11 @@
 
 namespace eqsql {
 
+/// Deepest tree the SQL and ImpLang parsers accept, and the deepest
+/// expression the D-IR builder keeps for a variable: the bound that keeps
+/// every recursive pass over those trees within the stack.
+inline constexpr int kMaxParseDepth = 256;
+
 /// The depth of the tree a recursive-descent parser builds, which the
 /// parser bounds so the recursive passes behind it cannot exhaust the
 /// stack. Nesting (parentheses, subqueries, statement bodies, unary

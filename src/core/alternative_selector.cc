@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "baselines/batching.h"
 #include "baselines/batching_exec.h"
 
 namespace eqsql::core {
@@ -65,10 +64,11 @@ std::string WorkDetail(const net::Work& w) {
 /// executeUpdate site bills its statement, and a statement counts as
 /// often as it is estimated to execute. Calls into other functions of
 /// the program bill only the calling statement. With `batching`, each
-/// cursor loop the batching rewrite accepts (AnalyzeForEach) is billed
-/// as the interpreter's batching mode runs it: one parameter-table
-/// upload and one join per probe site, the probes then served from the
-/// joined rows. Query estimates are kept across walks, so each SQL text
+/// cursor loop the batching rewrite accepts (AnalyzeForEach, resolving
+/// probes through the selector's resolver) is billed as the
+/// interpreter's batching mode runs it: one parameter-table upload and
+/// one join per probe site, the probes then served from the joined
+/// rows. Query estimates are kept across walks, so each SQL text
 /// resolves once per selection through the selector's resolver (which
 /// keeps cached parses cached).
 class Pricer {
@@ -82,11 +82,17 @@ class Pricer {
     work_ = net::Work();
     cursor_sql_.clear();
     served_.clear();
+    declined_.clear();
     Block(fn.body, 1);
     return work_;
   }
   /// Probe sites the last walk batched.
   size_t batched_sites() const { return served_.size(); }
+  /// Why the last batching walk batched nothing: the first cursor
+  /// loop's reason for declining.
+  std::string declined() const {
+    return declined_.empty() ? "no cursor loop" : declined_;
+  }
 
  private:
   void Block(const std::vector<StmtPtr>& stmts, double times) {
@@ -168,8 +174,11 @@ class Pricer {
   /// cursor row, then one join with the inner table per probe site.
   void Batch(const Stmt& loop, double times, double trips) {
     const baselines::BatchPlan plan =
-        baselines::AnalyzeForEach(loop, "__batch_params");
-    if (plan.sites.empty()) return;
+        baselines::AnalyzeForEach(loop, resolve_);
+    if (plan.sites.empty()) {
+      if (declined_.empty()) declined_ = plan.declined;
+      return;
+    }
     const double cells = static_cast<double>(1 + plan.param_columns);
     work_ += net::Work{.round_trips = 1,
                        .uploads = 1,
@@ -207,6 +216,7 @@ class Pricer {
   // The current walk.
   bool batching_ = false;
   net::Work work_;
+  std::string declined_;
   /// Variable -> the literal query last assigned to it.
   std::unordered_map<std::string_view, const std::string*> cursor_sql_;
   /// Probe sites a batched loop serves from its joined rows.
@@ -288,10 +298,7 @@ ExtractionPlan AlternativeSelector::Select(
       batching.detail = std::to_string(pricer.batched_sites()) +
                         " probe site(s) batched, " + batching.detail;
     } else {
-      baselines::Applicability check =
-          baselines::CheckBatchingApplicable(*original);
-      batching.skip_reason =
-          check.applicable ? "no batchable probe site" : check.reason;
+      batching.skip_reason = pricer.declined();
     }
   }
 

@@ -1,10 +1,8 @@
 #include "core/plan_cache.h"
 
-#include <cctype>
 #include <utility>
 
 #include "common/hash.h"
-#include "common/strings.h"
 #include "core/alternative_selector.h"
 #include "frontend/parser.h"
 #include "sql/parser.h"
@@ -27,26 +25,6 @@ uint64_t OptionsFingerprint(const OptimizeOptions& options) {
   h = SplitMix64(h + (options.transform.ignore_ordering ? 1 : 0));
   h = SplitMix64(h + static_cast<uint64_t>(options.dialect) * 7);
   return h;
-}
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-/// True when `needle` occurs in `hay` as a whole identifier token, not
-/// as a substring of a longer identifier. Program sources refer to
-/// tables by identifier, so a short table name like "t" must not match
-/// every source containing the letter t.
-bool ContainsIdentToken(const std::string& hay, const std::string& needle) {
-  if (needle.empty()) return false;
-  for (size_t pos = hay.find(needle); pos != std::string::npos;
-       pos = hay.find(needle, pos + 1)) {
-    bool left_ok = pos == 0 || !IsIdentChar(hay[pos - 1]);
-    bool right_ok = pos + needle.size() == hay.size() ||
-                    !IsIdentChar(hay[pos + needle.size()]);
-    if (left_ok && right_ok) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -131,8 +109,6 @@ Result<std::shared_ptr<const exec::PreparedQuery>> PlanCache::GetOrPrepareSql(
   entry.key = key;
   entry.query = query;
   entry.optimized = nullptr;
-  entry.tables = query->tables();
-  for (std::string& t : entry.tables) t = AsciiToLower(t);
   Insert(std::move(entry));
   return query;
 }
@@ -163,7 +139,6 @@ Result<std::shared_ptr<const OptimizeResult>> PlanCache::GetOrOptimize(
   entry.key = key;
   entry.query = nullptr;
   entry.optimized = shared;
-  entry.source_lower = AsciiToLower(source);
   Insert(std::move(entry));
   return shared;
 }
@@ -194,7 +169,6 @@ Result<std::shared_ptr<const ExtractionPlan>> PlanCache::GetOrSelect(
   entry.key = key;
   entry.selected = plan;
   entry.stats_epoch = stats_epoch;
-  entry.source_lower = AsciiToLower(source);
   Insert(std::move(entry));
   return plan;
 }
@@ -214,32 +188,6 @@ void PlanCache::Clear() {
   lru_.clear();
   index_.clear();
   stats_ = PlanCacheStats();
-}
-
-void PlanCache::InvalidateTable(const std::string& name) {
-  const std::string needle = AsciiToLower(name);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    bool stale = false;
-    for (const std::string& t : it->tables) {
-      if (t == needle) {
-        stale = true;
-        break;
-      }
-    }
-    if (!stale && !it->source_lower.empty() &&
-        ContainsIdentToken(it->source_lower, needle)) {
-      stale = true;
-    }
-    if (stale) {
-      index_.erase(it->key);
-      it = lru_.erase(it);
-      ++stats_.invalidations;
-      if (m_invalidations_ != nullptr) m_invalidations_->Increment();
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace eqsql::core

@@ -9,7 +9,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "core/optimizer.h"
@@ -28,7 +27,8 @@ struct PlanCacheStats {
   int64_t misses = 0;
   int64_t insertions = 0;
   int64_t evictions = 0;
-  /// Lines dropped by InvalidateTable (DDL-driven, not LRU pressure).
+  /// Selection lines dropped because the database's stats epoch moved
+  /// under their pricing (not LRU pressure).
   int64_t invalidations = 0;
 
   double hit_ratio() const {
@@ -116,13 +116,6 @@ class PlanCache {
   /// thread-safe: set before concurrent use.
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  /// Drops every line that references table `name` (case-insensitive):
-  /// SQL entries record their scanned tables; program entries match by
-  /// source-text mention (conservative — a false positive only costs a
-  /// recomputation). Called by Session DDL (temp-table CREATE/DROP) so
-  /// cached plans can never alias a renamed/reshaped table.
-  void InvalidateTable(const std::string& name);
-
   /// Digest of a SQL request (FNV-1a over the text, namespaced so SQL
   /// and program entries cannot collide on equal text).
   static uint64_t DigestSql(std::string_view sql);
@@ -143,12 +136,6 @@ class PlanCache {
     /// (selection entries only); a lookup under a different epoch
     /// invalidates the line.
     uint64_t stats_epoch = 0;
-    /// Lowercased names of tables the plan scans (SQL entries), for
-    /// InvalidateTable.
-    std::vector<std::string> tables;
-    /// Lowercased program source (program entries), for conservative
-    /// InvalidateTable matching by mention.
-    std::string source_lower;
   };
 
   /// Looks up `key`, promoting the line to most-recently-used. Returns

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "analysis/loop_analysis.h"
+#include "common/parse_depth.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
 
@@ -111,7 +112,7 @@ Status DirBuilder::BuildRegion(const cfg::RegionPtr& region, Scope scope) {
                                                     : LookupVar(var, scope);
         DNodePtr else_v = else_it != else_map.end() ? else_it->second
                                                     : LookupVar(var, scope);
-        (*scope.map)[var] = ctx_->Cond(cond, then_v, else_v);
+        (*scope.map)[var] = ctx_->Bounded(ctx_->Cond(cond, then_v, else_v));
       }
       return Status::OK();
     }
@@ -125,7 +126,7 @@ Status DirBuilder::ApplyStmt(const StmtPtr& stmt, Scope scope) {
   switch (stmt->kind()) {
     case StmtKind::kAssign: {
       EQSQL_ASSIGN_OR_RETURN(DNodePtr value, BuildExpr(stmt->expr(), scope));
-      (*scope.map)[stmt->target()] = value;
+      (*scope.map)[stmt->target()] = ctx_->Bounded(std::move(value));
       return Status::OK();
     }
     case StmtKind::kExprStmt: {
@@ -137,7 +138,7 @@ Status DirBuilder::ApplyStmt(const StmtPtr& stmt, Scope scope) {
         EQSQL_ASSIGN_OR_RETURN(DNodePtr elem, BuildExpr(e->arg(0), scope));
         DNodePtr base = LookupVar(coll, scope);
         DOp op = e->name() == "append" ? DOp::kAppend : DOp::kInsert;
-        (*scope.map)[coll] = ctx_->Binary(op, base, elem);
+        (*scope.map)[coll] = ctx_->Bounded(ctx_->Binary(op, base, elem));
         return Status::OK();
       }
       // Other expression statements: evaluate for effects; database
@@ -147,7 +148,7 @@ Status DirBuilder::ApplyStmt(const StmtPtr& stmt, Scope scope) {
     case StmtKind::kPrint: {
       EQSQL_ASSIGN_OR_RETURN(DNodePtr value, BuildExpr(stmt->expr(), scope));
       DNodePtr base = LookupVar(kOutputVar, scope);
-      (*scope.map)[kOutputVar] = ctx_->Append(base, value);
+      (*scope.map)[kOutputVar] = ctx_->Bounded(ctx_->Append(base, value));
       return Status::OK();
     }
     case StmtKind::kReturn: {
@@ -157,7 +158,7 @@ Status DirBuilder::ApplyStmt(const StmtPtr& stmt, Scope scope) {
       if (value == nullptr) {
         EQSQL_ASSIGN_OR_RETURN(value, BuildExpr(stmt->expr(), scope));
       }
-      (*scope.map)[kReturnVar] = value;
+      (*scope.map)[kReturnVar] = ctx_->Bounded(std::move(value));
       return Status::OK();
     }
     case StmtKind::kBreak:
@@ -216,6 +217,13 @@ Status DirBuilder::BuildLoop(const cfg::Region& region, Scope scope) {
     }
     report.query_backed = true;
     report.preconditions = analysis::ExplainFoldPreconditions(info, var);
+    if (report.preconditions.ok && body_expr->depth() > kMaxParseDepth) {
+      // The body chained the variable past the bound (Bounded): a fold
+      // over an unknown value would not extract anyway.
+      report.preconditions.ok = false;
+      report.preconditions.gate = body_expr->name();
+      report.preconditions.failure = body_expr->name();
+    }
     if (!report.preconditions.ok) {
       (*scope.map)[var] = ctx_->Opaque(report.preconditions.failure);
       report.reason = report.preconditions.failure;
@@ -227,8 +235,8 @@ Status DirBuilder::BuildLoop(const cfg::Region& region, Scope scope) {
     std::map<std::string, DNodePtr> invariants;
     CollectInvariantInputs(fn, var, scope, &invariants);
     if (!invariants.empty()) fn = ctx_->SubstituteInputs(fn, invariants);
-    (*scope.map)[var] = ctx_->Fold(fn, report.init, iterable,
-                                   region.loop_var());
+    (*scope.map)[var] = ctx_->Bounded(
+        ctx_->Fold(fn, report.init, iterable, region.loop_var()));
     report.converted = true;
     loop_reports_.push_back(std::move(report));
   }

@@ -1,10 +1,12 @@
 #include "dir/dnode.h"
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/parse_depth.h"
 #include "common/strings.h"
 #include "exec/scalar_ops.h"
 
@@ -121,6 +123,9 @@ bool DagContext::StructurallyEqual(const DNode& a, const DNode& b) {
 }
 
 DNodePtr DagContext::Intern(std::shared_ptr<DNode> node) {
+  for (const DNodePtr& c : node->children_) {
+    node->depth_ = std::max(node->depth_, c->depth_ + 1);
+  }
   node->hash_ = ComputeHash(*node);
   auto& bucket = nodes_[node->hash_];
   for (const DNodePtr& existing : bucket) {
@@ -179,6 +184,16 @@ DNodePtr DagContext::Opaque(const std::string& reason) {
   auto n = std::shared_ptr<DNode>(new DNode());
   n->op_ = DOp::kOpaque;
   n->name_ = reason;
+  return Intern(std::move(n));
+}
+
+DNodePtr DagContext::Bounded(DNodePtr node) {
+  if (node->depth() <= kMaxParseDepth) return node;
+  auto n = std::shared_ptr<DNode>(new DNode());
+  n->op_ = DOp::kOpaque;
+  n->name_ =
+      "expression deeper than " + std::to_string(kMaxParseDepth) + " levels";
+  n->depth_ = kMaxParseDepth + 1;
   return Intern(std::move(n));
 }
 

@@ -88,6 +88,10 @@ class DNode {
 
   size_t StructuralHash() const { return hash_; }
 
+  /// Levels of the D-IR tree under this node, itself included (a leaf
+  /// is 1; an embedded query's RA tree does not count).
+  int depth() const { return depth_; }
+
  private:
   friend class DagContext;
   DNode() = default;
@@ -100,6 +104,7 @@ class DNode {
   ra::RaNodePtr query_;
   std::string tuple_var_;
   size_t hash_ = 0;
+  int depth_ = 1;
 };
 
 /// The arena + hash-consing table for ee-DAG nodes (paper Sec. 3.3: "a
@@ -121,6 +126,13 @@ class DagContext {
   DNodePtr AccParam(const std::string& var);
   DNodePtr Query(ra::RaNodePtr query, std::vector<DNodePtr> params = {});
   DNodePtr Opaque(const std::string& reason);
+  /// `node`, or an opaque value in its place when it is deeper than
+  /// kMaxParseDepth. Statements chain a variable's expression onto its
+  /// previous one, so a long body (`x = x + 1;` repeated) would build a
+  /// tree as deep as the body is long, past what the recursive passes
+  /// over it can hold on the stack. The opaque value reports a depth
+  /// past the bound, so whatever is built on it is replaced in turn.
+  DNodePtr Bounded(DNodePtr node);
   DNodePtr Unary(DOp op, DNodePtr operand);
   DNodePtr Binary(DOp op, DNodePtr lhs, DNodePtr rhs);
   DNodePtr Nary(DOp op, std::vector<DNodePtr> children);

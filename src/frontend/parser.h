@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/parse_depth.h"
 #include "common/result.h"
 #include "frontend/ast.h"
 
@@ -44,9 +45,6 @@ Result<Program> ParseProgram(std::string_view source);
 /// ParseProgram calls made so far on the calling thread. A probe for
 /// tests that check a code path parses no program text.
 uint64_t ParseProgramCallsOnThisThread();
-
-/// Deepest tree ParseProgram accepts.
-inline constexpr int kMaxParseDepth = 256;
 
 }  // namespace eqsql::frontend
 

@@ -377,13 +377,17 @@ std::string GenApply(Rng* rng, const FactShape& shape) {
 /// row order cannot differ between per-row and batched execution, and
 /// the oracle's three arms (original, extracted, batched) must agree
 /// exactly. The concat variant pins the case where extraction refuses
-/// (no rule targets string folds) while batching still applies.
+/// (no rule targets string folds) while batching still applies. The
+/// star variant probes with SELECT * and reads the rows in a nested
+/// loop: its batched join carries the parameter table's columns first,
+/// which the interpreter strips by position.
 std::string GenBatch(Rng* rng, const FactShape& shape) {
   const std::string& str = shape.strings[0].name;
   const bool arith = rng->Percent(40);
   const bool second_site = rng->Percent(35);
   const bool guarded = rng->Percent(30);
   const int emit_kind = static_cast<int>(rng->Range(0, 3));
+  const bool star = rng->Percent(30);
   const std::string param =
       arith ? "a.fk + " + std::to_string(rng->Range(0, 2)) : "a.fk";
   std::string s = emit_kind == 0   ? "  out = list();\n"
@@ -391,19 +395,27 @@ std::string GenBatch(Rng* rng, const FactShape& shape) {
                                    : "";
   s += Scan("rows", "a", "t0");
   s += "  for (a : rows) {\n";
-  s += "    x = scalar(executeQuery(\"SELECT b.u AS u FROM t1 AS b WHERE "
-       "b.id = ?\", " + param + "));\n";
-  std::string proj = "pair(a." + str + ", x)";
-  if (second_site) {
-    s += "    y = scalar(executeQuery(\"SELECT b.tag AS tag FROM t1 AS b "
-         "WHERE b.id = ?\", a.fk));\n";
-    proj = "tuple(a." + str + ", x, y)";
+  std::string proj;
+  if (star) {
+    s += "    bs = executeQuery(\"SELECT * FROM t1 AS b WHERE b.id = ?\", " +
+         param + ");\n    for (b : bs) {\n";
+    proj = "tuple(a." + str + ", b.u, b.tag)";
+  } else {
+    s += "    x = scalar(executeQuery(\"SELECT b.u AS u FROM t1 AS b WHERE "
+         "b.id = ?\", " + param + "));\n";
+    proj = "pair(a." + str + ", x)";
+    if (second_site) {
+      s += "    y = scalar(executeQuery(\"SELECT b.tag AS tag FROM t1 AS b "
+           "WHERE b.id = ?\", a.fk));\n";
+      proj = "tuple(a." + str + ", x, y)";
+    }
   }
   const std::string emit = emit_kind == 0   ? "out.append(" + proj + ");"
                            : emit_kind == 1 ? "s = concat(s, " + proj + ");"
                                             : "print(" + proj + ");";
   s += guarded ? Guarded(FactPredicate(rng, shape, "a"), emit)
                : "    " + emit + "\n";
+  if (star) s += "    }\n";
   s += "  }\n";
   if (emit_kind == 0) s += "  return out;\n";
   if (emit_kind == 1) s += "  return s;\n";

@@ -1,13 +1,13 @@
 #include "interp/interpreter.h"
 
-#include <atomic>
-#include <cstdio>
 #include <iterator>
 #include <unordered_map>
 
 #include "analysis/effects.h"
 #include "baselines/batching_exec.h"
 #include "exec/scalar_ops.h"
+#include "sql/generator.h"
+#include "sql/parser.h"
 
 namespace eqsql::interp {
 
@@ -103,9 +103,6 @@ Builtin MethodBuiltin(const std::string& name, size_t argc) {
   if (name == "contains" && argc == 1) return Builtin::kContains;
   return Builtin::kUnsupportedMethod;
 }
-
-/// Source of Interpreter ids.
-std::atomic<uint64_t> next_interpreter_id{0};
 
 }  // namespace
 
@@ -250,7 +247,6 @@ Interpreter::Interpreter(const frontend::Program* program,
                          net::Client* client)
     : program_(program),
       client_(client),
-      id_(next_interpreter_id.fetch_add(1, std::memory_order_relaxed)),
       bound_(program->functions.size()) {}
 
 Interpreter::~Interpreter() = default;
@@ -776,19 +772,16 @@ Result<RtValue> Interpreter::EvalMethod(const BoundExpr& call, Frame* frame) {
 }
 
 bool Interpreter::TryBatchForEach(const Stmt& loop, const Cursor& elements) {
-  // Parameter table name unique per loop and per interpreter: the name
-  // is baked into the rewritten SQL, so reuse across (possibly nested)
-  // loops, or by another session batching at the same time, would join
-  // against the wrong parameters. The interpreter id is spelled at a
-  // fixed width so the SQL length, and with it the simulated byte
-  // count, does not depend on how many interpreters ran before.
-  char id[17];
-  std::snprintf(id, sizeof(id), "%016llx",
-                static_cast<unsigned long long>(id_));
-  const std::string table = "__batch_p" + std::string(id) + "_" +
-                            std::to_string(++batch_seq_);
-  baselines::BatchPlan plan = baselines::AnalyzeForEach(loop, table);
+  baselines::BatchPlan plan = baselines::AnalyzeForEach(
+      loop, [](const std::string& sql) { return sql::ParseSql(sql); });
   if (plan.sites.empty()) return false;
+  std::vector<std::string> batched_sql;
+  batched_sql.reserve(plan.sites.size());
+  for (const baselines::BatchSite& site : plan.sites) {
+    Result<std::string> text = sql::GenerateSql(site.batched);
+    if (!text.ok()) return false;
+    batched_sql.push_back(*std::move(text));
+  }
 
   // Evaluate every site's parameter tuple per cursor element. The
   // purity analysis restricts parameters to literals and loop-variable
@@ -839,22 +832,28 @@ bool Interpreter::TryBatchForEach(const Stmt& loop, const Cursor& elements) {
   }
 
   Status created = client_->CreateTempTable(
-      table, catalog::Schema(std::move(columns)), std::move(rows));
+      baselines::kParamTable, catalog::Schema(std::move(columns)),
+      std::move(rows));
   if (!created.ok()) return false;  // e.g. a Client without temp tables
 
-  // One set-oriented join per probe site, demultiplexed by rid. Any
-  // failure from here on must drop the uploaded table before declining.
+  // One set-oriented join per probe site, demultiplexed by rid (the
+  // first column) after dropping the parameter table's leading columns.
+  // The table is dropped before the loop body runs, on every path, so a
+  // nested batched loop can upload its own under the same name.
   BatchOverlay overlay;
-  for (const baselines::BatchSite& site : plan.sites) {
+  bool demux_ok = true;
+  for (size_t s = 0; s < plan.sites.size(); ++s) {
+    const baselines::BatchSite& site = plan.sites[s];
     Result<exec::ResultSet> rs =
-        client_->Perform(net::Request::Query(site.batched_sql))
+        client_->Perform(net::Request::Query(batched_sql[s]))
             .TakeResultSet();
-    if (!rs.ok() || rs->schema->size() == 0) {
-      client_->DropTempTable(table);
-      return false;
+    if (!rs.ok() || rs->schema->size() < site.leading_columns) {
+      demux_ok = false;
+      break;
     }
+    const auto lead = static_cast<std::ptrdiff_t>(site.leading_columns);
     auto group_schema = std::make_shared<catalog::Schema>([&] {
-      std::vector<catalog::Column> cols(rs->schema->columns().begin() + 1,
+      std::vector<catalog::Column> cols(rs->schema->columns().begin() + lead,
                                         rs->schema->columns().end());
       return catalog::Schema(std::move(cols));
     }());
@@ -863,7 +862,6 @@ bool Interpreter::TryBatchForEach(const Stmt& loop, const Cursor& elements) {
       group = std::make_shared<ResultSetObject>();
       group->schema = group_schema;
     }
-    bool demux_ok = true;
     for (catalog::Row& row : rs->rows) {
       if (row.empty() || !row[0].is_int()) {
         demux_ok = false;
@@ -874,17 +872,15 @@ bool Interpreter::TryBatchForEach(const Stmt& loop, const Cursor& elements) {
         demux_ok = false;
         break;
       }
-      row.erase(row.begin());
+      row.erase(row.begin(), row.begin() + lead);
       groups[static_cast<size_t>(rid)]->rows.push_back(std::move(row));
     }
-    if (!demux_ok) {
-      client_->DropTempTable(table);
-      return false;
-    }
+    if (!demux_ok) break;
     overlay.sites[site.call].assign(std::make_move_iterator(groups.begin()),
                                     std::make_move_iterator(groups.end()));
   }
-  client_->DropTempTable(table);
+  client_->DropTempTable(baselines::kParamTable);
+  if (!demux_ok) return false;
   overlays_.push_back(std::move(overlay));
   return true;
 }

@@ -1,7 +1,6 @@
 #ifndef EQSQL_INTERP_INTERPRETER_H_
 #define EQSQL_INTERP_INTERPRETER_H_
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -48,10 +47,12 @@ class Interpreter {
                       std::vector<RtValue> args = {});
 
   /// Enables the batching baseline executor [11]: a query-backed foreach
-  /// whose probe sites pass the purity analysis in
-  /// baselines/batching_exec.h uploads one parameter table, runs each
-  /// probe once as a set-oriented join, and serves per-iteration results
-  /// from the demultiplexed row groups. Any failure along the way — a
+  /// whose probe sites pass baselines::AnalyzeForEach (probes parsed
+  /// with sql::ParseSql) uploads the session's parameter table
+  /// (baselines::kParamTable), runs each probe once as the set-oriented
+  /// join the analysis built from its plan, rendered with
+  /// sql::GenerateSql, and serves per-iteration results from the
+  /// demultiplexed row groups. Any failure along the way — a
   /// client without temp-table support, a parameter that will not
   /// evaluate, a rewritten query the engine rejects — falls back to
   /// plain row-at-a-time iteration for that loop, so enabling this never
@@ -108,20 +109,16 @@ class Interpreter {
 
   /// Attempts set-oriented prefetch for one foreach over `elements`.
   /// On success pushes an overlay onto `overlays_` and returns true; on
-  /// ANY failure returns false with no overlay installed and no lasting
-  /// state (a created temp table is dropped), so the caller can iterate
-  /// plainly.
+  /// ANY failure returns false with no overlay installed. Either way the
+  /// parameter table is dropped before returning, so the caller can
+  /// iterate plainly and at most one is live per session.
   bool TryBatchForEach(const frontend::Stmt& loop, const Cursor& elements);
 
   const frontend::Program* program_;
   net::Client* client_;
-  /// Unique within the process: batching parameter tables share one
-  /// catalog with every other session's, so their names carry it.
-  const uint64_t id_;
   std::vector<std::string> printed_;
   int call_depth_ = 0;
   bool batching_ = false;
-  int batch_seq_ = 0;
   std::vector<BatchOverlay> overlays_;
   /// Per program function, its bound form once called.
   std::vector<std::unique_ptr<BoundFunction>> bound_;

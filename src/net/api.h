@@ -14,19 +14,24 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "exec/executor.h"
+#include "storage/shard_guard.h"
 #include "storage/txn.h"
 
 namespace eqsql::net {
 
-/// Per-logical-session transaction state, shared (by shared_ptr) between
-/// the session handle and whichever scheduler worker executes each of
-/// its statements. `mu` serializes the session's statements — a
-/// session's statements are totally ordered even when consecutive ones
-/// land on different workers. `txn` is the open transaction (null in
-/// autocommit); only the holder of `mu` may read or write it.
+/// Per-logical-session state, shared (by shared_ptr) between the
+/// session handle and whichever scheduler worker executes each of its
+/// statements. `mu` serializes the session's statements — a session's
+/// statements are totally ordered even when consecutive ones land on
+/// different workers. `txn` is the open transaction (null in
+/// autocommit). `temp_tables` are the session's uploaded parameter
+/// tables (Connection::CreateTempTable): its queries resolve a name
+/// there before the catalog, and no other session sees them. Only the
+/// holder of `mu` may read or write either.
 struct TxnContext {
   std::mutex mu;
   std::shared_ptr<storage::Transaction> txn;
+  storage::SessionTables temp_tables;
 };
 
 /// Scheduling class for a request. Within one class dispatch is FIFO;
@@ -265,19 +270,17 @@ class Client {
   virtual void ChargeClientOps(int64_t ops) = 0;
 
   /// Parameter-table upload for the batching execution strategy: build
-  /// the table offline and publish it atomically, charging the upload
-  /// onto the simulated clock. The base implementation declines, which
+  /// the table and keep it in the session, visible only to the
+  /// session's own queries, charging the upload onto the simulated
+  /// clock. The base implementation declines, which
   /// makes the interpreter's batching mode fall back to plain per-row
   /// iteration on clients that cannot host temp tables.
-  virtual Status CreateTempTable(const std::string& name,
-                                 catalog::Schema schema,
-                                 std::vector<catalog::Row> rows) {
-    (void)name;
-    (void)schema;
-    (void)rows;
+  virtual Status CreateTempTable(const std::string& /*name*/,
+                                 catalog::Schema /*schema*/,
+                                 std::vector<catalog::Row> /*rows*/) {
     return Status::Unsupported("client does not support temp tables");
   }
-  virtual void DropTempTable(const std::string& name) { (void)name; }
+  virtual void DropTempTable(const std::string& /*name*/) {}
 };
 
 /// True when the first keyword of `sql` is INSERT/UPDATE/DELETE

@@ -151,18 +151,24 @@ Result<exec::ResultSet> Connection::QueryPreparedImpl(
   Result<exec::ResultSet> executed = [&] {
     // Readers scale: pin exactly the tables this plan scans, one guard
     // slot per distinct table name, plus an MVCC snapshot — no shard
-    // lock is taken, so writers anywhere proceed. Inside an open
+    // lock is taken, so writers anywhere proceed. A name resolves in the
+    // session's temp tables first, then in the catalog. Inside an open
     // transaction, read at the transaction's snapshot (its own pending
-    // writes are visible to it) and record the scanned tables for
-    // commit-time serialization validation.
+    // writes are visible to it) and record the scanned catalog tables
+    // for commit-time serialization validation; no other session can
+    // write a temp table, so those are not recorded.
     const std::vector<std::string>& tables = query.tables();
+    const storage::SessionTables* temps = &txn_ctx->temp_tables;
     storage::ReadGuard guard =
         txn != nullptr
-            ? storage::ReadGuard::AcquireAt(*db_, tables, txn->snapshot())
-            : storage::ReadGuard::Acquire(*db_, tables, metrics_);
+            ? storage::ReadGuard::AcquireAt(*db_, tables, txn->snapshot(),
+                                            temps)
+            : storage::ReadGuard::Acquire(*db_, tables, metrics_, temps);
     if (txn != nullptr) {
       for (const std::string& t : tables) {
-        txn->RecordAccess(db_->SnapshotTable(t));
+        if (temps->count(AsciiToLower(t)) == 0) {
+          txn->RecordAccess(db_->SnapshotTable(t));
+        }
       }
     }
     // The line's bound plan, bound now if this is its first execution
@@ -579,17 +585,20 @@ Status Connection::CreateTempTable(const std::string& name,
                                    std::vector<catalog::Row> rows) {
   DebugCheckThreadOwner();
   size_t upload_bytes = 0;
-  // Build the table fully offline: it is invisible until published, so
-  // loading needs no locks and excludes nobody. PublishTable then
-  // atomically replaces any existing table of the same name; in-flight
-  // readers of the old one keep their pinned snapshot.
+  // Build the table offline with the catalog's shard count; nobody can
+  // see it until it lands in the session context. It gets no
+  // TxnManager, so its rows are stamped visible to every snapshot: the
+  // session's open transaction may have pinned one before the upload.
   auto table = std::make_shared<storage::Table>(name, std::move(schema),
                                                 db_->shard_count());
   for (catalog::Row& row : rows) {
     upload_bytes += catalog::RowWireSize(row);
     EQSQL_RETURN_IF_ERROR(table->Insert(std::move(row)));
   }
-  db_->PublishTable(std::move(table));
+  {
+    std::lock_guard<std::mutex> session(own_txn_->mu);
+    own_txn_->temp_tables[AsciiToLower(name)] = std::move(table);
+  }
   // An upload is a round trip but not a statement: net.queries stays.
   Charge({.round_trips = 1,
           .uploads = 1,
@@ -599,9 +608,10 @@ Status Connection::CreateTempTable(const std::string& name,
 }
 
 void Connection::DropTempTable(const std::string& name) {
-  // Registry erase only; shared ownership keeps the table alive for any
-  // in-flight reader that pinned it.
-  db_->DropTable(name);
+  // Under the session's statement lock: none of its statements is
+  // reading the table meanwhile.
+  std::lock_guard<std::mutex> session(own_txn_->mu);
+  own_txn_->temp_tables.erase(AsciiToLower(name));
 }
 
 }  // namespace eqsql::net

@@ -42,7 +42,8 @@ struct QueryTrace {
 /// installs pending versions under per-shard write mutexes, committing
 /// through the database's TxnManager. BEGIN/COMMIT/ROLLBACK manage the
 /// session transaction in the attached TxnContext; statements outside an
-/// open transaction autocommit (one statement = one transaction). One
+/// open transaction autocommit (one statement = one transaction). The
+/// TxnContext also holds the session's temp tables. One
 /// Connection itself is owned by a
 /// single thread at a time: its stats_ and trace_ accumulators are
 /// deliberately unsynchronized (they are per-session counters, and
@@ -107,19 +108,21 @@ class Connection : public Client {
   /// by the application) onto the simulated clock.
   void ChargeClientOps(int64_t ops) override;
 
-  /// Creates a server-side temporary table and loads `rows` into it,
-  /// charging batching's parameter-table overhead plus upload transfer.
-  /// The table is built fully offline — no session can see it, so no
-  /// locks are needed — and then atomically published into the
-  /// registry, replacing any previous table of that name (in-flight
-  /// readers keep their pinned snapshot). Used by the batching
-  /// baseline [11] and the interpreter's batching execution mode.
+  /// Creates a temporary table and loads `rows` into it, charging
+  /// batching's parameter-table overhead plus upload transfer. The
+  /// table is built offline with the database's shard count, its rows
+  /// visible to every snapshot, then kept in this connection's TxnContext
+  /// (the session's, under a Session), replacing any temp table of that
+  /// name there. It is not in the catalog: only the session's own
+  /// queries resolve it, ahead of a catalog table of the same name;
+  /// statistics, table names and the stats epoch never see it, and DML
+  /// against it is kNotFound. Used by the batching baseline [11] and the
+  /// interpreter's batching execution mode.
   Status CreateTempTable(const std::string& name, catalog::Schema schema,
                          std::vector<catalog::Row> rows) override;
 
-  /// Drops a temporary table: a registry erase only (no charge;
-  /// piggybacks on the next query). In-flight readers keep their
-  /// snapshot alive via shared ownership.
+  /// Drops a temporary table from the TxnContext (no charge;
+  /// piggybacks on the next query).
   void DropTempTable(const std::string& name) override;
 
   /// Attaches the server's shard worker pool for the vector engine's

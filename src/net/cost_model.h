@@ -77,12 +77,6 @@ struct CostModel {
            work.uploads * param_table_overhead_ms +
            work.client_statements * client_cost_per_op_ms;
   }
-  /// A flat client-loop charge of four ops per row (cursor advance,
-  /// result handling, merge bookkeeping), which bench_fig8_selection's
-  /// selection gate adds to strategies that iterate rows client-side.
-  double ClientLoopMs(double rows) const {
-    return Ms({.client_statements = rows * 4.0});
-  }
 };
 
 /// Per-connection counters, reset with Connection::ResetStats().

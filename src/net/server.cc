@@ -166,27 +166,4 @@ Result<std::shared_ptr<const core::OptimizeResult>> Session::OptimizeCached(
                                             server_->options_.optimize);
 }
 
-Status Session::CreateTempTable(const std::string& name,
-                                catalog::Schema schema,
-                                std::vector<catalog::Row> rows) {
-  // Invalidate on BOTH sides of the registry mutation. Before: a plan
-  // computed against the old shape must not survive into the build.
-  // After: a racing session can parse and re-insert a plan against the
-  // old registry entry in the window between the first invalidation
-  // and PublishTable; the second invalidation sweeps that stale entry
-  // out once the new table is visible.
-  server_->plan_cache_.InvalidateTable(name);
-  Status status =
-      conn_.CreateTempTable(name, std::move(schema), std::move(rows));
-  server_->plan_cache_.InvalidateTable(name);
-  return status;
-}
-
-void Session::DropTempTable(const std::string& name) {
-  // Same invalidate-mutate-invalidate bracket as CreateTempTable.
-  server_->plan_cache_.InvalidateTable(name);
-  conn_.DropTempTable(name);
-  server_->plan_cache_.InvalidateTable(name);
-}
-
 }  // namespace eqsql::net

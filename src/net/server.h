@@ -243,14 +243,18 @@ class Session : public Client {
   Result<Explain> ExplainExtraction(const std::string& source,
                                     const std::string& function);
 
-  /// Temp-table DDL with plan-cache invalidation: any cached plan or
-  /// extraction referencing `name` is dropped before the registry
-  /// changes, so no session can execute a plan that aliases the old
-  /// table after the DDL. Prefer these over the raw Connection calls
-  /// whenever the same name may be recreated with a different shape.
+  /// Temp-table upload and drop, forwarded to connection(): the table
+  /// lives in this session's TxnContext, so only this session's queries
+  /// see it. Cached plans need no invalidation: a cached line naming the
+  /// table rebinds when the table's columns or key differ from the ones
+  /// it was bound against.
   Status CreateTempTable(const std::string& name, catalog::Schema schema,
-                         std::vector<catalog::Row> rows) override;
-  void DropTempTable(const std::string& name) override;
+                         std::vector<catalog::Row> rows) override {
+    return conn_.CreateTempTable(name, std::move(schema), std::move(rows));
+  }
+  void DropTempTable(const std::string& name) override {
+    conn_.DropTempTable(name);
+  }
 
   /// The underlying client-side connection, for callers that need the
   /// raw blocking API (direct interpreter runs, temp tables, tracing).

@@ -12,12 +12,9 @@ namespace eqsql::net {
 
 core::TableStats GatherTableStats(storage::Database* db) {
   core::TableStats stats;
+  // Catalog tables only: sessions keep their temp tables to themselves.
   for (const std::string& name : db->TableNames()) {
-    // Hold a reference while reading: another session's DropTempTable
-    // may unpublish the table concurrently, and a raw pointer from the
-    // registry would dangle once the last reference goes.
     std::shared_ptr<const storage::Table> table = db->SnapshotTable(name);
-    if (table == nullptr) continue;
     const std::string key = AsciiToLower(name);
     const storage::TableScanStats vs =
         table->VisibleStats(storage::Snapshot::Latest());

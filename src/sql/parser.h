@@ -4,6 +4,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/parse_depth.h"
 #include "common/result.h"
 #include "ra/ra_node.h"
 
@@ -38,9 +39,6 @@ namespace eqsql::sql {
 /// unary-minus chains), and so does each link of an operator or join
 /// chain (`1+1+...`, `a AND b AND ...`, `t JOIN u ON ... JOIN ...`).
 Result<ra::RaNodePtr> ParseSql(std::string_view input);
-
-/// Deepest tree ParseSql (and the DML parser) accepts.
-inline constexpr int kMaxParseDepth = 256;
 
 }  // namespace eqsql::sql
 

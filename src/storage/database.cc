@@ -59,23 +59,9 @@ std::shared_ptr<Table> Database::SnapshotTable(const std::string& name) {
   return it->second;
 }
 
-void Database::PublishTable(std::shared_ptr<Table> table) {
-  std::string key = AsciiToLower(table->name());
-  // Offline-built tables adopt this database's transaction coordinator
-  // at publication, so later transactional writes stamp consistently.
-  table->set_txn_manager(&txns_);
-  std::unique_lock<std::shared_mutex> lock(registry_mu_);
-  tables_[std::move(key)] = std::move(table);
-}
-
 bool Database::HasTable(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
   return tables_.count(AsciiToLower(name)) > 0;
-}
-
-void Database::DropTable(const std::string& name) {
-  std::unique_lock<std::shared_mutex> lock(registry_mu_);
-  tables_.erase(AsciiToLower(name));
 }
 
 void Database::Vacuum() {

@@ -22,24 +22,27 @@ struct DatabaseOptions {
   size_t shard_count = 0;
 };
 
-/// The server-side table registry. Table names are case-insensitive, as
-/// in MySQL's default configuration (the paper's evaluation server).
+/// The server-side table registry (the catalog). Table names are
+/// case-insensitive, as in MySQL's default configuration (the paper's
+/// evaluation server). Tables are only ever added: batching's parameter
+/// tables live in the session that uploaded them (storage::SessionTables
+/// in net::TxnContext), never here, so statistics, table names and the
+/// stats epoch see only the catalog.
 ///
 /// Concurrency discipline (registry lock + per-shard table locks):
 ///
 ///  * The *registry* — the name → Table map — is internally
 ///    synchronized: every method takes registry_mu_ (shared for
-///    lookups, exclusive for create/drop/publish). registry_mu_ is a
-///    leaf lock: it is never held while acquiring any table shard lock.
+///    lookups, exclusive for create). registry_mu_ is a leaf lock: it
+///    is never held while acquiring any table shard lock.
 ///  * Table *contents* are guarded by the table's own per-shard
 ///    reader-writer locks (see Table's class comment). There is no
 ///    database-wide data lock anymore: a writer touching table T's
 ///    shard 3 excludes only readers of that shard, not the rest of the
 ///    database.
-///  * Tables are held by shared_ptr so a query can pin a consistent
-///    snapshot (storage::ReadGuard) while another session drops or
-///    replaces the registry entry; the dropped table stays alive until
-///    the last in-flight reader releases it.
+///  * Tables are held by shared_ptr, so a query pins the tables it
+///    reads (storage::ReadGuard) the same way whether they come from
+///    the catalog or from its session.
 ///  * The database owns the TxnManager: the commit clock, transaction
 ///    ids, snapshot pins and the version retire list are database-wide,
 ///    so snapshots are consistent across tables.
@@ -62,30 +65,18 @@ class Database {
   Result<Table*> GetTable(const std::string& name);
   Result<const Table*> GetTable(const std::string& name) const;
 
-  /// Looks up a table and returns an owning reference, so the caller
-  /// can keep reading it even if the registry entry is dropped or
-  /// replaced concurrently (temp-table churn). nullptr if absent.
+  /// Looks up a table and returns an owning reference, the form a
+  /// reader pins. nullptr if absent.
   std::shared_ptr<const Table> SnapshotTable(const std::string& name) const;
   std::shared_ptr<Table> SnapshotTable(const std::string& name);
 
-  /// Atomically registers `table` under its name, replacing any
-  /// existing entry. Used by temp-table upload: the table is built
-  /// fully offline (no locks needed — nobody can see it yet) and then
-  /// published in one registry write. In-flight readers of a replaced
-  /// table keep their snapshot.
-  void PublishTable(std::shared_ptr<Table> table);
-
   bool HasTable(const std::string& name) const;
-
-  /// Drops a table if present (temporary parameter tables in batching).
-  /// Purely a registry erase; in-flight readers keep their snapshot.
-  void DropTable(const std::string& name);
 
   std::vector<std::string> TableNames() const;
 
   /// Database-wide statistics fingerprint: a deterministic fold over
   /// every table's name, mutation epoch and index count. Any write that
-  /// changes visible rows, any CREATE INDEX, and any table create/drop
+  /// changes visible rows, any CREATE INDEX, and any table create
   /// changes the value, so a cached extraction plan stamped with an
   /// older epoch is re-priced (a table growing 10x can flip the chosen
   /// alternative). Not a version counter — an unchanged database always

@@ -29,7 +29,8 @@ std::vector<std::string> SlotKeys(const std::vector<std::string>& tables) {
 
 ReadGuard ReadGuard::Acquire(const Database& db,
                              const std::vector<std::string>& tables,
-                             obs::MetricsRegistry* metrics) {
+                             obs::MetricsRegistry* metrics,
+                             const SessionTables* session) {
   obs::ScopedSpan span("snapshot-pin");
   // Resolve the histogram handle first (leaf-lock rule: the registry
   // mutex never nests inside storage synchronization).
@@ -38,7 +39,7 @@ ReadGuard ReadGuard::Acquire(const Database& db,
   const auto t0 = std::chrono::steady_clock::now();
 
   ReadGuard guard;
-  guard.PinTables(db, tables);
+  guard.PinTables(db, tables, session);
   // Pin after the registry snapshot: the pin reads the commit clock
   // under the manager's mutex, so every version committed at or before
   // snapshot().ts is fully stamped by the time we read it.
@@ -56,20 +57,29 @@ ReadGuard ReadGuard::Acquire(const Database& db,
 
 ReadGuard ReadGuard::AcquireAt(const Database& db,
                                const std::vector<std::string>& tables,
-                               Snapshot snap) {
+                               Snapshot snap, const SessionTables* session) {
   obs::ScopedSpan span("snapshot-pin");
   ReadGuard guard;
-  guard.PinTables(db, tables);
+  guard.PinTables(db, tables, session);
   guard.snap_ = snap;  // the owning transaction holds the lifetime pin
   return guard;
 }
 
 void ReadGuard::PinTables(const Database& db,
-                          const std::vector<std::string>& tables) {
+                          const std::vector<std::string>& tables,
+                          const SessionTables* session) {
   keys_ = SlotKeys(tables);
   tables_.reserve(keys_.size());
   // An absent table keeps its (empty) slot; execution reports kNotFound.
-  for (const std::string& key : keys_) tables_.push_back(db.SnapshotTable(key));
+  for (const std::string& key : keys_) {
+    std::shared_ptr<const Table> table;
+    if (session != nullptr) {
+      auto own = session->find(key);
+      if (own != session->end()) table = own->second;
+    }
+    tables_.push_back(table != nullptr ? std::move(table)
+                                       : db.SnapshotTable(key));
+  }
 }
 
 bool ReadGuard::empty() const {

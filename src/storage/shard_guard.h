@@ -1,6 +1,7 @@
 #ifndef EQSQL_STORAGE_SHARD_GUARD_H_
 #define EQSQL_STORAGE_SHARD_GUARD_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,6 +14,11 @@
 
 namespace eqsql::storage {
 
+/// Tables one session owns outside the catalog (batching's parameter
+/// tables, net::Connection::CreateTempTable), keyed by lowercase name.
+/// No other session can see or write them.
+using SessionTables = std::map<std::string, std::shared_ptr<const Table>>;
+
 /// Pins a read-consistent view of a set of tables for the duration of a
 /// query: an owning snapshot of each table object (so a concurrent DROP
 /// cannot free it) plus a pinned MVCC snapshot timestamp. Execution
@@ -24,26 +30,29 @@ namespace eqsql::storage {
 ///
 /// The guard keeps one slot per distinct (case-insensitive) name, in
 /// the order the names are given, so a bound plan addresses its tables
-/// by slot. A table named but absent from the database leaves its slot
-/// empty: execution then reports its usual kNotFound error at the scan
-/// that reads it.
+/// by slot. A name resolves in the reading session's tables first, then
+/// in the catalog; both kinds are pinned the same way. A table named but
+/// absent from both leaves its slot empty: execution then reports its
+/// usual kNotFound error at the scan that reads it.
 class ReadGuard {
  public:
-  /// Snapshots `tables` (any case, duplicates fine) from `db` and pins
-  /// a fresh snapshot at the current commit clock. With a registry, the
-  /// (now lock-free) acquisition time still lands in the
+  /// Snapshots `tables` (any case, duplicates fine) from `session` and
+  /// `db` and pins a fresh snapshot at the current commit clock. With a
+  /// registry, the (now lock-free) acquisition time still lands in the
   /// storage.lock_wait_ns histogram so existing dashboards keep their
   /// series.
   static ReadGuard Acquire(const Database& db,
                            const std::vector<std::string>& tables,
-                           obs::MetricsRegistry* metrics = nullptr);
+                           obs::MetricsRegistry* metrics = nullptr,
+                           const SessionTables* session = nullptr);
 
   /// Snapshots `tables` but reads at `snap` instead of pinning a fresh
   /// timestamp — used inside an open transaction, whose own lifetime
   /// pin already protects the snapshot from GC.
   static ReadGuard AcquireAt(const Database& db,
                              const std::vector<std::string>& tables,
-                             Snapshot snap);
+                             Snapshot snap,
+                             const SessionTables* session = nullptr);
 
   ReadGuard() = default;
   ReadGuard(ReadGuard&& other) noexcept { *this = std::move(other); }
@@ -79,7 +88,8 @@ class ReadGuard {
  private:
   void Release();
   /// Fills the slots: one per distinct name, null when absent.
-  void PinTables(const Database& db, const std::vector<std::string>& tables);
+  void PinTables(const Database& db, const std::vector<std::string>& tables,
+                 const SessionTables* session);
 
   /// Lowercase names, parallel to tables_ (null = absent).
   std::vector<std::string> keys_;

@@ -239,7 +239,6 @@ class Table : public std::enable_shared_from_this<Table> {
   void Vacuum(Ts watermark, TxnManager* txns);
 
   TxnManager* txn_manager() const { return txns_; }
-  void set_txn_manager(TxnManager* txns) { txns_ = txns; }
 
   /// Runs a batch of independent build tasks; Table::CreateIndex hands
   /// one task per shard to it. Injected by the caller (net::Connection

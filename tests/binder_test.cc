@@ -231,13 +231,18 @@ TEST_P(BinderTest, KeyPathAndScanPathReadTheSameOuterSlot) {
   // answers through the key lookup, the other through the scan.
   storage::Database keyed;
   ASSERT_TRUE(workloads::SetupJobPortalDatabase(&keyed, 40).ok());
+  // The same tables and rows, every key but details' redeclared.
   storage::Database plain;
-  ASSERT_TRUE(workloads::SetupJobPortalDatabase(&plain, 40).ok());
-  const Schema schema = (*plain.GetTable("details"))->schema();
-  const std::vector<catalog::Row> rows = (*plain.GetTable("details"))->rows();
-  plain.DropTable("details");
-  storage::Table* unkeyed = *plain.CreateTable("details", schema);
-  for (const catalog::Row& row : rows) ASSERT_TRUE(unkeyed->Insert(row).ok());
+  for (const std::string& name : keyed.TableNames()) {
+    const storage::Table* source = *keyed.GetTable(name);
+    storage::Table* copy = *plain.CreateTable(name, source->schema());
+    for (const catalog::Row& row : source->rows()) {
+      ASSERT_TRUE(copy->Insert(row).ok());
+    }
+    if (source->unique_key().has_value() && name != "details") {
+      ASSERT_TRUE(copy->DeclareUniqueKey(*source->unique_key()).ok());
+    }
+  }
 
   const std::string sql =
       "SELECT a.id AS id, p AS p FROM applicants AS a "

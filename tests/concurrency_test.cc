@@ -41,6 +41,32 @@ Result<exec::ResultSet> SessionQuery(Session* session, std::string sql,
       .TakeResultSet();
 }
 
+/// Forwards a program's requests to a session, counting them.
+class CountingClient : public Client {
+ public:
+  explicit CountingClient(Session* session) : session_(session) {}
+  Outcome Perform(Request req) override {
+    ++performed;
+    return session_->Perform(std::move(req));
+  }
+  void ChargeClientOps(int64_t ops) override {
+    session_->ChargeClientOps(ops);
+  }
+  Status CreateTempTable(const std::string& name, catalog::Schema schema,
+                         std::vector<catalog::Row> rows) override {
+    return session_->CreateTempTable(name, std::move(schema),
+                                     std::move(rows));
+  }
+  void DropTempTable(const std::string& name) override {
+    session_->DropTempTable(name);
+  }
+
+  int performed = 0;
+
+ private:
+  Session* session_;
+};
+
 // ---------------------------------------------------------------------------
 // PlanCache unit behaviour (single-threaded).
 
@@ -107,70 +133,21 @@ TEST(PlanCacheTest, OptimizeResultsKeyedByOptions) {
   EXPECT_EQ(cache.stats().misses, 2);  // r1 and r3
 }
 
-TEST(PlanCacheTest, InvalidateTableDropsMatchingEntries) {
-  core::PlanCache cache(8);
-  ASSERT_TRUE(cache.GetOrParseSql("SELECT * FROM t1 AS r").ok());
-  ASSERT_TRUE(cache.GetOrParseSql("SELECT s.id AS a FROM t2 AS s").ok());
-  const std::string source = workloads::SelectionProgram();
-  core::OptimizeOptions opts;
-  opts.transform.table_keys = {{"project", "id"}};
-  ASSERT_TRUE(cache.GetOrOptimize(source, "unfinished", opts).ok());
-  ASSERT_EQ(cache.size(), 3u);
-
-  // SQL entries match by scanned-table name, case-insensitively.
-  cache.InvalidateTable("T1");
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().invalidations, 1);
-
-  // Program entries match conservatively by source-text mention.
-  cache.InvalidateTable("project");
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().invalidations, 2);
-
-  // Unknown tables are a no-op and the unrelated entry survives.
-  cache.InvalidateTable("no_such_table");
-  EXPECT_EQ(cache.size(), 1u);
-  ASSERT_TRUE(cache.GetOrParseSql("SELECT s.id AS a FROM t2 AS s").ok());
-  EXPECT_EQ(cache.stats().hits, 1);
-}
-
-TEST(PlanCacheTest, InvalidateTableMatchesWholeIdentifiersOnly) {
-  core::PlanCache cache(8);
-  const std::string source = workloads::SelectionProgram();
-  ASSERT_TRUE(
-      cache.GetOrOptimize(source, "unfinished", core::OptimizeOptions()).ok());
-  ASSERT_EQ(cache.size(), 1u);
-
-  // "proj" and "ject" occur in the source only inside the longer
-  // identifier "project": not whole-token mentions, so a table with
-  // such a short name must not sweep the program entry.
-  cache.InvalidateTable("proj");
-  cache.InvalidateTable("ject");
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().invalidations, 0);
-
-  // "project" appears as a whole identifier ("FROM project AS p").
-  cache.InvalidateTable("PROJECT");
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().invalidations, 1);
-}
-
-// The stale-plan regression: recreating a temp table under the same
-// name through the Session wrappers must drop every cached line naming
-// it, so the next request re-parses against the new table rather than
-// reusing a plan computed against the old one.
+// The stale-plan regression: a temp table re-created under the same
+// name with another shape must not be read through the plan bound
+// against the old one. Temp-table DDL drops no cache line; the next
+// request hits the cached line, which rebinds against the new columns.
 TEST(PlanCacheTest, TempTableDdlInvalidatesCachedPlans) {
   Server server;
   std::unique_ptr<Session> session = server.Connect();
   catalog::Schema schema({{"id", DataType::kInt64}, {"v", DataType::kInt64}});
-  auto rows_of = [](int64_t base) {
-    std::vector<catalog::Row> rows;
-    for (int i = 0; i < 4; ++i) {
-      rows.push_back({Value::Int(i), Value::Int(base + i)});
-    }
-    return rows;
-  };
-  ASSERT_TRUE(session->CreateTempTable("tt", schema, rows_of(10)).ok());
+  ASSERT_TRUE(session
+                  ->CreateTempTable("tt", schema,
+                                    {{Value::Int(0), Value::Int(10)},
+                                     {Value::Int(1), Value::Int(11)},
+                                     {Value::Int(2), Value::Int(12)},
+                                     {Value::Int(3), Value::Int(13)}})
+                  .ok());
   const std::string sql = "SELECT SUM(t.v) AS s FROM tt AS t";
   auto r1 = SessionQuery(session.get(), sql);
   ASSERT_TRUE(r1.ok());
@@ -178,16 +155,72 @@ TEST(PlanCacheTest, TempTableDdlInvalidatesCachedPlans) {
   ASSERT_TRUE(SessionQuery(session.get(), sql).ok());  // now cached
   EXPECT_GE(server.plan_cache()->stats().hits, 1);
 
+  // Same name, columns swapped: `v` moves to the first slot.
   session->DropTempTable("tt");
-  ASSERT_TRUE(session->CreateTempTable("tt", schema, rows_of(100)).ok());
+  catalog::Schema swapped({{"v", DataType::kInt64},
+                           {"id", DataType::kInt64}});
+  ASSERT_TRUE(session
+                  ->CreateTempTable("tt", swapped,
+                                    {{Value::Int(100), Value::Int(0)},
+                                     {Value::Int(101), Value::Int(1)},
+                                     {Value::Int(102), Value::Int(2)},
+                                     {Value::Int(103), Value::Int(3)}})
+                  .ok());
   core::PlanCacheStats mid = server.plan_cache()->stats();
-  EXPECT_GE(mid.invalidations, 1);
+  EXPECT_EQ(mid.invalidations, 0);
 
   auto r2 = SessionQuery(session.get(), sql);
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->rows[0][0].AsInt(), 406);  // fresh table, fresh plan
-  // The re-execution was a cache miss: the stale line really was gone.
-  EXPECT_EQ(server.plan_cache()->stats().misses, mid.misses + 1);
+  EXPECT_EQ(r2->rows[0][0].AsInt(), 406);  // the new table's rows
+  // A hit on the cached line, bound again against the new columns.
+  EXPECT_EQ(server.plan_cache()->stats().misses, mid.misses);
+  EXPECT_EQ(server.plan_cache()->stats().hits, mid.hits + 1);
+}
+
+// A batched loop's join against the parameter table has the same text
+// on every run, so a second run of the program on the session finds it
+// in the plan cache, and no temp-table DDL sweeps the cache.
+TEST(PlanCacheTest, BatchedQueryHitsOnTheSecondRun) {
+  Server server;
+  auto t0 = *server.db()->CreateTable(
+      "t0", catalog::Schema({{"id", DataType::kInt64},
+                             {"fk", DataType::kInt64}}));
+  auto t1 = *server.db()->CreateTable(
+      "t1", catalog::Schema({{"id", DataType::kInt64},
+                             {"u", DataType::kInt64}}));
+  for (int64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(t0->Insert({Value::Int(i), Value::Int(i % 3)}).ok());
+    ASSERT_TRUE(t1->Insert({Value::Int(i), Value::Int(i * 7)}).ok());
+  }
+  auto program = frontend::ParseProgram(R"(
+    func f() {
+      out = list();
+      rows = executeQuery("SELECT * FROM t0 AS a");
+      for (a : rows) {
+        x = scalar(executeQuery("SELECT b.u AS u FROM t1 AS b WHERE b.id = ?", a.fk));
+        out.append(pair(a.id, x));
+      }
+      return out;
+    }
+  )");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  std::unique_ptr<Session> session = server.Connect();
+  auto run = [&] {
+    CountingClient client(session.get());
+    interp::Interpreter batched(&*program, &client);
+    batched.set_batching(true);
+    auto r = batched.Run("f");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(client.performed, 2);  // the cursor query and one join
+    return r.ok() ? r->DisplayString() : std::string();
+  };
+  const std::string first = run();
+  const core::PlanCacheStats warm = server.plan_cache()->stats();
+  EXPECT_EQ(run(), first);
+  const core::PlanCacheStats after = server.plan_cache()->stats();
+  EXPECT_EQ(after.misses, warm.misses);
+  EXPECT_EQ(after.hits, warm.hits + 2);
+  EXPECT_EQ(after.invalidations, 0);
 }
 
 // Hammer one small cache from many threads with overlapping key sets so
@@ -491,37 +524,13 @@ TEST(ServerStressTest, ObservabilitySinksLeaveTotalsBitIdentical) {
   std::remove(log_path.c_str());
 }
 
-/// Forwards a program's requests to a session, counting them.
-class CountingClient : public Client {
- public:
-  explicit CountingClient(Session* session) : session_(session) {}
-  Outcome Perform(Request req) override {
-    ++performed;
-    return session_->Perform(std::move(req));
-  }
-  void ChargeClientOps(int64_t ops) override {
-    session_->ChargeClientOps(ops);
-  }
-  Status CreateTempTable(const std::string& name, catalog::Schema schema,
-                         std::vector<catalog::Row> rows) override {
-    return session_->CreateTempTable(name, std::move(schema),
-                                     std::move(rows));
-  }
-  void DropTempTable(const std::string& name) override {
-    session_->DropTempTable(name);
-  }
-
-  int performed = 0;
-
- private:
-  Session* session_;
-};
-
-// Two sessions batch different loops at the same time. Each batched
-// loop uploads its parameters as a temp table in the shared catalog and
-// joins against it by name, so the names must differ across
-// interpreters: a shared name lets one session join the other's
-// parameters (or lose its table to the other's drop) mid-loop.
+// Three sessions batch different loops at the same time. Every batched
+// loop uploads its parameters under the one name __batch_params and
+// joins against it by name, so each session must resolve the name to
+// its own table: reading another session's would join the wrong
+// parameters (or lose the table to the other's drop) mid-loop. roleRows
+// probes with SELECT *, whose batched join strips the parameter
+// columns by position before a nested loop reads the rows.
 TEST(ServerStressTest, ConcurrentBatchingSessionsKeepTheirParameters) {
   const char* kSource = R"(
     func roleNames() {
@@ -539,6 +548,17 @@ TEST(ServerStressTest, ConcurrentBatchingSessionsKeepTheirParameters) {
       for (r : roles) {
         u = scalar(executeQuery("SELECT u.login AS login FROM wuser AS u WHERE u.id = ?", r.id));
         out.append(pair(r.name, u));
+      }
+      return out;
+    }
+    func roleRows() {
+      out = list();
+      users = executeQuery("SELECT * FROM wuser AS u");
+      for (u : users) {
+        rs = executeQuery("SELECT * FROM role AS r WHERE r.id = ?", u.role_id);
+        for (r : rs) {
+          out.append(tuple(u.login, r.id, r.name));
+        }
       }
       return out;
     }
@@ -568,7 +588,8 @@ TEST(ServerStressTest, ConcurrentBatchingSessionsKeepTheirParameters) {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
 
   // Reference answers: plain iteration, no batching.
-  const std::vector<std::string> functions = {"roleNames", "roleOwners"};
+  const std::vector<std::string> functions = {"roleNames", "roleOwners",
+                                              "roleRows"};
   std::vector<std::string> expected;
   {
     std::unique_ptr<Session> session = server.Connect();
@@ -601,6 +622,91 @@ TEST(ServerStressTest, ConcurrentBatchingSessionsKeepTheirParameters) {
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_EQ(unbatched.load(), 0);
+}
+
+// A session's open transaction reads its temp table whatever the
+// transaction's snapshot: the upload is the session's own, so a commit
+// elsewhere between BEGIN and the upload must not hide its rows.
+TEST(ServerStressTest, TempTableIsVisibleInsideAnOpenTransaction) {
+  Server server;
+  ASSERT_TRUE(workloads::SetupSelectionDatabase(server.db(), 10, 50).ok());
+  std::unique_ptr<Session> session = server.Connect();
+  std::unique_ptr<Session> writer = server.Connect();
+  ASSERT_TRUE(session->Execute(Request::Begin()).ok());
+  ASSERT_TRUE(
+      writer->Execute(Request::Dml("UPDATE project SET finished = 1"))
+          .ok());
+  ASSERT_TRUE(session
+                  ->CreateTempTable(
+                      "__batch_params",
+                      catalog::Schema({{"rid", DataType::kInt64}}),
+                      {{Value::Int(0)}, {Value::Int(1)}})
+                  .ok());
+  auto rows = SessionQuery(session.get(),
+                           "SELECT p.rid AS rid FROM __batch_params AS p");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), 2u);
+  session->DropTempTable("__batch_params");
+  EXPECT_TRUE(session->Execute(Request::Commit()).ok());
+}
+
+// Two sessions upload temp tables under one name with different rows.
+// Each reads its own rows, DML against the name fails as against any
+// missing table, and the catalog (its table names and statistics
+// epoch) never sees either table.
+TEST(ServerStressTest, TempTablesStayInTheirSession) {
+  Server server;
+  ASSERT_TRUE(workloads::SetupSelectionDatabase(server.db(), 10, 50).ok());
+  const std::vector<std::string> names = server.db()->TableNames();
+  const uint64_t epoch = server.db()->StatsEpoch();
+  catalog::Schema schema({{"rid", DataType::kInt64}, {"p0", DataType::kInt64}});
+  constexpr int kIters = 50;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> workers;
+  for (int64_t base : {1, 1000}) {
+    workers.emplace_back([&, base] {
+      std::unique_ptr<Session> session = server.Connect();
+      for (int i = 0; i < kIters; ++i) {
+        std::vector<catalog::Row> rows;
+        for (int64_t r = 0; r < 4; ++r) {
+          rows.push_back({Value::Int(r), Value::Int(base + i)});
+        }
+        if (!session->CreateTempTable("__batch_params", schema,
+                                      std::move(rows))
+                 .ok()) {
+          wrong.fetch_add(1);
+          continue;
+        }
+        auto sum = SessionQuery(
+            session.get(), "SELECT SUM(p.p0) AS s FROM __batch_params AS p");
+        if (!sum.ok() || sum->rows[0][0].AsInt() != 4 * (base + i)) {
+          wrong.fetch_add(1);
+        }
+        session->DropTempTable("__batch_params");
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(server.db()->TableNames(), names);
+  EXPECT_EQ(server.db()->StatsEpoch(), epoch);
+
+  std::unique_ptr<Session> session = server.Connect();
+  ASSERT_TRUE(session
+                  ->CreateTempTable("__batch_params", schema,
+                                    {{Value::Int(0), Value::Int(5)}})
+                  .ok());
+  EXPECT_EQ(server.db()->TableNames(), names);
+  EXPECT_EQ(server.db()->StatsEpoch(), epoch);
+  Outcome dml = session->Execute(
+      Request::Dml("UPDATE __batch_params SET p0 = 6 WHERE rid = 0"));
+  EXPECT_EQ(dml.status.code(), StatusCode::kNotFound) << dml.status.ToString();
+  // Another session does not see the table at all.
+  std::unique_ptr<Session> other = server.Connect();
+  auto missing =
+      SessionQuery(other.get(), "SELECT p.p0 AS v FROM __batch_params AS p");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
 // Live sessions fold their published snapshot into stats() while open,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dir/builder.h"
 #include "frontend/parser.h"
 
@@ -17,6 +19,16 @@ FunctionDir Build(const char* src, DagContext* ctx) {
   auto dir = builder.BuildFunction(keep_alive.back().functions.back());
   EXPECT_TRUE(dir.ok()) << dir.status().ToString();
   return std::move(*dir);
+}
+
+/// A function whose cursor loop body is `n` statements `x = x + 1;`.
+std::string LongLoopBody(int n) {
+  std::string src =
+      "func big() {\n  x = 0;\n"
+      "  rows = executeQuery(\"SELECT * FROM project AS p\");\n"
+      "  for (p : rows) {\n";
+  for (int i = 0; i < n; ++i) src += "    x = x + 1;\n";
+  return src + "  }\n  return x;\n}\n";
 }
 
 TEST(DagContextTest, HashConsingSharesNodes) {
@@ -61,6 +73,30 @@ TEST(DagContextTest, SubstituteInputs) {
   EXPECT_EQ(result->ToString(), "+[10, y0]");
   // Unchanged subtrees are shared.
   EXPECT_EQ(result->child(1).get(), expr->child(1).get());
+}
+
+// Each statement chains x's expression onto the previous one, so the
+// body would build a 50,000-level tree; the builder keeps x opaque past
+// kMaxParseDepth, and the loop is not converted (the program runs
+// interpreted).
+TEST(DirBuilderTest, LongLoopBodyStopsAtTheDepthBound) {
+  DagContext ctx;
+  FunctionDir dir = Build(LongLoopBody(50000).c_str(), &ctx);
+  ASSERT_EQ(dir.loop_reports.size(), 1u);
+  const LoopReport& report = dir.loop_reports[0];
+  EXPECT_EQ(report.var, "x");
+  EXPECT_FALSE(report.converted);
+  EXPECT_EQ(report.reason, "expression deeper than 256 levels");
+  EXPECT_FALSE(report.preconditions.ok);
+  EXPECT_EQ(dir.ve_map.at("x")->op(), DOp::kOpaque);
+}
+
+TEST(DirBuilderTest, LoopBodyWithinTheDepthBoundConverts) {
+  DagContext ctx;
+  FunctionDir dir = Build(LongLoopBody(100).c_str(), &ctx);
+  ASSERT_EQ(dir.loop_reports.size(), 1u);
+  EXPECT_TRUE(dir.loop_reports[0].converted) << dir.loop_reports[0].reason;
+  EXPECT_EQ(dir.ve_map.at("x")->op(), DOp::kFold);
 }
 
 TEST(DirBuilderTest, StraightLineResolvesIntermediates) {

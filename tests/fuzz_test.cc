@@ -11,11 +11,14 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "frontend/parser.h"
 #include "fuzz/corpus.h"
 #include "fuzz/oracle.h"
 #include "fuzz/program_gen.h"
 #include "fuzz/scenario.h"
 #include "fuzz/shrink.h"
+#include "interp/interpreter.h"
+#include "net/connection.h"
 
 namespace eqsql::fuzz {
 namespace {
@@ -127,6 +130,34 @@ TEST(FuzzCorpus, ReplayRegressionCases) {
         << file << ": " << VerdictName(r.verdict) << " — " << r.detail
         << "\nrewritten:\n" << r.rewritten_source;
   }
+}
+
+// The SELECT * seed's cursor loop really runs batched in the oracle's
+// third arm: the cursor query and one join, not a probe per row, with
+// the plain run's answer.
+TEST(FuzzCorpus, SelectStarSeedRunsBatched) {
+  auto c = LoadCaseFile(std::string(EQSQL_FUZZ_CORPUS_DIR) +
+                        "/batch_select_star.eqf");
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  auto program = frontend::ParseProgram(c->source);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto run = [&](bool batching, int64_t* queries) {
+    storage::Database db;
+    EXPECT_TRUE(BuildDatabase(*c, &db).ok());
+    net::Connection conn(&db);
+    interp::Interpreter interp(&*program, &conn);
+    interp.set_batching(batching);
+    auto r = interp.Run(c->function);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    *queries = conn.stats().queries_executed;
+    return r.ok() ? r->DisplayString() : std::string();
+  };
+  int64_t plain_queries = 0;
+  int64_t batched_queries = 0;
+  const std::string plain = run(false, &plain_queries);
+  EXPECT_EQ(run(true, &batched_queries), plain);
+  EXPECT_EQ(plain_queries, 6);
+  EXPECT_EQ(batched_queries, 2);
 }
 
 }  // namespace

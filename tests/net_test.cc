@@ -120,26 +120,28 @@ TEST_F(ConnectionTest, TempTableForBatching) {
   Schema schema({{"pid", DataType::kInt64}});
   std::vector<catalog::Row> rows = {{Value::Int(1)}, {Value::Int(2)}};
   ASSERT_TRUE(conn.CreateTempTable("tmp_params", schema, rows).ok());
-  EXPECT_TRUE(db_.HasTable("tmp_params"));
   EXPECT_GE(conn.stats().simulated_ms,
             conn.cost_model().param_table_overhead_ms);
-  auto rs = Query(conn, 
-      "SELECT i.v AS v FROM items AS i JOIN tmp_params AS p ON i.id = p.pid");
+  const std::string sql =
+      "SELECT i.v AS v FROM items AS i JOIN tmp_params AS p ON i.id = p.pid";
+  auto rs = Query(conn, sql);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows.size(), 2u);
   conn.DropTempTable("tmp_params");
-  EXPECT_FALSE(db_.HasTable("tmp_params"));
+  auto dropped = Query(conn, sql);
+  ASSERT_FALSE(dropped.ok());
+  EXPECT_EQ(dropped.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(ConnectionTest, TempTableReplacesExisting) {
   Connection conn(&db_);
   Schema schema({{"pid", DataType::kInt64}});
   ASSERT_TRUE(conn.CreateTempTable("tmp", schema, {{Value::Int(1)}}).ok());
-  ASSERT_TRUE(conn.CreateTempTable("tmp", schema, {{Value::Int(2)}}).ok());
-  auto t = db_.GetTable("tmp");
-  ASSERT_TRUE(t.ok());
-  ASSERT_EQ((*t)->row_count(), 1u);
-  EXPECT_EQ((*t)->rows()[0][0].AsInt(), 2);
+  ASSERT_TRUE(conn.CreateTempTable("TMP", schema, {{Value::Int(2)}}).ok());
+  auto rs = Query(conn, "SELECT t.pid AS pid FROM tmp AS t");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0].AsInt(), 2);
 }
 
 TEST_F(ConnectionTest, ParseErrorPropagates) {

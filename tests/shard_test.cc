@@ -229,20 +229,29 @@ TEST(ReadGuardTest, PinsSnapshotAcrossConcurrentDrop) {
   auto created = db.CreateTable("pinned", KV());
   ASSERT_TRUE(created.ok());
   ASSERT_TRUE((*created)->Insert({Value::Int(1), Value::Int(5)}).ok());
+  // A session table shadows the catalog table of the same name.
+  auto own = std::make_shared<Table>("pinned", KV(), db.shard_count(),
+                                     db.txn_manager());
+  ASSERT_TRUE(own->Insert({Value::Int(2), Value::Int(7)}).ok());
+  SessionTables session = {{"pinned", own}};
 
-  ReadGuard guard = ReadGuard::Acquire(db, {"Pinned", "missing_tbl"});
+  ReadGuard guard = ReadGuard::Acquire(db, {"Pinned", "missing_tbl"},
+                                       /*metrics=*/nullptr, &session);
   ASSERT_EQ(guard.SlotOf("pinned"), std::optional<size_t>(0));
   const Table* pinned = guard.table(0);
-  ASSERT_NE(pinned, nullptr);
+  ASSERT_EQ(pinned, own.get());
   // An absent table keeps an empty slot.
   ASSERT_EQ(guard.SlotOf("missing_tbl"), std::optional<size_t>(1));
   EXPECT_EQ(guard.table(1), nullptr);
 
-  db.DropTable("pinned");
-  EXPECT_FALSE(db.HasTable("pinned"));
-  // The guard's snapshot outlives the registry entry.
+  // The session drops its table; the guard's pin outlives it.
+  session.clear();
+  own.reset();
   EXPECT_EQ(pinned->rows().size(), 1u);
-  EXPECT_EQ(pinned->rows()[0][1].AsInt(), 5);
+  EXPECT_EQ(pinned->rows()[0][1].AsInt(), 7);
+  // Without the session table the name resolves in the catalog.
+  ReadGuard catalog = ReadGuard::Acquire(db, {"pinned"});
+  EXPECT_EQ(catalog.table(0)->rows()[0][1].AsInt(), 5);
 }
 
 TEST(ReadGuardTest, ConcurrentGuardsShareTheLocks) {
@@ -262,17 +271,12 @@ TEST(ReadGuardTest, ConcurrentGuardsShareTheLocks) {
   EXPECT_TRUE(second.get());
 }
 
-TEST(DatabaseTest, PublishReplacesAndShardCountResolves) {
+TEST(DatabaseTest, ShardCountResolves) {
   Database db(DatabaseOptions{3});
   EXPECT_EQ(db.shard_count(), 3u);
-  ASSERT_TRUE(db.CreateTable("t", KV()).ok());
-
-  auto replacement = std::make_shared<Table>("t", KV(), db.shard_count());
-  ASSERT_TRUE(replacement->Insert({Value::Int(9), Value::Int(9)}).ok());
-  db.PublishTable(replacement);
-  auto got = db.GetTable("t");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ((*got)->row_count(), 1u);
+  auto created = db.CreateTable("t", KV());
+  ASSERT_TRUE(created.ok());
+  EXPECT_EQ((*created)->shard_count(), 3u);
 
   // shard_count 0 resolves to the hardware concurrency, at least 1.
   Database def(DatabaseOptions{0});

@@ -116,13 +116,6 @@ TEST(DatabaseTest, GetMissingFails) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
-TEST(DatabaseTest, DropTable) {
-  Database db;
-  ASSERT_TRUE(db.CreateTable("tmp_params", TwoColSchema()).ok());
-  db.DropTable("TMP_PARAMS");
-  EXPECT_FALSE(db.HasTable("tmp_params"));
-}
-
 TEST(DatabaseTest, TableNames) {
   Database db;
   ASSERT_TRUE(db.CreateTable("b", TwoColSchema()).ok());
