@@ -8,8 +8,8 @@
 // two columns — cross the wire).
 //
 // The rewritten program runs on both engines: simulated time and every
-// transfer counter must agree bit for bit (the cost-parity contract —
-// a mismatch fails the binary), while per-mode wall-clock times are
+// transfer counter must agree bit for bit (both engines bill the same
+// work — a mismatch fails the binary), while per-mode wall-clock times are
 // reported so the vectorized engine's real speed shows up next to the
 // mode-invariant model numbers.
 //
@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
       EQSQL_LOG(Error, "MISMATCH at %d rows", rows);
       return 1;
     }
-    // Cost parity: the engines must agree on results, simulated time,
+    // Engine parity: the engines must agree on results, simulated time,
     // and every transfer counter — only wall time may differ.
     if (rewritten_row.result != rewritten.result ||
         rewritten_row.ms != rewritten.ms ||

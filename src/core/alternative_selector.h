@@ -44,8 +44,9 @@ struct PlanAlternative {
 /// extraction outcome plus every alternative ranked by estimated cost
 /// (feasible ones first, cheapest first; the chosen one leads).
 /// Cached by core::PlanCache keyed on (source, function, options) and
-/// validated against `stats_epoch` — table growth or new indexes bump
-/// the database's stats epoch, invalidating the entry so the winner can
+/// validated against `stats_epoch` -- a change to a priced statistic (a
+/// table's committed rows or bytes, its ready indexes) moves the
+/// database's stats epoch, invalidating the entry so the winner can
 /// flip as data changes.
 struct ExtractionPlan {
   std::shared_ptr<const OptimizeResult> optimized;
@@ -58,8 +59,7 @@ struct ExtractionPlan {
 
 /// Enumerates and prices the alternatives for one optimized program
 /// against live table statistics. Pure and deterministic: equal stats,
-/// model, and inputs yield an identical plan, so selection can never
-/// perturb the cost-parity contract (it only reads VisibleStats).
+/// model, and inputs yield an identical plan.
 class AlternativeSelector {
  public:
   /// Resolves SQL text to a relational-algebra plan — the net layer

@@ -241,11 +241,15 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
   NodeEstimate left = EstimateNode(*site->child(0));
   NodeEstimate right = EstimateNode(*site->child(1));
   CostEstimate scan = EstimateQuery(plan);
-  // The index alternative replaces the inner side's full materialization
-  // with one probe per outer row; everything above the join is shared.
-  double delta = right.processed - left.rows;
+  // The index alternative bills what Executor::ExecJoin's index nested
+  // loop bills in place of the inner scan: one row per outer row's
+  // probe plus each candidate the probes find, which is every pair the
+  // equi-join matches (EstimateNode's containment estimate). Everything
+  // else in the plan is shared.
+  const double matches = std::max(left.rows, right.rows);
   net::Work index = scan.work;
-  index.server_rows = std::max(0.0, scan.work.server_rows - delta);
+  index.server_rows =
+      scan.work.server_rows - right.processed + left.rows + matches;
   out.applicable = true;
   out.scan_ms = model_.Ms(scan.work);
   out.index_ms = model_.Ms(index);

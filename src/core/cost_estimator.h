@@ -35,14 +35,15 @@ struct CostEstimate {
 
 /// The physical plan of the first indexable equi-join in a plan. The
 /// executor runs an index nested loop whenever an index applies, so
-/// that is the plan; both alternatives are priced under the same
-/// deterministic cost model so EXPLAIN EXTRACTION can show the hash
-/// join's estimate next to the index's.
+/// that is the plan; both alternatives are priced as the bills their
+/// runs produce, under the same cost model, so EXPLAIN EXTRACTION can
+/// show the hash join's estimate next to the index's.
 struct JoinPlanChoice {
   /// True when the plan contains an equi-join whose inner side is a
   /// base scan with a secondary index over exactly its key columns.
   bool applicable = false;
-  double index_ms = 0;  // plan cost with the inner scan replaced by probes
+  double index_ms = 0;  // plan cost with the inner scan replaced by
+                        // probes and their candidates
   double scan_ms = 0;   // plan cost with the parallel full scan + hash build
   /// Human-readable site, e.g. "t1(a,b)".
   std::string detail;

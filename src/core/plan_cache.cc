@@ -183,11 +183,4 @@ size_t PlanCache::size() const {
   return lru_.size();
 }
 
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  stats_ = PlanCacheStats();
-}
-
 }  // namespace eqsql::core

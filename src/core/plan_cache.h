@@ -27,8 +27,8 @@ struct PlanCacheStats {
   int64_t misses = 0;
   int64_t insertions = 0;
   int64_t evictions = 0;
-  /// Selection lines dropped because the database's stats epoch moved
-  /// under their pricing (not LRU pressure).
+  /// Selection lines dropped because a statistic their pricing read
+  /// changed, so the stats epoch moved (not LRU pressure).
   int64_t invalidations = 0;
 
   double hit_ratio() const {
@@ -94,11 +94,13 @@ class PlanCache {
   /// Returns the cached alternative-selection plan for (`source`,
   /// `function`, `options`), running `compute` on miss. A resident line
   /// is only served while its recorded statistics epoch equals
-  /// `stats_epoch`; a mismatch (the database changed — a table grew, an
-  /// index appeared) counts as an invalidation and re-selects, so the
-  /// chosen alternative tracks live data. The OptimizeResult half of
-  /// the work stays warm: `compute` typically calls GetOrOptimize,
-  /// which keys without the epoch.
+  /// `stats_epoch`; a mismatch (a priced statistic changed -- a table's
+  /// committed rows or bytes, an index became ready) counts as an
+  /// invalidation and re-selects, so the chosen alternative tracks live
+  /// data, while writes that leave every priced statistic alone keep
+  /// the line warm. The OptimizeResult half of the work stays warm:
+  /// `compute` typically calls GetOrOptimize, which keys without the
+  /// epoch.
   Result<std::shared_ptr<const ExtractionPlan>> GetOrSelect(
       const std::string& source, const std::string& function,
       const OptimizeOptions& options, uint64_t stats_epoch,
@@ -107,7 +109,6 @@ class PlanCache {
   PlanCacheStats stats() const;
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  void Clear();
 
   /// Mirrors every stat increment into plan_cache.* counters of
   /// `metrics` (hits, misses, insertions, evictions, invalidations).

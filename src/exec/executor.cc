@@ -432,7 +432,7 @@ Result<ResultSet> Executor::Exec(const BoundNode& node, EvalContext* ctx) {
   // current operator; correlated subqueries and OuterApply re-enter the
   // same plan node, which folds into one entry with execs > 1. Wall
   // time is inclusive of children and never touches the simulated
-  // clock, so cost parity holds with profiling on or off.
+  // clock, so the bill is the same with profiling on or off.
   obs::ProfileNode* parent = prof_cur_;
   obs::ProfileNode* me =
       profile_->ChildFor(parent, node.source, ra::RaOpToString(node.op));
@@ -693,13 +693,8 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const BoundNode& select,
     key.push_back(std::move(*v));
   }
 
-  const storage::Snapshot snap = ReadSnapshot();
-  // Cost parity: charge exactly what the serial full scan plus filter
-  // would — the plan choice shows up in wall time and in the
-  // storage.index.* / exec.index.* counters, never in simulated cost.
-  const storage::TableScanStats stats = table.VisibleStats(snap);
   IndexHits hits;
-  hits.Probe(*index, key, snap, index_probes_, index_rows_);
+  hits.Probe(*index, key, ReadSnapshot(), index_probes_, index_rows_);
 
   ResultSet out;
   out.schema = select.schema;
@@ -711,9 +706,9 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const BoundNode& select,
         bool pass, HoldsAll(split.conjuncts.size(), residual, *visible, ctx));
     if (pass) out.rows.push_back(*visible);
   }
-  rows_processed_ += stats.rows;
-  if (scan_rows_ != nullptr) RecordScan(stats.rows, stats.bytes);
-  rows_processed_ += out.rows.size();
+  // The bill is the work done: the probe, each visible candidate the
+  // residual examined, and the rows out. No scan ran, so none is charged.
+  rows_processed_ += 1 + hits.rows.size() + out.rows.size();
   if (index_scans_ != nullptr) index_scans_->Increment();
   if (prof_cur_ != nullptr) prof_cur_->label = "IndexScan";
   return out;
@@ -727,14 +722,14 @@ Result<ResultSet> Executor::ExecJoin(const BoundNode& node, bool left_outer,
   // row's candidates and the right side is never materialized.
   const BoundNode& right_node = node.children[1];
   ResultSet right;
-  const storage::Table* table = nullptr;
   std::shared_ptr<const storage::SecondaryIndex> index;
   std::vector<size_t> perm;
-  if (right_node.op == RaOp::kScan && right_node.table_error.ok() &&
-      TableAt(right_node.table_slot)->index_count() > 0) {
-    table = TableAt(right_node.table_slot);
-    right.schema = right_node.schema;
-    index = JoinIndex(node.join->index_columns, *table, &perm);
+  if (right_node.op == RaOp::kScan && right_node.table_error.ok()) {
+    const storage::Table& table = *TableAt(right_node.table_slot);
+    if (table.index_count() > 0) {
+      right.schema = right_node.schema;
+      index = JoinIndex(node.join->index_columns, table, &perm);
+    }
   }
   const storage::Snapshot snap = ReadSnapshot();
   // Otherwise the candidates come from a hash build over the right rows,
@@ -766,12 +761,9 @@ Result<ResultSet> Executor::ExecJoin(const BoundNode& node, bool left_outer,
     EQSQL_RETURN_IF_ERROR(status);
     return !null_key;
   };
-  if (index != nullptr) {
-    // Charge the right side exactly as the scan it replaces would have.
-    const storage::TableScanStats stats = table->VisibleStats(snap);
-    rows_processed_ += stats.rows;
-    if (scan_rows_ != nullptr) RecordScan(stats.rows, stats.bytes);
-  } else {
+  // The right side is never scanned under an index: each probe bills
+  // itself and its visible candidates in the loop below.
+  if (index == nullptr) {
     EQSQL_ASSIGN_OR_RETURN(right, Exec(right_node, ctx));
     for (const Row& rrow : right.rows) {
       EQSQL_ASSIGN_OR_RETURN(bool usable,
@@ -798,6 +790,7 @@ Result<ResultSet> Executor::ExecJoin(const BoundNode& node, bool left_outer,
       for (size_t j : perm) probe.push_back(key[j]);
       hits.Probe(*index, probe, snap, index_nlj_probes_, index_rows_);
       candidates = &hits.rows;
+      rows_processed_ += 1 + hits.rows.size();
     } else if (usable) {
       auto it = build.find(key);
       if (it != build.end()) candidates = &it->second;
@@ -865,14 +858,20 @@ Result<ResultSet> Executor::ExecGroupBy(const BoundNode& node,
   // cannot change a state, so shard partials merge exactly and group
   // order comes from each group's lowest seq — byte-identical to the
   // serial row fold. A filter with a binding on the unique key stays on
-  // the unfused path, which keeps the key lookup's 1-probe charge.
+  // the unfused path, which keeps the key lookup's 1-probe charge, and
+  // so does a filter with bindings an index may serve while the table
+  // has one: both engines then take the Select's access path.
   const BoundNode& child = node.children[0];
   if (mode_ == ExecMode::kVector && node.depth == 0 && node.exact_fold) {
     const BoundNode* select = child.op == RaOp::kSelect ? &child : nullptr;
     const BoundNode& scan = select != nullptr ? child.children[0] : child;
+    const storage::Table& table = *TableAt(scan.table_slot);
+    const bool index_served = select != nullptr &&
+                              !select->split->index_usable.empty() &&
+                              table.index_count() > 0;
     CompiledGroupBy plan;
-    if (CompileGroupBy(node, select, ctx, &plan)) {
-      return ExecGroupByBatch(node, *TableAt(scan.table_slot), plan);
+    if (!index_served && CompileGroupBy(node, select, ctx, &plan)) {
+      return ExecGroupByBatch(node, table, plan);
     }
     // A compile failure falls through to the unfused attempt below,
     // which records the fallback itself.

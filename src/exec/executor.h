@@ -195,11 +195,10 @@ class Executor {
   /// Secondary-index scan for Select(Scan): when bindings pin a ready
   /// SecondaryIndex's columns to column-free expressions, probes the
   /// index and revalidates each candidate against the read snapshot
-  /// instead of materializing the full scan. Charges exactly the full
-  /// scan's simulated cost (storage.scan.* and the rows-processed
-  /// server term, via Table::VisibleStats) so plan choice never shows
-  /// in the deterministic cost model — only in wall time. kNotFound =
-  /// inapplicable, caller falls through.
+  /// instead of materializing the full scan. Bills what it touches: one
+  /// row for the probe plus each visible candidate, then the rows out;
+  /// nothing to storage.scan.*. kNotFound = inapplicable, caller falls
+  /// through.
   Result<ResultSet> TrySecondaryIndexScan(const BoundNode& select,
                                           const storage::Table& table,
                                           EvalContext* ctx);
@@ -217,8 +216,9 @@ class Executor {
   /// Inner and left-outer joins. Equi-keys are split from the predicate
   /// once; one probe loop takes each left row's candidates from an
   /// index when the right side is a base scan whose key columns exactly
-  /// cover a ready index (index nested loop, charged like the scan it
-  /// replaces), and otherwise from a hash build over the right rows
+  /// cover a ready index (index nested loop, billing one row per probe
+  /// plus its visible candidates instead of a right-side scan), and
+  /// otherwise from a hash build over the right rows
   /// (with no key, every right row: a nested loop). Output order is
   /// left order, then right insertion order within a key, either way.
   Result<ResultSet> ExecJoin(const BoundNode& node, bool left_outer,

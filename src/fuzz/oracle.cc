@@ -397,15 +397,20 @@ std::vector<StepRecord> RunTxnSchedule(
 
 /// Final contents of every case table as table -> sorted bag of
 /// row-renderings (insertion order is not comparable across live and
-/// replay runs — aborted transactions burn sequence numbers).
+/// replay runs — aborted transactions burn sequence numbers). The walk
+/// is also the reference for each table's committed statistics
+/// counters: the first table whose row or byte counter differs from it
+/// is described in `*drift` (left alone when every table agrees).
 std::map<std::string, std::vector<std::string>> TableBags(
-    storage::Database* db, const FuzzCase& c) {
+    storage::Database* db, const FuzzCase& c, std::string* drift) {
   std::map<std::string, std::vector<std::string>> bags;
   for (const TableSpec& t : c.tables) {
     std::shared_ptr<storage::Table> table = db->SnapshotTable(t.name);
     std::vector<std::string>& bag = bags[t.name];
     if (table == nullptr) continue;
+    size_t bytes = 0;
     for (const catalog::Row& row : table->rows()) {
+      bytes += catalog::RowWireSize(row);
       std::string key;
       for (const catalog::Value& v : row) {
         key += v.ToString();
@@ -414,6 +419,13 @@ std::map<std::string, std::vector<std::string>> TableBags(
       bag.push_back(std::move(key));
     }
     std::sort(bag.begin(), bag.end());
+    if (drift->empty() &&
+        (table->row_count() != bag.size() || table->byte_count() != bytes)) {
+      *drift = "committed statistics of " + t.name + " drifted: counters " +
+               std::to_string(table->row_count()) + " row(s) / " +
+               std::to_string(table->byte_count()) + " byte(s) vs walk " +
+               std::to_string(bag.size()) + " / " + std::to_string(bytes);
+    }
   }
   return bags;
 }
@@ -456,6 +468,7 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
   std::vector<StepRecord> live;
   std::vector<TxnUnit> units;
   std::map<std::string, std::vector<std::string>> live_bags;
+  std::string drift;
   if (async) {
     // Session::Submit -> scheduler worker per statement: the txn
     // context crosses threads between consecutive statements of one
@@ -479,7 +492,7 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
     live = RunTxnSchedule(*steps, clients, &units);
     // GC must not change observable contents (an implicit oracle check).
     server.db()->Vacuum();
-    live_bags = TableBags(server.db(), c);
+    live_bags = TableBags(server.db(), c, &drift);
   } else {
     storage::Database db(dbo);
     if (Status s = BuildDatabase(c, &db); !s.ok()) {
@@ -495,7 +508,7 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
     }
     live = RunTxnSchedule(*steps, clients, &units);
     db.Vacuum();
-    live_bags = TableBags(&db, c);
+    live_bags = TableBags(&db, c, &drift);
   }
   report.rewritten_source = RenderTxnLog(*steps, live);
   report.original_queries = static_cast<int64_t>(steps->size());
@@ -535,7 +548,7 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
     }
   }
   std::map<std::string, std::vector<std::string>> replay_bags =
-      TableBags(&replay_db, c);
+      TableBags(&replay_db, c, &drift);
   for (const TableSpec& t : c.tables) {
     if (live_bags[t.name] != replay_bags[t.name]) {
       report.verdict = Verdict::kReturnMismatch;
@@ -545,6 +558,11 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
                       std::to_string(replay_bags[t.name].size());
       return report;
     }
+  }
+  if (!drift.empty()) {
+    report.verdict = Verdict::kReturnMismatch;
+    report.detail = drift;
+    return report;
   }
   report.verdict = Verdict::kPass;
   report.detail = std::to_string(units.size()) + " committed unit(s)";
@@ -630,6 +648,7 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
   // --- indexed arm, requested layout and engine.
   std::vector<StepRecord> indexed;
   std::map<std::string, std::vector<std::string>> indexed_bags;
+  std::string drift;
   bool injected = false;
   if (async) {
     // Statements cross scheduler workers, whose connections carry the
@@ -654,7 +673,7 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
     indexed = RunIndexSchedule(*steps, clients, /*execute_creates=*/true,
                                opts.inject_sql_bug, &injected);
     server.db()->Vacuum();  // also prunes dead index entries
-    indexed_bags = TableBags(server.db(), c);
+    indexed_bags = TableBags(server.db(), c, &drift);
   } else {
     storage::Database db(dbo);
     if (Status s = BuildDatabase(c, &db); !s.ok()) {
@@ -671,7 +690,7 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
     indexed = RunIndexSchedule(*steps, clients, /*execute_creates=*/true,
                                opts.inject_sql_bug, &injected);
     db.Vacuum();
-    indexed_bags = TableBags(&db, c);
+    indexed_bags = TableBags(&db, c, &drift);
   }
   report.injected = injected;
 
@@ -695,7 +714,7 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
                        /*corrupt_after_create=*/false, &plain_injected);
   plain_db.Vacuum();
   std::map<std::string, std::vector<std::string>> plain_bags =
-      TableBags(&plain_db, c);
+      TableBags(&plain_db, c, &drift);
 
   const std::string indexed_log = RenderTxnLog(*steps, indexed);
   const std::string plain_log = RenderTxnLog(*steps, plain);
@@ -736,6 +755,11 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
                       std::to_string(plain_bags[t.name].size());
       return report;
     }
+  }
+  if (!drift.empty()) {
+    report.verdict = Verdict::kReturnMismatch;
+    report.detail = drift;
+    return report;
   }
   report.verdict = Verdict::kPass;
   report.detail = "indexed and unindexed runs agree";

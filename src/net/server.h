@@ -144,8 +144,9 @@ class Server {
   /// extraction, the batching rewrite, the interpreted original —
   /// against live table statistics, returning the ranked plan with the
   /// cheapest feasible strategy chosen. Cached in the shared plan cache
-  /// and re-priced whenever the database's stats epoch moves (table
-  /// growth or new indexes can flip the winner). Thread-safe.
+  /// and re-priced whenever a priced statistic changes and so moves the
+  /// database's stats epoch (table growth or a newly ready index can
+  /// flip the winner). Thread-safe.
   Result<std::shared_ptr<const core::ExtractionPlan>> GetOrSelectPlan(
       const std::string& source, const std::string& function);
 

@@ -16,11 +16,10 @@ core::TableStats GatherTableStats(storage::Database* db) {
   for (const std::string& name : db->TableNames()) {
     std::shared_ptr<const storage::Table> table = db->SnapshotTable(name);
     const std::string key = AsciiToLower(name);
-    const storage::TableScanStats vs =
-        table->VisibleStats(storage::Snapshot::Latest());
-    stats.table_rows[key] = static_cast<int64_t>(vs.rows);
-    if (vs.rows > 0) {
-      stats.row_bytes[key] = static_cast<int64_t>(vs.bytes / vs.rows);
+    const size_t rows = table->row_count();
+    stats.table_rows[key] = static_cast<int64_t>(rows);
+    if (rows > 0) {
+      stats.row_bytes[key] = static_cast<int64_t>(table->byte_count() / rows);
     }
     std::vector<std::vector<std::string>> lists = table->IndexedColumnLists();
     if (!lists.empty()) stats.table_indexes[key] = std::move(lists);

@@ -11,9 +11,10 @@
 
 namespace eqsql::net {
 
-/// Snapshot of per-table row counts, average row widths, and indexed
-/// column lists at Snapshot::Latest(). Only indexed tables have an
-/// entry in `table_indexes`.
+/// Per-table committed row counts, average row widths and ready-index
+/// column lists, read from each catalog table's committed statistics
+/// counters in O(tables). Only indexed tables have an entry in
+/// `table_indexes`.
 core::TableStats GatherTableStats(storage::Database* db);
 
 }  // namespace eqsql::net

@@ -86,8 +86,9 @@ uint64_t Database::StatsEpoch() const {
   uint64_t h = Fnv1a("stats-epoch");
   for (const auto& [key, table] : tables_) {
     h = SplitMix64(h ^ Fnv1a(key));
-    h = SplitMix64(h ^ table->stats_epoch());
-    h = SplitMix64(h ^ static_cast<uint64_t>(table->index_count()));
+    h = SplitMix64(h ^ static_cast<uint64_t>(table->row_count()));
+    h = SplitMix64(h ^ static_cast<uint64_t>(table->byte_count()));
+    h = SplitMix64(h ^ static_cast<uint64_t>(table->ready_index_count()));
   }
   return h;
 }

@@ -75,13 +75,14 @@ class Database {
   std::vector<std::string> TableNames() const;
 
   /// Database-wide statistics fingerprint: a deterministic fold over
-  /// every table's name, mutation epoch and index count. Any write that
-  /// changes visible rows, any CREATE INDEX, and any table create
-  /// changes the value, so a cached extraction plan stamped with an
-  /// older epoch is re-priced (a table growing 10x can flip the chosen
-  /// alternative). Not a version counter — an unchanged database always
-  /// folds to the same value, which keeps plan caches warm across
-  /// read-only traffic.
+  /// exactly what the selector prices -- every table's name, committed
+  /// row count, committed byte total and ready-index count, O(tables).
+  /// A commit that changes a table's rows or bytes, an index becoming
+  /// ready, and a table create change the value, so a cached extraction
+  /// plan stamped with an older epoch is re-priced (a table growing 10x
+  /// can flip the chosen alternative). Not a version counter: a write
+  /// that leaves every priced statistic as it was (a same-width UPDATE)
+  /// folds to the same value and keeps plan caches warm.
   uint64_t StatsEpoch() const;
 
   /// The database-wide transaction coordinator. Const-qualified callers

@@ -96,13 +96,6 @@ void SecondaryIndex::PruneDeadSlots() {
   }
 }
 
-void SecondaryIndex::Clear() {
-  for (auto& bucket : buckets_) {
-    std::unique_lock<std::shared_mutex> lock(bucket->mu);
-    bucket->map.clear();
-  }
-}
-
 size_t SecondaryIndex::entry_count() const {
   size_t n = 0;
   for (const auto& bucket : buckets_) {

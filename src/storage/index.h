@@ -83,9 +83,6 @@ class SecondaryIndex {
   /// releasing the slot's memory. Called from Table::Vacuum.
   void PruneDeadSlots();
 
-  /// Removes every entry (Table::Clear).
-  void Clear();
-
   /// Total (key, slot) entries across all buckets (tests, stats).
   size_t entry_count() const;
 

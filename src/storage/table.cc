@@ -113,6 +113,7 @@ Status Table::Insert(catalog::Row row) {
         "row arity " + std::to_string(row.size()) + " does not match schema " +
         schema_.ToString() + " of table " + name_);
   }
+  const size_t bytes = catalog::RowWireSize(row);
   // Shared topology hold: keeps a concurrent Repartition from freeing
   // the Shard this insert is about to lock out from under us.
   std::shared_lock<std::shared_mutex> topology(topology_mu_);
@@ -153,7 +154,7 @@ Status Table::Insert(catalog::Row row) {
     InstallNewSlot(&shard, std::move(row), begin, nullptr, seq);
   }
   size_.fetch_add(1, std::memory_order_acq_rel);
-  BumpStatsEpoch();
+  bytes_.fetch_add(bytes, std::memory_order_acq_rel);
   return Status::OK();
 }
 
@@ -211,15 +212,15 @@ Status Table::InsertTxn(Transaction* txn, catalog::Row row) {
       slot.head.store(nv, std::memory_order_release);
       if (txns_ != nullptr) txns_->NoteVersionInstalled();
       NoteVersionForIndexes(nv->row, it->second);
-      txn->RecordWrite(WriteRecord{weak_from_this().lock(), this, it->second,
-                                   nv, nullptr, 1});
+      txn->RecordWrite(
+          WriteRecord{weak_from_this().lock(), this, it->second, nv, nullptr});
     } else {
       size_t seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
       std::shared_ptr<Slot> slot =
           InstallNewSlot(&shard, std::move(row), pending, &key, seq);
       txn->RecordWrite(WriteRecord{weak_from_this().lock(), this, slot,
                                    slot->head.load(std::memory_order_acquire),
-                                   nullptr, 1});
+                                   nullptr});
     }
   } else {
     size_t seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
@@ -229,9 +230,8 @@ Status Table::InsertTxn(Transaction* txn, catalog::Row row) {
         InstallNewSlot(&shard, std::move(row), pending, nullptr, seq);
     txn->RecordWrite(WriteRecord{weak_from_this().lock(), this, slot,
                                  slot->head.load(std::memory_order_acquire),
-                                 nullptr, 1});
+                                 nullptr});
   }
-  BumpStatsEpoch();
   return Status::OK();
 }
 
@@ -249,7 +249,7 @@ Result<bool> Table::MutateSlot(Transaction* txn,
   if (mutate == nullptr) {
     old_version->end.store(pending, std::memory_order_release);
     txn->RecordWrite(WriteRecord{weak_from_this().lock(), this, slot, nullptr,
-                                 old_version, -1});
+                                 old_version});
     return true;
   }
   EQSQL_ASSIGN_OR_RETURN(catalog::Row new_row, mutate(vis->row));
@@ -266,29 +266,24 @@ Result<bool> Table::MutateSlot(Transaction* txn,
   if (txns_ != nullptr) txns_->NoteVersionInstalled();
   NoteVersionForIndexes(nv->row, slot);
   txn->RecordWrite(
-      WriteRecord{weak_from_this().lock(), this, slot, nv, old_version, 0});
+      WriteRecord{weak_from_this().lock(), this, slot, nv, old_version});
   return true;
 }
 
 Result<size_t> Table::MutateRows(Transaction* txn, const RowPredicate& pred,
                                  const RowMutation& mutate) {
-  size_t written = 0;
-  Status status = [&]() -> Status {
-    std::shared_lock<std::shared_mutex> topology(topology_mu_);
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> write(shard->write_mu);
-      // Slot vectors mutate only under write_mu (writers, GC), so
-      // holding it makes the plain iteration safe.
-      for (const auto& slot : shard->slots) {
-        EQSQL_ASSIGN_OR_RETURN(bool wrote, MutateSlot(txn, slot, pred, mutate));
-        if (wrote) ++written;
-      }
-    }
-    return Status::OK();
-  }();
   // A statement that fails mid-way keeps its earlier writes pending.
-  if (written > 0) BumpStatsEpoch();
-  EQSQL_RETURN_IF_ERROR(status);
+  size_t written = 0;
+  std::shared_lock<std::shared_mutex> topology(topology_mu_);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> write(shard->write_mu);
+    // Slot vectors mutate only under write_mu (writers, GC), so
+    // holding it makes the plain iteration safe.
+    for (const auto& slot : shard->slots) {
+      EQSQL_ASSIGN_OR_RETURN(bool wrote, MutateSlot(txn, slot, pred, mutate));
+      if (wrote) ++written;
+    }
+  }
   return written;
 }
 
@@ -296,23 +291,20 @@ Result<size_t> Table::MutateKey(Transaction* txn, const std::string& key_column,
                                 const catalog::Value& key,
                                 const RowPredicate& pred,
                                 const RowMutation& mutate) {
-  bool wrote = false;
-  {
-    std::shared_lock<std::shared_mutex> topology(topology_mu_);
-    if (unique_key_ != key_column) {
-      return Status::NotFound("unique key of table " + name_ +
-                              " is no longer " + key_column);
-    }
-    txn->RecordKeyRead(KeyRead{weak_from_this().lock(), this, key,
-                               key_epoch_.load(std::memory_order_acquire)});
-    Shard& shard = *shards_[ShardOfKey(key)];
-    std::lock_guard<std::mutex> write(shard.write_mu);
-    // The key index, like the slot vector, mutates only under write_mu.
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return size_t{0};
-    EQSQL_ASSIGN_OR_RETURN(wrote, MutateSlot(txn, it->second, pred, mutate));
+  std::shared_lock<std::shared_mutex> topology(topology_mu_);
+  if (unique_key_ != key_column) {
+    return Status::NotFound("unique key of table " + name_ +
+                            " is no longer " + key_column);
   }
-  if (wrote) BumpStatsEpoch();
+  txn->RecordKeyRead(KeyRead{weak_from_this().lock(), this, key,
+                             key_epoch_.load(std::memory_order_acquire)});
+  Shard& shard = *shards_[ShardOfKey(key)];
+  std::lock_guard<std::mutex> write(shard.write_mu);
+  // The key index, like the slot vector, mutates only under write_mu.
+  auto it = shard.index.find(key);
+  if (it == shard.index.end()) return size_t{0};
+  EQSQL_ASSIGN_OR_RETURN(bool wrote,
+                         MutateSlot(txn, it->second, pred, mutate));
   return wrote ? size_t{1} : size_t{0};
 }
 
@@ -437,7 +429,6 @@ Status Table::Repartition(size_t new_count, const std::string* new_key) {
   unique_key_ = key;
   key_index_col_ = key_col;
   if (new_key != nullptr) key_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  BumpStatsEpoch();
   return Status::OK();
 }
 
@@ -486,45 +477,6 @@ std::optional<catalog::Row> Table::GetByKey(const catalog::Value& key,
   return *row;
 }
 
-void Table::Clear() {
-  std::shared_lock<std::shared_mutex> topology(topology_mu_);
-  // Lock every shard's write mutex in ascending order, then clear
-  // under the structural locks. Setup-path operation.
-  std::vector<std::unique_lock<std::mutex>> writes;
-  writes.reserve(shards_.size());
-  for (const auto& s : shards_) writes.emplace_back(s->write_mu);
-  for (const auto& s : shards_) {
-    std::unique_lock<std::shared_mutex> sl(s->struct_mu);
-    s->slots.clear();
-    s->index.clear();
-  }
-  next_seq_.store(0, std::memory_order_release);
-  size_.store(0, std::memory_order_release);
-  last_commit_ts_.store(0, std::memory_order_release);
-  if (index_count_.load(std::memory_order_acquire) != 0) {
-    std::shared_lock<std::shared_mutex> il(index_mu_);
-    for (const auto& idx : indexes_) idx->Clear();
-  }
-  BumpStatsEpoch();
-}
-
-Status Table::ForEachRowExclusive(
-    const std::function<Status(catalog::Row* row)>& fn) {
-  std::shared_lock<std::shared_mutex> topology(topology_mu_);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> write(shard->write_mu);
-    for (const auto& slot : shard->slots) {
-      const Version* vis = slot->VisibleVersion(Snapshot::Latest());
-      if (vis == nullptr) continue;
-      // Setup-only in-place mutation: no version is installed, so this
-      // must not race snapshot readers (documented in the header).
-      EQSQL_RETURN_IF_ERROR(fn(&const_cast<Version*>(vis)->row));
-    }
-  }
-  BumpStatsEpoch();
-  return Status::OK();
-}
-
 std::vector<std::shared_ptr<const Table::Slot>> Table::PinShard(
     size_t i) const {
   std::shared_lock<std::shared_mutex> topology(topology_mu_);
@@ -550,11 +502,10 @@ size_t ShardScanCursor::Next(size_t max_rows, std::vector<size_t>* seqs,
   return produced;
 }
 
-void Table::NoteCommit(Ts commit_ts, int64_t size_delta) {
+void Table::NoteCommit(Ts commit_ts, int64_t row_delta, int64_t byte_delta) {
   last_commit_ts_.store(commit_ts, std::memory_order_release);
-  size_.fetch_add(static_cast<size_t>(size_delta),
-                  std::memory_order_acq_rel);
-  BumpStatsEpoch();
+  size_.fetch_add(static_cast<size_t>(row_delta), std::memory_order_acq_rel);
+  bytes_.fetch_add(static_cast<size_t>(byte_delta), std::memory_order_acq_rel);
 }
 
 void Table::Vacuum(Ts watermark, TxnManager* txns) {
@@ -624,7 +575,6 @@ void Table::Vacuum(Ts watermark, TxnManager* txns) {
     std::shared_lock<std::shared_mutex> il(index_mu_);
     for (const auto& idx : indexes_) idx->PruneDeadSlots();
   }
-  BumpStatsEpoch();
 }
 
 void Table::NoteVersionForIndexes(const catalog::Row& row,
@@ -697,6 +647,7 @@ Status Table::CreateIndex(const std::string& name,
     for (auto& task : tasks) task();
   }
   index->MarkReady();
+  ready_index_count_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
 
@@ -736,48 +687,6 @@ std::vector<std::vector<std::string>> Table::IndexedColumnLists() const {
     if (idx->ready()) out.push_back(idx->columns());
   }
   return out;
-}
-
-TableScanStats Table::VisibleStats(const Snapshot& snap) const {
-  // Memo hit: nothing changed any visible set since the cached walk and
-  // the caller reads at the same snapshot, so the answer is identical.
-  const uint64_t epoch = stats_epoch_.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> cache(stats_cache_mu_);
-    if (stats_cache_valid_ && stats_cache_epoch_ == epoch &&
-        stats_cache_snap_.ts == snap.ts &&
-        stats_cache_snap_.txn_id == snap.txn_id) {
-      return stats_cache_;
-    }
-  }
-  TableScanStats stats;
-  {
-    std::shared_lock<std::shared_mutex> topology(topology_mu_);
-    for (const auto& shard : shards_) {
-      std::vector<std::shared_ptr<Slot>> local;
-      {
-        std::shared_lock<std::shared_mutex> sl(shard->struct_mu);
-        local = shard->slots;
-      }
-      for (const auto& slot : local) {
-        const catalog::Row* row = slot->VisibleRow(snap);
-        if (row == nullptr) continue;
-        ++stats.rows;
-        stats.bytes += catalog::RowWireSize(*row);
-      }
-    }
-  }
-  std::lock_guard<std::mutex> cache(stats_cache_mu_);
-  // Re-check the epoch: a writer may have raced our walk, in which case
-  // this result may reflect a half-installed state for Snapshot::Latest
-  // readers — don't let it outlive the race window.
-  if (stats_epoch_.load(std::memory_order_acquire) == epoch) {
-    stats_cache_valid_ = true;
-    stats_cache_epoch_ = epoch;
-    stats_cache_snap_ = snap;
-    stats_cache_ = stats;
-  }
-  return stats;
 }
 
 }  // namespace eqsql::storage

@@ -22,16 +22,6 @@ class SecondaryIndex;
 class Transaction;
 class TxnManager;
 
-/// Snapshot-exact scan statistics: how many rows a full scan at this
-/// snapshot would produce and their total wire size. Computed without
-/// copying any row, so the index-scan operators can charge exactly the
-/// cost a full scan would have charged (the engines' cost-parity
-/// contract) while skipping the materialization work.
-struct TableScanStats {
-  size_t rows = 0;
-  size_t bytes = 0;
-};
-
 /// One logical row: a table-wide insertion sequence number plus a
 /// newest-first chain of versions. The chain head is atomic so readers
 /// resolve their visible version without any lock; writers install new
@@ -106,9 +96,14 @@ class Table : public std::enable_shared_from_this<Table> {
   const std::string& name() const { return name_; }
   const catalog::Schema& schema() const { return schema_; }
   size_t shard_count() const { return shards_.size(); }
-  /// Committed live rows (approximate under concurrent commits; exact
-  /// when quiescent). Snapshot-exact counts come from rows(snap).size().
+  /// The committed statistics the planner prices: live rows and the
+  /// sum of their catalog::RowWireSize. Kept as counters that change
+  /// only where committed rows do -- Insert, and the commit loop
+  /// through NoteCommit -- so reading them is O(1). Each is exact when
+  /// quiescent; under concurrent commits the two may come from
+  /// different commits. Snapshot-exact figures come from rows(snap).
   size_t row_count() const { return size_.load(std::memory_order_acquire); }
+  size_t byte_count() const { return bytes_.load(std::memory_order_acquire); }
 
   /// Rows visible to `snap`, in insertion-sequence order.
   std::vector<catalog::Row> rows(const Snapshot& snap) const;
@@ -196,8 +191,6 @@ class Table : public std::enable_shared_from_this<Table> {
   std::optional<catalog::Row> GetByKey(const catalog::Value& key,
                                        const Snapshot& snap) const;
 
-  void Clear();
-
   /// Re-partitions existing rows across `n` shards (shard-count change
   /// at runtime, e.g. rebalancing a long-lived temp table). Slots move
   /// wholesale — chains, pending versions and all; in-flight
@@ -206,15 +199,6 @@ class Table : public std::enable_shared_from_this<Table> {
 
   /// The shard a row with key value `key` lives in (key-hash placement).
   size_t ShardOfKey(const catalog::Value& key) const;
-
-  /// Applies `fn` to every committed live row in place, shard by shard
-  /// in ascending order under the shard write locks. Setup-only: rows
-  /// mutate in place (no new versions), so it must not run concurrently
-  /// with snapshot readers. `fn` must preserve arity and must not
-  /// change the unique-key column. An error aborts the walk; prior
-  /// shards stay applied.
-  Status ForEachRowExclusive(
-      const std::function<Status(catalog::Row* row)>& fn);
 
   /// Copies shard `i`'s slot pointers (brief shared structural lock).
   /// Callers resolve visibility per slot against their snapshot; the
@@ -228,9 +212,9 @@ class Table : public std::enable_shared_from_this<Table> {
   }
 
   /// Called by TxnManager under the commit lock after stamping this
-  /// table's versions: publishes the commit timestamp and adjusts the
-  /// committed row count.
-  void NoteCommit(Ts commit_ts, int64_t size_delta);
+  /// table's versions: publishes the commit timestamp and adds the
+  /// commit's net change to the committed row and byte counters.
+  void NoteCommit(Ts commit_ts, int64_t row_delta, int64_t byte_delta);
 
   /// Unlinks versions dead at `watermark` (aborted, or superseded with
   /// a committed end <= watermark), removes fully dead slots and their
@@ -281,17 +265,10 @@ class Table : public std::enable_shared_from_this<Table> {
     return index_count_.load(std::memory_order_acquire);
   }
 
-  /// Snapshot-exact full-scan statistics (rows + wire bytes visible to
-  /// `snap`), charged by the index-scan operators for cost parity.
-  /// Memoized per (snapshot, mutation epoch): repeated probes of an
-  /// unchanged table pay O(1) here instead of re-walking every slot.
-  TableScanStats VisibleStats(const Snapshot& snap) const;
-
-  /// Monotone mutation counter, bumped by every operation that can
-  /// change some snapshot's visible row set. Database::StatsEpoch folds
-  /// these into the fingerprint that validates cached extraction plans.
-  uint64_t stats_epoch() const {
-    return stats_epoch_.load(std::memory_order_acquire);
+  /// Number of ready indexes: the ones IndexedColumnLists reports and
+  /// the planner prices. Raised after a backfill's MarkReady.
+  size_t ready_index_count() const {
+    return ready_index_count_.load(std::memory_order_acquire);
   }
 
  private:
@@ -373,6 +350,7 @@ class Table : public std::enable_shared_from_this<Table> {
   /// aborted inserts burn numbers; seq is an ordering token only.
   std::atomic<size_t> next_seq_{0};
   std::atomic<size_t> size_{0};
+  std::atomic<size_t> bytes_{0};
   std::atomic<Ts> last_commit_ts_{0};
   TxnManager* txns_ = nullptr;
   /// Guards indexes_ itself (a leaf lock, taken after any shard
@@ -381,26 +359,7 @@ class Table : public std::enable_shared_from_this<Table> {
   mutable std::shared_mutex index_mu_;
   std::vector<std::shared_ptr<SecondaryIndex>> indexes_;
   std::atomic<size_t> index_count_{0};
-
-  /// Invalidates the VisibleStats memo. Called by every path that can
-  /// change some live snapshot's visible row set: version installs
-  /// (Insert/InsertTxn/MutateRows), commit stamping (NoteCommit),
-  /// topology rebuilds, Clear, and Vacuum. Rollback is deliberately
-  /// exempt — aborting pending stamps only changes visibility for the
-  /// dead owner's snapshot, which is never read again.
-  void BumpStatsEpoch() {
-    stats_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  /// One-entry memo for VisibleStats: valid while the table's mutation
-  /// epoch and the probing snapshot both match. Autocommit readers pin
-  /// Snapshot{clock, 0}, so between commits every probe shares one key.
-  std::atomic<uint64_t> stats_epoch_{0};
-  mutable std::mutex stats_cache_mu_;
-  mutable bool stats_cache_valid_ = false;
-  mutable uint64_t stats_cache_epoch_ = 0;
-  mutable Snapshot stats_cache_snap_{};
-  mutable TableScanStats stats_cache_{};
+  std::atomic<size_t> ready_index_count_{0};
 };
 
 /// Batch-producing MVCC scan over one shard: pins the shard's slots

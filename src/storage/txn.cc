@@ -92,17 +92,30 @@ Status TxnManager::Commit(Transaction* txn) {
     txn->commit_ts_ = clock_.load(std::memory_order_acquire);
   } else {
     const Ts c = clock_.load(std::memory_order_acquire) + 1;
-    std::map<Table*, int64_t> deltas;
+    // Each table's net change to its committed statistics: a created
+    // version's row becomes committed, a superseded one's stops being.
+    // A version both created and superseded inside this transaction
+    // nets to zero.
+    struct Delta {
+      int64_t rows = 0;
+      int64_t bytes = 0;
+    };
+    std::map<Table*, Delta> deltas;
     for (const WriteRecord& w : txn->writes_) {
+      Delta& d = deltas[w.table];
       if (w.created != nullptr) {
         w.created->begin.store(c, std::memory_order_release);
+        d.rows += 1;
+        d.bytes += static_cast<int64_t>(catalog::RowWireSize(w.created->row));
       }
       if (w.superseded != nullptr) {
         w.superseded->end.store(c, std::memory_order_release);
+        d.rows -= 1;
+        d.bytes -=
+            static_cast<int64_t>(catalog::RowWireSize(w.superseded->row));
       }
-      deltas[w.table] += w.delta;
     }
-    for (const auto& [table, delta] : deltas) table->NoteCommit(c, delta);
+    for (const auto& [table, d] : deltas) table->NoteCommit(c, d.rows, d.bytes);
     // Publish last: a reader whose pin observes clock >= c is
     // guaranteed (acquire/release on clock_) to see every stamp above.
     clock_.store(c, std::memory_order_release);

@@ -22,16 +22,16 @@ struct TableSlot;
 
 /// One write a transaction performed: the slot it touched, the version
 /// it installed (`created`, null for a pure DELETE) and/or superseded
-/// (`superseded`, null for an INSERT), plus the committed-row-count
-/// delta. `pin` keeps the table alive across registry drops; it is null
-/// only for stack-allocated tables in tests.
+/// (`superseded`, null for an INSERT). At commit the created version's
+/// row joins the table's committed statistics and the superseded one's
+/// leaves them. `pin` keeps the table alive across registry drops; it
+/// is null only for stack-allocated tables in tests.
 struct WriteRecord {
   std::shared_ptr<Table> pin;
   Table* table = nullptr;
   std::shared_ptr<TableSlot> slot;
   Version* created = nullptr;
   Version* superseded = nullptr;
-  int64_t delta = 0;
 };
 
 /// One unique-key value a transaction READ: a keyed UPDATE/DELETE's

@@ -709,6 +709,65 @@ TEST(ServerStressTest, TempTablesStayInTheirSession) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
+// Each table's committed row and byte counters change only at Insert
+// and commit. Four sessions race transactions that insert, widen,
+// narrow and delete rows -- keyed and scanned, some committed, some
+// rolled back, some aborted by a conflict -- and once all have finished
+// the counters equal a walk of the committed rows.
+TEST(ServerStressTest, CommittedStatisticsMatchTheRowsAfterConcurrentWrites) {
+  ServerOptions options;
+  options.scheduler_workers = 4;
+  Server server(std::move(options));
+  storage::Table* notes = *server.db()->CreateTable(
+      "notes",
+      catalog::Schema({{"id", DataType::kInt64}, {"s", DataType::kString}}));
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(notes->Insert({Value::Int(i), Value::String("n")}).ok());
+  }
+  ASSERT_TRUE(notes->DeclareUniqueKey("id").ok());
+
+  constexpr int kSessions = 4;
+  constexpr int kIters = 30;
+  std::atomic<int> commits{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kSessions; ++t) {
+    workers.emplace_back([&, t] {
+      std::unique_ptr<Session> session = server.Connect();
+      auto dml = [&session](const std::string& sql) {
+        session->Execute(Request::Dml(sql));
+      };
+      for (int i = 0; i < kIters; ++i) {
+        const std::string fresh = std::to_string(1000 * (t + 1) + i);
+        const std::string own = std::to_string(t * 10 + i % 10);
+        session->Execute(Request::Begin());
+        dml("INSERT INTO notes VALUES (" + fresh + ", 'fresh')");
+        dml("UPDATE notes SET s = 'a wider text' WHERE id = " + own);
+        dml("UPDATE notes SET s = '' WHERE id = " +
+            std::to_string(t * 10 + (i + 3) % 10));
+        if (i % 2 == 0) {
+          dml("UPDATE notes SET s = 'wide again' WHERE id = " + fresh);
+          dml("DELETE FROM notes WHERE id = " + fresh);
+        }
+        if (i % 5 == 0) dml("UPDATE notes SET s = 'scan' WHERE s = 'n'");
+        if (i % 3 == 0) {
+          session->Execute(Request::Rollback());
+        } else if (session->Execute(Request::Commit()).ok()) {
+          commits.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_GT(commits.load(), 0);
+
+  size_t bytes = 0;
+  const std::vector<catalog::Row> rows = notes->rows();
+  for (const catalog::Row& row : rows) bytes += catalog::RowWireSize(row);
+  EXPECT_GT(rows.size(), 40u);
+  EXPECT_EQ(notes->row_count(), rows.size());
+  EXPECT_EQ(notes->byte_count(), bytes);
+}
+
 // Live sessions fold their published snapshot into stats() while open,
 // and their exact totals exactly once when they close (no double count).
 TEST(ServerStressTest, StatsFoldOnClose) {

@@ -403,9 +403,9 @@ int64_t Metric(net::Session* session, const std::string& metric) {
 }
 
 // CREATE INDEX through the server: same SELECT answers before and
-// after, and the index-scan operator's counters tick (the plan change
-// is observable only there and in wall time — the simulated cost model
-// charges the index path exactly like the scan it replaces).
+// after, and the index-scan operator's counters tick. The bill moves
+// with the path: the scan bills its 40 rows plus the 8 it keeps, the
+// index path its probe, its 8 visible candidates and the 8 kept.
 TEST(IndexServer, CreateIndexKeepsAnswersAndTicksCounters) {
   net::ServerOptions options;
   options.scheduler_workers = 2;
@@ -418,7 +418,13 @@ TEST(IndexServer, CreateIndexKeepsAnswersAndTicksCounters) {
 
   net::Request probe = net::Request::Query(
       "SELECT * FROM items AS i WHERE i.v = ?", {Value::Int(3)});
-  net::Outcome before = session->Execute(probe);
+  auto billed = [&session](const net::Request& req, net::Outcome* out) {
+    const int64_t rows = Metric(session.get(), "exec.rows_processed");
+    *out = session->Execute(req);
+    return Metric(session.get(), "exec.rows_processed") - rows;
+  };
+  net::Outcome before;
+  EXPECT_EQ(billed(probe, &before), 40 + 8);
   ASSERT_TRUE(before.ok()) << before.status.ToString();
   ASSERT_EQ(before.rows.rows.size(), 8u);
   EXPECT_EQ(Metric(session.get(), "storage.index.probes"), 0);
@@ -427,7 +433,8 @@ TEST(IndexServer, CreateIndexKeepsAnswersAndTicksCounters) {
       net::Request::Statement("CREATE INDEX items_v ON items (v)"));
   ASSERT_TRUE(ddl.ok()) << ddl.status.ToString();
 
-  net::Outcome after = session->Execute(probe);
+  net::Outcome after;
+  EXPECT_EQ(billed(probe, &after), 1 + 8 + 8);
   ASSERT_TRUE(after.ok()) << after.status.ToString();
   ASSERT_EQ(after.rows.rows.size(), before.rows.rows.size());
   for (size_t i = 0; i < after.rows.rows.size(); ++i) {
@@ -445,8 +452,10 @@ TEST(IndexServer, CreateIndexKeepsAnswersAndTicksCounters) {
 // executor probes the index whenever one covers the join's right key
 // columns, whichever estimate is lower. Without the index the line is
 // absent entirely. Two shapes: a selective join (few outer rows, many
-// inner rows), and one where the scan is estimated cheaper (500 outer
-// rows, 12 inner rows).
+// inner rows), and a wide one (500 outer rows, 12 inner rows). The
+// index side is priced as probes plus the join's estimated matches, so
+// under the estimator's containment guess the scan is priced cheaper
+// in both.
 TEST(IndexServer, ExplainExtractionPricesIndexNestedLoopAgainstScan) {
   const char* src = R"(
     func userRoles() {
@@ -548,7 +557,10 @@ TEST(IndexServer, ExplainExtractionPricesIndexNestedLoopAgainstScan) {
 // or index, a unique key on d.aid, a secondary index on d.aid, both --
 // in both engines. Rows and status must equal the plain setup's row
 // engine everywhere, and each setup must keep its own access path
-// (profile labels) and charges (rows_processed, storage.scan.rows).
+// (profile labels) and charges (rows_processed, storage.scan.rows). An
+// index path bills one row per probe plus each visible candidate it
+// hands the residual, then its rows out, and never a scan; both
+// engines take the same path.
 
 enum class PathSetup { kPlain, kKey, kIndex, kBoth };
 
@@ -653,33 +665,33 @@ const PathCase kPathCases[] = {
     {"literal", "SELECT d.id AS i FROM d WHERE d.aid = 7",
      {"Project(Select(Scan)) rp=10 scan=8 | Project(Select) rp=10 scan=8",
       "Project(KeyLookup) rp=2 scan=0",
-      "Project(IndexScan) rp=10 scan=8",
+      "Project(IndexScan) rp=4 scan=0",
       "Project(KeyLookup) rp=2 scan=0"}},
     {"parameter", "SELECT d.id AS i FROM d WHERE d.aid = ?",
      {"Project(Select(Scan)) rp=10 scan=8 | Project(Select) rp=10 scan=8",
       "Project(KeyLookup) rp=2 scan=0",
-      "Project(IndexScan) rp=10 scan=8",
+      "Project(IndexScan) rp=4 scan=0",
       "Project(KeyLookup) rp=2 scan=0"}},
     {"literal_apply",
      "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
      "(SELECT d.phone AS oa0 FROM d WHERE d.aid = 7)",
      {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=91 scan=63",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7",
-      "Project(OuterApply(Scan,Project(IndexScan))) rp=91 scan=63",
+      "Project(OuterApply(Scan,Project(IndexScan))) rp=49 scan=7",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7"}},
     {"parameter_apply",
      "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
      "(SELECT d.phone AS oa0 FROM d WHERE d.aid = ?)",
      {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=91 scan=63",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7",
-      "Project(OuterApply(Scan,Project(IndexScan))) rp=91 scan=63",
+      "Project(OuterApply(Scan,Project(IndexScan))) rp=49 scan=7",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7"}},
     {"null_apply",
      "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
      "(SELECT d.phone AS oa0 FROM d WHERE d.aid = NULL)",
      {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=77 scan=63",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=28 scan=7",
-      "Project(OuterApply(Scan,Project(IndexScan))) rp=77 scan=63",
+      "Project(OuterApply(Scan,Project(IndexScan))) rp=28 scan=7",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=28 scan=7"}},
     {"outer_apply",
      "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
@@ -693,21 +705,21 @@ const PathCase kPathCases[] = {
      "(SELECT d.id AS j FROM d WHERE d.aid = 7)",
      {"Project(Select(Scan,Project(Select(Scan)))) rp=91 scan=63",
       "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7",
-      "Project(Select(Scan,Project(IndexScan))) rp=91 scan=63",
+      "Project(Select(Scan,Project(IndexScan))) rp=49 scan=7",
       "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7"}},
     {"parameter_exists",
      "SELECT x.id AS i FROM x WHERE EXISTS "
      "(SELECT d.id AS j FROM d WHERE d.aid = ?)",
      {"Project(Select(Scan,Project(Select(Scan)))) rp=91 scan=63",
       "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7",
-      "Project(Select(Scan,Project(IndexScan))) rp=91 scan=63",
+      "Project(Select(Scan,Project(IndexScan))) rp=49 scan=7",
       "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7"}},
     {"null_exists",
      "SELECT x.id AS i FROM x WHERE EXISTS "
      "(SELECT d.id AS j FROM d WHERE d.aid = NULL)",
      {"Project(Select(Scan,Project(Select(Scan)))) rp=63 scan=63",
       "Project(Select(Scan,Project(KeyLookup))) rp=14 scan=7",
-      "Project(Select(Scan,Project(IndexScan))) rp=63 scan=63",
+      "Project(Select(Scan,Project(IndexScan))) rp=14 scan=7",
       "Project(Select(Scan,Project(KeyLookup))) rp=14 scan=7"}},
     {"outer_exists",
      "SELECT x.id AS i FROM x WHERE EXISTS "
@@ -731,48 +743,47 @@ const PathCase kPathCases[] = {
      "SELECT d.id AS i FROM d WHERE d.aid = 7 AND d.id = 3 AND d.phone < 5",
      {"Project(Select(Scan)) rp=8 scan=8 | Project(Select) rp=8 scan=8",
       "Project(KeyLookup) rp=1 scan=0",
-      "Project(IndexScan) rp=8 scan=8",
+      "Project(IndexScan) rp=2 scan=0",
       "Project(KeyLookup) rp=1 scan=0"}},
     {"duplicate_binding",
      "SELECT d.id AS i FROM d WHERE d.aid = 7 AND d.aid = 8",
      {"Project(Select(Scan)) rp=8 scan=8 | Project(Select) rp=8 scan=8",
       "Project(KeyLookup) rp=1 scan=0",
-      "Project(IndexScan) rp=8 scan=8",
+      "Project(IndexScan) rp=2 scan=0",
       "Project(KeyLookup) rp=1 scan=0"}},
     {"group_by_key",
      "SELECT COUNT(*) AS n FROM d WHERE d.aid = 7",
      {"Project(GroupBy(Select(Scan))) rp=11 scan=8 | Project(GroupBy) "
       "rp=11 scan=8",
       "Project(GroupBy(KeyLookup)) rp=3 scan=0",
-      "Project(GroupBy(IndexScan)) rp=11 scan=8 | Project(GroupBy) rp=11 "
-      "scan=8",
+      "Project(GroupBy(IndexScan)) rp=5 scan=0",
       "Project(GroupBy(KeyLookup)) rp=3 scan=0"}},
     {"join", "SELECT x.id AS i, d.id AS j FROM x JOIN d ON x.id = d.aid",
      {"Project(Join(Scan,Scan)) rp=23 scan=15",
       "Project(Join(Scan,Scan)) rp=23 scan=15",
-      "Project(IndexNestedLoopJoin(Scan)) rp=23 scan=15",
-      "Project(IndexNestedLoopJoin(Scan)) rp=23 scan=15"}},
+      "Project(IndexNestedLoopJoin(Scan)) rp=25 scan=7",
+      "Project(IndexNestedLoopJoin(Scan)) rp=25 scan=7"}},
     {"join_residual",
      "SELECT x.id AS i, d.id AS j FROM x JOIN d "
      "ON x.id = d.aid AND x.aid <= d.id + 1",
      {"Project(Join(Scan,Scan)) rp=19 scan=15",
       "Project(Join(Scan,Scan)) rp=19 scan=15",
-      "Project(IndexNestedLoopJoin(Scan)) rp=19 scan=15",
-      "Project(IndexNestedLoopJoin(Scan)) rp=19 scan=15"}},
+      "Project(IndexNestedLoopJoin(Scan)) rp=21 scan=7",
+      "Project(IndexNestedLoopJoin(Scan)) rp=21 scan=7"}},
     {"left_join",
      "SELECT x.id AS i, d.id AS j FROM x LEFT OUTER JOIN d "
      "ON x.id = d.aid",
      {"Project(LeftOuterJoin(Scan,Scan)) rp=29 scan=15",
       "Project(LeftOuterJoin(Scan,Scan)) rp=29 scan=15",
-      "Project(IndexNestedLoopJoin(Scan)) rp=29 scan=15",
-      "Project(IndexNestedLoopJoin(Scan)) rp=29 scan=15"}},
+      "Project(IndexNestedLoopJoin(Scan)) rp=31 scan=7",
+      "Project(IndexNestedLoopJoin(Scan)) rp=31 scan=7"}},
     {"left_join_residual",
      "SELECT x.id AS i, d.id AS j FROM x LEFT OUTER JOIN d "
      "ON x.id = d.aid AND x.aid <= d.id + 1",
      {"Project(LeftOuterJoin(Scan,Scan)) rp=29 scan=15",
       "Project(LeftOuterJoin(Scan,Scan)) rp=29 scan=15",
-      "Project(IndexNestedLoopJoin(Scan)) rp=29 scan=15",
-      "Project(IndexNestedLoopJoin(Scan)) rp=29 scan=15"}},
+      "Project(IndexNestedLoopJoin(Scan)) rp=31 scan=7",
+      "Project(IndexNestedLoopJoin(Scan)) rp=31 scan=7"}},
     {"non_equi_join",
      "SELECT x.id AS i, d.id AS j FROM x LEFT OUTER JOIN d "
      "ON x.id > d.aid + 4",

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -395,6 +396,112 @@ TEST(MvccTest, DeleteThenReinsertStacksVersionsInTheKeySlot) {
   ASSERT_TRUE(swapped.has_value());
   EXPECT_EQ((*swapped)[1].AsInt(), 22);
   EXPECT_EQ(t->row_count(), 3u);
+}
+
+/// Expects `t`'s committed statistics counters to equal a walk of its
+/// committed rows: their number and their summed wire size.
+void ExpectCountersMatchWalk(const Table& t, const std::string& when) {
+  size_t bytes = 0;
+  const std::vector<Row> rows = t.rows();
+  for (const Row& row : rows) bytes += catalog::RowWireSize(row);
+  EXPECT_EQ(t.row_count(), rows.size()) << when;
+  EXPECT_EQ(t.byte_count(), bytes) << when;
+}
+
+/// UPDATE t SET s = `text` WHERE id = `id`, over a scan.
+Result<size_t> SetText(Table* t, Transaction* txn, int64_t id,
+                       const std::string& text) {
+  return t->MutateRows(
+      txn,
+      [id](const Row& row) -> Result<bool> {
+        return row[0] == Value::Int(id);
+      },
+      [text](const Row& row) -> Result<Row> {
+        Row updated = row;
+        updated[1] = Value::String(text);
+        return updated;
+      });
+}
+
+// The committed row and byte counters change only where committed rows
+// do, and by exactly what changed: every kind of write, committed or
+// rolled back, leaves them equal to a walk of the committed rows. Each
+// (id INT, s STRING) row is 8 + 4 + len(s) wire bytes.
+TEST(MvccTest, CommittedStatisticsFollowEveryWrite) {
+  TxnManager mgr;
+  Table t("t",
+          catalog::Schema({{"id", DataType::kInt64}, {"s", DataType::kString}}),
+          2, &mgr);
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(t.Insert({Value::Int(i), Value::String("ab")}).ok());
+  }
+  EXPECT_EQ(t.row_count(), 3u);
+  EXPECT_EQ(t.byte_count(), 3u * 14);
+  ExpectCountersMatchWalk(t, "setup");
+
+  auto commit = [&](const std::function<void(Transaction*)>& writes) {
+    auto txn = mgr.Begin();
+    writes(txn.get());
+    ASSERT_TRUE(mgr.Commit(txn.get()).ok());
+  };
+  commit([&](Transaction* txn) {
+    ASSERT_TRUE(t.InsertTxn(txn, {Value::Int(3), Value::String("xyz")}).ok());
+  });
+  EXPECT_EQ(t.row_count(), 4u);
+  EXPECT_EQ(t.byte_count(), 3u * 14 + 15);
+  ExpectCountersMatchWalk(t, "insert");
+
+  commit([&](Transaction* txn) {
+    ASSERT_EQ(*SetText(&t, txn, 0, "abcdef"), 1u);
+  });
+  EXPECT_EQ(t.byte_count(), 3u * 14 + 15 + 4);
+  ExpectCountersMatchWalk(t, "wider update");
+
+  commit([&](Transaction* txn) { ASSERT_EQ(*SetText(&t, txn, 1, ""), 1u); });
+  EXPECT_EQ(t.byte_count(), 3u * 14 + 15 + 4 - 2);
+  ExpectCountersMatchWalk(t, "narrower update");
+
+  commit([&](Transaction* txn) { ASSERT_EQ(*DeleteValue(&t, txn, 2), 1u); });
+  EXPECT_EQ(t.row_count(), 3u);
+  EXPECT_EQ(t.byte_count(), 2u * 14 + 15 + 4 - 2);
+  ExpectCountersMatchWalk(t, "delete");
+  const size_t rows = t.row_count();
+  const size_t bytes = t.byte_count();
+
+  // Pending writes count nothing, and a rollback leaves nothing behind.
+  auto rolled = mgr.Begin();
+  ASSERT_TRUE(t.InsertTxn(rolled.get(), {Value::Int(9), Value::String("q")})
+                  .ok());
+  ASSERT_EQ(*SetText(&t, rolled.get(), 0, "much wider text"), 1u);
+  ASSERT_EQ(*DeleteValue(&t, rolled.get(), 3), 1u);
+  EXPECT_EQ(t.row_count(), rows);
+  EXPECT_EQ(t.byte_count(), bytes);
+  mgr.Rollback(rolled.get());
+  EXPECT_EQ(t.row_count(), rows);
+  EXPECT_EQ(t.byte_count(), bytes);
+  ExpectCountersMatchWalk(t, "rollback");
+
+  // A row inserted, widened and deleted inside one transaction nets to
+  // nothing; one inserted then updated counts at its final width.
+  commit([&](Transaction* txn) {
+    ASSERT_TRUE(t.InsertTxn(txn, {Value::Int(7), Value::String("a")}).ok());
+    ASSERT_EQ(*SetText(&t, txn, 7, "abcdefgh"), 1u);
+    ASSERT_EQ(*DeleteValue(&t, txn, 7), 1u);
+  });
+  EXPECT_EQ(t.row_count(), rows);
+  EXPECT_EQ(t.byte_count(), bytes);
+  ExpectCountersMatchWalk(t, "insert, update, delete");
+  commit([&](Transaction* txn) {
+    ASSERT_TRUE(t.InsertTxn(txn, {Value::Int(8), Value::String("a")}).ok());
+    ASSERT_EQ(*SetText(&t, txn, 8, "abc"), 1u);
+  });
+  EXPECT_EQ(t.row_count(), rows + 1);
+  EXPECT_EQ(t.byte_count(), bytes + 15);
+  ExpectCountersMatchWalk(t, "insert, update");
+
+  // Vacuum reclaims dead versions and changes no committed statistic.
+  t.Vacuum(mgr.Watermark(), &mgr);
+  ExpectCountersMatchWalk(t, "vacuum");
 }
 
 TEST(MvccTest, VacuumNeverReclaimsLiveVisibleVersions) {

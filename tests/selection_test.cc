@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -371,6 +372,92 @@ TEST(SelectionTest, RepricingSelectsAgainstTheOptimizeLinesParse) {
       (*repriced)->Find(AlternativeKind::kBatching);
   ASSERT_NE(batching, nullptr);
   EXPECT_TRUE(batching->feasible) << batching->skip_reason;
+}
+
+// The stats epoch folds exactly what the selector prices. Committed
+// UPDATEs that keep every row's width get the cached selection back
+// with no invalidation; an INSERT, a width-changing UPDATE and a CREATE
+// INDEX each change a priced statistic and re-price it.
+TEST(SelectionTest, OnlyPricedStatisticsRepriceTheCachedPlan) {
+  net::Server server(ApplyOptions());
+  Populate(&server, 64, 16);
+  std::unique_ptr<net::Session> session = server.Connect();
+  auto run = [&session](const std::string& sql) {
+    net::Outcome out = session->Execute(net::Request::Statement(sql));
+    ASSERT_TRUE(out.ok()) << sql << ": " << out.status.ToString();
+  };
+
+  auto cached = session->SelectPlan(kApplySrc, "roleNames");
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  const int64_t invalidations = server.stats().plan_cache.invalidations;
+  for (int i = 0; i < 5; ++i) {
+    run("UPDATE role SET name = 'q" + std::to_string(i) + "' WHERE id = 3");
+    run("UPDATE wuser SET role_id = " + std::to_string(i) + " WHERE id = 9");
+    auto again = session->SelectPlan(kApplySrc, "roleNames");
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->get(), cached->get()) << "same-width update " << i;
+  }
+  EXPECT_EQ(server.stats().plan_cache.invalidations, invalidations);
+
+  int64_t expected = invalidations;
+  for (const char* sql :
+       {"INSERT INTO role VALUES (99, 'r99')",
+        "UPDATE role SET name = 'a much longer role name' WHERE id = 3",
+        "CREATE INDEX role_name ON role (name)"}) {
+    run(sql);
+    auto repriced = session->SelectPlan(kApplySrc, "roleNames");
+    ASSERT_TRUE(repriced.ok());
+    EXPECT_NE(repriced->get(), cached->get()) << sql;
+    EXPECT_EQ(server.stats().plan_cache.invalidations, ++expected) << sql;
+    cached = repriced;
+  }
+}
+
+// A selection priced while CREATE INDEX is still backfilling cannot see
+// the index, since only ready indexes are priced. Once the index is
+// ready the cached selection is stale, so the next EXPLAIN EXTRACTION
+// re-prices and names the index nested loop.
+TEST(SelectionTest, PlanPricedDuringIndexBackfillIsRepricedOnceReady) {
+  const char* src = R"(
+    func userRoles() {
+      result = list();
+      users = executeQuery("SELECT * FROM wuser AS u");
+      roles = executeQuery("SELECT * FROM role AS r");
+      for (u : users) {
+        for (r : roles) {
+          if (u.role_id == r.id) {
+            result.append(pair(u.login, r.name));
+          }
+        }
+      }
+      return result;
+    }
+  )";
+  net::Server server(ApplyOptions());
+  Populate(&server, 4, 64);
+  std::unique_ptr<net::Session> session = server.Connect();
+  const std::string kLine = "physical plan: index-nested-loop on role(id)";
+
+  std::shared_ptr<storage::Table> role = server.db()->SnapshotTable("role");
+  ASSERT_NE(role, nullptr);
+  bool ran = false;
+  Status built = role->CreateIndex(
+      "role_id_idx", {"id"},
+      [&](std::vector<std::function<void()>> tasks) {
+        auto during = session->SelectPlan(src, "userRoles");
+        ASSERT_TRUE(during.ok()) << during.status().ToString();
+        auto text = session->ExplainExtraction(src, "userRoles");
+        ASSERT_TRUE(text.ok()) << text.status().ToString();
+        EXPECT_EQ(text->text.find(kLine), std::string::npos) << text->text;
+        for (auto& task : tasks) task();
+        ran = true;
+      });
+  ASSERT_TRUE(built.ok()) << built.ToString();
+  ASSERT_TRUE(ran);
+
+  auto after = session->ExplainExtraction(src, "userRoles");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_NE(after->text.find(kLine), std::string::npos) << after->text;
 }
 
 // The selector's statistics pass reads every registered table while

@@ -3,14 +3,15 @@
 // every observable output of the engine is byte-identical whether the
 // tables are partitioned across 1, 2, or 8 shards, whether the
 // partition-parallel operators are on or off, whether the row or
-// the vectorized engine executes the queries, AND whether secondary
-// indexes exist (the full 2-mode x 3-layout x 2-index grid shares one
-// reference signature — the index-scan operators charge the exact
-// full-scan costs they replace, so even the simulated clock may not
-// notice an index), AND whether an operator profile is being recorded
-// (the server-stack grids add a profiled on/off dimension — EXPLAIN
-// ANALYZE instrumentation may never move a counter or the simulated
-// clock). "Observable" is strict:
+// the vectorized engine executes the queries, AND whether an operator
+// profile is being recorded (the server-stack grids add a profiled
+// on/off dimension — EXPLAIN ANALYZE instrumentation may never move a
+// counter or the simulated clock). Secondary indexes split the grid
+// into two arms, each with its own reference: an index path bills the
+// probes and candidates it touches, not the scan it replaces, so the
+// indexed arm's bill is its own, identical across both engines and
+// every layout, while its answers must equal the unindexed arm's byte
+// for byte. "Observable" is strict:
 // return value, print stream, AND the simulated cost counters
 // (rows/bytes transferred, queries, round trips, simulated_ms down to
 // the last bit — the parallel operators charge the same per-query row
@@ -30,6 +31,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -63,7 +66,7 @@ constexpr bool kIndexed[] = {false, true};
 /// The index-on grid arm: a single-column secondary index over every
 /// column of every table, so any equality predicate or equi-join the
 /// programs run can (and on covered columns will) take the index path.
-/// The signatures must not notice.
+/// The answers must not notice.
 void CreateIndexesEverywhere(storage::Database* db) {
   for (const std::string& name : db->TableNames()) {
     std::shared_ptr<storage::Table> t = db->SnapshotTable(name);
@@ -76,16 +79,26 @@ void CreateIndexesEverywhere(storage::Database* db) {
   }
 }
 
-/// Everything one run of a program observably produced, flattened to a
-/// single comparable string. Cost counters are printed with full
-/// precision: the invariance claim covers the simulated clock too.
-std::string Signature(const std::string& result_display,
-                      const std::vector<std::string>& printed,
-                      const net::ConnectionStats& stats) {
+/// Everything one run observably produced, flattened to comparable
+/// strings: the answers (return value and print stream) and the bill
+/// (the simulated cost counters, printed with full precision: the
+/// invariance claim covers the simulated clock too).
+struct RunSignature {
+  std::string answers;
+  std::string bill;
+
+  bool operator==(const RunSignature& other) const {
+    return answers == other.answers && bill == other.bill;
+  }
+};
+
+std::ostream& operator<<(std::ostream& out, const RunSignature& sig) {
+  return out << sig.answers << sig.bill;
+}
+
+std::string Bill(const net::ConnectionStats& stats) {
   std::ostringstream out;
   out.precision(17);
-  out << "return=" << result_display << "\n";
-  for (const std::string& line : printed) out << "print=" << line << "\n";
   out << "queries=" << stats.queries_executed
       << " round_trips=" << stats.round_trips
       << " rows=" << stats.rows_transferred
@@ -94,12 +107,44 @@ std::string Signature(const std::string& result_display,
   return out.str();
 }
 
+RunSignature Signature(const std::string& result_display,
+                       const std::vector<std::string>& printed,
+                       const net::ConnectionStats& stats) {
+  RunSignature sig;
+  sig.answers = "return=" + result_display + "\n";
+  for (const std::string& line : printed) sig.answers += "print=" + line + "\n";
+  sig.bill = Bill(stats);
+  return sig;
+}
+
+/// The reference cells of one grid, one per index arm. The first cell
+/// of an arm becomes its reference; every later cell must equal it, and
+/// every indexed cell's answers must equal the unindexed reference's.
+class ArmReferences {
+ public:
+  void Check(bool indexed, const RunSignature& sig, const std::string& where) {
+    std::optional<RunSignature>& ref = refs_[indexed ? 1 : 0];
+    if (indexed && refs_[0].has_value()) {
+      EXPECT_EQ(sig.answers, refs_[0]->answers)
+          << where << ": the indexed arm's answers diverge";
+    }
+    if (!ref.has_value()) {
+      ref = sig;
+    } else {
+      EXPECT_EQ(sig, *ref) << where << " diverges from its arm's reference";
+    }
+  }
+
+ private:
+  std::optional<RunSignature> refs_[2];
+};
+
 /// Interprets `source`'s function `f` against a fresh database built
 /// from the case's tables, partitioned across `shards`, on the given
 /// execution engine, with the parallel operators forced on (threshold
 /// 0) whenever a pool is given.
-Result<std::string> RunAtShardCount(const fuzz::FuzzCase& c, size_t shards,
-                                    exec::ExecMode mode, bool indexed) {
+Result<RunSignature> RunAtShardCount(const fuzz::FuzzCase& c, size_t shards,
+                                     exec::ExecMode mode, bool indexed) {
   storage::DatabaseOptions dbo;
   dbo.shard_count = shards;
   storage::Database db(dbo);
@@ -124,9 +169,10 @@ Result<std::string> RunAtShardCount(const fuzz::FuzzCase& c, size_t shards,
 }
 
 /// Asserts the case signatures across the full exec-mode x shard-count
-/// x index-on/off grid are identical: the row engine at 1 shard with no
-/// indexes anchors the reference and every other cell must match it
-/// byte for byte — this sweep IS the corpus-wide batch-vs-row (and
+/// grid are identical within each index arm: the row engine at 1 shard
+/// anchors each arm's reference and every other cell of the arm must
+/// match it byte for byte, and the indexed arm's answers must match the
+/// unindexed arm's — this sweep IS the corpus-wide batch-vs-row (and
 /// indexed-vs-unindexed) differential. Schedule cases (function
 /// "@txn"/"@index") are not programs: their signature is the oracle's
 /// rendered outcome log (per-statement row counts and error codes in
@@ -134,13 +180,12 @@ Result<std::string> RunAtShardCount(const fuzz::FuzzCase& c, size_t shards,
 /// (the @index oracle's plain arm IS the index-off run).
 void ExpectInvariant(const fuzz::FuzzCase& c, const std::string& label) {
   const bool schedule = !c.function.empty() && c.function[0] == '@';
-  std::string reference;
-  bool have_reference = false;
+  ArmReferences refs;
   for (exec::ExecMode mode : kExecModes) {
     for (size_t shards : kShardCounts) {
       for (bool indexed : kIndexed) {
         if (schedule && indexed) continue;  // dimension lives in the oracle
-        std::string sig;
+        RunSignature sig;
         if (schedule) {
           fuzz::OracleOptions opts;
           opts.shard_count = shards;
@@ -149,8 +194,8 @@ void ExpectInvariant(const fuzz::FuzzCase& c, const std::string& label) {
           ASSERT_EQ(report.verdict, fuzz::Verdict::kPass)
               << label << " shards=" << shards << " mode="
               << exec::ExecModeName(mode) << ": " << report.detail;
-          sig = report.rewritten_source;
-          ASSERT_FALSE(sig.empty()) << label;
+          sig.answers = report.rewritten_source;
+          ASSERT_FALSE(sig.answers.empty()) << label;
         } else {
           auto run = RunAtShardCount(c, shards, mode, indexed);
           ASSERT_TRUE(run.ok())
@@ -158,15 +203,10 @@ void ExpectInvariant(const fuzz::FuzzCase& c, const std::string& label) {
               << exec::ExecModeName(mode) << ": " << run.status().ToString();
           sig = *run;
         }
-        if (!have_reference) {
-          reference = sig;
-          have_reference = true;
-        } else {
-          EXPECT_EQ(sig, reference)
-              << label << " diverges at shards=" << shards
-              << " mode=" << exec::ExecModeName(mode)
-              << " indexed=" << indexed;
-        }
+        refs.Check(indexed, sig,
+                   label + " at shards=" + std::to_string(shards) +
+                       " mode=" + exec::ExecModeName(mode) +
+                       " indexed=" + std::to_string(indexed));
       }
     }
   }
@@ -326,8 +366,7 @@ net::ServerOptions AppServerOptions(size_t shards, exec::ExecMode mode) {
 }
 
 TEST(ShardInvarianceTest, WorkloadAppsThroughServerStack) {
-  std::vector<std::string> reference;
-  bool have_reference = false;
+  ArmReferences refs;
   for (exec::ExecMode mode : kExecModes) {
     for (size_t shards : kShardCounts) {
     for (bool indexed : kIndexed) {
@@ -344,7 +383,7 @@ TEST(ShardInvarianceTest, WorkloadAppsThroughServerStack) {
       if (indexed) CreateIndexesEverywhere(server.db());
 
       obs::Profile profile;
-      std::vector<std::string> signatures;
+      RunSignature sig;
       {
         std::unique_ptr<net::Session> session = server.Connect();
         if (profiled) session->connection()->set_profile(&profile);
@@ -362,29 +401,25 @@ TEST(ShardInvarianceTest, WorkloadAppsThroughServerStack) {
           auto r2 = rewritten.Run(app.function);
           ASSERT_TRUE(r2.ok()) << app.name;
           EXPECT_EQ(r1->DisplayString(), r2->DisplayString()) << app.name;
-          signatures.push_back(app.name + ": " + r2->DisplayString());
+          sig.answers += app.name + ": " + r2->DisplayString() + "\n";
           for (const std::string& line : rewritten.printed()) {
-            signatures.push_back(app.name + " print: " + line);
+            sig.answers += app.name + " print: " + line + "\n";
           }
         }
-        // Session-cumulative cost counters join the signature; they must
-        // not depend on the shard count or the execution engine either.
-        signatures.push_back(Signature("-", {}, session->stats()));
+        // Session-cumulative cost counters are the bill; they must not
+        // depend on the shard count or the execution engine either.
+        sig.bill = Bill(session->stats());
         if (profiled) session->connection()->set_profile(nullptr);
       }
       // The profiled arm must actually have profiled something, or the
       // on/off comparison is vacuous.
       if (profiled) EXPECT_FALSE(profile.empty());
-      if (!have_reference) {
-        reference = signatures;
-        have_reference = true;
-        EXPECT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(signatures, reference)
-            << "diverges at shards=" << shards
-            << " mode=" << exec::ExecModeName(mode)
-            << " indexed=" << indexed << " profiled=" << profiled;
-      }
+      EXPECT_FALSE(sig.answers.empty());
+      refs.Check(indexed, sig,
+                 "shards=" + std::to_string(shards) +
+                     " mode=" + exec::ExecModeName(mode) +
+                     " indexed=" + std::to_string(indexed) +
+                     " profiled=" + std::to_string(profiled));
     }
     }
     }
@@ -442,8 +477,9 @@ std::string CounterSignature(const obs::MetricsSnapshot& snap) {
 }
 
 TEST(ShardInvarianceTest, CounterMetricsAreShardCountInvariant) {
-  std::string reference;
-  bool have_reference = false;
+  // One reference per index arm: the indexed arm bills index probes and
+  // candidates where the unindexed arm bills scans.
+  std::optional<std::string> references[2];
   for (exec::ExecMode mode : kExecModes) {
     for (size_t shards : kShardCounts) {
     for (bool indexed : kIndexed) {
@@ -481,11 +517,11 @@ TEST(ShardInvarianceTest, CounterMetricsAreShardCountInvariant) {
       EXPECT_NE(sig.find("net.queries="), std::string::npos);
       EXPECT_NE(sig.find("extract.runs="), std::string::npos);
       EXPECT_NE(sig.find("exec.rows_processed="), std::string::npos);
-      if (!have_reference) {
+      std::optional<std::string>& reference = references[indexed ? 1 : 0];
+      if (!reference.has_value()) {
         reference = sig;
-        have_reference = true;
       } else {
-        EXPECT_EQ(sig, reference)
+        EXPECT_EQ(sig, *reference)
             << "counters diverge at shards=" << shards
             << " mode=" << exec::ExecModeName(mode)
             << " indexed=" << indexed << " profiled=" << profiled;

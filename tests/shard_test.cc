@@ -212,18 +212,6 @@ TEST(ShardTest, ConcurrentInsertsSurviveRepartition) {
   EXPECT_EQ(t.rows().size(), static_cast<size_t>(kWriters * kPerWriter));
 }
 
-TEST(ShardTest, ForEachRowExclusiveVisitsEveryShard) {
-  Table t("t", KV(), 4);
-  FillKeyed(&t, 12);
-  ASSERT_TRUE(t.ForEachRowExclusive([](Row* row) {
-                 (*row)[1] = Value::Int((*row)[1].AsInt() + 1);
-                 return Status::OK();
-               }).ok());
-  for (const Row& row : t.rows()) {
-    EXPECT_EQ(row[1].AsInt(), row[0].AsInt() * 10 + 1);
-  }
-}
-
 TEST(ReadGuardTest, PinsSnapshotAcrossConcurrentDrop) {
   Database db(DatabaseOptions{4});
   auto created = db.CreateTable("pinned", KV());
