@@ -156,9 +156,9 @@ bool RunBatchPhase(const char* json_path) {
   constexpr int kReps = 7;
   // The gate covers the stages where vectorization does real work —
   // predicate and fold evaluation in tight typed loops. The plain scan
-  // is reported ungated: both engines bulk-copy rows out of MVCC
-  // version chains, so its delta measures chunking overhead, not
-  // evaluation.
+  // is reported ungated: both engines copy every visible row into the
+  // result once (the vector engine reads them in place until then), so
+  // its delta measures the chunked visibility walk, not evaluation.
   constexpr double kGate = 1.5;
   auto db = MakeDb(kRows);
   BatchMeasurement runs[] = {

@@ -22,7 +22,7 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" \
 echo "== tier 1: deterministic fuzz sweep (500 scenarios) =="
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --corpus tests/fuzz_corpus
 
-echo "== sanitizers: ASan+UBSan fuzz tests, interpreter, binder, parsers, D-IR =="
+echo "== sanitizers: ASan+UBSan fuzz tests, interpreter, binder, parsers, D-IR, scans =="
 cmake --preset asan >/dev/null
 # Interp: the interpreter indexes call frames by bound slot and reads
 # cursor rows in place, so its suite runs under the address checker.
@@ -31,12 +31,19 @@ cmake --preset asan >/dev/null
 # SqlParser|ImpParser: both parsers' hostile-input cases (100,000-level
 # nesting and operator chains) run under the address checker.
 # Dir: the D-IR builder's depth bound (a 50,000-statement loop body).
+# Mvcc|VectorExec|ServerStress|Shard|Index: scans and index probes read
+# rows in place, borrowed from their versions under the statement's
+# snapshot pin, so the suites that race scans against writers and
+# Vacuum (ServerStressTest.BorrowedScansSurviveConcurrentVacuum among
+# them) run under the address checker: a row read after its version
+# was freed fails here.
 cmake --build build-asan -j"$(nproc)" --target fuzz_test fuzz_eqsql \
   sql_roundtrip_test null_semantics_test interp_test binder_test \
-  sql_test frontend_test dir_test
+  sql_test frontend_test dir_test concurrency_test mvcc_test \
+  vector_exec_test shard_test shard_invariance_test index_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout "$CTEST_TIMEOUT" \
-  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp|Binder|SqlParser|ImpParser|Dir'
+  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp|Binder|SqlParser|ImpParser|Dir|Mvcc|VectorExec|ServerStress|Shard|Index'
 ./build-asan/src/fuzz/fuzz_eqsql --seed 99 --iters 100 \
   --corpus tests/fuzz_corpus
 

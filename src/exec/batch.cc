@@ -1,5 +1,6 @@
 #include "exec/batch.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "exec/scalar_ops.h"
@@ -23,13 +24,13 @@ namespace {
 /// the workloads' hot columns are int-dense, and a kInt vector unlocks
 /// the arithmetic/comparison tight loops. Any non-int value (NULL,
 /// string, double, bool) restarts the gather boxed.
-void GatherColumn(const Row* rows, size_t n, size_t col, Vec* out) {
+void GatherColumn(const Row* const* rows, size_t n, size_t col, Vec* out) {
   out->ResetInt(n);
   for (size_t i = 0; i < n; ++i) {
-    const Value& v = rows[i][col];
+    const Value& v = (*rows[i])[col];
     if (!v.is_int()) {
       out->ResetBoxed(n);
-      for (size_t j = 0; j < n; ++j) out->boxed[j] = rows[j][col];
+      for (size_t j = 0; j < n; ++j) out->boxed[j] = (*rows[j])[col];
       return;
     }
     out->ints[i] = v.AsInt();
@@ -254,7 +255,7 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(
   return node;
 }
 
-void CompiledExpr::Eval(const Row* rows, size_t n, Vec* out) const {
+void CompiledExpr::Eval(const Row* const* rows, size_t n, Vec* out) const {
   switch (op_) {
     case ScalarOp::kColumnRef:
       GatherColumn(rows, n, col_, out);
@@ -360,8 +361,26 @@ void CompiledExpr::Eval(const Row* rows, size_t n, Vec* out) const {
     case ScalarOp::kGreatest:
     case ScalarOp::kLeast: {
       std::vector<Vec> vs(kids_.size());
+      bool all_int = !kids_.empty();
       for (size_t k = 0; k < kids_.size(); ++k) {
         kids_[k]->Eval(rows, n, &vs[k]);
+        all_int = all_int && vs[k].tag == Vec::Tag::kInt;
+      }
+      if (all_int) {
+        // Typed lanes hold no NULL and no error, so the fold over ints
+        // picks the value EvalGreatestLeast would.
+        out->ResetInt(n);
+        int64_t* o = out->ints.data();
+        std::copy(vs[0].ints.begin(), vs[0].ints.begin() + n, o);
+        for (size_t k = 1; k < vs.size(); ++k) {
+          const int64_t* x = vs[k].ints.data();
+          if (op_ == ScalarOp::kGreatest) {
+            for (size_t i = 0; i < n; ++i) o[i] = std::max(o[i], x[i]);
+          } else {
+            for (size_t i = 0; i < n; ++i) o[i] = std::min(o[i], x[i]);
+          }
+        }
+        return;
       }
       out->ResetBoxed(n);
       std::vector<Value> args;

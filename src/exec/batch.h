@@ -19,14 +19,18 @@ namespace eqsql::exec {
 inline constexpr size_t kBatchCapacity = 1024;
 
 /// One scan chunk flowing through the vectorized operators: up to
-/// kBatchCapacity rows materialized from a shard's visible MVCC
-/// versions, parallel to their insertion sequence numbers, plus the
-/// chunk's accumulated wire size. Rows are copies — version pointers
-/// must not outlive the producing cursor's pin, since Vacuum retires
-/// superseded versions concurrently.
+/// kBatchCapacity rows borrowed from a shard's visible MVCC versions,
+/// parallel to their insertion sequence numbers, plus the chunk's
+/// accumulated wire size. The lifetime rule: a borrowed row lives until
+/// the statement's snapshot pin is released. Vacuum never unlinks a
+/// version a pinned snapshot can see, and unlinked versions wait on the
+/// TxnManager's retire list until every older pin is gone, so the
+/// pointers stay valid for the whole statement, past the cursor that
+/// produced them. A row is copied only where it leaves the statement,
+/// into a ResultSet.
 struct Batch {
   std::vector<size_t> seqs;
-  std::vector<catalog::Row> rows;
+  std::vector<const catalog::Row*> rows;
   size_t wire_bytes = 0;
 
   size_t size() const { return rows.size(); }
@@ -125,10 +129,11 @@ class CompiledExpr {
   static std::unique_ptr<CompiledExpr> Compile(const BoundExpr& expr,
                                                const ParamLookup& params);
 
-  /// Evaluates over rows[0..n), writing one lane per row into `out`.
-  /// Thread-safe: a compiled tree is immutable and may be evaluated by
-  /// many shard tasks at once.
-  void Eval(const catalog::Row* rows, size_t n, Vec* out) const;
+  /// Evaluates over *rows[0..n), writing one lane per row into `out`.
+  /// The rows are read in place (borrowed versions or a materialized
+  /// input), never copied. Thread-safe: a compiled tree is immutable
+  /// and may be evaluated by many shard tasks at once.
+  void Eval(const catalog::Row* const* rows, size_t n, Vec* out) const;
 
  private:
   CompiledExpr() = default;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -194,10 +193,12 @@ std::shared_ptr<const storage::SecondaryIndex> JoinIndex(
   return index;
 }
 
-/// One index probe's candidates: the slots, which keep `rows` alive, and
-/// the rows visible to the snapshot that still carry the probed key
-/// (entries are append-only, so a slot's version may have moved on), in
-/// slot-sequence order.
+/// One index probe's candidates: the slots the index returned, and the
+/// rows visible to the snapshot that still carry the probed key (entries
+/// are append-only, so a slot's version may have moved on), in
+/// slot-sequence order. The rows are borrowed from their versions and
+/// stay valid while the statement's snapshot pin is held, as a scan
+/// batch's rows do (exec/batch.h).
 struct IndexHits {
   std::vector<std::shared_ptr<const storage::TableSlot>> slots;
   std::vector<const Row*> rows;
@@ -278,8 +279,14 @@ int64_t NowNs() {
 
 Result<ResultSet> Executor::Execute(const RaNodePtr& node,
                                     const std::vector<Value>& params) {
-  storage::ReadGuard pinned = storage::ReadGuard::AcquireAt(
-      *db_, ra::CollectScannedTables(node), ReadSnapshot());
+  // Every read holds a snapshot pin for the rows it borrows: a fresh
+  // one without a caller guard, or the caller's, which its guard (or
+  // its open transaction) already pins.
+  const std::vector<std::string> tables = ra::CollectScannedTables(node);
+  storage::ReadGuard pinned =
+      guard_ == nullptr
+          ? storage::ReadGuard::Acquire(*db_, tables)
+          : storage::ReadGuard::AcquireAt(*db_, tables, guard_->snapshot());
   std::shared_ptr<const BoundPlan> plan = BindPlan(*node, pinned);
   const storage::ReadGuard* caller = guard_;
   guard_ = &pinned;
@@ -978,12 +985,11 @@ size_t NextBatch(storage::ShardScanCursor* cursor, Batch* batch) {
                       &batch->wire_bytes);
 }
 
-/// A row tagged with its insertion sequence number — or, for a group,
-/// with the lowest seq folded into it.
+/// A group's row tagged with the lowest seq folded into it.
 using SeqRow = std::pair<size_t, Row>;
 
-/// Sorts `rows` by seq and drops the tags: the serial scan's insertion
-/// order (and, for groups, the serial fold's first-seen order).
+/// Sorts `rows` by seq and drops the tags: the serial fold's first-seen
+/// order.
 std::vector<Row> InSeqOrder(std::vector<SeqRow> rows) {
   std::sort(rows.begin(), rows.end(),
             [](const SeqRow& a, const SeqRow& b) { return a.first < b.first; });
@@ -1016,25 +1022,43 @@ struct SeqFailure {
   }
 };
 
-/// One slot of a row-producing scan shape: rows tagged with their seq,
-/// the lowest-seq predicate failure (a plain scan never fails), and the
-/// filter's per-batch scratch.
+/// A borrowed row tagged with its insertion sequence number.
+using SeqRef = std::pair<size_t, const Row*>;
+
+/// One slot of a row-producing scan shape: the borrowed rows it keeps,
+/// tagged with their seq, the lowest-seq predicate failure (a plain
+/// scan never fails), and the filter's per-batch scratch.
 struct ShardRows {
-  std::vector<SeqRow> rows;
+  std::vector<SeqRef> rows;
   SeqFailure fail;
   Vec pred;
   std::vector<uint32_t> sel;
 };
 
-/// Concatenates the slots' rows and returns them in seq order.
-std::vector<Row> MergeBySeq(std::vector<ShardRows>* slots) {
-  std::vector<SeqRow> all = std::move(slots->front().rows);
+/// Concatenates the slots' borrowed rows, orders them by seq (the
+/// serial scan's insertion order) and copies each once: the one copy a
+/// scanned row pays, made where it leaves the statement.
+std::vector<Row> CopyInSeqOrder(std::vector<ShardRows>* slots) {
+  std::vector<SeqRef>& all = slots->front().rows;
   for (size_t i = 1; i < slots->size(); ++i) {
-    std::vector<SeqRow>& part = (*slots)[i].rows;
-    all.insert(all.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
+    const std::vector<SeqRef>& part = (*slots)[i].rows;
+    all.insert(all.end(), part.begin(), part.end());
   }
-  return InSeqOrder(std::move(all));
+  std::sort(all.begin(), all.end(),
+            [](const SeqRef& a, const SeqRef& b) { return a.first < b.first; });
+  std::vector<Row> out;
+  out.reserve(all.size());
+  for (const SeqRef& r : all) out.push_back(*r.second);
+  return out;
+}
+
+/// Pointers to `rows`, the form CompiledExpr::Eval reads: a
+/// materialized input is evaluated in place, like a scan's borrowed
+/// rows.
+std::vector<const Row*> RowPointers(const std::vector<Row>& rows) {
+  std::vector<const Row*> ptrs(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) ptrs[i] = &rows[i];
+  return ptrs;
 }
 
 }  // namespace
@@ -1128,10 +1152,10 @@ Result<ResultSet> Executor::ExecScanBatch(const BoundNode& node,
   const ShardScan scanned = ScanShards(
       table, "shard-scan", &slots, [](Batch* batch, ShardRows* r) {
         for (size_t i = 0; i < batch->size(); ++i) {
-          r->rows.emplace_back(batch->seqs[i], std::move(batch->rows[i]));
+          r->rows.emplace_back(batch->seqs[i], batch->rows[i]);
         }
       });
-  out.rows = MergeBySeq(&slots);
+  out.rows = CopyInSeqOrder(&slots);
   rows_processed_ += out.rows.size();
   if (scan_rows_ != nullptr) RecordScan(scanned.rows, scanned.bytes);
   return out;
@@ -1154,7 +1178,7 @@ Result<ResultSet> Executor::ExecSelectScanBatch(const BoundNode& node,
           r->sel.clear();
           AppendTruthySelection(r->pred, &r->sel);
           for (uint32_t i : r->sel) {
-            r->rows.emplace_back(batch->seqs[i], std::move(batch->rows[i]));
+            r->rows.emplace_back(batch->seqs[i], batch->rows[i]);
           }
           return;
         }
@@ -1174,7 +1198,7 @@ Result<ResultSet> Executor::ExecSelectScanBatch(const BoundNode& node,
   SeqFailure fail;
   for (const ShardRows& r : slots) fail.Merge(r.fail);
   if (!fail.ok()) return fail.status;
-  out.rows = MergeBySeq(&slots);
+  out.rows = CopyInSeqOrder(&slots);
   rows_processed_ += out.rows.size();
   return out;
 }
@@ -1183,12 +1207,13 @@ Result<ResultSet> Executor::FilterVector(ResultSet in,
                                          const CompiledExpr& pred) {
   ResultSet out;
   out.schema = std::move(in.schema);
+  const std::vector<const Row*> ptrs = RowPointers(in.rows);
   Vec v;
   std::vector<uint32_t> sel;
   for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
     const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
     RecordBatch(cnt);
-    pred.Eval(in.rows.data() + off, cnt, &v);
+    pred.Eval(ptrs.data() + off, cnt, &v);
     if (v.has_err) {
       // The row engine aborts at the first failing row; lanes are in
       // row order, so the first error lane is that row.
@@ -1212,12 +1237,13 @@ Result<ResultSet> Executor::ProjectVector(
   ResultSet out;
   out.schema = node.schema;
   out.rows.reserve(in.rows.size());
+  const std::vector<const Row*> ptrs = RowPointers(in.rows);
   std::vector<Vec> vs(items.size());
   for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
     const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
     RecordBatch(cnt);
     for (size_t k = 0; k < items.size(); ++k) {
-      items[k]->Eval(in.rows.data() + off, cnt, &vs[k]);
+      items[k]->Eval(ptrs.data() + off, cnt, &vs[k]);
     }
     for (size_t i = 0; i < cnt; ++i) {
       Row projected;
@@ -1294,7 +1320,7 @@ struct Executor::GroupPartial {
   std::vector<Vec> av;
 
   /// Folds `n` rows whose seqs are `lane_seqs`.
-  void Fold(const CompiledGroupBy& plan, const Row* rows,
+  void Fold(const CompiledGroupBy& plan, const Row* const* rows,
             const size_t* lane_seqs, size_t n) {
     const size_t num_aggs = plan.aggs.size();
     kv.resize(plan.keys.size());
@@ -1465,13 +1491,14 @@ Result<ResultSet> Executor::GroupByVectorFold(const BoundNode& node,
   // Lanes carry their row index as seq, so the fold's first-seen order
   // and lowest-seq error pick are the row fold's.
   GroupPartial fold;
+  const std::vector<const Row*> ptrs = RowPointers(in.rows);
   std::vector<size_t> seqs;
   for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
     const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
     RecordBatch(cnt);
     seqs.resize(cnt);
     std::iota(seqs.begin(), seqs.end(), off);
-    fold.Fold(plan, in.rows.data() + off, seqs.data(), cnt);
+    fold.Fold(plan, ptrs.data() + off, seqs.data(), cnt);
     // No later batch holds a lower seq: the row fold stops here too.
     if (!fold.fold_fail.ok()) return fold.fold_fail.status;
   }

@@ -151,7 +151,8 @@ class Executor {
 
   /// Binds `node` against the tables it names and executes it: a
   /// one-shot convenience for tools and tests. Reads at the attached
-  /// guard's snapshot, or at the latest commit without one.
+  /// guard's snapshot, or, without one, at a snapshot it pins for the
+  /// call.
   Result<ResultSet> Execute(const ra::RaNodePtr& node,
                             const std::vector<catalog::Value>& params = {});
 
@@ -248,7 +249,10 @@ class Executor {
   /// twin's results, error selection, and cost accounting exactly. The
   /// three scan shapes — Scan, Select(Scan), GroupBy([Select(]Scan[)]) —
   /// each stream every shard's batches through one consumer via
-  /// ScanShards.
+  /// ScanShards. They read the batches' borrowed rows in place
+  /// (exec/batch.h) and copy a row only into the ResultSet: the scan
+  /// copies every visible row, the filter the rows it keeps, and the
+  /// group-by none.
   Result<ResultSet> ExecScanBatch(const BoundNode& node,
                                   const storage::Table& table);
   Result<ResultSet> ExecSelectScanBatch(const BoundNode& node,
@@ -287,12 +291,10 @@ class Executor {
   ShardScan ScanShards(const storage::Table& table, const char* span,
                        std::vector<Slot>* slots, const Consume& consume);
 
-  /// The MVCC snapshot every row-visibility check resolves against: the
-  /// attached guard's pinned snapshot, or "latest committed" when
-  /// executing unguarded (tests, offline tooling).
-  storage::Snapshot ReadSnapshot() const {
-    return guard_ != nullptr ? guard_->snapshot() : storage::Snapshot::Latest();
-  }
+  /// The MVCC snapshot every row-visibility check resolves against:
+  /// the attached guard's, which is pinned (every execution runs under
+  /// a guard, and the rows it borrows live as long as that pin).
+  const storage::Snapshot& ReadSnapshot() const { return guard_->snapshot(); }
 
   void RecordScan(size_t rows, size_t bytes) {
     if (scan_rows_ != nullptr) {

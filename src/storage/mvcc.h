@@ -44,16 +44,23 @@ struct Snapshot {
 
 /// One immutable row version in a slot's newest-first chain. `begin`
 /// and `end` are commit timestamps or pending markers; `row` never
-/// changes after construction; `next` points at the superseded (older)
-/// version. GC unlinks dead versions by rewriting head/next, so readers
-/// traverse the chain with acquire loads and never take a lock.
+/// changes after construction, and `wire_size` is its
+/// catalog::RowWireSize, computed once here so scans and the committed
+/// byte counters read it instead of re-walking the row; `next` points
+/// at the superseded (older) version. GC unlinks dead versions by
+/// rewriting head/next, so readers traverse the chain with acquire
+/// loads and never take a lock.
 struct Version {
   std::atomic<Ts> begin;
   std::atomic<Ts> end{kTsInfinity};
-  catalog::Row row;
+  const catalog::Row row;
+  const size_t wire_size;
   std::atomic<Version*> next{nullptr};
 
-  Version(catalog::Row r, Ts begin_ts) : begin(begin_ts), row(std::move(r)) {}
+  Version(catalog::Row r, Ts begin_ts)
+      : begin(begin_ts),
+        row(std::move(r)),
+        wire_size(catalog::RowWireSize(row)) {}
 };
 
 /// Whether a version stamped (begin, end) is visible to `snap`.

@@ -48,7 +48,10 @@ class ReadGuard {
 
   /// Snapshots `tables` but reads at `snap` instead of pinning a fresh
   /// timestamp — used inside an open transaction, whose own lifetime
-  /// pin already protects the snapshot from GC.
+  /// pin already protects the snapshot from GC, and under a caller's
+  /// guard, whose pin does. `snap` must be pinned by one of them: rows
+  /// read through the guard are borrowed from versions that only a pin
+  /// keeps from Vacuum.
   static ReadGuard AcquireAt(const Database& db,
                              const std::vector<std::string>& tables,
                              Snapshot snap,

@@ -113,7 +113,9 @@ Status Table::Insert(catalog::Row row) {
         "row arity " + std::to_string(row.size()) + " does not match schema " +
         schema_.ToString() + " of table " + name_);
   }
-  const size_t bytes = catalog::RowWireSize(row);
+  // The installed version's wire size, read under the shard's write
+  // mutex (which Vacuum also takes) for the byte counter below.
+  size_t bytes = 0;
   // Shared topology hold: keeps a concurrent Repartition from freeing
   // the Shard this insert is about to lock out from under us.
   std::shared_lock<std::shared_mutex> topology(topology_mu_);
@@ -140,9 +142,12 @@ Status Table::Insert(catalog::Row row) {
       slot.head.store(nv, std::memory_order_release);
       if (txns_ != nullptr) txns_->NoteVersionInstalled();
       NoteVersionForIndexes(nv->row, it->second);
+      bytes = nv->wire_size;
     } else {
       size_t seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
-      InstallNewSlot(&shard, std::move(row), begin, &key, seq);
+      bytes = InstallNewSlot(&shard, std::move(row), begin, &key, seq)
+                  ->head.load(std::memory_order_acquire)
+                  ->wire_size;
     }
   } else {
     // Round-robin placement: the sequence number decides the shard, so
@@ -151,7 +156,9 @@ Status Table::Insert(catalog::Row row) {
     size_t seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
     Shard& shard = *shards_[seq % shards_.size()];
     std::lock_guard<std::mutex> write(shard.write_mu);
-    InstallNewSlot(&shard, std::move(row), begin, nullptr, seq);
+    bytes = InstallNewSlot(&shard, std::move(row), begin, nullptr, seq)
+                ->head.load(std::memory_order_acquire)
+                ->wire_size;
   }
   size_.fetch_add(1, std::memory_order_acq_rel);
   bytes_.fetch_add(bytes, std::memory_order_acq_rel);
@@ -487,16 +494,16 @@ std::vector<std::shared_ptr<const Table::Slot>> Table::PinShard(
 }
 
 size_t ShardScanCursor::Next(size_t max_rows, std::vector<size_t>* seqs,
-                             std::vector<catalog::Row>* rows,
+                             std::vector<const catalog::Row*>* rows,
                              size_t* wire_bytes) {
   size_t produced = 0;
   while (produced < max_rows && pos_ < slots_.size()) {
     const TableSlot& slot = *slots_[pos_++];
-    const catalog::Row* row = slot.VisibleRow(snap_);
-    if (row == nullptr) continue;  // tombstoned / not yet visible
+    const Version* v = slot.VisibleVersion(snap_);
+    if (v == nullptr) continue;  // tombstoned / not yet visible
     seqs->push_back(slot.seq);
-    rows->push_back(*row);  // copy: the version may be vacuumed later
-    *wire_bytes += catalog::RowWireSize(*row);
+    rows->push_back(&v->row);
+    *wire_bytes += v->wire_size;
     ++produced;
   }
   return produced;

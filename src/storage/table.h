@@ -363,26 +363,31 @@ class Table : public std::enable_shared_from_this<Table> {
 };
 
 /// Batch-producing MVCC scan over one shard: pins the shard's slots
-/// once, then materializes the versions visible to `snap` a chunk at a
+/// once, then hands out the versions visible to `snap` a chunk at a
 /// time (the vectorized engine's scan source; exec/batch.h sizes the
-/// chunks). Rows are copied out of their version chains — Vacuum may
-/// retire superseded versions while the cursor is live, so borrowed
-/// pointers would be unsafe past the pin. Visibility is resolved at
-/// chunk granularity against the cursor's fixed snapshot, which makes
-/// every chunk of one cursor mutually consistent: the pinned slot list
-/// plus per-version begin/end stamps mean a row committed, deleted, or
-/// tombstoned after the pin never flickers in or out between chunks.
+/// chunks). Rows are borrowed, not copied: each is a pointer into its
+/// visible version, valid while `snap` stays pinned in the TxnManager
+/// (a ReadGuard's pin, or an open transaction's). Vacuum never unlinks
+/// a version a pinned snapshot can see, and a version it unlinks waits
+/// on the retire list until every older pin is released, so a borrowed
+/// row outlives the cursor and lives exactly as long as the pin.
+/// Visibility is resolved at chunk granularity against the cursor's
+/// fixed snapshot, which makes every chunk of one cursor mutually
+/// consistent: the pinned slot list plus per-version begin/end stamps
+/// mean a row committed, deleted, or tombstoned after the pin never
+/// flickers in or out between chunks.
 class ShardScanCursor {
  public:
   ShardScanCursor(const Table& table, size_t shard, Snapshot snap)
       : slots_(table.PinShard(shard)), snap_(snap) {}
 
   /// Appends up to `max_rows` visible rows (with their insertion seqs,
-  /// accumulating wire size into *wire_bytes) and returns how many were
-  /// produced; 0 means the shard is exhausted. Output order is slot
-  /// order, NOT seq order — callers merge-sort by seq across shards.
+  /// adding each version's stored wire size into *wire_bytes) and
+  /// returns how many were produced; 0 means the shard is exhausted.
+  /// Output order is slot order, NOT seq order — callers merge-sort by
+  /// seq across shards.
   size_t Next(size_t max_rows, std::vector<size_t>* seqs,
-              std::vector<catalog::Row>* rows, size_t* wire_bytes);
+              std::vector<const catalog::Row*>* rows, size_t* wire_bytes);
 
  private:
   std::vector<std::shared_ptr<const TableSlot>> slots_;

@@ -106,13 +106,12 @@ Status TxnManager::Commit(Transaction* txn) {
       if (w.created != nullptr) {
         w.created->begin.store(c, std::memory_order_release);
         d.rows += 1;
-        d.bytes += static_cast<int64_t>(catalog::RowWireSize(w.created->row));
+        d.bytes += static_cast<int64_t>(w.created->wire_size);
       }
       if (w.superseded != nullptr) {
         w.superseded->end.store(c, std::memory_order_release);
         d.rows -= 1;
-        d.bytes -=
-            static_cast<int64_t>(catalog::RowWireSize(w.superseded->row));
+        d.bytes -= static_cast<int64_t>(w.superseded->wire_size);
       }
     }
     for (const auto& [table, d] : deltas) table->NoteCommit(c, d.rows, d.bytes);

@@ -11,20 +11,28 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/value.h"
 #include "core/optimizer.h"
 #include "core/plan_cache.h"
+#include "exec/executor.h"
+#include "exec/worker_pool.h"
 #include "frontend/parser.h"
 #include "interp/interpreter.h"
 #include "net/connection.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "sql/parser.h"
 #include "workloads/benchmark_apps.h"
 
 namespace eqsql::net {
@@ -766,6 +774,216 @@ TEST(ServerStressTest, CommittedStatisticsMatchTheRowsAfterConcurrentWrites) {
   EXPECT_GT(rows.size(), 40u);
   EXPECT_EQ(notes->row_count(), rows.size());
   EXPECT_EQ(notes->byte_count(), bytes);
+}
+
+/// A ledger row's note: its id, then `width` copies of one letter, so a
+/// reader can tell a row's note from any other row's.
+std::string LedgerNote(int64_t id, size_t width) {
+  return "r" + std::to_string(id) + ":" +
+         std::string(width, static_cast<char>('a' + id % 26));
+}
+
+bool LedgerNoteFits(const catalog::Row& row) {
+  const std::string prefix = "r" + std::to_string(row[0].AsInt()) + ":";
+  const std::string& note = row[3].AsString();
+  if (note.compare(0, prefix.size(), prefix) != 0) return false;
+  const char letter = static_cast<char>('a' + row[0].AsInt() % 26);
+  return note.find_first_not_of(letter, prefix.size()) == std::string::npos;
+}
+
+// Scans borrow rows from their versions for as long as the statement's
+// snapshot pin is held. Readers loop a full scan, a filter and a GROUP
+// BY, through sessions (whose 4-shard scans run as pooled shard tasks)
+// and through a bare Executor, while a writer commits UPDATE pairs and
+// DELETE/INSERT pairs that keep every group's COUNT and SUM fixed and
+// change the notes' widths between inline and heap-sized strings, and
+// vacuums after every commit. Every answer must show the invariants.
+// Under ASan a row read after Vacuum freed its version fails the run,
+// and under TSan a race with the unlink does.
+TEST(ServerStressTest, BorrowedScansSurviveConcurrentVacuum) {
+  constexpr int64_t kRows = 1200;  // above the default parallel threshold
+  constexpr int64_t kGroups = 7;
+  // The writer runs at least kMinRounds rounds, and on until the readers
+  // have answered kMinAnswers queries between them (at most kMaxRounds).
+  constexpr int kMinRounds = 200;
+  constexpr int kMinAnswers = 60;
+  constexpr int kMaxRounds = 5000;
+  constexpr size_t kWidths[] = {2, 24, 40};
+  ServerOptions options;
+  options.database.shard_count = 4;
+  options.exec_threads = 2;
+  options.scheduler_workers = 2;
+  Server server(std::move(options));
+  storage::Database* db = server.db();
+  ASSERT_GT(kRows, static_cast<int64_t>(ServerOptions().parallel_threshold));
+  storage::Table* ledger = *db->CreateTable(
+      "ledger", catalog::Schema({{"id", DataType::kInt64},
+                                 {"grp", DataType::kInt64},
+                                 {"amt", DataType::kInt64},
+                                 {"note", DataType::kString}}));
+  // The writer's model of the table: id -> (group, amount).
+  std::map<int64_t, std::pair<int64_t, int64_t>> model;
+  std::vector<int64_t> group_count(kGroups, 0);
+  std::vector<int64_t> group_sum(kGroups, 0);
+  for (int64_t id = 0; id < kRows; ++id) {
+    const int64_t grp = id % kGroups;
+    const int64_t amt = id % 100;
+    ASSERT_TRUE(ledger
+                    ->Insert({Value::Int(id), Value::Int(grp), Value::Int(amt),
+                              Value::String(LedgerNote(id, kWidths[1]))})
+                    .ok());
+    model[id] = {grp, amt};
+    ++group_count[grp];
+    group_sum[grp] += amt;
+  }
+  ASSERT_TRUE(ledger->DeclareUniqueKey("id").ok());
+  int64_t total_sum = 0;
+  for (int64_t s : group_sum) total_sum += s;
+
+  const std::string kScan = "SELECT * FROM ledger AS l";
+  const std::string kFilter =
+      "SELECT l.id AS id, l.grp AS grp, l.amt AS amt, l.note AS note "
+      "FROM ledger AS l WHERE l.grp = 3";
+  const std::string kGroupBy =
+      "SELECT l.grp AS g, COUNT(*) AS c, SUM(l.amt) AS s "
+      "FROM ledger AS l GROUP BY l.grp";
+  // Checks one answer against the invariants; returns a description of
+  // the first violation, or "".
+  auto check = [&](const std::string& sql,
+                   const Result<exec::ResultSet>& rs) -> std::string {
+    if (!rs.ok()) return sql + ": " + rs.status().ToString();
+    if (sql == kGroupBy) {
+      if (rs->rows.size() != static_cast<size_t>(kGroups)) {
+        return "group count " + std::to_string(rs->rows.size());
+      }
+      for (const catalog::Row& row : rs->rows) {
+        const int64_t g = row[0].AsInt();
+        if (g < 0 || g >= kGroups) return "no group " + row[0].ToString();
+        if (row[1].AsInt() != group_count[g] || row[2].AsInt() != group_sum[g]) {
+          return "group " + std::to_string(g) + " reads " + row[1].ToString() +
+                 "/" + row[2].ToString();
+        }
+      }
+      return "";
+    }
+    const bool filtered = sql == kFilter;
+    int64_t sum = 0;
+    for (const catalog::Row& row : rs->rows) {
+      if (!LedgerNoteFits(row)) return "torn row " + catalog::RowToString(row);
+      if (filtered && row[1].AsInt() != 3) return "filter leaked a row";
+      sum += row[2].AsInt();
+    }
+    const int64_t want_rows = filtered ? group_count[3] : kRows;
+    const int64_t want_sum = filtered ? group_sum[3] : total_sum;
+    if (static_cast<int64_t>(rs->rows.size()) != want_rows || sum != want_sum) {
+      return sql + ": " + std::to_string(rs->rows.size()) + " rows summing " +
+             std::to_string(sum);
+    }
+    return "";
+  };
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> readers_started{0};
+  std::atomic<int> answers{0};
+  std::mutex failure_mu;
+  std::string failure;
+  auto note_failure = [&](const std::string& what) {
+    std::lock_guard<std::mutex> lock(failure_mu);
+    if (failure.empty()) failure = what;
+  };
+  // Each reader answers every query at least once, and keeps going
+  // until the writer has finished.
+  auto read_loop = [&](const std::function<Result<exec::ResultSet>(
+                           const std::string&)>& query) {
+    readers_started.fetch_add(1);
+    do {
+      for (const std::string& sql : {kScan, kFilter, kGroupBy}) {
+        const std::string bad = check(sql, query(sql));
+        if (!bad.empty()) note_failure(bad);
+        answers.fetch_add(1);
+      }
+    } while (!writer_done.load());
+  };
+
+  constexpr int kSessionReaders = 2;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSessionReaders; ++t) {
+    threads.emplace_back([&] {
+      std::unique_ptr<Session> session = server.Connect();
+      read_loop([&session](const std::string& sql) {
+        return SessionQuery(session.get(), sql);
+      });
+    });
+  }
+  threads.emplace_back([&] {
+    // No guard attached: the executor pins its own snapshot.
+    exec::Executor executor(db);
+    executor.set_exec_mode(exec::ExecMode::kVector);
+    exec::WorkerPool pool(2);
+    executor.set_worker_pool(&pool);
+    read_loop([&executor](const std::string& sql) {
+      return executor.Execute(*sql::ParseSql(sql));
+    });
+  });
+
+  std::unique_ptr<Session> writer = server.Connect();
+  while (readers_started.load() < kSessionReaders + 1) {
+    std::this_thread::yield();
+  }
+  auto commit = [&](const std::vector<std::string>& statements) {
+    ASSERT_TRUE(writer->Execute(Request::Begin()).ok());
+    for (const std::string& sql : statements) {
+      Outcome out = writer->Execute(Request::Dml(sql));
+      ASSERT_TRUE(out.ok()) << sql << ": " << out.status.ToString();
+    }
+    Outcome done = writer->Execute(Request::Commit());
+    ASSERT_TRUE(done.ok()) << done.status.ToString();
+  };
+  int64_t next_id = kRows;
+  for (int round = 0; round < kMaxRounds &&
+                      (round < kMinRounds || answers.load() < kMinAnswers);
+       ++round) {
+    // Two rows of one group trade an amount; their notes change width.
+    const int64_t a = model.begin()->first;
+    int64_t b = -1;
+    for (auto it = std::next(model.begin()); it != model.end(); ++it) {
+      if (it->second.first == model[a].first) {
+        b = it->first;
+        break;
+      }
+    }
+    if (b < 0) {
+      note_failure("no second row in group " + std::to_string(model[a].first));
+      break;
+    }
+    const int64_t delta = round + 1;
+    model[a].second += delta;
+    model[b].second -= delta;
+    commit({"UPDATE ledger SET amt = amt + " + std::to_string(delta) +
+                ", note = '" + LedgerNote(a, kWidths[round % 3]) +
+                "' WHERE id = " + std::to_string(a),
+            "UPDATE ledger SET amt = amt - " + std::to_string(delta) +
+                ", note = '" + LedgerNote(b, kWidths[(round + 1) % 3]) +
+                "' WHERE id = " + std::to_string(b)});
+    // A row is replaced by a new id with the same group and amount.
+    const int64_t gone = std::next(model.begin(), round % 50)->first;
+    const auto [grp, amt] = model[gone];
+    model.erase(gone);
+    model[next_id] = {grp, amt};
+    commit({"DELETE FROM ledger WHERE id = " + std::to_string(gone),
+            "INSERT INTO ledger VALUES (" + std::to_string(next_id) + ", " +
+                std::to_string(grp) + ", " + std::to_string(amt) + ", '" +
+                LedgerNote(next_id, kWidths[(round + 2) % 3]) + "')"});
+    ++next_id;
+    db->Vacuum();
+  }
+  writer_done.store(true);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failure, "");
+  EXPECT_GE(answers.load(), kMinAnswers);
+  // The retired versions were freed once the readers' pins were gone.
+  db->Vacuum();
+  EXPECT_EQ(db->txn_manager()->retired_count(), 0u);
 }
 
 // Live sessions fold their published snapshot into stats() while open,

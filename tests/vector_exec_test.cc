@@ -211,6 +211,25 @@ std::vector<QuerySpec> StandardQueries() {
        "FROM fact AS m",
        {}},
       {"SELECT GREATEST(m.v, m.w, m.nv) AS g FROM fact AS m", {}},
+      // GREATEST/LEAST over int-only arguments take the typed fold;
+      // NULL (m.nv), string (m.name) and error lanes stay boxed.
+      {"SELECT GREATEST(m.v, m.w) AS g, LEAST(m.v, m.w, m.fk) AS l "
+       "FROM fact AS m",
+       {}},
+      {"SELECT MAX(GREATEST(GREATEST(GREATEST(m.v, m.w), m.fk), m.id)) AS g, "
+       "MIN(LEAST(m.v, m.w)) AS l FROM fact AS m",
+       {}},
+      {"SELECT m.fk, MAX(GREATEST(m.v, m.w)) AS g, SUM(LEAST(m.v, m.w)) AS l "
+       "FROM fact AS m GROUP BY m.fk",
+       {}},
+      {"SELECT LEAST(m.v, m.nv) AS l, GREATEST(m.nv, m.w) AS g "
+       "FROM fact AS m",
+       {}},
+      {"SELECT MAX(GREATEST(m.v, m.nv)) AS g FROM fact AS m", {}},
+      {"SELECT GREATEST(m.v, m.name) AS g, LEAST(m.name, m.w) AS l "
+       "FROM fact AS m",
+       {}},
+      {"SELECT LEAST(m.v, m.v + m.name) AS bad FROM fact AS m", {}},
   };
 }
 
@@ -359,6 +378,92 @@ TEST(VectorExecTest, TombstonesSurviveVacuum) {
     db->Vacuum();
   };
   SweepShards(setup, StandardQueries(), "post-vacuum");
+}
+
+/// Runs `SELECT *` over fact on `conn` under a fresh registry. Returns
+/// the rows and sets *scan_bytes to the storage.scan.bytes it charged.
+std::vector<Row> ScanFact(net::Connection* conn, int64_t* scan_bytes) {
+  obs::MetricsRegistry reg;
+  conn->set_metrics(&reg);
+  net::Outcome out =
+      conn->Perform(net::Request::Query("SELECT * FROM fact AS m"));
+  conn->set_metrics(nullptr);
+  EXPECT_TRUE(out.ok()) << out.status.ToString();
+  *scan_bytes = reg.Snapshot().counters.at("storage.scan.bytes");
+  return out.rows.rows;
+}
+
+int64_t WireSizeOf(const std::vector<Row>& rows) {
+  int64_t bytes = 0;
+  for (const Row& row : rows) {
+    bytes += static_cast<int64_t>(catalog::RowWireSize(row));
+  }
+  return bytes;
+}
+
+// storage.scan.bytes charges the wire size each version stored when it
+// was installed. After UPDATEs that widen and narrow a string, a SELECT
+// * must charge exactly the wire size of the rows it returns, on both
+// engines at 1, 2 and 8 shards, and a transaction reading at an older
+// snapshot must be charged for the versions it sees, not for the newer
+// ones in the same slots. The shard-invariance grid compares shard
+// counts with each other, so it cannot see a size that is wrong the
+// same way at every count.
+TEST(VectorExecTest, ScanBytesFollowTheVisibleVersion) {
+  for (size_t shards : kShardCounts) {
+    storage::DatabaseOptions dbo;
+    dbo.shard_count = shards;
+    storage::Database db(dbo);
+    MakeFact(&db, 1100);
+    const storage::Table* fact = *db.GetTable("fact");
+    net::Connection writer(&db);
+    auto dml = [&writer](const std::string& sql) {
+      net::Outcome out = writer.Perform(net::Request::Statement(sql));
+      ASSERT_TRUE(out.ok()) << sql << ": " << out.status.ToString();
+    };
+    dml("UPDATE fact SET name = 'a name wide enough for the heap' "
+        "WHERE fk = 1");
+    dml("UPDATE fact SET name = '' WHERE fk = 2");
+    exec::WorkerPool pool(2);
+    int round = 0;
+    for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
+      for (bool pooled : {false, true}) {
+        if (pooled && shards == 1) continue;
+        const std::string label = "shards=" + std::to_string(shards) +
+                                  " mode=" + exec::ExecModeName(mode) +
+                                  " pooled=" + std::to_string(pooled);
+        net::Connection reader(&db);
+        reader.set_exec_mode(mode);
+        if (pooled) {
+          reader.set_worker_pool(&pool);
+          reader.set_parallel_threshold(0);
+        }
+        int64_t bytes = 0;
+        std::vector<Row> latest = ScanFact(&reader, &bytes);
+        EXPECT_EQ(bytes, WireSizeOf(latest)) << label;
+        EXPECT_EQ(static_cast<int64_t>(fact->byte_count()), bytes) << label;
+
+        // A snapshot taken now, then a commit that narrows the wide
+        // names and widens the empty ones (wider each round).
+        ASSERT_TRUE(reader.Perform(net::Request::Begin()).ok()) << label;
+        ++round;
+        const int wide = round % 2 == 0 ? 1 : 2;
+        dml("UPDATE fact SET name = '" + std::string(20 + 8 * round, 'w') +
+            "' WHERE fk = " + std::to_string(wide));
+        dml("UPDATE fact SET name = 'x' WHERE fk = " +
+            std::to_string(3 - wide));
+        std::vector<Row> old = ScanFact(&reader, &bytes);
+        EXPECT_EQ(old, latest) << label;
+        EXPECT_EQ(bytes, WireSizeOf(old)) << label;
+        EXPECT_NE(WireSizeOf(fact->rows()), bytes) << label;
+        ASSERT_TRUE(reader.Perform(net::Request::Rollback()).ok()) << label;
+
+        latest = ScanFact(&reader, &bytes);
+        EXPECT_EQ(bytes, WireSizeOf(latest)) << label;
+        EXPECT_EQ(static_cast<int64_t>(fact->byte_count()), bytes) << label;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
