@@ -25,6 +25,7 @@
 #include "exec/executor.h"
 #include "sql/parser.h"
 #include "storage/database.h"
+#include "workloads/benchmark_apps.h"
 
 namespace {
 
@@ -88,6 +89,43 @@ void BM_SortLimit(benchmark::State& state) {
          "SELECT d.id AS id FROM data AS d ORDER BY d.v DESC LIMIT 10");
 }
 BENCHMARK(BM_SortLimit)->Arg(1000)->Arg(100000);
+
+// JobPortal's extracted query (rule T7, paper Figs. 11-13): four OUTER
+// APPLYs, each a keyed probe of a dimension table per applicant, run as
+// one join chain over borrowed rows. Ungated; range(0) is the number of
+// applicants.
+void BM_FourApply(benchmark::State& state) {
+  eqsql::storage::Database db;
+  if (!eqsql::workloads::SetupJobPortalDatabase(
+           &db, static_cast<int>(state.range(0)))
+           .ok()) {
+    state.SkipWithError("jobportal setup failed");
+    return;
+  }
+  auto plan = *eqsql::sql::ParseSql(
+      "SELECT a.id AS id, oa0 AS c1, oa1 AS c2, oa2 AS c3, oa3 AS c4 "
+      "FROM applicants AS a "
+      "OUTER APPLY (SELECT d.phone AS oa0 FROM details AS d "
+      "WHERE (d.aid = a.id)) "
+      "OUTER APPLY (SELECT f.verdict AS oa1 FROM feedback1 AS f "
+      "WHERE (f.aid = a.id)) "
+      "OUTER APPLY (SELECT f.verdict AS oa2 FROM feedback2 AS f "
+      "WHERE (f.aid = a.id)) "
+      "OUTER APPLY (SELECT e.degree AS oa3 FROM education AS e "
+      "WHERE (e.aid = a.id) AND (a.mode = 'online'))");
+  eqsql::exec::Executor ex(&db);
+  ex.set_exec_mode(eqsql::exec::ExecMode::kVector);
+  for (auto _ : state) {
+    auto rs = ex.Execute(plan);
+    if (!rs.ok() || rs->rows.size() != static_cast<size_t>(state.range(0))) {
+      state.SkipWithError("4-apply query failed");
+      return;
+    }
+    benchmark::DoNotOptimize(rs);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FourApply)->Arg(500)->Arg(5000)->Unit(benchmark::kMicrosecond);
 
 void BM_ParseSql(benchmark::State& state) {
   const char* sql =

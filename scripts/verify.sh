@@ -37,15 +37,26 @@ cmake --preset asan >/dev/null
 # Vacuum (ServerStressTest.BorrowedScansSurviveConcurrentVacuum among
 # them) run under the address checker: a row read after its version
 # was freed fails here.
+# Exec: joins and applies run as chains of row references (key and
+# index probes, hash builds and scans, all borrowed), so the executor's
+# suites run there too, and so do the apply and join fuzz families at
+# 1, 2 and 8 shards.
 cmake --build build-asan -j"$(nproc)" --target fuzz_test fuzz_eqsql \
   sql_roundtrip_test null_semantics_test interp_test binder_test \
   sql_test frontend_test dir_test concurrency_test mvcc_test \
-  vector_exec_test shard_test shard_invariance_test index_test
+  vector_exec_test shard_test shard_invariance_test index_test \
+  exec_test exec_sweep_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout "$CTEST_TIMEOUT" \
-  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp|Binder|SqlParser|ImpParser|Dir|Mvcc|VectorExec|ServerStress|Shard|Index'
+  -R 'Fuzz|SqlRoundTrip|NullSemantics|Interp|Binder|SqlParser|ImpParser|Dir|Mvcc|VectorExec|ServerStress|Shard|Index|Exec'
 ./build-asan/src/fuzz/fuzz_eqsql --seed 99 --iters 100 \
   --corpus tests/fuzz_corpus
+for shards in 1 2 8; do
+  for family in apply join; do
+    ./build-asan/src/fuzz/fuzz_eqsql --seed 31 --iters 60 --family "$family" \
+      --shards "$shards"
+  done
+done
 
 echo "== sanitizers: TSan concurrency stress + shard suites + fuzz sweeps =="
 cmake --preset tsan >/dev/null

@@ -45,7 +45,7 @@ std::string BareName(const std::string& name) {
 /// Collects the right scan's join-key columns the way Binder::BindJoin
 /// classifies them: each `=` conjunct with one side over only the right
 /// scan's columns (qualified by `alias`) and the other side over none
-/// of them contributes its right side. Executor::ExecJoin probes the
+/// of them contributes its right side. Executor::JoinLevel probes the
 /// ready index over exactly this column set. False when a right key is
 /// not a plain column or repeats one: no index can serve the join.
 bool CollectRightKeyColumns(const ra::ScalarExprPtr& pred,
@@ -111,7 +111,7 @@ CostEstimator::NodeEstimate CostEstimator::EstimateNode(
       NodeEstimate in = EstimateNode(*node.child(0));
       NodeEstimate out = in;
       // A key-equality point predicate over a base scan becomes an
-      // index probe (Executor::TryKeyLookup).
+      // index probe (Executor::KeyLookupRef).
       if (node.child(0)->op() == RaOp::kScan &&
           HasEqualityConjunct(node.predicate())) {
         out.rows = 1;
@@ -207,6 +207,7 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
   // scan carrying an index over exactly its join-key column set.
   const RaNode* site = nullptr;
   const std::vector<std::string>* index_cols = nullptr;
+  size_t index_pos = 0;  // in stats_.table_indexes' list for the table
   std::string table;
   std::function<void(const RaNode&)> visit = [&](const RaNode& n) {
     if (site != nullptr) return;
@@ -218,7 +219,8 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
       if (it != stats_.table_indexes.end() &&
           CollectRightKeyColumns(n.predicate(), n.child(1)->alias(),
                                  &keys)) {
-        for (const std::vector<std::string>& cols : it->second) {
+        for (size_t i = 0; i < it->second.size(); ++i) {
+          const std::vector<std::string>& cols = it->second[i];
           bool same_set = !cols.empty() && cols.size() == keys.size();
           for (const std::string& c : cols) {
             same_set = same_set &&
@@ -227,6 +229,7 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
           if (same_set) {
             site = &n;
             index_cols = &cols;
+            index_pos = i;
             table = n.child(1)->table_name();
             return;
           }
@@ -241,15 +244,20 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
   NodeEstimate left = EstimateNode(*site->child(0));
   NodeEstimate right = EstimateNode(*site->child(1));
   CostEstimate scan = EstimateQuery(plan);
-  // The index alternative bills what Executor::ExecJoin's index nested
-  // loop bills in place of the inner scan: one row per outer row's
-  // probe plus each candidate the probes find, which is every pair the
-  // equi-join matches (EstimateNode's containment estimate). Everything
-  // else in the plan is shared.
-  const double matches = std::max(left.rows, right.rows);
+  // The index alternative bills what the executor's index nested loop
+  // bills in place of the inner scan: one row per outer row's probe
+  // plus each candidate the probes find. A probe finds the inner
+  // table's rows over the index's distinct keys (its fan-out).
+  // Everything else in the plan is shared.
+  double keys = right.rows;
+  auto it = stats_.index_keys.find(AsciiToLower(table));
+  if (it != stats_.index_keys.end() && index_pos < it->second.size()) {
+    keys = static_cast<double>(it->second[index_pos]);
+  }
+  const double candidates = left.rows * right.rows / std::max(1.0, keys);
   net::Work index = scan.work;
   index.server_rows =
-      scan.work.server_rows - right.processed + left.rows + matches;
+      scan.work.server_rows - right.processed + left.rows + candidates;
   out.applicable = true;
   out.scan_ms = model_.Ms(scan.work);
   out.index_ms = model_.Ms(index);

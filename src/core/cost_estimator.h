@@ -23,6 +23,11 @@ struct TableStats {
   /// database has no indexes; the planner then never prices an
   /// index-nested-loop alternative.
   std::map<std::string, std::vector<std::vector<std::string>>> table_indexes;
+  /// Lowercase table name → distinct keys of each of those indexes, in
+  /// the same order (storage::SecondaryIndex::distinct_keys). One probe
+  /// finds the table's rows over its index's distinct keys candidates;
+  /// an index without an entry is priced as unique.
+  std::map<std::string, std::vector<int64_t>> index_keys;
 };
 
 /// Estimated profile of one query: the work its charge would bill
@@ -67,7 +72,7 @@ class CostEstimator {
   /// Prices the index-nested-loop alternative against the full-scan
   /// hash join for the first join in `plan` whose inner side is a base
   /// scan with a secondary index over exactly the join's right key
-  /// columns (Executor::ExecJoin's index nested-loop rule, with keys
+  /// columns (Executor::JoinLevel's index nested-loop rule, with keys
   /// classified structurally by the right scan's alias). Returns
   /// applicable=false when no such join exists.
   JoinPlanChoice ChooseJoinPlan(const ra::RaNodePtr& plan) const;

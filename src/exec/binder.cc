@@ -92,6 +92,27 @@ catalog::DataType ColumnType(const ScalarExprPtr& expr, const Schema& child,
   return idx.has_value() ? child.column(*idx).type : otherwise;
 }
 
+/// Evaluation frames under `scope`.
+size_t FrameCount(const BindScope& scope) {
+  size_t n = 0;
+  for (const BindFrame& f : scope) n += f.frames;
+  return n;
+}
+
+bool IsChainOp(RaOp op) {
+  return op == RaOp::kJoin || op == RaOp::kLeftOuterJoin ||
+         op == RaOp::kOuterApply;
+}
+
+/// The scope `node`'s output rows form: a chain level's combined row
+/// spans one frame per chain input; any other operator's row is one.
+BindFrame RowsOf(const BoundNode& node) {
+  if (IsChainOp(node.op) && node.inputs > 0) {
+    return BindFrame(node.schema.get(), node.slots, node.inputs);
+  }
+  return BindFrame(node.schema.get());
+}
+
 /// Walks a plan once, resolving every name against the frame schemas
 /// its operators will push and the tables pinned in `guard`'s slots.
 class Binder {
@@ -105,18 +126,20 @@ class Binder {
                            const storage::Table& table, BindScope* scope);
 
  private:
-  /// Binds `expr` with `frame` pushed as the innermost frame.
-  BoundExpr BindOver(const ScalarExprPtr& expr, const Schema* frame,
+  /// Binds `expr` with `frame` pushed as the innermost scope.
+  BoundExpr BindOver(const ScalarExprPtr& expr, BindFrame frame,
                      BindScope* scope) {
-    scope->push_back(frame);
+    scope->push_back(std::move(frame));
     BoundExpr out = BindExpr(expr, scope);
     scope->pop_back();
     return out;
   }
 
   BoundJoin BindJoin(const RaNode& node, const BoundNode& left,
-                     const BoundNode& right, const Schema& combined,
-                     BindScope* scope);
+                     const BoundNode& right, const BindFrame& left_rows,
+                     const BindFrame& all_rows, BindScope* scope);
+  /// Binds a join or apply as a level of its chain (BoundNode::slots).
+  void BindChainLevel(const RaNode& node, BoundNode* out, BindScope* scope);
 
   const storage::ReadGuard* guard_;  // null: every scan defers kNotFound
 };
@@ -130,20 +153,24 @@ BoundExpr Binder::BindExpr(const ScalarExprPtr& expr, BindScope* scope) {
   out.op = expr->op();
   switch (expr->op()) {
     case ScalarOp::kColumnRef: {
-      // Innermost frame first. A name ambiguous in a frame is an error
-      // there: it never falls through to an outer frame.
+      // Innermost scope first. A name ambiguous in a scope is an error
+      // there: it never falls through to an outer scope.
       const std::string& name = expr->column_name();
-      for (size_t level = scope->size(); level-- > 0;) {
-        const Schema* frame = (*scope)[level];
-        if (frame == nullptr) continue;
-        const catalog::ColumnMatch m = frame->Find(name);
+      size_t level = FrameCount(*scope);
+      for (size_t i = scope->size(); i-- > 0;) {
+        const BindFrame& frame = (*scope)[i];
+        level -= frame.frames;
+        if (frame.schema == nullptr) continue;
+        const catalog::ColumnMatch m = frame.schema->Find(name);
         if (m.found()) {
-          out.level = static_cast<uint32_t>(level);
-          out.column = static_cast<uint32_t>(m.index);
+          ColumnSlot slot{0, static_cast<uint32_t>(m.index)};
+          if (!frame.slots.empty()) slot = frame.slots[m.index];
+          out.level = static_cast<uint32_t>(level + slot.input);
+          out.column = slot.column;
           return out;
         }
         if (m.ambiguous()) {
-          out.error = frame->ResolveColumn(name).status();
+          out.error = frame.schema->ResolveColumn(name).status();
           return out;
         }
       }
@@ -208,8 +235,8 @@ BoundScanSplit Binder::BindSplit(const ScalarExprPtr& pred, const Schema& scan,
 }
 
 BoundJoin Binder::BindJoin(const RaNode& node, const BoundNode& left,
-                           const BoundNode& right, const Schema& combined,
-                           BindScope* scope) {
+                           const BoundNode& right, const BindFrame& left_rows,
+                           const BindFrame& all_rows, BindScope* scope) {
   const Schema& ls = *left.schema;
   const Schema& rs = *right.schema;
   std::vector<ScalarExprPtr> conjuncts;
@@ -240,13 +267,13 @@ BoundJoin Binder::BindJoin(const RaNode& node, const BoundNode& left,
   }
   BoundJoin join;
   for (const ScalarExprPtr& k : left_keys) {
-    join.left_keys.push_back(BindOver(k, &ls, scope));
+    join.left_keys.push_back(BindOver(k, left_rows, scope));
   }
   for (const ScalarExprPtr& k : right_keys) {
     join.right_keys.push_back(BindOver(k, &rs, scope));
   }
   for (const ScalarExprPtr& c : residual) {
-    join.residual.push_back(BindOver(c, &combined, scope));
+    join.residual.push_back(BindOver(c, all_rows, scope));
   }
   // An index can serve the right side when it is a base scan and every
   // right key is a distinct plain column of it.
@@ -270,11 +297,55 @@ BoundJoin Binder::BindJoin(const RaNode& node, const BoundNode& left,
   return join;
 }
 
+void Binder::BindChainLevel(const RaNode& node, BoundNode* out,
+                            BindScope* scope) {
+  const BoundNode& left = out->children[0];
+  const BoundNode& right = out->children[1];
+  out->schema =
+      std::make_shared<const Schema>(left.schema->Concat(*right.schema));
+  const BindFrame left_rows = RowsOf(left);
+  const auto input = static_cast<uint32_t>(left_rows.frames);
+  // The left inputs' columns keep their places; a base input's row is
+  // read in place.
+  std::vector<ColumnSlot> slots = left_rows.slots;
+  for (size_t i = slots.size(); i < left.schema->size(); ++i) {
+    slots.push_back({0, static_cast<uint32_t>(i)});
+  }
+  // An apply over Project?(Select(Scan R)) probes R itself. Its right
+  // row is R's own when every projected item is a plain column of R
+  // (bound at the Project's frame, with no deferred error).
+  const BoundNode* project = right.op == RaOp::kProject ? &right : nullptr;
+  const BoundNode& select = project != nullptr ? right.children[0] : right;
+  out->probe = node.op() == RaOp::kOuterApply && select.op == RaOp::kSelect &&
+               select.split.has_value();
+  out->probe_borrows = out->probe;
+  for (size_t i = 0; out->probe && project != nullptr &&
+                     i < project->items.size();
+       ++i) {
+    const BoundExpr& item = project->items[i];
+    out->probe_borrows = out->probe_borrows &&
+                         item.op == ScalarOp::kColumnRef && item.error.ok() &&
+                         item.level == project->depth;
+  }
+  for (size_t i = 0; i < right.schema->size(); ++i) {
+    const bool mapped = out->probe_borrows && project != nullptr;
+    slots.push_back(
+        {input, mapped ? project->items[i].column : static_cast<uint32_t>(i)});
+  }
+  out->inputs = input + 1;
+  out->slots = std::move(slots);
+  if (node.op() != RaOp::kOuterApply) {
+    out->join =
+        BindJoin(node, left, right, left_rows,
+                 BindFrame(out->schema.get(), out->slots, out->inputs), scope);
+  }
+}
+
 BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
   BoundNode out;
   out.source = &node;
   out.op = node.op();
-  out.depth = scope->size();
+  out.depth = FrameCount(*scope);
   // Children first; an operator's output schema is unknown when a
   // child's is, and carries the first such error in child order.
   auto inherit = [&out](const BoundNode& child) {
@@ -319,8 +390,10 @@ BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
       out.children.push_back(BindNode(*node.child(0), scope));
       const BoundNode& child = out.children[0];
       inherit(child);
+      // Over a join chain the items read the chain's row references.
+      out.over_chain = IsChainOp(child.op) && child.inputs > 0;
       for (const ra::ProjectItem& item : node.project_items()) {
-        out.items.push_back(BindOver(item.expr, child.schema.get(), scope));
+        out.items.push_back(BindOver(item.expr, RowsOf(child), scope));
       }
       if (child.schema == nullptr) return out;
       std::vector<catalog::Column> cols;
@@ -340,20 +413,16 @@ BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
     case RaOp::kOuterApply: {
       out.children.reserve(2);
       out.children.push_back(BindNode(*node.child(0), scope));
-      const BoundNode& left = out.children[0];
-      // An apply's right side runs once per left row, with that row
-      // pushed; a join's sides run side by side.
+      // An apply's right side runs once per left row, with the left
+      // inputs' rows pushed; a join's sides run side by side.
       const bool apply = node.op() == RaOp::kOuterApply;
-      if (apply) scope->push_back(left.schema.get());
+      if (apply) scope->push_back(RowsOf(out.children[0]));
       out.children.push_back(BindNode(*node.child(1), scope));
       if (apply) scope->pop_back();
-      const BoundNode& right = out.children[1];
-      inherit(left);
-      inherit(right);
+      inherit(out.children[0]);
+      inherit(out.children[1]);
       if (!out.schema_error.ok()) return out;
-      out.schema =
-          std::make_shared<const Schema>(left.schema->Concat(*right.schema));
-      if (!apply) out.join = BindJoin(node, left, right, *out.schema, scope);
+      BindChainLevel(node, &out, scope);
       return out;
     }
     case RaOp::kGroupBy: {

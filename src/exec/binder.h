@@ -82,9 +82,9 @@ struct BoundScanSplit {
 /// A join predicate split into equi-keys -- `l = r` where each side
 /// names columns, all of them its own input's -- and the residual.
 struct BoundJoin {
-  std::vector<BoundExpr> left_keys;   // bound over the left row
-  std::vector<BoundExpr> right_keys;  // bound over the right row
-  /// Re-checked over the combined row as one AND in this order: the
+  std::vector<BoundExpr> left_keys;   // bound over the left inputs' rows
+  std::vector<BoundExpr> right_keys;  // bound over the right row alone
+  /// Re-checked over every input's row as one AND in this order: the
   /// conjuncts no key consumed, or the whole predicate when there is no
   /// key. Empty = always holds.
   std::vector<BoundExpr> residual;
@@ -92,6 +92,13 @@ struct BoundJoin {
   /// distinct plain column of it: those columns, for an index nested
   /// loop. Empty otherwise.
   std::vector<std::string> index_columns;
+};
+
+/// Where one column of a join chain's combined row lives at run time:
+/// the chain input whose row holds it, and the column within that row.
+struct ColumnSlot {
+  uint32_t input = 0;
+  uint32_t column = 0;
 };
 
 /// One plan operator, bound.
@@ -127,13 +134,50 @@ struct BoundNode {
   bool exact_fold = false;
   /// kJoin / kLeftOuterJoin, when both inputs' schemas are known.
   std::optional<BoundJoin> join;
+  /// kJoin / kLeftOuterJoin / kOuterApply, when both inputs' schemas
+  /// are known: the operator as the top level of its join chain, the
+  /// left-deep run of such operators over one base input. Input 0 is
+  /// the base and input i the i-th level's right side, so this level's
+  /// right side is input `inputs - 1`. The executor keeps one row
+  /// reference per input instead of a combined row, and `slots[i]`
+  /// places output column i. Expressions evaluated over a chain's rows
+  /// push one frame per input and read these slots; their names still
+  /// resolve against the flat combined schema.
+  size_t inputs = 0;
+  std::vector<ColumnSlot> slots;
+  /// kOuterApply whose right side is Project?(Select(Scan R)) over a
+  /// present table: the level takes each left row's candidates from R
+  /// directly, by the Select's access path, with no subplan run.
+  bool probe = false;
+  /// probe: every item of the right side's Project (if any) is a plain
+  /// column of R, so the level's right row is R's row itself, borrowed,
+  /// and `slots` address R's columns. Otherwise the level computes the
+  /// Project's items into a row it owns.
+  bool probe_borrows = false;
+  /// kProject directly over a join chain: items are bound to the
+  /// chain's slots and evaluate over its row references.
+  bool over_chain = false;
 };
 
-/// A frame stack at bind time: one schema per frame, outermost first.
-/// nullptr marks a frame whose schema is unknown (a missing table
-/// below); nothing bound against it can run, since producing its row
-/// would have failed first.
-using BindScope = std::vector<const catalog::Schema*>;
+/// One name scope at bind time: the schema names resolve against, and
+/// the evaluation frames behind it. A plain scope is one frame read in
+/// place. A join chain's combined row spans one frame per chain input,
+/// and `slots` places each of its columns. A null schema marks a scope
+/// whose schema is unknown (a missing table below); nothing bound
+/// against it can run, since producing its row would have failed first.
+struct BindFrame {
+  BindFrame(const catalog::Schema* s) : schema(s) {}  // NOLINT: implicit
+  BindFrame(const catalog::Schema* s, std::vector<ColumnSlot> columns,
+            size_t n)
+      : schema(s), slots(std::move(columns)), frames(n) {}
+
+  const catalog::Schema* schema = nullptr;
+  std::vector<ColumnSlot> slots;
+  size_t frames = 1;
+};
+
+/// A stack of scopes at bind time, outermost first.
+using BindScope = std::vector<BindFrame>;
 
 /// Binds a standalone scalar (DML expressions) over `scope`. Subqueries
 /// bind with no tables, so their scans defer kNotFound.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -275,7 +276,111 @@ int64_t NowNs() {
       .count();
 }
 
+bool IsChain(const BoundNode& node) {
+  return (node.op == RaOp::kJoin || node.op == RaOp::kLeftOuterJoin ||
+          node.op == RaOp::kOuterApply) &&
+         node.inputs > 0;
+}
+
+/// A copy of each borrowed row: the one copy a row pays, made where it
+/// leaves the statement.
+ResultSet Copied(const BoundNode& node, const std::vector<const Row*>& refs) {
+  ResultSet out;
+  out.schema = node.schema;
+  out.rows.reserve(refs.size());
+  for (const Row* row : refs) out.rows.push_back(*row);
+  return out;
+}
+
 }  // namespace
+
+/// One execution of one operator in the profile: enters `node`'s entry
+/// under the current operator and, on scope exit, adds its wall time,
+/// one execution and (once Done) its rows out. Exec wraps every
+/// operator in one, and a join chain opens one for each operator it
+/// runs without Exec, so the tree and its labels are the same either
+/// way. Correlated subqueries and applies re-enter the same plan node,
+/// which folds into one entry with execs > 1. Wall time is inclusive of
+/// children and never touches the simulated clock, so the bill is the
+/// same with profiling on or off. A no-op without a profile.
+class Executor::ProfScope {
+ public:
+  ProfScope(Executor* ex, const BoundNode& node) : ex_(ex) {
+    if (ex->profile_ == nullptr) return;
+    parent_ = ex->prof_cur_;
+    me_ = ex->profile_->ChildFor(parent_, node.source,
+                                 ra::RaOpToString(node.op));
+    ex->prof_cur_ = me_;
+    t0_ = NowNs();
+  }
+  ProfScope(const ProfScope&) = delete;
+  ProfScope& operator=(const ProfScope&) = delete;
+  ~ProfScope() {
+    if (me_ == nullptr) return;
+    me_->wall_ns += NowNs() - t0_;
+    me_->execs += 1;
+    ex_->prof_cur_ = parent_;
+  }
+
+  /// The execution succeeded with `rows` out.
+  void Done(size_t rows) {
+    if (me_ != nullptr) me_->rows_out += static_cast<int64_t>(rows);
+  }
+
+ private:
+  Executor* ex_;
+  obs::ProfileNode* parent_ = nullptr;
+  obs::ProfileNode* me_ = nullptr;
+  int64_t t0_ = 0;
+};
+
+/// A join chain's output as row references. Input 0 is the chain's base;
+/// level i adds input i + 1 as one (left position, right row) pair per
+/// output, where the left position indexes the outputs below it and
+/// the right row is borrowed from its version (a key or index probe, a
+/// hash build or filter over a borrowed scan) or owned here (a right
+/// side's ResultSet rows, computed items, the NULL pad). Owned rows
+/// never move once referenced: result row vectors are moved in whole,
+/// which keeps their elements in place, and single rows live in a
+/// deque. Every borrowed row lives while the statement's snapshot pin
+/// is held (exec/batch.h).
+struct Executor::RefChain {
+  struct Level {
+    std::vector<size_t> left;
+    std::vector<const Row*> right;
+  };
+  std::vector<const Row*> base;
+  std::vector<Level> levels;
+  std::vector<std::vector<Row>> owned;
+  std::deque<Row> made;
+
+  /// Outputs of the chain so far.
+  size_t size() const {
+    return levels.empty() ? base.size() : levels.back().right.size();
+  }
+
+  /// Output `pos`'s row per input, into rows[0..levels.size()].
+  void Rows(size_t pos, const Row** rows) const {
+    for (size_t i = levels.size(); i > 0; --i) {
+      rows[i] = levels[i - 1].right[pos];
+      pos = levels[i - 1].left[pos];
+    }
+    rows[0] = base[pos];
+  }
+
+  /// Keeps `rows` and appends a reference to each to `refs`.
+  void Own(std::vector<Row> rows, std::vector<const Row*>* refs) {
+    if (rows.empty()) return;
+    owned.push_back(std::move(rows));
+    for (const Row& row : owned.back()) refs->push_back(&row);
+  }
+
+  /// Keeps one row.
+  const Row* Keep(Row row) {
+    made.push_back(std::move(row));
+    return &made.back();
+  }
+};
 
 Result<ResultSet> Executor::Execute(const RaNodePtr& node,
                                     const std::vector<Value>& params) {
@@ -435,21 +540,9 @@ std::unique_ptr<CompiledExpr> Executor::Compile(const BoundExpr& expr,
 
 Result<ResultSet> Executor::Exec(const BoundNode& node, EvalContext* ctx) {
   if (profile_ == nullptr) return ExecNode(node, ctx);
-  // Look up (or create) this plan node's profile entry under the
-  // current operator; correlated subqueries and OuterApply re-enter the
-  // same plan node, which folds into one entry with execs > 1. Wall
-  // time is inclusive of children and never touches the simulated
-  // clock, so the bill is the same with profiling on or off.
-  obs::ProfileNode* parent = prof_cur_;
-  obs::ProfileNode* me =
-      profile_->ChildFor(parent, node.source, ra::RaOpToString(node.op));
-  prof_cur_ = me;
-  const int64_t t0 = NowNs();
+  ProfScope prof(this, node);
   Result<ResultSet> out = ExecNode(node, ctx);
-  me->wall_ns += NowNs() - t0;
-  me->execs += 1;
-  if (out.ok()) me->rows_out += static_cast<int64_t>(out->rows.size());
-  prof_cur_ = parent;
+  if (out.ok()) prof.Done(out->rows.size());
   return out;
 }
 
@@ -457,47 +550,33 @@ Result<ResultSet> Executor::ExecNode(const BoundNode& node, EvalContext* ctx) {
   switch (node.op) {
     case RaOp::kScan: {
       if (!node.table_error.ok()) return node.table_error;
-      const storage::Table* table = TableAt(node.table_slot);
-      if (mode_ == ExecMode::kVector) return ExecScanBatch(node, *table);
-      ResultSet out;
-      out.schema = node.schema;
-      out.rows = table->rows(ReadSnapshot());
-      rows_processed_ += out.rows.size();
-      if (scan_rows_ != nullptr) RecordScan(out.rows.size(), out.WireSize());
-      return out;
+      std::vector<const Row*> refs;
+      ScanRefs(node, *TableAt(node.table_slot), &refs);
+      return Copied(node, refs);
     }
     case RaOp::kSelect: {
-      // Select(Scan) has three faster paths than materializing the scan.
-      // The unique-key lookup and the secondary-index scan read the
-      // bound split of the predicate. A unique-key lookup is what
-      // MySQL's primary-key index does for the paper's per-row scalar
-      // queries; any failure in it falls through. An index scan's
-      // kNotFound means inapplicable; any other error is a real
-      // execution failure. The batch path streams the shard cursors
-      // straight through the compiled predicate; a compile failure
-      // falls through to the unfused attempt below, which records the
-      // fallback. Which path runs is decided here, per execution.
+      // Select(Scan) takes its access path here, per execution: the
+      // unique key, then a secondary index (PointRefs), then -- in the
+      // vector engine at the top frame -- the batch path, which streams
+      // the shard cursors straight through the compiled predicate, and
+      // otherwise a filter over the borrowed scan. A predicate that does
+      // not compile falls back to that filter, counted.
       const BoundNode& child = node.children[0];
-      const storage::Table* table = node.split.has_value()
-                                        ? TableAt(child.table_slot)
-                                        : nullptr;
-      const bool keyed = table != nullptr && node.split->key_binding >= 0;
-      const bool indexed = table != nullptr && table->index_count() > 0;
-      const bool batch =
-          table != nullptr && mode_ == ExecMode::kVector && node.depth == 0;
-      if (keyed) {
-        Result<ResultSet> fast = TryKeyLookup(node, *table, ctx);
-        if (fast.ok()) return fast;
-      }
-      if (indexed) {
-        Result<ResultSet> idx = TrySecondaryIndexScan(node, *table, ctx);
-        if (idx.ok() || idx.status().code() != StatusCode::kNotFound) {
-          return idx;
+      if (node.split.has_value()) {
+        const storage::Table& table = *TableAt(child.table_slot);
+        std::vector<const Row*> refs;
+        Status point = PointRefs(node, table, ctx, &refs);
+        if (point.code() != StatusCode::kNotFound) {
+          if (!point.ok()) return point;
+          return Copied(node, refs);
         }
-      }
-      if (batch) {
-        std::unique_ptr<CompiledExpr> pred = Compile(node.predicate, ctx);
-        if (pred != nullptr) return ExecSelectScanBatch(node, *table, *pred);
+        if (mode_ == ExecMode::kVector && node.depth == 0) {
+          std::unique_ptr<CompiledExpr> pred = Compile(node.predicate, ctx);
+          if (pred != nullptr) return ExecSelectScanBatch(node, table, *pred);
+          RecordVectorFallback();
+        }
+        EQSQL_RETURN_IF_ERROR(ScanFilterRefs(node, table, ctx, &refs));
+        return Copied(node, refs);
       }
       EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(child, ctx));
       if (mode_ == ExecMode::kVector && node.depth == 0) {
@@ -515,6 +594,7 @@ Result<ResultSet> Executor::ExecNode(const BoundNode& node, EvalContext* ctx) {
       return out;
     }
     case RaOp::kProject: {
+      if (node.over_chain) return ProjectChain(node, ctx);
       EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
       if (mode_ == ExecMode::kVector && node.depth == 0) {
         std::vector<std::unique_ptr<CompiledExpr>> items;
@@ -554,11 +634,9 @@ Result<ResultSet> Executor::ExecNode(const BoundNode& node, EvalContext* ctx) {
       return out;
     }
     case RaOp::kJoin:
-      return ExecJoin(node, /*left_outer=*/false, ctx);
     case RaOp::kLeftOuterJoin:
-      return ExecJoin(node, /*left_outer=*/true, ctx);
     case RaOp::kOuterApply:
-      return ExecOuterApply(node, ctx);
+      return ExecChain(node, ctx);
     case RaOp::kGroupBy:
       return ExecGroupBy(node, ctx);
     case RaOp::kSort: {
@@ -624,24 +702,27 @@ Result<ResultSet> Executor::ExecNode(const BoundNode& node, EvalContext* ctx) {
   return Status::Internal("Exec: unknown operator");
 }
 
-Result<ResultSet> Executor::TryKeyLookup(const BoundNode& select,
-                                         const storage::Table& table,
-                                         EvalContext* ctx) {
+Result<const Row*> Executor::KeyLookupRef(const BoundNode& select,
+                                          const storage::Table& table,
+                                          EvalContext* ctx,
+                                          std::optional<const Row*> probed) {
   const BoundScanSplit& split = *select.split;
-  EQSQL_ASSIGN_OR_RETURN(Value probe, KeyProbe(split, ctx));
-  ResultSet out;
-  out.schema = select.schema;
-  // NULL equals nothing, so a NULL probe is a miss (the NULL-keyed row,
-  // if any, does not match).
-  std::optional<Row> hit;
-  if (!probe.is_null()) hit = table.GetByKey(probe, ReadSnapshot());
-  if (hit.has_value()) {
+  const Row* hit = nullptr;
+  if (probed.has_value()) {
+    hit = *probed;
+  } else {
+    EQSQL_ASSIGN_OR_RETURN(Value probe, KeyProbe(split, ctx));
+    // NULL equals nothing, so a NULL probe is a miss (the NULL-keyed
+    // row, if any, does not match).
+    if (!probe.is_null()) hit = table.ProbeKey(probe, ReadSnapshot());
+  }
+  if (hit != nullptr) {
     EQSQL_ASSIGN_OR_RETURN(bool pass, KeyResidualHolds(split, *hit, ctx));
-    if (pass) out.rows.push_back(std::move(*hit));
+    if (!pass) hit = nullptr;
   }
   rows_processed_ += 1;  // index probe, not a scan
   if (prof_cur_ != nullptr) prof_cur_->label = "KeyLookup";
-  return out;
+  return hit;
 }
 
 Result<Value> Executor::KeyProbe(const BoundScanSplit& split,
@@ -658,9 +739,55 @@ Result<bool> Executor::KeyResidualHolds(const BoundScanSplit& split,
       hit, ctx);
 }
 
-Result<ResultSet> Executor::TrySecondaryIndexScan(const BoundNode& select,
-                                                  const storage::Table& table,
-                                                  EvalContext* ctx) {
+Status Executor::PointRefs(const BoundNode& select, const storage::Table& table,
+                           EvalContext* ctx, std::vector<const Row*>* out,
+                           std::optional<const Row*> probed) {
+  // A unique-key lookup is what MySQL's primary-key index does for the
+  // paper's per-row scalar queries; any failure in it falls through.
+  // An index scan's kNotFound means inapplicable; any other error is a
+  // real execution failure.
+  if (select.split->key_binding >= 0) {
+    Result<const Row*> hit = KeyLookupRef(select, table, ctx, probed);
+    if (hit.ok()) {
+      if (*hit != nullptr) out->push_back(*hit);
+      return Status::OK();
+    }
+  }
+  if (table.index_count() == 0) return Status::NotFound("no index");
+  return IndexScanRefs(select, table, ctx, out);
+}
+
+Status Executor::SelectRefs(const BoundNode& select,
+                            const storage::Table& table, EvalContext* ctx,
+                            std::vector<const Row*>* out,
+                            std::optional<const Row*> probed) {
+  Status point = PointRefs(select, table, ctx, out, probed);
+  if (point.code() != StatusCode::kNotFound) return point;
+  return ScanFilterRefs(select, table, ctx, out);
+}
+
+Status Executor::ScanFilterRefs(const BoundNode& select,
+                                const storage::Table& table,
+                                EvalContext* ctx,
+                                std::vector<const Row*>* out) {
+  std::vector<const Row*> rows;
+  {
+    ProfScope prof(this, select.children[0]);
+    ScanRefs(select.children[0], table, &rows);
+    prof.Done(rows.size());
+  }
+  const size_t mark = out->size();
+  for (const Row* row : rows) {
+    EQSQL_ASSIGN_OR_RETURN(bool pass, Holds(select.predicate, *row, ctx));
+    if (pass) out->push_back(row);
+  }
+  rows_processed_ += out->size() - mark;
+  return Status::OK();
+}
+
+Status Executor::IndexScanRefs(const BoundNode& select,
+                               const storage::Table& table, EvalContext* ctx,
+                               std::vector<const Row*>* out) {
   // The bindings an index can serve were fixed at bind time: column-free
   // values, the first per column (later ones re-check as residual).
   const BoundScanSplit& split = *select.split;
@@ -703,157 +830,377 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const BoundNode& select,
   IndexHits hits;
   hits.Probe(*index, key, ReadSnapshot(), index_probes_, index_rows_);
 
-  ResultSet out;
-  out.schema = select.schema;
   auto residual = [&](size_t i) {
     return used[i] ? nullptr : &split.conjuncts[i].expr;
   };
+  const size_t mark = out->size();
   for (const Row* visible : hits.rows) {
-    EQSQL_ASSIGN_OR_RETURN(
-        bool pass, HoldsAll(split.conjuncts.size(), residual, *visible, ctx));
-    if (pass) out.rows.push_back(*visible);
+    Result<bool> pass =
+        HoldsAll(split.conjuncts.size(), residual, *visible, ctx);
+    if (!pass.ok()) {
+      out->resize(mark);
+      return pass.status();
+    }
+    if (*pass) out->push_back(visible);
   }
   // The bill is the work done: the probe, each visible candidate the
   // residual examined, and the rows out. No scan ran, so none is charged.
-  rows_processed_ += 1 + hits.rows.size() + out.rows.size();
+  rows_processed_ += 1 + hits.rows.size() + (out->size() - mark);
   if (index_scans_ != nullptr) index_scans_->Increment();
   if (prof_cur_ != nullptr) prof_cur_->label = "IndexScan";
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Join chains. A left-deep run of joins and applies over one base input
+// runs as one chain of levels over row references (RefChain): no level
+// builds a combined row. Every expression over a chain's rows pushes
+// one frame per input and reads the binder's (input, column) slots.
+// Levels run one after another, each over every output of the one
+// below, exactly as the materializing operators ran, so every error
+// surfaces at the same row with the same status and every bill is the
+// operators' own.
+
+Result<ResultSet> Executor::ExecChain(const BoundNode& node, EvalContext* ctx) {
+  RefChain chain;
+  EQSQL_RETURN_IF_ERROR(RunChain(node, ctx, &chain));
+  // A consumer other than a Project gets one gathered row per output.
+  ResultSet out;
+  out.schema = node.schema;
+  out.rows.reserve(chain.size());
+  std::vector<const Row*> rows(node.inputs);
+  for (size_t pos = 0; pos < chain.size(); ++pos) {
+    chain.Rows(pos, rows.data());
+    Row& row = out.rows.emplace_back();
+    row.reserve(node.slots.size());
+    for (const ColumnSlot& s : node.slots) {
+      row.push_back((*rows[s.input])[s.column]);
+    }
+  }
   return out;
 }
 
-Result<ResultSet> Executor::ExecJoin(const BoundNode& node, bool left_outer,
-                                     EvalContext* ctx) {
-  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(node.children[0], ctx));
-  // Index nested loop: when the right side is a base scan whose equi-key
-  // columns exactly cover a ready index, the index supplies each left
-  // row's candidates and the right side is never materialized.
-  const BoundNode& right_node = node.children[1];
-  ResultSet right;
-  std::shared_ptr<const storage::SecondaryIndex> index;
-  std::vector<size_t> perm;
-  if (right_node.op == RaOp::kScan && right_node.table_error.ok()) {
-    const storage::Table& table = *TableAt(right_node.table_slot);
-    if (table.index_count() > 0) {
-      right.schema = right_node.schema;
-      index = JoinIndex(node.join->index_columns, table, &perm);
-    }
+Result<ResultSet> Executor::ProjectChain(const BoundNode& node,
+                                         EvalContext* ctx) {
+  const BoundNode& child = node.children[0];
+  RefChain chain;
+  {
+    ProfScope prof(this, child);
+    EQSQL_RETURN_IF_ERROR(RunChain(child, ctx, &chain));
+    prof.Done(chain.size());
   }
-  const storage::Snapshot snap = ReadSnapshot();
-  // Otherwise the candidates come from a hash build over the right rows,
-  // which evaluates every right key before any left key. With no key
-  // every right row is a candidate of every left row under the one
-  // empty key: a nested loop.
-  std::unordered_map<std::vector<Value>, std::vector<const Row*>, RowVecHash,
-                     RowVecEq>
-      build;
-  std::vector<Value> key;
-  // Evaluates `exprs` over `row` into `key`; false if any is NULL, since
-  // NULL keys never match.
-  auto eval_key = [&](const std::vector<BoundExpr>& exprs,
-                      const Row& row) -> Result<bool> {
-    key.clear();
-    bool null_key = false;
-    ctx->PushFrame(&row);
+  // Each output value is read from its input's row once, straight into
+  // the projected row; items evaluate left to right, and the first
+  // erroring item aborts the statement.
+  ResultSet out;
+  out.schema = node.schema;
+  out.rows.reserve(chain.size());
+  std::vector<const Row*> rows(child.inputs);
+  for (size_t pos = 0; pos < chain.size(); ++pos) {
+    chain.Rows(pos, rows.data());
+    ctx->PushFrames(rows.data(), rows.size());
+    Row projected;
+    projected.reserve(node.items.size());
     Status status = Status::OK();
-    for (const BoundExpr& e : exprs) {
-      Result<Value> v = EvalScalar(e, ctx);
+    for (const BoundExpr& item : node.items) {
+      if (item.op == ScalarOp::kColumnRef && item.error.ok()) {
+        projected.push_back(ctx->Column(item.level, item.column));
+        continue;
+      }
+      Result<Value> v = EvalScalar(item, ctx);
       if (!v.ok()) {
         status = v.status();
         break;
       }
-      null_key = null_key || v->is_null();
-      key.push_back(std::move(*v));
+      projected.push_back(std::move(*v));
     }
-    ctx->PopFrame();
+    ctx->PopFrames(rows.size());
     EQSQL_RETURN_IF_ERROR(status);
-    return !null_key;
-  };
-  // The right side is never scanned under an index: each probe bills
-  // itself and its visible candidates in the loop below.
-  if (index == nullptr) {
-    EQSQL_ASSIGN_OR_RETURN(right, Exec(right_node, ctx));
-    for (const Row& rrow : right.rows) {
-      EQSQL_ASSIGN_OR_RETURN(bool usable,
-                             eval_key(node.join->right_keys, rrow));
-      if (usable) build[std::move(key)].push_back(&rrow);
-    }
-  }
-  const BoundJoin& join = *node.join;
-
-  // The one probe loop: left rows in order, each one's candidates in
-  // build order (slot-seq order for the index, the same order), the
-  // residual, then NULL padding for an unmatched left row.
-  ResultSet out;
-  out.schema = node.schema;
-  const Row null_right(right.schema->size(), Value::Null());
-  auto residual = [&join](size_t i) { return &join.residual[i]; };
-  IndexHits hits;
-  std::vector<Value> probe;
-  for (const Row& lrow : left.rows) {
-    EQSQL_ASSIGN_OR_RETURN(bool usable, eval_key(join.left_keys, lrow));
-    const std::vector<const Row*>* candidates = nullptr;
-    if (usable && index != nullptr) {
-      probe.clear();
-      for (size_t j : perm) probe.push_back(key[j]);
-      hits.Probe(*index, probe, snap, index_nlj_probes_, index_rows_);
-      candidates = &hits.rows;
-      rows_processed_ += 1 + hits.rows.size();
-    } else if (usable) {
-      auto it = build.find(key);
-      if (it != build.end()) candidates = &it->second;
-    }
-    bool matched = false;
-    for (size_t i = 0; candidates != nullptr && i < candidates->size(); ++i) {
-      const Row& rrow = *(*candidates)[i];
-      Row combined = lrow;
-      combined.insert(combined.end(), rrow.begin(), rrow.end());
-      EQSQL_ASSIGN_OR_RETURN(
-          bool pass, HoldsAll(join.residual.size(), residual, combined, ctx));
-      if (!pass) continue;
-      out.rows.push_back(std::move(combined));
-      matched = true;
-    }
-    if (left_outer && !matched) {
-      Row combined = lrow;
-      combined.insert(combined.end(), null_right.begin(), null_right.end());
-      out.rows.push_back(std::move(combined));
-    }
+    out.rows.push_back(std::move(projected));
   }
   rows_processed_ += out.rows.size();
-  if (index != nullptr && prof_cur_ != nullptr) {
-    prof_cur_->label = "IndexNestedLoopJoin";
-  }
   return out;
 }
 
-Result<ResultSet> Executor::ExecOuterApply(const BoundNode& node,
-                                           EvalContext* ctx) {
-  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(node.children[0], ctx));
-  const BoundNode& right = node.children[1];
-  // The padding width needs the right side's schema before any row runs.
-  if (!right.schema_error.ok()) return right.schema_error;
-  ResultSet out;
-  out.schema = node.schema;
-  const Row null_right(right.schema->size(), Value::Null());
-  for (const Row& lrow : left.rows) {
-    ctx->PushFrame(&lrow);
-    Result<ResultSet> inner = Exec(right, ctx);
-    ctx->PopFrame();
-    if (!inner.ok()) return inner.status();
-    if (inner->rows.empty()) {
-      Row combined = lrow;
-      combined.insert(combined.end(), null_right.begin(), null_right.end());
-      out.rows.push_back(std::move(combined));
-    } else {
-      for (Row& rrow : inner->rows) {
-        Row combined = lrow;
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
-        out.rows.push_back(std::move(combined));
+Status Executor::RunChain(const BoundNode& node, EvalContext* ctx,
+                          RefChain* chain) {
+  // The base input: a borrowed scan, or any other operator's result.
+  const BoundNode& left = node.children[0];
+  if (IsChain(left)) {
+    ProfScope prof(this, left);
+    EQSQL_RETURN_IF_ERROR(RunChain(left, ctx, chain));
+    prof.Done(chain->size());
+  } else if (left.op == RaOp::kScan && left.table_error.ok()) {
+    ProfScope prof(this, left);
+    ScanRefs(left, *TableAt(left.table_slot), &chain->base);
+    prof.Done(chain->base.size());
+  } else {
+    EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(left, ctx));
+    chain->Own(std::move(in.rows), &chain->base);
+  }
+  switch (node.op) {
+    case RaOp::kJoin:
+      return JoinLevel(node, /*left_outer=*/false, ctx, chain);
+    case RaOp::kLeftOuterJoin:
+      return JoinLevel(node, /*left_outer=*/true, ctx, chain);
+    default:
+      return node.probe ? ProbeLevel(node, ctx, chain)
+                        : ApplyLevel(node, ctx, chain);
+  }
+}
+
+/// The one probe loop. For each output of the chain so far, in order,
+/// it pushes that output's input rows as frames and asks
+/// `candidates(position, &rows)` for the right rows, which it appends
+/// (borrowed, or kept in `chain`) in candidate order. The level emits
+/// one (left position, right row) pair per candidate that passes
+/// `residual` (a join's, checked with the candidate pushed as the
+/// innermost frame; null or empty = always), and for an outer level the
+/// NULL pad, `pad_width` wide, when none does. The level bills its
+/// outputs, as the materializing operators billed their rows out.
+template <typename Candidates>
+Status Executor::ProbeLoop(const BoundNode& node, bool outer, size_t pad_width,
+                           const std::vector<BoundExpr>* residual,
+                           EvalContext* ctx, RefChain* chain,
+                           const Candidates& candidates) {
+  if (node.inputs == 0) return node.schema_error;
+  const size_t left_inputs = node.inputs - 1;
+  const bool check = residual != nullptr && !residual->empty();
+  auto conjunct = [residual](size_t i) { return &(*residual)[i]; };
+  const Row* pad =
+      outer ? chain->Keep(Row(pad_width, Value::Null())) : nullptr;
+  RefChain::Level level;
+  std::vector<const Row*> rows(left_inputs);
+  std::vector<const Row*> found;
+  const size_t n = chain->size();
+  for (size_t pos = 0; pos < n; ++pos) {
+    chain->Rows(pos, rows.data());
+    ctx->PushFrames(rows.data(), left_inputs);
+    found.clear();
+    Status status = candidates(pos, &found);
+    bool matched = false;
+    for (size_t i = 0; status.ok() && i < found.size(); ++i) {
+      if (check) {
+        Result<bool> pass =
+            HoldsAll(residual->size(), conjunct, *found[i], ctx);
+        if (!pass.ok()) {
+          status = pass.status();
+          break;
+        }
+        if (!*pass) continue;
       }
+      level.left.push_back(pos);
+      level.right.push_back(found[i]);
+      matched = true;
+    }
+    ctx->PopFrames(left_inputs);
+    EQSQL_RETURN_IF_ERROR(status);
+    if (outer && !matched) {
+      level.left.push_back(pos);
+      level.right.push_back(pad);
     }
   }
-  rows_processed_ += out.rows.size();
-  return out;
+  rows_processed_ += level.right.size();
+  chain->levels.push_back(std::move(level));
+  return Status::OK();
+}
+
+namespace {
+
+/// Evaluates `exprs` over the pushed frames into `key`; false if any is
+/// NULL, since NULL keys never match.
+template <typename EvalFn>
+Result<bool> EvalKey(const std::vector<BoundExpr>& exprs, const EvalFn& eval,
+                     std::vector<Value>* key) {
+  key->clear();
+  bool usable = true;
+  for (const BoundExpr& e : exprs) {
+    EQSQL_ASSIGN_OR_RETURN(Value v, eval(e));
+    usable = usable && !v.is_null();
+    key->push_back(std::move(v));
+  }
+  return usable;
+}
+
+}  // namespace
+
+Status Executor::JoinLevel(const BoundNode& node, bool left_outer,
+                           EvalContext* ctx, RefChain* chain) {
+  // Index nested loop: when the right side is a base scan whose equi-key
+  // columns exactly cover a ready index, the index supplies each left
+  // row's candidates and the right side is never scanned; each probe
+  // bills itself and its visible candidates.
+  const BoundNode& right_node = node.children[1];
+  const bool base_scan =
+      right_node.op == RaOp::kScan && right_node.table_error.ok();
+  const storage::Table* table =
+      base_scan ? TableAt(right_node.table_slot) : nullptr;
+  std::shared_ptr<const storage::SecondaryIndex> index;
+  std::vector<size_t> perm;
+  if (table != nullptr && table->index_count() > 0 && node.join.has_value()) {
+    index = JoinIndex(node.join->index_columns, *table, &perm);
+  }
+  auto eval = [this, ctx](const BoundExpr& e) { return EvalScalar(e, ctx); };
+  // Otherwise the candidates come from a hash build over the right rows
+  // (a base scan's borrowed, any other right side's kept), which
+  // evaluates every right key before any left key. With no key every
+  // right row is a candidate of every left row under the one empty key:
+  // a nested loop.
+  std::unordered_map<std::vector<Value>, std::vector<const Row*>, RowVecHash,
+                     RowVecEq>
+      build;
+  std::vector<Value> key;
+  if (index == nullptr) {
+    std::vector<const Row*> right;
+    if (table != nullptr) {
+      ProfScope prof(this, right_node);
+      ScanRefs(right_node, *table, &right);
+      prof.Done(right.size());
+    } else {
+      EQSQL_ASSIGN_OR_RETURN(ResultSet rs, Exec(right_node, ctx));
+      chain->Own(std::move(rs.rows), &right);
+    }
+    if (!node.join.has_value()) return node.schema_error;
+    for (const Row* rrow : right) {
+      ctx->PushFrame(rrow);
+      Result<bool> usable = EvalKey(node.join->right_keys, eval, &key);
+      ctx->PopFrame();
+      if (!usable.ok()) return usable.status();
+      if (*usable) build[std::move(key)].push_back(rrow);
+    }
+  }
+  if (!node.join.has_value()) return node.schema_error;
+  const BoundJoin& join = *node.join;
+  const storage::Snapshot snap = ReadSnapshot();
+  IndexHits hits;
+  std::vector<Value> probe;
+  EQSQL_RETURN_IF_ERROR(ProbeLoop(
+      node, left_outer, right_node.schema->size(), &join.residual, ctx, chain,
+      [&](size_t, std::vector<const Row*>* out) -> Status {
+        EQSQL_ASSIGN_OR_RETURN(bool usable,
+                               EvalKey(join.left_keys, eval, &key));
+        if (!usable) return Status::OK();
+        if (index != nullptr) {
+          probe.clear();
+          for (size_t j : perm) probe.push_back(key[j]);
+          hits.Probe(*index, probe, snap, index_nlj_probes_, index_rows_);
+          rows_processed_ += 1 + hits.rows.size();
+          out->insert(out->end(), hits.rows.begin(), hits.rows.end());
+          return Status::OK();
+        }
+        auto it = build.find(key);
+        if (it != build.end()) {
+          out->insert(out->end(), it->second.begin(), it->second.end());
+        }
+        return Status::OK();
+      }));
+  if (index != nullptr && prof_cur_ != nullptr) {
+    prof_cur_->label = "IndexNestedLoopJoin";
+  }
+  return Status::OK();
+}
+
+Status Executor::ProbeLevel(const BoundNode& node, EvalContext* ctx,
+                            RefChain* chain) {
+  // The right side, Project?(Select(Scan R)), runs as its operators
+  // would, without a ResultSet: the Select's access path supplies the
+  // candidates, and the Project bills them as its rows out. Its row is
+  // R's own when the binder mapped every item to a column of R, and
+  // otherwise the items, computed over the hit pushed as the
+  // innermost frame.
+  const BoundNode& right = node.children[1];
+  const BoundNode* project = right.op == RaOp::kProject ? &right : nullptr;
+  const BoundNode& select = project != nullptr ? right.children[0] : right;
+  const storage::Table& table = *TableAt(select.children[0].table_slot);
+  const size_t width =
+      node.probe_borrows ? select.schema->size() : right.schema->size();
+  // A key binding whose value is a plain column (T7's `d.aid = a.id`) is
+  // pure, so the level reads it for a window of left rows ahead of them
+  // and probes the key once per window (Table::ProbeKeys); each row then
+  // runs its access path in order with its hit ready.
+  const BoundScanSplit& split = *select.split;
+  const BoundExpr* key = split.key_binding >= 0
+                             ? &*split.conjuncts[split.key_binding].value
+                             : nullptr;
+  const bool batched =
+      key != nullptr && key->op == ScalarOp::kColumnRef && key->error.ok();
+  constexpr size_t kWindow = 64;
+  size_t window = 0;  // first position of the resolved window
+  size_t resolved = 0;
+  std::vector<Value> values(kWindow);
+  std::vector<const Value*> probes(kWindow);
+  std::vector<const Row*> hits(kWindow);
+  std::vector<const Row*> rows(node.inputs);
+  auto probed = [&](size_t pos) -> std::optional<const Row*> {
+    if (!batched) return std::nullopt;
+    if (pos >= window + resolved) {
+      window = pos;
+      resolved = std::min(kWindow, chain->size() - pos);
+      for (size_t i = 0; i < resolved; ++i) {
+        if (key->level < node.depth) {
+          values[i] = ctx->Column(key->level, key->column);
+        } else {
+          chain->Rows(pos + i, rows.data());
+          values[i] = (*rows[key->level - node.depth])[key->column];
+        }
+        // NULL equals nothing, so a NULL probe is a miss.
+        probes[i] = values[i].is_null() ? nullptr : &values[i];
+      }
+      table.ProbeKeys(probes.data(), resolved, ReadSnapshot(), hits.data());
+    }
+    return hits[pos - window];
+  };
+  return ProbeLoop(
+      node, /*outer=*/true, width, /*residual=*/nullptr, ctx, chain,
+      [&](size_t pos, std::vector<const Row*>* out) -> Status {
+        ProfScope top(this, right);
+        if (project == nullptr) {
+          EQSQL_RETURN_IF_ERROR(
+              SelectRefs(select, table, ctx, out, probed(pos)));
+          top.Done(out->size());
+          return Status::OK();
+        }
+        {
+          ProfScope inner(this, select);
+          EQSQL_RETURN_IF_ERROR(
+              SelectRefs(select, table, ctx, out, probed(pos)));
+          inner.Done(out->size());
+        }
+        for (size_t i = 0; !node.probe_borrows && i < out->size(); ++i) {
+          ctx->PushFrame((*out)[i]);
+          Row projected;
+          projected.reserve(project->items.size());
+          Status status = Status::OK();
+          for (const BoundExpr& item : project->items) {
+            Result<Value> v = EvalScalar(item, ctx);
+            if (!v.ok()) {
+              status = v.status();
+              break;
+            }
+            projected.push_back(std::move(*v));
+          }
+          ctx->PopFrame();
+          EQSQL_RETURN_IF_ERROR(status);
+          (*out)[i] = chain->Keep(std::move(projected));
+        }
+        rows_processed_ += out->size();
+        top.Done(out->size());
+        return Status::OK();
+      });
+}
+
+Status Executor::ApplyLevel(const BoundNode& node, EvalContext* ctx,
+                            RefChain* chain) {
+  // The padding width needs the right side's schema before any row runs.
+  const BoundNode& right = node.children[1];
+  if (!right.schema_error.ok()) return right.schema_error;
+  return ProbeLoop(node, /*outer=*/true, right.schema->size(),
+                   /*residual=*/nullptr, ctx, chain,
+                   [&](size_t, std::vector<const Row*>* out) -> Status {
+                     EQSQL_ASSIGN_OR_RETURN(ResultSet inner, Exec(right, ctx));
+                     chain->Own(std::move(inner.rows), out);
+                     return Status::OK();
+                   });
 }
 
 Result<ResultSet> Executor::ExecGroupBy(const BoundNode& node,
@@ -1035,21 +1382,21 @@ struct ShardRows {
   std::vector<uint32_t> sel;
 };
 
-/// Concatenates the slots' borrowed rows, orders them by seq (the
-/// serial scan's insertion order) and copies each once: the one copy a
-/// scanned row pays, made where it leaves the statement.
-std::vector<Row> CopyInSeqOrder(std::vector<ShardRows>* slots) {
+/// The slots' borrowed rows in seq order (the serial scan's insertion
+/// order), appended to `out`. Each slot holds one shard's run, which
+/// storage::OrderSeqRuns checks, sorts only if it must, and merges.
+void RefsInSeqOrder(std::vector<ShardRows>* slots,
+                    std::vector<const Row*>* out) {
   std::vector<SeqRef>& all = slots->front().rows;
+  std::vector<size_t> run_ends{all.size()};
   for (size_t i = 1; i < slots->size(); ++i) {
     const std::vector<SeqRef>& part = (*slots)[i].rows;
     all.insert(all.end(), part.begin(), part.end());
+    run_ends.push_back(all.size());
   }
-  std::sort(all.begin(), all.end(),
-            [](const SeqRef& a, const SeqRef& b) { return a.first < b.first; });
-  std::vector<Row> out;
-  out.reserve(all.size());
-  for (const SeqRef& r : all) out.push_back(*r.second);
-  return out;
+  storage::OrderSeqRuns(&all, std::move(run_ends));
+  out->reserve(out->size() + all.size());
+  for (const SeqRef& r : all) out->push_back(r.second);
 }
 
 /// Pointers to `rows`, the form CompiledExpr::Eval reads: a
@@ -1066,13 +1413,15 @@ std::vector<const Row*> RowPointers(const std::vector<Row>& rows) {
 template <typename Slot, typename Consume>
 Executor::ShardScan Executor::ScanShards(const storage::Table& table,
                                          const char* span,
+                                         bool slot_per_shard,
                                          std::vector<Slot>* slots,
                                          const Consume& consume) {
   const size_t shards = table.shard_count();
-  const bool pooled = pool_ != nullptr && shards > 1 &&
+  const bool vector = mode_ == ExecMode::kVector;
+  const bool pooled = vector && pool_ != nullptr && shards > 1 &&
                       table.row_count() >= parallel_threshold_;
   slots->clear();
-  slots->resize(pooled ? shards : 1);
+  slots->resize(pooled || slot_per_shard ? shards : 1);
   const storage::Snapshot snap = ReadSnapshot();
   std::vector<ShardScan> scanned(shards);
   // The one shard task body; only where it runs differs below.
@@ -1081,14 +1430,16 @@ Executor::ShardScan Executor::ScanShards(const storage::Table& table,
     Batch batch;
     for (size_t n = NextBatch(&cursor, &batch); n != 0;
          n = NextBatch(&cursor, &batch)) {
-      RecordBatch(n);
+      if (vector) RecordBatch(n);
       scanned[s].rows += n;
       scanned[s].bytes += batch.wire_bytes;
       consume(&batch, slot);
     }
   };
   if (!pooled) {
-    for (size_t s = 0; s < shards; ++s) scan_shard(s, &slots->front());
+    for (size_t s = 0; s < shards; ++s) {
+      scan_shard(s, &(*slots)[slot_per_shard ? s : 0]);
+    }
   } else {
     if (parallel_batches_ != nullptr) parallel_batches_->Increment();
     // Per-shard counter handles, resolved here so tasks never take the
@@ -1144,21 +1495,19 @@ Executor::ShardScan Executor::ScanShards(const storage::Table& table,
   return total;
 }
 
-Result<ResultSet> Executor::ExecScanBatch(const BoundNode& node,
-                                          const storage::Table& table) {
-  ResultSet out;
-  out.schema = node.schema;
+void Executor::ScanRefs(const BoundNode& scan, const storage::Table& table,
+                        std::vector<const Row*>* out) {
   std::vector<ShardRows> slots;
-  const ShardScan scanned = ScanShards(
-      table, "shard-scan", &slots, [](Batch* batch, ShardRows* r) {
-        for (size_t i = 0; i < batch->size(); ++i) {
-          r->rows.emplace_back(batch->seqs[i], batch->rows[i]);
-        }
-      });
-  out.rows = CopyInSeqOrder(&slots);
-  rows_processed_ += out.rows.size();
+  const ShardScan scanned =
+      ScanShards(table, "shard-scan", /*slot_per_shard=*/true, &slots,
+                 [](Batch* batch, ShardRows* r) {
+                   for (size_t i = 0; i < batch->size(); ++i) {
+                     r->rows.emplace_back(batch->seqs[i], batch->rows[i]);
+                   }
+                 });
+  RefsInSeqOrder(&slots, out);
+  rows_processed_ += scanned.rows;
   if (scan_rows_ != nullptr) RecordScan(scanned.rows, scanned.bytes);
-  return out;
 }
 
 Result<ResultSet> Executor::ExecSelectScanBatch(const BoundNode& node,
@@ -1171,7 +1520,8 @@ Result<ResultSet> Executor::ExecSelectScanBatch(const BoundNode& node,
   // subquery rows, exactly as the row engine's count would be.
   std::vector<ShardRows> slots;
   const ShardScan scanned = ScanShards(
-      table, "shard-filter", &slots, [&pred](Batch* batch, ShardRows* r) {
+      table, "shard-filter", /*slot_per_shard=*/true, &slots,
+      [&pred](Batch* batch, ShardRows* r) {
         const size_t n = batch->size();
         pred.Eval(batch->rows.data(), n, &r->pred);
         if (!r->pred.has_err && r->fail.ok()) {
@@ -1198,7 +1548,10 @@ Result<ResultSet> Executor::ExecSelectScanBatch(const BoundNode& node,
   SeqFailure fail;
   for (const ShardRows& r : slots) fail.Merge(r.fail);
   if (!fail.ok()) return fail.status;
-  out.rows = CopyInSeqOrder(&slots);
+  std::vector<const Row*> kept;
+  RefsInSeqOrder(&slots, &kept);
+  out.rows.reserve(kept.size());
+  for (const Row* row : kept) out.rows.push_back(*row);
   rows_processed_ += out.rows.size();
   return out;
 }
@@ -1516,7 +1869,7 @@ Result<ResultSet> Executor::ExecGroupByBatch(const BoundNode& node,
   // pooled, each shard folds its own and they merge here.
   std::vector<GroupPartial> partials;
   const ShardScan scanned = ScanShards(
-      table, "shard-aggregate", &partials,
+      table, "shard-aggregate", /*slot_per_shard=*/false, &partials,
       [&plan](Batch* batch, GroupPartial* p) {
         p->Fold(plan, batch->rows.data(), batch->seqs.data(), batch->size());
       });

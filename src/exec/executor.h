@@ -2,6 +2,7 @@
 #define EQSQL_EXEC_EXECUTOR_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -44,6 +45,11 @@ class EvalContext {
 
   void PushFrame(const catalog::Row* row) { frames_.push_back(row); }
   void PopFrame() { frames_.pop_back(); }
+  /// Pushes `n` frames at once: a join chain's rows, one per input.
+  void PushFrames(const catalog::Row* const* rows, size_t n) {
+    frames_.insert(frames_.end(), rows, rows + n);
+  }
+  void PopFrames(size_t n) { frames_.resize(frames_.size() - n); }
 
   /// The value at a bound slot: column `column` of the row at frame
   /// level `level`, counted from the outermost frame.
@@ -64,8 +70,9 @@ class EvalContext {
 /// It runs bound plans (exec/binder.h): every name was resolved when
 /// the plan was bound, so execution reads rows and tables by slot.
 ///
-/// Joins with extractable equi-conjuncts probe an index or a hash
-/// build; everything else is a (predicated) nested loop.
+/// Joins and applies run as levels of a join chain over row references
+/// (RunChain): a level probes an index, a unique key or a hash build
+/// for each left row's candidates, or runs its right side per left row.
 ///
 /// Shared-read contract: execution touches the database exclusively
 /// through `const storage::Database*` / `const storage::Table*` — no
@@ -187,22 +194,47 @@ class Executor {
   const storage::Table* TableAt(size_t slot) const {
     return guard_->table(slot);
   }
-  /// Unique-key point lookup for Select(Scan): probes the table's key
-  /// with the split's key binding and re-checks the rest of the
-  /// predicate. The caller treats any failure as "try the next path".
-  Result<ResultSet> TryKeyLookup(const BoundNode& select,
-                                 const storage::Table& table,
-                                 EvalContext* ctx);
-  /// Secondary-index scan for Select(Scan): when bindings pin a ready
-  /// SecondaryIndex's columns to column-free expressions, probes the
-  /// index and revalidates each candidate against the read snapshot
-  /// instead of materializing the full scan. Bills what it touches: one
-  /// row for the probe plus each visible candidate, then the rows out;
-  /// nothing to storage.scan.*. kNotFound = inapplicable, caller falls
-  /// through.
-  Result<ResultSet> TrySecondaryIndexScan(const BoundNode& select,
-                                          const storage::Table& table,
-                                          EvalContext* ctx);
+  /// Profile bookkeeping for one execution of one operator
+  /// (executor.cc).
+  class ProfScope;
+
+  /// Select(Scan)'s access path, which every execution of the operator
+  /// takes, borrowing the rows it keeps (exec/batch.h's lifetime rule):
+  /// the unique key, then a secondary index, then a filter over the
+  /// borrowed scan. SelectRefs runs all three; PointRefs the first two,
+  /// returning kNotFound when neither applies (the caller scans).
+  /// `probed`, when set, is the key probe's hit, already resolved by a
+  /// batched probe (Table::ProbeKeys).
+  Status SelectRefs(const BoundNode& select, const storage::Table& table,
+                    EvalContext* ctx, std::vector<const catalog::Row*>* out,
+                    std::optional<const catalog::Row*> probed = std::nullopt);
+  Status PointRefs(const BoundNode& select, const storage::Table& table,
+                   EvalContext* ctx, std::vector<const catalog::Row*>* out,
+                   std::optional<const catalog::Row*> probed = std::nullopt);
+  /// Unique-key point lookup: probes the key with the split's key
+  /// binding (or takes `probed`) and re-checks the rest of the
+  /// predicate on the hit. The hit, or nullptr on a miss; any failure
+  /// means "try the next path".
+  Result<const catalog::Row*> KeyLookupRef(
+      const BoundNode& select, const storage::Table& table, EvalContext* ctx,
+      std::optional<const catalog::Row*> probed);
+  /// Secondary-index scan: when bindings pin a ready SecondaryIndex's
+  /// columns to column-free expressions, probes the index and
+  /// revalidates each candidate against the read snapshot instead of
+  /// scanning. Bills what it touches: one row for the probe plus each
+  /// visible candidate, then the rows out; nothing to storage.scan.*.
+  /// kNotFound = inapplicable (nothing appended), caller falls through.
+  Status IndexScanRefs(const BoundNode& select, const storage::Table& table,
+                       EvalContext* ctx, std::vector<const catalog::Row*>* out);
+  /// The predicate over the borrowed scan, billed as Scan then Select.
+  Status ScanFilterRefs(const BoundNode& select, const storage::Table& table,
+                        EvalContext* ctx,
+                        std::vector<const catalog::Row*>* out);
+  /// Scan `scan` of `table`: its visible rows, borrowed, in insertion
+  /// order, with the Scan operator's bill. One step for both engines;
+  /// only the vector engine fans out to the pool and counts batches.
+  void ScanRefs(const BoundNode& scan, const storage::Table& table,
+                std::vector<const catalog::Row*>* out);
   Result<catalog::Value> EvalScalar(const BoundExpr& expr, EvalContext* ctx);
   /// True if `pred` holds over `row` (pushed as the innermost frame).
   Result<bool> Holds(const BoundExpr& pred, const catalog::Row& row,
@@ -214,17 +246,35 @@ class Executor {
   template <typename Conjunct>
   Result<bool> HoldsAll(size_t n, const Conjunct& conjunct,
                         const catalog::Row& row, EvalContext* ctx);
-  /// Inner and left-outer joins. Equi-keys are split from the predicate
-  /// once; one probe loop takes each left row's candidates from an
-  /// index when the right side is a base scan whose key columns exactly
-  /// cover a ready index (index nested loop, billing one row per probe
-  /// plus its visible candidates instead of a right-side scan), and
-  /// otherwise from a hash build over the right rows
-  /// (with no key, every right row: a nested loop). Output order is
-  /// left order, then right insertion order within a key, either way.
-  Result<ResultSet> ExecJoin(const BoundNode& node, bool left_outer,
-                             EvalContext* ctx);
-  Result<ResultSet> ExecOuterApply(const BoundNode& node, EvalContext* ctx);
+  /// A join chain's output as row references (executor.cc).
+  struct RefChain;
+  /// Runs the join chain topped by `node` (a join or apply bound as a
+  /// chain level) into `chain`: its base input, then each level in
+  /// order, every level over all rows of the one below, as the
+  /// materializing operators ran. ExecChain gathers one row per output
+  /// for any consumer; ProjectChain evaluates a Project's items over the
+  /// references, gathering each output value once.
+  Status RunChain(const BoundNode& node, EvalContext* ctx, RefChain* chain);
+  Result<ResultSet> ExecChain(const BoundNode& node, EvalContext* ctx);
+  Result<ResultSet> ProjectChain(const BoundNode& node, EvalContext* ctx);
+  /// The three kinds of chain level. A join takes each left row's
+  /// candidates from an index when the right side is a base scan whose
+  /// key columns exactly cover a ready index (index nested loop, billing
+  /// one row per probe plus its visible candidates instead of a
+  /// right-side scan), and otherwise from a hash build over the right
+  /// rows (with no key, every right row: a nested loop). A probe apply
+  /// takes them from its Select(Scan)'s access path; any other apply
+  /// runs its right side once per left row. Output order is left order,
+  /// then candidate order.
+  Status JoinLevel(const BoundNode& node, bool left_outer, EvalContext* ctx,
+                   RefChain* chain);
+  Status ProbeLevel(const BoundNode& node, EvalContext* ctx, RefChain* chain);
+  Status ApplyLevel(const BoundNode& node, EvalContext* ctx, RefChain* chain);
+  /// The one probe loop every level runs: see executor.cc.
+  template <typename Candidates>
+  Status ProbeLoop(const BoundNode& node, bool outer, size_t pad_width,
+                   const std::vector<BoundExpr>* residual, EvalContext* ctx,
+                   RefChain* chain, const Candidates& candidates);
   Result<ResultSet> ExecGroupBy(const BoundNode& node, EvalContext* ctx);
 
   /// A group-by whose pieces all compiled for batch evaluation:
@@ -247,14 +297,11 @@ class Executor {
 
   /// Vectorized operators (mode_ == kVector). Each mirrors its row
   /// twin's results, error selection, and cost accounting exactly. The
-  /// three scan shapes — Scan, Select(Scan), GroupBy([Select(]Scan[)]) —
-  /// each stream every shard's batches through one consumer via
-  /// ScanShards. They read the batches' borrowed rows in place
-  /// (exec/batch.h) and copy a row only into the ResultSet: the scan
-  /// copies every visible row, the filter the rows it keeps, and the
-  /// group-by none.
-  Result<ResultSet> ExecScanBatch(const BoundNode& node,
-                                  const storage::Table& table);
+  /// fused scan shapes -- Select(Scan), GroupBy([Select(]Scan[)]) --
+  /// stream every shard's batches through one consumer via ScanShards,
+  /// as ScanRefs does. They read the batches' borrowed rows in place
+  /// (exec/batch.h) and copy a row only into the ResultSet: the filter
+  /// the rows it keeps, and the group-by none.
   Result<ResultSet> ExecSelectScanBatch(const BoundNode& node,
                                         const storage::Table& table,
                                         const CompiledExpr& pred);
@@ -277,19 +324,23 @@ class Executor {
     size_t rows = 0;
     size_t bytes = 0;
   };
-  /// The shard fan-out behind the three scan shapes. Streams each
-  /// shard's visible rows, one batch at a time, through
-  /// `consume(Batch*, Slot*)` and returns what all shards scanned.
-  /// Pooled — a pool is attached and the table has more than one shard
-  /// and at least parallel_threshold_ rows — every shard is one pool
-  /// task writing its own slot, run under a shard span and charged to
+  /// The shard fan-out behind every scan. Streams each shard's visible
+  /// rows, one batch at a time, through `consume(Batch*, Slot*)` and
+  /// returns what all shards scanned. Pooled -- the vector engine, a
+  /// pool attached, and a table with more than one shard and at least
+  /// parallel_threshold_ rows -- every shard is one pool task writing
+  /// its own slot, run under a shard span and charged to
   /// exec.parallel.batches, storage.shard.<i>.scan.* and the profile's
   /// shard slots. Otherwise the calling thread runs the shards in order
-  /// into a single slot and charges none of those, exactly as a serial
-  /// run. `slots` is resized to the number of slots used.
+  /// and charges none of those, exactly as a serial run, into one slot
+  /// per shard when `slot_per_shard` (row-producing consumers keep each
+  /// shard's run apart for the ordering merge) or else into a single
+  /// slot. Only the vector engine counts batches. `slots` is resized to
+  /// the number of slots used.
   template <typename Slot, typename Consume>
   ShardScan ScanShards(const storage::Table& table, const char* span,
-                       std::vector<Slot>* slots, const Consume& consume);
+                       bool slot_per_shard, std::vector<Slot>* slots,
+                       const Consume& consume);
 
   /// The MVCC snapshot every row-visibility check resolves against:
   /// the attached guard's, which is pinned (every execution runs under

@@ -665,8 +665,8 @@ FuzzCase GenTxnCase(uint64_t seed, Rng* rng) {
 
 /// One random statement for the index-family schedule: the txn mix
 /// diluted with selective point SELECTs and an equi-join the secondary
-/// index paths can serve (Executor::TrySecondaryIndexScan and the index
-/// nested-loop join in Executor::ExecJoin).
+/// index paths can serve (Executor::IndexScanRefs and the index
+/// nested-loop join in Executor::JoinLevel).
 std::string IndexStatement(Rng* rng) {
   if (!rng->Percent(45)) return TxnStatement(rng);
   switch (rng->Range(0, 3)) {

@@ -468,7 +468,7 @@ Result<int64_t> Connection::DmlImpl(
     mgr->Rollback(txn.get());
     if (!autocommit) txn_ctx->txn.reset();
   } else if (autocommit) {
-    Status commit = mgr->Commit(txn.get());
+    Status commit = db_->Commit(txn.get());
     if (status.ok()) status = commit;
   }
   EQSQL_RETURN_IF_ERROR(status);
@@ -498,7 +498,7 @@ Outcome Connection::TxnControlImpl(Request::Kind kind, TxnContext* txn_ctx) {
       // MySQL. A failed COMMIT (kTxnConflict) has already rolled the
       // transaction back inside the manager.
       if (open) {
-        status = mgr->Commit(txn_ctx->txn.get());
+        status = db_->Commit(txn_ctx->txn.get());
         txn_ctx->txn.reset();
       }
       break;

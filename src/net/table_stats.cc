@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "storage/index.h"
 #include "storage/table.h"
 
 namespace eqsql::net {
@@ -22,7 +23,15 @@ core::TableStats GatherTableStats(storage::Database* db) {
       stats.row_bytes[key] = static_cast<int64_t>(table->byte_count() / rows);
     }
     std::vector<std::vector<std::string>> lists = table->IndexedColumnLists();
-    if (!lists.empty()) stats.table_indexes[key] = std::move(lists);
+    if (lists.empty()) continue;
+    std::vector<int64_t>& keys = stats.index_keys[key];
+    for (const std::vector<std::string>& cols : lists) {
+      std::shared_ptr<const storage::SecondaryIndex> index =
+          table->FindIndex(cols);
+      keys.push_back(static_cast<int64_t>(
+          index != nullptr ? index->distinct_keys() : rows));
+    }
+    stats.table_indexes[key] = std::move(lists);
   }
   return stats;
 }

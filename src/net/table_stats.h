@@ -11,10 +11,11 @@
 
 namespace eqsql::net {
 
-/// Per-table committed row counts, average row widths and ready-index
-/// column lists, read from each catalog table's committed statistics
-/// counters in O(tables). Only indexed tables have an entry in
-/// `table_indexes`.
+/// Per-table committed row counts, average row widths, and ready-index
+/// column lists with each index's distinct keys, read from each catalog
+/// table's committed statistics counters in O(tables) plus O(buckets)
+/// per index. Only indexed tables have entries in `table_indexes` and
+/// `index_keys`.
 core::TableStats GatherTableStats(storage::Database* db);
 
 }  // namespace eqsql::net

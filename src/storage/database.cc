@@ -65,6 +65,22 @@ bool Database::HasTable(const std::string& name) const {
 }
 
 void Database::Vacuum() {
+  std::lock_guard<std::mutex> pass(vacuum_mu_);
+  VacuumLocked();
+}
+
+Status Database::Commit(Transaction* txn) {
+  Status status = txns_.Commit(txn);
+  if (!status.ok() || txns_.dead_versions() < vacuum_threshold()) {
+    return status;
+  }
+  std::unique_lock<std::mutex> pass(vacuum_mu_, std::try_to_lock);
+  if (pass.owns_lock()) VacuumLocked();
+  return status;
+}
+
+void Database::VacuumLocked() {
+  txns_.TakeDeadVersions();
   // Collect table references under the registry lock, then vacuum
   // without it (registry_mu_ is a leaf lock and must not be held while
   // shard write locks are taken).
@@ -74,9 +90,15 @@ void Database::Vacuum() {
     tables.reserve(tables_.size());
     for (const auto& [key, table] : tables_) tables.push_back(table);
   }
+  size_t rows = 0;
   const Ts watermark = txns_.Watermark();
-  for (const auto& table : tables) table->Vacuum(watermark, &txns_);
+  for (const auto& table : tables) {
+    table->Vacuum(watermark, &txns_);
+    rows += table->row_count();
+  }
   txns_.SweepRetired();
+  vacuum_threshold_.store(kVacuumMinDead + rows / kVacuumRowsPerDead,
+                          std::memory_order_relaxed);
 }
 
 uint64_t Database::StatsEpoch() const {

@@ -2,8 +2,10 @@
 #define EQSQL_STORAGE_DATABASE_H_
 
 #include <cstddef>
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -92,9 +94,26 @@ class Database {
 
   /// One version-GC pass: computes the watermark once, vacuums every
   /// table, then frees retired versions no pinned reader can reach.
-  /// Safe to run concurrently with readers and writers; callers
-  /// serialize multiple GC threads externally (net::Server runs one).
+  /// Safe to run concurrently with readers and writers. Passes run one
+  /// at a time (a second caller waits for the first); commits through
+  /// Commit() start them, and anyone may call it.
   void Vacuum();
+
+  /// Commits `txn` (TxnManager::Commit). Once the commit succeeds and
+  /// the versions superseded or aborted since the last pass
+  /// (TxnManager::dead_versions) reach vacuum_threshold(), the
+  /// committing thread runs one Vacuum pass, outside the commit lock;
+  /// if a pass is already running it does not wait for it.
+  Status Commit(Transaction* txn);
+
+  /// The vacuum trigger: kVacuumMinDead dead versions, plus one per
+  /// kVacuumRowsPerDead committed rows as of the last pass, so a pass's
+  /// walk over every slot is paid once per that many dead versions.
+  static constexpr size_t kVacuumMinDead = 1024;
+  static constexpr size_t kVacuumRowsPerDead = 8;
+  size_t vacuum_threshold() const {
+    return vacuum_threshold_.load(std::memory_order_relaxed);
+  }
 
   /// Resolves storage.mvcc.* counter handles on the TxnManager.
   void set_metrics(obs::MetricsRegistry* metrics) {
@@ -109,6 +128,12 @@ class Database {
   std::map<std::string, std::shared_ptr<Table>> tables_;
   size_t shard_count_ = 1;
   mutable TxnManager txns_;
+  /// Held for a whole GC pass: one pass at a time.
+  std::mutex vacuum_mu_;
+  std::atomic<size_t> vacuum_threshold_{kVacuumMinDead};
+
+  /// Vacuum's body; the caller holds vacuum_mu_.
+  void VacuumLocked();
 };
 
 }  // namespace eqsql::storage

@@ -96,6 +96,15 @@ void SecondaryIndex::PruneDeadSlots() {
   }
 }
 
+size_t SecondaryIndex::distinct_keys() const {
+  size_t n = 0;
+  for (const auto& bucket : buckets_) {
+    std::shared_lock<std::shared_mutex> lock(bucket->mu);
+    n += bucket->map.size();
+  }
+  return n;
+}
+
 size_t SecondaryIndex::entry_count() const {
   size_t n = 0;
   for (const auto& bucket : buckets_) {

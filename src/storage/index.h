@@ -86,6 +86,12 @@ class SecondaryIndex {
   /// Total (key, slot) entries across all buckets (tests, stats).
   size_t entry_count() const;
 
+  /// Distinct key tuples with at least one entry: the planner divides
+  /// the table's rows by it for the candidates one probe finds
+  /// (core::TableStats::index_keys). Entries are append-only, so a key
+  /// every row has left still counts until Vacuum prunes its slots.
+  size_t distinct_keys() const;
+
  private:
   struct KeyHash {
     size_t operator()(const std::vector<catalog::Value>& key) const;

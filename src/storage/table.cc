@@ -64,6 +64,7 @@ Status Table::CheckWritable(const Slot& slot, const Version* expected,
 
 std::vector<catalog::Row> Table::rows(const Snapshot& snap) const {
   std::vector<std::pair<size_t, catalog::Row>> acc;
+  std::vector<size_t> run_ends;
   {
     std::shared_lock<std::shared_mutex> topology(topology_mu_);
     for (const auto& shard : shards_) {
@@ -76,10 +77,10 @@ std::vector<catalog::Row> Table::rows(const Snapshot& snap) const {
         const catalog::Row* row = slot->VisibleRow(snap);
         if (row != nullptr) acc.emplace_back(slot->seq, *row);
       }
+      run_ends.push_back(acc.size());
     }
   }
-  std::sort(acc.begin(), acc.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  OrderSeqRuns(&acc, std::move(run_ends));
   std::vector<catalog::Row> out;
   out.reserve(acc.size());
   for (auto& p : acc) out.push_back(std::move(p.second));
@@ -467,21 +468,32 @@ std::optional<size_t> Table::LookupByKey(const catalog::Value& key) const {
   return slot->seq;
 }
 
-std::optional<catalog::Row> Table::GetByKey(const catalog::Value& key,
-                                            const Snapshot& snap) const {
-  if (!unique_key_.has_value()) return std::nullopt;
+const catalog::Row* Table::ProbeKey(const catalog::Value& key,
+                                    const Snapshot& snap) const {
   std::shared_lock<std::shared_mutex> topology(topology_mu_);
+  if (!unique_key_.has_value()) return nullptr;
   const Shard& shard = *shards_[ShardOfKey(key)];
-  std::shared_ptr<Slot> slot;
-  {
-    std::shared_lock<std::shared_mutex> sl(shard.struct_mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return std::nullopt;
-    slot = it->second;
+  std::shared_lock<std::shared_mutex> sl(shard.struct_mu);
+  auto it = shard.index.find(key);
+  return it == shard.index.end() ? nullptr : it->second->VisibleRow(snap);
+}
+
+void Table::ProbeKeys(const catalog::Value* const* keys, size_t n,
+                      const Snapshot& snap, const catalog::Row** rows) const {
+  std::fill(rows, rows + n, nullptr);
+  std::shared_lock<std::shared_mutex> topology(topology_mu_);
+  if (!unique_key_.has_value()) return;
+  // Writers never hold two structural locks, so taking every shard's
+  // shared, in order, cannot deadlock.
+  std::vector<std::shared_lock<std::shared_mutex>> held;
+  held.reserve(shards_.size());
+  for (const auto& shard : shards_) held.emplace_back(shard->struct_mu);
+  for (size_t i = 0; i < n; ++i) {
+    if (keys[i] == nullptr) continue;
+    const Shard& shard = *shards_[ShardOfKey(*keys[i])];
+    auto it = shard.index.find(*keys[i]);
+    if (it != shard.index.end()) rows[i] = it->second->VisibleRow(snap);
   }
-  const catalog::Row* row = slot->VisibleRow(snap);
-  if (row == nullptr) return std::nullopt;
-  return *row;
 }
 
 std::vector<std::shared_ptr<const Table::Slot>> Table::PinShard(
@@ -630,6 +642,10 @@ Status Table::CreateIndex(const std::string& name,
     std::shared_lock<std::shared_mutex> topology(topology_mu_);
     shard_total = shards_.size();
   }
+  // The backfill walks version chains with no shard lock held: a
+  // snapshot pin keeps a concurrent Vacuum -- which commits start --
+  // from freeing a version it is reading.
+  const Ts pin = txns_ != nullptr ? txns_->PinSnapshot() : 0;
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shard_total);
   for (size_t s = 0; s < shard_total; ++s) {
@@ -653,6 +669,7 @@ Status Table::CreateIndex(const std::string& name,
   } else {
     for (auto& task : tasks) task();
   }
+  if (txns_ != nullptr) txns_->Unpin(pin);
   index->MarkReady();
   ready_index_count_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();

@@ -183,13 +183,34 @@ class Table : public std::enable_shared_from_this<Table> {
   /// positions) or nullopt. Takes the shard's structural lock briefly.
   std::optional<size_t> LookupByKey(const catalog::Value& key) const;
 
-  /// Point lookup for the row visible to `snap` (or every committed row
-  /// with the one-argument form); nullopt if absent / no key declared.
+  /// Point lookup via the unique-key index: the row with key value
+  /// `key` visible to `snap`, borrowed from its version, or nullptr
+  /// (absent, or no key declared). Visibility resolves under the
+  /// shard's structural lock, which Vacuum takes to erase a dead slot,
+  /// so the chain walk never outlives its slot; the row lives while
+  /// `snap` stays pinned, as a scan's borrowed rows do.
+  const catalog::Row* ProbeKey(const catalog::Value& key,
+                               const Snapshot& snap) const;
+  /// ProbeKey for `n` keys at once: rows[i] for *keys[i], nullptr for a
+  /// miss or a null keys[i]. One hold of the topology lock and of every
+  /// shard's structural lock covers the batch, so no lock operation --
+  /// a full barrier -- separates one probe's cache misses from the
+  /// next, and the probes overlap. For short batches: writers that
+  /// publish a slot wait for it.
+  void ProbeKeys(const catalog::Value* const* keys, size_t n,
+                 const Snapshot& snap, const catalog::Row** rows) const;
+
+  /// ProbeKey's row, copied (every committed row with the one-argument
+  /// form); nullopt if absent / no key declared.
   std::optional<catalog::Row> GetByKey(const catalog::Value& key) const {
     return GetByKey(key, Snapshot::Latest());
   }
   std::optional<catalog::Row> GetByKey(const catalog::Value& key,
-                                       const Snapshot& snap) const;
+                                       const Snapshot& snap) const {
+    const catalog::Row* row = ProbeKey(key, snap);
+    if (row == nullptr) return std::nullopt;
+    return *row;
+  }
 
   /// Re-partitions existing rows across `n` shards (shard-count change
   /// at runtime, e.g. rebalancing a long-lived temp table). Slots move
@@ -361,6 +382,41 @@ class Table : public std::enable_shared_from_this<Table> {
   std::atomic<size_t> index_count_{0};
   std::atomic<size_t> ready_index_count_{0};
 };
+
+/// Orders `rows`, runs of (seq, row) pairs where run r ends at
+/// `run_ends[r]` (the last end is rows->size()), by seq: the scan's
+/// insertion order. Each run is one shard's rows in slot order, which
+/// is ascending in seq except where concurrent keyless inserts
+/// published their slots out of seq order (Table::Insert takes the seq
+/// before the shard lock). So a run that fails the check is sorted on
+/// its own, and then the runs merge pairwise.
+template <typename T>
+void OrderSeqRuns(std::vector<std::pair<size_t, T>>* rows,
+                  std::vector<size_t> run_ends) {
+  const auto by_seq = [](const std::pair<size_t, T>& a,
+                         const std::pair<size_t, T>& b) {
+    return a.first < b.first;
+  };
+  const auto at = [rows](size_t i) { return rows->begin() + i; };
+  size_t begin = 0;
+  for (size_t end : run_ends) {
+    if (!std::is_sorted(at(begin), at(end), by_seq)) {
+      std::sort(at(begin), at(end), by_seq);
+    }
+    begin = end;
+  }
+  while (run_ends.size() > 1) {
+    std::vector<size_t> merged;
+    for (size_t r = 0; r < run_ends.size(); r += 2) {
+      if (r + 1 < run_ends.size()) {
+        std::inplace_merge(at(r == 0 ? 0 : run_ends[r - 1]), at(run_ends[r]),
+                           at(run_ends[r + 1]), by_seq);
+      }
+      merged.push_back(run_ends[std::min(r + 1, run_ends.size() - 1)]);
+    }
+    run_ends = std::move(merged);
+  }
+}
 
 /// Batch-producing MVCC scan over one shard: pins the shard's slots
 /// once, then hands out the versions visible to `snap` a chunk at a

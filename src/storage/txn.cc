@@ -101,6 +101,7 @@ Status TxnManager::Commit(Transaction* txn) {
       int64_t bytes = 0;
     };
     std::map<Table*, Delta> deltas;
+    size_t superseded = 0;
     for (const WriteRecord& w : txn->writes_) {
       Delta& d = deltas[w.table];
       if (w.created != nullptr) {
@@ -112,8 +113,10 @@ Status TxnManager::Commit(Transaction* txn) {
         w.superseded->end.store(c, std::memory_order_release);
         d.rows -= 1;
         d.bytes -= static_cast<int64_t>(w.superseded->wire_size);
+        ++superseded;
       }
     }
+    dead_versions_.fetch_add(superseded, std::memory_order_relaxed);
     for (const auto& [table, d] : deltas) table->NoteCommit(c, d.rows, d.bytes);
     // Publish last: a reader whose pin observes clock >= c is
     // guaranteed (acquire/release on clock_) to see every stamp above.
@@ -135,14 +138,17 @@ void TxnManager::RollbackLocked(Transaction* txn) {
   if (!txn->active_) return;
   // Reverse order: a version created then superseded inside this same
   // transaction first gets its end restored, then its begin aborted.
+  size_t aborted = 0;
   for (auto it = txn->writes_.rbegin(); it != txn->writes_.rend(); ++it) {
     if (it->created != nullptr) {
       it->created->begin.store(kTsAborted, std::memory_order_release);
+      ++aborted;
     }
     if (it->superseded != nullptr) {
       it->superseded->end.store(kTsInfinity, std::memory_order_release);
     }
   }
+  dead_versions_.fetch_add(aborted, std::memory_order_relaxed);
   txn->active_ = false;
   {
     std::lock_guard<std::mutex> lock(mu_);

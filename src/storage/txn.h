@@ -164,12 +164,24 @@ class TxnManager {
   /// Counts a first-writer-wins conflict (storage.mvcc.write_conflicts).
   void NoteWriteConflict();
 
+  /// Versions superseded by a commit or aborted by a rollback since the
+  /// last TakeDeadVersions: what a GC pass could reclaim once no pinned
+  /// snapshot sees them (Database::Commit's vacuum trigger).
+  size_t dead_versions() const {
+    return dead_versions_.load(std::memory_order_relaxed);
+  }
+  /// Returns dead_versions() and restarts the count: a GC pass begins.
+  size_t TakeDeadVersions() {
+    return dead_versions_.exchange(0, std::memory_order_relaxed);
+  }
+
  private:
   void RollbackLocked(Transaction* txn);
   void UnpinLocked(Ts ts);
 
   std::atomic<Ts> clock_{1};
   std::atomic<uint64_t> next_txn_id_{1};
+  std::atomic<size_t> dead_versions_{0};
   /// Linearizes commit validation + stamping + clock publication.
   std::mutex commit_mu_;
   uint64_t next_commit_seq_ = 0;  // guarded by commit_mu_

@@ -986,6 +986,221 @@ TEST(ServerStressTest, BorrowedScansSurviveConcurrentVacuum) {
   EXPECT_EQ(db->txn_manager()->retired_count(), 0u);
 }
 
+// Join chains borrow rows too: a keyed apply level takes each hit from
+// its version under the statement's pin, and the Project above the
+// chain reads it there. Readers loop the 4-apply query and a scan of a
+// probed table while a writer's autocommitted UPDATEs, which change the
+// probed rows' widths, trigger vacuum passes on commit. Under ASan a
+// borrowed row read after a pass freed its version fails the run, and
+// under TSan a race with the unlink does.
+TEST(ServerStressTest, ApplyProbesSurviveVacuumOnCommit) {
+  constexpr int64_t kRows = 300;
+  constexpr int kMinUpdates = 2 * storage::Database::kVacuumMinDead + 600;
+  constexpr int kMinAnswers = 40;
+  constexpr int kMaxUpdates = 40000;
+  constexpr size_t kWidths[] = {2, 24, 40};
+  ServerOptions options;
+  options.database.shard_count = 4;
+  options.exec_threads = 2;
+  options.scheduler_workers = 2;
+  Server server(std::move(options));
+  storage::Database* db = server.db();
+  storage::Table* people = *db->CreateTable(
+      "people", catalog::Schema({{"id", DataType::kInt64},
+                                 {"mode", DataType::kString}}));
+  for (int64_t id = 0; id < kRows; ++id) {
+    ASSERT_TRUE(
+        people->Insert({Value::Int(id), Value::String(id % 3 == 0 ? "online"
+                                                                  : "paper")})
+            .ok());
+  }
+  ASSERT_TRUE(people->DeclareUniqueKey("id").ok());
+  const char* kDims[] = {"dim1", "dim2", "dim3", "dim4"};
+  for (const char* name : kDims) {
+    storage::Table* dim = *db->CreateTable(
+        name, catalog::Schema({{"aid", DataType::kInt64},
+                               {"grp", DataType::kInt64},
+                               {"amt", DataType::kInt64},
+                               {"note", DataType::kString}}));
+    for (int64_t id = 0; id < kRows; ++id) {
+      ASSERT_TRUE(dim->Insert({Value::Int(id), Value::Int(0), Value::Int(id),
+                               Value::String(LedgerNote(id, kWidths[0]))})
+                      .ok());
+    }
+    ASSERT_TRUE(dim->DeclareUniqueKey("aid").ok());
+  }
+  const std::string kApply =
+      "SELECT p.id AS id, n1, n2, n3, n4 FROM people AS p "
+      "OUTER APPLY (SELECT d.note AS n1 FROM dim1 AS d WHERE d.aid = p.id) "
+      "OUTER APPLY (SELECT d.note AS n2 FROM dim2 AS d WHERE d.aid = p.id) "
+      "OUTER APPLY (SELECT d.note AS n3 FROM dim3 AS d WHERE d.aid = p.id) "
+      "OUTER APPLY (SELECT d.note AS n4 FROM dim4 AS d WHERE d.aid = p.id "
+      "AND p.mode = 'online')";
+  const std::string kScan = "SELECT * FROM dim2 AS d";
+  // Every note must be whole and belong to its row's id.
+  auto note_fits = [](int64_t id, const Value& note) {
+    catalog::Row probe{Value::Int(id), Value::Null(), Value::Null(), note};
+    return note.is_string() && LedgerNoteFits(probe);
+  };
+  auto check = [&](const std::string& sql,
+                   const Result<exec::ResultSet>& rs) -> std::string {
+    if (!rs.ok()) return sql + ": " + rs.status().ToString();
+    if (rs->rows.size() != static_cast<size_t>(kRows)) {
+      return sql + ": " + std::to_string(rs->rows.size()) + " rows";
+    }
+    for (size_t i = 0; i < rs->rows.size(); ++i) {
+      const catalog::Row& row = rs->rows[i];
+      if (sql == kScan) {
+        if (!LedgerNoteFits(row)) {
+          return "torn row " + catalog::RowToString(row);
+        }
+        continue;
+      }
+      const int64_t id = row[0].AsInt();
+      if (id != static_cast<int64_t>(i)) return "row " + std::to_string(i);
+      for (size_t k = 1; k <= 3; ++k) {
+        if (!note_fits(id, row[k])) return "torn " + catalog::RowToString(row);
+      }
+      const bool online = id % 3 == 0;
+      if (online ? !note_fits(id, row[4]) : !row[4].is_null()) {
+        return "level 4 reads " + catalog::RowToString(row);
+      }
+    }
+    return "";
+  };
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> readers_started{0};
+  std::atomic<int> answers{0};
+  std::mutex failure_mu;
+  std::string failure;
+  auto note_failure = [&](const std::string& what) {
+    std::lock_guard<std::mutex> lock(failure_mu);
+    if (failure.empty()) failure = what;
+  };
+  auto read_loop = [&](const std::function<Result<exec::ResultSet>(
+                           const std::string&)>& query) {
+    readers_started.fetch_add(1);
+    do {
+      for (const std::string& sql : {kApply, kScan}) {
+        const std::string bad = check(sql, query(sql));
+        if (!bad.empty()) note_failure(bad);
+        answers.fetch_add(1);
+      }
+    } while (!writer_done.load());
+  };
+  constexpr int kSessionReaders = 2;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSessionReaders; ++t) {
+    threads.emplace_back([&] {
+      std::unique_ptr<Session> session = server.Connect();
+      read_loop([&session](const std::string& sql) {
+        return SessionQuery(session.get(), sql);
+      });
+    });
+  }
+  threads.emplace_back([&] {
+    // No guard attached, on the row engine: the executor pins its own
+    // snapshot.
+    exec::Executor executor(db);
+    read_loop([&executor](const std::string& sql) {
+      return executor.Execute(*sql::ParseSql(sql));
+    });
+  });
+
+  std::unique_ptr<Session> writer = server.Connect();
+  while (readers_started.load() < kSessionReaders + 1) {
+    std::this_thread::yield();
+  }
+  int updates = 0;
+  for (; updates < kMaxUpdates &&
+         (updates < kMinUpdates || answers.load() < kMinAnswers);
+       ++updates) {
+    const int64_t id = (updates * 7) % kRows;
+    const std::string sql =
+        std::string("UPDATE ") + kDims[updates % 4] + " SET note = '" +
+        LedgerNote(id, kWidths[(updates / 4) % 3]) +
+        "' WHERE aid = " + std::to_string(id);
+    Outcome out = writer->Execute(Request::Dml(sql));
+    if (!out.ok()) {
+      note_failure(sql + ": " + out.status.ToString());
+      break;
+    }
+  }
+  writer_done.store(true);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failure, "");
+  EXPECT_GE(answers.load(), kMinAnswers);
+  // The commits vacuumed: superseded versions were reclaimed, and what
+  // is left to reclaim is below the trigger.
+  EXPECT_GT(server.metrics()->counter("storage.mvcc.gc_reclaimed")->Value(), 0);
+  EXPECT_LT(db->txn_manager()->dead_versions(), db->vacuum_threshold());
+}
+
+// Commits run Database::Vacuum once the versions they superseded pass
+// the threshold, so live versions stay bounded under a stream of
+// single-row UPDATEs, whether each autocommits or runs in BEGIN/COMMIT,
+// and a transaction opened before the writes keeps its snapshot.
+TEST(VacuumOnCommitTest, LiveVersionsStayBoundedAndOldSnapshotsHold) {
+  constexpr int64_t kRows = 1000;
+  constexpr int kUpdates = 20000;
+  const size_t bound = static_cast<size_t>(kRows) +
+                       storage::Database::kVacuumMinDead +
+                       kRows / storage::Database::kVacuumRowsPerDead;
+  for (bool explicit_txn : {false, true}) {
+    SCOPED_TRACE(explicit_txn ? "BEGIN/COMMIT" : "autocommit");
+    storage::Database db;
+    obs::MetricsRegistry metrics;
+    db.set_metrics(&metrics);
+    storage::Table* t = *db.CreateTable(
+        "t", catalog::Schema({{"id", DataType::kInt64},
+                              {"v", DataType::kInt64}}));
+    for (int64_t id = 0; id < kRows; ++id) {
+      ASSERT_TRUE(t->Insert({Value::Int(id), Value::Int(0)}).ok());
+    }
+    ASSERT_TRUE(t->DeclareUniqueKey("id").ok());
+    Connection conn(&db);
+    auto live = [&] {
+      return metrics.counter("storage.mvcc.versions")->Value() -
+             metrics.counter("storage.mvcc.gc_reclaimed")->Value();
+    };
+    int64_t peak = 0;
+    for (int i = 0; i < kUpdates; ++i) {
+      const std::string sql = "UPDATE t SET v = v + 1 WHERE id = " +
+                              std::to_string(i % kRows);
+      if (explicit_txn) ASSERT_TRUE(conn.Perform(Request::Begin()).ok());
+      Outcome out = conn.Perform(Request::Dml(sql));
+      ASSERT_TRUE(out.ok()) << out.status.ToString();
+      if (explicit_txn) ASSERT_TRUE(conn.Perform(Request::Commit()).ok());
+      peak = std::max(peak, live());
+    }
+    EXPECT_LT(peak, static_cast<int64_t>(bound));
+    EXPECT_GT(metrics.counter("storage.mvcc.gc_reclaimed")->Value(), 0);
+
+    // A transaction opened before more writes reads its snapshot after
+    // them, vacuum passes included.
+    Connection reader(&db);
+    ASSERT_TRUE(reader.Perform(Request::Begin()).ok());
+    const std::string kSum = "SELECT SUM(t.v) AS s FROM t AS t";
+    Outcome before = reader.Perform(Request::Query(kSum));
+    ASSERT_TRUE(before.ok()) << before.status.ToString();
+    EXPECT_EQ(before.rows.rows[0][0].AsInt(), kUpdates);
+    for (int i = 0; i < kUpdates / 4; ++i) {
+      const std::string sql =
+          "UPDATE t SET v = v + 1 WHERE id = " + std::to_string(i % kRows);
+      ASSERT_TRUE(conn.Perform(Request::Dml(sql)).ok());
+    }
+    Outcome after = reader.Perform(Request::Query(kSum));
+    ASSERT_TRUE(after.ok()) << after.status.ToString();
+    EXPECT_EQ(after.rows.rows[0][0].AsInt(), kUpdates);
+    // Its read of t is stale now, so it can only roll back.
+    ASSERT_TRUE(reader.Perform(Request::Rollback()).ok());
+    Outcome fresh = conn.Perform(Request::Query(kSum));
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(fresh.rows.rows[0][0].AsInt(), kUpdates + kUpdates / 4);
+  }
+}
+
 // Live sessions fold their published snapshot into stats() while open,
 // and their exact totals exactly once when they close (no double count).
 TEST(ServerStressTest, StatsFoldOnClose) {

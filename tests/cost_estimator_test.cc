@@ -76,7 +76,7 @@ TEST(CostEstimatorTest, LoopPaysPerRowRoundTrips) {
   EXPECT_LT(est.model().Ms(apply.work), loop->est_cost_ms);
 }
 
-// The join plan applies exactly when Executor::ExecJoin probes an
+// The join plan applies exactly when Executor::JoinLevel probes an
 // index: one over the set of the right scan's key columns, whatever the
 // left side's columns are named.
 TEST(CostEstimatorTest, JoinPlanFollowsTheRightKeyColumnSet) {

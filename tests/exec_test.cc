@@ -1,7 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "exec/executor.h"
 #include "exec/scalar_ops.h"
+#include "exec/worker_pool.h"
+#include "frontend/parser.h"
+#include "interp/interpreter.h"
+#include "net/connection.h"
+#include "sql/parser.h"
 
 namespace eqsql::exec {
 namespace {
@@ -433,6 +445,288 @@ TEST(ScalarOpsTest, GreatestLeast) {
   vs.push_back(Value::Null());
   EXPECT_TRUE(EvalGreatestLeast(true, vs)->is_null());  // MySQL semantics
   EXPECT_FALSE(EvalGreatestLeast(true, {}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Join chains: every apply shape runs three ways -- as the OUTER APPLY,
+// as its hand-written LEFT JOIN where one exists, and as the original
+// per-row loop through the interpreter -- with identical rows and
+// status at 1, 2 and 8 shards on both engines.
+
+/// x(id, aid, grp, mode) drives every loop: a NULL probe value (id 2),
+/// an unmatched one (id 4), a NULL group (id 5). d(id, aid, grp, phone)
+/// has unique aids 1..8 (the key), three rows per group (an index on
+/// grp) and string phones.
+std::unique_ptr<storage::Database> MakeApplyDb(size_t shards) {
+  auto db = std::make_unique<storage::Database>(
+      storage::DatabaseOptions{.shard_count = shards});
+  auto x = *db->CreateTable("x", Schema({{"id", DataType::kInt64},
+                                          {"aid", DataType::kInt64},
+                                          {"grp", DataType::kInt64},
+                                          {"mode", DataType::kString}}));
+  const Value kNull = Value::Null();
+  const std::vector<Row> xs = {
+      {Value::Int(0), Value::Int(1), Value::Int(1), Value::String("online")},
+      {Value::Int(1), Value::Int(5), Value::Int(2), Value::String("paper")},
+      {Value::Int(2), kNull, Value::Int(1), Value::String("online")},
+      {Value::Int(3), Value::Int(3), Value::Int(3), Value::String("online")},
+      {Value::Int(4), Value::Int(42), Value::Int(2), Value::String("paper")},
+      {Value::Int(5), Value::Int(7), kNull, Value::String("online")},
+      {Value::Int(6), Value::Int(2), Value::Int(1), Value::String("paper")}};
+  for (const Row& r : xs) EXPECT_TRUE(x->Insert(r).ok());
+  auto d = *db->CreateTable("d", Schema({{"id", DataType::kInt64},
+                                          {"aid", DataType::kInt64},
+                                          {"grp", DataType::kInt64},
+                                          {"phone", DataType::kString}}));
+  for (int64_t i = 0; i < 8; ++i) {
+    EXPECT_TRUE(d->Insert({Value::Int(i), Value::Int(i + 1),
+                           Value::Int(i % 3 + 1),
+                           Value::String("p" + std::to_string(i + 1))})
+                    .ok());
+  }
+  EXPECT_TRUE(d->DeclareUniqueKey("aid").ok());
+  EXPECT_TRUE(d->CreateIndex("d_grp", {"grp"}).ok());
+  return db;
+}
+
+struct ApplyShape {
+  const char* name;
+  /// The apply's inner query over outer row x, yielding column p.
+  const char* inner;
+  /// The same query for the loop: each outer reference a `?` bound in
+  /// order to the fields `args` of the loop's row r.
+  const char* loop_inner;
+  const char* args;
+  /// `SELECT x.id AS i, <p> AS p FROM x LEFT OUTER JOIN d ...`, or
+  /// nullptr when no LEFT JOIN is equivalent.
+  const char* left_join;
+};
+
+const ApplyShape kApplyShapes[] = {
+    {"keyed_probe", "SELECT d.phone AS p FROM d AS d WHERE d.aid = x.aid",
+     "SELECT d.phone AS p FROM d AS d WHERE d.aid = ?", ", r.aid",
+     "SELECT x.id AS i, d.phone AS p FROM x AS x LEFT OUTER JOIN d AS d "
+     "ON d.aid = x.aid"},
+    {"index_literal", "SELECT d.phone AS p FROM d AS d WHERE d.grp = 2",
+     "SELECT d.phone AS p FROM d AS d WHERE d.grp = 2", "",
+     "SELECT x.id AS i, d.phone AS p FROM x AS x LEFT OUTER JOIN d AS d "
+     "ON d.grp = 2"},
+    {"unkeyed_correlated",
+     "SELECT d.phone AS p FROM d AS d WHERE d.id + 1 = x.aid",
+     "SELECT d.phone AS p FROM d AS d WHERE d.id + 1 = ?", ", r.aid",
+     "SELECT x.id AS i, d.phone AS p FROM x AS x LEFT OUTER JOIN d AS d "
+     "ON d.id + 1 = x.aid"},
+    {"outer_only_conjunct",
+     "SELECT d.phone AS p FROM d AS d WHERE d.aid = x.aid AND "
+     "x.mode = 'online'",
+     "SELECT d.phone AS p FROM d AS d WHERE d.aid = ? AND ? = 'online'",
+     ", r.aid, r.mode",
+     "SELECT x.id AS i, d.phone AS p FROM x AS x LEFT OUTER JOIN d AS d "
+     "ON d.aid = x.aid AND x.mode = 'online'"},
+    {"null_probe", "SELECT d.phone AS p FROM d AS d WHERE d.aid = NULL",
+     "SELECT d.phone AS p FROM d AS d WHERE d.aid = NULL", "",
+     "SELECT x.id AS i, d.phone AS p FROM x AS x LEFT OUTER JOIN d AS d "
+     "ON d.aid = NULL"},
+    {"several_matches", "SELECT d.phone AS p FROM d AS d WHERE d.grp = x.grp",
+     "SELECT d.phone AS p FROM d AS d WHERE d.grp = ?", ", r.grp",
+     "SELECT x.id AS i, d.phone AS p FROM x AS x LEFT OUTER JOIN d AS d "
+     "ON d.grp = x.grp"},
+    {"concat_item",
+     "SELECT 'tel:' || d.phone AS p FROM d AS d WHERE d.aid = x.aid",
+     "SELECT 'tel:' || d.phone AS p FROM d AS d WHERE d.aid = ?", ", r.aid",
+     nullptr},
+    {"case_item",
+     "SELECT CASE WHEN d.id > 3 THEN 'hi' ELSE d.phone END AS p FROM d AS d "
+     "WHERE d.aid = x.aid",
+     "SELECT CASE WHEN d.id > 3 THEN 'hi' ELSE d.phone END AS p FROM d AS d "
+     "WHERE d.aid = ?",
+     ", r.aid",
+     "SELECT x.id AS i, CASE WHEN d.id > 3 THEN 'hi' ELSE d.phone END AS p "
+     "FROM x AS x LEFT OUTER JOIN d AS d ON d.aid = x.aid"},
+    {"group_by", "SELECT COUNT(*) AS p FROM d AS d WHERE d.grp = x.grp",
+     "SELECT COUNT(*) AS p FROM d AS d WHERE d.grp = ?", ", r.grp", nullptr},
+    {"erroring_residual",
+     "SELECT d.phone AS p FROM d AS d WHERE d.aid = x.aid AND d.phone < 5",
+     "SELECT d.phone AS p FROM d AS d WHERE d.aid = ? AND d.phone < 5",
+     ", r.aid",
+     "SELECT x.id AS i, d.phone AS p FROM x AS x LEFT OUTER JOIN d AS d "
+     "ON d.aid = x.aid AND d.phone < 5"},
+};
+
+/// One engine and layout: a connection over a fresh database, pooled
+/// (with the fan-out forced) on the vector engine above one shard.
+struct ApplySetup {
+  explicit ApplySetup(ExecMode mode, size_t shards)
+      : db(MakeApplyDb(shards)), conn(db.get()) {
+    conn.set_exec_mode(mode);
+    if (mode == ExecMode::kVector && shards > 1) {
+      pool = std::make_unique<WorkerPool>(2);
+      conn.set_worker_pool(pool.get());
+      conn.set_parallel_threshold(0);
+    }
+  }
+  std::unique_ptr<storage::Database> db;
+  std::unique_ptr<WorkerPool> pool;
+  net::Connection conn;
+};
+
+/// Rows as "(i|p)" strings in order, or the status.
+std::string Answer(const Result<ResultSet>& rs) {
+  if (!rs.ok()) return rs.status().ToString();
+  std::string out;
+  for (const Row& row : rs->rows) {
+    out += "(";
+    for (size_t i = 0; i < row.size(); ++i) {
+      out += (i > 0 ? "|" : "") + row[i].ToString();
+    }
+    out += ")";
+  }
+  return out;
+}
+
+std::string RunSql(net::Connection* conn, const std::string& sql) {
+  return Answer(conn->Perform(net::Request::Query(sql)).TakeResultSet());
+}
+
+/// The loop the apply was extracted from, run by the interpreter.
+std::string RunLoop(net::Connection* conn, const ApplyShape& shape) {
+  const std::string src = std::string(R"(
+    func f() {
+      result = list();
+      xs = executeQuery("SELECT * FROM x AS x");
+      for (r : xs) {
+        n = 0;
+        inner = executeQuery(")") + shape.loop_inner + "\"" + shape.args +
+                          R"();
+        for (q : inner) {
+          result.append(tuple(r.id, q.p));
+          n = n + 1;
+        }
+        if (n == 0) { result.append(tuple(r.id, null)); }
+      }
+      return result;
+    }
+  )";
+  Result<frontend::Program> program = frontend::ParseProgram(src);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  if (!program.ok()) return "";
+  interp::Interpreter interp(&*program, conn);
+  Result<interp::RtValue> r = interp.Run("f", {});
+  if (!r.ok()) return r.status().ToString();
+  std::string out;
+  for (const interp::RtValue& item : r->list()->items) {
+    out += "(";
+    const std::vector<interp::RtValue>& fields = item.tuple()->items;
+    for (size_t i = 0; i < fields.size(); ++i) {
+      out += (i > 0 ? "|" : "") + fields[i].scalar().ToString();
+    }
+    out += ")";
+  }
+  return out;
+}
+
+TEST(ExecApplyCrossPath, EveryShapeAgreesThreeWaysAcrossLayouts) {
+  for (const ApplyShape& shape : kApplyShapes) {
+    SCOPED_TRACE(shape.name);
+    const std::string apply =
+        std::string("SELECT x.id AS i, p FROM x AS x OUTER APPLY (") +
+        shape.inner + ")";
+    std::string reference;
+    for (ExecMode mode : {ExecMode::kRow, ExecMode::kVector}) {
+      for (size_t shards : {1, 2, 8}) {
+        SCOPED_TRACE(std::string(ExecModeName(mode)) + " shards=" +
+                     std::to_string(shards));
+        ApplySetup setup(mode, shards);
+        const std::string got = RunSql(&setup.conn, apply);
+        if (reference.empty()) reference = got;
+        EXPECT_EQ(got, reference);
+        if (shape.left_join != nullptr) {
+          EXPECT_EQ(RunSql(&setup.conn, shape.left_join), reference);
+        }
+        EXPECT_EQ(RunLoop(&setup.conn, shape), reference);
+      }
+    }
+    EXPECT_FALSE(reference.empty());
+  }
+}
+
+// Levels run one after another over all rows, so in a two-apply query
+// whose first level fails on the last row and whose second fails on the
+// first, the first level's error is the one returned.
+TEST(ExecApplyCrossPath, FirstLevelErrorWinsOverAnEarlierRowsLaterLevel) {
+  const std::string level1 =
+      "OUTER APPLY (SELECT CASE WHEN x.id = 6 THEN d.phone - 1 "
+      "ELSE d.phone END AS p FROM d AS d WHERE d.aid = x.aid)";
+  const std::string level2 =
+      "OUTER APPLY (SELECT CASE WHEN x.id = 0 THEN -e.phone "
+      "ELSE e.phone END AS q FROM d AS e WHERE e.aid = x.aid)";
+  const std::string head = "SELECT x.id AS i FROM x AS x ";
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kVector}) {
+    for (size_t shards : {1, 2, 8}) {
+      SCOPED_TRACE(std::string(ExecModeName(mode)) + " shards=" +
+                   std::to_string(shards));
+      ApplySetup setup(mode, shards);
+      const std::string first = RunSql(&setup.conn, head + level1);
+      const std::string second = RunSql(&setup.conn, head + level2);
+      ASSERT_NE(first, second);
+      EXPECT_EQ(first.rfind("Runtime", 0), 0u) << first;
+      EXPECT_EQ(RunSql(&setup.conn, head + level1 + " " + level2), first);
+    }
+  }
+}
+
+// A shard's rows are not always in seq order: keyless inserts take
+// their seq before the shard lock, so concurrent inserters can publish
+// slots out of order. Every scan still returns insertion-seq order, on
+// both engines, pooled or not.
+TEST(ExecScanOrder, ConcurrentKeylessInsertsScanInSeqOrder) {
+  for (size_t shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    storage::Database db(storage::DatabaseOptions{.shard_count = shards});
+    storage::Table* t = *db.CreateTable(
+        "t", Schema({{"w", DataType::kInt64}, {"i", DataType::kInt64}}));
+    constexpr int kWriters = 4;
+    constexpr int kEach = 400;
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([t, w] {
+        for (int i = 0; i < kEach; ++i) {
+          EXPECT_TRUE(t->Insert({Value::Int(w), Value::Int(i)}).ok());
+        }
+      });
+    }
+    for (std::thread& th : writers) th.join();
+    // The seq order, read off the slots themselves.
+    std::vector<std::pair<size_t, Row>> slots;
+    for (size_t s = 0; s < t->shard_count(); ++s) {
+      for (const auto& slot : t->PinShard(s)) {
+        slots.emplace_back(slot->seq,
+                           *slot->VisibleRow(storage::Snapshot::Latest()));
+      }
+    }
+    std::sort(slots.begin(), slots.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::string want;
+    for (const auto& [seq, row] : slots) {
+      want += "(" + row[0].ToString() + "|" + row[1].ToString() + ")";
+    }
+    ASSERT_EQ(slots.size(), static_cast<size_t>(kWriters * kEach));
+    std::string stored;
+    for (const Row& row : t->rows()) {
+      stored += "(" + row[0].ToString() + "|" + row[1].ToString() + ")";
+    }
+    EXPECT_EQ(stored, want);
+    for (ExecMode mode : {ExecMode::kRow, ExecMode::kVector}) {
+      Executor ex(&db);
+      ex.set_exec_mode(mode);
+      WorkerPool pool(2);
+      ex.set_worker_pool(&pool);
+      ex.set_parallel_threshold(0);
+      EXPECT_EQ(Answer(ex.Execute(*sql::ParseSql("SELECT * FROM t AS t"))),
+                want)
+          << ExecModeName(mode);
+    }
+  }
 }
 
 }  // namespace

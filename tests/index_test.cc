@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -529,6 +530,21 @@ TEST(IndexServer, ExplainExtractionPricesIndexNestedLoopAgainstScan) {
         << indexed->text;
     EXPECT_NE(indexed->text.find("(index "), std::string::npos)
         << indexed->text;
+    // A probe of role(id) finds role's rows over its distinct ids: one
+    // candidate. With 4 users the index is priced below the scan of 200
+    // roles, as the runs bill 8 rows against the scan's 200.
+    if (shape.users == 4) {
+      double index_ms = 0;
+      double scan_ms = 0;
+      const size_t at = indexed->text.find("(index ");
+      ASSERT_NE(at, std::string::npos);
+      ASSERT_EQ(std::sscanf(indexed->text.c_str() + at,
+                            "(index %lf ms vs scan %lf ms)", &index_ms,
+                            &scan_ms),
+                2)
+          << indexed->text;
+      EXPECT_LT(index_ms, scan_ms) << indexed->text;
+    }
 
     // EXPLAIN ANALYZE of the extracted join runs the path the line named.
     auto optimized = session->OptimizeCached(src, "userRoles");

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <chrono>
 #include <future>
 #include <memory>
@@ -269,6 +271,33 @@ TEST(DatabaseTest, ShardCountResolves) {
   // shard_count 0 resolves to the hardware concurrency, at least 1.
   Database def(DatabaseOptions{0});
   EXPECT_GE(def.shard_count(), 1u);
+}
+
+// The scan's ordering step: each shard's run is checked, sorted only
+// if it is out of seq order, and the runs merge -- giving exactly a full
+// sort by seq, whether the runs are in order, one is not, or some are
+// empty, over 1, 2 and 8 runs.
+TEST(ShardTest, OrderSeqRunsSortsAnOutOfOrderRunAndMerges) {
+  for (size_t runs : {1, 2, 8}) {
+    SCOPED_TRACE("runs=" + std::to_string(runs));
+    std::vector<std::pair<size_t, int>> rows;
+    std::vector<size_t> run_ends;
+    // Seq s goes to run s % runs (round-robin placement); run 0 is
+    // written backwards, as racing inserters could leave it, and with
+    // more than two runs the last stays empty.
+    const size_t filled = runs > 2 ? runs - 1 : runs;
+    for (size_t r = 0; r < runs; ++r) {
+      std::vector<size_t> seqs;
+      for (size_t s = r; r < filled && s < 40; s += filled) seqs.push_back(s);
+      if (r == 0) std::reverse(seqs.begin(), seqs.end());
+      for (size_t s : seqs) rows.emplace_back(s, static_cast<int>(s) * 10);
+      run_ends.push_back(rows.size());
+    }
+    std::vector<std::pair<size_t, int>> want = rows;
+    std::sort(want.begin(), want.end());
+    OrderSeqRuns(&rows, run_ends);
+    EXPECT_EQ(rows, want);
+  }
 }
 
 }  // namespace
