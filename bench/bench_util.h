@@ -44,8 +44,7 @@ inline void PrintHeader(const std::string& title) {
 /// The "provenance" object embedded in every bench --json artifact, so
 /// a BENCH_*.json number can always be traced back to the commit,
 /// build configuration, engine, and sharding that produced it.
-/// `exec_mode` is the engine the headline numbers ran on ("row",
-/// "vector", or "row+vector" for differential benches).
+/// `exec_mode` names the engine ("vector", the executor's one engine).
 inline std::string ProvenanceJson(const char* exec_mode,
                                   size_t shard_count) {
   char buf[256];

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "exec/exec_mode.h"
 #include "interp/interpreter.h"
 #include "net/connection.h"
 #include "obs/metrics.h"
@@ -23,18 +22,13 @@ struct PerfResult {
 };
 
 /// Runs `function` through the interpreter on a fresh connection.
-/// `mode` picks the engine; simulated time and every byte/row counter
-/// are mode-invariant by the engines' cost-parity contract, so only
-/// wall time observably changes with it.
 inline PerfResult RunInterpreted(const frontend::Program& program,
                                  const std::string& function,
                                  storage::Database* db,
                                  bool prefetch = false,
-                                 obs::MetricsRegistry* metrics = nullptr,
-                                 exec::ExecMode mode = exec::ExecMode::kRow) {
+                                 obs::MetricsRegistry* metrics = nullptr) {
   net::Connection conn(db);
   conn.set_prefetch_mode(prefetch);
-  conn.set_exec_mode(mode);
   if (metrics != nullptr) conn.set_metrics(metrics);
   interp::Interpreter interp(&program, &conn);
   auto ret = interp.Run(function);

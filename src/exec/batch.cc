@@ -7,10 +7,10 @@
 
 // Batch kernels: tight non-virtual loops over column vectors, one
 // dispatch per batch. No per-row interpreter entry points exist in this
-// file by contract (scripts/verify.sh greps for them) — per-lane
-// fallbacks go through the shared scalar_ops free functions, which are
-// the same kernels the row engine bottoms out in, so both engines
-// compute identical values, NULLs, and error strings.
+// file by contract (scripts/verify.sh greps for them) — boxed lanes go
+// through the shared scalar_ops free functions, which are the same
+// kernels the per-row evaluator (Executor::Eval) bottoms out in, so
+// both compute identical values, NULLs, and error strings.
 
 namespace eqsql::exec {
 
@@ -55,7 +55,7 @@ void Splat(const Value& v, size_t n, Vec* out) {
 }
 
 /// Copies the earlier of the two lanes' errors into `out` (left side
-/// wins, matching the row engine's left-to-right evaluation order).
+/// wins, matching per-row left-to-right evaluation).
 /// Returns true when the lane erred.
 bool PropagateBinaryErr(const Vec& l, const Vec& r, size_t i, Vec* out) {
   if (l.ErrAt(i)) {
@@ -160,9 +160,9 @@ void EvalCompareVec(ScalarOp op, const Vec& l, const Vec& r, size_t n,
   }
 }
 
-/// AND/OR with the row engine's lazy masking: a deciding left side
+/// AND/OR with per-row evaluation's lazy masking: a deciding left side
 /// (FALSE for AND, TRUE for OR) suppresses the right side entirely,
-/// including its errors — the row interpreter never evaluated it.
+/// including its errors — row-at-a-time evaluation never reaches it.
 void EvalAndVec(const Vec& l, const Vec& r, size_t n, Vec* out) {
   if (l.tag == Vec::Tag::kBool && r.tag == Vec::Tag::kBool) {
     out->ResetBool(n);
@@ -215,40 +215,54 @@ void EvalOrVec(const Vec& l, const Vec& r, size_t n, Vec* out) {
 
 }  // namespace
 
-std::unique_ptr<CompiledExpr> CompiledExpr::Compile(
-    const BoundExpr& expr, const ParamLookup& params) {
+Result<Value> EvalContext::LookupParameter(int index) const {
+  if (params_ == nullptr || index < 0 ||
+      static_cast<size_t>(index) >= params_->size()) {
+    return Status::InvalidArgument("parameter index out of range: " +
+                                   std::to_string(index));
+  }
+  return (*params_)[index];
+}
+
+std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const BoundExpr& expr,
+                                                    size_t level,
+                                                    const EvalContext& ctx) {
   std::unique_ptr<CompiledExpr> node(new CompiledExpr());
   node->op_ = expr.op;
   switch (expr.op) {
     case ScalarOp::kColumnRef:
-      // A deferred error stays on the row engine, which raises it on
-      // the first row it evaluates (and not at all over empty input).
-      if (!expr.error.ok()) return nullptr;
-      node->col_ = expr.column;
+      if (!expr.error.ok()) {
+        node->op_ = ScalarOp::kLiteral;
+        node->error_ = expr.error;
+      } else if (expr.level < level) {
+        node->op_ = ScalarOp::kLiteral;
+        node->constant_ = ctx.Column(expr.level, expr.column);
+      } else {
+        node->col_ = expr.column;
+      }
       return node;
     case ScalarOp::kLiteral:
       node->constant_ = expr.literal;
       return node;
     case ScalarOp::kParameter: {
-      if (!params) return nullptr;
-      Result<Value> v = params(expr.param);
-      // An unbound parameter stays on the row engine, which raises the
-      // out-of-range error on the first row it actually evaluates (and
-      // not at all over empty input).
-      if (!v.ok()) return nullptr;
+      Result<Value> v = ctx.LookupParameter(expr.param);
       node->op_ = ScalarOp::kLiteral;
-      node->constant_ = std::move(*v);
+      if (v.ok()) {
+        node->constant_ = std::move(*v);
+      } else {
+        node->error_ = v.status();
+      }
       return node;
     }
     case ScalarOp::kExists:
     case ScalarOp::kNotExists:
-      return nullptr;  // subqueries stay on the row engine
+      return nullptr;
     default:
       break;
   }
   node->kids_.reserve(expr.kids.size());
   for (const BoundExpr& c : expr.kids) {
-    std::unique_ptr<CompiledExpr> kid = Compile(c, params);
+    std::unique_ptr<CompiledExpr> kid = Compile(c, level, ctx);
     if (kid == nullptr) return nullptr;
     node->kids_.push_back(std::move(kid));
   }
@@ -261,6 +275,11 @@ void CompiledExpr::Eval(const Row* const* rows, size_t n, Vec* out) const {
       GatherColumn(rows, n, col_, out);
       return;
     case ScalarOp::kLiteral:
+      if (!error_.ok()) {
+        out->ResetBoxed(n);
+        for (size_t i = 0; i < n; ++i) out->SetErr(i, error_);
+        return;
+      }
       Splat(constant_, n, out);
       return;
     case ScalarOp::kParameter:
@@ -387,8 +406,8 @@ void CompiledExpr::Eval(const Row* const* rows, size_t n, Vec* out) const {
       for (size_t i = 0; i < n; ++i) {
         args.clear();
         bool lane_err = false;
-        // Arguments evaluate left to right in the row engine: the
-        // first erroring argument's status wins the lane.
+        // Arguments evaluate left to right: the first erroring
+        // argument's status wins the lane.
         for (const Vec& v : vs) {
           if (v.ErrAt(i)) {
             out->SetErr(i, v.ErrStatus(i));
@@ -413,8 +432,8 @@ void CompiledExpr::Eval(const Row* const* rows, size_t n, Vec* out) const {
           out->SetErr(i, cond.ErrStatus(i));
           continue;
         }
-        // Only the taken branch's lane surfaces — the untaken branch
-        // was never evaluated row-at-a-time.
+        // Only the taken branch's lane surfaces — row-at-a-time
+        // evaluation never reaches the untaken branch.
         const Vec& taken = IsTruthy(cond.At(i)) ? then_v : else_v;
         if (taken.ErrAt(i)) {
           out->SetErr(i, taken.ErrStatus(i));

@@ -2,7 +2,6 @@
 #define EQSQL_EXEC_BATCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -107,27 +106,62 @@ struct Vec {
   }
 };
 
-/// A bound scalar expression compiled for batch evaluation over one
-/// input row: column references read the positions the binder fixed
-/// and '?' parameters become constants, so batch evaluation never walks
-/// a frame stack and dispatches once per batch per node instead of once
-/// per row. Lane errors follow the row engine's lazy-evaluation
-/// semantics exactly: AND masks right-hand errors behind a boolean
-/// FALSE left side, OR behind TRUE, and CASE surfaces only the taken
-/// branch's error — so batch and row execution select the same error
-/// on the same row.
+/// Evaluation context threaded through scalar evaluation: positional
+/// parameters plus the stack of rows pushed by the operators evaluating
+/// expressions (OuterApply and EXISTS evaluate their inner plans with
+/// outer rows pushed). Bound column references read a row by (level,
+/// column); nothing here resolves a name.
+class EvalContext {
+ public:
+  explicit EvalContext(const std::vector<catalog::Value>* params)
+      : params_(params) {}
+
+  void PushFrame(const catalog::Row* row) { frames_.push_back(row); }
+  void PopFrame() { frames_.pop_back(); }
+  /// Pushes `n` frames at once: a join chain's rows, one per input.
+  void PushFrames(const catalog::Row* const* rows, size_t n) {
+    frames_.insert(frames_.end(), rows, rows + n);
+  }
+  void PopFrames(size_t n) { frames_.resize(frames_.size() - n); }
+
+  /// The value at a bound slot: column `column` of the row at frame
+  /// level `level`, counted from the outermost frame.
+  const catalog::Value& Column(size_t level, size_t column) const {
+    return (*frames_[level])[column];
+  }
+
+  Result<catalog::Value> LookupParameter(int index) const;
+
+ private:
+  const std::vector<catalog::Value>* params_;
+  std::vector<const catalog::Row*> frames_;
+};
+
+/// A bound scalar expression compiled for one execution of the operator
+/// evaluating it, over that operator's input row: references to the
+/// input row read the positions the binder fixed, while '?' parameters
+/// and references to outer frames -- fixed for the execution -- fold to
+/// constants, so batch evaluation never walks a frame stack and
+/// dispatches once per batch per node instead of once per row.
 ///
-/// Compile takes an expression bound with the input row as its only
-/// frame, and returns nullptr when it cannot run columnar — a name that
-/// bound to a deferred error (unresolved or ambiguous), an EXISTS / NOT
-/// EXISTS subquery, or an unbound parameter — and the caller falls back
-/// to the row engine, preserving its semantics verbatim.
+/// Lane errors follow the per-row evaluator's lazy semantics exactly: a
+/// name bound to a deferred error (unresolved or ambiguous) and an
+/// unbound parameter compile to a node whose every lane carries that
+/// error, and the kernels mask lane errors as row-at-a-time evaluation
+/// would -- AND behind a boolean FALSE left side, OR behind TRUE, CASE
+/// everything but the taken branch. So an error surfaces only on a lane
+/// that evaluates it, on the same row with the same status, and never
+/// over empty input.
 class CompiledExpr {
  public:
-  using ParamLookup = std::function<Result<catalog::Value>(int)>;
-
+  /// Compiles `expr`, bound with the operator's input row at frame
+  /// `level`, reading parameters and the outer frames 0..level-1 from
+  /// `ctx`. Returns nullptr for an expression containing EXISTS or NOT
+  /// EXISTS: a subquery runs per row, where row order decides which
+  /// subplans run and what they bill.
   static std::unique_ptr<CompiledExpr> Compile(const BoundExpr& expr,
-                                               const ParamLookup& params);
+                                               size_t level,
+                                               const EvalContext& ctx);
 
   /// Evaluates over *rows[0..n), writing one lane per row into `out`.
   /// The rows are read in place (borrowed versions or a materialized
@@ -140,7 +174,9 @@ class CompiledExpr {
 
   ra::ScalarOp op_ = ra::ScalarOp::kLiteral;
   size_t col_ = 0;               // kColumnRef: positional index
-  catalog::Value constant_;      // kLiteral (parameters fold to this)
+  catalog::Value constant_;      // kLiteral (parameters and outer columns
+                                 // fold to this)
+  Status error_;                 // kLiteral: every lane's error, if set
   std::vector<std::unique_ptr<CompiledExpr>> kids_;
 };
 

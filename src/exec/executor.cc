@@ -34,15 +34,6 @@ const std::shared_ptr<const Schema>& ResultSet::EmptySchema() {
   return empty;
 }
 
-Result<Value> EvalContext::LookupParameter(int index) const {
-  if (params_ == nullptr || index < 0 ||
-      static_cast<size_t>(index) >= params_->size()) {
-    return Status::InvalidArgument("parameter index out of range: " +
-                                   std::to_string(index));
-  }
-  return (*params_)[index];
-}
-
 namespace {
 
 struct RowVecHash {
@@ -100,8 +91,8 @@ struct AggState {
 
   /// Folds another shard's partial state into this one. Only called on
   /// the exact (integer) path: shard partials merge only under the
-  /// group-by hazard gate in ExecGroupBy, which keeps every double away
-  /// from Update, so summation order cannot change the result.
+  /// group-by's exactness gate (ExecGroupBy), which keeps every double
+  /// away from Update, so summation order cannot change the result.
   void Merge(const AggState& other) {
     count += other.count;
     if (other.any) {
@@ -142,9 +133,9 @@ struct AggState {
 /// Primitive partial state for the typed integer fast fold: one
 /// non-null int64 input per Update, exactly AggState's behavior for
 /// that input class, without boxing a Value per lane. ToAggState
-/// reproduces the AggState the row fold would have built from the same
-/// inputs bit for bit (is_double stays false; an untouched state keeps
-/// the default NULL min/max).
+/// reproduces the AggState the boxed fold would have built from the
+/// same inputs bit for bit (is_double stays false; an untouched state
+/// keeps the default NULL min/max).
 struct FastIntAgg {
   int64_t count = 0;
   bool any = false;
@@ -239,7 +230,6 @@ void Executor::set_metrics(obs::MetricsRegistry* metrics) {
     shard_scan_ns_ = nullptr;
     batch_batches_ = nullptr;
     batch_rows_ = nullptr;
-    batch_fallbacks_ = nullptr;
     batch_size_ = nullptr;
     index_probes_ = nullptr;
     index_rows_ = nullptr;
@@ -251,13 +241,12 @@ void Executor::set_metrics(obs::MetricsRegistry* metrics) {
   scan_bytes_ = metrics->counter("storage.scan.bytes");
   parallel_batches_ = metrics->counter("exec.parallel.batches");
   shard_scan_ns_ = metrics->histogram("storage.shard.scan_ns");
-  // exec.batch.* is layout- and mode-dependent by design (like
+  // exec.batch.* is layout- and path-dependent by design (like
   // exec.pool.*): batch counts shift with shard boundaries and the
-  // engine in use, so the shard-invariance signature excludes the
+  // access path taken, so the shard-invariance signature excludes the
   // family (tests/shard_invariance_test.cc).
   batch_batches_ = metrics->counter("exec.batch.batches");
   batch_rows_ = metrics->counter("exec.batch.rows");
-  batch_fallbacks_ = metrics->counter("exec.batch.fallbacks");
   batch_size_ = metrics->histogram("exec.batch.size");
   // storage.index.* / exec.index.* depend on which physical access
   // path ran (indexes are per-database DDL state, not part of the
@@ -497,15 +486,6 @@ Result<Value> Executor::EvalScalar(const BoundExpr& expr, EvalContext* ctx) {
   return Status::Internal("EvalScalar: unknown operator");
 }
 
-Result<bool> Executor::Holds(const BoundExpr& pred, const Row& row,
-                             EvalContext* ctx) {
-  ctx->PushFrame(&row);
-  Result<Value> v = EvalScalar(pred, ctx);
-  ctx->PopFrame();
-  if (!v.ok()) return v.status();
-  return IsTruthy(*v);
-}
-
 template <typename Conjunct>
 Result<bool> Executor::HoldsAll(size_t n, const Conjunct& conjunct,
                                 const Row& row, EvalContext* ctx) {
@@ -532,12 +512,6 @@ Result<bool> Executor::HoldsAll(size_t n, const Conjunct& conjunct,
   return IsTruthy(**acc);
 }
 
-std::unique_ptr<CompiledExpr> Executor::Compile(const BoundExpr& expr,
-                                                EvalContext* ctx) const {
-  return CompiledExpr::Compile(
-      expr, [ctx](int i) { return ctx->LookupParameter(i); });
-}
-
 Result<ResultSet> Executor::Exec(const BoundNode& node, EvalContext* ctx) {
   if (profile_ == nullptr) return ExecNode(node, ctx);
   ProfScope prof(this, node);
@@ -556,82 +530,22 @@ Result<ResultSet> Executor::ExecNode(const BoundNode& node, EvalContext* ctx) {
     }
     case RaOp::kSelect: {
       // Select(Scan) takes its access path here, per execution: the
-      // unique key, then a secondary index (PointRefs), then -- in the
-      // vector engine at the top frame -- the batch path, which streams
-      // the shard cursors straight through the compiled predicate, and
-      // otherwise a filter over the borrowed scan. A predicate that does
-      // not compile falls back to that filter, counted.
+      // unique key, then a secondary index, then the filter fused with
+      // the scan (SelectRefs).
       const BoundNode& child = node.children[0];
       if (node.split.has_value()) {
-        const storage::Table& table = *TableAt(child.table_slot);
         std::vector<const Row*> refs;
-        Status point = PointRefs(node, table, ctx, &refs);
-        if (point.code() != StatusCode::kNotFound) {
-          if (!point.ok()) return point;
-          return Copied(node, refs);
-        }
-        if (mode_ == ExecMode::kVector && node.depth == 0) {
-          std::unique_ptr<CompiledExpr> pred = Compile(node.predicate, ctx);
-          if (pred != nullptr) return ExecSelectScanBatch(node, table, *pred);
-          RecordVectorFallback();
-        }
-        EQSQL_RETURN_IF_ERROR(ScanFilterRefs(node, table, ctx, &refs));
+        EQSQL_RETURN_IF_ERROR(
+            SelectRefs(node, *TableAt(child.table_slot), ctx, &refs));
         return Copied(node, refs);
       }
       EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(child, ctx));
-      if (mode_ == ExecMode::kVector && node.depth == 0) {
-        std::unique_ptr<CompiledExpr> pred = Compile(node.predicate, ctx);
-        if (pred != nullptr) return FilterVector(std::move(in), *pred);
-        RecordVectorFallback();
-      }
-      ResultSet out;
-      out.schema = node.schema;
-      for (Row& row : in.rows) {
-        EQSQL_ASSIGN_OR_RETURN(bool pass, Holds(node.predicate, row, ctx));
-        if (pass) out.rows.push_back(std::move(row));
-      }
-      rows_processed_ += out.rows.size();
-      return out;
+      return Filter(node, std::move(in), ctx);
     }
     case RaOp::kProject: {
       if (node.over_chain) return ProjectChain(node, ctx);
       EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
-      if (mode_ == ExecMode::kVector && node.depth == 0) {
-        std::vector<std::unique_ptr<CompiledExpr>> items;
-        items.reserve(node.items.size());
-        bool compiled = true;
-        for (const BoundExpr& item : node.items) {
-          items.push_back(Compile(item, ctx));
-          if (items.back() == nullptr) {
-            compiled = false;
-            break;
-          }
-        }
-        if (compiled) return ProjectVector(node, std::move(in), items);
-        RecordVectorFallback();
-      }
-      ResultSet out;
-      out.schema = node.schema;
-      out.rows.reserve(in.rows.size());
-      for (const Row& row : in.rows) {
-        ctx->PushFrame(&row);
-        Row projected;
-        projected.reserve(node.items.size());
-        Status status = Status::OK();
-        for (const BoundExpr& item : node.items) {
-          Result<Value> v = EvalScalar(item, ctx);
-          if (!v.ok()) {
-            status = v.status();
-            break;
-          }
-          projected.push_back(std::move(*v));
-        }
-        ctx->PopFrame();
-        EQSQL_RETURN_IF_ERROR(status);
-        out.rows.push_back(std::move(projected));
-      }
-      rows_processed_ += out.rows.size();
-      return out;
+      return Project(node, std::move(in), ctx);
     }
     case RaOp::kJoin:
     case RaOp::kLeftOuterJoin:
@@ -763,26 +677,7 @@ Status Executor::SelectRefs(const BoundNode& select,
                             std::optional<const Row*> probed) {
   Status point = PointRefs(select, table, ctx, out, probed);
   if (point.code() != StatusCode::kNotFound) return point;
-  return ScanFilterRefs(select, table, ctx, out);
-}
-
-Status Executor::ScanFilterRefs(const BoundNode& select,
-                                const storage::Table& table,
-                                EvalContext* ctx,
-                                std::vector<const Row*>* out) {
-  std::vector<const Row*> rows;
-  {
-    ProfScope prof(this, select.children[0]);
-    ScanRefs(select.children[0], table, &rows);
-    prof.Done(rows.size());
-  }
-  const size_t mark = out->size();
-  for (const Row* row : rows) {
-    EQSQL_ASSIGN_OR_RETURN(bool pass, Holds(select.predicate, *row, ctx));
-    if (pass) out->push_back(row);
-  }
-  rows_processed_ += out->size() - mark;
-  return Status::OK();
+  return FilterScanRefs(select, table, ctx, out);
 }
 
 Status Executor::IndexScanRefs(const BoundNode& select,
@@ -1203,116 +1098,13 @@ Status Executor::ApplyLevel(const BoundNode& node, EvalContext* ctx,
                    });
 }
 
-Result<ResultSet> Executor::ExecGroupBy(const BoundNode& node,
-                                        EvalContext* ctx) {
-  // The batch path applies when the input is a (possibly filtered) base
-  // scan and every value that can reach an aggregation state is exact
-  // (the binder's exact_fold gate), with no outer frames (a correlated
-  // outer column could be a double). Under those gates fold order
-  // cannot change a state, so shard partials merge exactly and group
-  // order comes from each group's lowest seq — byte-identical to the
-  // serial row fold. A filter with a binding on the unique key stays on
-  // the unfused path, which keeps the key lookup's 1-probe charge, and
-  // so does a filter with bindings an index may serve while the table
-  // has one: both engines then take the Select's access path.
-  const BoundNode& child = node.children[0];
-  if (mode_ == ExecMode::kVector && node.depth == 0 && node.exact_fold) {
-    const BoundNode* select = child.op == RaOp::kSelect ? &child : nullptr;
-    const BoundNode& scan = select != nullptr ? child.children[0] : child;
-    const storage::Table& table = *TableAt(scan.table_slot);
-    const bool index_served = select != nullptr &&
-                              !select->split->index_usable.empty() &&
-                              table.index_count() > 0;
-    CompiledGroupBy plan;
-    if (!index_served && CompileGroupBy(node, select, ctx, &plan)) {
-      return ExecGroupByBatch(node, table, plan);
-    }
-    // A compile failure falls through to the unfused attempt below,
-    // which records the fallback itself.
-  }
-  EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(child, ctx));
-  if (mode_ == ExecMode::kVector && node.depth == 0) {
-    // The serial vector fold needs no exactness gate: lanes fold in the
-    // serial row order and no partial states merge, so even double
-    // summation reproduces the row engine bit for bit.
-    CompiledGroupBy plan;
-    if (CompileGroupBy(node, /*select=*/nullptr, ctx, &plan)) {
-      return GroupByVectorFold(node, std::move(in), plan);
-    }
-    RecordVectorFallback();
-  }
-  ResultSet out;
-  out.schema = node.schema;
-
-  const std::vector<BoundExpr>& keys = node.keys;
-  const std::vector<ra::AggregateSpec>& aggs = node.source->aggregates();
-
-  // Group index: key tuple -> position in `groups` (first-seen order).
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> group_keys;
-  std::vector<std::vector<AggState>> group_states;
-
-  for (const Row& row : in.rows) {
-    ctx->PushFrame(&row);
-    std::vector<Value> key;
-    key.reserve(keys.size());
-    Status status = Status::OK();
-    for (const BoundExpr& k : keys) {
-      Result<Value> v = EvalScalar(k, ctx);
-      if (!v.ok()) {
-        status = v.status();
-        break;
-      }
-      key.push_back(std::move(*v));
-    }
-    if (status.ok()) {
-      auto [it, inserted] = index.emplace(key, group_keys.size());
-      if (inserted) {
-        group_keys.push_back(key);
-        group_states.emplace_back(aggs.size());
-      }
-      std::vector<AggState>& states = group_states[it->second];
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        if (aggs[a].func == ra::AggFunc::kCountStar) {
-          ++states[a].count;
-          continue;
-        }
-        Result<Value> v = EvalScalar(node.aggs[a], ctx);
-        if (!v.ok()) {
-          status = v.status();
-          break;
-        }
-        states[a].Update(*v);
-      }
-    }
-    ctx->PopFrame();
-    EQSQL_RETURN_IF_ERROR(status);
-  }
-
-  // Scalar aggregation (no keys) over empty input produces one row.
-  if (keys.empty() && group_keys.empty()) {
-    group_keys.emplace_back();
-    group_states.emplace_back(aggs.size());
-  }
-
-  for (size_t g = 0; g < group_keys.size(); ++g) {
-    Row row = group_keys[g];
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(group_states[g][a].Finalize(aggs[a].func));
-    }
-    out.rows.push_back(std::move(row));
-  }
-  rows_processed_ += out.rows.size();
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// Vectorized execution (mode_ == kVector). Every operator here is the
-// columnar twin of a row-engine operator above and must match it bit
-// for bit: same rows, same error chosen under failure (the lowest
-// sequence number, left-to-right within a row), same rows_processed_
-// and storage.scan.* charges. Only exec.batch.* observability and
-// speed may differ.
+// The batch operators. Select, Project and GroupBy evaluate their
+// expressions a batch at a time into lane vectors (exec/batch.h), and
+// pick the same rows, the same error (the lowest sequence number,
+// left-to-right within a row) and charge the same rows_processed_ and
+// storage.scan.* however the scan is split into shards and batches.
+// Only exec.batch.* observability and speed depend on the layout.
 //
 // The three scan shapes have one implementation each: a consumer that
 // ScanShards feeds every shard's batches. Whether the shards run on the
@@ -1335,7 +1127,7 @@ size_t NextBatch(storage::ShardScanCursor* cursor, Batch* batch) {
 /// A group's row tagged with the lowest seq folded into it.
 using SeqRow = std::pair<size_t, Row>;
 
-/// Sorts `rows` by seq and drops the tags: the serial fold's first-seen
+/// Sorts `rows` by seq and drops the tags: a serial fold's first-seen
 /// order.
 std::vector<Row> InSeqOrder(std::vector<SeqRow> rows) {
   std::sort(rows.begin(), rows.end(),
@@ -1346,8 +1138,8 @@ std::vector<Row> InSeqOrder(std::vector<SeqRow> rows) {
   return out;
 }
 
-/// The lowest-seq failure seen so far, which is where the serial row
-/// engine, walking the scan in seq order, would abort. Slots within a
+/// The lowest-seq failure seen so far, which is where a serial walk of
+/// the scan in seq order would abort. Slots within a
 /// shard are not guaranteed seq-ordered (concurrent keyless inserts
 /// allocate seq before taking the shard lock), so evaluation continues
 /// past a failure: lanes above it cannot change the outcome, lanes
@@ -1410,6 +1202,94 @@ std::vector<const Row*> RowPointers(const std::vector<Row>& rows) {
 
 }  // namespace
 
+/// An operator's expressions for one execution. Compiled, each reads
+/// the input row in place, with parameters and outer frames folded.
+/// When any contains a subquery, none is compiled: EvalLanes evaluates
+/// them all one row at a time, left to right, so the same subplans run,
+/// in the same order, with the same bills as row-at-a-time evaluation
+/// (AND, OR and CASE kernels evaluate both sides on every lane).
+struct Executor::Exprs {
+  std::vector<const BoundExpr*> bound;                  // null: COUNT(*)
+  std::vector<std::unique_ptr<CompiledExpr>> compiled;  // empty per row
+  bool per_row = false;
+};
+
+Executor::Exprs Executor::Prepare(std::vector<const BoundExpr*> bound,
+                                  size_t level, EvalContext* ctx) const {
+  Exprs exprs;
+  exprs.bound = std::move(bound);
+  for (const BoundExpr* b : exprs.bound) {
+    std::unique_ptr<CompiledExpr> c;
+    if (b != nullptr) {
+      c = CompiledExpr::Compile(*b, level, *ctx);
+      if (c == nullptr) {
+        exprs.compiled.clear();
+        exprs.per_row = true;
+        return exprs;
+      }
+    }
+    exprs.compiled.push_back(std::move(c));
+  }
+  return exprs;
+}
+
+size_t Executor::EvalLanes(const Exprs& exprs, const Row* const* rows,
+                           size_t n, EvalContext* ctx, std::vector<Vec>* out) {
+  out->resize(exprs.bound.size());
+  if (!exprs.per_row) {
+    RecordBatch(n);
+    for (size_t k = 0; k < exprs.compiled.size(); ++k) {
+      if (exprs.compiled[k] != nullptr) {
+        exprs.compiled[k]->Eval(rows, n, &(*out)[k]);
+      }
+    }
+    return n;
+  }
+  for (Vec& v : *out) v.ResetBoxed(n);
+  for (size_t i = 0; i < n; ++i) {
+    ctx->PushFrame(rows[i]);
+    for (size_t k = 0; k < exprs.bound.size(); ++k) {
+      if (exprs.bound[k] == nullptr) continue;
+      Result<Value> v = EvalScalar(*exprs.bound[k], ctx);
+      if (!v.ok()) {
+        // The batch ends at the failing lane: later expressions of this
+        // row and later rows are never evaluated.
+        ctx->PopFrame();
+        (*out)[k].SetErr(i, v.status());
+        for (Vec& lanes : *out) lanes.n = i + 1;
+        return i + 1;
+      }
+      (*out)[k].boxed[i] = std::move(*v);
+    }
+    ctx->PopFrame();
+  }
+  return n;
+}
+
+Status Executor::FilterRows(const Exprs& pred, const Row* const* rows,
+                            size_t n, EvalContext* ctx,
+                            std::vector<size_t>* keep) {
+  std::vector<Vec> v;
+  std::vector<uint32_t> sel;
+  for (size_t off = 0; off < n; off += kBatchCapacity) {
+    const size_t cnt = std::min(kBatchCapacity, n - off);
+    const size_t lanes = EvalLanes(pred, rows + off, cnt, ctx, &v);
+    if (v[0].has_err) {
+      // Lanes are in row order, so the first error lane is the first
+      // failing row.
+      for (size_t i = 0; i < lanes; ++i) {
+        if (v[0].ErrAt(i)) return v[0].ErrStatus(i);
+        if (IsTruthy(v[0].At(i))) keep->push_back(off + i);
+      }
+      continue;
+    }
+    sel.clear();
+    AppendTruthySelection(v[0], &sel);
+    for (uint32_t i : sel) keep->push_back(off + i);
+  }
+  return Status::OK();
+}
+
 template <typename Slot, typename Consume>
 Executor::ShardScan Executor::ScanShards(const storage::Table& table,
                                          const char* span,
@@ -1417,8 +1297,7 @@ Executor::ShardScan Executor::ScanShards(const storage::Table& table,
                                          std::vector<Slot>* slots,
                                          const Consume& consume) {
   const size_t shards = table.shard_count();
-  const bool vector = mode_ == ExecMode::kVector;
-  const bool pooled = vector && pool_ != nullptr && shards > 1 &&
+  const bool pooled = pool_ != nullptr && shards > 1 &&
                       table.row_count() >= parallel_threshold_;
   slots->clear();
   slots->resize(pooled || slot_per_shard ? shards : 1);
@@ -1430,7 +1309,7 @@ Executor::ShardScan Executor::ScanShards(const storage::Table& table,
     Batch batch;
     for (size_t n = NextBatch(&cursor, &batch); n != 0;
          n = NextBatch(&cursor, &batch)) {
-      if (vector) RecordBatch(n);
+      RecordBatch(n);
       scanned[s].rows += n;
       scanned[s].bytes += batch.wire_bytes;
       consume(&batch, slot);
@@ -1510,20 +1389,38 @@ void Executor::ScanRefs(const BoundNode& scan, const storage::Table& table,
   if (scan_rows_ != nullptr) RecordScan(scanned.rows, scanned.bytes);
 }
 
-Result<ResultSet> Executor::ExecSelectScanBatch(const BoundNode& node,
-                                                const storage::Table& table,
-                                                const CompiledExpr& pred) {
-  ResultSet out;
-  out.schema = node.schema;
+Status Executor::FilterScanRefs(const BoundNode& select,
+                                const storage::Table& table,
+                                EvalContext* ctx,
+                                std::vector<const Row*>* out) {
+  const Exprs pred = Prepare({&select.predicate}, select.depth, ctx);
+  const size_t mark = out->size();
+  if (pred.per_row) {
+    // Never fused and never pooled: the subqueries run on this thread,
+    // over the scan's rows in insertion order.
+    std::vector<const Row*> rows;
+    {
+      ProfScope prof(this, select.children[0]);
+      ScanRefs(select.children[0], table, &rows);
+      prof.Done(rows.size());
+    }
+    std::vector<size_t> keep;
+    EQSQL_RETURN_IF_ERROR(
+        FilterRows(pred, rows.data(), rows.size(), ctx, &keep));
+    for (size_t i : keep) out->push_back(rows[i]);
+    rows_processed_ += out->size() - mark;
+    return Status::OK();
+  }
   // A CompiledExpr is immutable and side-effect-free (nothing with a
   // subquery compiles), so shard tasks share one tree and charge no
-  // subquery rows, exactly as the row engine's count would be.
+  // subquery rows.
+  const CompiledExpr& compiled = *pred.compiled[0];
   std::vector<ShardRows> slots;
   const ShardScan scanned = ScanShards(
       table, "shard-filter", /*slot_per_shard=*/true, &slots,
-      [&pred](Batch* batch, ShardRows* r) {
+      [&compiled](Batch* batch, ShardRows* r) {
         const size_t n = batch->size();
-        pred.Eval(batch->rows.data(), n, &r->pred);
+        compiled.Eval(batch->rows.data(), n, &r->pred);
         if (!r->pred.has_err && r->fail.ok()) {
           r->sel.clear();
           AppendTruthySelection(r->pred, &r->sel);
@@ -1540,69 +1437,50 @@ Result<ResultSet> Executor::ExecSelectScanBatch(const BoundNode& node,
           }
         }
       });
-  // The row engine materializes and charges the entire scan before the
-  // filter sees a row, so scan costs land even when the predicate
-  // errors.
+  // The scan is charged in full before the filter's error surfaces, as
+  // a scan materialized ahead of its filter would be.
   rows_processed_ += scanned.rows;
   if (scan_rows_ != nullptr) RecordScan(scanned.rows, scanned.bytes);
   SeqFailure fail;
   for (const ShardRows& r : slots) fail.Merge(r.fail);
   if (!fail.ok()) return fail.status;
-  std::vector<const Row*> kept;
-  RefsInSeqOrder(&slots, &kept);
-  out.rows.reserve(kept.size());
-  for (const Row* row : kept) out.rows.push_back(*row);
-  rows_processed_ += out.rows.size();
-  return out;
+  RefsInSeqOrder(&slots, out);
+  rows_processed_ += out->size() - mark;
+  return Status::OK();
 }
 
-Result<ResultSet> Executor::FilterVector(ResultSet in,
-                                         const CompiledExpr& pred) {
-  ResultSet out;
-  out.schema = std::move(in.schema);
+Result<ResultSet> Executor::Filter(const BoundNode& node, ResultSet in,
+                                   EvalContext* ctx) {
+  const Exprs pred = Prepare({&node.predicate}, node.depth, ctx);
   const std::vector<const Row*> ptrs = RowPointers(in.rows);
-  Vec v;
-  std::vector<uint32_t> sel;
-  for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
-    const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
-    RecordBatch(cnt);
-    pred.Eval(ptrs.data() + off, cnt, &v);
-    if (v.has_err) {
-      // The row engine aborts at the first failing row; lanes are in
-      // row order, so the first error lane is that row.
-      for (size_t i = 0; i < cnt; ++i) {
-        if (v.ErrAt(i)) return v.ErrStatus(i);
-        if (IsTruthy(v.At(i))) out.rows.push_back(std::move(in.rows[off + i]));
-      }
-    } else {
-      sel.clear();
-      AppendTruthySelection(v, &sel);
-      for (uint32_t i : sel) out.rows.push_back(std::move(in.rows[off + i]));
-    }
-  }
+  std::vector<size_t> keep;
+  EQSQL_RETURN_IF_ERROR(FilterRows(pred, ptrs.data(), ptrs.size(), ctx, &keep));
+  ResultSet out;
+  out.schema = node.schema;
+  out.rows.reserve(keep.size());
+  for (size_t i : keep) out.rows.push_back(std::move(in.rows[i]));
   rows_processed_ += out.rows.size();
   return out;
 }
 
-Result<ResultSet> Executor::ProjectVector(
-    const BoundNode& node, ResultSet in,
-    const std::vector<std::unique_ptr<CompiledExpr>>& items) {
+Result<ResultSet> Executor::Project(const BoundNode& node, ResultSet in,
+                                    EvalContext* ctx) {
+  std::vector<const BoundExpr*> bound;
+  for (const BoundExpr& item : node.items) bound.push_back(&item);
+  const Exprs items = Prepare(std::move(bound), node.depth, ctx);
   ResultSet out;
   out.schema = node.schema;
   out.rows.reserve(in.rows.size());
   const std::vector<const Row*> ptrs = RowPointers(in.rows);
-  std::vector<Vec> vs(items.size());
-  for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
-    const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
-    RecordBatch(cnt);
-    for (size_t k = 0; k < items.size(); ++k) {
-      items[k]->Eval(ptrs.data() + off, cnt, &vs[k]);
-    }
-    for (size_t i = 0; i < cnt; ++i) {
+  std::vector<Vec> vs;
+  for (size_t off = 0; off < ptrs.size(); off += kBatchCapacity) {
+    const size_t cnt = std::min(kBatchCapacity, ptrs.size() - off);
+    const size_t lanes = EvalLanes(items, ptrs.data() + off, cnt, ctx, &vs);
+    for (size_t i = 0; i < lanes; ++i) {
       Row projected;
-      projected.reserve(items.size());
-      // Items evaluate left to right per row in the row engine: the
-      // first erroring item aborts the statement.
+      projected.reserve(vs.size());
+      // Items evaluate left to right per row: the first erroring item
+      // aborts the statement.
       for (const Vec& v : vs) {
         if (v.ErrAt(i)) return v.ErrStatus(i);
         projected.push_back(v.At(i));
@@ -1614,35 +1492,22 @@ Result<ResultSet> Executor::ProjectVector(
   return out;
 }
 
-bool Executor::CompileGroupBy(const BoundNode& node, const BoundNode* select,
-                              EvalContext* ctx, CompiledGroupBy* out) {
-  if (select != nullptr) {
-    out->pred = Compile(select->predicate, ctx);
-    if (out->pred == nullptr) return false;
-  }
-  for (const BoundExpr& k : node.keys) {
-    out->keys.push_back(Compile(k, ctx));
-    if (out->keys.back() == nullptr) return false;
-  }
-  const std::vector<ra::AggregateSpec>& aggs = node.source->aggregates();
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].func == ra::AggFunc::kCountStar) {
-      out->aggs.push_back(nullptr);  // reads no input
-      continue;
-    }
-    out->aggs.push_back(Compile(node.aggs[a], ctx));
-    if (out->aggs.back() == nullptr) return false;
-  }
-  return true;
-}
+/// A group-by's expressions: exprs[0..keys) are the group keys and the
+/// rest one aggregate argument each (null for COUNT(*), which reads no
+/// input). `pred` is the fused scan's filter, when there is one.
+struct Executor::GroupPlan {
+  size_t keys = 0;
+  Exprs exprs;
+  std::unique_ptr<CompiledExpr> pred;
+};
 
 /// The one batch group-by fold. Lanes carry seqs; each group remembers
-/// the lowest seq folded into it, so output order is the serial fold's
+/// the lowest seq folded into it, so output order is a serial fold's
 /// first-seen order however the lanes arrived. Failures follow the
-/// serial engines' filter-before-fold rule: the row engine filters the
-/// whole scan before the fold sees a row, so any predicate failure
-/// outranks any key or aggregate failure, and within each kind the
-/// lowest seq wins (keys before aggregates, left to right, in a row).
+/// filter-before-fold rule: the filter runs over the whole scan before
+/// the fold sees a row, so any predicate failure outranks any key or
+/// aggregate failure, and within each kind the lowest seq wins (keys
+/// before aggregates, left to right, in a row).
 struct Executor::GroupPartial {
   // Typed fast path: a single integer group key whose aggregate inputs
   // are all integer (or COUNT(*), which reads none) folds through an
@@ -1667,36 +1532,41 @@ struct Executor::GroupPartial {
   SeqFailure pred_fail;
   SeqFailure fold_fail;
 
-  // Per-batch evaluation scratch.
+  // Per-batch lanes: the predicate's, and the plan's expressions'.
   Vec pv;
-  std::vector<Vec> kv;
-  std::vector<Vec> av;
+  std::vector<Vec> vs;
 
-  /// Folds `n` rows whose seqs are `lane_seqs`.
-  void Fold(const CompiledGroupBy& plan, const Row* const* rows,
+  /// Evaluates the compiled plan over `n` rows whose seqs are
+  /// `lane_seqs` and folds them (the fused scan's shard consumer).
+  void Fold(const GroupPlan& plan, const Row* const* rows,
             const size_t* lane_seqs, size_t n) {
-    const size_t num_aggs = plan.aggs.size();
-    kv.resize(plan.keys.size());
-    av.resize(num_aggs);
     if (plan.pred != nullptr) plan.pred->Eval(rows, n, &pv);
-    for (size_t k = 0; k < plan.keys.size(); ++k) {
-      plan.keys[k]->Eval(rows, n, &kv[k]);
+    vs.resize(plan.exprs.compiled.size());
+    for (size_t k = 0; k < vs.size(); ++k) {
+      if (plan.exprs.compiled[k] != nullptr) {
+        plan.exprs.compiled[k]->Eval(rows, n, &vs[k]);
+      }
     }
-    for (size_t a = 0; a < num_aggs; ++a) {
-      if (plan.aggs[a] != nullptr) plan.aggs[a]->Eval(rows, n, &av[a]);
-    }
+    FoldLanes(plan, lane_seqs, n);
+  }
+
+  /// Folds lanes 0..n of `vs` (and of `pv`, when the plan filters).
+  void FoldLanes(const GroupPlan& plan, const size_t* lane_seqs, size_t n) {
+    const bool filtered = plan.pred != nullptr;
+    const std::vector<const BoundExpr*>& bound = plan.exprs.bound;
+    const size_t num_aggs = bound.size() - plan.keys;
+    const Vec* av = vs.data() + plan.keys;
     if (fast_active) {
-      bool typed = kv.size() == 1 && kv[0].tag == Vec::Tag::kInt &&
-                   (plan.pred == nullptr || !pv.has_err);
+      bool typed = plan.keys == 1 && vs[0].tag == Vec::Tag::kInt &&
+                   (!filtered || !pv.has_err);
       for (size_t a = 0; typed && a < num_aggs; ++a) {
-        typed = plan.aggs[a] == nullptr || av[a].tag == Vec::Tag::kInt;
+        typed = bound[plan.keys + a] == nullptr || av[a].tag == Vec::Tag::kInt;
       }
       if (typed) {
-        const int64_t* lanes = kv[0].ints.data();
-        const bool pred_bool =
-            plan.pred != nullptr && pv.tag == Vec::Tag::kBool;
+        const int64_t* lanes = vs[0].ints.data();
+        const bool pred_bool = filtered && pv.tag == Vec::Tag::kBool;
         for (size_t i = 0; i < n; ++i) {
-          if (plan.pred != nullptr) {
+          if (filtered) {
             if (!(pred_bool ? pv.bools[i] != 0 : IsTruthy(pv.At(i)))) continue;
             ++matched;
           }
@@ -1711,7 +1581,7 @@ struct Executor::GroupPartial {
           }
           std::vector<FastIntAgg>& group = fast_states[it->second];
           for (size_t a = 0; a < num_aggs; ++a) {
-            if (plan.aggs[a] == nullptr) {
+            if (bound[plan.keys + a] == nullptr) {
               ++group[a].count;  // COUNT(*)
               continue;
             }
@@ -1724,7 +1594,7 @@ struct Executor::GroupPartial {
     }
     for (size_t i = 0; i < n; ++i) {
       const size_t seq = lane_seqs[i];
-      if (plan.pred != nullptr) {
+      if (filtered) {
         if (pv.ErrAt(i)) {
           pred_fail.Note(pv.ErrStatus(i), seq);
           continue;
@@ -1734,15 +1604,15 @@ struct Executor::GroupPartial {
       }
       if (fold_fail.Skips(seq)) continue;
       std::vector<Value> key;
-      key.reserve(kv.size());
+      key.reserve(plan.keys);
       bool lane_failed = false;
-      for (const Vec& v : kv) {
-        if (v.ErrAt(i)) {
-          fold_fail.Note(v.ErrStatus(i), seq);
+      for (size_t k = 0; k < plan.keys; ++k) {
+        if (vs[k].ErrAt(i)) {
+          fold_fail.Note(vs[k].ErrStatus(i), seq);
           lane_failed = true;
           break;
         }
-        key.push_back(v.At(i));
+        key.push_back(vs[k].At(i));
       }
       if (lane_failed) continue;
       auto [it, inserted] = index.emplace(key, keys.size());
@@ -1755,7 +1625,7 @@ struct Executor::GroupPartial {
       }
       std::vector<AggState>& group = states[it->second];
       for (size_t a = 0; a < num_aggs; ++a) {
-        if (plan.aggs[a] == nullptr) {
+        if (bound[plan.keys + a] == nullptr) {
           ++group[a].count;  // COUNT(*)
           continue;
         }
@@ -1791,7 +1661,7 @@ struct Executor::GroupPartial {
   }
 
   /// Folds another shard's partial into this one. Only reached under
-  /// the group-by hazard gate, so every state merge is exact.
+  /// the group-by's exactness gate, so every state merge is exact.
   void Merge(GroupPartial* other) {
     pred_fail.Merge(other->pred_fail);
     fold_fail.Merge(other->fold_fail);
@@ -1836,33 +1706,77 @@ struct Executor::GroupPartial {
   }
 };
 
-Result<ResultSet> Executor::GroupByVectorFold(const BoundNode& node,
-                                              ResultSet in,
-                                              const CompiledGroupBy& plan) {
+Result<ResultSet> Executor::ExecGroupBy(const BoundNode& node,
+                                        EvalContext* ctx) {
+  GroupPlan plan;
+  std::vector<const BoundExpr*> bound;
+  for (const BoundExpr& k : node.keys) bound.push_back(&k);
+  const std::vector<ra::AggregateSpec>& aggs = node.source->aggregates();
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    bound.push_back(aggs[a].func == ra::AggFunc::kCountStar ? nullptr
+                                                            : &node.aggs[a]);
+  }
+  plan.keys = node.keys.size();
+  plan.exprs = Prepare(std::move(bound), node.depth, ctx);
+  // The fused path applies when the input is a (possibly filtered) base
+  // scan and every value that can reach an aggregation state is exact
+  // (the binder's exact_fold gate), with no outer frames (a correlated
+  // outer column could be a double). Under those gates fold order
+  // cannot change a state, so shard partials merge exactly and group
+  // order comes from each group's lowest seq — byte-identical to a
+  // serial fold. A filter with a binding on the unique key stays on the
+  // unfused path, which keeps the key lookup's 1-probe charge, and so
+  // does a filter with bindings an index may serve while the table has
+  // one: the Select then takes its access path.
+  const BoundNode& child = node.children[0];
+  if (node.depth == 0 && node.exact_fold && !plan.exprs.per_row) {
+    const BoundNode* select = child.op == RaOp::kSelect ? &child : nullptr;
+    const BoundNode& scan = select != nullptr ? child.children[0] : child;
+    const storage::Table& table = *TableAt(scan.table_slot);
+    const bool index_served = select != nullptr &&
+                              !select->split->index_usable.empty() &&
+                              table.index_count() > 0;
+    if (select != nullptr && !index_served) {
+      plan.pred = CompiledExpr::Compile(select->predicate, select->depth, *ctx);
+    }
+    if (!index_served && (select == nullptr || plan.pred != nullptr)) {
+      return ExecGroupByBatch(node, table, plan);
+    }
+  }
+  EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(child, ctx));
+  return GroupByFold(node, std::move(in), plan, ctx);
+}
+
+Result<ResultSet> Executor::GroupByFold(const BoundNode& node, ResultSet in,
+                                        const GroupPlan& plan,
+                                        EvalContext* ctx) {
   ResultSet out;
   out.schema = node.schema;
   // Lanes carry their row index as seq, so the fold's first-seen order
-  // and lowest-seq error pick are the row fold's.
+  // and lowest-seq error pick are the input's row order, and states
+  // fold in that order: no partials merge, so no exactness gate is
+  // needed.
   GroupPartial fold;
   const std::vector<const Row*> ptrs = RowPointers(in.rows);
   std::vector<size_t> seqs;
-  for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
-    const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
-    RecordBatch(cnt);
-    seqs.resize(cnt);
+  for (size_t off = 0; off < ptrs.size(); off += kBatchCapacity) {
+    const size_t cnt = std::min(kBatchCapacity, ptrs.size() - off);
+    const size_t lanes =
+        EvalLanes(plan.exprs, ptrs.data() + off, cnt, ctx, &fold.vs);
+    seqs.resize(lanes);
     std::iota(seqs.begin(), seqs.end(), off);
-    fold.Fold(plan, ptrs.data() + off, seqs.data(), cnt);
-    // No later batch holds a lower seq: the row fold stops here too.
+    fold.FoldLanes(plan, seqs.data(), lanes);
+    // No later batch holds a lower seq: the fold stops here.
     if (!fold.fold_fail.ok()) return fold.fold_fail.status;
   }
-  out.rows = fold.Finish(node.source->aggregates(), plan.keys.empty());
+  out.rows = fold.Finish(node.source->aggregates(), plan.keys == 0);
   rows_processed_ += out.rows.size();
   return out;
 }
 
 Result<ResultSet> Executor::ExecGroupByBatch(const BoundNode& node,
                                              const storage::Table& table,
-                                             const CompiledGroupBy& plan) {
+                                             const GroupPlan& plan) {
   ResultSet out;
   out.schema = node.schema;
   // Inline, every shard folds into one partial and no merge is paid;
@@ -1877,13 +1791,13 @@ Result<ResultSet> Executor::ExecGroupByBatch(const BoundNode& node,
   for (size_t i = 1; i < partials.size(); ++i) all.Merge(&partials[i]);
   // The scan's costs land in full before any filter or fold error
   // surfaces, and the filter's output before any fold error, exactly as
-  // the serial row engine charges them.
+  // the unfused scan, filter and fold charge them.
   rows_processed_ += scanned.rows;
   if (scan_rows_ != nullptr) RecordScan(scanned.rows, scanned.bytes);
   if (!all.pred_fail.ok()) return all.pred_fail.status;
   rows_processed_ += all.matched;
   if (!all.fold_fail.ok()) return all.fold_fail.status;
-  out.rows = all.Finish(node.source->aggregates(), plan.keys.empty());
+  out.rows = all.Finish(node.source->aggregates(), plan.keys == 0);
   rows_processed_ += out.rows.size();
   return out;
 }

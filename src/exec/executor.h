@@ -9,7 +9,6 @@
 #include "common/result.h"
 #include "exec/batch.h"
 #include "exec/binder.h"
-#include "exec/exec_mode.h"
 #include "exec/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -33,37 +32,6 @@ struct ResultSet {
   static const std::shared_ptr<const catalog::Schema>& EmptySchema();
 };
 
-/// Evaluation context threaded through scalar evaluation: positional
-/// parameters plus the stack of rows pushed by the operators evaluating
-/// expressions (OuterApply and EXISTS evaluate their inner plans with
-/// outer rows pushed). Bound column references read a row by (level,
-/// column); nothing here resolves a name.
-class EvalContext {
- public:
-  explicit EvalContext(const std::vector<catalog::Value>* params)
-      : params_(params) {}
-
-  void PushFrame(const catalog::Row* row) { frames_.push_back(row); }
-  void PopFrame() { frames_.pop_back(); }
-  /// Pushes `n` frames at once: a join chain's rows, one per input.
-  void PushFrames(const catalog::Row* const* rows, size_t n) {
-    frames_.insert(frames_.end(), rows, rows + n);
-  }
-  void PopFrames(size_t n) { frames_.resize(frames_.size() - n); }
-
-  /// The value at a bound slot: column `column` of the row at frame
-  /// level `level`, counted from the outermost frame.
-  const catalog::Value& Column(size_t level, size_t column) const {
-    return (*frames_[level])[column];
-  }
-
-  Result<catalog::Value> LookupParameter(int index) const;
-
- private:
-  const std::vector<catalog::Value>* params_;
-  std::vector<const catalog::Row*> frames_;
-};
-
 /// Materializing evaluator for relational-algebra trees against an
 /// in-memory Database. This is the "server side" of the simulated DBMS:
 /// the net/ layer calls it and charges costs for the rows it returns.
@@ -84,42 +52,29 @@ class EvalContext {
 /// and never mutated during execution, so one cached plan may be
 /// executed by many sessions at once. One
 /// Executor instance itself is single-threaded: rows_processed_ is
-/// per-run scratch. The vector engine's scan-shaped operators (scan,
-/// filter over a scan, aggregation over a scan) run one task body per
-/// shard; with a WorkerPool attached and a large sharded table those
-/// tasks run on the pool. They evaluate only compiled expressions and
-/// write only their own result slot, so the contract holds per task.
+/// per-run scratch. The scan-shaped operators (scan, filter over a
+/// scan, aggregation over a scan) run one task body per shard; with a
+/// WorkerPool attached and a large sharded table those tasks run on the
+/// pool. They evaluate only compiled expressions and write only their
+/// own result slot, so the contract holds per task.
 class Executor {
  public:
   explicit Executor(const storage::Database* db) : db_(db) {}
 
-  /// Attaches a shard worker pool. With a pool, the vector engine's
-  /// full-table scans, filters directly over a scan, and aggregations
-  /// over a (filtered) scan run their per-shard tasks on the pool when
-  /// the table has at least `parallel threshold` rows and more than one
-  /// shard; otherwise the same tasks run inline, shard by shard. Results
-  /// are byte-identical either way: rows reassemble by insertion
-  /// sequence and aggregation merges are gated to exact
-  /// (non-floating-point) states. The row engine never fans out.
+  /// Attaches a shard worker pool. With a pool, full-table scans,
+  /// filters directly over a scan, and aggregations over a (filtered)
+  /// scan run their per-shard tasks on the pool when the table has at
+  /// least `parallel threshold` rows and more than one shard; otherwise
+  /// the same tasks run inline, shard by shard. Results are
+  /// byte-identical either way: rows reassemble by insertion sequence
+  /// and aggregation merges are gated to exact (non-floating-point)
+  /// states.
   void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
 
   /// Minimum table row count before the shard tasks go to the pool
   /// (small tables are not worth the fan-out). 0 forces the fan-out for
   /// any non-empty eligible table — used by the invariance tests.
   void set_parallel_threshold(size_t n) { parallel_threshold_ = n; }
-
-  /// Selects the execution engine (see exec/exec_mode.h). kVector
-  /// routes scans, filters, projections, and group-by folds through the
-  /// batch-at-a-time columnar path; expressions the batch compiler
-  /// cannot handle (names bound to a deferred error, EXISTS
-  /// subqueries, unbound parameters) fall back to the row engine per
-  /// operator, counted in exec.batch.fallbacks. Results, errors, and
-  /// cost accounting are identical in both modes. kRow is the serial
-  /// reference engine: it ignores the worker pool. Defaults to kRow so
-  /// a bare Executor keeps the reference directly testable; the server
-  /// stack applies ServerOptions::exec_mode.
-  void set_exec_mode(ExecMode mode) { mode_ = mode; }
-  ExecMode exec_mode() const { return mode_; }
 
   /// Attaches the caller's pinned tables and snapshot. A bound plan's
   /// table slots index the guard's slots, so a query keeps reading the
@@ -163,9 +118,13 @@ class Executor {
   Result<ResultSet> Execute(const ra::RaNodePtr& node,
                             const std::vector<catalog::Value>& params = {});
 
-  /// Evaluates a bound scalar expression (used by DML to compute INSERT
-  /// values / UPDATE assignments). Row counts from any subqueries
-  /// accumulate into last_rows_processed() without resetting it.
+  /// Evaluates a bound scalar expression over the frames pushed on
+  /// `ctx`, one row at a time: DML's INSERT values and UPDATE
+  /// assignments, and inside the executor every expression that does
+  /// not run compiled (join chains, Sort, key probes and residuals, and
+  /// any operator whose expressions contain a subquery). Row counts
+  /// from any subqueries accumulate into last_rows_processed() without
+  /// resetting it.
   Result<catalog::Value> Eval(const BoundExpr& expr, EvalContext* ctx);
 
   /// The unique-key access path's two steps, shared by SELECT's
@@ -202,7 +161,7 @@ class Executor {
   /// takes, borrowing the rows it keeps (exec/batch.h's lifetime rule):
   /// the unique key, then a secondary index, then a filter over the
   /// borrowed scan. SelectRefs runs all three; PointRefs the first two,
-  /// returning kNotFound when neither applies (the caller scans).
+  /// returning kNotFound when neither applies.
   /// `probed`, when set, is the key probe's hit, already resolved by a
   /// batched probe (Table::ProbeKeys).
   Status SelectRefs(const BoundNode& select, const storage::Table& table,
@@ -226,19 +185,18 @@ class Executor {
   /// kNotFound = inapplicable (nothing appended), caller falls through.
   Status IndexScanRefs(const BoundNode& select, const storage::Table& table,
                        EvalContext* ctx, std::vector<const catalog::Row*>* out);
-  /// The predicate over the borrowed scan, billed as Scan then Select.
-  Status ScanFilterRefs(const BoundNode& select, const storage::Table& table,
+  /// The predicate over the borrowed scan, billed as Scan then Select:
+  /// fused, the compiled predicate streams each shard's batches as the
+  /// scan produces them; with a subquery, it runs per row over the
+  /// scan's rows in insertion order (FilterRows).
+  Status FilterScanRefs(const BoundNode& select, const storage::Table& table,
                         EvalContext* ctx,
                         std::vector<const catalog::Row*>* out);
   /// Scan `scan` of `table`: its visible rows, borrowed, in insertion
-  /// order, with the Scan operator's bill. One step for both engines;
-  /// only the vector engine fans out to the pool and counts batches.
+  /// order, with the Scan operator's bill.
   void ScanRefs(const BoundNode& scan, const storage::Table& table,
                 std::vector<const catalog::Row*>* out);
   Result<catalog::Value> EvalScalar(const BoundExpr& expr, EvalContext* ctx);
-  /// True if `pred` holds over `row` (pushed as the innermost frame).
-  Result<bool> Holds(const BoundExpr& pred, const catalog::Row& row,
-                     EvalContext* ctx);
   /// True if the conjuncts `conjunct(0..n)` hold over `row` as one
   /// left-deep AND in that order (nullptr entries are skipped): each
   /// conjunct evaluates only while the conjunction so far is not FALSE.
@@ -277,47 +235,46 @@ class Executor {
                    RefChain* chain, const Candidates& candidates);
   Result<ResultSet> ExecGroupBy(const BoundNode& node, EvalContext* ctx);
 
-  /// A group-by whose pieces all compiled for batch evaluation:
-  /// optional filter predicate, key expressions, and aggregate
-  /// arguments (null entry = COUNT(*), which reads no input).
-  struct CompiledGroupBy {
-    std::unique_ptr<CompiledExpr> pred;
-    std::vector<std::unique_ptr<CompiledExpr>> keys;
-    std::vector<std::unique_ptr<CompiledExpr>> aggs;
-  };
-  /// Compiles the group-by's bound scalar pieces (the filter predicate
-  /// only when `select` is non-null). False = something didn't compile;
-  /// the caller falls back to the row engine.
-  bool CompileGroupBy(const BoundNode& node, const BoundNode* select,
-                      EvalContext* ctx, CompiledGroupBy* out);
+  /// An operator's expressions prepared for one execution (executor.cc):
+  /// compiled, or evaluated per row when any contains a subquery.
+  struct Exprs;
+  /// Prepares `bound` (null entries, COUNT(*), read no input) for an
+  /// operator whose input row is frame `level`.
+  Exprs Prepare(std::vector<const BoundExpr*> bound, size_t level,
+                EvalContext* ctx) const;
+  /// Evaluates `exprs` over rows[0..n) into one Vec per expression and
+  /// returns the lanes filled: n, or -- per row -- up to and including
+  /// the first failing row.
+  size_t EvalLanes(const Exprs& exprs, const catalog::Row* const* rows,
+                   size_t n, EvalContext* ctx, std::vector<Vec>* out);
+  /// Appends to `keep` the positions of rows[0..n) where `pred` holds,
+  /// in order, or returns the first failing row's status.
+  Status FilterRows(const Exprs& pred, const catalog::Row* const* rows,
+                    size_t n, EvalContext* ctx, std::vector<size_t>* keep);
 
+  /// A group-by's keys and aggregate arguments, and the fused scan's
+  /// filter (executor.cc).
+  struct GroupPlan;
   /// A group-by fold over batches: groups with the lowest seq folded
   /// into each, and the first predicate and fold failures (executor.cc).
   struct GroupPartial;
 
-  /// Vectorized operators (mode_ == kVector). Each mirrors its row
-  /// twin's results, error selection, and cost accounting exactly. The
-  /// fused scan shapes -- Select(Scan), GroupBy([Select(]Scan[)]) --
-  /// stream every shard's batches through one consumer via ScanShards,
-  /// as ScanRefs does. They read the batches' borrowed rows in place
-  /// (exec/batch.h) and copy a row only into the ResultSet: the filter
-  /// the rows it keeps, and the group-by none.
-  Result<ResultSet> ExecSelectScanBatch(const BoundNode& node,
-                                        const storage::Table& table,
-                                        const CompiledExpr& pred);
+  /// The batch operators. The fused scan shapes -- Select(Scan) in
+  /// FilterScanRefs, GroupBy([Select(]Scan[)]) -- stream every shard's
+  /// batches through one consumer via ScanShards, as ScanRefs does.
+  /// They read the batches' borrowed rows in place (exec/batch.h) and
+  /// copy a row only into the ResultSet: the filter the rows it keeps,
+  /// and the group-by none. Filter, Project and GroupByFold run over a
+  /// materialized input, one batch at a time, in row order.
   Result<ResultSet> ExecGroupByBatch(const BoundNode& node,
                                      const storage::Table& table,
-                                     const CompiledGroupBy& plan);
-  Result<ResultSet> FilterVector(ResultSet in, const CompiledExpr& pred);
-  Result<ResultSet> ProjectVector(
-      const BoundNode& node, ResultSet in,
-      const std::vector<std::unique_ptr<CompiledExpr>>& items);
-  Result<ResultSet> GroupByVectorFold(const BoundNode& node, ResultSet in,
-                                      const CompiledGroupBy& plan);
-  /// Compiles a bound expression with this execution's parameters
-  /// folded in (nullptr when it cannot run columnar).
-  std::unique_ptr<CompiledExpr> Compile(const BoundExpr& expr,
-                                        EvalContext* ctx) const;
+                                     const GroupPlan& plan);
+  Result<ResultSet> Filter(const BoundNode& node, ResultSet in,
+                           EvalContext* ctx);
+  Result<ResultSet> Project(const BoundNode& node, ResultSet in,
+                            EvalContext* ctx);
+  Result<ResultSet> GroupByFold(const BoundNode& node, ResultSet in,
+                                const GroupPlan& plan, EvalContext* ctx);
 
   /// What a scan charged: visible rows and their wire bytes.
   struct ShardScan {
@@ -326,16 +283,16 @@ class Executor {
   };
   /// The shard fan-out behind every scan. Streams each shard's visible
   /// rows, one batch at a time, through `consume(Batch*, Slot*)` and
-  /// returns what all shards scanned. Pooled -- the vector engine, a
-  /// pool attached, and a table with more than one shard and at least
-  /// parallel_threshold_ rows -- every shard is one pool task writing
+  /// returns what all shards scanned. Pooled -- a pool attached, and a
+  /// table with more than one shard and at least parallel_threshold_
+  /// rows -- every shard is one pool task writing
   /// its own slot, run under a shard span and charged to
   /// exec.parallel.batches, storage.shard.<i>.scan.* and the profile's
   /// shard slots. Otherwise the calling thread runs the shards in order
   /// and charges none of those, exactly as a serial run, into one slot
   /// per shard when `slot_per_shard` (row-producing consumers keep each
   /// shard's run apart for the ordering merge) or else into a single
-  /// slot. Only the vector engine counts batches. `slots` is resized to
+  /// slot. Every batch is counted (exec.batch.*). `slots` is resized to
   /// the number of slots used.
   template <typename Slot, typename Consume>
   ShardScan ScanShards(const storage::Table& table, const char* span,
@@ -358,7 +315,8 @@ class Executor {
     }
   }
 
-  /// One batch moved through a vectorized operator. Thread-safe
+  /// One batch a scan streamed or a compiled expression evaluated over
+  /// a materialized input. Thread-safe
   /// (striped counters, atomic profile accumulator); called from shard
   /// tasks — prof_cur_ is stable for their whole lifetime because the
   /// main thread blocks in WorkerPool::Run until every task finishes.
@@ -372,16 +330,11 @@ class Executor {
       prof_cur_->batches.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  /// An operator in kVector mode handed its input to the row engine.
-  void RecordVectorFallback() {
-    if (batch_fallbacks_ != nullptr) batch_fallbacks_->Increment();
-  }
 
   const storage::Database* db_;
   const storage::ReadGuard* guard_ = nullptr;
   WorkerPool* pool_ = nullptr;
   size_t parallel_threshold_ = 512;
-  ExecMode mode_ = ExecMode::kRow;
   size_t rows_processed_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* scan_rows_ = nullptr;
@@ -390,7 +343,6 @@ class Executor {
   obs::Histogram* shard_scan_ns_ = nullptr;
   obs::Counter* batch_batches_ = nullptr;
   obs::Counter* batch_rows_ = nullptr;
-  obs::Counter* batch_fallbacks_ = nullptr;
   obs::Histogram* batch_size_ = nullptr;
   /// storage.index.* / exec.index.* — physical-plan counters. Like
   /// exec.batch.*, they depend on which access path ran, so the

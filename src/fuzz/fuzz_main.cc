@@ -17,10 +17,6 @@
 // connections, differentially testing the async execution path. Default
 // 8; 0 keeps every case on the direct path.
 //
-// The rewritten program runs on the vector engine and the original on
-// the row engine, so every scenario is a row-vs-vector differential on
-// top of the rewrite check.
-//
 // --family NAME restricts generation to one program family (as printed
 // in the family-mix line), e.g. --family txn sweeps only multi-session
 // transaction schedules.

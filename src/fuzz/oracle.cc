@@ -476,7 +476,6 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
     net::ServerOptions so;
     so.database = dbo;
     so.scheduler_workers = 2;
-    so.exec_mode = opts.exec_mode;
     so.trace_sample = opts.trace_sample;
     net::Server server(so);
     if (Status s = BuildDatabase(c, server.db()); !s.ok()) {
@@ -503,7 +502,6 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
     std::vector<net::Client*> clients;
     for (int i = 0; i < sessions; ++i) {
       owned.push_back(std::make_unique<net::Connection>(&db));
-      owned.back()->set_exec_mode(opts.exec_mode);
       clients.push_back(owned.back().get());
     }
     live = RunTxnSchedule(*steps, clients, &units);
@@ -520,10 +518,6 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
     report.detail = "replay database setup: " + s.ToString();
     return report;
   }
-  // The replay connection deliberately keeps its default row engine:
-  // when the live run executed on the vector engine, live-vs-replay
-  // agreement doubles as a row-vs-vector differential over the
-  // schedule's SELECT cardinalities and final table contents.
   net::Connection replay_conn(&replay_db);
   for (size_t u = 0; u < units.size(); ++u) {
     for (const auto& [sql, live_rows] : units[u]) {
@@ -576,13 +570,12 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
 // twice: the indexed arm executes the CREATE INDEX statements (so
 // index builds race live writers, DML maintains live indexes, and
 // later SELECTs take the secondary-index scan / index-nested-loop
-// paths) under the requested shard layout and engine; the plain arm
-// suppresses the creates — synthesizing the `ok rows=0` record an
-// executed CREATE INDEX reports — on a single-shard, row-engine
-// database. Indexes are pure access-path state, so the two runs must
-// agree byte for byte on the statement log and on final contents;
-// one comparison is simultaneously an indexed-vs-unindexed, a
-// layout, and a row-vs-vector differential.
+// paths) under the requested shard layout; the plain arm suppresses
+// the creates — synthesizing the `ok rows=0` record an executed CREATE
+// INDEX reports — on a single-shard database with no pool. Indexes are
+// pure access-path state, so the two runs must agree byte for byte on
+// the statement log and on final contents; one comparison is both an
+// indexed-vs-unindexed and a layout differential.
 
 std::vector<StepRecord> RunIndexSchedule(
     const std::vector<TxnStep>& steps,
@@ -645,7 +638,7 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
       opts.async_every_n > 0 &&
       SplitMix64(c.seed) % static_cast<uint64_t>(opts.async_every_n) == 0;
 
-  // --- indexed arm, requested layout and engine.
+  // --- indexed arm, requested layout.
   std::vector<StepRecord> indexed;
   std::map<std::string, std::vector<std::string>> indexed_bags;
   std::string drift;
@@ -657,7 +650,6 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
     net::ServerOptions so;
     so.database = dbo;
     so.scheduler_workers = 2;
-    so.exec_mode = opts.exec_mode;
     so.trace_sample = opts.trace_sample;
     net::Server server(so);
     if (Status s = BuildDatabase(c, server.db()); !s.ok()) {
@@ -684,7 +676,6 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
     std::vector<net::Client*> clients;
     for (int i = 0; i < sessions; ++i) {
       owned.push_back(std::make_unique<net::Connection>(&db));
-      owned.back()->set_exec_mode(opts.exec_mode);
       clients.push_back(owned.back().get());
     }
     indexed = RunIndexSchedule(*steps, clients, /*execute_creates=*/true,
@@ -694,7 +685,7 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
   }
   report.injected = injected;
 
-  // --- plain arm: creates suppressed, single shard, row engine.
+  // --- plain arm: creates suppressed, single shard.
   storage::DatabaseOptions plain_dbo;
   plain_dbo.shard_count = 1;
   storage::Database plain_db(plain_dbo);
@@ -831,13 +822,7 @@ OracleReport RunOracleImpl(const FuzzCase& c, const OracleOptions& opts) {
       so.exec_threads = 2;
       so.parallel_threshold = 0;  // force parallel operators on
     }
-    // Original on the row engine, rewrite on opts.exec_mode: the
-    // comparison below is then a rewrite differential AND an engine
-    // differential in one pass.
-    net::ServerOptions so1 = so, so2 = so;
-    so1.exec_mode = exec::ExecMode::kRow;
-    so2.exec_mode = opts.exec_mode;
-    net::Server s1(so1), s2(so2);
+    net::Server s1(so), s2(so);
     if (Status s = BuildDatabase(c, s1.db()); !s.ok()) {
       report.detail = "database setup: " + s.ToString();
       return report;
@@ -870,9 +855,7 @@ OracleReport RunOracleImpl(const FuzzCase& c, const OracleOptions& opts) {
     // batching executor on, against its own fresh server. Temp-table
     // upload happens on the session connection; the batched probes
     // travel Submit -> worker like every other statement.
-    net::ServerOptions so3 = so;
-    so3.exec_mode = opts.exec_mode;
-    net::Server s3(so3);
+    net::Server s3(so);
     if (Status s = BuildDatabase(c, s3.db()); !s.ok()) {
       report.verdict = Verdict::kInfraError;
       report.detail = "batching database setup: " + s.ToString();
@@ -910,9 +893,6 @@ OracleReport RunOracleImpl(const FuzzCase& c, const OracleOptions& opts) {
     c2.set_worker_pool(pool.get());
     c2.set_parallel_threshold(0);
   }
-  // c1 keeps the Connection default (row engine); the rewrite runs on
-  // the requested engine so every pass is also a row-vs-vector check.
-  c2.set_exec_mode(opts.exec_mode);
   c2.set_trace(true);
   interp::Interpreter i1(&*program, &c1);
   interp::Interpreter i2(&optimized->program, &c2);
@@ -951,7 +931,6 @@ OracleReport RunOracleImpl(const FuzzCase& c, const OracleOptions& opts) {
     c3.set_worker_pool(pool.get());
     c3.set_parallel_threshold(0);
   }
-  c3.set_exec_mode(opts.exec_mode);
   interp::Interpreter i3(&*program, &c3);
   i3.set_batching(true);
   auto r3 = i3.Run(c.function);

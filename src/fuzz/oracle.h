@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/exec_mode.h"
 #include "net/connection.h"
 #include "fuzz/scenario.h"
 
@@ -53,15 +52,6 @@ struct OracleOptions {
   /// are unavailable for scheduler-backed cases (execution happens on
   /// worker links).
   size_t async_every_n = 0;
-  /// Execution engine for the REWRITTEN program's run. The original
-  /// program always executes on the row engine, so with the default
-  /// (kVector) every oracle pass is simultaneously a row-vs-vector
-  /// differential: the two engines must agree on return value, print
-  /// stream, and transfer counters for the verdict to be kPass. Set to
-  /// kRow to pin both runs to the row engine. Txn-family cases apply
-  /// this to the live interleaved run; the commit-order replay always
-  /// stays on the row engine for the same differential reason.
-  exec::ExecMode exec_mode = exec::ExecMode::kVector;
   /// Forwarded to every scheduler-backed server the oracle builds
   /// (ServerOptions::trace_sample): every N-th scheduled request is
   /// captured — span tree plus operator profile — into the server's

@@ -268,12 +268,11 @@ Outcome Connection::ExplainAnalyzeImpl(
       };
   if (profile.root() != nullptr) annotate(profile.root());
 
-  const std::string mode(exec::ExecModeName(exec_mode()));
   const int64_t rows = static_cast<int64_t>(rs->rows.size());
   Explain payload;
   payload.kind = Explain::Kind::kAnalyze;
-  payload.text = obs::RenderAnalyzeText(profile, mode, rows);
-  payload.json = obs::RenderAnalyzeJson(profile, mode, rows);
+  payload.text = obs::RenderAnalyzeText(profile, rows);
+  payload.json = obs::RenderAnalyzeJson(profile, rows);
   return Outcome::FromExplain(std::move(payload));
 }
 

@@ -125,7 +125,7 @@ class Connection : public Client {
   /// piggybacks on the next query).
   void DropTempTable(const std::string& name) override;
 
-  /// Attaches the server's shard worker pool for the vector engine's
+  /// Attaches the server's shard worker pool for the executor's
   /// partition-parallel scans/aggregations (see
   /// exec::Executor::set_worker_pool) and for CREATE INDEX's per-shard
   /// parallel backfill.
@@ -136,14 +136,6 @@ class Connection : public Client {
   void set_parallel_threshold(size_t n) {
     executor_.set_parallel_threshold(n);
   }
-
-  /// Selects the execution engine for this connection's queries
-  /// (exec::ExecMode::kRow or kVector — see exec/exec_mode.h). A bare
-  /// Connection defaults to the row engine, the serial reference; the
-  /// server stack applies ServerOptions::exec_mode to every worker link
-  /// and session.
-  void set_exec_mode(exec::ExecMode mode) { executor_.set_exec_mode(mode); }
-  exec::ExecMode exec_mode() const { return executor_.exec_mode(); }
 
   /// Attaches a per-request operator profile to this connection's
   /// executor (the trace sampler / slow-query logger set it around one

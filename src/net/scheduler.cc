@@ -8,7 +8,6 @@
 #include "catalog/schema.h"
 #include "catalog/value.h"
 #include "common/strings.h"
-#include "exec/exec_mode.h"
 #include "net/server.h"
 #include "obs/explain.h"
 #include "obs/profile.h"
@@ -58,7 +57,6 @@ Scheduler::Scheduler(Server* server, SchedulerOptions options)
                                              server_->options().cost_model);
     conn->set_worker_pool(server_->worker_pool());
     conn->set_parallel_threshold(server_->options().parallel_threshold);
-    conn->set_exec_mode(server_->options().exec_mode);
     conn->set_metrics(metrics);
     conn->set_plan_cache(server_->plan_cache());
     conns_.push_back(std::move(conn));
@@ -240,12 +238,10 @@ Outcome Scheduler::ExecuteRequest(Connection* conn, const Request& req) {
       Result<std::shared_ptr<const core::ExtractionPlan>> plan =
           server_->GetOrSelectPlan(req.sql, req.function);
       if (!plan.ok()) return Outcome::FromError(plan.status());
-      const std::string mode(
-          exec::ExecModeName(server_->options().exec_mode));
       Explain payload;
       payload.kind = Explain::Kind::kExtraction;
-      payload.text = obs::RenderExplainText(**plan, req.function, mode);
-      payload.json = obs::RenderExplainJson(**plan, req.function, mode);
+      payload.text = obs::RenderExplainText(**plan, req.function);
+      payload.json = obs::RenderExplainJson(**plan, req.function);
       return Outcome::FromExplain(std::move(payload));
     }
     case Kind::kStatement:
@@ -320,8 +316,6 @@ void Scheduler::RecordObservability(const Entry& e,
       ElapsedNs(e.enqueued, std::chrono::steady_clock::now());
   const std::string status =
       out.ok() ? "ok" : std::string(StatusCodeToString(out.status.code()));
-  const std::string_view mode =
-      exec::ExecModeName(server_->options().exec_mode);
   const int64_t shards =
       static_cast<int64_t>(server_->db()->shard_count());
   if (e.sampled) {
@@ -332,7 +326,6 @@ void Scheduler::RecordObservability(const Entry& e,
     rec.status = status;
     rec.queue_wait_ns = queue_wait_ns;
     rec.total_ns = total_ns;
-    rec.exec_mode = std::string(mode);
     rec.shard_count = shards;
     // Serialized here, before the promise resolves: a submitter-owned
     // ambient Trace is alive until outcome delivery by contract, and a
@@ -351,7 +344,7 @@ void Scheduler::RecordObservability(const Entry& e,
          << obs::JsonEscapeString(e.req.sql) << "\",\"status\":\""
          << obs::JsonEscapeString(status) << "\",\"queue_wait_ns\":"
          << queue_wait_ns << ",\"total_ns\":" << total_ns
-         << ",\"exec_mode\":\"" << mode << "\",\"shard_count\":" << shards
+         << ",\"shard_count\":" << shards
          << ",\"profile\":" << profile.ToJson() << "}";
     server_->slow_log()->Append(line.str());
   }

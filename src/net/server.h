@@ -46,12 +46,9 @@ struct ServerOptions {
   /// Minimum table row count before per-shard parallel operators engage
   /// (forwarded to every session's Executor).
   size_t parallel_threshold = 512;
-  /// Execution engine for every session and scheduler worker link:
-  /// vectorized batch-at-a-time. Tests set row to run the serial
-  /// reference engine, which never uses the shard worker pool. The two
-  /// engines produce byte-identical results; only speed and the
-  /// exec.batch.* / exec.parallel.* observability differ.
-  exec::ExecMode exec_mode = exec::ExecMode::kVector;
+  /// The executor's one engine, by name for the wall-clock benchmark's
+  /// provenance line (exec/exec_mode.h). Not a setting.
+  static constexpr exec::ExecMode exec_mode = exec::ExecMode::kVector;
   /// Worker threads in the request scheduler (the execution engine
   /// behind Session::Submit/Execute). 0 = default (2).
   size_t scheduler_workers = 0;
@@ -271,7 +268,6 @@ class Session : public Client {
                                         server->options_.cost_model) {
     conn_.set_worker_pool(&server->pool_);
     conn_.set_parallel_threshold(server->options_.parallel_threshold);
-    conn_.set_exec_mode(server->options_.exec_mode);
     conn_.set_metrics(&server->metrics_);
     conn_.set_plan_cache(&server->plan_cache_);
     // Direct connection() calls and scheduler-executed requests share

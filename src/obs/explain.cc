@@ -86,11 +86,9 @@ void RenderVar(std::ostringstream& out, const VarOutcome& o) {
 }  // namespace
 
 std::string RenderExplainText(const core::OptimizeResult& result,
-                              const std::string& function,
-                              const std::string& exec_mode) {
+                              const std::string& function) {
   std::ostringstream out;
   out << "EXPLAIN EXTRACTION for function '" << function << "'\n";
-  if (!exec_mode.empty()) out << "execution mode: " << exec_mode << "\n";
   if (result.outcomes.empty()) {
     out << "no cursor loops with observable variables\n";
     return out.str();
@@ -111,13 +109,12 @@ std::string RenderExplainText(const core::OptimizeResult& result,
 }
 
 std::string RenderExplainText(const core::ExtractionPlan& plan,
-                              const std::string& function,
-                              const std::string& exec_mode) {
+                              const std::string& function) {
   static const core::OptimizeResult kEmpty;
   const core::OptimizeResult& result =
       plan.optimized != nullptr ? *plan.optimized : kEmpty;
   std::ostringstream out;
-  out << RenderExplainText(result, function, exec_mode);
+  out << RenderExplainText(result, function);
   out << "alternatives:\n";
   for (const core::PlanAlternative& a : plan.alternatives) {
     out << "  * " << core::AlternativeKindName(a.kind) << ": ";
@@ -138,13 +135,12 @@ std::string RenderExplainText(const core::ExtractionPlan& plan,
 }
 
 std::string RenderExplainJson(const core::ExtractionPlan& plan,
-                              const std::string& function,
-                              const std::string& exec_mode) {
+                              const std::string& function) {
   static const core::OptimizeResult kEmpty;
   const core::OptimizeResult& result =
       plan.optimized != nullptr ? *plan.optimized : kEmpty;
   std::ostringstream out;
-  out << "{\"plan\":" << RenderExplainJson(result, function, exec_mode)
+  out << "{\"plan\":" << RenderExplainJson(result, function)
       << ",\"alternatives\":[";
   bool first = true;
   for (const core::PlanAlternative& a : plan.alternatives) {
@@ -168,19 +164,16 @@ std::string RenderExplainJson(const core::ExtractionPlan& plan,
   return out.str();
 }
 
-std::string RenderAnalyzeText(const Profile& profile,
-                              const std::string& exec_mode, int64_t rows) {
+std::string RenderAnalyzeText(const Profile& profile, int64_t rows) {
   std::ostringstream out;
-  out << "EXPLAIN ANALYZE (" << exec_mode << ", rows=" << rows << ")\n";
+  out << "EXPLAIN ANALYZE (rows=" << rows << ")\n";
   out << profile.ToText();
   return out.str();
 }
 
-std::string RenderAnalyzeJson(const Profile& profile,
-                              const std::string& exec_mode, int64_t rows) {
+std::string RenderAnalyzeJson(const Profile& profile, int64_t rows) {
   std::ostringstream out;
-  out << "{\"exec_mode\":\"" << JsonEscapeString(exec_mode)
-      << "\",\"rows\":" << rows << ",\"profile\":" << profile.ToJson()
+  out << "{\"rows\":" << rows << ",\"profile\":" << profile.ToJson()
       << "}";
   return out.str();
 }
@@ -254,13 +247,9 @@ std::string RenderTracesJson(const std::vector<TraceRecord>& records) {
 }
 
 std::string RenderExplainJson(const core::OptimizeResult& result,
-                              const std::string& function,
-                              const std::string& exec_mode) {
+                              const std::string& function) {
   std::ostringstream out;
   out << "{\"function\":\"" << JsonEscapeString(function) << "\"";
-  if (!exec_mode.empty()) {
-    out << ",\"exec_mode\":\"" << JsonEscapeString(exec_mode) << "\"";
-  }
   out << ",\"loops\":[";
   bool first_loop = true;
   auto verdict_json = [&](const char* name,

@@ -18,23 +18,15 @@ namespace eqsql::obs {
 ///
 /// The text form is stable (golden-tested); timings are deliberately
 /// omitted so output is byte-deterministic for a fixed program.
-///
-/// A non-empty `exec_mode` ("row"/"vector") adds an "execution mode"
-/// line reporting which engine the serving stack would run the
-/// extracted queries on; the default empty string keeps the original
-/// byte-identical report for callers without an engine in play.
 std::string RenderExplainText(const core::OptimizeResult& result,
-                              const std::string& function,
-                              const std::string& exec_mode = "");
+                              const std::string& function);
 
-/// The same report as JSON: {"function":..,["exec_mode":..,]"loops":
+/// The same report as JSON: {"function":..,"loops":
 /// [{"line":..,"desc":..,"vars":[{"var":..,"extracted":..,
 /// "preconditions":{...},"rules":[..],"sql":[..],"reason":..,
-/// "cost_skipped":..},..]},..]}. The exec_mode field appears only when
-/// the argument is non-empty.
+/// "cost_skipped":..},..]},..]}.
 std::string RenderExplainJson(const core::OptimizeResult& result,
-                              const std::string& function,
-                              const std::string& exec_mode = "");
+                              const std::string& function);
 
 /// Full selection report: the extraction report above followed by an
 /// "alternatives:" section listing every priced strategy — estimated
@@ -43,23 +35,19 @@ std::string RenderExplainJson(const core::OptimizeResult& result,
 /// epoch is a cache token, not a timing, and appears only in the JSON
 /// form).
 std::string RenderExplainText(const core::ExtractionPlan& plan,
-                              const std::string& function,
-                              const std::string& exec_mode = "");
+                              const std::string& function);
 
 /// {"plan":<extraction json>,"alternatives":[{"kind":..,"feasible":..,
 /// "est_cost_ms":..,"chosen":..,"detail":..,"skip_reason":..},..],
 /// "chosen":..,"stats_epoch":"<hex>"}.
 std::string RenderExplainJson(const core::ExtractionPlan& plan,
-                              const std::string& function,
-                              const std::string& exec_mode = "");
+                              const std::string& function);
 
-/// EXPLAIN ANALYZE rendering: header (execution mode + returned rows)
-/// followed by the operator-profile tree. The JSON form wraps
-/// Profile::ToJson with the same header fields.
-std::string RenderAnalyzeText(const Profile& profile,
-                              const std::string& exec_mode, int64_t rows);
-std::string RenderAnalyzeJson(const Profile& profile,
-                              const std::string& exec_mode, int64_t rows);
+/// EXPLAIN ANALYZE rendering: header (returned rows) followed by the
+/// operator-profile tree. The JSON form wraps Profile::ToJson with the
+/// same header field.
+std::string RenderAnalyzeText(const Profile& profile, int64_t rows);
+std::string RenderAnalyzeJson(const Profile& profile, int64_t rows);
 
 /// SHOW PROFILES / SHOW TRACES over the trace ring, as an explain-style
 /// payload: one stanza per sampled request. The profiles form carries

@@ -197,8 +197,7 @@ std::string TraceRing::ToJson() const {
         << JsonEscapeString(r.statement) << "\",\"status\":\""
         << JsonEscapeString(r.status) << "\",\"queue_wait_ns\":"
         << r.queue_wait_ns << ",\"total_ns\":" << r.total_ns
-        << ",\"exec_mode\":\"" << JsonEscapeString(r.exec_mode)
-        << "\",\"shard_count\":" << r.shard_count << ",\"trace\":"
+        << ",\"shard_count\":" << r.shard_count << ",\"trace\":"
         << (r.trace_json.empty() ? "null" : r.trace_json) << ",\"profile\":"
         << (r.profile_json.empty() ? "null" : r.profile_json) << "}";
   }

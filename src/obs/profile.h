@@ -108,7 +108,6 @@ struct TraceRecord {
   std::string status;  // "ok" or the failing status code name
   int64_t queue_wait_ns = 0;
   int64_t total_ns = 0;
-  std::string exec_mode;
   int64_t shard_count = 0;
   std::string trace_json;    // span tree (obs::Trace::ToJson)
   std::string profile_text;  // operator tree (Profile::ToText)

@@ -420,8 +420,8 @@ void OrderSeqRuns(std::vector<std::pair<size_t, T>>* rows,
 
 /// Batch-producing MVCC scan over one shard: pins the shard's slots
 /// once, then hands out the versions visible to `snap` a chunk at a
-/// time (the vectorized engine's scan source; exec/batch.h sizes the
-/// chunks). Rows are borrowed, not copied: each is a pointer into its
+/// time (the executor's scan source; exec/batch.h sizes the chunks).
+/// Rows are borrowed, not copied: each is a pointer into its
 /// visible version, valid while `snap` stays pinned in the TxnManager
 /// (a ReadGuard's pin, or an open transaction's). Vacuum never unlinks
 /// a version a pinned snapshot can see, and a version it unlinks waits

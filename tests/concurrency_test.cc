@@ -918,7 +918,6 @@ TEST(ServerStressTest, BorrowedScansSurviveConcurrentVacuum) {
   threads.emplace_back([&] {
     // No guard attached: the executor pins its own snapshot.
     exec::Executor executor(db);
-    executor.set_exec_mode(exec::ExecMode::kVector);
     exec::WorkerPool pool(2);
     executor.set_worker_pool(&pool);
     read_loop([&executor](const std::string& sql) {
@@ -1100,7 +1099,7 @@ TEST(ServerStressTest, ApplyProbesSurviveVacuumOnCommit) {
     });
   }
   threads.emplace_back([&] {
-    // No guard attached, on the row engine: the executor pins its own
+    // No guard attached and no pool: the executor pins its own
     // snapshot.
     exec::Executor executor(db);
     read_loop([&executor](const std::string& sql) {

@@ -398,8 +398,16 @@ TEST(ScalarOpsTest, NonBooleanLogicOperandIsRuntimeError) {
 }
 
 TEST_F(ExecutorTest, NonBooleanLogicOperandsFailAlikeInBothEngines) {
-  // In the vector engine these predicates and items compile, so the
-  // batch lanes raise the error; the row engine raises it per row.
+  // These predicates and items compile, so the batch lanes raise the
+  // error; the per-row evaluator (Executor::Eval) must raise the same
+  // one on the first row.
+  const Schema scan({{"b.id", DataType::kInt64},
+                     {"b.rnd_id", DataType::kInt64},
+                     {"b.p1", DataType::kInt64},
+                     {"b.p2", DataType::kInt64},
+                     {"b.p3", DataType::kInt64},
+                     {"b.p4", DataType::kInt64}});
+  const Row first = (*db_.GetTable("board"))->rows().front();
   const std::vector<ra::ScalarExprPtr> exprs = {
       ScalarExpr::Unary(ScalarOp::kNot, Col("b.id")),
       ScalarExpr::Binary(ScalarOp::kAnd, Col("b.id"),
@@ -411,17 +419,18 @@ TEST_F(ExecutorTest, NonBooleanLogicOperandsFailAlikeInBothEngines) {
         RaNode::Select(RaNode::Scan("board", "b"), e);
     const ra::RaNodePtr project =
         RaNode::Project(RaNode::Scan("board", "b"), {{e, "x"}});
+    Executor ex(&db_);
+    const std::vector<Value> params;
+    EvalContext ctx(&params);
+    ctx.PushFrame(&first);
+    Result<Value> per_row = ex.Eval(BindScalar(e, {&scan}), &ctx);
+    ASSERT_FALSE(per_row.ok()) << e->ToString();
     for (const ra::RaNodePtr& plan : {filter, project}) {
-      std::vector<Status> seen;
-      for (ExecMode mode : {ExecMode::kRow, ExecMode::kVector}) {
-        Executor ex(&db_);
-        ex.set_exec_mode(mode);
-        Result<ResultSet> rs = ex.Execute(plan);
-        ASSERT_FALSE(rs.ok()) << plan->ToString();
-        EXPECT_EQ(rs.status().code(), StatusCode::kRuntimeError);
-        seen.push_back(rs.status());
-      }
-      EXPECT_EQ(seen[0].message(), seen[1].message()) << plan->ToString();
+      Result<ResultSet> rs = ex.Execute(plan);
+      ASSERT_FALSE(rs.ok()) << plan->ToString();
+      EXPECT_EQ(rs.status().code(), StatusCode::kRuntimeError);
+      EXPECT_EQ(rs.status().message(), per_row.status().message())
+          << plan->ToString();
     }
   }
 }
@@ -451,7 +460,7 @@ TEST(ScalarOpsTest, GreatestLeast) {
 // Join chains: every apply shape runs three ways -- as the OUTER APPLY,
 // as its hand-written LEFT JOIN where one exists, and as the original
 // per-row loop through the interpreter -- with identical rows and
-// status at 1, 2 and 8 shards on both engines.
+// status at 1, 2 and 8 shards.
 
 /// x(id, aid, grp, mode) drives every loop: a NULL probe value (id 2),
 /// an unmatched one (id 4), a NULL group (id 5). d(id, aid, grp, phone)
@@ -553,13 +562,12 @@ const ApplyShape kApplyShapes[] = {
      "ON d.aid = x.aid AND d.phone < 5"},
 };
 
-/// One engine and layout: a connection over a fresh database, pooled
-/// (with the fan-out forced) on the vector engine above one shard.
+/// One layout: a connection over a fresh database, pooled (with the
+/// fan-out forced) above one shard.
 struct ApplySetup {
-  explicit ApplySetup(ExecMode mode, size_t shards)
+  explicit ApplySetup(size_t shards)
       : db(MakeApplyDb(shards)), conn(db.get()) {
-    conn.set_exec_mode(mode);
-    if (mode == ExecMode::kVector && shards > 1) {
+    if (shards > 1) {
       pool = std::make_unique<WorkerPool>(2);
       conn.set_worker_pool(pool.get());
       conn.set_parallel_threshold(0);
@@ -632,19 +640,16 @@ TEST(ExecApplyCrossPath, EveryShapeAgreesThreeWaysAcrossLayouts) {
         std::string("SELECT x.id AS i, p FROM x AS x OUTER APPLY (") +
         shape.inner + ")";
     std::string reference;
-    for (ExecMode mode : {ExecMode::kRow, ExecMode::kVector}) {
-      for (size_t shards : {1, 2, 8}) {
-        SCOPED_TRACE(std::string(ExecModeName(mode)) + " shards=" +
-                     std::to_string(shards));
-        ApplySetup setup(mode, shards);
-        const std::string got = RunSql(&setup.conn, apply);
-        if (reference.empty()) reference = got;
-        EXPECT_EQ(got, reference);
-        if (shape.left_join != nullptr) {
-          EXPECT_EQ(RunSql(&setup.conn, shape.left_join), reference);
-        }
-        EXPECT_EQ(RunLoop(&setup.conn, shape), reference);
+    for (size_t shards : {1, 2, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      ApplySetup setup(shards);
+      const std::string got = RunSql(&setup.conn, apply);
+      if (reference.empty()) reference = got;
+      EXPECT_EQ(got, reference);
+      if (shape.left_join != nullptr) {
+        EXPECT_EQ(RunSql(&setup.conn, shape.left_join), reference);
       }
+      EXPECT_EQ(RunLoop(&setup.conn, shape), reference);
     }
     EXPECT_FALSE(reference.empty());
   }
@@ -661,24 +666,21 @@ TEST(ExecApplyCrossPath, FirstLevelErrorWinsOverAnEarlierRowsLaterLevel) {
       "OUTER APPLY (SELECT CASE WHEN x.id = 0 THEN -e.phone "
       "ELSE e.phone END AS q FROM d AS e WHERE e.aid = x.aid)";
   const std::string head = "SELECT x.id AS i FROM x AS x ";
-  for (ExecMode mode : {ExecMode::kRow, ExecMode::kVector}) {
-    for (size_t shards : {1, 2, 8}) {
-      SCOPED_TRACE(std::string(ExecModeName(mode)) + " shards=" +
-                   std::to_string(shards));
-      ApplySetup setup(mode, shards);
-      const std::string first = RunSql(&setup.conn, head + level1);
-      const std::string second = RunSql(&setup.conn, head + level2);
-      ASSERT_NE(first, second);
-      EXPECT_EQ(first.rfind("Runtime", 0), 0u) << first;
-      EXPECT_EQ(RunSql(&setup.conn, head + level1 + " " + level2), first);
-    }
+  for (size_t shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ApplySetup setup(shards);
+    const std::string first = RunSql(&setup.conn, head + level1);
+    const std::string second = RunSql(&setup.conn, head + level2);
+    ASSERT_NE(first, second);
+    EXPECT_EQ(first.rfind("Runtime", 0), 0u) << first;
+    EXPECT_EQ(RunSql(&setup.conn, head + level1 + " " + level2), first);
   }
 }
 
 // A shard's rows are not always in seq order: keyless inserts take
 // their seq before the shard lock, so concurrent inserters can publish
-// slots out of order. Every scan still returns insertion-seq order, on
-// both engines, pooled or not.
+// slots out of order. Every scan still returns insertion-seq order,
+// pooled or not.
 TEST(ExecScanOrder, ConcurrentKeylessInsertsScanInSeqOrder) {
   for (size_t shards : {1, 2, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -716,15 +718,16 @@ TEST(ExecScanOrder, ConcurrentKeylessInsertsScanInSeqOrder) {
       stored += "(" + row[0].ToString() + "|" + row[1].ToString() + ")";
     }
     EXPECT_EQ(stored, want);
-    for (ExecMode mode : {ExecMode::kRow, ExecMode::kVector}) {
+    for (bool pooled : {false, true}) {
       Executor ex(&db);
-      ex.set_exec_mode(mode);
       WorkerPool pool(2);
-      ex.set_worker_pool(&pool);
-      ex.set_parallel_threshold(0);
+      if (pooled) {
+        ex.set_worker_pool(&pool);
+        ex.set_parallel_threshold(0);
+      }
       EXPECT_EQ(Answer(ex.Execute(*sql::ParseSql("SELECT * FROM t AS t"))),
                 want)
-          << ExecModeName(mode);
+          << "pooled=" << pooled;
     }
   }
 }

@@ -570,13 +570,13 @@ TEST(IndexServer, ExplainExtractionPricesIndexNestedLoopAgainstScan) {
 // A Select(Scan) runs as a unique-key lookup, a secondary-index scan or
 // a scan; an equi-join runs as an index nested-loop join or a hash
 // join. Each statement runs over the same rows in four setups -- no key
-// or index, a unique key on d.aid, a secondary index on d.aid, both --
-// in both engines. Rows and status must equal the plain setup's row
-// engine everywhere, and each setup must keep its own access path
-// (profile labels) and charges (rows_processed, storage.scan.rows). An
-// index path bills one row per probe plus each visible candidate it
-// hands the residual, then its rows out, and never a scan; both
-// engines take the same path.
+// or index, a unique key on d.aid, a secondary index on d.aid, both.
+// Rows and status must equal the plain setup's everywhere, and each
+// setup must keep its own access path (profile labels) and charges
+// (rows_processed, storage.scan.rows). An index path bills one row per
+// probe plus each visible candidate it hands the residual, then its
+// rows out, and never a scan. A filter fused with its scan shows no
+// Scan child.
 
 enum class PathSetup { kPlain, kKey, kIndex, kBoth };
 
@@ -597,8 +597,7 @@ struct PathCase {
   const char* name;
   const char* sql;
   /// Per setup (plain, key, index, both): the run as "<profile labels>
-  /// rp=<rows_processed> scan=<storage.scan.rows>", or "<row run> |
-  /// <vector run>" where the engines differ.
+  /// rp=<rows_processed> scan=<storage.scan.rows>".
   std::array<const char*, 4> expect;
 };
 
@@ -624,8 +623,7 @@ void RenderLabels(const obs::ProfileNode& n, std::string* out) {
 /// id 0, the one row the mixed probe value x.id + aid matches. d(id,
 /// aid, phone) holds unique, non-NULL aids 1..8 and string phones.
 /// Every statement runs with `?` bound to 3.
-PathRun RunPath(const std::string& sql, PathSetup setup,
-                exec::ExecMode mode) {
+PathRun RunPath(const std::string& sql, PathSetup setup) {
   storage::Database db;
   Table* x = *db.CreateTable(
       "x", Schema({{"id", DataType::kInt64}, {"aid", DataType::kInt64}}));
@@ -654,7 +652,6 @@ PathRun RunPath(const std::string& sql, PathSetup setup,
   obs::MetricsRegistry metrics;
   obs::Profile profile;
   exec::Executor ex(&db);
-  ex.set_exec_mode(mode);
   ex.set_metrics(&metrics);
   ex.set_profile(&profile);
   Result<ra::RaNodePtr> plan = sql::ParseSql(sql);
@@ -679,98 +676,97 @@ const PathCase kPathCases[] = {
     // d.aid = literal / parameter / NULL / outer column, at the top
     // level, inside OUTER APPLY and inside EXISTS.
     {"literal", "SELECT d.id AS i FROM d WHERE d.aid = 7",
-     {"Project(Select(Scan)) rp=10 scan=8 | Project(Select) rp=10 scan=8",
+     {"Project(Select) rp=10 scan=8",
       "Project(KeyLookup) rp=2 scan=0",
       "Project(IndexScan) rp=4 scan=0",
       "Project(KeyLookup) rp=2 scan=0"}},
     {"parameter", "SELECT d.id AS i FROM d WHERE d.aid = ?",
-     {"Project(Select(Scan)) rp=10 scan=8 | Project(Select) rp=10 scan=8",
+     {"Project(Select) rp=10 scan=8",
       "Project(KeyLookup) rp=2 scan=0",
       "Project(IndexScan) rp=4 scan=0",
       "Project(KeyLookup) rp=2 scan=0"}},
     {"literal_apply",
      "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
      "(SELECT d.phone AS oa0 FROM d WHERE d.aid = 7)",
-     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=91 scan=63",
+     {"Project(OuterApply(Scan,Project(Select))) rp=91 scan=63",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7",
       "Project(OuterApply(Scan,Project(IndexScan))) rp=49 scan=7",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7"}},
     {"parameter_apply",
      "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
      "(SELECT d.phone AS oa0 FROM d WHERE d.aid = ?)",
-     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=91 scan=63",
+     {"Project(OuterApply(Scan,Project(Select))) rp=91 scan=63",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7",
       "Project(OuterApply(Scan,Project(IndexScan))) rp=49 scan=7",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=35 scan=7"}},
     {"null_apply",
      "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
      "(SELECT d.phone AS oa0 FROM d WHERE d.aid = NULL)",
-     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=77 scan=63",
+     {"Project(OuterApply(Scan,Project(Select))) rp=77 scan=63",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=28 scan=7",
       "Project(OuterApply(Scan,Project(IndexScan))) rp=28 scan=7",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=28 scan=7"}},
     {"outer_apply",
      "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
      "(SELECT d.phone AS oa0 FROM d WHERE d.aid = x.aid)",
-     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=89 scan=63",
+     {"Project(OuterApply(Scan,Project(Select))) rp=89 scan=63",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=34 scan=7",
-      "Project(OuterApply(Scan,Project(Select(Scan)))) rp=89 scan=63",
+      "Project(OuterApply(Scan,Project(Select))) rp=89 scan=63",
       "Project(OuterApply(Scan,Project(KeyLookup))) rp=34 scan=7"}},
     {"literal_exists",
      "SELECT x.id AS i FROM x WHERE EXISTS "
      "(SELECT d.id AS j FROM d WHERE d.aid = 7)",
-     {"Project(Select(Scan,Project(Select(Scan)))) rp=91 scan=63",
+     {"Project(Select(Scan,Project(Select))) rp=91 scan=63",
       "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7",
       "Project(Select(Scan,Project(IndexScan))) rp=49 scan=7",
       "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7"}},
     {"parameter_exists",
      "SELECT x.id AS i FROM x WHERE EXISTS "
      "(SELECT d.id AS j FROM d WHERE d.aid = ?)",
-     {"Project(Select(Scan,Project(Select(Scan)))) rp=91 scan=63",
+     {"Project(Select(Scan,Project(Select))) rp=91 scan=63",
       "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7",
       "Project(Select(Scan,Project(IndexScan))) rp=49 scan=7",
       "Project(Select(Scan,Project(KeyLookup))) rp=35 scan=7"}},
     {"null_exists",
      "SELECT x.id AS i FROM x WHERE EXISTS "
      "(SELECT d.id AS j FROM d WHERE d.aid = NULL)",
-     {"Project(Select(Scan,Project(Select(Scan)))) rp=63 scan=63",
+     {"Project(Select(Scan,Project(Select))) rp=63 scan=63",
       "Project(Select(Scan,Project(KeyLookup))) rp=14 scan=7",
       "Project(Select(Scan,Project(IndexScan))) rp=14 scan=7",
       "Project(Select(Scan,Project(KeyLookup))) rp=14 scan=7"}},
     {"outer_exists",
      "SELECT x.id AS i FROM x WHERE EXISTS "
      "(SELECT d.id AS j FROM d WHERE d.aid = x.aid)",
-     {"Project(Select(Scan,Project(Select(Scan)))) rp=87 scan=63",
+     {"Project(Select(Scan,Project(Select))) rp=87 scan=63",
       "Project(Select(Scan,Project(KeyLookup))) rp=32 scan=7",
-      "Project(Select(Scan,Project(Select(Scan)))) rp=87 scan=63",
+      "Project(Select(Scan,Project(Select))) rp=87 scan=63",
       "Project(Select(Scan,Project(KeyLookup))) rp=32 scan=7"}},
     // The probe value names a scan column (aid is d.aid, the innermost
     // scope), so it binds nothing: only x.id = 0 matches, every d row.
     {"mixed_value_apply",
      "SELECT x.id AS i, oa0 AS p FROM x OUTER APPLY "
      "(SELECT d.phone AS oa0 FROM d WHERE d.aid = x.id + aid)",
-     {"Project(OuterApply(Scan,Project(Select(Scan)))) rp=107 scan=63",
-      "Project(OuterApply(Scan,Project(Select(Scan)))) rp=107 scan=63",
-      "Project(OuterApply(Scan,Project(Select(Scan)))) rp=107 scan=63",
-      "Project(OuterApply(Scan,Project(Select(Scan)))) rp=107 scan=63"}},
+     {"Project(OuterApply(Scan,Project(Select))) rp=107 scan=63",
+      "Project(OuterApply(Scan,Project(Select))) rp=107 scan=63",
+      "Project(OuterApply(Scan,Project(Select))) rp=107 scan=63",
+      "Project(OuterApply(Scan,Project(Select))) rp=107 scan=63"}},
     // The residual keeps predicate order: d.id = 3 is false on the one
     // d.aid = 7 row, so d.phone < 5 (a type error) is never evaluated.
     {"residual_order",
      "SELECT d.id AS i FROM d WHERE d.aid = 7 AND d.id = 3 AND d.phone < 5",
-     {"Project(Select(Scan)) rp=8 scan=8 | Project(Select) rp=8 scan=8",
+     {"Project(Select) rp=8 scan=8",
       "Project(KeyLookup) rp=1 scan=0",
       "Project(IndexScan) rp=2 scan=0",
       "Project(KeyLookup) rp=1 scan=0"}},
     {"duplicate_binding",
      "SELECT d.id AS i FROM d WHERE d.aid = 7 AND d.aid = 8",
-     {"Project(Select(Scan)) rp=8 scan=8 | Project(Select) rp=8 scan=8",
+     {"Project(Select) rp=8 scan=8",
       "Project(KeyLookup) rp=1 scan=0",
       "Project(IndexScan) rp=2 scan=0",
       "Project(KeyLookup) rp=1 scan=0"}},
     {"group_by_key",
      "SELECT COUNT(*) AS n FROM d WHERE d.aid = 7",
-     {"Project(GroupBy(Select(Scan))) rp=11 scan=8 | Project(GroupBy) "
-      "rp=11 scan=8",
+     {"Project(GroupBy) rp=11 scan=8",
       "Project(GroupBy(KeyLookup)) rp=3 scan=0",
       "Project(GroupBy(IndexScan)) rp=5 scan=0",
       "Project(GroupBy(KeyLookup)) rp=3 scan=0"}},
@@ -815,37 +811,31 @@ const PathCase kPathCases[] = {
 // and charges what any other miss charges.
 TEST(IndexKeyLookup, NullProbeIsAMiss) {
   for (const bool keyed : {false, true}) {
-    for (const exec::ExecMode mode :
-         {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
-      SCOPED_TRACE(std::string(keyed ? "keyed " : "unkeyed ") +
-                   exec::ExecModeName(mode));
-      storage::Database db;
-      Table* d = *db.CreateTable("d", Schema({{"id", DataType::kInt64},
-                                              {"aid", DataType::kInt64}}));
-      ASSERT_TRUE(d->Insert({Value::Int(0), Value::Null()}).ok());
-      ASSERT_TRUE(d->Insert({Value::Int(1), Value::Int(1)}).ok());
-      if (keyed) {
-        ASSERT_TRUE(d->DeclareUniqueKey("aid").ok());
-      }
-      exec::Executor ex(&db);
-      ex.set_exec_mode(mode);
-      auto run = [&](const std::string& sql, Value param) {
-        Result<ra::RaNodePtr> plan = sql::ParseSql(sql);
-        EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-        Result<exec::ResultSet> rs = ex.Execute(*plan, {std::move(param)});
-        EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
-        EXPECT_TRUE(rs.ok() && rs->rows.empty()) << sql;
-        return ex.last_rows_processed();
-      };
-      const size_t miss =
-          run("SELECT d.id AS i FROM d WHERE d.aid = 42", Value::Null());
-      EXPECT_EQ(run("SELECT d.id AS i FROM d WHERE d.aid = NULL",
-                    Value::Null()),
-                miss);
-      EXPECT_EQ(
-          run("SELECT d.id AS i FROM d WHERE d.aid = ?", Value::Null()),
-          miss);
+    SCOPED_TRACE(keyed ? "keyed" : "unkeyed");
+    storage::Database db;
+    Table* d = *db.CreateTable("d", Schema({{"id", DataType::kInt64},
+                                            {"aid", DataType::kInt64}}));
+    ASSERT_TRUE(d->Insert({Value::Int(0), Value::Null()}).ok());
+    ASSERT_TRUE(d->Insert({Value::Int(1), Value::Int(1)}).ok());
+    if (keyed) {
+      ASSERT_TRUE(d->DeclareUniqueKey("aid").ok());
     }
+    exec::Executor ex(&db);
+    auto run = [&](const std::string& sql, Value param) {
+      Result<ra::RaNodePtr> plan = sql::ParseSql(sql);
+      EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+      Result<exec::ResultSet> rs = ex.Execute(*plan, {std::move(param)});
+      EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+      EXPECT_TRUE(rs.ok() && rs->rows.empty()) << sql;
+      return ex.last_rows_processed();
+    };
+    const size_t miss =
+        run("SELECT d.id AS i FROM d WHERE d.aid = 42", Value::Null());
+    EXPECT_EQ(
+        run("SELECT d.id AS i FROM d WHERE d.aid = NULL", Value::Null()),
+        miss);
+    EXPECT_EQ(run("SELECT d.id AS i FROM d WHERE d.aid = ?", Value::Null()),
+              miss);
   }
 }
 
@@ -855,15 +845,10 @@ class CrossPath
 TEST_P(CrossPath, SameAnswerAndOwnPath) {
   const PathCase& c = kPathCases[std::get<0>(GetParam())];
   const PathSetup setup = std::get<1>(GetParam());
-  const PathRun reference =
-      RunPath(c.sql, PathSetup::kPlain, exec::ExecMode::kRow);
-  const PathRun row = RunPath(c.sql, setup, exec::ExecMode::kRow);
-  const PathRun vector = RunPath(c.sql, setup, exec::ExecMode::kVector);
-  EXPECT_EQ(row.answer, reference.answer);
-  EXPECT_EQ(vector.answer, reference.answer);
-  const std::string path =
-      row.path == vector.path ? row.path : row.path + " | " + vector.path;
-  EXPECT_EQ(path, c.expect[static_cast<size_t>(setup)]);
+  const PathRun reference = RunPath(c.sql, PathSetup::kPlain);
+  const PathRun run = RunPath(c.sql, setup);
+  EXPECT_EQ(run.answer, reference.answer);
+  EXPECT_EQ(run.path, c.expect[static_cast<size_t>(setup)]);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,16 +2,16 @@
 // sharded storage layer. The property: for any program and any data,
 // every observable output of the engine is byte-identical whether the
 // tables are partitioned across 1, 2, or 8 shards, whether the
-// partition-parallel operators are on or off, whether the row or
-// the vectorized engine executes the queries, AND whether an operator
+// partition-parallel operators are on or off, AND whether an operator
 // profile is being recorded (the server-stack grids add a profiled
 // on/off dimension — EXPLAIN ANALYZE instrumentation may never move a
-// counter or the simulated clock). Secondary indexes split the grid
-// into two arms, each with its own reference: an index path bills the
-// probes and candidates it touches, not the scan it replaces, so the
-// indexed arm's bill is its own, identical across both engines and
-// every layout, while its answers must equal the unindexed arm's byte
-// for byte. "Observable" is strict:
+// counter or the simulated clock). Each arm's reference is its 1-shard
+// run without a pool. Secondary indexes split the grid into two arms,
+// each with its own reference: an index path bills the probes and
+// candidates it touches, not the scan it replaces, so the indexed
+// arm's bill is its own, identical across every layout, while its
+// answers must equal the unindexed arm's byte for byte. "Observable"
+// is strict:
 // return value, print stream, AND the simulated cost counters
 // (rows/bytes transferred, queries, round trips, simulated_ms down to
 // the last bit — the parallel operators charge the same per-query row
@@ -24,9 +24,9 @@
 // and rollbacks), and the four benchmark workload apps, original and
 // rewritten. Run under
 // the `tsan` preset too (scripts/verify.sh does): with the parallel
-// threshold forced to 0 every vector-engine scan/fold fans out across
-// the pool (the row engine is the serial reference), so this suite
-// doubles as the race detector for the partition-parallel read path.
+// threshold forced to 0 every scan/fold above one shard fans out across
+// the pool, so this suite doubles as the race detector for the
+// partition-parallel read path.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,6 @@
 
 #include "catalog/value.h"
 #include "common/hash.h"
-#include "exec/exec_mode.h"
 #include "exec/worker_pool.h"
 #include "frontend/parser.h"
 #include "fuzz/corpus.h"
@@ -59,8 +58,6 @@ namespace eqsql {
 namespace {
 
 constexpr size_t kShardCounts[] = {1, 2, 8};
-constexpr exec::ExecMode kExecModes[] = {exec::ExecMode::kRow,
-                                         exec::ExecMode::kVector};
 constexpr bool kIndexed[] = {false, true};
 
 /// The index-on grid arm: a single-column secondary index over every
@@ -140,11 +137,10 @@ class ArmReferences {
 };
 
 /// Interprets `source`'s function `f` against a fresh database built
-/// from the case's tables, partitioned across `shards`, on the given
-/// execution engine, with the parallel operators forced on (threshold
-/// 0) whenever a pool is given.
+/// from the case's tables, partitioned across `shards`, with a pool and
+/// the parallel operators forced on (threshold 0) above one shard.
 Result<RunSignature> RunAtShardCount(const fuzz::FuzzCase& c, size_t shards,
-                                     exec::ExecMode mode, bool indexed) {
+                                     bool indexed) {
   storage::DatabaseOptions dbo;
   dbo.shard_count = shards;
   storage::Database db(dbo);
@@ -155,7 +151,6 @@ Result<RunSignature> RunAtShardCount(const fuzz::FuzzCase& c, size_t shards,
   if (!program.ok()) return program.status();
 
   net::Connection conn(&db);
-  conn.set_exec_mode(mode);
   std::unique_ptr<exec::WorkerPool> pool;
   if (shards > 1) {
     pool = std::make_unique<exec::WorkerPool>(2);
@@ -168,11 +163,11 @@ Result<RunSignature> RunAtShardCount(const fuzz::FuzzCase& c, size_t shards,
   return Signature(result->DisplayString(), interp.printed(), conn.stats());
 }
 
-/// Asserts the case signatures across the full exec-mode x shard-count
-/// grid are identical within each index arm: the row engine at 1 shard
+/// Asserts the case signatures across the shard-count grid are
+/// identical within each index arm: the 1-shard run without a pool
 /// anchors each arm's reference and every other cell of the arm must
 /// match it byte for byte, and the indexed arm's answers must match the
-/// unindexed arm's — this sweep IS the corpus-wide batch-vs-row (and
+/// unindexed arm's — this sweep IS the corpus-wide layout (and
 /// indexed-vs-unindexed) differential. Schedule cases (function
 /// "@txn"/"@index") are not programs: their signature is the oracle's
 /// rendered outcome log (per-statement row counts and error codes in
@@ -181,33 +176,27 @@ Result<RunSignature> RunAtShardCount(const fuzz::FuzzCase& c, size_t shards,
 void ExpectInvariant(const fuzz::FuzzCase& c, const std::string& label) {
   const bool schedule = !c.function.empty() && c.function[0] == '@';
   ArmReferences refs;
-  for (exec::ExecMode mode : kExecModes) {
-    for (size_t shards : kShardCounts) {
-      for (bool indexed : kIndexed) {
-        if (schedule && indexed) continue;  // dimension lives in the oracle
-        RunSignature sig;
-        if (schedule) {
-          fuzz::OracleOptions opts;
-          opts.shard_count = shards;
-          opts.exec_mode = mode;
-          fuzz::OracleReport report = fuzz::RunOracle(c, opts);
-          ASSERT_EQ(report.verdict, fuzz::Verdict::kPass)
-              << label << " shards=" << shards << " mode="
-              << exec::ExecModeName(mode) << ": " << report.detail;
-          sig.answers = report.rewritten_source;
-          ASSERT_FALSE(sig.answers.empty()) << label;
-        } else {
-          auto run = RunAtShardCount(c, shards, mode, indexed);
-          ASSERT_TRUE(run.ok())
-              << label << " shards=" << shards << " mode="
-              << exec::ExecModeName(mode) << ": " << run.status().ToString();
-          sig = *run;
-        }
-        refs.Check(indexed, sig,
-                   label + " at shards=" + std::to_string(shards) +
-                       " mode=" + exec::ExecModeName(mode) +
-                       " indexed=" + std::to_string(indexed));
+  for (size_t shards : kShardCounts) {
+    for (bool indexed : kIndexed) {
+      if (schedule && indexed) continue;  // dimension lives in the oracle
+      RunSignature sig;
+      if (schedule) {
+        fuzz::OracleOptions opts;
+        opts.shard_count = shards;
+        fuzz::OracleReport report = fuzz::RunOracle(c, opts);
+        ASSERT_EQ(report.verdict, fuzz::Verdict::kPass)
+            << label << " shards=" << shards << ": " << report.detail;
+        sig.answers = report.rewritten_source;
+        ASSERT_FALSE(sig.answers.empty()) << label;
+      } else {
+        auto run = RunAtShardCount(c, shards, indexed);
+        ASSERT_TRUE(run.ok()) << label << " shards=" << shards << ": "
+                              << run.status().ToString();
+        sig = *run;
       }
+      refs.Check(indexed, sig,
+                 label + " at shards=" + std::to_string(shards) +
+                     " indexed=" + std::to_string(indexed));
     }
   }
 }
@@ -252,24 +241,18 @@ TEST(ShardInvarianceTest, DmlFamilySpecifically) {
 }
 
 // The full oracle (original vs rewritten differential) must also pass
-// at every shard count and on both execution engines: rewrites and
-// refusals behave identically on partitioned storage, and in vector
-// mode the original (row engine) vs rewrite (vector engine) comparison
-// cross-checks the two interpreters against each other.
+// at every shard count: rewrites and refusals behave identically on
+// partitioned storage.
 TEST(ShardInvarianceTest, OraclePassesAtEveryShardCount) {
   for (int i = 0; i < 12; ++i) {
     uint64_t seed = SplitMix64(0xacc7 + static_cast<uint64_t>(i));
     fuzz::FuzzCase c = fuzz::GenerateCase(seed);
-    for (exec::ExecMode mode : kExecModes) {
-      for (size_t shards : kShardCounts) {
-        fuzz::OracleOptions opts;
-        opts.shard_count = shards;
-        opts.exec_mode = mode;
-        fuzz::OracleReport report = fuzz::RunOracle(c, opts);
-        EXPECT_EQ(report.verdict, fuzz::Verdict::kPass)
-            << "seed " << seed << " shards=" << shards << " mode="
-            << exec::ExecModeName(mode) << ": " << report.detail;
-      }
+    for (size_t shards : kShardCounts) {
+      fuzz::OracleOptions opts;
+      opts.shard_count = shards;
+      fuzz::OracleReport report = fuzz::RunOracle(c, opts);
+      EXPECT_EQ(report.verdict, fuzz::Verdict::kPass)
+          << "seed " << seed << " shards=" << shards << ": " << report.detail;
     }
   }
 }
@@ -290,25 +273,22 @@ TEST(ShardInvarianceTest, TxnFamilySchedulesAcrossShardCounts) {
     ASSERT_EQ(c.function, "@txn");
     std::string reference;
     bool have_reference = false;
-    for (exec::ExecMode mode : kExecModes) {
-      for (size_t shards : kShardCounts) {
-        fuzz::OracleOptions opts;
-        opts.shard_count = shards;
-        opts.exec_mode = mode;
-        fuzz::OracleReport report = fuzz::RunOracle(c, opts);
-        ASSERT_EQ(report.verdict, fuzz::Verdict::kPass)
-            << "txn seed " << seed << " shards=" << shards << " mode="
-            << exec::ExecModeName(mode) << ": " << report.detail;
-        // rewritten_source carries the rendered outcome log.
-        ASSERT_FALSE(report.rewritten_source.empty());
-        if (!have_reference) {
-          reference = report.rewritten_source;
-          have_reference = true;
-        } else {
-          EXPECT_EQ(report.rewritten_source, reference)
-              << "txn seed " << seed << " outcome log diverges at shards="
-              << shards << " mode=" << exec::ExecModeName(mode);
-        }
+    for (size_t shards : kShardCounts) {
+      fuzz::OracleOptions opts;
+      opts.shard_count = shards;
+      fuzz::OracleReport report = fuzz::RunOracle(c, opts);
+      ASSERT_EQ(report.verdict, fuzz::Verdict::kPass)
+          << "txn seed " << seed << " shards=" << shards << ": "
+          << report.detail;
+      // rewritten_source carries the rendered outcome log.
+      ASSERT_FALSE(report.rewritten_source.empty());
+      if (!have_reference) {
+        reference = report.rewritten_source;
+        have_reference = true;
+      } else {
+        EXPECT_EQ(report.rewritten_source, reference)
+            << "txn seed " << seed << " outcome log diverges at shards="
+            << shards;
       }
     }
   }
@@ -316,9 +296,9 @@ TEST(ShardInvarianceTest, TxnFamilySchedulesAcrossShardCounts) {
 
 // The index family extends the schedule invariance to DDL: CREATE
 // INDEX statements interleaved with DML and transactions must leave
-// the outcome log byte-identical at every shard count on both engines
-// — and each oracle run is itself an indexed-vs-unindexed (and
-// row-vs-vector) differential, so one green cell certifies four runs.
+// the outcome log byte-identical at every shard count — and each oracle
+// run is itself an indexed-vs-unindexed differential, so one green cell
+// certifies two runs.
 TEST(ShardInvarianceTest, IndexFamilySchedulesAcrossShardCounts) {
   fuzz::GenOptions gopts;
   ASSERT_TRUE(fuzz::RestrictToFamily(&gopts, "index"));
@@ -347,11 +327,10 @@ std::vector<App> BenchmarkApps() {
           {"join", workloads::JoinProgram(), "userRoles"}};
 }
 
-net::ServerOptions AppServerOptions(size_t shards, exec::ExecMode mode) {
+net::ServerOptions AppServerOptions(size_t shards) {
   net::ServerOptions options;
   options.plan_cache_capacity = 64;
   options.database.shard_count = shards;
-  options.exec_mode = mode;
   options.exec_threads = 2;
   options.parallel_threshold = 0;  // force the parallel operators on
   options.optimize.transform.table_keys = {{"board", "id"},
@@ -367,15 +346,14 @@ net::ServerOptions AppServerOptions(size_t shards, exec::ExecMode mode) {
 
 TEST(ShardInvarianceTest, WorkloadAppsThroughServerStack) {
   ArmReferences refs;
-  for (exec::ExecMode mode : kExecModes) {
-    for (size_t shards : kShardCounts) {
+  for (size_t shards : kShardCounts) {
     for (bool indexed : kIndexed) {
     // The profiled arm runs the identical workload with an operator
     // profile attached to the connection: per-operator row counts and
     // timings are collected, and the signature — including the
     // simulated clock down to the last bit — may not notice.
     for (bool profiled : {false, true}) {
-      net::Server server(AppServerOptions(shards, mode));
+      net::Server server(AppServerOptions(shards));
       ASSERT_TRUE(workloads::SetupMatosoDatabase(server.db(), 40, 4).ok());
       ASSERT_TRUE(workloads::SetupJobPortalDatabase(server.db(), 30).ok());
       ASSERT_TRUE(workloads::SetupSelectionDatabase(server.db(), 60, 25).ok());
@@ -407,7 +385,7 @@ TEST(ShardInvarianceTest, WorkloadAppsThroughServerStack) {
           }
         }
         // Session-cumulative cost counters are the bill; they must not
-        // depend on the shard count or the execution engine either.
+        // depend on the shard count either.
         sig.bill = Bill(session->stats());
         if (profiled) session->connection()->set_profile(nullptr);
       }
@@ -417,10 +395,8 @@ TEST(ShardInvarianceTest, WorkloadAppsThroughServerStack) {
       EXPECT_FALSE(sig.answers.empty());
       refs.Check(indexed, sig,
                  "shards=" + std::to_string(shards) +
-                     " mode=" + exec::ExecModeName(mode) +
                      " indexed=" + std::to_string(indexed) +
                      " profiled=" + std::to_string(profiled));
-    }
     }
     }
   }
@@ -441,10 +417,10 @@ bool LayoutScoped(const std::string& name) {
   return name.rfind("storage.shard.", 0) == 0 ||
          name.rfind("exec.pool.", 0) == 0 ||
          name.rfind("exec.parallel.", 0) == 0 ||
-         // Batch bookkeeping counts how the vectorized engine chunked
-         // the work — batch counts follow per-shard chunk boundaries
-         // (and are zero on the row engine), so they are layout- and
-         // engine-scoped like the pool counters above.
+         // Batch bookkeeping counts how the engine chunked the work —
+         // batch counts follow per-shard chunk boundaries and the
+         // access path taken, so they are layout-scoped like the pool
+         // counters above.
          name.rfind("exec.batch.", 0) == 0 ||
          name.rfind("net.scheduler.", 0) == 0 ||
          // MVCC bookkeeping is layout-scoped too: version installs and
@@ -453,7 +429,7 @@ bool LayoutScoped(const std::string& name) {
          // Index counters describe which physical access path ran, not
          // what it produced — probes are zero in the index-off arm of
          // the grid by construction, so they are plan-scoped the way
-         // exec.batch.* is engine-scoped.
+         // exec.batch.* is path-scoped.
          name.rfind("storage.index.", 0) == 0 ||
          name.rfind("exec.index.", 0) == 0 ||
          // Observability bookkeeping (sampled-trace and slow-query-log
@@ -480,11 +456,10 @@ TEST(ShardInvarianceTest, CounterMetricsAreShardCountInvariant) {
   // One reference per index arm: the indexed arm bills index probes and
   // candidates where the unindexed arm bills scans.
   std::optional<std::string> references[2];
-  for (exec::ExecMode mode : kExecModes) {
-    for (size_t shards : kShardCounts) {
+  for (size_t shards : kShardCounts) {
     for (bool indexed : kIndexed) {
     for (bool profiled : {false, true}) {
-      net::Server server(AppServerOptions(shards, mode));
+      net::Server server(AppServerOptions(shards));
       ASSERT_TRUE(workloads::SetupMatosoDatabase(server.db(), 40, 4).ok());
       ASSERT_TRUE(workloads::SetupJobPortalDatabase(server.db(), 30).ok());
       ASSERT_TRUE(workloads::SetupSelectionDatabase(server.db(), 60, 25).ok());
@@ -509,10 +484,10 @@ TEST(ShardInvarianceTest, CounterMetricsAreShardCountInvariant) {
       std::string sig = CounterSignature(snap);
       ASSERT_FALSE(sig.empty());
       // The invariant set must actually cover the hot counters, or the
-      // filter grew too wide and this test proves nothing. The vector
-      // engine's exact cost-accounting parity is part of the claim:
-      // storage.scan.rows/bytes and exec.rows_processed agree with the
-      // row engine down to the last unit.
+      // filter grew too wide and this test proves nothing. Exact
+      // cost-accounting parity is part of the claim: storage.scan.rows,
+      // storage.scan.bytes and exec.rows_processed agree with the
+      // 1-shard unpooled run down to the last unit.
       EXPECT_NE(sig.find("storage.scan.rows="), std::string::npos);
       EXPECT_NE(sig.find("net.queries="), std::string::npos);
       EXPECT_NE(sig.find("extract.runs="), std::string::npos);
@@ -523,7 +498,6 @@ TEST(ShardInvarianceTest, CounterMetricsAreShardCountInvariant) {
       } else {
         EXPECT_EQ(sig, *reference)
             << "counters diverge at shards=" << shards
-            << " mode=" << exec::ExecModeName(mode)
             << " indexed=" << indexed << " profiled=" << profiled;
       }
 
@@ -557,7 +531,6 @@ TEST(ShardInvarianceTest, CounterMetricsAreShardCountInvariant) {
       EXPECT_EQ(sig.find("obs.trace."), std::string::npos);
       EXPECT_EQ(sig.find("obs.slow_log."), std::string::npos);
       if (profiled) EXPECT_FALSE(profile.empty());
-    }
     }
     }
   }

@@ -269,21 +269,18 @@ TEST(SqlExecAmbiguityTest, AmbiguousInnerNameFailsInBothEngines) {
   const std::string outer =
       std::string("SELECT o.id AS x FROM applicants AS o WHERE EXISTS (") +
       inner + ")";
-  for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
-    for (const std::string& sql : {std::string(inner), outer}) {
-      auto q = ParseSql(sql);
-      ASSERT_TRUE(q.ok()) << q.status().ToString();
-      exec::Executor ex(&db);
-      ex.set_exec_mode(mode);
-      auto rs = ex.Execute(*q);
-      if (rs.ok()) {
-        ADD_FAILURE() << exec::ExecModeName(mode) << " answered: " << sql;
-        continue;
-      }
-      EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument)
-          << rs.status().ToString();
-      EXPECT_EQ(rs.status().message(), "ambiguous column: id");
+  for (const std::string& sql : {std::string(inner), outer}) {
+    auto q = ParseSql(sql);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    exec::Executor ex(&db);
+    auto rs = ex.Execute(*q);
+    if (rs.ok()) {
+      ADD_FAILURE() << "answered: " << sql;
+      continue;
     }
+    EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument)
+        << rs.status().ToString();
+    EXPECT_EQ(rs.status().message(), "ambiguous column: id");
   }
 }
 

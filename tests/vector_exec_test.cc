@@ -1,32 +1,38 @@
-// Batch-vs-row differential harness — the acceptance artifact of the
-// vectorized execution path. The property: for any query and any data,
-// the vectorized engine (exec::ExecMode::kVector) and the row engine
-// (kRow) produce byte-identical observable outcomes — result-set
-// schema, row contents in order, error status on failure, AND the
-// simulated cost counters (rows/bytes transferred, simulated_ms down
-// to the last bit: vector operators charge the exact per-row costs of
-// their row counterparts, in the same order).
+// Batch-engine differential harness. The executor has one engine: Select,
+// Project and GroupBy evaluate their expressions a batch at a time,
+// compiled (exec::CompiledExpr), except that an operator whose
+// expressions contain a subquery evaluates them one row at a time. Three
+// references check it:
+//  1. Layout invariance: every query renders byte-identically -- result
+//     schema, rows in order, error status, the simulated cost counters
+//     down to the last bit, and storage.scan.rows -- at 1, 2 and 8
+//     shards, each above one shard with no pool and with a pool and the
+//     fan-out forced on (threshold 0). The reference is the 1-shard run
+//     without a pool.
+//  2. Recorded renderings: that reference rendering must hash to the
+//     Fnv1a digest recorded when a row-at-a-time engine still ran beside
+//     this one and both rendered it identically, so the batch engine
+//     cannot drift from what the row engine answered and billed.
+//  3. A lane differential: every Select predicate, Project item and
+//     GroupBy key and argument of each query, compiled and evaluated over
+//     its operator's input rows, agrees lane by lane with per-row
+//     evaluation (Executor::Eval) on the value or on the full error
+//     status.
 //
-// Two populations prove it:
-//  1. Hand-written edge cases aimed at the batch machinery itself:
-//     empty tables, single-row shards, row counts straddling
-//     exec::kBatchCapacity (1023/1024/1025), NULL-heavy columns,
-//     runtime errors surfacing mid-batch, and tombstoned MVCC versions
-//     punched into the middle of a chunk by DELETE/UPDATE.
-//  2. The fuzzer's program families: every family's generated programs
-//     run to completion on both engines with identical return values,
-//     print streams, and transfer counters.
-// Every case sweeps shard counts 1, 2, and 8, each with no pool and —
-// above one shard — with a pool and the fan-out forced on (threshold
-// 0), so the inline shard tasks, the pooled ones, and the row fallback
-// paths all get compared. Each cell must also match the 1-shard row
-// engine's rendering: two engines that fan out alike can agree on a
-// wrong answer, but not with the serial reference. scripts/verify.sh
-// runs this suite under TSan too.
+// The data shapes aim at the batch machinery itself: empty tables,
+// single-row shards, row counts straddling exec::kBatchCapacity
+// (1023/1024/1025), NULL-heavy columns, runtime errors mid-batch, and
+// tombstoned MVCC versions punched into the middle of a chunk by
+// DELETE/UPDATE. Further cases cover what compiles since the row engine
+// went: outer references below the top frame, deferred-error names and
+// unbound parameters, and subquery operators that evaluate per row.
+// scripts/verify.sh runs this suite under ASan and TSan too.
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -37,7 +43,8 @@
 #include "catalog/value.h"
 #include "common/hash.h"
 #include "exec/batch.h"
-#include "exec/exec_mode.h"
+#include "exec/binder.h"
+#include "exec/executor.h"
 #include "exec/worker_pool.h"
 #include "frontend/parser.h"
 #include "fuzz/oracle.h"
@@ -46,7 +53,10 @@
 #include "interp/interpreter.h"
 #include "net/connection.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
+#include "sql/parser.h"
 #include "storage/database.h"
+#include "storage/shard_guard.h"
 
 namespace eqsql {
 namespace {
@@ -67,8 +77,8 @@ struct QuerySpec {
 /// One query outcome flattened to a comparable string: schema, every
 /// row in order, the connection's cost counters (full precision — the
 /// parity claim covers the simulated clock), and the storage.scan.rows
-/// the statement charged. Errors render their full status so both
-/// engines must fail identically too, scan charges included.
+/// the statement charged. Errors render their full status, so every
+/// layout must fail identically too, scan charges included.
 std::string RenderOutcome(const net::Outcome& out,
                           const net::ConnectionStats& stats,
                           int64_t scan_rows) {
@@ -97,61 +107,154 @@ std::string RenderOutcome(const net::Outcome& out,
   return s.str();
 }
 
-/// Runs one query on a fresh connection in the given mode; the fresh
-/// connection and registry make the trailing stats line exactly this
-/// query's cost.
-std::string RunOne(storage::Database* db, exec::WorkerPool* pool,
-                   const QuerySpec& q, exec::ExecMode mode) {
-  net::Connection conn(db);
-  obs::MetricsRegistry reg;
-  conn.set_metrics(&reg);
-  conn.set_exec_mode(mode);
+/// A fresh connection over `db`; with `pool`, the shard fan-out is
+/// forced on.
+std::unique_ptr<net::Connection> Connect(storage::Database* db,
+                                         exec::WorkerPool* pool) {
+  auto conn = std::make_unique<net::Connection>(db);
   if (pool != nullptr) {
-    conn.set_worker_pool(pool);
-    conn.set_parallel_threshold(0);  // force the shard fan-out on
+    conn->set_worker_pool(pool);
+    conn->set_parallel_threshold(0);
   }
-  net::Outcome out = conn.Perform(net::Request::Query(q.sql, q.params));
-  return RenderOutcome(out, conn.stats(),
+  return conn;
+}
+
+/// Runs one query on a fresh connection; the fresh connection and
+/// registry make the trailing stats line exactly this query's cost.
+std::string RunOne(storage::Database* db, exec::WorkerPool* pool,
+                   const QuerySpec& q) {
+  std::unique_ptr<net::Connection> conn = Connect(db, pool);
+  obs::MetricsRegistry reg;
+  conn->set_metrics(&reg);
+  net::Outcome out = conn->Perform(net::Request::Query(q.sql, q.params));
+  return RenderOutcome(out, conn->stats(),
                        reg.Snapshot().counters.at("storage.scan.rows"));
+}
+
+/// True when a compiled lane and a per-row result agree: the same value
+/// (and rendering, so an int never matches a double), or the same full
+/// error status.
+bool LaneMatches(const exec::Vec& v, size_t i, const Result<Value>& want) {
+  if (!want.ok()) {
+    return v.ErrAt(i) && v.ErrStatus(i).ToString() == want.status().ToString();
+  }
+  return !v.ErrAt(i) && v.At(i) == *want &&
+         v.At(i).ToString() == want->ToString();
+}
+
+/// The lane differential: every Select predicate, Project item and
+/// GroupBy key and argument of `q`, compiled and evaluated over its
+/// operator's input rows in kBatchCapacity-lane batches, agrees lane by
+/// lane with per-row evaluation through Executor::Eval. It covers the
+/// top frame's operators: an operator's input rows are its child plan's
+/// answer; an operator whose input fails never runs and is skipped, and
+/// so is an expression with a subquery, which never compiles. Operators
+/// below the top frame read outer rows, and the renderings cover them.
+void ExpectLanesMatchPerRow(storage::Database* db, const QuerySpec& q,
+                            const std::string& label) {
+  Result<ra::RaNodePtr> plan = sql::ParseSql(q.sql);
+  ASSERT_TRUE(plan.ok()) << q.sql << ": " << plan.status().ToString();
+  const storage::ReadGuard guard =
+      storage::ReadGuard::Acquire(*db, ra::CollectScannedTables(*plan));
+  const std::shared_ptr<const exec::BoundPlan> bound =
+      exec::BindPlan(**plan, guard);
+  exec::Executor ex(db);
+  exec::EvalContext ctx(&q.params);
+  std::function<void(const exec::BoundNode&)> visit =
+      [&](const exec::BoundNode& node) {
+        if (node.depth > 0) return;
+        for (const exec::BoundNode& child : node.children) visit(child);
+        std::vector<const exec::BoundExpr*> exprs;
+        if (node.op == ra::RaOp::kSelect) exprs.push_back(&node.predicate);
+        if (node.op == ra::RaOp::kProject && !node.over_chain) {
+          for (const exec::BoundExpr& item : node.items) exprs.push_back(&item);
+        }
+        if (node.op == ra::RaOp::kGroupBy) {
+          for (const exec::BoundExpr& k : node.keys) exprs.push_back(&k);
+          const auto& aggs = node.source->aggregates();
+          for (size_t a = 0; a < aggs.size(); ++a) {
+            if (aggs[a].func != ra::AggFunc::kCountStar) {
+              exprs.push_back(&node.aggs[a]);
+            }
+          }
+        }
+        if (exprs.empty()) return;
+        Result<exec::ResultSet> in = ex.Execute(node.source->child(0), q.params);
+        if (!in.ok()) return;
+        std::vector<const Row*> rows;
+        for (const Row& row : in->rows) rows.push_back(&row);
+        for (const exec::BoundExpr* e : exprs) {
+          std::unique_ptr<exec::CompiledExpr> compiled =
+              exec::CompiledExpr::Compile(*e, node.depth, ctx);
+          if (compiled == nullptr) continue;
+          exec::Vec v;
+          for (size_t off = 0; off < rows.size();
+               off += exec::kBatchCapacity) {
+            const size_t n = std::min(exec::kBatchCapacity, rows.size() - off);
+            compiled->Eval(rows.data() + off, n, &v);
+            ASSERT_EQ(v.n, n) << label << ": " << q.sql;
+            for (size_t i = 0; i < n; ++i) {
+              ctx.PushFrame(rows[off + i]);
+              Result<Value> want = ex.Eval(*e, &ctx);
+              ctx.PopFrame();
+              ASSERT_TRUE(LaneMatches(v, i, want))
+                  << label << ": lane " << off + i << " of a "
+                  << ra::RaOpToString(node.op) << " expression in " << q.sql
+                  << ": per-row "
+                  << (want.ok() ? want->ToString() : want.status().ToString())
+                  << ", compiled "
+                  << (v.ErrAt(i) ? v.ErrStatus(i).ToString()
+                                 : v.At(i).ToString());
+            }
+          }
+        }
+      };
+  visit(bound->root());
 }
 
 using SetupFn = std::function<void(storage::Database*)>;
 
 /// The differential core: builds a fresh database per shard count,
-/// applies `setup`, then requires every query to render identically on
-/// both engines, with and without a pool, and identically to the
-/// 1-shard row engine's rendering.
+/// applies `setup`, then requires every query to render identically at
+/// every layout -- no pool, and above one shard a forced pool -- to the
+/// 1-shard unpooled rendering, whose concatenation over `queries` must
+/// hash to `digest`. At 1 shard every query also runs the lane
+/// differential.
 void SweepShards(const SetupFn& setup, const std::vector<QuerySpec>& queries,
-                 const std::string& label) {
+                 const std::string& label, uint64_t digest) {
   std::vector<std::string> reference(queries.size());
   for (size_t shards : kShardCounts) {
     storage::DatabaseOptions dbo;
     dbo.shard_count = shards;
     storage::Database db(dbo);
     setup(&db);
+    if (shards == 1) {
+      for (const QuerySpec& q : queries) ExpectLanesMatchPerRow(&db, q, label);
+    }
     exec::WorkerPool pool(2);
     for (bool pooled : {false, true}) {
       if (pooled && shards == 1) continue;
       for (size_t i = 0; i < queries.size(); ++i) {
         const QuerySpec& q = queries[i];
-        exec::WorkerPool* p = pooled ? &pool : nullptr;
-        std::string row = RunOne(&db, p, q, exec::ExecMode::kRow);
-        std::string vec = RunOne(&db, p, q, exec::ExecMode::kVector);
-        EXPECT_EQ(vec, row) << label << " shards=" << shards
-                            << " pooled=" << pooled << " query: " << q.sql;
+        const std::string got = RunOne(&db, pooled ? &pool : nullptr, q);
         if (shards == 1) {
-          reference[i] = row;
+          reference[i] = got;
         } else {
-          EXPECT_EQ(row, reference[i])
-              << label << " row engine diverges from 1 shard at shards="
-              << shards << " pooled=" << pooled << " query: " << q.sql;
-          EXPECT_EQ(vec, reference[i])
-              << label << " vector engine diverges from 1 shard at shards="
-              << shards << " pooled=" << pooled << " query: " << q.sql;
+          EXPECT_EQ(got, reference[i])
+              << label << " diverges from 1 shard at shards=" << shards
+              << " pooled=" << pooled << " query: " << q.sql;
         }
       }
     }
   }
+  std::string all;
+  for (const std::string& r : reference) all += r;
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, Fnv1a(all));
+  EXPECT_EQ(Fnv1a(all), digest)
+      << label << ": the 1-shard rendering hashes to " << hex
+      << ", not to the recorded digest. It reads:\n"
+      << all;
 }
 
 /// The standard fact table: id, group key, two int values (w carries
@@ -165,8 +268,9 @@ Schema FactSchema() {
                  {"name", DataType::kString}});
 }
 
-storage::Table* MakeFact(storage::Database* db, size_t n) {
-  auto table = db->CreateTable("fact", FactSchema());
+storage::Table* MakeFact(storage::Database* db, size_t n,
+                         const std::string& name = "fact") {
+  auto table = db->CreateTable(name, FactSchema());
   EXPECT_TRUE(table.ok());
   for (size_t i = 0; i < n; ++i) {
     int64_t id = static_cast<int64_t>(i);
@@ -183,9 +287,7 @@ storage::Table* MakeFact(storage::Database* db, size_t n) {
 
 /// The query mix every data shape runs: scan, filter, projection
 /// arithmetic, int group-by fold, scalar aggregates, and the operators
-/// that fall back to the row engine (ORDER BY, DISTINCT, EXISTS) —
-/// fallbacks must be differential no-ops, not differently-behaving
-/// paths.
+/// that evaluate row at a time (ORDER BY, DISTINCT).
 std::vector<QuerySpec> StandardQueries() {
   return {
       {"SELECT * FROM fact AS m", {}},
@@ -234,23 +336,26 @@ std::vector<QuerySpec> StandardQueries() {
 }
 
 // ---------------------------------------------------------------------------
-// Hand-written edge cases.
+// Hand-written edge cases. Each digest was recorded from the 1-shard
+// rendering of a build whose row-at-a-time engine rendered it
+// identically.
 
 TEST(VectorExecTest, EmptyTables) {
   SweepShards([](storage::Database* db) { MakeFact(db, 0); },
-              StandardQueries(), "empty");
+              StandardQueries(), "empty", 0xd1368973f395fdecULL);
 }
 
 TEST(VectorExecTest, SingleRowTable) {
   SweepShards([](storage::Database* db) { MakeFact(db, 1); },
-              StandardQueries(), "single-row");
+              StandardQueries(), "single-row", 0xfe4816b08e070a23ULL);
 }
 
 // At 8 shards an 8-row table leaves ~1 row per shard — every per-shard
 // cursor produces a 1-row batch (or none), the smallest parallel fold.
 TEST(VectorExecTest, SingleRowShards) {
   SweepShards([](storage::Database* db) { MakeFact(db, 8); },
-              StandardQueries(), "one-row-per-shard");
+              StandardQueries(), "one-row-per-shard",
+              0xdf72fd138a2f9996ULL);
 }
 
 // Row counts straddling exec::kBatchCapacity: one lane short of a full
@@ -258,9 +363,13 @@ TEST(VectorExecTest, SingleRowShards) {
 TEST(VectorExecTest, BatchBoundaryRowCounts) {
   static_assert(exec::kBatchCapacity == 1024,
                 "edge-case row counts below assume 1024-row batches");
-  for (size_t n : {size_t{1023}, size_t{1024}, size_t{1025}}) {
+  const size_t kRows[] = {1023, 1024, 1025};
+  const uint64_t kDigests[] = {0x49787e4d3ac5a54eULL, 0x495c944bf539d206ULL,
+                               0x13280b5ba90bf014ULL};
+  for (size_t i = 0; i < 3; ++i) {
+    const size_t n = kRows[i];
     SweepShards([n](storage::Database* db) { MakeFact(db, n); },
-                StandardQueries(), "rows=" + std::to_string(n));
+                StandardQueries(), "rows=" + std::to_string(n), kDigests[i]);
   }
 }
 
@@ -291,13 +400,13 @@ TEST(VectorExecTest, NullHeavyColumns) {
       {"SELECT m.fk, COUNT(*) AS c, SUM(m.nv) AS s, MAX(m.v) AS mx "
        "FROM fact AS m WHERE m.nv IS NULL GROUP BY m.fk",
        {}});
-  SweepShards(setup, queries, "null-heavy");
+  SweepShards(setup, queries, "null-heavy", 0xa74cac79860cf06fULL);
 }
 
 // Runtime errors must surface identically: same status, raised at the
 // same logical row, with the same cost charged before the failure. The
-// zero divisor sits mid-batch (row 700 of 1100), so the vector engine
-// has already produced full clean batches before the poisoned lane.
+// zero divisor sits mid-batch (row 700 of 1100), so full clean batches
+// run before the poisoned lane.
 TEST(VectorExecTest, MidBatchRuntimeErrors) {
   auto setup = [](storage::Database* db) {
     auto table = db->CreateTable("fact", FactSchema());
@@ -316,13 +425,13 @@ TEST(VectorExecTest, MidBatchRuntimeErrors) {
   };
   std::vector<QuerySpec> queries = {
       // Integer division by zero yields NULL (MySQL semantics), so
-      // these are value-parity cases, not failures — the boxed lane
-      // must agree with the row engine's NULL.
+      // these are value cases, not failures — the boxed lane must be
+      // the per-row NULL.
       {"SELECT m.v / m.w AS q FROM fact AS m", {}},
       {"SELECT m.id AS id FROM fact AS m WHERE m.v / m.w > 2", {}},
       {"SELECT m.fk, SUM(m.v / m.w) AS s FROM fact AS m GROUP BY m.fk", {}},
-      // String arithmetic is a genuine runtime error: both engines
-      // must fail with the same status at the same first row.
+      // String arithmetic is a genuine runtime error: every layout must
+      // fail with the same status at the same first row.
       {"SELECT m.v + m.name AS bad FROM fact AS m", {}},
       {"SELECT m.id AS id FROM fact AS m WHERE m.name > 3", {}},
       // A group-by over a failing filter: the filter runs over the whole
@@ -338,7 +447,7 @@ TEST(VectorExecTest, MidBatchRuntimeErrors) {
        "WHERE CASE WHEN m.id = 100 THEN m.name < 5 ELSE TRUE END",
        {}},
   };
-  SweepShards(setup, queries, "mid-batch-errors");
+  SweepShards(setup, queries, "mid-batch-errors", 0xdba06ee5ce4f4ac7ULL);
 }
 
 // DELETE and UPDATE punch tombstoned versions into the middle of what
@@ -359,7 +468,7 @@ TEST(VectorExecTest, TombstonedVersionsMidBatch) {
     dml("DELETE FROM fact WHERE v = 3");
     dml("UPDATE fact SET v = v + 100 WHERE id >= 200 AND id < 300");
   };
-  SweepShards(setup, StandardQueries(), "tombstoned");
+  SweepShards(setup, StandardQueries(), "tombstoned", 0x30e7e38b0eab7986ULL);
 }
 
 // Same data, after Vacuum() retired the dead versions: the contract
@@ -377,7 +486,163 @@ TEST(VectorExecTest, TombstonesSurviveVacuum) {
     dml("UPDATE fact SET v = 0 - v WHERE fk = 1");
     db->Vacuum();
   };
-  SweepShards(setup, StandardQueries(), "post-vacuum");
+  SweepShards(setup, StandardQueries(), "post-vacuum", 0x65a4bb1ce4c020ceULL);
+}
+
+/// `dim(k, g, tag)`: 40 unkeyed rows whose k and g repeat, for the
+/// correlated subplans below.
+void MakeDim(storage::Database* db) {
+  auto dim = db->CreateTable("dim", Schema({{"k", DataType::kInt64},
+                                            {"g", DataType::kInt64},
+                                            {"tag", DataType::kString}}));
+  ASSERT_TRUE(dim.ok());
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE((*dim)
+                    ->Insert({Value::Int(i % 13), Value::Int(i % 4),
+                              Value::String("t" + std::to_string(i))})
+                    .ok());
+  }
+}
+
+// References to an outer frame fold to this execution's value when the
+// operator below the top frame compiles: the correlated scan filter
+// under EXISTS (unkeyed, so a filter fused with its scan), a GroupBy
+// subplan run per left row by an apply, and a probe level that finds no
+// key or index and falls through to the filter over its scan. The
+// answers and bills are the row engine's, at every layout.
+TEST(VectorExecTest, OuterReferencesBelowTheTopFrame) {
+  auto setup = [](storage::Database* db) {
+    MakeFact(db, 300);
+    MakeDim(db);
+  };
+  const std::vector<QuerySpec> queries = {
+      {"SELECT m.id AS id FROM fact AS m WHERE EXISTS "
+       "(SELECT d.tag AS t FROM dim AS d WHERE d.k = m.nv AND d.g < m.w)",
+       {}},
+      {"SELECT m.id AS i, c AS c, s AS s FROM fact AS m OUTER APPLY "
+       "(SELECT COUNT(*) AS c, SUM(d.k + m.v) AS s FROM dim AS d "
+       "WHERE d.g = m.fk)",
+       {}},
+      {"SELECT m.id AS i, c AS c FROM fact AS m OUTER APPLY "
+       "(SELECT d.g AS g, COUNT(*) AS c FROM dim AS d "
+       "WHERE d.k < m.w + ? GROUP BY d.g)",
+       {Value::Int(2)}},
+      {"SELECT m.id AS i, t AS t FROM fact AS m OUTER APPLY "
+       "(SELECT d.tag AS t FROM dim AS d WHERE d.k = m.fk AND d.g = m.w - 1)",
+       {}},
+      {"SELECT m.id AS i, t AS t FROM fact AS m OUTER APPLY "
+       "(SELECT d.k * m.v AS t FROM dim AS d WHERE d.k = m.nv)",
+       {}},
+  };
+  SweepShards(setup, queries, "outer-references", 0xed4dda6be188ae25ULL);
+}
+
+// A name bound to a deferred error and an unbound `?` compile to lanes
+// that carry the error: it surfaces on the first row that evaluates it,
+// with the row engine's status, never behind a FALSE AND or an untaken
+// CASE branch, and never over empty input.
+TEST(VectorExecTest, DeferredErrorsAndUnboundParameters) {
+  auto setup = [](storage::Database* db) {
+    MakeFact(db, 1100);
+    MakeFact(db, 0, "empty");
+  };
+  const std::vector<QuerySpec> queries = {
+      {"SELECT m.id AS id FROM fact AS m WHERE m.nosuch = 1", {}},
+      {"SELECT m.id AS id FROM fact AS m WHERE m.id < 0 AND m.nosuch = 1",
+       {}},
+      {"SELECT m.id AS id, m.nosuch AS x FROM fact AS m", {}},
+      {"SELECT m.nosuch AS x FROM empty AS m", {}},
+      {"SELECT m.id AS id FROM empty AS m WHERE m.nosuch = 1", {}},
+      {"SELECT m.id AS id FROM fact AS m WHERE m.v > ?", {}},
+      {"SELECT m.id AS id FROM fact AS m WHERE m.id < 0 AND m.v > ?", {}},
+      {"SELECT m.v + ? AS x FROM empty AS m", {}},
+      {"SELECT m.fk, SUM(CASE WHEN m.id < 0 THEN m.nosuch ELSE m.v END) AS s "
+       "FROM fact AS m GROUP BY m.fk",
+       {}},
+      {"SELECT m.fk, MAX(m.v + ?) AS s FROM fact AS m GROUP BY m.fk", {}},
+      {"SELECT COUNT(*) AS c FROM empty AS m WHERE m.nosuch = ?", {}},
+  };
+  SweepShards(setup, queries, "deferred-errors", 0x8b982468e2760f30ULL);
+}
+
+/// `label[execs]` per profile node, children in parentheses.
+std::string RenderExecs(const obs::ProfileNode* n) {
+  if (n == nullptr) return "";
+  std::string out = n->label + "[" + std::to_string(n->execs) + "]";
+  if (n->children.empty()) return out;
+  out += "(";
+  for (size_t i = 0; i < n->children.size(); ++i) {
+    if (i > 0) out += ",";
+    out += RenderExecs(n->children[i].get());
+  }
+  return out + ")";
+}
+
+// An operator whose expressions contain EXISTS evaluates them all one
+// row at a time, in row order, and stops at the first failing row: the
+// subplan runs for exactly the rows the row engine ran it for. Each
+// query's status, storage.scan.rows and profile execs are pinned to the
+// values the row engine produced, at every layout.
+TEST(VectorExecTest, SubqueryOperatorsRunPerRowInRowOrder) {
+  const char* kExists =
+      "EXISTS (SELECT k.id AS j FROM keyed AS k WHERE k.id = m.fk)";
+  const std::string filter =
+      std::string("SELECT m.id AS id FROM fact AS m WHERE ") + kExists +
+      " AND CASE WHEN m.id = 700 THEN m.name > 3 ELSE TRUE END";
+  const std::string project =
+      std::string("SELECT m.id AS id, CASE WHEN ") + kExists +
+      " THEN 1 ELSE 0 END AS e, CASE WHEN m.id = 700 THEN m.v - m.name "
+      "ELSE m.v END AS bad FROM fact AS m";
+  const std::string aggregate =
+      std::string("SELECT m.fk, SUM(CASE WHEN ") + kExists +
+      " THEN m.v ELSE 0 END) AS s, MAX(CASE WHEN m.id = 700 THEN "
+      "m.v - m.name ELSE m.v END) AS bad FROM fact AS m GROUP BY m.fk";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {filter,
+       "RuntimeError: cannot compare 'n700' with 3 scan=1100 "
+       "Project[1](Select[1](Scan[1],Project[701](KeyLookup[701])))"},
+      {project,
+       "RuntimeError: arithmetic on non-numeric values: 17 vs 'n700' "
+       "scan=1100 Project[1](Scan[1],Project[701](KeyLookup[701]))"},
+      {aggregate,
+       "RuntimeError: arithmetic on non-numeric values: 17 vs 'n700' "
+       "scan=1100 "
+       "Project[1](GroupBy[1](Scan[1],Project[701](KeyLookup[701])))"},
+  };
+  for (size_t shards : kShardCounts) {
+    storage::DatabaseOptions dbo;
+    dbo.shard_count = shards;
+    storage::Database db(dbo);
+    MakeFact(&db, 1100);
+    auto keyed = db.CreateTable(
+        "keyed", Schema({{"id", DataType::kInt64}, {"w", DataType::kInt64}}));
+    ASSERT_TRUE(keyed.ok());
+    for (int64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*keyed)->Insert({Value::Int(i), Value::Int(i * 10)}).ok());
+    }
+    ASSERT_TRUE((*keyed)->DeclareUniqueKey("id").ok());
+    exec::WorkerPool pool(2);
+    for (bool pooled : {false, true}) {
+      if (pooled && shards == 1) continue;
+      for (const auto& [sql, want] : cases) {
+        std::unique_ptr<net::Connection> conn =
+            Connect(&db, pooled ? &pool : nullptr);
+        obs::MetricsRegistry reg;
+        conn->set_metrics(&reg);
+        obs::Profile profile;
+        conn->set_profile(&profile);
+        net::Outcome out = conn->Perform(net::Request::Query(sql));
+        conn->set_profile(nullptr);
+        const std::string got =
+            (out.ok() ? std::string("ok") : out.status.ToString()) +
+            " scan=" +
+            std::to_string(reg.Snapshot().counters.at("storage.scan.rows")) +
+            " " + RenderExecs(profile.root());
+        EXPECT_EQ(got, want) << "shards=" << shards << " pooled=" << pooled
+                             << " query: " << sql;
+      }
+    }
+  }
 }
 
 /// Runs `SELECT *` over fact on `conn` under a fresh registry. Returns
@@ -403,8 +668,8 @@ int64_t WireSizeOf(const std::vector<Row>& rows) {
 
 // storage.scan.bytes charges the wire size each version stored when it
 // was installed. After UPDATEs that widen and narrow a string, a SELECT
-// * must charge exactly the wire size of the rows it returns, on both
-// engines at 1, 2 and 8 shards, and a transaction reading at an older
+// * must charge exactly the wire size of the rows it returns at 1, 2
+// and 8 shards, pooled or not, and a transaction reading at an older
 // snapshot must be charged for the versions it sees, not for the newer
 // ones in the same slots. The shard-invariance grid compares shard
 // counts with each other, so it cannot see a size that is wrong the
@@ -426,54 +691,48 @@ TEST(VectorExecTest, ScanBytesFollowTheVisibleVersion) {
     dml("UPDATE fact SET name = '' WHERE fk = 2");
     exec::WorkerPool pool(2);
     int round = 0;
-    for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
-      for (bool pooled : {false, true}) {
-        if (pooled && shards == 1) continue;
-        const std::string label = "shards=" + std::to_string(shards) +
-                                  " mode=" + exec::ExecModeName(mode) +
-                                  " pooled=" + std::to_string(pooled);
-        net::Connection reader(&db);
-        reader.set_exec_mode(mode);
-        if (pooled) {
-          reader.set_worker_pool(&pool);
-          reader.set_parallel_threshold(0);
-        }
-        int64_t bytes = 0;
-        std::vector<Row> latest = ScanFact(&reader, &bytes);
-        EXPECT_EQ(bytes, WireSizeOf(latest)) << label;
-        EXPECT_EQ(static_cast<int64_t>(fact->byte_count()), bytes) << label;
+    for (bool pooled : {false, true}) {
+      if (pooled && shards == 1) continue;
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " pooled=" + std::to_string(pooled);
+      std::unique_ptr<net::Connection> reader =
+          Connect(&db, pooled ? &pool : nullptr);
+      int64_t bytes = 0;
+      std::vector<Row> latest = ScanFact(reader.get(), &bytes);
+      EXPECT_EQ(bytes, WireSizeOf(latest)) << label;
+      EXPECT_EQ(static_cast<int64_t>(fact->byte_count()), bytes) << label;
 
-        // A snapshot taken now, then a commit that narrows the wide
-        // names and widens the empty ones (wider each round).
-        ASSERT_TRUE(reader.Perform(net::Request::Begin()).ok()) << label;
-        ++round;
-        const int wide = round % 2 == 0 ? 1 : 2;
-        dml("UPDATE fact SET name = '" + std::string(20 + 8 * round, 'w') +
-            "' WHERE fk = " + std::to_string(wide));
-        dml("UPDATE fact SET name = 'x' WHERE fk = " +
-            std::to_string(3 - wide));
-        std::vector<Row> old = ScanFact(&reader, &bytes);
-        EXPECT_EQ(old, latest) << label;
-        EXPECT_EQ(bytes, WireSizeOf(old)) << label;
-        EXPECT_NE(WireSizeOf(fact->rows()), bytes) << label;
-        ASSERT_TRUE(reader.Perform(net::Request::Rollback()).ok()) << label;
+      // A snapshot taken now, then a commit that narrows the wide
+      // names and widens the empty ones (wider each round).
+      ASSERT_TRUE(reader->Perform(net::Request::Begin()).ok()) << label;
+      ++round;
+      const int wide = round % 2 == 0 ? 1 : 2;
+      dml("UPDATE fact SET name = '" + std::string(20 + 8 * round, 'w') +
+          "' WHERE fk = " + std::to_string(wide));
+      dml("UPDATE fact SET name = 'x' WHERE fk = " + std::to_string(3 - wide));
+      std::vector<Row> old = ScanFact(reader.get(), &bytes);
+      EXPECT_EQ(old, latest) << label;
+      EXPECT_EQ(bytes, WireSizeOf(old)) << label;
+      EXPECT_NE(WireSizeOf(fact->rows()), bytes) << label;
+      ASSERT_TRUE(reader->Perform(net::Request::Rollback()).ok()) << label;
 
-        latest = ScanFact(&reader, &bytes);
-        EXPECT_EQ(bytes, WireSizeOf(latest)) << label;
-        EXPECT_EQ(static_cast<int64_t>(fact->byte_count()), bytes) << label;
-      }
+      latest = ScanFact(reader.get(), &bytes);
+      EXPECT_EQ(bytes, WireSizeOf(latest)) << label;
+      EXPECT_EQ(static_cast<int64_t>(fact->byte_count()), bytes) << label;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Fuzzer families: every program family runs on both engines with
-// identical observable behavior.
+// Fuzzer families: every program family's observable behavior is the
+// same at every layout, and the oracle -- the original program,
+// interpreted, against the extracted SQL -- passes at each.
 
-/// Interprets the case's function in the given mode; signature covers
-/// return value, print stream, and the connection's cost counters.
+/// Interprets the case's function at one layout; the signature covers
+/// the return value, the print stream, and the connection's cost
+/// counters.
 Result<std::string> RunProgram(const fuzz::FuzzCase& c, size_t shards,
-                               exec::ExecMode mode) {
+                               bool pooled) {
   storage::DatabaseOptions dbo;
   dbo.shard_count = shards;
   storage::Database db(dbo);
@@ -481,15 +740,10 @@ Result<std::string> RunProgram(const fuzz::FuzzCase& c, size_t shards,
   auto program = frontend::ParseProgram(c.source);
   if (!program.ok()) return program.status();
 
-  net::Connection conn(&db);
-  conn.set_exec_mode(mode);
-  std::unique_ptr<exec::WorkerPool> pool;
-  if (shards > 1) {
-    pool = std::make_unique<exec::WorkerPool>(2);
-    conn.set_worker_pool(pool.get());
-    conn.set_parallel_threshold(0);
-  }
-  interp::Interpreter interp(&*program, &conn);
+  exec::WorkerPool pool(2);
+  std::unique_ptr<net::Connection> conn =
+      Connect(&db, pooled ? &pool : nullptr);
+  interp::Interpreter interp(&*program, conn.get());
   auto result = interp.Run(c.function);
   if (!result.ok()) return result.status();
 
@@ -497,7 +751,7 @@ Result<std::string> RunProgram(const fuzz::FuzzCase& c, size_t shards,
   out.precision(17);
   out << "return=" << result->DisplayString() << "\n";
   for (const std::string& line : interp.printed()) out << "print=" << line << "\n";
-  const net::ConnectionStats& stats = conn.stats();
+  const net::ConnectionStats& stats = conn->stats();
   out << "queries=" << stats.queries_executed
       << " rows=" << stats.rows_transferred
       << " bytes=" << stats.bytes_transferred << " ms=" << stats.simulated_ms
@@ -505,6 +759,9 @@ Result<std::string> RunProgram(const fuzz::FuzzCase& c, size_t shards,
   return out.str();
 }
 
+// Each family's programs render identically at every (shards, pooled)
+// cell as at 1 shard without a pool; schedule cases compare the txn
+// oracle's outcome logs across shard counts.
 TEST(VectorExecTest, EveryFuzzerFamilyAgreesAcrossModes) {
   constexpr fuzz::Family kFamilies[] = {
       fuzz::Family::kFilterCollect, fuzz::Family::kScalarAgg,
@@ -525,38 +782,36 @@ TEST(VectorExecTest, EveryFuzzerFamilyAgreesAcrossModes) {
       fuzz::FuzzCase c = fuzz::GenerateCase(seed, gopts);
       const std::string label = std::string(fuzz::FamilyName(family)) +
                                 " seed " + std::to_string(seed);
+      std::string reference;
       for (size_t shards : kShardCounts) {
         if (c.function == "@txn") {
           // Schedules compare through the txn oracle's outcome log.
-          std::string logs[2];
-          int i = 0;
-          for (exec::ExecMode mode :
-               {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
-            fuzz::OracleOptions opts;
-            opts.shard_count = shards;
-            opts.exec_mode = mode;
-            fuzz::OracleReport report = fuzz::RunOracle(c, opts);
-            ASSERT_EQ(report.verdict, fuzz::Verdict::kPass)
-                << label << " shards=" << shards << ": " << report.detail;
-            logs[i++] = report.rewritten_source;
-          }
-          EXPECT_EQ(logs[1], logs[0]) << label << " shards=" << shards;
-        } else {
-          auto row = RunProgram(c, shards, exec::ExecMode::kRow);
-          auto vec = RunProgram(c, shards, exec::ExecMode::kVector);
-          ASSERT_TRUE(row.ok()) << label << ": " << row.status().ToString();
-          ASSERT_TRUE(vec.ok()) << label << ": " << vec.status().ToString();
-          EXPECT_EQ(*vec, *row) << label << " shards=" << shards;
+          fuzz::OracleOptions opts;
+          opts.shard_count = shards;
+          fuzz::OracleReport report = fuzz::RunOracle(c, opts);
+          ASSERT_EQ(report.verdict, fuzz::Verdict::kPass)
+              << label << " shards=" << shards << ": " << report.detail;
+          if (reference.empty()) reference = report.rewritten_source;
+          EXPECT_EQ(report.rewritten_source, reference)
+              << label << " shards=" << shards;
+          continue;
+        }
+        for (bool pooled : {false, true}) {
+          if (pooled && shards == 1) continue;
+          auto run = RunProgram(c, shards, pooled);
+          ASSERT_TRUE(run.ok()) << label << ": " << run.status().ToString();
+          if (reference.empty()) reference = *run;
+          EXPECT_EQ(*run, reference)
+              << label << " shards=" << shards << " pooled=" << pooled;
         }
       }
     }
   }
 }
 
-// The rewritten programs (extracted SQL) must agree too: the oracle in
-// vector mode runs the original on the row engine and the rewrite on
-// the vector engine, so a kPass verdict is itself a cross-engine
-// equivalence proof over the extracted GROUP BY/JOIN/APPLY queries.
+// The rewritten programs (extracted SQL) must agree with the original
+// programs, interpreted, at every shard count: a kPass verdict covers
+// the extracted GROUP BY/JOIN/APPLY queries.
 TEST(VectorExecTest, ExtractedSqlAgreesAcrossModes) {
   int extracted = 0;
   for (uint64_t i = 0; i < 24; ++i) {
@@ -565,15 +820,14 @@ TEST(VectorExecTest, ExtractedSqlAgreesAcrossModes) {
     for (size_t shards : kShardCounts) {
       fuzz::OracleOptions opts;
       opts.shard_count = shards;
-      opts.exec_mode = exec::ExecMode::kVector;
       fuzz::OracleReport report = fuzz::RunOracle(c, opts);
       EXPECT_EQ(report.verdict, fuzz::Verdict::kPass)
           << "seed " << seed << " shards=" << shards << ": " << report.detail;
       if (report.extracted && shards == 1) ++extracted;
     }
   }
-  // The sweep must actually cover extracted rewrites, or the
-  // cross-engine claim above is vacuous.
+  // The sweep must actually cover extracted rewrites, or the claim
+  // above is vacuous.
   EXPECT_GE(extracted, 8);
 }
 
