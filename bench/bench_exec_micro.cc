@@ -3,18 +3,28 @@
 // numbers sanity-check the cost model's server term and document the
 // substrate's raw speed.
 //
-// Besides the google-benchmark operator suite, a self-timed "batch
-// phase" times the engine's scan, filter and group-by over 200k rows
-// (ungated, for the trajectory), then compares the two expression
-// evaluators on the same bound expressions and rows: compiled batch
-// evaluation (CompiledExpr::Eval over 1,024-row batches) against
-// per-row evaluation (Executor::Eval, which join chains, Sort, DML and
-// subquery operators still use). Every lane must agree with its row,
-// and the compiled speedup is GATED at >= 1.5x for the filter's
-// predicate and for the group-by's key and aggregate arguments. With
-// --json FILE the phase's measurements land in a machine-readable
-// artifact ({"bench":"exec_micro","batch_phase":{...,"pass":true}})
-// that scripts/verify.sh greps; a failed check exits non-zero.
+// Besides the google-benchmark operator suite, two self-timed phases
+// run, best of 7 each:
+//  - The batch phase times the engine's scan, filter and group-by over
+//    200k rows (ungated, for the trajectory), then compares the two
+//    expression evaluators on the same bound expressions and rows:
+//    compiled batch evaluation (CompiledExpr::Eval over 1,024-row
+//    batches) against per-row evaluation (Executor::Eval, which join
+//    residuals, key and index probes, DML and subquery operators still
+//    use). Every lane must agree with its row, and the compiled speedup
+//    is GATED at >= 1.5x for the filter's predicate and for the
+//    group-by's key and aggregate arguments.
+//  - The projection phase times Fig. 8's extracted query,
+//    `SELECT p.id, p.name ... WHERE p.finished = 0`, against `SELECT *`
+//    with the same filter, and the same pair without the filter, over
+//    Fig. 8's 100,000-row project table through Executor::Execute. It
+//    is GATED: returning two of four columns may not take longer than
+//    returning all four, since operators pass row references and only
+//    the root copies the columns it outputs.
+// With --json FILE the measurements land in a machine-readable artifact
+// ({"bench":"exec_micro","batch_phase":{...,"pass":true},
+// "projection_phase":{...,"pass":true}}) that scripts/verify.sh greps;
+// a failed check exits non-zero.
 
 #include <benchmark/benchmark.h>
 
@@ -218,8 +228,9 @@ bool MeasureEval(eqsql::storage::Database* db, const std::vector<Row>& rows,
   std::vector<eqsql::exec::Vec> vs(compiled.size());
   for (size_t off = 0; off < n; off += batch) {
     const size_t cnt = std::min(batch, n - off);
+    const Row* const* in = ptrs.data() + off;
     for (size_t k = 0; k < compiled.size(); ++k) {
-      compiled[k]->Eval(ptrs.data() + off, cnt, &vs[k]);
+      compiled[k]->Eval(&in, cnt, &vs[k]);
     }
     for (size_t i = 0; i < cnt; ++i) {
       ctx.PushFrame(ptrs[off + i]);
@@ -255,8 +266,9 @@ bool MeasureEval(eqsql::storage::Database* db, const std::vector<Row>& rows,
   m->compiled_ns = BestOf(reps, [&] {
     for (size_t off = 0; off < n; off += batch) {
       const size_t cnt = std::min(batch, n - off);
+      const Row* const* in = ptrs.data() + off;
       for (size_t k = 0; k < compiled.size(); ++k) {
-        compiled[k]->Eval(ptrs.data() + off, cnt, &vs[k]);
+        compiled[k]->Eval(&in, cnt, &vs[k]);
         sink += static_cast<int64_t>(vs[k].n);
       }
     }
@@ -265,10 +277,10 @@ bool MeasureEval(eqsql::storage::Database* db, const std::vector<Row>& rows,
   return true;
 }
 
-/// Runs the batch phase and writes the optional JSON artifact. Returns
+/// Runs the batch phase and appends its JSON object to `json`. Returns
 /// false when a lane disagreement or a gate failure should fail the
 /// binary.
-bool RunBatchPhase(const char* json_path) {
+bool RunBatchPhase(std::string* json) {
   constexpr int64_t kRows = 200000;
   constexpr int kReps = 7;
   // The gate covers expression evaluation, where batching does real
@@ -339,37 +351,99 @@ bool RunBatchPhase(const char* json_path) {
                 m.compiled_ns / 1e6, m.speedup(),
                 ok ? "" : "  << below gate");
   }
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return false;
-    }
-    std::fprintf(f, "{\"bench\":\"exec_micro\",\"batch_phase\":{\"rows\":%lld",
-                 static_cast<long long>(kRows));
-    for (const EngineRun& e : engine) {
-      std::fprintf(f, ",\"%s_ns\":%.0f", e.label, e.ns);
-    }
-    for (const EvalMeasurement& m : evals) {
-      std::fprintf(f,
-                   ",\"%s_row_ns\":%.0f,\"%s_compiled_ns\":%.0f,"
-                   "\"%s_speedup\":%.3f",
-                   m.label, m.row_ns, m.label, m.compiled_ns, m.label,
-                   m.speedup());
-    }
-    std::fprintf(f, ",\"gate\":%.1f,\"pass\":%s},\"provenance\":%s}\n", kGate,
-                 pass ? "true" : "false",
-                 eqsql::bench::ProvenanceJson("vector", db->shard_count())
-                     .c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "\"batch_phase\":{\"rows\":%lld",
+                static_cast<long long>(kRows));
+  *json += buf;
+  for (const EngineRun& e : engine) {
+    std::snprintf(buf, sizeof(buf), ",\"%s_ns\":%.0f", e.label, e.ns);
+    *json += buf;
   }
+  for (const EvalMeasurement& m : evals) {
+    std::snprintf(buf, sizeof(buf),
+                  ",\"%s_row_ns\":%.0f,\"%s_compiled_ns\":%.0f,"
+                  "\"%s_speedup\":%.3f",
+                  m.label, m.row_ns, m.label, m.compiled_ns, m.label,
+                  m.speedup());
+    *json += buf;
+  }
+  std::snprintf(buf, sizeof(buf), ",\"gate\":%.1f,\"pass\":%s}", kGate,
+                pass ? "true" : "false");
+  *json += buf;
   if (!pass) {
     std::fprintf(stderr,
                  "batch phase: compiled speedup below the %.1fx gate\n",
                  kGate);
   }
   return pass;
+}
+
+/// The projection phase: Fig. 8's extracted projection against
+/// `SELECT *`, with and without its filter. Returns false when a query
+/// fails or a projected form takes longer than its `SELECT *` form;
+/// appends its JSON object to `json`.
+bool RunProjectionPhase(std::string* json) {
+  constexpr int kRows = 100000;
+  constexpr int kReps = 7;
+  eqsql::storage::Database db;
+  if (!eqsql::workloads::SetupSelectionDatabase(&db, kRows, 20).ok()) {
+    std::fprintf(stderr, "projection phase: setup failed\n");
+    return false;
+  }
+  struct Pair {
+    const char* label;
+    const char* projected;
+    const char* star;
+    double projected_ns = 0;
+    double star_ns = 0;
+    bool pass() const { return projected_ns <= star_ns; }
+  };
+  Pair pairs[] = {
+      {"filtered",
+       "SELECT p.id, p.name FROM project AS p WHERE p.finished = 0",
+       "SELECT * FROM project AS p WHERE p.finished = 0"},
+      {"full", "SELECT p.id, p.name FROM project AS p",
+       "SELECT * FROM project AS p"},
+  };
+  eqsql::exec::Executor ex(&db);
+  bool ok = true;
+  auto time = [&](const char* sql) {
+    auto plan = *eqsql::sql::ParseSql(sql);
+    return BestOf(kReps, [&] {
+      auto rs = ex.Execute(plan);
+      if (!rs.ok()) {
+        std::fprintf(stderr, "projection phase: %s: %s\n", sql,
+                     rs.status().ToString().c_str());
+        ok = false;
+      }
+      benchmark::DoNotOptimize(rs);
+    });
+  };
+  std::printf("\n=== projection phase: %d rows ===\n", kRows);
+  std::printf("%10s %14s %14s\n", "query", "projected ms", "SELECT * ms");
+  bool pass = true;
+  for (Pair& p : pairs) {
+    p.projected_ns = time(p.projected);
+    p.star_ns = time(p.star);
+    pass = pass && p.pass();
+    std::printf("%10s %14.3f %14.3f%s\n", p.label, p.projected_ns / 1e6,
+                p.star_ns / 1e6, p.pass() ? "" : "  << slower than SELECT *");
+  }
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "\"projection_phase\":{\"rows\":%d", kRows);
+  *json += buf;
+  for (const Pair& p : pairs) {
+    std::snprintf(buf, sizeof(buf),
+                  ",\"%s_projected_ns\":%.0f,\"%s_star_ns\":%.0f", p.label,
+                  p.projected_ns, p.label, p.star_ns);
+    *json += buf;
+  }
+  *json += std::string(",\"pass\":") + (pass && ok ? "true" : "false") + "}";
+  if (!pass) {
+    std::fprintf(stderr,
+                 "projection phase: a projection took longer than SELECT *\n");
+  }
+  return pass && ok;
 }
 
 }  // namespace
@@ -393,5 +467,23 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return RunBatchPhase(json_path) ? 0 : 1;
+  std::string json = "{\"bench\":\"exec_micro\",";
+  const bool batch = RunBatchPhase(&json);
+  json += ",";
+  const bool projection = RunProjectionPhase(&json);
+  json += ",\"provenance\":" +
+          eqsql::bench::ProvenanceJson("vector",
+                                       eqsql::storage::Database().shard_count()) +
+          "}\n";
+  if (json_path != nullptr) {
+    std::FILE* f = std::fopen(json_path, "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", json_path);
+      return 1;
+    }
+    std::fputs(json.c_str(), f);
+    std::fclose(f);
+    std::printf("wrote %s\n", json_path);
+  }
+  return batch && projection ? 0 : 1;
 }

@@ -176,12 +176,16 @@ cmake --build build -j"$(nproc)" --target bench_fig8_selection \
 ./build/bench/bench_fig9_join --json BENCH_fig9.json
 # Batch phase: compiled evaluation agrees lane by lane with per-row
 # evaluation (Executor::Eval) and beats it by >= 1.5x on the filter's
-# predicate and the group-by's arguments, gated inside the binary and
-# re-checked in the artifact.
+# predicate and the group-by's arguments. Projection phase: Fig. 8's
+# extracted `SELECT p.id, p.name ... WHERE p.finished = 0` takes no
+# longer than `SELECT *` with the same filter, and the same without the
+# filter. Both are gated inside the binary and re-checked in the
+# artifact.
 ./build/bench/bench_exec_micro --benchmark_filter=ParseSql \
   --json BENCH_exec_micro.json
-grep -q '"pass":true' BENCH_exec_micro.json
+grep -Eq '"batch_phase":\{[^}]*"pass":true' BENCH_exec_micro.json
 grep -q '"filter_speedup":' BENCH_exec_micro.json
+grep -Eq '"projection_phase":\{[^}]*"pass":true' BENCH_exec_micro.json
 grep -q '"eqsql_vector_wall_ms":' BENCH_fig8.json
 # Cost-based selection phase: the artifact must carry the per-app
 # chosen strategies, the chosen-strategy tally (with at least one

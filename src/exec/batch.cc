@@ -238,6 +238,7 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const BoundExpr& expr,
         node->op_ = ScalarOp::kLiteral;
         node->constant_ = ctx.Column(expr.level, expr.column);
       } else {
+        node->input_ = expr.level - level;
         node->col_ = expr.column;
       }
       return node;
@@ -269,10 +270,11 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(const BoundExpr& expr,
   return node;
 }
 
-void CompiledExpr::Eval(const Row* const* rows, size_t n, Vec* out) const {
+void CompiledExpr::Eval(const Row* const* const* rows, size_t n,
+                        Vec* out) const {
   switch (op_) {
     case ScalarOp::kColumnRef:
-      GatherColumn(rows, n, col_, out);
+      GatherColumn(rows[input_], n, col_, out);
       return;
     case ScalarOp::kLiteral:
       if (!error_.ok()) {

@@ -138,11 +138,11 @@ class EvalContext {
 };
 
 /// A bound scalar expression compiled for one execution of the operator
-/// evaluating it, over that operator's input row: references to the
-/// input row read the positions the binder fixed, while '?' parameters
-/// and references to outer frames -- fixed for the execution -- fold to
-/// constants, so batch evaluation never walks a frame stack and
-/// dispatches once per batch per node instead of once per row.
+/// evaluating it, over that operator's input tuples: a reference to an
+/// input's row reads the (input, column) the binder fixed, while '?'
+/// parameters and references to outer frames -- fixed for the execution
+/// -- fold to constants, so batch evaluation never walks a frame stack
+/// and dispatches once per batch per node instead of once per row.
 ///
 /// Lane errors follow the per-row evaluator's lazy semantics exactly: a
 /// name bound to a deferred error (unresolved or ambiguous) and an
@@ -154,26 +154,29 @@ class EvalContext {
 /// over empty input.
 class CompiledExpr {
  public:
-  /// Compiles `expr`, bound with the operator's input row at frame
-  /// `level`, reading parameters and the outer frames 0..level-1 from
-  /// `ctx`. Returns nullptr for an expression containing EXISTS or NOT
-  /// EXISTS: a subquery runs per row, where row order decides which
-  /// subplans run and what they bill.
+  /// Compiles `expr`, bound with the operator's input tuples' rows at
+  /// frames `level`, `level + 1`, ..., one per input, reading parameters
+  /// and the outer frames 0..level-1 from `ctx`. Returns nullptr for an
+  /// expression containing EXISTS or NOT EXISTS: a subquery runs per
+  /// row, where row order decides which subplans run and what they bill.
   static std::unique_ptr<CompiledExpr> Compile(const BoundExpr& expr,
                                                size_t level,
                                                const EvalContext& ctx);
 
-  /// Evaluates over *rows[0..n), writing one lane per row into `out`.
-  /// The rows are read in place (borrowed versions or a materialized
-  /// input), never copied. Thread-safe: a compiled tree is immutable
-  /// and may be evaluated by many shard tasks at once.
-  void Eval(const catalog::Row* const* rows, size_t n, Vec* out) const;
+  /// Evaluates over n tuples, writing one lane per tuple into `out`:
+  /// inputs[i][0..n) are the tuples' rows of input i (a scan chunk
+  /// passes its one array). The rows are read in place, never copied.
+  /// Thread-safe: a compiled tree is immutable and may be evaluated by
+  /// many shard tasks at once.
+  void Eval(const catalog::Row* const* const* inputs, size_t n,
+            Vec* out) const;
 
  private:
   CompiledExpr() = default;
 
   ra::ScalarOp op_ = ra::ScalarOp::kLiteral;
-  size_t col_ = 0;               // kColumnRef: positional index
+  size_t input_ = 0;             // kColumnRef: the input ...
+  size_t col_ = 0;               // ... and the column of its row
   catalog::Value constant_;      // kLiteral (parameters and outer columns
                                  // fold to this)
   Status error_;                 // kLiteral: every lane's error, if set

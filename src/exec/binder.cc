@@ -99,18 +99,16 @@ size_t FrameCount(const BindScope& scope) {
   return n;
 }
 
-bool IsChainOp(RaOp op) {
-  return op == RaOp::kJoin || op == RaOp::kLeftOuterJoin ||
-         op == RaOp::kOuterApply;
+/// Slots reading columns 0..n-1 of one input's row, in order.
+std::vector<ColumnSlot> IdentitySlots(size_t n) {
+  std::vector<ColumnSlot> slots(n);
+  for (size_t i = 0; i < n; ++i) slots[i].column = static_cast<uint32_t>(i);
+  return slots;
 }
 
-/// The scope `node`'s output rows form: a chain level's combined row
-/// spans one frame per chain input; any other operator's row is one.
+/// The scope `node`'s output tuples form: one frame per input.
 BindFrame RowsOf(const BoundNode& node) {
-  if (IsChainOp(node.op) && node.inputs > 0) {
-    return BindFrame(node.schema.get(), node.slots, node.inputs);
-  }
-  return BindFrame(node.schema.get());
+  return BindFrame(node.schema.get(), node.slots, node.inputs);
 }
 
 /// Walks a plan once, resolving every name against the frame schemas
@@ -137,7 +135,8 @@ class Binder {
 
   BoundJoin BindJoin(const RaNode& node, const BoundNode& left,
                      const BoundNode& right, const BindFrame& left_rows,
-                     const BindFrame& all_rows, BindScope* scope);
+                     const BindFrame& right_row, const BindFrame& all_rows,
+                     BindScope* scope);
   /// Binds a join or apply as a level of its chain (BoundNode::slots).
   void BindChainLevel(const RaNode& node, BoundNode* out, BindScope* scope);
 
@@ -236,6 +235,7 @@ BoundScanSplit Binder::BindSplit(const ScalarExprPtr& pred, const Schema& scan,
 
 BoundJoin Binder::BindJoin(const RaNode& node, const BoundNode& left,
                            const BoundNode& right, const BindFrame& left_rows,
+                           const BindFrame& right_row,
                            const BindFrame& all_rows, BindScope* scope) {
   const Schema& ls = *left.schema;
   const Schema& rs = *right.schema;
@@ -270,7 +270,7 @@ BoundJoin Binder::BindJoin(const RaNode& node, const BoundNode& left,
     join.left_keys.push_back(BindOver(k, left_rows, scope));
   }
   for (const ScalarExprPtr& k : right_keys) {
-    join.right_keys.push_back(BindOver(k, &rs, scope));
+    join.right_keys.push_back(BindOver(k, right_row, scope));
   }
   for (const ScalarExprPtr& c : residual) {
     join.residual.push_back(BindOver(c, all_rows, scope));
@@ -303,41 +303,30 @@ void Binder::BindChainLevel(const RaNode& node, BoundNode* out,
   const BoundNode& right = out->children[1];
   out->schema =
       std::make_shared<const Schema>(left.schema->Concat(*right.schema));
-  const BindFrame left_rows = RowsOf(left);
-  const auto input = static_cast<uint32_t>(left_rows.frames);
-  // The left inputs' columns keep their places; a base input's row is
-  // read in place.
-  std::vector<ColumnSlot> slots = left_rows.slots;
-  for (size_t i = slots.size(); i < left.schema->size(); ++i) {
-    slots.push_back({0, static_cast<uint32_t>(i)});
+  // The left inputs' columns keep their places. The right row, the
+  // level's new input, is the right side's own row when it has one
+  // input, and otherwise the row the executor gathers from its output
+  // columns, in order.
+  const auto input = static_cast<uint32_t>(left.inputs);
+  const BindFrame right_row =
+      right.inputs == 1
+          ? RowsOf(right)
+          : BindFrame(right.schema.get(), IdentitySlots(right.schema->size()),
+                      1);
+  std::vector<ColumnSlot> slots = left.slots;
+  for (const ColumnSlot& s : right_row.slots) {
+    slots.push_back({input, s.column});
   }
-  // An apply over Project?(Select(Scan R)) probes R itself. Its right
-  // row is R's own when every projected item is a plain column of R
-  // (bound at the Project's frame, with no deferred error).
-  const BoundNode* project = right.op == RaOp::kProject ? &right : nullptr;
-  const BoundNode& select = project != nullptr ? right.children[0] : right;
+  out->inputs = left.inputs + 1;
+  out->slots = std::move(slots);
+  // An apply over Project?(Select(Scan R)) probes R itself.
+  const BoundNode& select =
+      right.op == RaOp::kProject ? right.children[0] : right;
   out->probe = node.op() == RaOp::kOuterApply && select.op == RaOp::kSelect &&
                select.split.has_value();
-  out->probe_borrows = out->probe;
-  for (size_t i = 0; out->probe && project != nullptr &&
-                     i < project->items.size();
-       ++i) {
-    const BoundExpr& item = project->items[i];
-    out->probe_borrows = out->probe_borrows &&
-                         item.op == ScalarOp::kColumnRef && item.error.ok() &&
-                         item.level == project->depth;
-  }
-  for (size_t i = 0; i < right.schema->size(); ++i) {
-    const bool mapped = out->probe_borrows && project != nullptr;
-    slots.push_back(
-        {input, mapped ? project->items[i].column : static_cast<uint32_t>(i)});
-  }
-  out->inputs = input + 1;
-  out->slots = std::move(slots);
   if (node.op() != RaOp::kOuterApply) {
-    out->join =
-        BindJoin(node, left, right, left_rows,
-                 BindFrame(out->schema.get(), out->slots, out->inputs), scope);
+    out->join = BindJoin(node, left, right, RowsOf(left), right_row,
+                         RowsOf(*out), scope);
   }
 }
 
@@ -372,6 +361,7 @@ BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
         cols.push_back({node.alias() + "." + c.name, c.type});
       }
       out.schema = std::make_shared<const Schema>(std::move(cols));
+      out.slots = IdentitySlots(out.schema->size());
       return out;
     }
     case RaOp::kSelect: {
@@ -379,7 +369,9 @@ BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
       const BoundNode& child = out.children[0];
       inherit(child);
       out.schema = child.schema;
-      out.predicate = BindOver(node.predicate(), child.schema.get(), scope);
+      out.inputs = child.inputs;
+      out.slots = child.slots;
+      out.predicate = BindOver(node.predicate(), RowsOf(child), scope);
       if (child.op == RaOp::kScan && child.table_error.ok()) {
         out.split = BindSplit(node.predicate(), *child.schema,
                               *guard_->table(child.table_slot), scope);
@@ -390,8 +382,6 @@ BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
       out.children.push_back(BindNode(*node.child(0), scope));
       const BoundNode& child = out.children[0];
       inherit(child);
-      // Over a join chain the items read the chain's row references.
-      out.over_chain = IsChainOp(child.op) && child.inputs > 0;
       for (const ra::ProjectItem& item : node.project_items()) {
         out.items.push_back(BindOver(item.expr, RowsOf(child), scope));
       }
@@ -406,6 +396,19 @@ BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
         cols.push_back({item.name, type});
       }
       out.schema = std::make_shared<const Schema>(std::move(cols));
+      // Items that are all plain columns of the input's tuples map
+      // slots; any other Project makes one row of its items.
+      out.maps_slots = std::all_of(
+          out.items.begin(), out.items.end(), [&out](const BoundExpr& e) {
+            return e.op == ScalarOp::kColumnRef && e.error.ok() &&
+                   e.level >= out.depth;
+          });
+      out.inputs = out.maps_slots ? child.inputs : 1;
+      out.slots = IdentitySlots(out.items.size());
+      for (size_t i = 0; out.maps_slots && i < out.items.size(); ++i) {
+        const BoundExpr& e = out.items[i];
+        out.slots[i] = {static_cast<uint32_t>(e.level - out.depth), e.column};
+      }
       return out;
     }
     case RaOp::kJoin:
@@ -430,12 +433,12 @@ BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
       const BoundNode& child = out.children[0];
       inherit(child);
       for (const ScalarExprPtr& k : node.group_keys()) {
-        out.keys.push_back(BindOver(k, child.schema.get(), scope));
+        out.keys.push_back(BindOver(k, RowsOf(child), scope));
       }
       for (const ra::AggregateSpec& a : node.aggregates()) {
         out.aggs.push_back(a.arg == nullptr
                                ? BoundExpr()
-                               : BindOver(a.arg, child.schema.get(), scope));
+                               : BindOver(a.arg, RowsOf(child), scope));
       }
       if (child.schema == nullptr) return out;
       std::vector<catalog::Column> cols;
@@ -455,6 +458,7 @@ BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
         cols.push_back({agg.name, type});
       }
       out.schema = std::make_shared<const Schema>(std::move(cols));
+      out.slots = IdentitySlots(out.schema->size());
       // The exactness gate of the fused scan fold: no double column in
       // the scanned table, no double literal or parameter in the keys,
       // aggregate arguments or filter, and no filter binding the unique
@@ -487,16 +491,21 @@ BoundNode Binder::BindNode(const RaNode& node, BindScope* scope) {
       const BoundNode& child = out.children[0];
       inherit(child);
       out.schema = child.schema;
+      out.inputs = child.inputs;
+      out.slots = child.slots;
       for (const ra::SortKey& k : node.sort_keys()) {
-        out.keys.push_back(BindOver(k.expr, child.schema.get(), scope));
+        out.keys.push_back(BindOver(k.expr, RowsOf(child), scope));
       }
       return out;
     }
     case RaOp::kDedup:
     case RaOp::kLimit: {
       out.children.push_back(BindNode(*node.child(0), scope));
-      inherit(out.children[0]);
-      out.schema = out.children[0].schema;
+      const BoundNode& child = out.children[0];
+      inherit(child);
+      out.schema = child.schema;
+      out.inputs = child.inputs;
+      out.slots = child.slots;
       return out;
     }
   }

@@ -94,8 +94,8 @@ struct BoundJoin {
   std::vector<std::string> index_columns;
 };
 
-/// Where one column of a join chain's combined row lives at run time:
-/// the chain input whose row holds it, and the column within that row.
+/// Where one output column of an operator lives at run time: the input
+/// whose row holds it, and the column within that row.
 struct ColumnSlot {
   uint32_t input = 0;
   uint32_t column = 0;
@@ -134,35 +134,35 @@ struct BoundNode {
   bool exact_fold = false;
   /// kJoin / kLeftOuterJoin, when both inputs' schemas are known.
   std::optional<BoundJoin> join;
-  /// kJoin / kLeftOuterJoin / kOuterApply, when both inputs' schemas
-  /// are known: the operator as the top level of its join chain, the
-  /// left-deep run of such operators over one base input. Input 0 is
-  /// the base and input i the i-th level's right side, so this level's
-  /// right side is input `inputs - 1`. The executor keeps one row
-  /// reference per input instead of a combined row, and `slots[i]`
-  /// places output column i. Expressions evaluated over a chain's rows
-  /// push one frame per input and read these slots; their names still
-  /// resolve against the flat combined schema.
-  size_t inputs = 0;
+  /// The operator's output tuples: each holds one row reference per
+  /// input, and `slots[i]` places output column i. A scan, a GroupBy and
+  /// a Project that computes its items have one input: the rows they
+  /// read or make. Select, Sort, Dedup and Limit keep their child's
+  /// inputs and slots, and so does a Project whose items are all plain
+  /// columns (`maps_slots`). A join or apply is a level of a join chain:
+  /// it adds one input, its right side's row, after its left side's.
+  /// Expressions over an operator's input push one frame per input and
+  /// read these slots; their names still resolve against the flat
+  /// schema. A node whose schema is unknown has one input and no slots.
+  size_t inputs = 1;
   std::vector<ColumnSlot> slots;
+  /// kProject: every item is a plain column of the input's tuples (no
+  /// deferred error, no outer frame), so the operator only maps slots
+  /// and makes no row.
+  bool maps_slots = false;
   /// kOuterApply whose right side is Project?(Select(Scan R)) over a
   /// present table: the level takes each left row's candidates from R
-  /// directly, by the Select's access path, with no subplan run.
+  /// directly, by the Select's access path, with no subplan run. Its
+  /// right row is R's row itself, borrowed, when the Project (if any)
+  /// maps slots; otherwise the level computes the Project's items into
+  /// a row it owns.
   bool probe = false;
-  /// probe: every item of the right side's Project (if any) is a plain
-  /// column of R, so the level's right row is R's row itself, borrowed,
-  /// and `slots` address R's columns. Otherwise the level computes the
-  /// Project's items into a row it owns.
-  bool probe_borrows = false;
-  /// kProject directly over a join chain: items are bound to the
-  /// chain's slots and evaluate over its row references.
-  bool over_chain = false;
 };
 
 /// One name scope at bind time: the schema names resolve against, and
 /// the evaluation frames behind it. A plain scope is one frame read in
-/// place. A join chain's combined row spans one frame per chain input,
-/// and `slots` places each of its columns. A null schema marks a scope
+/// place. An operator's output tuples span one frame per input, and
+/// `slots` places each of their columns. A null schema marks a scope
 /// whose schema is unknown (a missing table below); nothing bound
 /// against it can run, since producing its row would have failed first.
 struct BindFrame {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -265,31 +264,16 @@ int64_t NowNs() {
       .count();
 }
 
-bool IsChain(const BoundNode& node) {
-  return (node.op == RaOp::kJoin || node.op == RaOp::kLeftOuterJoin ||
-          node.op == RaOp::kOuterApply) &&
-         node.inputs > 0;
-}
-
-/// A copy of each borrowed row: the one copy a row pays, made where it
-/// leaves the statement.
-ResultSet Copied(const BoundNode& node, const std::vector<const Row*>& refs) {
-  ResultSet out;
-  out.schema = node.schema;
-  out.rows.reserve(refs.size());
-  for (const Row* row : refs) out.rows.push_back(*row);
-  return out;
-}
-
 }  // namespace
 
 /// One execution of one operator in the profile: enters `node`'s entry
 /// under the current operator and, on scope exit, adds its wall time,
 /// one execution and (once Done) its rows out. Exec wraps every
-/// operator in one, and a join chain opens one for each operator it
-/// runs without Exec, so the tree and its labels are the same either
-/// way. Correlated subqueries and applies re-enter the same plan node,
-/// which folds into one entry with execs > 1. Wall time is inclusive of
+/// operator in one, and a probe apply opens one for each operator of
+/// its right side, which it runs without Exec, so the tree and its
+/// labels are the same either way. Correlated subqueries and applies
+/// re-enter the same plan node, which folds into one entry with
+/// execs > 1. Wall time is inclusive of
 /// children and never touches the simulated clock, so the bill is the
 /// same with profiling on or off. A no-op without a profile.
 class Executor::ProfScope {
@@ -323,53 +307,97 @@ class Executor::ProfScope {
   int64_t t0_ = 0;
 };
 
-/// A join chain's output as row references. Input 0 is the chain's base;
-/// level i adds input i + 1 as one (left position, right row) pair per
-/// output, where the left position indexes the outputs below it and
-/// the right row is borrowed from its version (a key or index probe, a
-/// hash build or filter over a borrowed scan) or owned here (a right
-/// side's ResultSet rows, computed items, the NULL pad). Owned rows
-/// never move once referenced: result row vectors are moved in whole,
-/// which keeps their elements in place, and single rows live in a
-/// deque. Every borrowed row lives while the statement's snapshot pin
-/// is held (exec/batch.h).
-struct Executor::RefChain {
-  struct Level {
-    std::vector<size_t> left;
-    std::vector<const Row*> right;
-  };
-  std::vector<const Row*> base;
-  std::vector<Level> levels;
+/// An operator's output: tuples of row references, one row per input
+/// (BoundNode::inputs), stored input by input -- rows[i][t] is tuple t's
+/// row of input i -- so a batch of tuples is one row-pointer array per
+/// input, what CompiledExpr::Eval reads. A row is borrowed from its
+/// version, valid while the statement's snapshot pin is held
+/// (exec/batch.h), or owned: the rows the statement made (computed
+/// items, group rows, the NULL pad, a gathered right side) live in
+/// `owned`, in blocks that never grow past their capacity and keep
+/// their elements in place when moved, so an owned row never moves. An
+/// operator that passes on its input's tuples adopts the input's blocks
+/// with them, so a row lives as long as a tuple refers to it.
+struct Tuples {
+  std::vector<std::vector<const Row*>> rows;
   std::vector<std::vector<Row>> owned;
-  std::deque<Row> made;
+  /// Each tuple's one row was made for that tuple alone (by a group-by
+  /// or a Project that computes its items), so Execute moves it out.
+  bool made = false;
 
-  /// Outputs of the chain so far.
-  size_t size() const {
-    return levels.empty() ? base.size() : levels.back().right.size();
+  explicit Tuples(size_t inputs = 1) : rows(inputs) {}
+
+  /// `made`, one tuple per row.
+  static Tuples Made(std::vector<Row> made) {
+    Tuples out;
+    out.made = true;
+    out.rows[0].reserve(made.size());
+    for (const Row& row : made) out.rows[0].push_back(&row);
+    out.owned.push_back(std::move(made));
+    return out;
   }
 
-  /// Output `pos`'s row per input, into rows[0..levels.size()].
-  void Rows(size_t pos, const Row** rows) const {
-    for (size_t i = levels.size(); i > 0; --i) {
-      rows[i] = levels[i - 1].right[pos];
-      pos = levels[i - 1].left[pos];
+  size_t size() const { return rows[0].size(); }
+  size_t inputs() const { return rows.size(); }
+
+  /// Tuple `t`'s row per input, into out[0..inputs()).
+  void At(size_t t, const Row** out) const {
+    for (size_t i = 0; i < rows.size(); ++i) out[i] = rows[i][t];
+  }
+
+  /// Keeps the tuples at `picks`, in that order.
+  void Pick(const std::vector<size_t>& picks) {
+    for (std::vector<const Row*>& input : rows) {
+      std::vector<const Row*> picked(picks.size());
+      for (size_t j = 0; j < picks.size(); ++j) picked[j] = input[picks[j]];
+      input = std::move(picked);
     }
-    rows[0] = base[pos];
   }
 
-  /// Keeps `rows` and appends a reference to each to `refs`.
-  void Own(std::vector<Row> rows, std::vector<const Row*>* refs) {
-    if (rows.empty()) return;
-    owned.push_back(std::move(rows));
-    for (const Row& row : owned.back()) refs->push_back(&row);
-  }
-
-  /// Keeps one row.
+  /// Keeps `row` and returns it.
   const Row* Keep(Row row) {
-    made.push_back(std::move(row));
-    return &made.back();
+    if (owned.empty() || owned.back().size() == owned.back().capacity()) {
+      const size_t capacity = owned.empty() ? 16 : 2 * owned.back().capacity();
+      owned.emplace_back().reserve(capacity);
+    }
+    owned.back().push_back(std::move(row));
+    return &owned.back().back();
+  }
+
+  /// Takes over every row `other` owns; each stays where it is.
+  void Adopt(Tuples* other) {
+    for (std::vector<Row>& block : other->owned) {
+      owned.push_back(std::move(block));
+    }
+    other->owned.clear();
   }
 };
+
+namespace {
+
+/// A chain level's right rows from its right side's tuples `in`,
+/// appended to `out`: the side's own row when it has one input, borrowed
+/// or owned as it came; otherwise one row per tuple, gathered from the
+/// side's output columns (`right`'s slots) -- the one place a chain
+/// copies values. `keep` keeps what the rows need.
+void RightRows(const BoundNode& right, Tuples* in, Tuples* keep,
+               std::vector<const Row*>* out) {
+  if (in->inputs() == 1) {
+    out->insert(out->end(), in->rows[0].begin(), in->rows[0].end());
+    keep->Adopt(in);
+    return;
+  }
+  for (size_t t = 0; t < in->size(); ++t) {
+    Row row;
+    row.reserve(right.slots.size());
+    for (const ColumnSlot& s : right.slots) {
+      row.push_back((*in->rows[s.input][t])[s.column]);
+    }
+    out->push_back(keep->Keep(std::move(row)));
+  }
+}
+
+}  // namespace
 
 Result<ResultSet> Executor::Execute(const RaNodePtr& node,
                                     const std::vector<Value>& params) {
@@ -394,7 +422,26 @@ Result<ResultSet> Executor::Execute(const BoundPlan& plan,
   rows_processed_ = 0;
   prof_cur_ = nullptr;
   EvalContext ctx(&params);
-  return Exec(plan.root(), &ctx);
+  const BoundNode& root = plan.root();
+  EQSQL_ASSIGN_OR_RETURN(Tuples tuples, Exec(root, &ctx));
+  // The one copy a value pays: from the row that holds it into the
+  // ResultSet, output columns only. Rows the root made move whole.
+  ResultSet out;
+  out.schema = root.schema;
+  out.rows.reserve(tuples.size());
+  for (size_t t = 0; t < tuples.size(); ++t) {
+    if (tuples.made) {
+      // Owned by `tuples` and referred to by tuple t alone.
+      out.rows.push_back(std::move(const_cast<Row&>(*tuples.rows[0][t])));
+      continue;
+    }
+    Row& row = out.rows.emplace_back();
+    row.reserve(root.slots.size());
+    for (const ColumnSlot& s : root.slots) {
+      row.push_back((*tuples.rows[s.input][t])[s.column]);
+    }
+  }
+  return out;
 }
 
 Result<Value> Executor::Eval(const BoundExpr& expr, EvalContext* ctx) {
@@ -478,8 +525,8 @@ Result<Value> Executor::EvalScalar(const BoundExpr& expr, EvalContext* ctx) {
     }
     case ScalarOp::kExists:
     case ScalarOp::kNotExists: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet sub, Exec(*expr.subquery, ctx));
-      bool exists = !sub.rows.empty();
+      EQSQL_ASSIGN_OR_RETURN(Tuples sub, Exec(*expr.subquery, ctx));
+      const bool exists = sub.size() > 0;
       return Value::Bool(expr.op == ScalarOp::kExists ? exists : !exists);
     }
   }
@@ -512,108 +559,70 @@ Result<bool> Executor::HoldsAll(size_t n, const Conjunct& conjunct,
   return IsTruthy(**acc);
 }
 
-Result<ResultSet> Executor::Exec(const BoundNode& node, EvalContext* ctx) {
+Result<Tuples> Executor::Exec(const BoundNode& node, EvalContext* ctx) {
   if (profile_ == nullptr) return ExecNode(node, ctx);
   ProfScope prof(this, node);
-  Result<ResultSet> out = ExecNode(node, ctx);
-  if (out.ok()) prof.Done(out->rows.size());
+  Result<Tuples> out = ExecNode(node, ctx);
+  if (out.ok()) prof.Done(out->size());
   return out;
 }
 
-Result<ResultSet> Executor::ExecNode(const BoundNode& node, EvalContext* ctx) {
+Result<Tuples> Executor::ExecNode(const BoundNode& node, EvalContext* ctx) {
   switch (node.op) {
     case RaOp::kScan: {
       if (!node.table_error.ok()) return node.table_error;
-      std::vector<const Row*> refs;
-      ScanRefs(node, *TableAt(node.table_slot), &refs);
-      return Copied(node, refs);
+      Tuples out;
+      ScanRefs(node, *TableAt(node.table_slot), &out.rows[0]);
+      return out;
     }
-    case RaOp::kSelect: {
+    case RaOp::kSelect:
       // Select(Scan) takes its access path here, per execution: the
       // unique key, then a secondary index, then the filter fused with
       // the scan (SelectRefs).
-      const BoundNode& child = node.children[0];
       if (node.split.has_value()) {
-        std::vector<const Row*> refs;
-        EQSQL_RETURN_IF_ERROR(
-            SelectRefs(node, *TableAt(child.table_slot), ctx, &refs));
-        return Copied(node, refs);
+        Tuples out;
+        EQSQL_RETURN_IF_ERROR(SelectRefs(
+            node, *TableAt(node.children[0].table_slot), ctx, &out.rows[0]));
+        return out;
       }
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(child, ctx));
-      return Filter(node, std::move(in), ctx);
-    }
-    case RaOp::kProject: {
-      if (node.over_chain) return ProjectChain(node, ctx);
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
-      return Project(node, std::move(in), ctx);
-    }
-    case RaOp::kJoin:
-    case RaOp::kLeftOuterJoin:
-    case RaOp::kOuterApply:
-      return ExecChain(node, ctx);
+      break;
     case RaOp::kGroupBy:
       return ExecGroupBy(node, ctx);
-    case RaOp::kSort: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
-      // Precompute key tuples, then stable-sort indices.
-      std::vector<std::vector<Value>> keys(in.rows.size());
-      for (size_t i = 0; i < in.rows.size(); ++i) {
-        ctx->PushFrame(&in.rows[i]);
-        Status status = Status::OK();
-        for (const BoundExpr& k : node.keys) {
-          Result<Value> v = EvalScalar(k, ctx);
-          if (!v.ok()) {
-            status = v.status();
-            break;
-          }
-          keys[i].push_back(std::move(*v));
-        }
-        ctx->PopFrame();
-        EQSQL_RETURN_IF_ERROR(status);
-      }
-      std::vector<size_t> order(in.rows.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      const auto& sort_keys = node.source->sort_keys();
-      std::stable_sort(order.begin(), order.end(),
-                       [&](size_t a, size_t b) {
-                         for (size_t k = 0; k < sort_keys.size(); ++k) {
-                           const Value& va = keys[a][k];
-                           const Value& vb = keys[b][k];
-                           if (va == vb) continue;
-                           bool lt = va < vb;
-                           return sort_keys[k].ascending ? lt : !lt;
-                         }
-                         return false;
-                       });
-      ResultSet out;
-      out.schema = node.schema;
-      out.rows.reserve(in.rows.size());
-      for (size_t i : order) out.rows.push_back(std::move(in.rows[i]));
-      rows_processed_ += out.rows.size();
-      return out;
-    }
-    case RaOp::kDedup: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
-      ResultSet out;
-      out.schema = node.schema;
-      std::unordered_set<std::vector<Value>, RowVecHash, RowVecEq> seen;
-      for (Row& row : in.rows) {
-        if (seen.insert(row).second) out.rows.push_back(std::move(row));
-      }
-      rows_processed_ += out.rows.size();
-      return out;
-    }
+    default:
+      break;
+  }
+  EQSQL_ASSIGN_OR_RETURN(Tuples in, Exec(node.children[0], ctx));
+  switch (node.op) {
+    case RaOp::kSelect:
+      return Filter(node, std::move(in), ctx);
+    case RaOp::kProject:
+      return Project(node, std::move(in), ctx);
+    case RaOp::kJoin:
+    case RaOp::kLeftOuterJoin:
+      EQSQL_RETURN_IF_ERROR(
+          JoinLevel(node, node.op == RaOp::kLeftOuterJoin, ctx, &in));
+      return in;
+    case RaOp::kOuterApply:
+      EQSQL_RETURN_IF_ERROR(node.probe ? ProbeLevel(node, ctx, &in)
+                                       : ApplyLevel(node, ctx, &in));
+      return in;
+    case RaOp::kSort:
+      return Sort(node, std::move(in), ctx);
+    case RaOp::kDedup:
+      return Dedup(node, std::move(in));
     case RaOp::kLimit: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(node.children[0], ctx));
       const int64_t limit = node.source->limit();
-      if (limit >= 0 && in.rows.size() > static_cast<size_t>(limit)) {
-        in.rows.resize(static_cast<size_t>(limit));
+      if (limit >= 0 && in.size() > static_cast<size_t>(limit)) {
+        for (std::vector<const Row*>& input : in.rows) {
+          input.resize(static_cast<size_t>(limit));
+        }
       }
-      rows_processed_ += in.rows.size();
+      rows_processed_ += in.size();
       return in;
     }
+    default:
+      return Status::Internal("Exec: unknown operator");
   }
-  return Status::Internal("Exec: unknown operator");
 }
 
 Result<const Row*> Executor::KeyLookupRef(const BoundNode& select,
@@ -748,131 +757,55 @@ Status Executor::IndexScanRefs(const BoundNode& select,
 
 // ---------------------------------------------------------------------------
 // Join chains. A left-deep run of joins and applies over one base input
-// runs as one chain of levels over row references (RefChain): no level
-// builds a combined row. Every expression over a chain's rows pushes
-// one frame per input and reads the binder's (input, column) slots.
-// Levels run one after another, each over every output of the one
-// below, exactly as the materializing operators ran, so every error
-// surfaces at the same row with the same status and every bill is the
-// operators' own.
+// is a chain of levels over tuples: each level adds one input, its right
+// row, to its left side's tuples, and no level builds a combined row.
+// Every expression over a level's tuples pushes one frame per input and
+// reads the binder's (input, column) slots. Each level runs over every
+// tuple of its left side, exactly as the materializing operators ran, so
+// every error surfaces at the same row with the same status and every
+// bill is the operators' own.
 
-Result<ResultSet> Executor::ExecChain(const BoundNode& node, EvalContext* ctx) {
-  RefChain chain;
-  EQSQL_RETURN_IF_ERROR(RunChain(node, ctx, &chain));
-  // A consumer other than a Project gets one gathered row per output.
-  ResultSet out;
-  out.schema = node.schema;
-  out.rows.reserve(chain.size());
-  std::vector<const Row*> rows(node.inputs);
-  for (size_t pos = 0; pos < chain.size(); ++pos) {
-    chain.Rows(pos, rows.data());
-    Row& row = out.rows.emplace_back();
-    row.reserve(node.slots.size());
-    for (const ColumnSlot& s : node.slots) {
-      row.push_back((*rows[s.input])[s.column]);
-    }
-  }
-  return out;
-}
-
-Result<ResultSet> Executor::ProjectChain(const BoundNode& node,
-                                         EvalContext* ctx) {
-  const BoundNode& child = node.children[0];
-  RefChain chain;
-  {
-    ProfScope prof(this, child);
-    EQSQL_RETURN_IF_ERROR(RunChain(child, ctx, &chain));
-    prof.Done(chain.size());
-  }
-  // Each output value is read from its input's row once, straight into
-  // the projected row; items evaluate left to right, and the first
-  // erroring item aborts the statement.
-  ResultSet out;
-  out.schema = node.schema;
-  out.rows.reserve(chain.size());
-  std::vector<const Row*> rows(child.inputs);
-  for (size_t pos = 0; pos < chain.size(); ++pos) {
-    chain.Rows(pos, rows.data());
-    ctx->PushFrames(rows.data(), rows.size());
-    Row projected;
-    projected.reserve(node.items.size());
-    Status status = Status::OK();
-    for (const BoundExpr& item : node.items) {
-      if (item.op == ScalarOp::kColumnRef && item.error.ok()) {
-        projected.push_back(ctx->Column(item.level, item.column));
-        continue;
-      }
-      Result<Value> v = EvalScalar(item, ctx);
-      if (!v.ok()) {
-        status = v.status();
-        break;
-      }
-      projected.push_back(std::move(*v));
-    }
-    ctx->PopFrames(rows.size());
-    EQSQL_RETURN_IF_ERROR(status);
-    out.rows.push_back(std::move(projected));
-  }
-  rows_processed_ += out.rows.size();
-  return out;
-}
-
-Status Executor::RunChain(const BoundNode& node, EvalContext* ctx,
-                          RefChain* chain) {
-  // The base input: a borrowed scan, or any other operator's result.
-  const BoundNode& left = node.children[0];
-  if (IsChain(left)) {
-    ProfScope prof(this, left);
-    EQSQL_RETURN_IF_ERROR(RunChain(left, ctx, chain));
-    prof.Done(chain->size());
-  } else if (left.op == RaOp::kScan && left.table_error.ok()) {
-    ProfScope prof(this, left);
-    ScanRefs(left, *TableAt(left.table_slot), &chain->base);
-    prof.Done(chain->base.size());
-  } else {
-    EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(left, ctx));
-    chain->Own(std::move(in.rows), &chain->base);
-  }
-  switch (node.op) {
-    case RaOp::kJoin:
-      return JoinLevel(node, /*left_outer=*/false, ctx, chain);
-    case RaOp::kLeftOuterJoin:
-      return JoinLevel(node, /*left_outer=*/true, ctx, chain);
-    default:
-      return node.probe ? ProbeLevel(node, ctx, chain)
-                        : ApplyLevel(node, ctx, chain);
-  }
-}
-
-/// The one probe loop. For each output of the chain so far, in order,
-/// it pushes that output's input rows as frames and asks
-/// `candidates(position, &rows)` for the right rows, which it appends
-/// (borrowed, or kept in `chain`) in candidate order. The level emits
-/// one (left position, right row) pair per candidate that passes
+/// The one probe loop. For each tuple of the level's left side,
+/// `*tuples`, in order, it pushes that tuple's rows as frames and asks
+/// `candidates(position, &rows, &out)` for the right rows, which it
+/// appends in candidate order, keeping any row it makes in `out`. The
+/// level emits the left tuple extended by each candidate that passes
 /// `residual` (a join's, checked with the candidate pushed as the
 /// innermost frame; null or empty = always), and for an outer level the
-/// NULL pad, `pad_width` wide, when none does. The level bills its
-/// outputs, as the materializing operators billed their rows out.
+/// NULL pad, as wide as the right row its slots read, when none does.
+/// The level bills its outputs, as the materializing operators billed
+/// their rows out, and its output replaces `*tuples`.
 template <typename Candidates>
-Status Executor::ProbeLoop(const BoundNode& node, bool outer, size_t pad_width,
+Status Executor::ProbeLoop(const BoundNode& node, bool outer,
                            const std::vector<BoundExpr>* residual,
-                           EvalContext* ctx, RefChain* chain,
+                           EvalContext* ctx, Tuples* tuples,
                            const Candidates& candidates) {
-  if (node.inputs == 0) return node.schema_error;
-  const size_t left_inputs = node.inputs - 1;
+  const size_t left_inputs = tuples->inputs();
   const bool check = residual != nullptr && !residual->empty();
   auto conjunct = [residual](size_t i) { return &(*residual)[i]; };
-  const Row* pad =
-      outer ? chain->Keep(Row(pad_width, Value::Null())) : nullptr;
-  RefChain::Level level;
+  Tuples out(left_inputs + 1);
+  out.Adopt(tuples);
+  const Row* pad = nullptr;
+  if (outer) {
+    size_t width = 0;
+    for (const ColumnSlot& s : node.slots) {
+      if (s.input == left_inputs) width = std::max<size_t>(width, s.column + 1);
+    }
+    pad = out.Keep(Row(width, Value::Null()));
+  }
+  const size_t n = tuples->size();
+  for (std::vector<const Row*>& input : out.rows) input.reserve(n);
   std::vector<const Row*> rows(left_inputs);
   std::vector<const Row*> found;
-  const size_t n = chain->size();
+  auto emit = [&](const Row* right) {
+    for (size_t i = 0; i < left_inputs; ++i) out.rows[i].push_back(rows[i]);
+    out.rows[left_inputs].push_back(right);
+  };
   for (size_t pos = 0; pos < n; ++pos) {
-    chain->Rows(pos, rows.data());
+    tuples->At(pos, rows.data());
     ctx->PushFrames(rows.data(), left_inputs);
     found.clear();
-    Status status = candidates(pos, &found);
+    Status status = candidates(pos, &found, &out);
     bool matched = false;
     for (size_t i = 0; status.ok() && i < found.size(); ++i) {
       if (check) {
@@ -884,19 +817,15 @@ Status Executor::ProbeLoop(const BoundNode& node, bool outer, size_t pad_width,
         }
         if (!*pass) continue;
       }
-      level.left.push_back(pos);
-      level.right.push_back(found[i]);
+      emit(found[i]);
       matched = true;
     }
     ctx->PopFrames(left_inputs);
     EQSQL_RETURN_IF_ERROR(status);
-    if (outer && !matched) {
-      level.left.push_back(pos);
-      level.right.push_back(pad);
-    }
+    if (outer && !matched) emit(pad);
   }
-  rows_processed_ += level.right.size();
-  chain->levels.push_back(std::move(level));
+  rows_processed_ += out.size();
+  *tuples = std::move(out);
   return Status::OK();
 }
 
@@ -920,10 +849,10 @@ Result<bool> EvalKey(const std::vector<BoundExpr>& exprs, const EvalFn& eval,
 }  // namespace
 
 Status Executor::JoinLevel(const BoundNode& node, bool left_outer,
-                           EvalContext* ctx, RefChain* chain) {
+                           EvalContext* ctx, Tuples* tuples) {
   // Index nested loop: when the right side is a base scan whose equi-key
   // columns exactly cover a ready index, the index supplies each left
-  // row's candidates and the right side is never scanned; each probe
+  // tuple's candidates and the right side is never scanned; each probe
   // bills itself and its visible candidates.
   const BoundNode& right_node = node.children[1];
   const bool base_scan =
@@ -937,24 +866,18 @@ Status Executor::JoinLevel(const BoundNode& node, bool left_outer,
   }
   auto eval = [this, ctx](const BoundExpr& e) { return EvalScalar(e, ctx); };
   // Otherwise the candidates come from a hash build over the right rows
-  // (a base scan's borrowed, any other right side's kept), which
-  // evaluates every right key before any left key. With no key every
-  // right row is a candidate of every left row under the one empty key:
-  // a nested loop.
+  // (RightRows: a base scan's borrowed, any other right side's as its
+  // tuples hold them), which evaluates every right key before any left
+  // key. With no key every right row is a candidate of every left tuple
+  // under the one empty key: a nested loop.
   std::unordered_map<std::vector<Value>, std::vector<const Row*>, RowVecHash,
                      RowVecEq>
       build;
   std::vector<Value> key;
   if (index == nullptr) {
+    EQSQL_ASSIGN_OR_RETURN(Tuples side, Exec(right_node, ctx));
     std::vector<const Row*> right;
-    if (table != nullptr) {
-      ProfScope prof(this, right_node);
-      ScanRefs(right_node, *table, &right);
-      prof.Done(right.size());
-    } else {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet rs, Exec(right_node, ctx));
-      chain->Own(std::move(rs.rows), &right);
-    }
+    RightRows(right_node, &side, tuples, &right);
     if (!node.join.has_value()) return node.schema_error;
     for (const Row* rrow : right) {
       ctx->PushFrame(rrow);
@@ -970,8 +893,8 @@ Status Executor::JoinLevel(const BoundNode& node, bool left_outer,
   IndexHits hits;
   std::vector<Value> probe;
   EQSQL_RETURN_IF_ERROR(ProbeLoop(
-      node, left_outer, right_node.schema->size(), &join.residual, ctx, chain,
-      [&](size_t, std::vector<const Row*>* out) -> Status {
+      node, left_outer, &join.residual, ctx, tuples,
+      [&](size_t, std::vector<const Row*>* out, Tuples*) -> Status {
         EQSQL_ASSIGN_OR_RETURN(bool usable,
                                EvalKey(join.left_keys, eval, &key));
         if (!usable) return Status::OK();
@@ -996,23 +919,21 @@ Status Executor::JoinLevel(const BoundNode& node, bool left_outer,
 }
 
 Status Executor::ProbeLevel(const BoundNode& node, EvalContext* ctx,
-                            RefChain* chain) {
+                            Tuples* tuples) {
   // The right side, Project?(Select(Scan R)), runs as its operators
-  // would, without a ResultSet: the Select's access path supplies the
-  // candidates, and the Project bills them as its rows out. Its row is
-  // R's own when the binder mapped every item to a column of R, and
-  // otherwise the items, computed over the hit pushed as the
-  // innermost frame.
+  // would, without running a subplan: the Select's access path supplies
+  // the candidates, and the Project bills them as its rows out. Its row
+  // is R's own when the Project maps slots, and otherwise the items,
+  // computed per hit over the hit pushed as the innermost frame.
   const BoundNode& right = node.children[1];
   const BoundNode* project = right.op == RaOp::kProject ? &right : nullptr;
   const BoundNode& select = project != nullptr ? right.children[0] : right;
   const storage::Table& table = *TableAt(select.children[0].table_slot);
-  const size_t width =
-      node.probe_borrows ? select.schema->size() : right.schema->size();
+  const bool borrows = project == nullptr || project->maps_slots;
   // A key binding whose value is a plain column (T7's `d.aid = a.id`) is
-  // pure, so the level reads it for a window of left rows ahead of them
-  // and probes the key once per window (Table::ProbeKeys); each row then
-  // runs its access path in order with its hit ready.
+  // pure, so the level reads it for a window of left tuples ahead of
+  // them and probes the key once per window (Table::ProbeKeys); each
+  // tuple then runs its access path in order with its hit ready.
   const BoundScanSplit& split = *select.split;
   const BoundExpr* key = split.key_binding >= 0
                              ? &*split.conjuncts[split.key_binding].value
@@ -1025,18 +946,17 @@ Status Executor::ProbeLevel(const BoundNode& node, EvalContext* ctx,
   std::vector<Value> values(kWindow);
   std::vector<const Value*> probes(kWindow);
   std::vector<const Row*> hits(kWindow);
-  std::vector<const Row*> rows(node.inputs);
   auto probed = [&](size_t pos) -> std::optional<const Row*> {
     if (!batched) return std::nullopt;
     if (pos >= window + resolved) {
       window = pos;
-      resolved = std::min(kWindow, chain->size() - pos);
+      resolved = std::min(kWindow, tuples->size() - pos);
       for (size_t i = 0; i < resolved; ++i) {
         if (key->level < node.depth) {
           values[i] = ctx->Column(key->level, key->column);
         } else {
-          chain->Rows(pos + i, rows.data());
-          values[i] = (*rows[key->level - node.depth])[key->column];
+          values[i] =
+              (*tuples->rows[key->level - node.depth][pos + i])[key->column];
         }
         // NULL equals nothing, so a NULL probe is a miss.
         probes[i] = values[i].is_null() ? nullptr : &values[i];
@@ -1046,8 +966,8 @@ Status Executor::ProbeLevel(const BoundNode& node, EvalContext* ctx,
     return hits[pos - window];
   };
   return ProbeLoop(
-      node, /*outer=*/true, width, /*residual=*/nullptr, ctx, chain,
-      [&](size_t pos, std::vector<const Row*>* out) -> Status {
+      node, /*outer=*/true, /*residual=*/nullptr, ctx, tuples,
+      [&](size_t pos, std::vector<const Row*>* out, Tuples* keep) -> Status {
         ProfScope top(this, right);
         if (project == nullptr) {
           EQSQL_RETURN_IF_ERROR(
@@ -1061,7 +981,7 @@ Status Executor::ProbeLevel(const BoundNode& node, EvalContext* ctx,
               SelectRefs(select, table, ctx, out, probed(pos)));
           inner.Done(out->size());
         }
-        for (size_t i = 0; !node.probe_borrows && i < out->size(); ++i) {
+        for (size_t i = 0; !borrows && i < out->size(); ++i) {
           ctx->PushFrame((*out)[i]);
           Row projected;
           projected.reserve(project->items.size());
@@ -1076,7 +996,7 @@ Status Executor::ProbeLevel(const BoundNode& node, EvalContext* ctx,
           }
           ctx->PopFrame();
           EQSQL_RETURN_IF_ERROR(status);
-          (*out)[i] = chain->Keep(std::move(projected));
+          (*out)[i] = keep->Keep(std::move(projected));
         }
         rows_processed_ += out->size();
         top.Done(out->size());
@@ -1085,26 +1005,28 @@ Status Executor::ProbeLevel(const BoundNode& node, EvalContext* ctx,
 }
 
 Status Executor::ApplyLevel(const BoundNode& node, EvalContext* ctx,
-                            RefChain* chain) {
-  // The padding width needs the right side's schema before any row runs.
+                            Tuples* tuples) {
+  // A right side whose schema is unknown fails before any row runs, as
+  // the materializing apply needed its width for the padding.
   const BoundNode& right = node.children[1];
   if (!right.schema_error.ok()) return right.schema_error;
-  return ProbeLoop(node, /*outer=*/true, right.schema->size(),
-                   /*residual=*/nullptr, ctx, chain,
-                   [&](size_t, std::vector<const Row*>* out) -> Status {
-                     EQSQL_ASSIGN_OR_RETURN(ResultSet inner, Exec(right, ctx));
-                     chain->Own(std::move(inner.rows), out);
-                     return Status::OK();
-                   });
+  return ProbeLoop(
+      node, /*outer=*/true, /*residual=*/nullptr, ctx, tuples,
+      [&](size_t, std::vector<const Row*>* out, Tuples* keep) -> Status {
+        EQSQL_ASSIGN_OR_RETURN(Tuples side, Exec(right, ctx));
+        RightRows(right, &side, keep, out);
+        return Status::OK();
+      });
 }
 
 // ---------------------------------------------------------------------------
-// The batch operators. Select, Project and GroupBy evaluate their
-// expressions a batch at a time into lane vectors (exec/batch.h), and
-// pick the same rows, the same error (the lowest sequence number,
-// left-to-right within a row) and charge the same rows_processed_ and
-// storage.scan.* however the scan is split into shards and batches.
-// Only exec.batch.* observability and speed depend on the layout.
+// The batch operators. Select, Project, Sort and GroupBy evaluate their
+// expressions a batch of tuples at a time into lane vectors
+// (exec/batch.h), and pick the same rows, the same error (the lowest
+// sequence number, left-to-right within a row) and charge the same
+// rows_processed_ and storage.scan.* however the scan is split into
+// shards and batches. Only exec.batch.* observability and speed depend
+// on the layout.
 //
 // The three scan shapes have one implementation each: a consumer that
 // ScanShards feeds every shard's batches. Whether the shards run on the
@@ -1191,19 +1113,11 @@ void RefsInSeqOrder(std::vector<ShardRows>* slots,
   for (const SeqRef& r : all) out->push_back(r.second);
 }
 
-/// Pointers to `rows`, the form CompiledExpr::Eval reads: a
-/// materialized input is evaluated in place, like a scan's borrowed
-/// rows.
-std::vector<const Row*> RowPointers(const std::vector<Row>& rows) {
-  std::vector<const Row*> ptrs(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) ptrs[i] = &rows[i];
-  return ptrs;
-}
-
 }  // namespace
 
 /// An operator's expressions for one execution. Compiled, each reads
-/// the input row in place, with parameters and outer frames folded.
+/// the input tuples' rows in place, with parameters and outer frames
+/// folded.
 /// When any contains a subquery, none is compiled: EvalLanes evaluates
 /// them all one row at a time, left to right, so the same subplans run,
 /// in the same order, with the same bills as row-at-a-time evaluation
@@ -1233,50 +1147,54 @@ Executor::Exprs Executor::Prepare(std::vector<const BoundExpr*> bound,
   return exprs;
 }
 
-size_t Executor::EvalLanes(const Exprs& exprs, const Row* const* rows,
+size_t Executor::EvalLanes(const Exprs& exprs, const Tuples& in, size_t off,
                            size_t n, EvalContext* ctx, std::vector<Vec>* out) {
   out->resize(exprs.bound.size());
+  const size_t inputs = in.inputs();
   if (!exprs.per_row) {
     RecordBatch(n);
+    std::vector<const Row* const*> rows(inputs);
+    for (size_t i = 0; i < inputs; ++i) rows[i] = in.rows[i].data() + off;
     for (size_t k = 0; k < exprs.compiled.size(); ++k) {
       if (exprs.compiled[k] != nullptr) {
-        exprs.compiled[k]->Eval(rows, n, &(*out)[k]);
+        exprs.compiled[k]->Eval(rows.data(), n, &(*out)[k]);
       }
     }
     return n;
   }
   for (Vec& v : *out) v.ResetBoxed(n);
+  std::vector<const Row*> frames(inputs);
   for (size_t i = 0; i < n; ++i) {
-    ctx->PushFrame(rows[i]);
+    in.At(off + i, frames.data());
+    ctx->PushFrames(frames.data(), inputs);
     for (size_t k = 0; k < exprs.bound.size(); ++k) {
       if (exprs.bound[k] == nullptr) continue;
       Result<Value> v = EvalScalar(*exprs.bound[k], ctx);
       if (!v.ok()) {
         // The batch ends at the failing lane: later expressions of this
-        // row and later rows are never evaluated.
-        ctx->PopFrame();
+        // tuple and later tuples are never evaluated.
+        ctx->PopFrames(inputs);
         (*out)[k].SetErr(i, v.status());
         for (Vec& lanes : *out) lanes.n = i + 1;
         return i + 1;
       }
       (*out)[k].boxed[i] = std::move(*v);
     }
-    ctx->PopFrame();
+    ctx->PopFrames(inputs);
   }
   return n;
 }
 
-Status Executor::FilterRows(const Exprs& pred, const Row* const* rows,
-                            size_t n, EvalContext* ctx,
-                            std::vector<size_t>* keep) {
+Status Executor::FilterRows(const Exprs& pred, const Tuples& in,
+                            EvalContext* ctx, std::vector<size_t>* keep) {
   std::vector<Vec> v;
   std::vector<uint32_t> sel;
-  for (size_t off = 0; off < n; off += kBatchCapacity) {
-    const size_t cnt = std::min(kBatchCapacity, n - off);
-    const size_t lanes = EvalLanes(pred, rows + off, cnt, ctx, &v);
+  for (size_t off = 0; off < in.size(); off += kBatchCapacity) {
+    const size_t cnt = std::min(kBatchCapacity, in.size() - off);
+    const size_t lanes = EvalLanes(pred, in, off, cnt, ctx, &v);
     if (v[0].has_err) {
-      // Lanes are in row order, so the first error lane is the first
-      // failing row.
+      // Lanes are in tuple order, so the first error lane is the first
+      // failing tuple.
       for (size_t i = 0; i < lanes; ++i) {
         if (v[0].ErrAt(i)) return v[0].ErrStatus(i);
         if (IsTruthy(v[0].At(i))) keep->push_back(off + i);
@@ -1398,16 +1316,10 @@ Status Executor::FilterScanRefs(const BoundNode& select,
   if (pred.per_row) {
     // Never fused and never pooled: the subqueries run on this thread,
     // over the scan's rows in insertion order.
-    std::vector<const Row*> rows;
-    {
-      ProfScope prof(this, select.children[0]);
-      ScanRefs(select.children[0], table, &rows);
-      prof.Done(rows.size());
-    }
+    EQSQL_ASSIGN_OR_RETURN(Tuples scanned, Exec(select.children[0], ctx));
     std::vector<size_t> keep;
-    EQSQL_RETURN_IF_ERROR(
-        FilterRows(pred, rows.data(), rows.size(), ctx, &keep));
-    for (size_t i : keep) out->push_back(rows[i]);
+    EQSQL_RETURN_IF_ERROR(FilterRows(pred, scanned, ctx, &keep));
+    for (size_t i : keep) out->push_back(scanned.rows[0][i]);
     rows_processed_ += out->size() - mark;
     return Status::OK();
   }
@@ -1420,7 +1332,8 @@ Status Executor::FilterScanRefs(const BoundNode& select,
       table, "shard-filter", /*slot_per_shard=*/true, &slots,
       [&compiled](Batch* batch, ShardRows* r) {
         const size_t n = batch->size();
-        compiled.Eval(batch->rows.data(), n, &r->pred);
+        const Row* const* rows = batch->rows.data();
+        compiled.Eval(&rows, n, &r->pred);
         if (!r->pred.has_err && r->fail.ok()) {
           r->sel.clear();
           AppendTruthySelection(r->pred, &r->sel);
@@ -1449,47 +1362,115 @@ Status Executor::FilterScanRefs(const BoundNode& select,
   return Status::OK();
 }
 
-Result<ResultSet> Executor::Filter(const BoundNode& node, ResultSet in,
-                                   EvalContext* ctx) {
+Result<Tuples> Executor::Filter(const BoundNode& node, Tuples in,
+                                EvalContext* ctx) {
   const Exprs pred = Prepare({&node.predicate}, node.depth, ctx);
-  const std::vector<const Row*> ptrs = RowPointers(in.rows);
   std::vector<size_t> keep;
-  EQSQL_RETURN_IF_ERROR(FilterRows(pred, ptrs.data(), ptrs.size(), ctx, &keep));
-  ResultSet out;
-  out.schema = node.schema;
-  out.rows.reserve(keep.size());
-  for (size_t i : keep) out.rows.push_back(std::move(in.rows[i]));
-  rows_processed_ += out.rows.size();
-  return out;
+  EQSQL_RETURN_IF_ERROR(FilterRows(pred, in, ctx, &keep));
+  if (keep.size() < in.size()) in.Pick(keep);
+  rows_processed_ += in.size();
+  return in;
 }
 
-Result<ResultSet> Executor::Project(const BoundNode& node, ResultSet in,
-                                    EvalContext* ctx) {
+Result<Tuples> Executor::Project(const BoundNode& node, Tuples in,
+                                 EvalContext* ctx) {
+  if (node.maps_slots) {
+    // The tuples pass on as they are; the slots pick the columns.
+    in.made = false;
+    rows_processed_ += in.size();
+    return in;
+  }
   std::vector<const BoundExpr*> bound;
   for (const BoundExpr& item : node.items) bound.push_back(&item);
   const Exprs items = Prepare(std::move(bound), node.depth, ctx);
-  ResultSet out;
-  out.schema = node.schema;
-  out.rows.reserve(in.rows.size());
-  const std::vector<const Row*> ptrs = RowPointers(in.rows);
+  std::vector<Row> made;
+  made.reserve(in.size());
   std::vector<Vec> vs;
-  for (size_t off = 0; off < ptrs.size(); off += kBatchCapacity) {
-    const size_t cnt = std::min(kBatchCapacity, ptrs.size() - off);
-    const size_t lanes = EvalLanes(items, ptrs.data() + off, cnt, ctx, &vs);
+  for (size_t off = 0; off < in.size(); off += kBatchCapacity) {
+    const size_t cnt = std::min(kBatchCapacity, in.size() - off);
+    const size_t lanes = EvalLanes(items, in, off, cnt, ctx, &vs);
     for (size_t i = 0; i < lanes; ++i) {
-      Row projected;
+      Row& projected = made.emplace_back();
       projected.reserve(vs.size());
-      // Items evaluate left to right per row: the first erroring item
-      // aborts the statement.
-      for (const Vec& v : vs) {
+      // Items evaluate left to right per tuple: the first erroring item
+      // aborts the statement. A boxed lane's value moves into the row.
+      for (Vec& v : vs) {
         if (v.ErrAt(i)) return v.ErrStatus(i);
-        projected.push_back(v.At(i));
+        projected.push_back(v.tag == Vec::Tag::kBoxed ? std::move(v.boxed[i])
+                                                      : v.At(i));
       }
-      out.rows.push_back(std::move(projected));
     }
   }
-  rows_processed_ += out.rows.size();
-  return out;
+  rows_processed_ += made.size();
+  return Tuples::Made(std::move(made));
+}
+
+Result<Tuples> Executor::Sort(const BoundNode& node, Tuples in,
+                              EvalContext* ctx) {
+  std::vector<const BoundExpr*> bound;
+  for (const BoundExpr& k : node.keys) bound.push_back(&k);
+  const Exprs exprs = Prepare(std::move(bound), node.depth, ctx);
+  // Each tuple's key values, key by key; keys evaluate left to right
+  // per tuple, and the first erroring key aborts the statement.
+  const size_t n = in.size();
+  std::vector<std::vector<Value>> keys(node.keys.size(),
+                                       std::vector<Value>(n));
+  std::vector<Vec> vs;
+  for (size_t off = 0; off < n; off += kBatchCapacity) {
+    const size_t cnt = std::min(kBatchCapacity, n - off);
+    const size_t lanes = EvalLanes(exprs, in, off, cnt, ctx, &vs);
+    for (size_t i = 0; i < lanes; ++i) {
+      for (size_t k = 0; k < vs.size(); ++k) {
+        if (vs[k].ErrAt(i)) return vs[k].ErrStatus(i);
+        keys[k][off + i] = vs[k].tag == Vec::Tag::kBoxed
+                               ? std::move(vs[k].boxed[i])
+                               : vs[k].At(i);
+      }
+    }
+  }
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  const auto& sort_keys = node.source->sort_keys();
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    for (size_t k = 0; k < sort_keys.size(); ++k) {
+      const Value& va = keys[k][a];
+      const Value& vb = keys[k][b];
+      if (va == vb) continue;
+      const bool lt = va < vb;
+      return sort_keys[k].ascending ? lt : !lt;
+    }
+    return false;
+  });
+  in.Pick(order);
+  rows_processed_ += n;
+  return in;
+}
+
+Tuples Executor::Dedup(const BoundNode& node, Tuples in) {
+  // Tuples key by their output values, read in place through the slots.
+  auto value = [&](size_t t, const ColumnSlot& s) -> const Value& {
+    return (*in.rows[s.input][t])[s.column];
+  };
+  auto hash = [&](size_t t) {
+    size_t seed = node.slots.size();
+    catalog::ValueHash h;
+    for (const ColumnSlot& s : node.slots) HashCombine(seed, h(value(t, s)));
+    return seed;
+  };
+  auto eq = [&](size_t a, size_t b) {
+    for (const ColumnSlot& s : node.slots) {
+      if (!(value(a, s) == value(b, s))) return false;
+    }
+    return true;
+  };
+  std::unordered_set<size_t, decltype(hash), decltype(eq)> seen(0, hash, eq);
+  std::vector<size_t> keep;
+  for (size_t t = 0; t < in.size(); ++t) {
+    if (seen.insert(t).second) keep.push_back(t);
+  }
+  if (keep.size() < in.size()) in.Pick(keep);
+  rows_processed_ += in.size();
+  return in;
 }
 
 /// A group-by's expressions: exprs[0..keys) are the group keys and the
@@ -1536,15 +1517,15 @@ struct Executor::GroupPartial {
   Vec pv;
   std::vector<Vec> vs;
 
-  /// Evaluates the compiled plan over `n` rows whose seqs are
+  /// Evaluates the compiled plan over `n` scanned rows whose seqs are
   /// `lane_seqs` and folds them (the fused scan's shard consumer).
   void Fold(const GroupPlan& plan, const Row* const* rows,
             const size_t* lane_seqs, size_t n) {
-    if (plan.pred != nullptr) plan.pred->Eval(rows, n, &pv);
+    if (plan.pred != nullptr) plan.pred->Eval(&rows, n, &pv);
     vs.resize(plan.exprs.compiled.size());
     for (size_t k = 0; k < vs.size(); ++k) {
       if (plan.exprs.compiled[k] != nullptr) {
-        plan.exprs.compiled[k]->Eval(rows, n, &vs[k]);
+        plan.exprs.compiled[k]->Eval(&rows, n, &vs[k]);
       }
     }
     FoldLanes(plan, lane_seqs, n);
@@ -1706,8 +1687,8 @@ struct Executor::GroupPartial {
   }
 };
 
-Result<ResultSet> Executor::ExecGroupBy(const BoundNode& node,
-                                        EvalContext* ctx) {
+Result<Tuples> Executor::ExecGroupBy(const BoundNode& node,
+                                     EvalContext* ctx) {
   GroupPlan plan;
   std::vector<const BoundExpr*> bound;
   for (const BoundExpr& k : node.keys) bound.push_back(&k);
@@ -1743,42 +1724,36 @@ Result<ResultSet> Executor::ExecGroupBy(const BoundNode& node,
       return ExecGroupByBatch(node, table, plan);
     }
   }
-  EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(child, ctx));
-  return GroupByFold(node, std::move(in), plan, ctx);
+  EQSQL_ASSIGN_OR_RETURN(Tuples in, Exec(child, ctx));
+  return GroupByFold(node, in, plan, ctx);
 }
 
-Result<ResultSet> Executor::GroupByFold(const BoundNode& node, ResultSet in,
-                                        const GroupPlan& plan,
-                                        EvalContext* ctx) {
-  ResultSet out;
-  out.schema = node.schema;
-  // Lanes carry their row index as seq, so the fold's first-seen order
-  // and lowest-seq error pick are the input's row order, and states
-  // fold in that order: no partials merge, so no exactness gate is
-  // needed.
+Result<Tuples> Executor::GroupByFold(const BoundNode& node, const Tuples& in,
+                                     const GroupPlan& plan, EvalContext* ctx) {
+  // Lanes carry their tuple index as seq, so the fold's first-seen
+  // order and lowest-seq error pick are the input's tuple order, and
+  // states fold in that order: no partials merge, so no exactness gate
+  // is needed.
   GroupPartial fold;
-  const std::vector<const Row*> ptrs = RowPointers(in.rows);
   std::vector<size_t> seqs;
-  for (size_t off = 0; off < ptrs.size(); off += kBatchCapacity) {
-    const size_t cnt = std::min(kBatchCapacity, ptrs.size() - off);
-    const size_t lanes =
-        EvalLanes(plan.exprs, ptrs.data() + off, cnt, ctx, &fold.vs);
+  for (size_t off = 0; off < in.size(); off += kBatchCapacity) {
+    const size_t cnt = std::min(kBatchCapacity, in.size() - off);
+    const size_t lanes = EvalLanes(plan.exprs, in, off, cnt, ctx, &fold.vs);
     seqs.resize(lanes);
     std::iota(seqs.begin(), seqs.end(), off);
     fold.FoldLanes(plan, seqs.data(), lanes);
     // No later batch holds a lower seq: the fold stops here.
     if (!fold.fold_fail.ok()) return fold.fold_fail.status;
   }
-  out.rows = fold.Finish(node.source->aggregates(), plan.keys == 0);
-  rows_processed_ += out.rows.size();
+  Tuples out =
+      Tuples::Made(fold.Finish(node.source->aggregates(), plan.keys == 0));
+  rows_processed_ += out.size();
   return out;
 }
 
-Result<ResultSet> Executor::ExecGroupByBatch(const BoundNode& node,
-                                             const storage::Table& table,
-                                             const GroupPlan& plan) {
-  ResultSet out;
-  out.schema = node.schema;
+Result<Tuples> Executor::ExecGroupByBatch(const BoundNode& node,
+                                          const storage::Table& table,
+                                          const GroupPlan& plan) {
   // Inline, every shard folds into one partial and no merge is paid;
   // pooled, each shard folds its own and they merge here.
   std::vector<GroupPartial> partials;
@@ -1797,8 +1772,9 @@ Result<ResultSet> Executor::ExecGroupByBatch(const BoundNode& node,
   if (!all.pred_fail.ok()) return all.pred_fail.status;
   rows_processed_ += all.matched;
   if (!all.fold_fail.ok()) return all.fold_fail.status;
-  out.rows = all.Finish(node.source->aggregates(), plan.keys == 0);
-  rows_processed_ += out.rows.size();
+  Tuples out =
+      Tuples::Made(all.Finish(node.source->aggregates(), plan.keys == 0));
+  rows_processed_ += out.size();
   return out;
 }
 

@@ -18,6 +18,10 @@
 
 namespace eqsql::exec {
 
+/// An operator's output inside one execution: tuples of row references
+/// (executor.cc).
+struct Tuples;
+
 /// A fully materialized query result: output schema + rows in result
 /// order (Project preserves input order; Sort imposes one). The schema
 /// is the producing operator's bound schema, shared rather than copied.
@@ -38,9 +42,15 @@ struct ResultSet {
 /// It runs bound plans (exec/binder.h): every name was resolved when
 /// the plan was bound, so execution reads rows and tables by slot.
 ///
-/// Joins and applies run as levels of a join chain over row references
-/// (RunChain): a level probes an index, a unique key or a hash build
-/// for each left row's candidates, or runs its right side per left row.
+/// Every operator passes its output to the next as row references
+/// (Tuples): each output tuple holds one row per input, borrowed from
+/// its MVCC version or made by the statement, and the columns it
+/// outputs are placed by the binder's slots. No operator copies a row;
+/// Execute copies the root's output columns into the ResultSet once,
+/// or moves the rows the root made. Joins and applies are levels of a
+/// join chain: each adds one input, its right row, to its left side's
+/// tuples, probing an index, a unique key or a hash build for each
+/// left tuple's candidates, or running its right side per left tuple.
 ///
 /// Shared-read contract: execution touches the database exclusively
 /// through `const storage::Database*` / `const storage::Table*` — no
@@ -121,10 +131,10 @@ class Executor {
   /// Evaluates a bound scalar expression over the frames pushed on
   /// `ctx`, one row at a time: DML's INSERT values and UPDATE
   /// assignments, and inside the executor every expression that does
-  /// not run compiled (join chains, Sort, key probes and residuals, and
-  /// any operator whose expressions contain a subquery). Row counts
-  /// from any subqueries accumulate into last_rows_processed() without
-  /// resetting it.
+  /// not run compiled (join keys, key probes and residuals, an apply's
+  /// right-side items computed per hit, and any operator whose
+  /// expressions contain a subquery). Row counts from any subqueries
+  /// accumulate into last_rows_processed() without resetting it.
   Result<catalog::Value> Eval(const BoundExpr& expr, EvalContext* ctx);
 
   /// The unique-key access path's two steps, shared by SELECT's
@@ -147,8 +157,8 @@ class Executor {
   /// with per-operator bookkeeping (node lookup keyed by plan-node
   /// address, wall time, rows out) and ExecNode does the actual work;
   /// without one, Exec tail-calls ExecNode.
-  Result<ResultSet> Exec(const BoundNode& node, EvalContext* ctx);
-  Result<ResultSet> ExecNode(const BoundNode& node, EvalContext* ctx);
+  Result<Tuples> Exec(const BoundNode& node, EvalContext* ctx);
+  Result<Tuples> ExecNode(const BoundNode& node, EvalContext* ctx);
   /// The table pinned in slot `slot` of the attached guard.
   const storage::Table* TableAt(size_t slot) const {
     return guard_->table(slot);
@@ -204,53 +214,45 @@ class Executor {
   template <typename Conjunct>
   Result<bool> HoldsAll(size_t n, const Conjunct& conjunct,
                         const catalog::Row& row, EvalContext* ctx);
-  /// A join chain's output as row references (executor.cc).
-  struct RefChain;
-  /// Runs the join chain topped by `node` (a join or apply bound as a
-  /// chain level) into `chain`: its base input, then each level in
-  /// order, every level over all rows of the one below, as the
-  /// materializing operators ran. ExecChain gathers one row per output
-  /// for any consumer; ProjectChain evaluates a Project's items over the
-  /// references, gathering each output value once.
-  Status RunChain(const BoundNode& node, EvalContext* ctx, RefChain* chain);
-  Result<ResultSet> ExecChain(const BoundNode& node, EvalContext* ctx);
-  Result<ResultSet> ProjectChain(const BoundNode& node, EvalContext* ctx);
-  /// The three kinds of chain level. A join takes each left row's
-  /// candidates from an index when the right side is a base scan whose
-  /// key columns exactly cover a ready index (index nested loop, billing
-  /// one row per probe plus its visible candidates instead of a
-  /// right-side scan), and otherwise from a hash build over the right
-  /// rows (with no key, every right row: a nested loop). A probe apply
-  /// takes them from its Select(Scan)'s access path; any other apply
-  /// runs its right side once per left row. Output order is left order,
-  /// then candidate order.
+  /// The three kinds of chain level, each turning its left side's
+  /// tuples (`tuples`, in and out) into its own, every level over all
+  /// tuples of its left side, as the materializing operators ran. A
+  /// join takes each left tuple's candidates from an index when the
+  /// right side is a base scan whose key columns exactly cover a ready
+  /// index (index nested loop, billing one row per probe plus its
+  /// visible candidates instead of a right-side scan), and otherwise
+  /// from a hash build over the right rows (with no key, every right
+  /// row: a nested loop). A probe apply takes them from its
+  /// Select(Scan)'s access path; any other apply runs its right side
+  /// once per left tuple. Output order is left order, then candidate
+  /// order.
   Status JoinLevel(const BoundNode& node, bool left_outer, EvalContext* ctx,
-                   RefChain* chain);
-  Status ProbeLevel(const BoundNode& node, EvalContext* ctx, RefChain* chain);
-  Status ApplyLevel(const BoundNode& node, EvalContext* ctx, RefChain* chain);
+                   Tuples* tuples);
+  Status ProbeLevel(const BoundNode& node, EvalContext* ctx, Tuples* tuples);
+  Status ApplyLevel(const BoundNode& node, EvalContext* ctx, Tuples* tuples);
   /// The one probe loop every level runs: see executor.cc.
   template <typename Candidates>
-  Status ProbeLoop(const BoundNode& node, bool outer, size_t pad_width,
+  Status ProbeLoop(const BoundNode& node, bool outer,
                    const std::vector<BoundExpr>* residual, EvalContext* ctx,
-                   RefChain* chain, const Candidates& candidates);
-  Result<ResultSet> ExecGroupBy(const BoundNode& node, EvalContext* ctx);
+                   Tuples* tuples, const Candidates& candidates);
+  Result<Tuples> ExecGroupBy(const BoundNode& node, EvalContext* ctx);
 
   /// An operator's expressions prepared for one execution (executor.cc):
   /// compiled, or evaluated per row when any contains a subquery.
   struct Exprs;
   /// Prepares `bound` (null entries, COUNT(*), read no input) for an
-  /// operator whose input row is frame `level`.
+  /// operator whose input tuples' first row is frame `level`.
   Exprs Prepare(std::vector<const BoundExpr*> bound, size_t level,
                 EvalContext* ctx) const;
-  /// Evaluates `exprs` over rows[0..n) into one Vec per expression and
-  /// returns the lanes filled: n, or -- per row -- up to and including
-  /// the first failing row.
-  size_t EvalLanes(const Exprs& exprs, const catalog::Row* const* rows,
-                   size_t n, EvalContext* ctx, std::vector<Vec>* out);
-  /// Appends to `keep` the positions of rows[0..n) where `pred` holds,
-  /// in order, or returns the first failing row's status.
-  Status FilterRows(const Exprs& pred, const catalog::Row* const* rows,
-                    size_t n, EvalContext* ctx, std::vector<size_t>* keep);
+  /// Evaluates `exprs` over tuples [off, off + n) of `in` into one Vec
+  /// per expression and returns the lanes filled: n, or -- per row --
+  /// up to and including the first failing tuple.
+  size_t EvalLanes(const Exprs& exprs, const Tuples& in, size_t off, size_t n,
+                   EvalContext* ctx, std::vector<Vec>* out);
+  /// Appends to `keep` the positions of the tuples of `in` where `pred`
+  /// holds, in order, or returns the first failing tuple's status.
+  Status FilterRows(const Exprs& pred, const Tuples& in, EvalContext* ctx,
+                    std::vector<size_t>* keep);
 
   /// A group-by's keys and aggregate arguments, and the fused scan's
   /// filter (executor.cc).
@@ -259,22 +261,24 @@ class Executor {
   /// into each, and the first predicate and fold failures (executor.cc).
   struct GroupPartial;
 
-  /// The batch operators. The fused scan shapes -- Select(Scan) in
-  /// FilterScanRefs, GroupBy([Select(]Scan[)]) -- stream every shard's
-  /// batches through one consumer via ScanShards, as ScanRefs does.
-  /// They read the batches' borrowed rows in place (exec/batch.h) and
-  /// copy a row only into the ResultSet: the filter the rows it keeps,
-  /// and the group-by none. Filter, Project and GroupByFold run over a
-  /// materialized input, one batch at a time, in row order.
-  Result<ResultSet> ExecGroupByBatch(const BoundNode& node,
-                                     const storage::Table& table,
-                                     const GroupPlan& plan);
-  Result<ResultSet> Filter(const BoundNode& node, ResultSet in,
-                           EvalContext* ctx);
-  Result<ResultSet> Project(const BoundNode& node, ResultSet in,
-                            EvalContext* ctx);
-  Result<ResultSet> GroupByFold(const BoundNode& node, ResultSet in,
-                                const GroupPlan& plan, EvalContext* ctx);
+  /// The operators over tuples. The fused scan shapes -- Select(Scan)
+  /// in FilterScanRefs, GroupBy([Select(]Scan[)]) -- stream every
+  /// shard's batches through one consumer via ScanShards, as ScanRefs
+  /// does, reading the batches' borrowed rows in place (exec/batch.h).
+  /// Filter, Project, Sort and GroupByFold evaluate their expressions
+  /// over their input's tuples one batch at a time, in tuple order.
+  /// Filter, Sort, Dedup and Limit keep, order or drop tuples; Project
+  /// maps slots or makes one row per tuple; a group-by makes its group
+  /// rows.
+  Result<Tuples> ExecGroupByBatch(const BoundNode& node,
+                                  const storage::Table& table,
+                                  const GroupPlan& plan);
+  Result<Tuples> Filter(const BoundNode& node, Tuples in, EvalContext* ctx);
+  Result<Tuples> Project(const BoundNode& node, Tuples in, EvalContext* ctx);
+  Result<Tuples> Sort(const BoundNode& node, Tuples in, EvalContext* ctx);
+  Tuples Dedup(const BoundNode& node, Tuples in);
+  Result<Tuples> GroupByFold(const BoundNode& node, const Tuples& in,
+                             const GroupPlan& plan, EvalContext* ctx);
 
   /// What a scan charged: visible rows and their wire bytes.
   struct ShardScan {
@@ -316,7 +320,7 @@ class Executor {
   }
 
   /// One batch a scan streamed or a compiled expression evaluated over
-  /// a materialized input. Thread-safe
+  /// an operator's input tuples. Thread-safe
   /// (striped counters, atomic profile accumulator); called from shard
   /// tasks — prof_cur_ is stable for their whole lifetime because the
   /// main thread blocks in WorkerPool::Run until every task finishes.

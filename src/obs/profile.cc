@@ -124,8 +124,8 @@ ProfileNode* Profile::ChildFor(ProfileNode* parent, const void* plan_node,
       root_->plan_node = plan_node;
     }
     // A request executes one statement, so a second top-level plan node
-    // (EvalScalar subqueries always nest below an operator) reuses the
-    // root rather than forgetting the first tree.
+    // (Executor::Eval's subqueries always nest below an operator) reuses
+    // the root rather than forgetting the first tree.
     return root_.get();
   }
   for (const auto& child : parent->children) {
